@@ -638,8 +638,8 @@ class _RestartNeeded(Exception):
 class _SeqFeed:
     """Thread-safe dispenser of chunk sequence numbers."""
 
-    def __init__(self, total: int):
-        self._next = 0
+    def __init__(self, total: int, first: int = 0):
+        self._next = first
         self._total = total
         self._lock = threading.Lock()
 
@@ -652,13 +652,14 @@ class _SeqFeed:
             return seq
 
 
-def _run_window(window: int, total: int, pump) -> None:
+def _run_window(window: int, total: int, pump, first: int = 0) -> None:
     """Run ``pump`` across a small thread pool (or inline for window 1).
 
-    ``pump`` is called with a :class:`_SeqFeed`; the first exception any
-    worker raises is re-raised here after all workers stop.
+    ``pump`` is called with a :class:`_SeqFeed` over ``first..total-1``;
+    the first exception any worker raises is re-raised here after all
+    workers stop.
     """
-    feed = _SeqFeed(total)
+    feed = _SeqFeed(total, first)
     errors: "list[BaseException]" = []
 
     def runner():
@@ -667,7 +668,7 @@ def _run_window(window: int, total: int, pump) -> None:
         except BaseException as exc:  # noqa: BLE001 - reported to caller
             errors.append(exc)
 
-    workers = max(1, min(window, total))
+    workers = max(1, min(window, total - first))
     if workers == 1:
         runner()
     else:
@@ -766,27 +767,37 @@ class ChunkedUploader:
         transfer_id = transfer_id or f"{self.link.node_id}/{secrets.token_hex(4)}"
         base = blob.describe(transfer_id)
 
+        def send_chunk(seq):
+            payload = dict(base)
+            payload.update(
+                seq=seq,
+                digest=blob.chunk_digest(seq),
+                data=blob.chunk(seq),
+            )
+            reply = self.link.request(MessageType.STATE_CHUNK, payload)
+            if reply.get("restart"):
+                raise _RestartNeeded(f"chunk {seq}: {reply}")
+            if not reply.get("ok"):
+                raise TransferError(f"chunk {seq} refused: {reply}")
+            if self.metrics is not None:
+                self.metrics.counter("net.chunks.sent").inc()
+
         def send_chunks():
             def pump(feed, errors):
                 while not errors:
                     seq = feed.take()
                     if seq is None:
                         return
-                    payload = dict(base)
-                    payload.update(
-                        seq=seq,
-                        digest=blob.chunk_digest(seq),
-                        data=blob.chunk(seq),
-                    )
-                    reply = self.link.request(MessageType.STATE_CHUNK, payload)
-                    if reply.get("restart"):
-                        raise _RestartNeeded(f"chunk {seq}: {reply}")
-                    if not reply.get("ok"):
-                        raise TransferError(f"chunk {seq} refused: {reply}")
-                    if self.metrics is not None:
-                        self.metrics.counter("net.chunks.sent").inc()
+                    send_chunk(seq)
 
-            _run_window(self.window, blob.total_chunks, pump)
+            # Chunk 0 creates the receiver's assembler, so it goes alone
+            # and is acknowledged before the window opens: a pipelined
+            # chunk overtaking it would look exactly like a post-failover
+            # stray ("mid-stream chunk, no assembler") and be answered
+            # ``restart``.  After it, that answer only ever means a real
+            # failover.
+            send_chunk(0)
+            _run_window(self.window, blob.total_chunks, pump, first=1)
             done = dict(base, **(context or {}))
             done.pop("chunk_bytes", None)
             reply = self.link.request(MessageType.STATE_DONE, done)

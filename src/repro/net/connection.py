@@ -1,0 +1,556 @@
+"""The one connection lifecycle under the memory, TCP and shm transports.
+
+The "reconnecting sockets" third of §V-D's recipe, written once.
+:class:`Connection` is the client state machine (dial → hello/welcome →
+up → drop → backoff redial → closed) and owns the fault stage, the send
+lock, the traced redial with endpoint rotation, the reader's hand-off
+to ``on_reply`` and the optional heartbeat thread;
+:class:`ConnectionServer` owns the accept loop, the handshake, the
+dispatch-and-reply path and ``close``.  What differs per transport is a
+*pipe* (:class:`FramePipe`) and how to open it: a socket
+(:mod:`repro.net.tcp`), a shm ring pair with a doorbell
+(:mod:`repro.net.shm`) or a direct ``ServerCore.dispatch`` call
+(:class:`repro.net.transport.DirectPipe`).  State diagram:
+docs/PROTOCOL.md, "Connection lifecycle".
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import socket
+import threading
+import time
+import typing
+
+from ..coordination.faults import ExponentialBackoff, FaultPlan
+from ..coordination.messages import FaultyChannel, Message
+from . import wire
+
+#: Reserved request-payload key carrying the sender's trace context
+#: (job id, node id, per-process incarnation epoch, send timestamp).
+#: Stamped by :meth:`ReliableLink.request`, popped by
+#: :meth:`ServerCore.dispatch` before the handler runs; the message id
+#: itself is the request→reply correlation id.  Replies carry the
+#: server's context under the same key, stamped per *transmission* by
+#: the connection layer (never by ServerCore — a cached reply re-served
+#: to a retransmission must get fresh timestamps).
+TRACE_CTX_KEY = "__ctx__"
+
+
+# -- deterministic fault injection -------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class FaultAction:
+    """What the fault schedule dictates for one send."""
+
+    delay: float = 0.0
+    reset: bool = False
+
+
+_NO_FAULT = FaultAction()
+
+
+class TransportFaults:
+    """Stateful consumer of a :class:`FaultPlan`'s network faults.
+
+    Drops and duplicates are *not* handled here — they go through the
+    shared :class:`FaultyChannel` stage so every transport inherits the
+    exact semantics the in-memory tests pinned down.  This class owns
+    the send-indexed faults a channel cannot express: added latency and
+    connection resets.
+    """
+
+    def __init__(
+        self,
+        delays: "typing.Mapping[int, float] | None" = None,
+        resets: typing.Iterable[int] = (),
+    ):
+        self.delays = dict(delays or {})
+        self.resets = frozenset(resets)
+        self.sends = 0
+        self.delays_injected = 0
+        self.resets_injected = 0
+
+    @classmethod
+    def from_plan(cls, plan: "FaultPlan | None") -> "TransportFaults | None":
+        """The plan's latency/reset schedule (None if it has neither)."""
+        if plan is None or not (plan.net_delays or plan.connection_resets):
+            return None
+        return cls(delays=plan.net_delays, resets=plan.connection_resets)
+
+    def next_send(self) -> FaultAction:
+        """Advance the send counter and report this send's faults."""
+        self.sends += 1
+        delay = float(self.delays.get(self.sends, 0.0))
+        reset = self.sends in self.resets
+        if delay:
+            self.delays_injected += 1
+        if reset:
+            self.resets_injected += 1
+        return FaultAction(delay=delay, reset=reset)
+
+
+# -- the pipe seam -------------------------------------------------------------
+
+
+class FramePipe:
+    """One *handshaken* byte path; base of the socket and shm pipes.
+
+    ``write(frame)`` returns the bytes moved; ``read()`` blocks for the
+    next frame, None once the peer is gone (its arrays may alias the
+    pipe's buffers until ``release()``; ``own(payload)`` makes a copy
+    that outlives it); ``count(metrics, n)`` books ``n`` written bytes;
+    ``close()`` wakes anyone blocked on the pipe and frees it.
+    """
+
+    #: Whether frames keep ndarrays in place (binary data plane) or wrap
+    #: them in base64 envelopes.
+    raw = True
+
+    def send(self, message: Message) -> int:
+        """Client → server: one protocol message as a ``msg`` frame."""
+        return self.write(wire.message_frame(message, raw=self.raw))
+
+    def release(self) -> None:
+        """The last ``read`` frame is no longer referenced."""
+
+
+def hang_up(sock: socket.socket) -> None:
+    """``shutdown`` then ``close``: ``close`` alone does not wake a
+    thread blocked in ``accept``/``recv`` on the socket, and the kernel
+    keeps the endpoint alive until it wakes."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
+def transmission_ctx(core, t_recv: float) -> dict:
+    """The server's context for one reply *transmission*: stamped as
+    the reply leaves, never on the payload ``ServerCore`` caches, so a
+    retransmission served from the cache carries fresh timestamps."""
+    return {
+        "node": getattr(core, "node_id", "am"),
+        "epoch": getattr(core, "epoch", 0),
+        "recv": t_recv,
+        "sent": time.perf_counter(),
+    }
+
+
+def _spawn(name: str, target, *args) -> threading.Thread:
+    thread = threading.Thread(
+        target=target, args=args, name=name, daemon=True
+    )
+    thread.start()
+    return thread
+
+
+# -- client side ---------------------------------------------------------------
+
+
+class Connection:
+    """One reconnecting client connection (satisfies ``Transport``).
+
+    A failed or reset send marks the link down — the *whole* pipe is
+    closed, whoever noticed (sender, reader or heartbeat) — and the next
+    send pays a bounded-backoff redial, re-handshaking from scratch,
+    before any further traffic flows; ``ReliableLink`` only ever sees
+    "send and wait for the reply".  Subclasses implement
+    ``_open_pipe(endpoint)``: dial, handshake, return the live pipe.
+    """
+
+    server_node: "str | None" = None
+    #: Fencing epoch from the most recent welcome; a change across a
+    #: reconnect means a successor AM answered and the agent must
+    #: re-enroll.
+    server_epoch: "int | None" = None
+    #: Counter bumped on every successful redial (None: not exported).
+    _reconnect_metric: "str | None" = None
+
+    def __init__(self, node_id: str, on_reply, endpoints: list,
+                 backoff: ExponentialBackoff, codec: str = "json",
+                 fault_plan: "FaultPlan | None" = None, tracer=None,
+                 metrics=None, max_reconnect_attempts: int = 8,
+                 heartbeat_interval: "float | None" = None):
+        self.node_id = node_id
+        #: Candidate endpoints, primary first.  A failed dial rotates to
+        #: the next one, so a worker given the standby AM's address
+        #: keeps retrying *somewhere* useful while the primary is dead.
+        self.endpoints = endpoints
+        self._endpoint_index = 0
+        self.endpoint_rotations = 0
+        # Never request a codec this process cannot decode: the server
+        # would agree to it and the two ends would silently speak
+        # different formats.
+        self.codec = wire.negotiate_codec(codec)
+        self.tracer = tracer
+        self.metrics = metrics
+        self.bytes_sent = 0
+        self.frames_sent = 0
+        self.reconnects = 0
+        self._on_reply = on_reply
+        self._faults = TransportFaults.from_plan(fault_plan)
+        #: The shared loss/duplication stage — one FaultyChannel wrapping
+        #: the pipe write, so drop/duplicate schedules behave identically
+        #: on every transport.
+        self._channel = FaultyChannel(
+            deliver=self._write_message,
+            drop_every=fault_plan.drop_every if fault_plan else 0,
+            duplicate_every=fault_plan.duplicate_every if fault_plan else 0,
+            node_id=node_id,
+        )
+        self._backoff = backoff
+        self._max_reconnect_attempts = max_reconnect_attempts
+        self._pipe: "typing.Any | None" = None
+        #: Serializes senders (pipelined chunk uploads use a small
+        #: thread window) so the deterministic fault schedule sees one
+        #: send at a time; re-entrant because a send redials under it.
+        self._send_lock = threading.RLock()
+        self._closed = threading.Event()
+        self._heartbeat_interval = heartbeat_interval
+        self._heartbeat_thread: "threading.Thread | None" = None
+
+    def _beat(self) -> None:
+        """Hook: one keep-alive, every ``heartbeat_interval`` seconds."""
+
+    def _on_frame(self, frame: dict) -> None:
+        """Hook: an inbound frame that is not a reply."""
+
+    def _on_drop(self) -> None:
+        """Hook: the pipe just went away (under the send lock)."""
+
+    # -- connection management -------------------------------------------------
+
+    @property
+    def connected(self) -> bool:
+        """True while a handshaken pipe is up."""
+        return self._pipe is not None and not self._closed.is_set()
+
+    def connect(self) -> None:
+        """Dial the current endpoint and handshake; raises on rejection."""
+        with self._send_lock:
+            if self._closed.is_set():
+                raise wire.WireError("transport is closed")
+            if self._pipe is not None:
+                return
+            pipe = self._pipe = self._open_pipe(
+                self.endpoints[self._endpoint_index]
+            )
+            if hasattr(pipe, "read"):
+                _spawn(f"net-read-{self.node_id}", self._read_loop, pipe)
+            if self._heartbeat_interval and self._heartbeat_thread is None:
+                self._heartbeat_thread = _spawn(
+                    f"net-hb-{self.node_id}", self._heartbeat_loop
+                )
+
+    def _handshake(self, sock: socket.socket, hello: dict) -> dict:
+        """hello → welcome on a fresh socket (closed on any failure)."""
+        try:
+            wire.write_frame(sock, hello, "json")
+            answer = wire.read_frame(sock, "json")
+            if answer is None or answer.get("kind") == "reject":
+                reason = (answer or {}).get("reason", "connection closed")
+                raise wire.WireError(f"handshake rejected: {reason}")
+            if answer.get("kind") != "welcome":
+                raise wire.WireError(
+                    f"expected welcome, got {answer.get('kind')!r}"
+                )
+        except BaseException:
+            sock.close()
+            raise
+        self.codec = answer.get("codec", self.codec)
+        self.server_node = answer.get("node")
+        if answer.get("epoch") is not None:
+            self.server_epoch = int(answer["epoch"])
+        return answer
+
+    def dial(self, attempts: int = 1) -> int:
+        """Connect with bounded retries, rotating endpoints on refusal.
+
+        A worker launched while the AM is restarting backs off and
+        retries instead of dying on the first ``ECONNREFUSED``.  Returns
+        the attempts used; raises the last error when all fail.
+        """
+        last_error: Exception = wire.WireError("transport is closed")
+        for attempt in range(max(1, attempts)):
+            if self._closed.is_set():
+                break
+            try:
+                self.connect()
+                return attempt + 1
+            except (OSError, wire.WireError) as exc:
+                last_error = exc
+                if len(self.endpoints) > 1:
+                    self._endpoint_index = (
+                        (self._endpoint_index + 1) % len(self.endpoints)
+                    )
+                    self.endpoint_rotations += 1
+                self._backoff.wait(attempt)
+        raise last_error
+
+    def _reconnect(self) -> None:
+        """Bounded-backoff redial; traced as ``net.reconnect``."""
+        span = None
+        if self.tracer is not None:
+            span = self.tracer.begin(
+                "net.reconnect", track=self.node_id, cat="net"
+            )
+        try:
+            attempts = self.dial(self._max_reconnect_attempts)
+        except (OSError, wire.WireError):
+            if self.tracer is not None:
+                self.tracer.end(
+                    span, attempts=self._max_reconnect_attempts, ok=False
+                )
+            raise
+        self.reconnects += 1
+        if self.metrics is not None and self._reconnect_metric:
+            self.metrics.counter(self._reconnect_metric).inc()
+        if self.tracer is not None:
+            self.tracer.end(span, attempts=attempts, ok=True)
+
+    def _drop_connection(self, only: "typing.Any | None" = None) -> None:
+        """Close the whole pipe (``only``: just if it is still this one).
+
+        Under the send lock to the end, so a ``close()`` that finds the
+        pipe already gone has waited for whoever is still closing it:
+        when ``close()`` returns, nothing of the link is left behind.
+        """
+        with self._send_lock:
+            pipe = self._pipe
+            if pipe is None or (only is not None and pipe is not only):
+                return
+            self._pipe = None
+            self._on_drop()
+            pipe.close()
+
+    def close(self) -> None:
+        """Tear the connection down for good."""
+        self._closed.set()
+        self._drop_connection()
+        self._channel.close()
+
+    # -- sending ---------------------------------------------------------------
+
+    def send(self, message: Message) -> bool:
+        """One delivery attempt; False when the send is known-lost.
+
+        Resets from the fault schedule (and real pipe errors) kill the
+        connection along with the in-flight frame; the *next* send pays
+        the reconnect.  The reliability layer's timeout-resend turns
+        either case into a retransmission.
+        """
+        if self._closed.is_set():
+            return False
+        with self._send_lock:
+            faults = self._faults
+            action = faults.next_send() if faults is not None else _NO_FAULT
+            if action.reset:
+                self._drop_connection()
+                return False
+            try:
+                if self._pipe is None:
+                    self._reconnect()
+                # An injected delay waits on the closed event, not the
+                # clock: closing the link mid-delay returns at once.
+                if action.delay and self._closed.wait(action.delay):
+                    return False
+                return self._channel.send(message)
+            except (OSError, wire.WireError):
+                # The redial failed, or a real broken pipe / reset
+                # surfaced mid-write (_write_message already dropped the
+                # connection).  Report the send as lost so the
+                # reliability layer resends and the next attempt pays
+                # the reconnect — the same path a scheduled fault-plan
+                # reset takes.
+                return False
+
+    def _write_message(self, message: Message) -> None:
+        """The channel's deliver hook: hand to the pipe, or die trying."""
+        pipe = self._pipe
+        if pipe is None:
+            raise OSError("not connected")
+        try:
+            n = pipe.send(message)
+        except OSError:
+            self._drop_connection(pipe)
+            raise
+        self.frames_sent += 1
+        if n:
+            self.bytes_sent += n
+            if self.metrics is not None:
+                pipe.count(self.metrics, n)
+
+    # -- receiving -------------------------------------------------------------
+
+    def _deliver_reply(self, in_reply_to: int, payload: dict, ctx) -> None:
+        """Hand one reply (the caller's own dict) to the link; the
+        transmission context rides in as a payload key the link pops
+        before anyone else looks."""
+        if isinstance(ctx, dict):
+            payload[TRACE_CTX_KEY] = ctx
+        self._on_reply(in_reply_to, payload)
+
+    def _read_loop(self, pipe) -> None:
+        try:
+            while not self._closed.is_set():
+                frame = pipe.read()
+                if frame is None:
+                    break
+                try:
+                    if frame.get("kind") == "reply":
+                        self._deliver_reply(
+                            int(frame["in_reply_to"]),
+                            pipe.own(frame.get("payload") or {}),
+                            frame.get("ctx"),
+                        )
+                    else:
+                        self._on_frame(frame)
+                finally:
+                    pipe.release()
+        except (OSError, wire.WireError):
+            pass
+        # EOF or error: the peer is gone.  If this is still the current
+        # pipe, drop all of it — `connected` goes False, nothing lingers
+        # for a send to land in, and the next send redials.
+        self._drop_connection(pipe)
+
+    def _heartbeat_loop(self) -> None:
+        while not self._closed.wait(self._heartbeat_interval):
+            self._beat()
+
+
+# -- server side ---------------------------------------------------------------
+
+
+class ConnectionServer:
+    """Accepts connections and feeds messages to a shared ServerCore.
+
+    One thread per connection reads frames and runs the handler on it,
+    so dedup and reply caching are identical to the in-memory path.
+    Subclasses build the listener and implement ``_open_pipe(conn,
+    hello, handshake)``: the pipe a validated ``hello`` asks for
+    (WireError: reject).
+    """
+
+    #: Whether this server is willing to speak binary frames; each
+    #: connection uses them only if its client advertised ``bin``.
+    binary = True
+    #: Extra ``net.accept`` tags naming the transport.
+    _accept_tags: "dict[str, str]" = {}
+
+    def __init__(self, core, listener, tracer=None, metrics=None):
+        self.core = core
+        self.tracer = tracer
+        self.metrics = metrics
+        self.bytes_sent = 0
+        self._listener = listener
+        self._closed = threading.Event()
+        self._accept_thread: "threading.Thread | None" = None
+        self._connections: "set[socket.socket]" = set()
+        self._conn_lock = threading.Lock()
+        self.connections_accepted = 0
+        self.handshakes_rejected = 0
+        self.heartbeats_received = 0
+        self.last_seen: "dict[str, float]" = {}
+
+    def start(self):
+        """Begin accepting connections."""
+        self._accept_thread = _spawn("net-accept", self._accept_loop)
+        return self
+
+    def _accept_loop(self) -> None:
+        while not self._closed.is_set():
+            try:
+                conn, _addr = self._listener.accept()
+            except OSError:
+                break
+            with self._conn_lock:
+                self._connections.add(conn)
+            _spawn("net-serve", self._serve_connection, conn)
+
+    def _serve_connection(self, conn: socket.socket) -> None:
+        pipe = None
+        try:
+            try:
+                hello = wire.read_frame(conn, "json")
+                handshake = wire.check_handshake(hello, binary=self.binary)
+                pipe = self._open_pipe(conn, hello, handshake)
+            except wire.WireError as exc:
+                self.handshakes_rejected += 1
+                wire.write_frame(conn, wire.reject_frame(str(exc)), "json")
+                return
+            welcome = wire.welcome_frame(
+                self.core.node_id, handshake.codec, binary=handshake.binary,
+                epoch=getattr(self.core, "epoch", None),
+            )
+            wire.write_frame(conn, welcome, "json")
+            self.connections_accepted += 1
+            if self.tracer is not None:
+                self.tracer.instant(
+                    "net.accept", track=self.core.node_id, cat="net",
+                    peer=handshake.node, codec=handshake.codec,
+                    binary=handshake.binary, **self._accept_tags,
+                )
+            while not self._closed.is_set():
+                frame = pipe.read()
+                if frame is None:
+                    break
+                self._handle_frame(pipe, frame)
+        except (OSError, wire.WireError):
+            pass
+        finally:
+            with self._conn_lock:
+                self._connections.discard(conn)
+            (pipe or conn).close()
+
+    def _handle_frame(self, pipe, frame: dict) -> None:
+        try:
+            t_recv = time.perf_counter()
+            kind = frame.get("kind")
+            if kind == "heartbeat":
+                self.heartbeats_received += 1
+                node = frame.get("node", "?")
+                self.last_seen[node] = t_recv
+                # Heartbeats are a liveness signal for the lease layer
+                # too: a worker blocked in a long barrier sends no
+                # messages but is still very much alive.
+                if self.core.on_activity is not None:
+                    self.core.on_activity(node)
+                pipe.write(wire.heartbeat_ack_frame(frame.get("seq", 0)))
+                return
+            if kind != "msg":
+                raise wire.WireError(f"unexpected frame kind {kind!r}")
+            message = wire.decode_message(frame)
+            self.last_seen[message.sender] = t_recv
+            # Dispatch while the frame's views are live (handlers copy
+            # what they keep); the slot is released only after it ran.
+            reply = self.core.dispatch(message)
+        finally:
+            pipe.release()
+        # If the connection died while the handler ran, this write
+        # raises and ends the connection; the reply stays in the core's
+        # cache for the retransmission to collect.
+        n = pipe.write(wire.reply_frame(
+            self.core.node_id, message.msg_id, reply, raw=pipe.raw,
+            ctx=transmission_ctx(self.core, t_recv),
+        ))
+        self.bytes_sent += n
+        if self.metrics is not None:
+            pipe.count(self.metrics, n)
+
+    def close(self) -> None:
+        """Stop accepting, hang up every connection, free the address."""
+        self._closed.set()
+        hang_up(self._listener)
+        with self._conn_lock:
+            connections, self._connections = self._connections, set()
+        for conn in connections:
+            hang_up(conn)
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=2.0)

@@ -6,8 +6,9 @@ behind the shared dedup/resend recipe) and dials its ring successor
 through a :class:`~repro.net.transport.ReliableLink` — so the gradient
 plane inherits exactly the control plane's exactly-once guarantees:
 timeout-resend on the sender, ``(sender, msg_id)`` dedup on the
-receiver, reconnect-and-retransmit across connection resets, and the
-zero-copy binary frame path over TCP.
+receiver, reconnect-and-retransmit across connection resets (the one
+:mod:`repro.net.connection` lifecycle, whichever host carries it), and
+the zero-copy binary frame path over TCP.
 
 A :class:`PeerHost` abstracts where peers live:
 
@@ -16,7 +17,8 @@ A :class:`PeerHost` abstracts where peers live:
   :func:`~repro.net.transport.memory_link` to the registered core.
   Threads-in-one-process tests use this.
 * :class:`TcpPeerHost` — each ``serve`` starts a
-  :class:`~repro.net.tcp.TcpServer` on an ephemeral loopback port;
+  :class:`~repro.net.tcp.TcpServer` on an ephemeral loopback port
+  (the listener registry is :class:`SocketPeerHost`'s, shared with shm);
   addresses are ``tcp://host:port`` and connecting dials a
   :func:`~repro.net.tcp.tcp_link` (binary frames negotiated, no
   heartbeat thread — ring traffic is its own liveness signal).
@@ -152,22 +154,22 @@ class MemoryPeerHost:
                 link.close()
 
 
-class TcpPeerHost:
-    """Loopback-TCP peer mesh: one ephemeral listener per worker."""
+class SocketPeerHost:
+    """The serve/release/close registry of the socket-backed hosts.
 
-    def __init__(self, host: str = "127.0.0.1"):
-        self.host = host
+    One listener (a :class:`~repro.net.connection.ConnectionServer`)
+    per served worker, keyed by its advertised address.  Subclasses say
+    how to start one (``_start_server(core)`` → ``(address, server)``)
+    and how to dial one (``_dial(addr, node_id, **link_options)``;
+    OSError: nobody is serving it).
+    """
+
+    def __init__(self):
         self._servers: "dict[str, typing.Any]" = {}
         self._lock = threading.Lock()
 
     def serve(self, core: ServerCore, worker_id: str) -> str:
-        from .tcp import TcpServer
-
-        server = TcpServer(
-            core, host=self.host, port=0, tracer=core.tracer,
-            metrics=core.metrics,
-        ).start()
-        addr = f"tcp://{server.host}:{server.port}"
+        addr, server = self._start_server(core)
         with self._lock:
             self._servers[addr] = server
         return addr
@@ -182,33 +184,16 @@ class TcpPeerHost:
         tracer=None,
         metrics=None,
     ):
-        from .tcp import tcp_link
-
-        if peer_scheme(addr) != "tcp":
-            raise ValueError(
-                f"TcpPeerHost cannot connect to {addr!r} "
-                f"(only tcp:// peers are dialable from here)"
-            )
-        host, port = parse_peer_addr(addr)
         try:
-            link, _transport = tcp_link(
-                host, port, node_id, fault_plan=fault_plan,
+            return self._dial(
+                addr, node_id, fault_plan=fault_plan,
                 ack_timeout=ack_timeout, max_attempts=max_attempts,
                 tracer=tracer, metrics=metrics,
-                # Segment traffic is constant while the ring is healthy;
-                # a keep-alive thread per peer link would be pure
-                # overhead.
-                heartbeat_interval=None,
-                # A refused peer is dead, not failing over: burn two
-                # redial attempts, not a multi-second backoff cycle per
-                # send.
-                max_reconnect_attempts=2,
             )
         except OSError as exc:
             # A released/dead endpoint raises the same TransportClosed
             # every PeerHost raises — callers see one lifecycle error.
             raise TransportClosed(f"no peer serving {addr!r}: {exc}") from exc
-        return link
 
     def release(self, addr: str) -> None:
         with self._lock:
@@ -221,6 +206,48 @@ class TcpPeerHost:
             servers, self._servers = list(self._servers.values()), {}
         for server in servers:
             server.close()
+
+
+def dial_tcp_peer(addr: str, node_id: str, **link_options):
+    """The ``tcp://`` peer link (also ShmPeerHost's remote fallback)."""
+    from .tcp import tcp_link
+
+    if peer_scheme(addr) != "tcp":
+        raise ValueError(
+            f"TcpPeerHost cannot connect to {addr!r} "
+            f"(only tcp:// peers are dialable from here)"
+        )
+    host, port = parse_peer_addr(addr)
+    link, _transport = tcp_link(
+        host, port, node_id,
+        # Segment traffic is constant while the ring is healthy; a
+        # keep-alive thread per peer link would be pure overhead.
+        heartbeat_interval=None,
+        # A refused peer is dead, not failing over: burn two redial
+        # attempts, not a multi-second backoff cycle per send.
+        max_reconnect_attempts=2,
+        **link_options,
+    )
+    return link
+
+
+class TcpPeerHost(SocketPeerHost):
+    """Loopback-TCP peer mesh: one ephemeral listener per worker."""
+
+    def __init__(self, host: str = "127.0.0.1"):
+        super().__init__()
+        self.host = host
+
+    def _start_server(self, core: ServerCore):
+        from .tcp import TcpServer
+
+        server = TcpServer(
+            core, host=self.host, port=0, tracer=core.tracer,
+            metrics=core.metrics,
+        ).start()
+        return f"tcp://{server.host}:{server.port}", server
+
+    _dial = staticmethod(dial_tcp_peer)
 
 
 def parse_peer_addr(addr: str) -> "tuple[str, int]":

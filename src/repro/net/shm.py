@@ -17,14 +17,14 @@ UDS then stays open as the link's **doorbell**: after publishing a
 record the producer sends one byte, so the consumer blocks in
 ``select()`` exactly like a TCP reader instead of spin-polling the ring
 — bulk data never touches the socket, only wakeups do.  EOF on the
-doorbell doubles as the liveness signal.  Reliability is unchanged: :class:`ShmTransport` satisfies the
-same :class:`~repro.net.transport.Transport` protocol, so
+doorbell doubles as the liveness signal.  Reliability is unchanged:
+:class:`ShmTransport` / :class:`ShmServer` are the shared
+:mod:`repro.net.connection` lifecycle over a :class:`ShmPipe`, so
 :class:`~repro.net.transport.ReliableLink` /
 :class:`~repro.net.transport.ServerCore` provide exactly-once, dedup
 and resend on top, and :class:`~repro.coordination.faults.FaultPlan`
 faults (drops, duplicates, delays, resets) inject through the same
-:class:`~repro.coordination.messages.FaultyChannel` /
-:class:`~repro.net.transport.TransportFaults` stages as TCP.
+stages as TCP.
 
 Crash cleanup: segments are registered with multiprocessing's resource
 tracker in *both* processes, so a SIGKILL'd worker's tracker unlinks
@@ -49,15 +49,10 @@ import uuid
 import numpy as np
 
 from ..coordination.faults import ExponentialBackoff, FaultPlan
-from ..coordination.messages import FaultyChannel, Message
 from . import wire
-from .transport import (
-    TRACE_CTX_KEY,
-    FaultAction,
-    ServerCore,
-    TransportClosed,
-    TransportFaults,
-)
+from .connection import Connection, ConnectionServer, FramePipe, hang_up
+from .peers import SocketPeerHost, dial_tcp_peer, peer_scheme
+from .transport import ReliableLink, ServerCore
 
 #: Default per-direction ring capacity.  Must hold the largest frame a
 #: peer link ships (ring buckets are small, but degraded-path
@@ -315,16 +310,18 @@ class ShmRing:
             # process's tracker entry.  If the other end of a
             # same-process pair already consumed it, restore the entry
             # first so the internal unregister has one to eat; if the
-            # remote side won the unlink race, eat ours by hand.
+            # remote side won the unlink race, eat ours by hand.  All
+            # under the lock: both ends of a same-process pair react to
+            # one hangup at once, and interleaved they unregister twice.
             with _unregistered_lock:
                 reregister = self.name in _unregistered
                 _unregistered.add(self.name)
-            if reregister:
-                _tracker_call("register", self.name)
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:
-                _tracker_call("unregister", self.name)
+                if reregister:
+                    _tracker_call("register", self.name)
+                try:
+                    self._shm.unlink()
+                except FileNotFoundError:
+                    _tracker_call("unregister", self.name)
         else:
             _unregister_segment(self.name)
 
@@ -392,16 +389,14 @@ def _own_arrays(obj):
     return obj
 
 
-def _ring_doorbell(sock: "socket.socket | None") -> None:
+def _ring_doorbell(sock: socket.socket) -> None:
     """One wakeup byte after a publish (best effort, never blocks).
 
     A full socket buffer means the consumer already has unread wakeups
     queued — dropping this one is harmless.
     """
-    if sock is None:
-        return
     try:
-        sock.send(b"\x01")
+        sock.send(b"\x01", socket.MSG_DONTWAIT)
     except (BlockingIOError, OSError):
         pass
 
@@ -421,26 +416,87 @@ def _await_doorbell(sock: socket.socket, timeout: float = 0.2) -> bool:
     if not ready:
         return True
     try:
-        return sock.recv(4096) != b""
+        return sock.recv(4096, socket.MSG_DONTWAIT) != b""
     except BlockingIOError:
         return True
     except OSError:
         return False
 
 
-# -- the client transport ------------------------------------------------------
+# -- the pipe, the client transport, the server -------------------------------
 
 
-class ShmTransport:
+class ShmPipe(FramePipe):
+    """A ring pair plus the Unix socket that bootstrapped it.
+
+    Frames travel as ring records; after the handshake the socket is
+    only the doorbell (wakeup bytes, never frames) and, through EOF, the
+    liveness signal.
+    """
+
+    def __init__(self, sock: socket.socket, in_ring: ShmRing,
+                 out_ring: ShmRing, codec: str):
+        self.sock = sock
+        self.in_ring = in_ring
+        self.out_ring = out_ring
+        self.codec = codec
+
+    def write(self, frame: dict) -> int:
+        n = self.out_ring.write(shm_frame_buffers(frame, self.codec))
+        if n == 0:
+            raise OSError("shm ring closed under the send")
+        _ring_doorbell(self.sock)
+        return n
+
+    def read(self) -> "dict | None":
+        peer_gone = False
+        while True:
+            view = self.in_ring.read(timeout=0)
+            if view is not None:
+                return decode_shm_frame(view, self.codec)
+            # A dead peer's in-flight records are still drained above
+            # before the hangup ends the connection.
+            if self.in_ring.closed or peer_gone:
+                return None
+            peer_gone = not _await_doorbell(self.sock)
+
+    def release(self) -> None:
+        self.in_ring.advance()
+
+    # Replies outlive the ring slot (the requesting thread reads them
+    # later): the reader copies arrays out before releasing it.
+    own = staticmethod(_own_arrays)
+
+    @staticmethod
+    def count(metrics, nbytes: int) -> None:
+        metrics.counter("net.shm.bytes_sent").inc(nbytes)
+        metrics.counter("net.shm.frames_sent").inc()
+
+    def close(self) -> None:
+        """Unlink both segments (which marks them closed, so a peer
+        spinning on a full ring stops too), then hang up.
+
+        Both ends unlink: if the client crashed between creating and
+        unlinking, the server (or the client's resource tracker)
+        removes the name — never both successfully.
+        """
+        self.in_ring.close(unlink=True)
+        self.out_ring.close(unlink=True)
+        hang_up(self.sock)
+
+
+class ShmTransport(Connection):
     """One shared-memory connection (satisfies ``Transport``).
 
-    Mirrors :class:`~repro.net.tcp.TcpTransport`'s shape exactly — the
-    same FaultyChannel loss/duplication stage, the same
-    :class:`TransportFaults` delay/reset schedule, the same
-    drop-and-redial reset semantics (a reset tears the segment pair
-    down; the next send bootstraps a fresh pair over the UDS) — so a
-    chaos schedule replays identically over memory, TCP and SHM.
+    The shared :class:`~repro.net.connection.Connection` lifecycle over
+    a :class:`ShmPipe` — the same fault stages and drop-and-redial
+    semantics as TCP (a reset, or the server's death seen on the
+    doorbell, tears the segment pair down; the next send bootstraps a
+    fresh pair over the UDS) — so a chaos schedule replays identically
+    over memory, TCP and SHM.
     """
+
+    _reconnect_metric = "net.shm.reconnects"
 
     def __init__(
         self,
@@ -456,216 +512,41 @@ class ShmTransport:
         max_reconnect_attempts: int = 2,
         metrics: "typing.Any | None" = None,
     ):
+        super().__init__(
+            node_id, on_reply, endpoints=[path],
+            backoff=backoff or ExponentialBackoff(base=0.005, max_delay=0.25),
+            codec=codec, fault_plan=fault_plan, tracer=tracer,
+            metrics=metrics, max_reconnect_attempts=max_reconnect_attempts,
+        )
         self.path = path
-        self.node_id = node_id
-        self.codec = wire.negotiate_codec(codec)
         self.capacity = capacity
-        self.tracer = tracer
-        self.metrics = metrics
-        self.bytes_sent = 0
-        self.frames_sent = 0
-        self._on_reply = on_reply
-        self._faults = TransportFaults.from_plan(fault_plan)
-        self._channel = FaultyChannel(
-            deliver=self._write_message,
-            drop_every=fault_plan.drop_every if fault_plan else 0,
-            duplicate_every=fault_plan.duplicate_every if fault_plan else 0,
-            node_id=node_id,
-        )
-        self._backoff = backoff or ExponentialBackoff(base=0.005, max_delay=0.25)
         self._connect_timeout = connect_timeout
-        self._max_reconnect_attempts = max_reconnect_attempts
-        self._send_lock = threading.RLock()
-        self._closed = threading.Event()
-        self._sock: "socket.socket | None" = None
-        self._out: "ShmRing | None" = None
-        self._in: "ShmRing | None" = None
-        self._reader: "threading.Thread | None" = None
-        self.reconnects = 0
-        self.server_node: "str | None" = None
-        self.server_epoch: "int | None" = None
 
-    # -- connection management -------------------------------------------------
-
-    @property
-    def connected(self) -> bool:
-        return self._out is not None and not self._closed.is_set()
-
-    def connect(self) -> None:
+    def _open_pipe(self, path: str) -> ShmPipe:
         """Dial the UDS, hand over fresh segments, handshake."""
-        with self._send_lock:
-            if self._closed.is_set():
-                raise wire.WireError("transport is closed")
-            if self._out is not None:
-                return
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(self._connect_timeout)
-            out_ring = in_ring = None
-            try:
-                sock.connect(self.path)
-                sock.settimeout(None)
-                out_ring = ShmRing(capacity=self.capacity)
-                in_ring = ShmRing(capacity=self.capacity)
-                hello = wire.hello_frame(self.node_id, self.codec, binary=True)
-                hello["shm"] = {
-                    "c2s": out_ring.name, "s2c": in_ring.name,
-                }
-                wire.write_frame(sock, hello, "json")
-                answer = wire.read_frame(sock, "json")
-                if answer is None or answer.get("kind") == "reject":
-                    reason = (answer or {}).get("reason", "connection closed")
-                    raise wire.WireError(f"handshake rejected: {reason}")
-                if answer.get("kind") != "welcome":
-                    raise wire.WireError(
-                        f"expected welcome, got {answer.get('kind')!r}"
-                    )
-            except BaseException:
-                sock.close()
-                for ring in (out_ring, in_ring):
-                    if ring is not None:
-                        ring.close(unlink=True)
-                raise
-            self.codec = answer.get("codec", self.codec)
-            self.server_node = answer.get("node")
-            if answer.get("epoch") is not None:
-                self.server_epoch = int(answer["epoch"])
-            # Handshake done: from here the socket is the non-blocking
-            # doorbell (wakeup bytes only, never frames).
-            sock.setblocking(False)
-            self._sock, self._out, self._in = sock, out_ring, in_ring
-            self._reader = threading.Thread(
-                target=self._read_loop, args=(in_ring, sock),
-                name=f"shm-read-{self.node_id}", daemon=True,
-            )
-            self._reader.start()
-
-    def _drop_connection(self) -> None:
-        with self._send_lock:
-            sock, self._sock = self._sock, None
-            out_ring, self._out = self._out, None
-            in_ring, self._in = self._in, None
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
-        for ring in (out_ring, in_ring):
-            if ring is not None:
+        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        sock.settimeout(self._connect_timeout)
+        rings: "list[ShmRing]" = []
+        try:
+            sock.connect(path)
+            sock.settimeout(None)
+            rings = [ShmRing(capacity=self.capacity) for _ in range(2)]
+            hello = wire.hello_frame(self.node_id, self.codec, binary=True)
+            hello["shm"] = {"c2s": rings[0].name, "s2c": rings[1].name}
+            self._handshake(sock, hello)
+        except BaseException:
+            sock.close()
+            for ring in rings:
                 ring.close(unlink=True)
-
-    def _reconnect(self) -> None:
-        span = None
-        if self.tracer is not None:
-            span = self.tracer.begin(
-                "net.reconnect", track=self.node_id, cat="net"
-            )
-        for attempt in range(self._max_reconnect_attempts):
-            if self._closed.is_set():
-                break
-            try:
-                self.connect()
-            except (OSError, wire.WireError):
-                self._backoff.wait(attempt)
-                continue
-            self.reconnects += 1
-            if self.metrics is not None:
-                self.metrics.counter("net.shm.reconnects").inc()
-            if self.tracer is not None:
-                self.tracer.end(span, attempts=attempt + 1, ok=True)
-            return
-        if self.tracer is not None:
-            self.tracer.end(
-                span, attempts=self._max_reconnect_attempts, ok=False
-            )
-        raise wire.WireError(
-            f"{self.node_id}: could not reconnect to {self.path}"
-        )
-
-    def close(self) -> None:
-        self._closed.set()
-        self._drop_connection()
-        self._channel.close()
-
-    # -- sending ---------------------------------------------------------------
-
-    def send(self, message: Message) -> bool:
-        if self._closed.is_set():
-            return False
-        with self._send_lock:
-            action = (
-                self._faults.next_send() if self._faults is not None
-                else FaultAction()
-            )
-            if action.reset:
-                self._drop_connection()
-                return False
-            if self._out is None:
-                try:
-                    self._reconnect()
-                except (OSError, wire.WireError):
-                    return False
-            if action.delay:
-                time.sleep(action.delay)
-            try:
-                return self._channel.send(message)
-            except (OSError, wire.WireError):
-                return False
-
-    def _write_message(self, message: Message) -> None:
-        out_ring = self._out
-        if out_ring is None:
-            raise OSError("not connected")
-        buffers = shm_frame_buffers(
-            wire.message_frame(message, raw=True), self.codec
-        )
-        n = out_ring.write(buffers)
-        if n == 0:
-            self._drop_connection()
-            raise OSError("shm ring closed under the send")
-        _ring_doorbell(self._sock)
-        self.bytes_sent += n
-        self.frames_sent += 1
-        if self.metrics is not None:
-            self.metrics.counter("net.shm.bytes_sent").inc(n)
-            self.metrics.counter("net.shm.frames_sent").inc()
-
-    # -- receiving -------------------------------------------------------------
-
-    def _read_loop(self, in_ring: ShmRing, sock: socket.socket) -> None:
-        peer_gone = False
-        while not self._closed.is_set() and self._in is in_ring:
-            view = in_ring.read(timeout=0)
-            if view is None:
-                # A dead server's last replies are still drained above
-                # before the hangup ends the loop.
-                if in_ring.closed or peer_gone:
-                    break
-                peer_gone = not _await_doorbell(sock)
-                continue
-            try:
-                frame = decode_shm_frame(view, self.codec)
-                if frame.get("kind") == "reply":
-                    # Replies outlive the ring slot (the requesting
-                    # thread reads them later): copy arrays out now.
-                    payload = _own_arrays(frame.get("payload") or {})
-                    ctx = frame.get("ctx")
-                    if isinstance(ctx, dict):
-                        payload[TRACE_CTX_KEY] = ctx
-                    self._on_reply(int(frame["in_reply_to"]), payload)
-            except wire.WireError:
-                break
-            finally:
-                in_ring.advance()
-        with self._send_lock:
-            if self._in is in_ring:
-                self._sock = None
+            raise
+        return ShmPipe(sock, rings[1], rings[0], self.codec)
 
 
-# -- the server ----------------------------------------------------------------
+class ShmServer(ConnectionServer):
+    """A :class:`ConnectionServer` on an AF_UNIX listener; each accepted
+    connection attaches the segment pair its ``hello`` names."""
 
-
-class ShmServer:
-    """Accepts shm links over a Unix socket; feeds a shared ServerCore."""
+    _accept_tags = {"transport": "shm"}
 
     def __init__(
         self,
@@ -674,192 +555,42 @@ class ShmServer:
         tracer: "typing.Any | None" = None,
         metrics: "typing.Any | None" = None,
     ):
-        self.core = core
-        self.tracer = tracer
-        self.metrics = metrics
-        self.bytes_sent = 0
         self.path = path or os.path.join(
             tempfile.gettempdir(),
             f"elan-peer-{os.getpid()}-{uuid.uuid4().hex[:8]}.sock",
         )
-        self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:
-            self._listener.bind(self.path)
+            listener.bind(self.path)
         except OSError:
-            try:
-                os.unlink(self.path)
-            except FileNotFoundError:
-                pass
-            self._listener.bind(self.path)
-        self._listener.listen(16)
-        self._closed = threading.Event()
-        self._accept_thread: "threading.Thread | None" = None
-        self._connections: "list[tuple[socket.socket, ShmRing, ShmRing]]" = []
-        self._conn_lock = threading.Lock()
-        self.connections_accepted = 0
-        self.handshakes_rejected = 0
+            self._unlink_path()  # a dead predecessor's socket file
+            listener.bind(self.path)
+        listener.listen(16)
+        super().__init__(core, listener, tracer=tracer, metrics=metrics)
 
-    def start(self) -> "ShmServer":
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="shm-accept", daemon=True
-        )
-        self._accept_thread.start()
-        return self
-
-    def _accept_loop(self) -> None:
-        while not self._closed.is_set():
-            try:
-                conn, _addr = self._listener.accept()
-            except OSError:
-                break
-            threading.Thread(
-                target=self._serve_connection, args=(conn,),
-                name="shm-serve", daemon=True,
-            ).start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        in_ring = out_ring = None
+    def _open_pipe(self, conn, hello, handshake) -> ShmPipe:
+        names = hello.get("shm")
+        if not isinstance(names, dict):
+            raise wire.WireError("shm hello names no segments")
+        rings: "list[ShmRing]" = []
         try:
-            frame = wire.read_frame(conn, "json")
-            try:
-                handshake = wire.check_handshake(frame, binary=True)
-                names = (frame or {}).get("shm")
-                if not isinstance(names, dict):
-                    raise wire.WireError("shm hello names no segments")
-                in_ring = ShmRing(name=str(names["c2s"]))
-                out_ring = ShmRing(name=str(names["s2c"]))
-            except (KeyError, FileNotFoundError) as exc:
-                raise wire.WireError(f"bad shm bootstrap: {exc}") from exc
-            except wire.WireError:
-                raise
-        except wire.WireError as exc:
-            self.handshakes_rejected += 1
-            try:
-                wire.write_frame(conn, wire.reject_frame(str(exc)), "json")
-            except OSError:
-                pass
-            conn.close()
-            for ring in (in_ring, out_ring):
-                if ring is not None:
-                    ring.close(unlink=True)
-            return
-        except OSError:
-            conn.close()
-            return
-        try:
-            wire.write_frame(
-                conn,
-                wire.welcome_frame(
-                    self.core.node_id, handshake.codec, binary=True,
-                    epoch=getattr(self.core, "epoch", None),
-                ),
-                "json",
-            )
-        except OSError:
-            conn.close()
-            for ring in (in_ring, out_ring):
+            for key in ("c2s", "s2c"):
+                rings.append(ShmRing(name=str(names[key])))
+        except (KeyError, FileNotFoundError) as exc:
+            for ring in rings:
                 ring.close(unlink=True)
-            return
-        self.connections_accepted += 1
-        if self.tracer is not None:
-            self.tracer.instant(
-                "net.accept", track=self.core.node_id, cat="net",
-                peer=handshake.node, codec=handshake.codec, binary=True,
-                transport="shm",
-            )
-        with self._conn_lock:
-            self._connections.append((conn, in_ring, out_ring))
-        conn.setblocking(False)
-        try:
-            self._serve_rings(conn, in_ring, out_ring, handshake.codec)
-        finally:
-            with self._conn_lock:
-                entry = (conn, in_ring, out_ring)
-                if entry in self._connections:
-                    self._connections.remove(entry)
-            try:
-                conn.close()
-            except OSError:
-                pass
-            # The server unlinks too: if the client crashed between
-            # creating and unlinking, this (or the client's resource
-            # tracker) removes the name — never both successfully.
-            in_ring.close(unlink=True)
-            out_ring.close(unlink=True)
+            raise wire.WireError(f"bad shm bootstrap: {exc}") from exc
+        return ShmPipe(conn, rings[0], rings[1], handshake.codec)
 
-    def _serve_rings(
-        self, conn: socket.socket, in_ring: ShmRing, out_ring: ShmRing,
-        codec: str,
-    ) -> None:
-        client_gone = False
-        while not self._closed.is_set():
-            view = in_ring.read(timeout=0)
-            if view is None:
-                # A crashed client's in-flight requests drain above
-                # before the doorbell EOF ends the connection.
-                if in_ring.closed or client_gone:
-                    return
-                client_gone = not _await_doorbell(conn)
-                continue
-            try:
-                frame = decode_shm_frame(view, codec)
-                t_recv = time.perf_counter()
-                if frame.get("kind") != "msg":
-                    continue
-                message = wire.decode_message(frame)
-                # Dispatch while the views are live; the mailbox copies
-                # what it keeps.  Advance only after the handler ran.
-                reply = self.core.dispatch(message)
-            except wire.WireError:
-                return
-            finally:
-                in_ring.advance()
-            reply_buffers = shm_frame_buffers(
-                wire.reply_frame(
-                    self.core.node_id, message.msg_id, reply, raw=True,
-                    ctx={
-                        "node": self.core.node_id,
-                        "epoch": self.core.epoch,
-                        "recv": t_recv,
-                        "sent": time.perf_counter(),
-                    },
-                ),
-                codec,
-            )
-            n = out_ring.write(reply_buffers)
-            if n == 0:
-                return
-            _ring_doorbell(conn)
-            self.bytes_sent += n
-            if self.metrics is not None:
-                self.metrics.counter("net.shm.bytes_sent").inc(n)
-                self.metrics.counter("net.shm.frames_sent").inc()
-
-    def close(self) -> None:
-        self._closed.set()
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+    def _unlink_path(self) -> None:
         try:
             os.unlink(self.path)
         except FileNotFoundError:
             pass
-        with self._conn_lock:
-            connections, self._connections = self._connections, []
-        for conn, in_ring, out_ring in connections:
-            in_ring.mark_closed()
-            out_ring.mark_closed()
-            try:
-                conn.close()
-            except OSError:
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2.0)
+
+    def close(self) -> None:
+        super().close()
+        self._unlink_path()
 
 
 def shm_link(
@@ -875,8 +606,6 @@ def shm_link(
     max_reconnect_attempts: int = 2,
 ) -> "tuple":
     """A connected reliable shm client; returns ``(link, transport)``."""
-    from .transport import ReliableLink
-
     link = ReliableLink(
         node_id, ack_timeout=ack_timeout, max_attempts=max_attempts,
         tracer=tracer, metrics=metrics,
@@ -890,7 +619,7 @@ def shm_link(
     return link.attach(transport), transport
 
 
-class ShmPeerHost:
+class ShmPeerHost(SocketPeerHost):
     """Shared-memory peer mesh with TCP fallback for remote peers.
 
     ``serve`` starts one :class:`ShmServer` per worker; addresses are
@@ -902,68 +631,26 @@ class ShmPeerHost:
     """
 
     def __init__(self, capacity: int = DEFAULT_SHM_CAPACITY):
+        super().__init__()
         self.capacity = capacity
-        self._servers: "dict[str, ShmServer]" = {}
-        self._lock = threading.Lock()
 
-    def serve(self, core: ServerCore, worker_id: str) -> str:
+    def _start_server(self, core: ServerCore):
         server = ShmServer(
             core, tracer=core.tracer, metrics=core.metrics
         ).start()
-        addr = f"shm://{server.path}"
-        with self._lock:
-            self._servers[addr] = server
-        return addr
+        return f"shm://{server.path}", server
 
-    def connect(
-        self,
-        addr: str,
-        node_id: str,
-        fault_plan=None,
-        ack_timeout: float = 0.5,
-        max_attempts: int = 10,
-        tracer=None,
-        metrics=None,
-    ):
-        from .peers import peer_scheme
-
+    def _dial(self, addr: str, node_id: str, **link_options):
         scheme = peer_scheme(addr)
         if scheme == "tcp":
-            from .peers import TcpPeerHost
-
-            return TcpPeerHost().connect(
-                addr, node_id, fault_plan=fault_plan,
-                ack_timeout=ack_timeout, max_attempts=max_attempts,
-                tracer=tracer, metrics=metrics,
-            )
+            return dial_tcp_peer(addr, node_id, **link_options)
         if scheme != "shm":
             raise ValueError(
                 f"ShmPeerHost cannot connect to {addr!r} "
                 f"(scheme {scheme!r} has no shm or tcp path)"
             )
-        path = addr[len("shm://"):]
-        if not path:
-            raise ValueError(f"malformed shm peer address: {addr!r}")
-        if not os.path.exists(path):
-            raise TransportClosed(f"no peer serving {addr!r}")
-        try:
-            link, _transport = shm_link(
-                path, node_id, fault_plan=fault_plan,
-                ack_timeout=ack_timeout, max_attempts=max_attempts,
-                tracer=tracer, metrics=metrics, capacity=self.capacity,
-            )
-        except (OSError, wire.WireError) as exc:
-            raise TransportClosed(f"no peer serving {addr!r}: {exc}") from exc
+        link, _transport = shm_link(
+            addr[len("shm://"):], node_id, capacity=self.capacity,
+            **link_options,
+        )
         return link
-
-    def release(self, addr: str) -> None:
-        with self._lock:
-            server = self._servers.pop(addr, None)
-        if server is not None:
-            server.close()
-
-    def close(self) -> None:
-        with self._lock:
-            servers, self._servers = list(self._servers.values()), {}
-        for server in servers:
-            server.close()

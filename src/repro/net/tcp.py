@@ -1,47 +1,61 @@
-"""Length-prefixed TCP transport: reconnecting clients, threaded server.
+"""Length-prefixed TCP transport: the socket pipe, client and server.
 
 The socket layer under the :class:`~repro.net.transport.Transport` seam.
-Client side, :class:`TcpTransport` owns one connection to the server and
-keeps it alive: a failed or reset send marks the link down, and the next
-send pays an exponential-backoff reconnect (re-handshaking from scratch)
-before any further traffic flows — all invisible to
-:class:`~repro.net.transport.ReliableLink`, which only ever sees "send
-and wait for the reply".  A heartbeat thread exchanges
-``heartbeat``/``heartbeat_ack`` frames on an idle link so half-dead
-connections are noticed before a request needs them.
-
-Server side, :class:`TcpServer` accepts connections, handshakes them
-(version check), and feeds every inbound message to a shared
-:class:`~repro.net.transport.ServerCore` — dedup and reply caching are
-therefore identical to the in-memory path.  Handlers run on the
-connection's reader thread; a reply to a request whose connection died
-mid-execution is kept in the core's cache and served to the
-retransmission arriving on the replacement connection.
+The connection lifecycle itself — dial, handshake, drop, backoff redial,
+fault injection, reader hand-off, accept loop, dispatch-and-reply — is
+:mod:`repro.net.connection`'s, shared with the shm and memory
+transports.  What is TCP's own lives here: :class:`SocketPipe` (frames
+over a stream socket), the client's dial + ``hello`` with the ``bin``
+offer, its list of candidate AM endpoints, and the keep-alive:
+:class:`TcpTransport` exchanges ``heartbeat``/``heartbeat_ack`` frames
+on an idle link so half-dead connections are noticed before a request
+needs them.  :class:`TcpServer` is the shared server on an ``AF_INET``
+listener.
 """
 
 from __future__ import annotations
 
 import socket
-import threading
 import time
 import typing
 
 from ..coordination.faults import ExponentialBackoff, FaultPlan
-from ..coordination.messages import FaultyChannel, Message
+from ..coordination.messages import Message
 from . import wire
-from .transport import (
-    TRACE_CTX_KEY,
-    FaultAction,
-    ServerCore,
-    TransportFaults,
-)
+from .connection import Connection, ConnectionServer, FramePipe, hang_up
+from .transport import ReliableLink, ServerCore
 
 #: Default cadence of client keep-alive heartbeats (seconds).
 HEARTBEAT_INTERVAL = 0.5
 
 
-class TcpTransport:
-    """One reconnecting client connection (satisfies ``Transport``)."""
+class SocketPipe(FramePipe):
+    """A handshaken stream socket carrying length-prefixed frames."""
+
+    def __init__(self, sock: socket.socket, codec: str, binary: bool):
+        self.sock = sock
+        self.codec = codec
+        #: Negotiated per connection (AND of both sides' ``bin``).
+        self.raw = binary
+
+    def write(self, frame: dict) -> int:
+        return wire.write_frame(self.sock, frame, self.codec, binary=self.raw)
+
+    def read(self) -> "dict | None":
+        return wire.read_frame(self.sock, self.codec)
+
+    own = staticmethod(wire.decode_payload)
+
+    @staticmethod
+    def count(metrics, nbytes: int) -> None:
+        metrics.counter("net.wire_bytes_sent").inc(nbytes)
+
+    def close(self) -> None:
+        hang_up(self.sock)
+
+
+class TcpTransport(Connection):
+    """One reconnecting TCP client connection (satisfies ``Transport``)."""
 
     def __init__(
         self,
@@ -60,315 +74,83 @@ class TcpTransport:
         metrics: "typing.Any | None" = None,
         endpoints: "typing.Sequence[tuple[str, int]] | None" = None,
     ):
-        #: Candidate AM endpoints, primary first.  A failed reconnect
-        #: attempt rotates to the next one, so a worker given the
-        #: standby AM's address keeps retrying *somewhere* useful while
-        #: the primary is dead.
-        self.endpoints: "list[tuple[str, int]]" = (
-            [(str(h), int(p)) for h, p in endpoints]
-            if endpoints else [(host, port)]
+        super().__init__(
+            node_id, on_reply,
+            endpoints=(
+                [(str(h), int(p)) for h, p in endpoints]
+                if endpoints else [(host, port)]
+            ),
+            backoff=backoff or ExponentialBackoff(base=0.005, max_delay=0.25),
+            codec=codec, fault_plan=fault_plan, tracer=tracer,
+            metrics=metrics, max_reconnect_attempts=max_reconnect_attempts,
+            heartbeat_interval=heartbeat_interval,
         )
-        self._endpoint_index = 0
-        self.endpoint_rotations = 0
-        self.host, self.port = self.endpoints[0]
-        self.node_id = node_id
-        # Never request a codec this process cannot decode: the server
-        # would agree to it and the two ends would silently speak
-        # different formats.
-        self.codec = wire.negotiate_codec(codec)
-        self.tracer = tracer
-        self.metrics = metrics
         #: Whether this side is willing to speak binary frames; the
         #: per-connection decision lands in :attr:`binary` after the
         #: handshake (AND of both sides).
         self._binary_wanted = binary
         self.binary = False
-        self.bytes_sent = 0
+        self.host, self.port = self.endpoints[0]
         self.binary_frames_sent = 0
-        self._on_reply = on_reply
-        self._faults = TransportFaults.from_plan(fault_plan)
-        #: The shared loss/duplication stage — the same FaultyChannel the
-        #: in-memory transport is built from, here wrapping the socket
-        #: write so drop/duplicate schedules behave identically.
-        self._channel = FaultyChannel(
-            deliver=self._write_message,
-            drop_every=fault_plan.drop_every if fault_plan else 0,
-            duplicate_every=fault_plan.duplicate_every if fault_plan else 0,
-            node_id=node_id,
-        )
-        self._backoff = backoff or ExponentialBackoff(
-            base=0.005, max_delay=0.25
-        )
         self._connect_timeout = connect_timeout
-        self._max_reconnect_attempts = max_reconnect_attempts
-        self._sock: "socket.socket | None" = None
-        self._send_lock = threading.RLock()
-        self._closed = threading.Event()
-        self._reader: "threading.Thread | None" = None
-        self._heartbeat_interval = heartbeat_interval
-        self._heartbeat_thread: "threading.Thread | None" = None
         self._heartbeat_seq = 0
         self._heartbeat_sent_at: "dict[int, float]" = {}
-        self.reconnects = 0
         self.heartbeats_acked = 0
         self.last_heartbeat_rtt: "float | None" = None
-        self.server_node: "str | None" = None
-        #: Fencing epoch from the most recent welcome; a change across a
-        #: reconnect means a successor AM answered and the agent must
-        #: re-enroll.
-        self.server_epoch: "int | None" = None
 
-    # -- connection management -------------------------------------------------
-
-    @property
-    def connected(self) -> bool:
-        """True while a handshaken socket is up."""
-        return self._sock is not None and not self._closed.is_set()
-
-    def connect(self) -> None:
-        """Dial and handshake; raises on version rejection."""
-        with self._send_lock:
-            if self._closed.is_set():
-                raise wire.WireError("transport is closed")
-            if self._sock is not None:
-                return
-            sock = socket.create_connection(
-                (self.host, self.port), timeout=self._connect_timeout
-            )
-            sock.settimeout(None)
-            try:
-                wire.write_frame(
-                    sock,
-                    wire.hello_frame(
-                        self.node_id, self.codec, binary=self._binary_wanted
-                    ),
-                    "json",
-                )
-                answer = wire.read_frame(sock, "json")
-                if answer is None or answer.get("kind") == "reject":
-                    reason = (answer or {}).get("reason", "connection closed")
-                    raise wire.WireError(f"handshake rejected: {reason}")
-                if answer.get("kind") != "welcome":
-                    raise wire.WireError(
-                        f"expected welcome, got {answer.get('kind')!r}"
-                    )
-            except BaseException:
-                sock.close()
-                raise
-            self.codec = answer.get("codec", self.codec)
-            self.binary = self._binary_wanted and bool(answer.get("bin"))
-            self.server_node = answer.get("node")
-            if answer.get("epoch") is not None:
-                self.server_epoch = int(answer["epoch"])
-            self._sock = sock
-            self._reader = threading.Thread(
-                target=self._read_loop, args=(sock,),
-                name=f"net-read-{self.node_id}", daemon=True,
-            )
-            self._reader.start()
-            if (
-                self._heartbeat_interval
-                and self._heartbeat_thread is None
-            ):
-                self._heartbeat_thread = threading.Thread(
-                    target=self._heartbeat_loop,
-                    name=f"net-hb-{self.node_id}", daemon=True,
-                )
-                self._heartbeat_thread.start()
-
-    def _advance_endpoint(self) -> None:
-        """Rotate to the next candidate endpoint (no-op with one)."""
-        if len(self.endpoints) < 2:
-            return
-        self._endpoint_index = (
-            (self._endpoint_index + 1) % len(self.endpoints)
+    def _open_pipe(self, endpoint: "tuple[str, int]") -> SocketPipe:
+        #: The endpoint last dialled.
+        self.host, self.port = endpoint
+        sock = socket.create_connection(
+            endpoint, timeout=self._connect_timeout
         )
-        self.host, self.port = self.endpoints[self._endpoint_index]
-        self.endpoint_rotations += 1
-
-    def dial(self, attempts: int = 1) -> None:
-        """Connect with bounded retries, rotating endpoints on refusal.
-
-        The startup analogue of :meth:`_reconnect`: a worker launched
-        while the AM is restarting backs off and retries instead of
-        dying on the first ``ECONNREFUSED``.
-        """
-        last_error: "Exception | None" = None
-        for attempt in range(max(1, attempts)):
-            if self._closed.is_set():
-                raise wire.WireError("transport is closed")
-            try:
-                self.connect()
-                return
-            except (OSError, wire.WireError) as exc:
-                last_error = exc
-                self._advance_endpoint()
-                self._backoff.wait(attempt)
-        raise last_error if last_error is not None else wire.WireError(
-            f"{self.node_id}: could not dial {self.endpoints}"
+        sock.settimeout(None)
+        answer = self._handshake(
+            sock,
+            wire.hello_frame(
+                self.node_id, self.codec, binary=self._binary_wanted
+            ),
         )
-
-    def _drop_connection(self) -> None:
-        with self._send_lock:
-            sock, self._sock = self._sock, None
-            # In-flight heartbeats died with the connection; their acks
-            # will never arrive, so their timestamps must not linger.
-            self._heartbeat_sent_at.clear()
-        if sock is not None:
-            try:
-                sock.close()
-            except OSError:
-                pass
-
-    def _reconnect(self) -> None:
-        """Bounded-backoff redial; traced as ``net.reconnect``."""
-        span = None
-        if self.tracer is not None:
-            span = self.tracer.begin(
-                "net.reconnect", track=self.node_id, cat="net"
-            )
-        for attempt in range(self._max_reconnect_attempts):
-            if self._closed.is_set():
-                break
-            try:
-                self.connect()
-            except (OSError, wire.WireError):
-                self._advance_endpoint()
-                self._backoff.wait(attempt)
-                continue
-            self.reconnects += 1
-            if self.tracer is not None:
-                self.tracer.end(span, attempts=attempt + 1, ok=True)
-            return
-        if self.tracer is not None:
-            self.tracer.end(
-                span, attempts=self._max_reconnect_attempts, ok=False
-            )
-        raise wire.WireError(
-            f"{self.node_id}: could not reconnect to "
-            f"{self.host}:{self.port}"
-        )
-
-    def close(self) -> None:
-        """Tear the connection down for good."""
-        self._closed.set()
-        self._drop_connection()
-        self._channel.close()
-
-    # -- sending ---------------------------------------------------------------
-
-    def send(self, message: Message) -> bool:
-        """One delivery attempt; False when the send is known-lost.
-
-        Resets from the fault schedule (and real socket errors) kill the
-        connection along with the in-flight frame; the *next* send pays
-        the reconnect.  The reliability layer's timeout-resend turns
-        either case into a retransmission.
-        """
-        if self._closed.is_set():
-            return False
-        with self._send_lock:
-            action = (
-                self._faults.next_send() if self._faults is not None
-                else FaultAction()
-            )
-            if action.reset:
-                self._drop_connection()
-                return False
-            if self._sock is None:
-                try:
-                    self._reconnect()
-                except (OSError, wire.WireError):
-                    return False
-            if action.delay:
-                time.sleep(action.delay)
-            try:
-                return self._channel.send(message)
-            except (OSError, wire.WireError):
-                # A real broken pipe / reset surfaced mid-write.
-                # _write_message already dropped the connection; report
-                # the send as lost so the reliability layer resends and
-                # the next attempt pays the reconnect — the same path a
-                # scheduled fault-plan reset takes.
-                return False
+        self.binary = self._binary_wanted and bool(answer.get("bin"))
+        return SocketPipe(sock, self.codec, self.binary)
 
     def _write_message(self, message: Message) -> None:
-        """The channel's deliver hook: frame and write, or die trying."""
-        sock = self._sock
-        if sock is None:
-            raise OSError("not connected")
-        binary = self.binary
-        try:
-            n = wire.write_frame(
-                sock, wire.message_frame(message, raw=binary),
-                self.codec, binary=binary,
-            )
-        except OSError:
-            self._drop_connection()
-            raise
-        self.bytes_sent += n
-        if binary and wire.payload_nbytes(message.payload):
+        super()._write_message(message)
+        if self.binary and wire.payload_nbytes(message.payload):
             self.binary_frames_sent += 1
-        if self.metrics is not None:
-            self.metrics.counter("net.wire_bytes_sent").inc(n)
 
-    # -- receiving -------------------------------------------------------------
+    # -- keep-alive ------------------------------------------------------------
 
-    def _read_loop(self, sock: socket.socket) -> None:
-        while not self._closed.is_set():
-            try:
-                frame = wire.read_frame(sock, self.codec)
-            except (OSError, wire.WireError):
-                break
-            if frame is None:
-                break
-            kind = frame.get("kind")
-            if kind == "reply":
-                payload = wire.decode_payload(frame.get("payload") or {})
-                # The frame-level transmission context (server node,
-                # epoch, recv/send timestamps) rides into the link as a
-                # payload key the link pops before anyone else looks —
-                # fresh per decode, so a cached-reply retransmission
-                # still carries this transmission's timestamps.
-                ctx = frame.get("ctx")
-                if isinstance(ctx, dict):
-                    payload[TRACE_CTX_KEY] = ctx
-                self._on_reply(int(frame["in_reply_to"]), payload)
-            elif kind == "heartbeat_ack":
-                self.heartbeats_acked += 1
-                sent_at = self._heartbeat_sent_at.pop(frame.get("seq"), None)
-                if sent_at is not None:
-                    self.last_heartbeat_rtt = time.perf_counter() - sent_at
-        # EOF or error: if this is still the current socket, drop it so
-        # the next send reconnects.
+    def _beat(self) -> None:
+        """One ``heartbeat`` frame; its ack comes back via ``_on_frame``."""
         with self._send_lock:
-            if self._sock is sock:
-                self._sock = None
-        try:
-            sock.close()
-        except OSError:
-            pass
+            pipe = self._pipe
+            if pipe is None:
+                return  # reconnect is the sender's job
+            self._heartbeat_seq += 1
+            self._heartbeat_sent_at[self._heartbeat_seq] = time.perf_counter()
+            try:
+                pipe.write(
+                    wire.heartbeat_frame(self.node_id, self._heartbeat_seq)
+                )
+            except OSError:
+                self._drop_connection(pipe)
 
-    def _heartbeat_loop(self) -> None:
-        while not self._closed.wait(self._heartbeat_interval):
-            with self._send_lock:
-                sock = self._sock
-                if sock is None:
-                    continue  # reconnect is the sender's job
-                self._heartbeat_seq += 1
-                seq = self._heartbeat_seq
-                self._heartbeat_sent_at[seq] = time.perf_counter()
-                try:
-                    wire.write_frame(
-                        sock, wire.heartbeat_frame(self.node_id, seq),
-                        self.codec,
-                    )
-                except OSError:
-                    self._drop_connection()
+    def _on_frame(self, frame: dict) -> None:
+        if frame.get("kind") == "heartbeat_ack":
+            self.heartbeats_acked += 1
+            sent_at = self._heartbeat_sent_at.pop(frame.get("seq"), None)
+            if sent_at is not None:
+                self.last_heartbeat_rtt = time.perf_counter() - sent_at
+
+    def _on_drop(self) -> None:
+        # In-flight heartbeats died with the connection; their acks
+        # will never arrive, so their timestamps must not linger.
+        self._heartbeat_sent_at.clear()
 
 
-class TcpServer:
-    """Accepts connections and feeds messages to a shared ServerCore."""
+class TcpServer(ConnectionServer):
+    """A :class:`ConnectionServer` on an AF_INET listener."""
 
     def __init__(
         self,
@@ -379,182 +161,21 @@ class TcpServer:
         binary: bool = True,
         metrics: "typing.Any | None" = None,
     ):
-        self.core = core
-        self.tracer = tracer
-        self.metrics = metrics
-        #: Whether this server is willing to speak binary frames; each
-        #: connection uses them only if its client advertised ``bin``.
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        listener.bind((host, port))
+        listener.listen(64)
+        super().__init__(core, listener, tracer=tracer, metrics=metrics)
         self.binary = binary
-        self.bytes_sent = 0
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(64)
-        self.host, self.port = self._listener.getsockname()[:2]
-        self._closed = threading.Event()
-        self._accept_thread: "threading.Thread | None" = None
-        self._connections: "list[socket.socket]" = []
-        self._conn_lock = threading.Lock()
-        self.connections_accepted = 0
-        self.handshakes_rejected = 0
-        self.heartbeats_received = 0
-        self.last_seen: "dict[str, float]" = {}
+        self.host, self.port = listener.getsockname()[:2]
 
     @property
     def address(self) -> typing.Tuple[str, int]:
         """The (host, port) the server is listening on."""
         return self.host, self.port
 
-    def start(self) -> "TcpServer":
-        """Begin accepting connections."""
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="net-accept", daemon=True
-        )
-        self._accept_thread.start()
-        return self
-
-    def _accept_loop(self) -> None:
-        while not self._closed.is_set():
-            try:
-                conn, _addr = self._listener.accept()
-            except OSError:
-                break
-            with self._conn_lock:
-                self._connections.append(conn)
-            threading.Thread(
-                target=self._serve_connection, args=(conn,),
-                name="net-serve", daemon=True,
-            ).start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        codec = "json"
-        try:
-            try:
-                node, codec, binary = wire.check_handshake(
-                    wire.read_frame(conn, "json"), binary=self.binary
-                )
-            except wire.WireError as exc:
-                self.handshakes_rejected += 1
-                try:
-                    wire.write_frame(conn, wire.reject_frame(str(exc)), "json")
-                except OSError:
-                    pass
-                return
-            wire.write_frame(
-                conn,
-                wire.welcome_frame(
-                    self.core.node_id, codec, binary=binary,
-                    epoch=getattr(self.core, "epoch", None),
-                ),
-                "json",
-            )
-            self.connections_accepted += 1
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "net.accept", track=self.core.node_id, cat="net",
-                    peer=node, codec=codec, binary=binary,
-                )
-            write_lock = threading.Lock()
-            while not self._closed.is_set():
-                frame = wire.read_frame(conn, codec)
-                if frame is None:
-                    break
-                self._handle_frame(conn, frame, codec, binary, write_lock)
-        except (OSError, wire.WireError):
-            pass
-        finally:
-            with self._conn_lock:
-                if conn in self._connections:
-                    self._connections.remove(conn)
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    def _handle_frame(
-        self,
-        conn: socket.socket,
-        frame: dict,
-        codec: str,
-        binary: bool,
-        write_lock: threading.Lock,
-    ) -> None:
-        kind = frame.get("kind")
-        if kind == "heartbeat":
-            self.heartbeats_received += 1
-            node = frame.get("node", "?")
-            self.last_seen[node] = time.perf_counter()
-            # Heartbeats are a liveness signal for the lease layer too:
-            # a worker blocked in a long barrier sends no messages but
-            # is still very much alive.
-            if self.core.on_activity is not None:
-                self.core.on_activity(node)
-            with write_lock:
-                wire.write_frame(
-                    conn, wire.heartbeat_ack_frame(frame.get("seq", 0)),
-                    codec,
-                )
-            return
-        if kind != "msg":
-            raise wire.WireError(f"unexpected frame kind {kind!r}")
-        t_recv = time.perf_counter()
-        message = wire.decode_message(frame)
-        self.last_seen[message.sender] = t_recv
-        reply = self.core.dispatch(message)
-        try:
-            with write_lock:
-                n = wire.write_frame(
-                    conn,
-                    wire.reply_frame(
-                        self.core.node_id, message.msg_id, reply,
-                        raw=binary,
-                        # Per-transmission clock context: recv/sent are
-                        # stamped here, at the wire, so cached replies
-                        # to retransmissions never reuse stale times.
-                        ctx={
-                            "node": self.core.node_id,
-                            "epoch": self.core.epoch,
-                            "recv": t_recv,
-                            "sent": time.perf_counter(),
-                        },
-                    ),
-                    codec,
-                    binary=binary,
-                )
-        except OSError:
-            # The connection died while the handler ran; the reply stays
-            # in the core's cache for the retransmission to collect.
-            raise
-        self.bytes_sent += n
-        if self.metrics is not None:
-            self.metrics.counter("net.wire_bytes_sent").inc(n)
-
-    def close(self) -> None:
-        """Stop accepting, drop every connection, release the port."""
-        self._closed.set()
-        # shutdown() first: close() alone does not wake a thread blocked
-        # in accept(), and the kernel keeps the port bound until it wakes.
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        with self._conn_lock:
-            connections, self._connections = self._connections, []
-        for conn in connections:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2.0)
+    def _open_pipe(self, conn, hello, handshake) -> SocketPipe:
+        return SocketPipe(conn, handshake.codec, handshake.binary)
 
 
 def reserve_port(host: str = "127.0.0.1") -> "tuple[socket.socket, int]":
@@ -597,8 +218,6 @@ def tcp_link(
     links to an AM keep the default (it may be failing over), links to
     a peer should use a small budget (a refused peer is simply dead).
     """
-    from .transport import ReliableLink
-
     link = ReliableLink(
         node_id, ack_timeout=ack_timeout, max_attempts=max_attempts,
         tracer=tracer, metrics=metrics,

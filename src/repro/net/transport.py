@@ -1,4 +1,4 @@
-"""The transport seam: one protocol, two implementations, one recipe.
+"""The transport seam: one protocol, one connection core, one recipe.
 
 The paper's §V-D fault-tolerance recipe — unique message IDs, receiver
 dedup, sender timeout-resend — is transport-independent, so this module
@@ -16,7 +16,8 @@ pins it to a small :class:`Transport` protocol and implements the recipe
 
 :class:`InMemoryTransport` keeps the whole stack in-process (fast tests,
 deterministic chaos), :class:`repro.net.tcp.TcpTransport` runs it over
-real sockets; both consume the same deterministic
+real sockets; both are the one :class:`~repro.net.connection.Connection`
+lifecycle over different pipes and consume the same deterministic
 :class:`~repro.coordination.faults.FaultPlan` via
 :class:`TransportFaults`, so a chaos schedule replays identically on
 either side of the seam.
@@ -25,7 +26,6 @@ either side of the seam.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import threading
 import time
 import typing
@@ -33,24 +33,20 @@ import typing
 from ..coordination.faults import ExponentialBackoff, FaultPlan
 from ..coordination.messages import (
     DeduplicatingInbox,
-    FaultyChannel,
     Message,
     MessageFactory,
     MessageType,
     ReliableSender,
 )
 from ..observability.fleet import ClockSync
+from .connection import (
+    TRACE_CTX_KEY,
+    Connection,
+    FaultAction,  # noqa: F401 - re-exported
+    TransportFaults,  # noqa: F401 - re-exported
+    transmission_ctx,
+)
 from .wire import payload_nbytes
-
-#: Reserved request-payload key carrying the sender's trace context
-#: (job id, node id, per-process incarnation epoch, send timestamp).
-#: Stamped by :meth:`ReliableLink.request`, popped by
-#: :meth:`ServerCore.dispatch` before the handler runs; the message id
-#: itself is the request→reply correlation id.  Replies carry the
-#: server's context under the same key, stamped per *transmission* by
-#: the transport (never by ServerCore — a cached reply re-served to a
-#: retransmission must get fresh timestamps).
-TRACE_CTX_KEY = "__ctx__"
 
 
 class TransportClosed(ConnectionError):
@@ -107,57 +103,6 @@ class Transport(typing.Protocol):
     def connected(self) -> bool:
         """Liveness of the underlying link."""
         ...
-
-
-# -- deterministic fault injection -------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class FaultAction:
-    """What the fault schedule dictates for one send."""
-
-    delay: float = 0.0
-    reset: bool = False
-
-
-class TransportFaults:
-    """Stateful consumer of a :class:`FaultPlan`'s network faults.
-
-    Drops and duplicates are *not* handled here — they go through the
-    shared :class:`FaultyChannel` stage so both transports inherit the
-    exact semantics the in-memory tests pinned down.  This class owns
-    the send-indexed faults a channel cannot express: added latency and
-    connection resets.
-    """
-
-    def __init__(
-        self,
-        delays: "typing.Mapping[int, float] | None" = None,
-        resets: typing.Iterable[int] = (),
-    ):
-        self.delays = dict(delays or {})
-        self.resets = frozenset(resets)
-        self.sends = 0
-        self.delays_injected = 0
-        self.resets_injected = 0
-
-    @classmethod
-    def from_plan(cls, plan: "FaultPlan | None") -> "TransportFaults | None":
-        """The plan's latency/reset schedule (None if it has neither)."""
-        if plan is None or not (plan.net_delays or plan.connection_resets):
-            return None
-        return cls(delays=plan.net_delays, resets=plan.connection_resets)
-
-    def next_send(self) -> FaultAction:
-        """Advance the send counter and report this send's faults."""
-        self.sends += 1
-        delay = float(self.delays.get(self.sends, 0.0))
-        reset = self.sends in self.resets
-        if delay:
-            self.delays_injected += 1
-        if reset:
-            self.resets_injected += 1
-        return FaultAction(delay=delay, reset=reset)
 
 
 # -- client side: the single resend code path ---------------------------------
@@ -492,16 +437,51 @@ class ServerCore:
 # -- the in-memory transport --------------------------------------------------
 
 
-class InMemoryTransport(FaultyChannel):
+class DirectPipe:
+    """The memory transport's pipe: a call into ``ServerCore.dispatch``.
+
+    No frames and no reader — the reply comes back on the sender's own
+    thread, stamped with a transmission context exactly like a reply
+    frame.  In-process both clocks are the same perf_counter, so the
+    measured offset is ~0 — a free sanity check on the estimator.
+    """
+
+    def __init__(self, server: "ServerCore", deliver_reply):
+        self.server = server
+        self._deliver_reply = deliver_reply
+
+    def send(self, message: Message) -> int:
+        t_recv = time.perf_counter()
+        reply = self.server.dispatch(message)
+        # A shallow copy: the context must never land on the cached
+        # reply dict itself.
+        self._deliver_reply(
+            message.msg_id, dict(reply), transmission_ctx(self.server, t_recv)
+        )
+        return 0
+
+    def close(self) -> None:
+        pass
+
+
+class InMemoryTransport(Connection):
     """A :class:`Transport` that dispatches straight into a ServerCore.
 
-    Subclasses the in-memory :class:`FaultyChannel` — the channel *is*
-    the transport's loss/duplication stage (single fault code path) —
-    and layers on the two behaviors a real socket adds: injected
-    latency and connection resets with reconnect backoff.  A reset
-    drops the in-flight message with the "connection"; the next send
-    pays the reconnect (counted, traced as ``net.reconnect``) and then
-    proceeds, exactly like the TCP transport.
+    The shared :class:`~repro.net.connection.Connection` lifecycle over
+    a :class:`DirectPipe`: the same loss/duplication stage, injected
+    latency and connection resets as a real socket.  A reset drops the
+    in-flight message with the "connection"; the next send pays the
+    reconnect (counted, traced as ``net.reconnect``) and then proceeds,
+    exactly like the TCP transport.
+
+    The optional heartbeat mirrors the TCP transport's wire-level
+    pings: it feeds the server's ``on_activity`` hook (lease
+    keep-alive) without going through dispatch, so exactly-once
+    execution counts are untouched.  A worker doing ring
+    (peer-to-peer) iterations may otherwise not message the AM for a
+    whole coordination interval — silence the lease evictor must not
+    mistake for death.  Off by default; dies with :meth:`close`,
+    exactly like a real process's socket.
     """
 
     def __init__(
@@ -514,61 +494,36 @@ class InMemoryTransport(FaultyChannel):
         tracer: "typing.Any | None" = None,
         heartbeat_interval: "float | None" = None,
     ):
-        plan = fault_plan
         super().__init__(
-            deliver=self._dispatch,
-            drop_every=plan.drop_every if plan else 0,
-            duplicate_every=plan.duplicate_every if plan else 0,
-            node_id=node_id,
+            node_id, on_reply, endpoints=[server],
+            backoff=backoff or ExponentialBackoff(base=0.001, max_delay=0.02),
+            fault_plan=fault_plan, tracer=tracer,
+            heartbeat_interval=heartbeat_interval,
         )
-        self._server = server
-        self._on_reply = on_reply
-        self._faults = TransportFaults.from_plan(plan)
-        self._backoff = backoff or ExponentialBackoff(
-            base=0.001, max_delay=0.02
-        )
-        self.tracer = tracer
-        self._link_up = True
-        self.reconnects = 0
-        #: Optional liveness heartbeat, mirroring the TCP transport's
-        #: wire-level pings: feeds the server's ``on_activity`` hook
-        #: (lease keep-alive) without going through dispatch, so
-        #: exactly-once execution counts are untouched.  A worker doing
-        #: ring (peer-to-peer) iterations may otherwise not message the
-        #: AM for a whole coordination interval — silence the lease
-        #: evictor must not mistake for death.  Off by default; dies
-        #: with :meth:`close`, exactly like a real process's socket.
-        #: Serializes concurrent senders (pipelined chunk uploads use a
-        #: small thread window) so the deterministic fault schedule sees
-        #: one send at a time, exactly like the TCP transport's
-        #: send lock.
-        self._send_lock = threading.Lock()
-        self._heartbeat_stop = threading.Event()
-        self._heartbeat_thread: "threading.Thread | None" = None
-        if heartbeat_interval:
-            self._heartbeat_thread = threading.Thread(
-                target=self._heartbeat_loop, args=(heartbeat_interval,),
-                name=f"mem-hb-{node_id}", daemon=True,
-            )
-            self._heartbeat_thread.start()
+        self.connect()
 
-    def _heartbeat_loop(self, interval: float) -> None:
-        while not self._heartbeat_stop.wait(interval):
-            if not self.connected:
-                continue
-            on_activity = getattr(self._server, "on_activity", None)
-            if on_activity is not None:
-                on_activity(self.node_id)
+    def _open_pipe(self, server: ServerCore) -> DirectPipe:
+        return DirectPipe(server, self._deliver_reply)
 
-    @property
-    def connected(self) -> bool:
-        """Both "the channel is open" and "the simulated link is up"."""
-        return super().connected and self._link_up
+    def _beat(self) -> None:
+        # Not under the send lock: a sender parked inside a barrier
+        # handler holds it, and that is exactly when the lease needs us.
+        on_activity = getattr(self.endpoints[0], "on_activity", None)
+        if self.connected and on_activity is not None:
+            on_activity(self.node_id)
 
     @property
     def server_epoch(self) -> "int | None":
         """The served AM's fencing epoch (mirrors the TCP welcome)."""
-        return getattr(self._server, "epoch", None)
+        return getattr(self.endpoints[0], "epoch", None)
+
+    def close(self) -> None:
+        # Lock-free, unlike the base: a sender parked inside a barrier
+        # handler holds the send lock, and this pipe owns nothing that
+        # has to be released under it.
+        self._closed.set()
+        self._pipe = None
+        self._channel.close()
 
     def redirect(self, server: ServerCore) -> None:
         """Point this transport at a successor server (AM failover).
@@ -578,58 +533,10 @@ class InMemoryTransport(FaultyChannel):
         and :attr:`server_epoch` reports its (bumped) fencing epoch.
         """
         with self._send_lock:
-            self._server = server
-            self._link_up = True
-
-    def _dispatch(self, message: Message) -> None:
-        t_recv = time.perf_counter()
-        reply = self._server.dispatch(message)
-        # Stamp the server's transmission context on a shallow copy —
-        # never on the cached reply dict itself, so a retransmission
-        # re-served from the cache gets fresh timestamps.  In-process
-        # both clocks are the same perf_counter, so the measured offset
-        # is ~0 — a free sanity check on the estimator.
-        ctx = {
-            "node": getattr(self._server, "node_id", "am"),
-            "epoch": getattr(self._server, "epoch", 0),
-            "recv": t_recv,
-            "sent": time.perf_counter(),
-        }
-        self._on_reply(message.msg_id, dict(reply, **{TRACE_CTX_KEY: ctx}))
-
-    def _reconnect(self) -> None:
-        span = None
-        if self.tracer is not None:
-            span = self.tracer.begin(
-                "net.reconnect", track=self.node_id, cat="net"
-            )
-        self._backoff.wait(min(self.reconnects, 8))
-        self.reconnects += 1
-        self._link_up = True
-        if self.tracer is not None:
-            self.tracer.end(span, attempt=self.reconnects)
-
-    def send(self, message: Message) -> bool:
-        with self._send_lock:
-            if not super().connected:  # closed for good
-                return False
-            action = (
-                self._faults.next_send() if self._faults is not None
-                else FaultAction()
-            )
-            if action.reset:
-                # The connection dies under this send: the message is lost.
-                self._link_up = False
-                return False
-            if not self._link_up:
-                self._reconnect()
-            if action.delay:
-                time.sleep(action.delay)
-            return super().send(message)
-
-    def close(self) -> None:
-        self._heartbeat_stop.set()
-        super().close()
+            self.endpoints = [server]
+            self._drop_connection()
+            if not self._closed.is_set():
+                self.connect()
 
 
 def memory_link(

@@ -438,6 +438,74 @@ class TestMasterChunkProtocol:
         assert snap["net.transfers.completed"] == 1
 
 
+class TestPipelinedUploadAgainstTheRestartRule:
+    """The uploader's window must never race the AM's "mid-stream chunk
+    with no assembler means a failover happened" rule."""
+
+    def test_chunk_zero_overtaken_by_its_window_is_not_a_restart(self):
+        """Reorder seq 0 behind seq 1-3 at the send path — what four
+        pipelined uploader threads racing for the send lock can do.
+        The uploader must make that order impossible: chunk 0 is sent
+        and acknowledged before the window opens, so the AM never sees
+        a mid-stream chunk for a transfer it has no assembler for."""
+        net = TestMasterChunkProtocol()._adjusting_master()
+        link = memory_link(net.core, "w0", ack_timeout=2.0)
+        inner = link.transport
+
+        class OvertakenChunkZero:
+            """Holds each transfer's chunk 0 until chunks 1-3 went by
+            (or, when the sender will not release them first, 0.3 s)."""
+
+            node_id, connected = inner.node_id, True
+
+            def __init__(self):
+                self.lock = threading.Lock()
+                self.passed = {}  # transfer id -> (seqs gone by, event)
+
+            def _transfer(self, message):
+                with self.lock:
+                    return self.passed.setdefault(
+                        message.payload["transfer_id"],
+                        (set(), threading.Event()),
+                    )
+
+            def send(self, message):
+                if message.msg_type is not MessageType.STATE_CHUNK:
+                    return inner.send(message)
+                seqs, overtaken = self._transfer(message)
+                if message.payload["seq"] == 0:
+                    overtaken.wait(0.3)
+                delivered = inner.send(message)
+                seqs.add(message.payload["seq"])
+                if {1, 2, 3} <= seqs:
+                    overtaken.set()
+                return delivered
+
+            def close(self):
+                inner.close()
+
+        link.attach(OvertakenChunkZero())
+        metrics = MetricRegistry()
+        state = sample_state()
+        try:
+            summary = ChunkedUploader(
+                link, chunk_bytes=256, window=4, metrics=metrics
+            ).upload(state, context={"iteration": 4})
+        finally:
+            link.close()
+        assert summary["chunks"] > 4
+        assert metrics.snapshot().get("net.transfers.restarted", 0) == 0
+        assert summary["reply"]["ok"] is True
+        assert summary["reply"]["chunks"] == summary["chunks"]
+        # The AM holds exactly the bytes that were sent.
+        assert summary["digest"] == StateBlob.encode(
+            state, chunk_bytes=256
+        ).digest
+        download = net._downloads[summary["transfer_id"]]
+        assert download.total_bytes == summary["payload_bytes"]
+        assert net.core.executions[("w0", "state_chunk")] == summary["chunks"]
+
+
 class TestConcurrentFanout:
     def test_joiners_fetch_concurrently_within_a_round(self):
         """Two joiners whose planner rounds coincide pull the same

@@ -1,0 +1,384 @@
+"""One connection lifecycle, three pipes.
+
+Every behaviour the shared connection core (``repro.net.connection``)
+owns is asserted once here, parametrised over the memory, TCP and shm
+transports: round trip, exactly-once under drops + duplicates, reset →
+redial → retransmit, refusal after close, server close, injected delay,
+and the lifecycle spans.  The second half kills a *real* server process
+under a live link: the reader must take the whole connection down on
+every pipe, and the next send must redial.
+
+Transport-specific behaviour (heartbeat bookkeeping, handshake
+rejection, ring geometry, segment cleanup) stays in ``test_tcp.py`` /
+``test_shm.py`` / ``test_transport.py``.
+"""
+
+import glob
+import os
+import signal
+import subprocess
+import sys
+import tempfile
+import textwrap
+import threading
+import time
+import uuid
+
+import pytest
+
+from repro.coordination.faults import FaultPlan
+from repro.coordination.messages import MessageType
+from repro.net import (
+    MemoryPeerHost,
+    RequestTimeout,
+    ServerCore,
+    ShmServer,
+    TcpServer,
+    TransportClosed,
+    shm_link,
+    tcp_link,
+)
+from repro.net.shm import SHM_NAME_PREFIX
+from repro.observability import Tracer
+
+SOCKET_BACKED = ("tcp", "shm")
+
+
+def shm_segments():
+    return set(glob.glob(f"/dev/shm/{SHM_NAME_PREFIX}*"))
+
+
+class Endpoint:
+    """A served ``ServerCore`` plus a way to dial it, per transport."""
+
+    def __init__(self, kind, tracer=None):
+        self.kind = kind
+        self.seen = []
+        self.core = ServerCore(handler=self._handle, tracer=tracer)
+        self.server = None
+        if kind == "memory":
+            # The memory pipe has no listener; the peer host's registry
+            # plays the server (closing it severs the issued links).
+            self.host = MemoryPeerHost()
+            self.addr = self.host.serve(self.core, "srv")
+        elif kind == "tcp":
+            self.server = TcpServer(self.core, tracer=tracer).start()
+        else:
+            self.server = ShmServer(self.core, tracer=tracer).start()
+
+    def _handle(self, message):
+        self.seen.append(message.payload.get("i"))
+        return {"echo": dict(message.payload)}
+
+    def link(self, node_id="w0", **options):
+        """A connected ``ReliableLink`` (fault_plan / ack_timeout / ...)."""
+        if self.kind == "memory":
+            return self.host.connect(self.addr, node_id, **options)
+        if self.kind == "tcp":
+            link, _ = tcp_link(
+                self.server.host, self.server.port, node_id,
+                heartbeat_interval=None, **options,
+            )
+        else:
+            link, _ = shm_link(self.server.path, node_id, **options)
+        return link
+
+    def close(self):
+        (self.server or self.host).close()
+
+
+@pytest.fixture(params=["memory", "tcp", "shm"])
+def kind(request):
+    return request.param
+
+
+@pytest.fixture
+def endpoint(kind):
+    before = shm_segments()
+    built = Endpoint(kind)
+    yield built
+    built.close()
+    # No pipe may leave a segment behind, whatever the test did to it.
+    assert wait_until(lambda: not shm_segments() - before, timeout=2.0)
+
+
+class TestLifecycle:
+    def test_round_trip(self, endpoint):
+        link = endpoint.link()
+        try:
+            assert link.request(MessageType.ACK, {"x": 1}) == {"echo": {"x": 1}}
+            assert link.transport.connected
+            assert link.transport.reconnects == 0
+            if endpoint.server is not None:
+                assert link.transport.server_node == "am"
+                assert endpoint.server.connections_accepted == 1
+        finally:
+            link.close()
+
+    def test_exactly_once_under_drops_and_duplicates(self, endpoint):
+        plan = FaultPlan.for_link(drop_every=3, duplicate_every=4)
+        link = endpoint.link(fault_plan=plan, ack_timeout=0.2)
+        try:
+            for i in range(12):
+                assert link.request(MessageType.ACK, {"i": i})["echo"] == {
+                    "i": i
+                }
+            # The drop schedule hit real sends and the resend path ran ...
+            assert link.transport._channel.dropped >= 4
+            assert link.resends >= 4
+            # ... the duplicates reached the server and were absorbed ...
+            assert endpoint.core.duplicates >= 1
+            # ... and the handler saw each message exactly once, in order.
+            assert endpoint.seen == list(range(12))
+            assert endpoint.core.executions[("w0", "ack")] == 12
+        finally:
+            link.close()
+
+    def test_reset_redials_and_retransmits(self, endpoint):
+        plan = FaultPlan(connection_resets=(2,))
+        link = endpoint.link(fault_plan=plan, ack_timeout=0.2)
+        try:
+            for i in range(4):
+                assert link.request(MessageType.ACK, {"i": i})["echo"] == {
+                    "i": i
+                }
+            assert link.transport.reconnects == 1
+            assert link.resends >= 1
+            # Exactly-once despite the lost in-flight message.
+            assert endpoint.core.executions[("w0", "ack")] == 4
+            if endpoint.server is not None:
+                assert endpoint.server.connections_accepted == 2
+        finally:
+            link.close()
+
+    def test_closed_transport_refuses_sends(self, endpoint):
+        link = endpoint.link()
+        assert link.request(MessageType.ACK, {"i": 0})["echo"] == {"i": 0}
+        link.close()
+        assert not link.transport.connected
+        with pytest.raises(RequestTimeout):
+            link.request(MessageType.ACK, ack_timeout=0.01)
+        assert endpoint.seen == [0]
+
+    def test_server_close_unblocks_client(self, endpoint):
+        link = endpoint.link(ack_timeout=0.2, max_attempts=2)
+        try:
+            link.request(MessageType.ACK, {})
+            endpoint.close()
+            started = time.monotonic()
+            with pytest.raises((RequestTimeout, TransportClosed)):
+                link.request(MessageType.ACK, {"after": "close"})
+            assert time.monotonic() - started < 5.0
+            assert not link.transport.connected
+        finally:
+            link.close()
+
+    def test_injected_delay_applies(self, endpoint):
+        plan = FaultPlan(net_delays={2: 0.15})
+        link = endpoint.link(fault_plan=plan)
+        try:
+            timings = []
+            for i in range(3):
+                started = time.monotonic()
+                link.request(MessageType.ACK, {"i": i})
+                timings.append(time.monotonic() - started)
+            assert timings[1] >= 0.15
+            assert link.transport._faults.delays_injected == 1
+        finally:
+            link.close()
+
+    def test_injected_delay_does_not_outlive_close(self, endpoint):
+        plan = FaultPlan(net_delays={1: 30.0})
+        link = endpoint.link(
+            fault_plan=plan, ack_timeout=0.05, max_attempts=2
+        )
+        outcome = []
+
+        def doomed():
+            try:
+                link.request(MessageType.ACK, {"i": 0})
+            except RequestTimeout:
+                outcome.append("timeout")
+
+        thread = threading.Thread(target=doomed, daemon=True)
+        thread.start()
+        time.sleep(0.1)  # let the send enter its 30 s delay
+        started = time.monotonic()
+        link.close()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive(), "close() did not interrupt the delay"
+        assert time.monotonic() - started < 2.0
+        assert outcome == ["timeout"]
+        assert endpoint.seen == []
+
+    def test_close_does_not_wait_for_a_parked_sender(self, endpoint):
+        """close() must return while a request is still parked in a slow
+        handler — on the memory pipe the sender's own thread is inside
+        that handler, holding the send lock."""
+        release = threading.Event()
+        endpoint.core.handler = lambda m: {"released": release.wait(10.0)}
+        link = endpoint.link(ack_timeout=5.0, max_attempts=1)
+        outcome = []
+
+        def parked():
+            try:
+                outcome.append(link.request(MessageType.ACK, {}))
+            except RequestTimeout:
+                outcome.append("timeout")
+
+        thread = threading.Thread(target=parked, daemon=True)
+        thread.start()
+        time.sleep(0.1)  # let the request reach the handler
+        started = time.monotonic()
+        link.close()
+        assert time.monotonic() - started < 1.0
+        release.set()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert len(outcome) == 1
+
+    def test_lifecycle_spans(self, kind):
+        tracer = Tracer(process="test")
+        endpoint = Endpoint(kind, tracer=tracer)
+        try:
+            link = endpoint.link(
+                fault_plan=FaultPlan(connection_resets=(1,)),
+                ack_timeout=0.1, tracer=tracer,
+            )
+            try:
+                link.request(MessageType.ACK, {"x": 1})
+            finally:
+                link.close()
+        finally:
+            endpoint.close()
+        events = tracer.to_events()
+        names = {event["name"] for event in events}
+        assert {"net.send", "net.recv", "net.reconnect"} <= names
+        (redial,) = [e for e in events if e["name"] == "net.reconnect"]
+        assert redial["args"]["ok"] is True and redial["args"]["attempts"] == 1
+        if kind in SOCKET_BACKED:
+            accepts = [e for e in events if e["name"] == "net.accept"]
+            assert len(accepts) == 2  # the first dial and the redial
+            assert all(e["args"]["peer"] == "w0" for e in accepts)
+            assert (kind == "shm") == all(
+                e["args"].get("transport") == "shm" for e in accepts
+            )
+
+
+# -- a real server process dying under a live link ------------------------------
+
+
+SERVER_SCRIPT = textwrap.dedent("""
+    import sys, time
+    from repro.net import ServerCore, ShmServer, TcpServer
+
+    kind, address = sys.argv[1], sys.argv[2]
+    core = ServerCore(handler=lambda m: {"pong": True})
+    if kind == "tcp":
+        server = TcpServer(core, port=int(address)).start()
+        address = server.port
+    else:
+        server = ShmServer(core, path=address).start()
+    print("READY", address, flush=True)
+    time.sleep(120)
+""")
+
+
+class ServerProcess:
+    """``SERVER_SCRIPT`` as a child process that can be SIGKILLed."""
+
+    def __init__(self, kind, address):
+        env = dict(os.environ)
+        src_root = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src_root)
+        self.kind = kind
+        # Rebinding a TCP port can race the killed process's teardown.
+        for _ in range(50):
+            self.process = subprocess.Popen(
+                [sys.executable, "-c", SERVER_SCRIPT, kind, str(address)],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                text=True,
+            )
+            line = self.process.stdout.readline()
+            if line.startswith("READY"):
+                self.address = line.split()[1]
+                return
+            self.process.wait(timeout=10.0)
+            time.sleep(0.1)
+        raise AssertionError(f"{kind} server never came up on {address}")
+
+    def link(self, **options):
+        if self.kind == "tcp":
+            return tcp_link(
+                "127.0.0.1", int(self.address), "w0",
+                heartbeat_interval=None, **options,
+            )
+        return shm_link(self.address, "w0", **options)
+
+    def kill(self):
+        if self.process.poll() is None:
+            self.process.send_signal(signal.SIGKILL)
+        self.process.wait(timeout=10.0)
+        self.process.stdout.close()
+
+
+def wait_until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return predicate()
+
+
+@pytest.fixture(params=SOCKET_BACKED)
+def server_process(request):
+    address = 0 if request.param == "tcp" else os.path.join(
+        tempfile.gettempdir(), f"elan-life-{uuid.uuid4().hex[:8]}.sock"
+    )
+    before = shm_segments()
+    started = [ServerProcess(request.param, address)]
+    yield started
+    for process in started:
+        process.kill()
+    if request.param == "shm":
+        try:
+            os.unlink(address)
+        except FileNotFoundError:
+            pass
+    assert wait_until(lambda: not shm_segments() - before)
+
+
+class TestServerDeath:
+    def test_restart_on_same_address_heals_the_link(self, server_process):
+        """SIGKILL the server, bring a new one up on the same address:
+        the reader saw the death, so the very next request redials."""
+        first = server_process[0]
+        link, transport = first.link(ack_timeout=0.5)
+        try:
+            assert link.request(MessageType.ACK) == {"pong": True}
+            first.kill()
+            assert wait_until(lambda: not transport.connected), (
+                "the reader never noticed the server's death"
+            )
+            server_process.append(ServerProcess(first.kind, first.address))
+            assert link.request(MessageType.ACK) == {"pong": True}
+            assert transport.reconnects == 1
+            assert transport.connected
+        finally:
+            link.close()
+
+    def test_death_without_restart_leaves_nothing_behind(self, server_process):
+        first = server_process[0]
+        before = shm_segments()
+        link, transport = first.link(ack_timeout=0.1, max_attempts=2)
+        try:
+            assert link.request(MessageType.ACK) == {"pong": True}
+            first.kill()
+            assert wait_until(lambda: not transport.connected)
+            with pytest.raises(RequestTimeout):
+                link.request(MessageType.ACK)
+            assert not transport.connected
+            assert transport.reconnects == 0
+            # The dead link's segments are gone *now*, not at close().
+            assert not shm_segments() - before
+        finally:
+            link.close()

@@ -17,7 +17,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.coordination.faults import FaultPlan
 from repro.coordination.messages import MessageType
 from repro.net import ServerCore, ShmPeerHost, ShmRing, TransportClosed
 from repro.net import wire
@@ -32,6 +31,14 @@ from repro.net.shm import (
 
 def leaked_segments():
     return glob.glob(f"/dev/shm/{SHM_NAME_PREFIX}*")
+
+
+def child_env():
+    """The environment for a child process that imports ``repro``."""
+    env = dict(os.environ)
+    src_root = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src_root)
+    return env
 
 
 @pytest.fixture(autouse=True)
@@ -198,38 +205,6 @@ class TestShmTransport:
         finally:
             link.close()
 
-    def test_exactly_once_under_drops_and_duplicates(self, shm_server):
-        counted = []
-        shm_server.core.handler = lambda m: (
-            counted.append(m.payload["i"]) or {"n": len(counted)}
-        )
-        plan = FaultPlan.for_link(drop_every=3, duplicate_every=4)
-        link, _transport = shm_link(
-            shm_server.path, "w0", fault_plan=plan, ack_timeout=0.2,
-        )
-        try:
-            for i in range(12):
-                link.request(MessageType.ACK, {"i": i})
-            # Dedup means the handler saw each message exactly once.
-            assert counted == list(range(12))
-        finally:
-            link.close()
-
-    def test_reset_redials_and_retransmits(self, shm_server):
-        plan = FaultPlan.for_link(resets=(2,))
-        link, transport = shm_link(
-            shm_server.path, "w0", fault_plan=plan, ack_timeout=0.2,
-        )
-        try:
-            for i in range(5):
-                assert link.request(MessageType.ACK, {"i": i})["echo"] == {
-                    "i": i
-                }
-            assert transport.reconnects >= 1
-            assert shm_server.connections_accepted >= 2
-        finally:
-            link.close()
-
     def test_handshake_without_segments_rejected(self, shm_server):
         import socket as socket_mod
 
@@ -243,20 +218,6 @@ class TestShmTransport:
         finally:
             sock.close()
         assert shm_server.handshakes_rejected == 1
-
-    def test_server_close_unblocks_client(self, shm_server):
-        link, _transport = shm_link(shm_server.path, "w0", ack_timeout=0.2,
-                                    max_attempts=2)
-        try:
-            link.request(MessageType.ACK, {})
-            shm_server.close()
-            from repro.net import RequestTimeout
-
-            with pytest.raises((RequestTimeout, TransportClosed)):
-                link.request(MessageType.ACK, {"after": "close"})
-        finally:
-            link.close()
-
 
 class TestShmPeerHost:
     def test_serve_connect_release(self):
@@ -304,9 +265,7 @@ class TestCrashCleanup:
             print("READY", flush=True)
             time.sleep(60)
         """)
-        env = dict(os.environ)
-        src_root = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        env["PYTHONPATH"] = os.path.abspath(src_root)
+        env = child_env()
         process = subprocess.Popen(
             [sys.executable, "-c", script], env=env,
             stdout=subprocess.PIPE, text=True,
@@ -327,3 +286,37 @@ class TestCrashCleanup:
         while time.monotonic() < deadline and leaked_segments():
             time.sleep(0.05)
         assert not leaked_segments()
+
+    def test_both_ends_of_one_process_unlink_at_once(self):
+        """A server closing under live same-process links wakes both
+        ends of every pair at once, and both unlink.  The resource
+        tracker must see each name unregistered exactly once — a
+        double unregister surfaces as a KeyError traceback on stderr."""
+        script = textwrap.dedent("""
+            import time
+            from repro.coordination.messages import MessageType
+            from repro.net import ServerCore, ShmServer, shm_link
+
+            core = ServerCore(handler=lambda m: {"ok": True})
+            for _ in range(4):
+                server = ShmServer(core).start()
+                links = [
+                    shm_link(server.path, f"w{i}", capacity=1 << 16)[0]
+                    for i in range(6)
+                ]
+                for link in links:
+                    link.request(MessageType.ACK, {})
+                server.close()
+                time.sleep(0.2)
+                for link in links:
+                    link.close()
+            time.sleep(0.3)
+        """)
+        env = child_env()
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=60.0,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "KeyError" not in done.stderr, done.stderr
+

@@ -1,11 +1,15 @@
-"""TCP transport tests: handshake, heartbeat, reconnect, reliability."""
+"""TCP transport tests: handshake rejection, heartbeat, raw socket errors.
+
+The connection lifecycle TCP shares with the memory and shm transports
+(round trip, drops, resets, refusal after close) is in
+``test_lifecycle.py``.
+"""
 
 import socket
 import time
 
 import pytest
 
-from repro.coordination.faults import FaultPlan
 from repro.coordination.messages import MessageType
 from repro.net import ServerCore, TcpServer, tcp_link
 from repro.net import wire
@@ -21,15 +25,6 @@ def server():
 
 
 class TestHandshake:
-    def test_request_reply_over_loopback(self, server):
-        link, transport = tcp_link(server.host, server.port, "w0")
-        try:
-            assert link.request(MessageType.ACK, {"x": 1}) == {"echo": {"x": 1}}
-            assert transport.server_node == "am"
-            assert server.connections_accepted == 1
-        finally:
-            link.close()
-
     def test_version_mismatch_is_rejected(self, server):
         sock = socket.create_connection((server.host, server.port))
         try:
@@ -82,24 +77,6 @@ class TestHeartbeat:
 
 
 class TestReconnect:
-    def test_reset_reconnects_and_resends(self, server):
-        plan = FaultPlan(connection_resets=(2,))
-        link, transport = tcp_link(
-            server.host, server.port, "w0",
-            fault_plan=plan, ack_timeout=0.5, heartbeat_interval=None,
-        )
-        try:
-            for i in range(3):
-                reply = link.request(MessageType.ACK, {"i": i})
-                assert reply == {"echo": {"i": i}}
-            assert transport.reconnects == 1
-            assert link.resends >= 1
-            assert server.connections_accepted == 2
-            # Exactly-once despite the loss.
-            assert server.core.executions[("w0", "ack")] == 3
-        finally:
-            link.close()
-
     def test_server_restart_mid_session(self):
         """A server that goes away entirely: the client's reconnect
         backoff keeps retrying until a new listener is up on the port."""
@@ -130,33 +107,6 @@ class TestReconnect:
                 second.close()
         finally:
             link.close()
-
-    def test_closed_transport_refuses_sends(self, server):
-        link, transport = tcp_link(server.host, server.port, "w0")
-        link.close()
-        assert not transport.connected
-        from repro.net import RequestTimeout
-
-        with pytest.raises(RequestTimeout):
-            link.request(MessageType.ACK, ack_timeout=0.01)
-
-
-class TestDropsOverTcp:
-    def test_drop_schedule_applies_to_socket_sends(self, server):
-        plan = FaultPlan(drop_every=2)
-        link, transport = tcp_link(
-            server.host, server.port, "w0",
-            fault_plan=plan, ack_timeout=0.1, heartbeat_interval=None,
-        )
-        try:
-            for i in range(4):
-                assert link.request(MessageType.ACK, {"i": i})["echo"]["i"] == i
-            assert transport._channel.dropped >= 2
-            assert link.resends >= 2
-            assert server.core.executions[("w0", "ack")] == 4
-        finally:
-            link.close()
-
 
 class TestRawSocketErrors:
     def test_write_oserror_is_lost_send_not_crash(self, server):
@@ -195,7 +145,7 @@ class TestRawSocketErrors:
         )
         try:
             assert link.request(MessageType.ACK, {"i": 0})["echo"]["i"] == 0
-            transport._sock.shutdown(socket.SHUT_RDWR)
+            transport._pipe.sock.shutdown(socket.SHUT_RDWR)
             assert link.request(MessageType.ACK, {"i": 1})["echo"]["i"] == 1
             assert transport.reconnects >= 1
         finally:

@@ -1,15 +1,18 @@
-"""Transport-seam tests: ReliableLink, ServerCore, InMemoryTransport."""
+"""Transport-seam tests: ReliableLink, ServerCore, InMemoryTransport.
+
+The connection lifecycle the memory transport shares with TCP and shm
+(round trip, drops, resets, spans) is in ``test_lifecycle.py``.
+"""
 
 import threading
 import time
 
 import pytest
 
-from repro.coordination.faults import ExponentialBackoff, FaultPlan
+from repro.coordination.faults import FaultPlan
 from repro.coordination.messages import MessageType
 from repro.net import (
     InMemoryTransport,
-    ReliableLink,
     RemoteError,
     RequestTimeout,
     ServerCore,
@@ -17,7 +20,6 @@ from repro.net import (
     TransportFaults,
     memory_link,
 )
-from repro.observability import Tracer
 
 
 def echo_core(**kwargs):
@@ -38,21 +40,6 @@ class TestTransportProtocol:
 
 
 class TestReliableLink:
-    def test_round_trip(self):
-        link = memory_link(echo_core(), "w0")
-        assert link.request(MessageType.ACK, {"x": 1}) == {"echo": {"x": 1}}
-
-    def test_drops_are_resent_exactly_once_executed(self):
-        core = echo_core()
-        link = memory_link(
-            core, "w0", fault_plan=FaultPlan(drop_every=2), ack_timeout=0.05
-        )
-        for i in range(6):
-            assert link.request(MessageType.ACK, {"i": i})["echo"] == {"i": i}
-        assert link.resends > 0
-        # Every request executed exactly once despite the drops.
-        assert core.executions[("w0", "ack")] == 6
-
     def test_duplicates_absorbed_without_reexecution(self):
         core = echo_core()
         link = memory_link(
@@ -92,20 +79,7 @@ class TestReliableLink:
         assert core.executions == {("a", "ack"): 1, ("b", "ack"): 1}
 
 
-class TestConnectionResets:
-    def test_reset_loses_message_then_reconnects(self):
-        core = echo_core()
-        link = memory_link(
-            core, "w0",
-            fault_plan=FaultPlan(connection_resets=(2,)), ack_timeout=0.05,
-        )
-        for i in range(4):
-            link.request(MessageType.ACK, {"i": i})
-        transport = link.transport
-        assert transport.reconnects == 1
-        assert link.resends >= 1
-        assert core.executions[("w0", "ack")] == 4
-
+class TestTransportFaults:
     def test_injected_delay_applies(self):
         faults = TransportFaults(delays={1: 0.01, 3: 0.02})
         first = faults.next_send()
@@ -151,18 +125,6 @@ class TestServerCore:
         assert replies == [{"done": True}, {"done": True}]
         assert core.executions[("w0", "ack")] == 1
         assert core.duplicates == 1
-
-    def test_tracing_spans_emitted(self):
-        tracer = Tracer(process="test")
-        core = echo_core(tracer=tracer)
-        link = memory_link(
-            core, "w0",
-            fault_plan=FaultPlan(connection_resets=(1,)),
-            ack_timeout=0.05, tracer=tracer,
-        )
-        link.request(MessageType.ACK, {"x": 1})
-        names = {event["name"] for event in tracer.to_events()}
-        assert {"net.send", "net.recv", "net.reconnect"} <= names
 
 
 class TestIncarnations:
