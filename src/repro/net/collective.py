@@ -4,9 +4,9 @@ The star rendezvous (every worker posts its gradient to the AM and
 waits for the server-computed mean) costs ``2·N·S`` bytes through the
 AM per iteration and one blocked reader thread per member.  This module
 moves the gradient hot path onto direct worker↔worker links: the
-classic two-phase ring — reduce-scatter then all-gather — over
-fixed-size, element-aligned buckets, pipelined with a bounded in-flight
-window (mirroring :mod:`repro.net.chunks`).
+classic two-phase ring — reduce-scatter then all-gather — as one
+pipeline of ``2·(N-1)`` hops over element-aligned buckets, each reduced
+as it lands and forwarded at once within a bounded unacknowledged window.
 
 Bit-identity with the star path
 -------------------------------
@@ -37,6 +37,7 @@ retries the iteration through the star path — exactly-once either way.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
 import threading
@@ -47,12 +48,13 @@ import numpy as np
 
 from ..coordination.messages import Message, MessageType
 from .codecs import decode_bucket, encode_bucket, validate_codec
-from .transport import TransportClosed
+from .transport import RequestTimeout, TransportClosed
 from .wire import WireError
 
-#: default ring bucket size (bytes); small enough to pipeline, large
-#: enough that per-message overhead stays negligible.
-DEFAULT_RING_BUCKET_BYTES = 64 * 1024
+#: default ring bucket size (bytes).  A segment's request/reply costs
+#: ≈ 120 µs plus only ≈ 15 µs per 64 KB, so partitions up to this size
+#: travel as one segment per hop; larger ones pipeline bucket by bucket.
+DEFAULT_RING_BUCKET_BYTES = 1024 * 1024
 
 #: consecutive degraded iterations after which a node stops attempting
 #: the ring until the next install (a persistently broken mesh would
@@ -186,12 +188,6 @@ class RingLayout:
             for piece in bucket
         ]
 
-    def partition_bytes(self, part: int) -> int:
-        return sum(
-            piece.elements * self.itemsizes[piece.name]
-            for piece in self.partitions[part]
-        )
-
 
 def ring_reference_average(
     contributions: "typing.Sequence[typing.Mapping[str, np.ndarray]]",
@@ -212,22 +208,18 @@ def ring_reference_average(
     # One bucket per partition: only the partition geometry matters here.
     layout = RingLayout(base, members, bucket_bytes=2**62)
     out = {name: np.empty_like(np.asarray(base[name])) for name in base}
+
+    def arc(rank: int, piece: Slice) -> np.ndarray:
+        contribution = np.asarray(contributions[rank % members][piece.name])
+        return RingLayout.flat(contribution)[piece.start:piece.stop]
+
     for part, slices in enumerate(layout.partitions):
         for piece in slices:
-            acc = np.array(
-                RingLayout.flat(np.asarray(contributions[part][piece.name]))[
-                    piece.start:piece.stop
-                ]
-            )
+            acc = np.array(arc(part, piece))
             for hop in range(1, members):
-                contribution = RingLayout.flat(
-                    np.asarray(
-                        contributions[(part + hop) % members][piece.name]
-                    )
-                )[piece.start:piece.stop]
                 # The ring accumulates np.add(received, local): the
                 # partial arc is the left operand at every hop.
-                acc = np.add(acc, contribution)
+                acc = np.add(acc, arc(part + hop, piece))
             RingLayout.flat(out[piece.name])[piece.start:piece.stop] = (
                 np.true_divide(acc, members)
             )
@@ -276,29 +268,16 @@ class RingMailbox:
 
     def collect(self, key: tuple, timeout: float) -> "list | None":
         """Pop one deposited segment, waiting up to ``timeout``."""
-        deadline = time.monotonic() + timeout
         with self._cond:
-            while key not in self._deposits:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return None
-                self._cond.wait(remaining)
-            return self._deposits.pop(key)
-
-    def complete(
-        self, generation: int, iteration: int,
-        mean: "dict[str, np.ndarray]",
-    ) -> None:
-        with self._cond:
-            self._status[(generation, iteration)] = "done"
-            self._mean_key = (generation, iteration)
-            self._mean = mean
+            if self._cond.wait_for(lambda: key in self._deposits, timeout):
+                return self._deposits.pop(key)
+            return None
 
     def record_mean(
         self, generation: int, iteration: int,
         mean: "dict[str, np.ndarray]",
     ) -> None:
-        """Cache a *star*-synced mean so peers can repair from it.
+        """Mark the iteration done and cache its mean (ring or star).
 
         After an AM failover a peer whose sync reply died with the old
         AM is told its barrier is stale; it fetches this cached mean
@@ -373,22 +352,30 @@ class RingMailbox:
         raise ValueError(f"unexpected peer message {message.msg_type!r}")
 
 
-@contextlib.contextmanager
+def _close_quietly(link) -> None:
+    try:
+        link.close()
+    except Exception:
+        pass
+
+
 def _maybe_span(tracer, name: str, track: str, **args):
     if tracer is None:
-        yield None
-        return
-    with tracer.span(name, track=track, cat="net", **args) as span:
-        yield span
+        return contextlib.nullcontext()
+    return tracer.span(name, track=track, cat="net", **args)
 
 
 class RingNode:
-    """One rank of the ring: owns the peer links and runs the algorithm.
+    """One rank of the ring: owns the peer links, the pump and the algorithm.
 
     ``connect`` is a callable ``addr -> ReliableLink`` (supplied by the
     peer host), so the node itself is transport-agnostic.  Links are
     cached per address and reused across generations when the address
     survives the reshuffle.
+
+    The calling thread runs the hop pipeline and all codec work; one
+    long-lived pump thread only ships bytes, ``window`` bounding the
+    segments posted but not yet acknowledged.
     """
 
     def __init__(
@@ -431,6 +418,8 @@ class RingNode:
         self.ring: "dict | None" = None
         self.strikes = 0
         self._links: "dict[str, typing.Any]" = {}
+        #: the last allreduce's geometry, keyed by (members, shapes).
+        self._layout: "tuple[tuple, RingLayout] | None" = None
         #: peers whose link failed outright this ring epoch.  A suspect
         #: is never dialed again until a new ring is installed: a
         #: silently dead peer otherwise costs a full redial-and-resend
@@ -440,6 +429,14 @@ class RingNode:
         #: set — a merely slow peer rejoins there.
         self._suspects: "set[str]" = set()
         self._lock = threading.Lock()
+        #: the pump's queue of ``(link, payload)`` — the link captured at
+        #: post time, so a later :meth:`install` cannot strand the send —
+        #: and the count of segments posted but not yet settled.
+        self._outbox: "collections.deque[tuple]" = collections.deque()
+        self._unacked = 0
+        self._cond = threading.Condition()
+        self._pump = None  # the pump thread, started by the first post
+        self._closed = False
 
     # -- membership ------------------------------------------------------------
 
@@ -498,19 +495,21 @@ class RingNode:
             views.append(residual[piece.start:piece.stop])
         return views
 
+    def _count(self, name: str, amount: int = 1) -> None:
+        if self.metrics is not None and amount:
+            self.metrics.counter(name).inc(amount)
+
     def _suspect(self, peer: str) -> None:
         with self._lock:
+            if peer in self._suspects:
+                return
             self._suspects.add(peer)
             # Drop the cached link: if the peer ever serves this address
             # again (a later ring epoch), a fresh dial is the only way in.
             link = self._links.pop(self.ring["peers"].get(peer, ""), None)
         if link is not None:
-            try:
-                link.close()
-            except Exception:
-                pass
-        if self.metrics is not None:
-            self.metrics.counter("net.allreduce.suspects").inc()
+            _close_quietly(link)
+        self._count("net.allreduce.suspects")
 
     def active(self, generation: int, iteration: int) -> bool:
         """Should this iteration's gradients take the ring plane?"""
@@ -527,102 +526,126 @@ class RingNode:
     def _link_to(self, peer: str):
         addr = self.ring["peers"][peer]
         with self._lock:
+            if peer in self._suspects:
+                raise TransportClosed(f"peer {peer!r} is suspect")
             link = self._links.get(addr)
             if link is None:
                 link = self._links[addr] = self._connect(addr)
             return link
 
     def close(self) -> None:
+        """Stop and join the pump, then close every peer link."""
+        with self._cond:
+            self._closed = True
+            self._drop_posted()
+        if self._pump is not None:
+            # Idle already unless an allreduce gave up on its drain.
+            self._pump.join(self.step_timeout)
         with self._lock:
             links, self._links = list(self._links.values()), {}
         for link in links:
-            try:
-                link.close()
-            except Exception:
-                pass
+            _close_quietly(link)
 
     # -- the collective --------------------------------------------------------
 
     def allreduce(
-        self,
-        generation: int,
-        iteration: int,
+        self, generation: int, iteration: int,
         grads: "typing.Mapping[str, np.ndarray]",
     ) -> "dict[str, np.ndarray]":
         """Reduce-scatter + all-gather; returns the bit-exact mean.
 
+        One pipeline of ``2·(N-1)`` hops on the calling thread: the
+        partition received at hop ``h`` is the one sent at hop ``h+1``,
+        so a bucket is folded in place as it lands and posted to the
+        pump at once.  The mean is returned only once every posted
+        segment is acknowledged, failed or dropped for a suspect: no
+        send outlives the call that issued it.
+
         Raises :class:`RingDegraded` (after marking the iteration
-        degraded, so peers' probes converge) on any abort.
+        degraded, so peers' probes converge) on a receive timeout.  Send
+        failures do *not* degrade this rank — its own result only
+        depends on what it receives; a successor that missed data will
+        degrade itself and repair from whoever completed.
         """
-        ring = self.ring
-        order = ring["order"]
+        order = self.ring["order"]
         members = len(order)
         rank = order.index(self.worker_id)
         successor = order[(rank + 1) % members]
-        layout = RingLayout(grads, members, self.bucket_bytes)
-        self.mailbox.begin(generation, iteration)
-        if iteration in self.fail_at:
-            self.mailbox.degrade(generation, iteration)
-            self.strikes += 1
-            if self.metrics is not None:
-                self.metrics.counter("net.allreduce.degraded").inc()
-            raise RingDegraded(
-                f"{self.worker_id} injected ring failure at {iteration}"
+        geometry = (members, tuple(
+            (name, array.shape, array.dtype.str)
+            for name, array in sorted(grads.items())
+        ))
+        if self._layout is None or self._layout[0] != geometry:
+            self._layout = geometry, RingLayout(
+                grads, members, self.bucket_bytes
             )
+        layout = self._layout[1]
+        self.mailbox.begin(generation, iteration)
         # Working copy: the pristine ``grads`` stay untouched for the
         # star fallback; ``scratch`` becomes the mean in place.
         scratch = {name: np.array(grads[name]) for name in grads}
         self._ag_relay = {}
         self._iter_residual_sq = 0.0
         started = time.perf_counter()
+        steps = members - 1  # hops per phase
+        phases = (("rs", "reduce_scatter"), ("ag", "all_gather"))
+
+        def post(hop: int, part: int, index: int, views) -> None:
+            phase, step = phases[hop // steps][0], hop % steps
+            payload = dict(
+                generation=generation, iteration=iteration, phase=phase,
+                step=step, part=part, bucket=index, data=views,
+            )
+            if self.codec != "none":
+                payload["data"], payload["codec"] = self._encode(
+                    phase, step, (part, index), views,
+                    self._residual_views(scratch, layout.buckets[part][index])
+                    if phase == "rs" else None,
+                )
+            self._post(successor, payload)
+
         try:
+            if iteration in self.fail_at:
+                raise RingDegraded(
+                    f"{self.worker_id} injected ring failure at {iteration}"
+                )
             with _maybe_span(
                 self.tracer, "net.allreduce", self.worker_id,
                 generation=generation, iteration=iteration, members=members,
                 bytes=layout.total_bytes,
             ):
-                with _maybe_span(
-                    self.tracer, "net.allreduce.reduce_scatter",
-                    self.worker_id, hops=members - 1,
-                    bytes=layout.total_bytes,
-                ):
-                    for step in range(members - 1):
-                        self._step(
-                            generation, iteration, "rs", step,
-                            send_part=(rank - step) % members,
-                            recv_part=(rank - step - 1) % members,
-                            layout=layout, scratch=scratch,
-                            successor=successor, accumulate=True,
-                        )
-                    # This rank now owns partition (rank+1): divide it
-                    # to the mean before gathering it back around.
-                    for piece in layout.partitions[(rank + 1) % members]:
-                        view = RingLayout.flat(scratch[piece.name])[
-                            piece.start:piece.stop
-                        ]
-                        np.true_divide(view, members, out=view)
-                with _maybe_span(
-                    self.tracer, "net.allreduce.all_gather",
-                    self.worker_id, hops=members - 1,
-                    bytes=layout.total_bytes,
-                ):
-                    for step in range(members - 1):
-                        self._step(
-                            generation, iteration, "ag", step,
-                            send_part=(rank + 1 - step) % members,
-                            recv_part=(rank - step) % members,
-                            layout=layout, scratch=scratch,
-                            successor=successor, accumulate=False,
-                        )
+                # Hop 0 ships this rank's own partition as computed.
+                for index, bucket in enumerate(layout.buckets[rank]):
+                    post(0, rank, index, layout.views(scratch, bucket))
+                for first, (phase, name) in zip((0, steps), phases):
+                    with _maybe_span(
+                        self.tracer, f"net.allreduce.{name}", self.worker_id,
+                        hops=steps, bytes=layout.total_bytes,
+                    ):
+                        for hop in range(first, first + steps):
+                            part = (rank - hop - 1) % members
+                            # The last reduce hop completes the arc:
+                            # divide to the mean on the spot.
+                            divisor = members if hop == steps - 1 else 0
+                            for index, bucket in enumerate(
+                                layout.buckets[part]
+                            ):
+                                views = layout.views(scratch, bucket)
+                                key = (generation, iteration, phase,
+                                       hop % steps, index)
+                                self._receive(key, part, views, divisor)
+                                if hop + 1 < 2 * steps:
+                                    post(hop + 1, part, index, views)
+                self._await_acks(0, successor)
         except RingDegraded:
+            with self._cond:
+                self._drop_posted()
             self.mailbox.degrade(generation, iteration)
             self.strikes += 1
-            if self.metrics is not None:
-                self.metrics.counter("net.allreduce.degraded").inc()
+            self._count("net.allreduce.degraded")
             raise
-        self.mailbox.complete(generation, iteration, scratch)
+        self.mailbox.record_mean(generation, iteration, scratch)
         self.strikes = 0
-        self._ag_relay = {}
         if self.metrics is not None:
             self.metrics.counter("net.allreduce.count").inc()
             self.metrics.histogram("net.allreduce.seconds").observe(
@@ -634,161 +657,141 @@ class RingNode:
                 )
         return scratch
 
-    def _step(
-        self, generation, iteration, phase, step, send_part, recv_part,
-        layout, scratch, successor, accumulate,
-    ) -> None:
-        """One ring hop: pump this step's buckets to the successor with
-        a bounded in-flight window while collecting the predecessor's.
+    def _receive(self, key: tuple, part: int, views, divisor: int) -> None:
+        """Collect one bucket and fold it into ``views`` in place."""
+        deposited = self.mailbox.collect(key, self.step_timeout)
+        if deposited is None:
+            raise RingDegraded(
+                f"{self.worker_id} timed out waiting for segment "
+                f"(generation, iteration, phase, step, bucket) = {key}"
+            )
+        data, codec_meta = deposited
+        _, _, phase, _, index = key
+        if codec_meta is not None:
+            if phase == "ag":
+                # Kept for verbatim relay at the next all-gather step.
+                self._ag_relay[(part, index)] = (data, codec_meta)
+            data = decode_bucket(data, codec_meta)
+        for view, received in zip(views, data):
+            if phase == "ag":
+                view[:] = received
+                continue
+            # The arriving partial arc is the left operand — the
+            # association the reference average replays.
+            np.add(received, view, out=view)
+            if divisor:
+                np.true_divide(view, divisor, out=view)
 
-        Send failures do *not* degrade this rank — its own result only
-        depends on what it receives; a successor that missed data will
-        degrade itself and repair from whoever completed.  Only a
-        receive timeout aborts.
+    def _encode(self, phase: str, step: int, relay_key: tuple, data, residuals):
+        """Quantize one outgoing bucket per the phase's rules.
+
+        Reduce-scatter quantizes with error feedback.  The all-gather
+        must leave every rank holding *identical* bytes: the partition
+        owner (step 0) quantizes without EF and adopts the dequantized
+        values itself, while relays (step ≥ 1) forward the received
+        quantized bytes verbatim from the per-iteration relay cache.
         """
-        send_buckets = layout.buckets[send_part]
-        recv_buckets = layout.buckets[recv_part]
-        pump_done = threading.Event()
-        codec_active = self.codec != "none"
+        if phase == "rs":
+            enc = encode_bucket(self.codec, data, residuals)
+            self._iter_residual_sq += enc.residual_sq
+        elif step == 0:
+            enc = encode_bucket(self.codec, data)
+            for view, dequantized in zip(
+                data, decode_bucket(enc.data, enc.meta)
+            ):
+                view[:] = dequantized
+        else:
+            relayed = self._ag_relay.get(relay_key)
+            if relayed is not None:
+                return relayed
+            # A star-repaired or freshly-installed rank may lack the
+            # cache; re-encoding its (already dequantized) values is
+            # the best remaining approximation.
+            enc = encode_bucket(self.codec, data)
+        self._count("net.codec.bytes_raw", enc.raw_bytes)
+        self._count("net.codec.bytes_compressed", enc.compressed_bytes)
+        self._count("net.codec.fallbacks", enc.fallbacks)
+        return enc.data, enc.meta
 
-        def encode_for_ship(index: int, bucket, data):
-            """Quantize one outgoing bucket per the phase's rules.
+    # -- the pump --------------------------------------------------------------
 
-            Reduce-scatter quantizes with error feedback.  The
-            all-gather must leave every rank holding *identical* bytes:
-            the partition owner (step 0) quantizes without EF and
-            adopts the dequantized values itself, while relays
-            (step ≥ 1) forward the received quantized bytes verbatim
-            from the per-iteration relay cache.
-            """
-            if phase == "rs":
-                enc = encode_bucket(
-                    self.codec, data, self._residual_views(scratch, bucket)
+    def _post(self, successor: str, payload: dict) -> None:
+        """Hand the pump one segment on the successor's *current* link."""
+        try:
+            link = self._link_to(successor)
+        except (TransportClosed, WireError, OSError):
+            # A connect-level failure (refused, endpoint gone) means
+            # the successor is dead, not lossy: suspect it so later
+            # sends and probes fail instantly, without the dial.
+            self._suspect(successor)
+            self._count("net.allreduce.send_failures")
+            return
+        if not self._await_acks(self.window - 1, successor):
+            return
+        with self._cond:
+            if self._closed:
+                return
+            if self._pump is None:
+                self._pump = threading.Thread(
+                    target=self._pump_loop,
+                    name=f"ring-pump-{self.worker_id}", daemon=True,
                 )
-                with self._lock:
-                    self._iter_residual_sq += enc.residual_sq
-            elif step == 0:
-                enc = encode_bucket(self.codec, data)
-                for view, dequantized in zip(
-                    data, decode_bucket(enc.data, enc.meta)
-                ):
-                    view[:] = dequantized
-            else:
-                relayed = self._ag_relay.get((send_part, index))
-                if relayed is not None:
-                    return relayed
-                # A star-repaired or freshly-installed rank may lack
-                # the cache; re-encoding its (already dequantized)
-                # values is the best remaining approximation.
-                enc = encode_bucket(self.codec, data)
-            if self.metrics is not None:
-                self.metrics.counter("net.codec.bytes_raw").inc(
-                    enc.raw_bytes
-                )
-                self.metrics.counter("net.codec.bytes_compressed").inc(
-                    enc.compressed_bytes
-                )
-                if enc.fallbacks:
-                    self.metrics.counter("net.codec.fallbacks").inc(
-                        enc.fallbacks
-                    )
-            return enc.data, enc.meta
+                self._pump.start()
+            self._outbox.append((link, payload))
+            self._unacked += 1
+            self._cond.notify_all()
 
-        def ship(index: int, bucket) -> None:
+    def _await_acks(self, limit: int, successor: str) -> bool:
+        """Wait until at most ``limit`` posted segments are unacknowledged.
+
+        A successor silent for ``step_timeout`` has timed out its own
+        receive by now: it is suspected and what is queued for it is
+        dropped (False), so no post and no drain blocks for longer.
+        """
+        with self._cond:
+            if self._cond.wait_for(
+                lambda: self._unacked <= limit, self.step_timeout
+            ):
+                return True
+            self._drop_posted()
+        self._suspect(successor)
+        return False
+
+    def _drop_posted(self) -> None:
+        """Forget what the pump has not started (``_cond`` held)."""
+        self._unacked -= len(self._outbox)
+        self._count("net.allreduce.send_failures", len(self._outbox))
+        self._outbox.clear()
+        self._cond.notify_all()
+
+    def _pump_loop(self) -> None:
+        while True:
+            with self._cond:
+                while not self._outbox:
+                    if self._closed:
+                        return
+                    self._cond.wait()
+                link, payload = self._outbox.popleft()
             try:
-                with self._lock:
-                    if successor in self._suspects:
-                        return  # known-dead: don't pay the dial again
-                data = layout.views(scratch, bucket)
-                payload = {
-                    "generation": generation,
-                    "iteration": iteration,
-                    "phase": phase,
-                    "step": step,
-                    "part": send_part,
-                    "bucket": index,
-                    "data": data,
-                }
-                if codec_active:
-                    shipped, meta = encode_for_ship(index, bucket, data)
-                    payload["data"] = shipped
-                    payload["codec"] = meta
-                self._link_to(successor).request(
-                    MessageType.RING_SEGMENT, payload, ack_timeout=None,
-                )
-                if self.metrics is not None:
-                    self.metrics.counter("net.allreduce.segments_sent").inc()
-                    self.metrics.counter("net.allreduce.bytes_sent").inc(
-                        sum(view.nbytes for view in payload["data"])
+                link.request(MessageType.RING_SEGMENT, payload)
+                nbytes = sum(view.nbytes for view in payload["data"])
+                self._count("net.allreduce.segments_sent")
+                self._count("net.allreduce.bytes_sent", nbytes)
+            except RequestTimeout:
+                # Lossy but alive: it may well have received the segment.
+                self._count("net.allreduce.send_failures")
+            except Exception as exc:
+                # Nothing a link is meant to raise (a remote handler
+                # error, a bug) — and the pump has to outlive it.
+                self._count("net.allreduce.send_failures")
+                if self.tracer is not None:
+                    self.tracer.instant(
+                        "net.allreduce.send_error", track=self.worker_id,
+                        cat="net", error=repr(exc),
                     )
-            except (TransportClosed, WireError, OSError):
-                # A connect-level failure (refused, endpoint gone) means
-                # the successor is dead, not lossy: suspect it so later
-                # sends and probes fail instantly.  Request timeouts do
-                # NOT suspect — a lossy-but-alive peer still receives.
-                self._suspect(successor)
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "net.allreduce.send_failures"
-                    ).inc()
-            except Exception:
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "net.allreduce.send_failures"
-                    ).inc()
-            finally:
-                window.release()
-
-        window = threading.BoundedSemaphore(self.window)
-
-        def pump() -> None:
-            try:
-                for index, bucket in enumerate(send_buckets):
-                    window.acquire()
-                    threading.Thread(
-                        target=ship, args=(index, bucket),
-                        name=f"ring-send-{self.worker_id}", daemon=True,
-                    ).start()
-            finally:
-                pump_done.set()
-
-        pumper = threading.Thread(
-            target=pump, name=f"ring-pump-{self.worker_id}", daemon=True
-        )
-        pumper.start()
-        for index, bucket in enumerate(recv_buckets):
-            deposited = self.mailbox.collect(
-                (generation, iteration, phase, step, index),
-                self.step_timeout,
-            )
-            if deposited is None:
-                raise RingDegraded(
-                    f"{self.worker_id} timed out waiting for "
-                    f"{phase} step {step} bucket {index} of iteration "
-                    f"{iteration} (generation {generation})"
-                )
-            data, codec_meta = (
-                deposited if isinstance(deposited, tuple)
-                else (deposited, None)
-            )
-            if codec_meta is not None:
-                if not accumulate:
-                    # Keep the received bytes for verbatim relay at the
-                    # next all-gather step.
-                    self._ag_relay[(recv_part, index)] = (data, codec_meta)
-                data = decode_bucket(data, codec_meta)
-            for piece, received in zip(bucket, data):
-                view = RingLayout.flat(scratch[piece.name])[
-                    piece.start:piece.stop
-                ]
-                if accumulate:
-                    # np.add(received, local): the arriving partial arc
-                    # is the left operand — the association the
-                    # reference average replays.
-                    view[:] = np.add(received, view)
-                else:
-                    view[:] = received
-        pump_done.wait()
+            with self._cond:
+                self._unacked -= 1
+                self._cond.notify_all()
 
     # -- degraded-path probes --------------------------------------------------
 
@@ -802,9 +805,6 @@ class RingNode:
         cannot answer one is dead for this ring epoch — recovery loops
         must not pay the same multi-second discovery on every round.
         """
-        with self._lock:
-            if peer in self._suspects:
-                raise TransportClosed(f"peer {peer!r} is suspect")
         try:
             return self._link_to(peer).request(
                 MessageType.RING_FETCH,

@@ -58,7 +58,7 @@ from .chunks import (
     _digest,
     shard_ranges,
 )
-from .collective import ring_reference_average
+from .collective import DEFAULT_RING_BUCKET_BYTES, ring_reference_average
 from .journal import Journal, JournalError, JournalState
 from .transport import ServerCore
 from .wire import payload_nbytes
@@ -115,9 +115,8 @@ class JobSpec:
     ring_enabled: bool = True
     #: ring bucket size (bytes, element-aligned); one RING_SEGMENT per
     #: bucket per hop.
-    ring_bucket_bytes: int = 64 * 1024
-    #: in-flight segment window per ring hop (mirrors
-    #: ``replication_window``).
+    ring_bucket_bytes: int = DEFAULT_RING_BUCKET_BYTES
+    #: segments a ring node may have posted but not yet acknowledged.
     ring_window: int = 4
     #: how long a rank waits for one expected segment before declaring
     #: the ring degraded and falling back.

@@ -278,15 +278,16 @@ class _LinkChannel:
         # the latest send is the best available estimate.
         self._link._send_times[message.msg_id] = time.perf_counter()
         delivered = transport.send(message)
+        tracer, metrics = self._link.tracer, self._link.metrics
+        if tracer is None and metrics is None:
+            return delivered
         nbytes = payload_nbytes(message.payload)
-        tracer = self._link.tracer
         if tracer is not None:
             tracer.instant(
                 "net.send", track=self._link.node_id, cat="net",
                 type=message.msg_type.value, msg_id=message.msg_id,
                 delivered=delivered, payload_bytes=nbytes,
             )
-        metrics = self._link.metrics
         if metrics is not None:
             metrics.counter("net.sends").inc()
             if nbytes:
@@ -393,7 +394,8 @@ class ServerCore:
                 self._replies[key] = pending
             else:
                 pending = self._replies.get(key)
-        nbytes = payload_nbytes(message.payload)
+        observed = self.tracer is not None or self.metrics is not None
+        nbytes = payload_nbytes(message.payload) if observed else 0
         if self.tracer is not None:
             ctx_args = {}
             if ctx is not None:

@@ -29,12 +29,14 @@ from repro.net import (
     RingLayout,
     RingMailbox,
     RingNode,
+    ShmPeerHost,
     TcpPeerHost,
     WorkerAgent,
     memory_link,
     ring_reference_average,
     tcp_link,
 )
+from repro.net import collective
 from repro.net.collective import Slice, bucketize, partition_layout
 from repro.net.transport import ServerCore
 
@@ -164,9 +166,10 @@ class Mesh:
     """N ring nodes over real peer links (no AM involved)."""
 
     def __init__(self, transport, workers, fault_plans=None, **node_kwargs):
-        self.host = (
-            TcpPeerHost() if transport == "tcp" else MemoryPeerHost()
-        )
+        self.host = {
+            "memory": MemoryPeerHost, "tcp": TcpPeerHost,
+            "shm": lambda: ShmPeerHost(capacity=1 << 20),
+        }[transport]()
         fault_plans = fault_plans or {}
         self.nodes = {}
         addrs = {}
@@ -193,20 +196,20 @@ class Mesh:
         for node in self.nodes.values():
             node.install(ring)
 
-    def allreduce_all(self, grads_by_worker, iteration=0):
+    def allreduce_all(self, grads_by_worker, iteration=0, generation=0):
         results, errors = {}, {}
 
         def run(worker):
             try:
                 results[worker] = self.nodes[worker].allreduce(
-                    0, iteration, grads_by_worker[worker]
+                    generation, iteration, grads_by_worker[worker]
                 )
             except Exception as exc:
                 errors[worker] = exc
 
         threads = [
             threading.Thread(target=run, args=(w,), daemon=True)
-            for w in self.nodes
+            for w in grads_by_worker
         ]
         for thread in threads:
             thread.start()
@@ -312,6 +315,156 @@ class TestDistributedRing:
         # per (sender, type) despite the duplicates.
         duplicates = sum(c.duplicates for c in mesh.cores.values())
         assert duplicates > 0
+
+
+    @pytest.mark.parametrize("peer", ["memory", "tcp", "shm"])
+    @pytest.mark.parametrize("budget", [64, 256, "partition", "default"])
+    @pytest.mark.parametrize("members", [2, 3, 4, 5])
+    def test_pipeline_bit_identical_at_every_geometry(
+        self, members, budget, peer
+    ):
+        """Multi-bucket partitions (a bucket is forwarded while the rest
+        of its partition is still arriving) and one-bucket partitions
+        (one segment per hop) both end on the reference bits."""
+        workers = [f"w{i}" for i in range(members)]
+        shapes = {"w1": (31, 7), "b1": (7,), "w2": (7, 3), "b2": (3,)}
+        grads = {
+            w: random_grads(20 + i, shapes=shapes)
+            for i, w in enumerate(workers)
+        }
+        originals = {
+            w: {n: a.copy() for n, a in g.items()} for w, g in grads.items()
+        }
+        total = sum(a.nbytes for a in grads[workers[0]].values())
+        kwargs = {} if budget == "default" else {
+            "bucket_bytes": total if budget == "partition" else budget
+        }
+        mesh = Mesh(peer, workers, step_timeout=10.0, **kwargs)
+        try:
+            results, errors = mesh.allreduce_all(grads)
+        finally:
+            mesh.close()
+        assert not errors, errors
+        reference = ring_reference_average([grads[w] for w in workers])
+        for worker in workers:
+            for name in reference:
+                assert results[worker][name].tobytes() == (
+                    reference[name].tobytes()
+                ), (worker, name)
+                assert np.array_equal(
+                    grads[worker][name], originals[worker][name]
+                )
+        layout = RingLayout(grads[workers[0]], members, **kwargs)
+        per_hop = [len(buckets) for buckets in layout.buckets]
+        if isinstance(budget, str):
+            assert per_hop == [1] * members
+        else:
+            assert max(per_hop) > 1
+        for rank, worker in enumerate(workers):
+            # Hop h carries partition (rank - h): exactly-once per bucket.
+            expected = sum(
+                per_hop[(rank - hop) % members]
+                for hop in range(2 * (members - 1))
+            )
+            successor = mesh.cores[workers[(rank + 1) % members]]
+            assert successor.executions[(worker, "ring_segment")] == expected
+
+    def test_layout_built_once_per_geometry(self, monkeypatch):
+        built = []
+
+        class CountingLayout(RingLayout):
+            def __init__(self, params, members, *args, **kwargs):
+                built.append(members)
+                super().__init__(params, members, *args, **kwargs)
+
+        workers = ["w0", "w1", "w2"]
+        grads = {w: random_grads(i) for i, w in enumerate(workers)}
+        mesh = Mesh("memory", workers, step_timeout=10.0)
+        monkeypatch.setattr(collective, "RingLayout", CountingLayout)
+        try:
+            for iteration in range(3):
+                _, errors = mesh.allreduce_all(grads, iteration=iteration)
+                assert not errors, errors
+            assert built == [3, 3, 3]  # once per node, not per call
+            # A membership change is a new geometry: rebuilt, once.
+            pair = ["w0", "w1"]
+            ring = {**mesh.nodes["w0"].ring, "epoch": 1, "order": pair}
+            for worker in pair:
+                mesh.nodes[worker].install(ring)
+            for iteration in range(2):
+                results, errors = mesh.allreduce_all(
+                    {w: grads[w] for w in pair}, iteration, generation=1
+                )
+                assert not errors, errors
+            assert built == [3, 3, 3, 2, 2]
+        finally:
+            mesh.close()
+        monkeypatch.undo()
+        reference = ring_reference_average([grads[w] for w in pair])
+        for worker in pair:
+            for name in reference:
+                assert np.array_equal(results[worker][name], reference[name])
+
+
+class TestDrainBeforeReturn:
+    """No send outlives the call that issued it (ROADMAP churn defects
+    2 and 3): a faster ring only makes the leave race more likely."""
+
+    def test_allreduce_returns_only_after_its_last_send_is_acknowledged(
+        self
+    ):
+        workers = ["w0", "w1", "w2"]
+        grads = {w: random_grads(i) for i, w in enumerate(workers)}
+        posted = 2 * (len(workers) - 1)  # one bucket per hop
+        mesh = Mesh(
+            "memory", workers, step_timeout=10.0,
+            # w0's completion does not depend on its own last send (the
+            # final all-gather hop to w1): hold exactly that one.
+            fault_plans={"w0": FaultPlan(net_delays={posted: 0.3})},
+        )
+        executed_at_return = {}
+        allreduce = mesh.nodes["w0"].allreduce
+
+        def spy(*args):
+            mean = allreduce(*args)
+            executed_at_return["w1"] = mesh.cores["w1"].executions.get(
+                ("w0", "ring_segment"), 0
+            )
+            return mean
+
+        mesh.nodes["w0"].allreduce = spy
+        try:
+            results, errors = mesh.allreduce_all(grads)
+        finally:
+            mesh.close()
+        assert not errors, errors
+        assert executed_at_return["w1"] == posted
+        reference = ring_reference_average([grads[w] for w in workers])
+        for worker in workers:
+            for name in reference:
+                assert np.array_equal(results[worker][name], reference[name])
+
+    def test_close_leaves_no_ring_thread_behind(self, transport):
+        workers = ["drain0", "drain1", "drain2"]
+
+        def ring_threads():
+            return sorted(
+                t.name for t in threading.enumerate()
+                if t.name.startswith("ring-")
+                and t.name.endswith(tuple(workers))
+            )
+
+        grads = {w: random_grads(i) for i, w in enumerate(workers)}
+        mesh = Mesh(transport, workers, bucket_bytes=64, step_timeout=10.0)
+        try:
+            for iteration in range(2):
+                _, errors = mesh.allreduce_all(grads, iteration=iteration)
+                assert not errors, errors
+            # One owned pump per node, and nothing else named ring-*.
+            assert ring_threads() == [f"ring-pump-{w}" for w in workers]
+        finally:
+            mesh.close()
+        assert ring_threads() == []
 
 
 class TestDegradation:
@@ -546,6 +699,81 @@ class TestRingJobs:
             driver.close()
         finally:
             harness.close()
+
+    def test_adjacent_condemned_pair_leaves_cleanly(self):
+        """ROADMAP churn defect 2: a scale-in removes w2 *and* its ring
+        successor w3 while w2's last all-gather send of the last
+        pre-commit iteration is held on the link.  w2 must not leave
+        (closing its links under the held send) before w3 has it —
+        nobody would repair w3: the survivors move on without it."""
+
+        def churn(held_send):
+            spec = JobSpec(
+                iterations=16, coordination_interval=4,
+                allreduce_timeout=4.0, sync_ack_timeout=1.0,
+            )
+            harness = RingHarness("memory", spec, ["w0", "w1", "w2", "w3"])
+            issued = []
+            connect = harness.mesh.connect
+
+            def recording_connect(addr, **kwargs):
+                issued.append(connect(addr, **kwargs))
+                return issued[-1]
+
+            harness.mesh.connect = recording_connect
+            try:
+                driver = harness.link("driver", ack_timeout=2.0)
+                reply = driver.request(
+                    MessageType.ADJUSTMENT_REQUEST,
+                    {"kind": "scale_in", "remove": ["w2", "w3"],
+                     "at_iteration": 8},
+                )
+                assert reply["accepted"] is True
+                for worker in ("w0", "w1", "w2", "w3"):
+                    harness.start_worker(
+                        worker,
+                        peer_fault_plan=held_send if worker == "w2" else None,
+                    )
+                harness.join_all(timeout=60.0)
+                status = driver.request(MessageType.STATUS)
+                driver.close()
+                assert status["complete"]
+                assert status["adjustments_committed"] == 1
+                digests = set(status["digests"].values())
+                assert len(digests) == 1
+                return digests.pop(), harness.results, issued
+            finally:
+                harness.close()
+
+        # The ring activates at iteration 4 and the commit is pinned at
+        # 8: four ring iterations of 2·(N-1) = 6 one-bucket hops, so the
+        # 24th send on w2's one peer link is the last it ever makes.
+        reference, _, _ = churn(None)
+        digest, results, issued = churn(FaultPlan(net_delays={24: 0.6}))
+        held = [link for link in issued if link.node_id == "w2"]
+        assert [link.transport._faults.delays_injected for link in held] == [1]
+        assert digest == reference
+        for worker in ("w2", "w3"):
+            assert results[worker]["removed"] is True
+            assert results[worker]["ring_iterations"] == 4
+            assert results[worker]["ring_repairs"] == 0
+            assert results[worker]["ring_fallbacks"] == 0
+
+    def test_job_leaves_no_ring_thread_behind(self, transport):
+        spec = JobSpec(iterations=12, coordination_interval=4)
+        harness = RingHarness(transport, spec, ["w0", "w1", "w2"])
+        before = set(threading.enumerate())
+        try:
+            for worker in ("w0", "w1", "w2"):
+                harness.start_worker(worker)
+            harness.join_all()
+            assert harness.results["w0"]["ring_iterations"] > 0
+        finally:
+            harness.close()
+        assert [
+            t.name for t in set(threading.enumerate()) - before
+            if t.name.startswith("ring-")
+        ] == []
 
     def test_star_only_job_when_ring_disabled(self, transport):
         spec = JobSpec(iterations=8, coordination_interval=4,

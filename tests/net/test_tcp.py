@@ -59,6 +59,42 @@ class TestHandshake:
             transport.close()
 
 
+class TestSocketOptions:
+    def test_nodelay_on_both_ends_and_binary_frames_still_counted(
+        self, server, monkeypatch
+    ):
+        """Two requests overlapping on one link (the ring pump beside a
+        probe, windowed chunk fetches, a heartbeat) must not stall on
+        Nagle x delayed ACK; and an unobserved TCP link counts its
+        binary frames without walking any payload."""
+        import numpy as np
+
+        from repro.net import transport as seam
+
+        walks = []
+        for module in (wire, seam):
+            monkeypatch.setattr(
+                module, "payload_nbytes", lambda obj: walks.append(obj) or 0
+            )
+        link, transport = tcp_link(
+            server.host, server.port, "w0", heartbeat_interval=None
+        )
+        try:
+            link.request(MessageType.ACK, {"x": 1})
+            link.request(MessageType.ACK, {"data": np.arange(4.0)})
+            with server._conn_lock:
+                accepted = list(server._connections)
+            assert len(accepted) == 1
+            for sock in (transport._pipe.sock, accepted[0]):
+                assert sock.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                ) != 0
+            assert transport.binary_frames_sent == 1
+            assert walks == []
+        finally:
+            link.close()
+
+
 class TestHeartbeat:
     def test_keepalive_acked(self, server):
         link, transport = tcp_link(

@@ -79,6 +79,35 @@ class TestReliableLink:
         assert core.executions == {("a", "ack"): 1, ("b", "ack"): 1}
 
 
+class TestPayloadAccounting:
+    def test_unobserved_link_and_core_never_walk_the_payload(
+        self, monkeypatch
+    ):
+        """``payload_nbytes`` feeds the ``net.send`` / ``net.recv`` tags
+        and byte counters only: with neither a tracer nor a registry
+        attached, nobody reads it, so nobody computes it."""
+        from repro.net import transport
+        from repro.observability import MetricRegistry
+
+        walks = []
+        real = transport.payload_nbytes
+        monkeypatch.setattr(
+            transport, "payload_nbytes",
+            lambda obj: walks.append(obj) or real(obj),
+        )
+        link = memory_link(echo_core(), "w0")
+        link.request(MessageType.ACK, {"data": b"12345678"})
+        assert walks == []
+        # Attached, both ends count exactly what they did before.
+        metrics = MetricRegistry()
+        link = memory_link(echo_core(metrics=metrics), "w1", metrics=metrics)
+        link.request(MessageType.ACK, {"data": b"12345678"})
+        assert len(walks) == 2
+        snapshot = metrics.snapshot()
+        assert snapshot["net.payload_bytes_sent"] == 8
+        assert snapshot["net.payload_bytes_received"] == 8
+
+
 class TestTransportFaults:
     def test_injected_delay_applies(self):
         faults = TransportFaults(delays={1: 0.01, 3: 0.02})
