@@ -940,7 +940,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--shards", type=int, default=0,
                        help="shard owners per adjustment: joiners fan in "
                             "shard slices from this many survivors over "
-                            "the peer mesh (0 = monolithic fan-out)")
+                            "the peer mesh (0 = AM-served fan-out)")
     serve.add_argument("--zero-optimizer", action="store_true",
                        help="ZeRO-style sharded optimizer state: each "
                             "worker persists only its rank's velocity "

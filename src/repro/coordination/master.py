@@ -358,10 +358,11 @@ class ApplicationMaster:
         master._directive_span = None
         master.epoch = cls._acquire_epoch(store, job_id)
         master.coordination_interval = snapshot["coordination_interval"]
-        master.state = MasterState(snapshot["state"])
-        master.group = tuple(snapshot["group"])
         pending = snapshot["pending"]
-        master.pending = (
+        master.coordinations = 0
+        master.reposition(
+            MasterState(snapshot["state"]),
+            snapshot["group"],
             None
             if pending is None
             else AdjustmentRequest(
@@ -369,13 +370,35 @@ class ApplicationMaster:
                 add_workers=tuple(pending["add"]),
                 remove_workers=tuple(pending["remove"]),
                 at_iteration=pending.get("at_iteration"),
-            )
-        )
-        master.reported = set(snapshot["reported"])
-        master.commit_iteration = snapshot["commit_iteration"]
-        master.latest_iteration = snapshot["latest_iteration"]
-        master.coordinations = 0
-        master.adjustments_committed = snapshot["adjustments_committed"]
-        master._persisted_iteration = snapshot["latest_iteration"]
-        master._persist()  # re-stamp the snapshot with the new epoch
+            ),
+            reported=snapshot["reported"],
+            commit_iteration=snapshot["commit_iteration"],
+            latest_iteration=snapshot["latest_iteration"],
+            adjustments_committed=snapshot["adjustments_committed"],
+        )  # persisting re-stamps the snapshot with the new epoch
         return master
+
+    def reposition(
+        self,
+        state: MasterState,
+        group: typing.Sequence[str],
+        pending: "AdjustmentRequest | None",
+        reported: typing.Iterable[str] = (),
+        commit_iteration: int = -1,
+        latest_iteration: int = 0,
+        adjustments_committed: int = 0,
+    ) -> None:
+        """Put the state machine at a position persisted elsewhere.
+
+        The one way to set the AM's position from outside its own
+        transitions: :meth:`recover` uses it with the store snapshot,
+        the networked AM with the fold of its write-ahead journal.
+        """
+        self.state = state
+        self.group = tuple(group)
+        self.pending = pending
+        self.reported = set(reported)
+        self.commit_iteration = commit_iteration
+        self.latest_iteration = latest_iteration
+        self.adjustments_committed = adjustments_committed
+        self._persist()

@@ -574,7 +574,7 @@ class WorkerAgent:
             )
         else:
             optimizer = MomentumSGD(spec.base_lr, momentum=spec.momentum)
-        state = admission.get("state")
+        state = None
         transfer = admission.get("state_transfer")
         if transfer and transfer.get("shards"):
             # Sharded offer: fan in from every shard owner concurrently

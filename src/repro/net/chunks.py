@@ -1,8 +1,8 @@
 """Chunked, pipelined state replication over the reliable message layer.
 
-The monolithic ``STATE_UPLOAD`` path serializes a whole snapshot into a
-single message — one giant frame, one giant resend on any fault.  This
-module streams the same snapshot as a *blob* cut into fixed-size chunks:
+A whole snapshot in a single message would be one giant frame and one
+giant resend on any fault.  This module streams it as a *blob* cut into
+fixed-size chunks:
 
 * :class:`StateBlob` — the sender side.  Encodes a state dict once into
   a gather list of byte views (``[4B header_len][header][segments...]``,
@@ -923,7 +923,7 @@ class ChunkedFetcher:
 class ShardedFetcher:
     """Pull a snapshot as shards, one pipelined loop per source peer.
 
-    The descriptor (minted by the AM) extends the monolithic shape with
+    The descriptor (minted by the AM) extends the AM-served shape with
     a ``shards`` list — each entry a :func:`shard_ranges` range plus its
     ground-truth ``digest`` (from the uploaded blob), the ``owner``
     worker elected to serve it, and that owner's peer ``addr``.  The

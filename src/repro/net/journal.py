@@ -4,11 +4,14 @@ The AM appends every externally visible control-plane transition —
 membership, fencing epochs, adjustment requests, commit plans, acks,
 snapshot blobs, commits, final reports, progress boundaries — to an
 append-only journal *before* replying to the worker that caused it
-(journal-before-reply).  A standby or restarted AM replays the journal
-into a :class:`JournalState`, bumps the fencing epoch past every epoch
-ever journaled, and resumes the job: an in-flight 5-step commit is
-either completed (all the acks and the snapshot are in the journal) or
-cleanly aborted back to the last committed generation.
+(journal-before-reply).  :class:`JournalState` is the fold of those
+records and :meth:`JournalState.apply` the one transition function: the
+live AM applies each record to its state as it journals it, and a
+standby or restarted AM replays the journal into the same class, bumps
+the fencing epoch past every epoch ever journaled, and resumes the job:
+an in-flight 5-step commit is either completed (all the acks and the
+snapshot are in the journal) or cleanly aborted back to the last
+committed generation.
 
 Two invariants make replay safe:
 
@@ -44,9 +47,9 @@ RECORD_KINDS = frozenset({
     "epoch",      # a fencing epoch acquired by some AM incarnation
     "peer",       # a worker's advertised peer address
     "request",    # an accepted adjustment request (auto=True: eviction)
-    "plan",       # a minted commit plan (generation, boundary, groups)
+    "plan",       # a minted commit plan (boundary, groups, uploader, shards)
     "ack",        # one worker's adjust-directive ack
-    "snapshot",   # the replication payload (monolithic or chunked blob)
+    "snapshot",   # the uploaded state blob (verbatim) + its geometry
     "commit",     # a committed adjustment (the point of no return)
     "abort",      # an in-flight plan abandoned back to the last commit
     "final",      # one worker's final report (digest, removed flag)
@@ -173,13 +176,17 @@ class Journal:
 
 
 class JournalState:
-    """The control-plane state a journal replays to.
+    """The AM's durable control state: the fold of its journal.
 
-    Pure data — :meth:`NetworkedApplicationMaster.from_journal` turns
-    it back into a live AM.  ``last_snapshot`` deliberately survives a
-    commit: a joiner whose offer reply was lost keeps polling JOIN
-    after the commit, so the successor must still be able to serve the
-    committed generation's snapshot.
+    :meth:`apply` is the one transition function of the replicated
+    state machine (§V-D).  The live AM holds a ``JournalState`` as *the*
+    state and applies each record the moment it is journaled
+    (``NetworkedApplicationMaster._record``); a successor folds the same
+    records with :meth:`replay` and derives everything volatile from
+    the result — there is no second spelling of a transition to keep in
+    step.  ``last_snapshot`` deliberately survives a commit: a joiner
+    whose offer reply was lost keeps polling JOIN after the commit, so
+    the committed generation's snapshot must stay servable.
     """
 
     def __init__(self):
@@ -189,14 +196,19 @@ class JournalState:
         self.epoch = 0
         self.peers: "dict[str, str]" = {}
         self.generation = 0
+        #: membership per live generation (the committed one plus an
+        #: in-flight plan's); retired generations are pruned at commit.
         self.groups: "dict[int, tuple[str, ...]]" = {}
         self.pending_request: "dict | None" = None
+        #: the in-flight ``plan`` record: generation, commit boundary,
+        #: groups, elected uploader and shard owners.
         self.plan: "dict | None" = None
         self.acked: "set[str]" = set()
         self.last_snapshot: "dict | None" = None
         self.last_commit: "dict | None" = None
         self.final: "dict[str, dict]" = {}
         self.departed: "dict[str, dict]" = {}
+        #: boundary watermark: one ``progress`` record per boundary.
         self.progress = 0
         self.condemned: "set[str]" = set()
         self.adjustments_committed = 0
@@ -207,11 +219,12 @@ class JournalState:
     def replay(cls, records: "typing.Iterable[dict]") -> "JournalState":
         state = cls()
         for record in records:
-            state._apply(record["kind"], record["data"])
+            state.apply(record["kind"], record["data"])
             state.replayed += 1
         return state
 
-    def _apply(self, kind: str, data: dict) -> None:
+    def apply(self, kind: str, data: dict) -> None:
+        """Fold one record into the state — live and at replay alike."""
         if kind == "init":
             self.job_id = data["job_id"]
             self.spec_payload = data["spec"]
@@ -236,7 +249,13 @@ class JournalState:
             self.last_snapshot = dict(data)
         elif kind == "commit":
             self.generation = int(data["generation"])
+            # Membership of retired generations is dead weight: any
+            # sync for them is rejected by the generation guard anyway.
             self.groups[self.generation] = tuple(data["new_group"])
+            self.groups = {
+                g: grp for g, grp in self.groups.items()
+                if g >= self.generation
+            }
             self.last_commit = dict(data)
             self.plan = None
             self.pending_request = None
@@ -270,3 +289,27 @@ class JournalState:
     @property
     def current_group(self) -> "tuple[str, ...]":
         return self.groups.get(self.generation, self.initial_workers)
+
+    @property
+    def complete(self) -> bool:
+        """Every current-group member filed a final report, none pending."""
+        return self.plan is None and all(
+            w in self.final for w in self.current_group
+        )
+
+    @property
+    def plan_snapshot(self) -> "dict | None":
+        """The in-flight plan's ``snapshot`` record, once it has landed."""
+        snap = self.last_snapshot
+        if (
+            self.plan is not None and snap is not None
+            and snap["generation"] == self.plan["generation"]
+        ):
+            return snap
+        return None
+
+
+def joiners_of(plan: dict) -> "list[str]":
+    """The workers a ``plan`` (or ``commit``) record adds to the group."""
+    old = set(plan["old_group"])
+    return [w for w in plan["new_group"] if w not in old]

@@ -1,0 +1,142 @@
+"""Lease-based worker failure detection for the networked AM.
+
+A SIGKILLed worker sends no goodbye: only its expiring heartbeat lease
+tells the AM it is gone.  :class:`LeaseSupervisor` owns the lease table
+(every dispatched message and transport heartbeat renews the sender's
+lease), the expiry sweep that decides whom to condemn, and the MTTR
+clocks a condemnation starts.
+
+Everything here is volatile.  The condemnation itself is a ``condemn``
+record the AM journals; a successor re-leases survivors as they
+re-enroll and restarts the MTTR clock of every condemned worker whose
+eviction had not committed (:meth:`LeaseSupervisor.adopt`).
+"""
+
+from __future__ import annotations
+
+import threading
+import typing
+
+from ..coordination.store import KeyValueStore
+from .journal import JournalState
+
+
+class LeaseSupervisor:
+    """Lease table + expiry sweep + MTTR clocks of one AM incarnation."""
+
+    def __init__(
+        self, spec, state: JournalState, lock, clock, metrics, tracer,
+        telemetry, sweep: "typing.Callable[[], typing.Any]",
+    ):
+        self.spec = spec
+        self.state = state
+        self.lock = lock
+        self.metrics = metrics
+        self.tracer = tracer
+        self.telemetry = telemetry
+        self._sweep = sweep
+        #: heartbeat-lease substrate (PR 1 semantics, injectable clock).
+        self.table = KeyValueStore(clock=clock)
+        #: condemned workers whose eviction has not committed yet ->
+        #: detection clock time (MTTR measurement start).
+        self.recovering: "dict[str, float]" = {}
+        self._stop = threading.Event()
+        #: the sweep thread; None under an injected clock, where tests
+        #: and the soak drive ``check_leases`` themselves.
+        self.thread: "threading.Thread | None" = None
+        if spec.worker_lease_ttl > 0 and clock is None:
+            self.thread = threading.Thread(
+                target=self._loop, name="am-lease-supervisor", daemon=True,
+            )
+
+    def start(self) -> None:
+        if self.thread is not None:
+            self.thread.start()
+
+    def stop(self) -> None:
+        """Stop sweeping and renewing (the AM is closing or fenced)."""
+        self._stop.set()
+
+    def _loop(self) -> None:
+        while not self._stop.wait(self.spec.lease_check_interval):
+            try:
+                self._sweep()
+            except Exception:
+                self.metrics.counter("am.lease_check_errors").inc()
+
+    def renew(self, sender: str) -> None:
+        """Every dispatched message (and TCP heartbeat) renews a lease.
+
+        Called *before* dedup on purpose: a worker blocked at a sync
+        barrier keeps retransmitting the same request, and those
+        duplicates are exactly the liveness signal that must keep its
+        lease fresh.
+        """
+        ttl = self.spec.worker_lease_ttl
+        if ttl <= 0 or self._stop.is_set():
+            return
+        state = self.state
+        with self.lock:
+            if sender in state.condemned or sender in state.departed:
+                return
+            live = set(state.current_group)
+            if state.plan is not None:
+                live.update(state.plan["new_group"])
+            elif state.pending_request is not None:
+                live.update(state.pending_request["add"])
+            if sender not in live:
+                return  # the driver, or a worker not (yet) in the job
+            key = f"lease/{sender}"
+            if not self.table.keep_alive(key, ttl):
+                self.table.lease(key, sender, ttl)
+
+    def expired(self, parked: "set[str]", now: float) -> "list[tuple]":
+        """Lock held: ``(worker, deadline)`` per worker to condemn now."""
+        doomed = []
+        for key in self.table.expired_keys("lease/"):
+            worker = key.split("/", 1)[1]
+            if worker in self.state.condemned or worker in self.state.departed:
+                continue
+            if worker in parked:
+                # The worker's request is parked in an open barrier
+                # the AM itself is holding: it delivered a message
+                # we have not answered, so it is live by definition
+                # (and on the in-memory transport a parked sender
+                # produces no other traffic at all — its request
+                # thread is blocked inside our handler).
+                self.table.lease(key, worker, self.spec.worker_lease_ttl)
+                continue
+            doomed.append((worker, self.table.lease_deadline(key) or now))
+        return doomed
+
+    def condemned(self, worker: str, now: float, deadline: float) -> None:
+        """Lock held: a ``condemn`` record landed — fence, clock, report."""
+        self.recovering[worker] = now
+        # Fence the (possibly merely slow) holder out: its keep-alives
+        # must fail from here on so it cannot resurrect the lease the
+        # eviction is already acting on.
+        self.table.force_expire(f"lease/{worker}")
+        latency = max(0.0, now - deadline)
+        self.telemetry.record_detection(worker, latency, cause="lease_expired")
+        self.metrics.counter("worker.lease.expired").inc()
+        if self.tracer is not None:
+            self.tracer.instant(
+                "worker.condemned", track="am", cat="failover",
+                worker=worker, detection_latency=latency,
+            )
+
+    def recovered(self, removed: typing.Iterable[str], now: float) -> "list[str]":
+        """Lock held: a commit evicts ``removed`` — close their MTTR
+        clocks; returns the ones that were lease evictions."""
+        evicted = []
+        for worker in removed:
+            started = self.recovering.pop(worker, None)
+            if started is not None:
+                evicted.append(worker)
+                self.telemetry.record_recovery([worker], max(0.0, now - started))
+        return evicted
+
+    def adopt(self, now: float) -> None:
+        """A successor restarts the clocks of unfinished evictions."""
+        for worker in self.state.condemned - set(self.state.departed):
+            self.recovering[worker] = now

@@ -1,0 +1,396 @@
+"""The AM's side of state replication: intake, round gates, join offers.
+
+The elected uploader streams its snapshot blob in with ``STATE_CHUNK`` /
+``STATE_DONE``; the AM verifies it, journals it as the plan's
+``snapshot`` record and never decodes it.  Everything joiners then see
+is *derived* from that record by :meth:`ReplicationGate.derive` — the
+:class:`_Download` served chunk-by-chunk over ``STATE_FETCH``, the
+replication planner's round gates, the shard plan, and the single-use
+join offers — on the live path right after the record lands and, with
+the very same function, by a successor after journal replay.
+"""
+
+from __future__ import annotations
+
+import typing
+
+from ..replication.planner import plan_replication
+from ..topology.builder import ServerSpec, build_node
+from ..topology.tree import DeviceKind, TopologyNode
+from .chunks import ChunkStore, _digest, shard_ranges
+from .journal import JournalState, joiners_of
+
+
+class _Download:
+    """One journaled snapshot served chunk-by-chunk to joiners.
+
+    A view over the ``snapshot`` record: the application master never
+    decodes the blob — it verified the whole-blob digest at
+    ``STATE_DONE`` and now serves byte ranges of it.  ``rounds`` carries
+    the replication planner's ordering: a joiner's fetches are gated
+    until every earlier-round joiner has pulled its last chunk,
+    mirroring the plan's contention-free rounds.
+    """
+
+    __slots__ = (
+        "blob", "total_bytes", "total_chunks", "chunk_bytes", "codec",
+        "digest", "chunk_digests", "rounds", "progress", "shards",
+    )
+
+    def __init__(self, snapshot: dict, rounds: "dict[str, int]"):
+        self.blob = memoryview(snapshot["blob"])
+        self.total_bytes = snapshot["total_bytes"]
+        self.total_chunks = snapshot["total_chunks"]
+        self.chunk_bytes = snapshot["chunk_bytes"]
+        self.codec = snapshot["codec"]
+        self.digest = snapshot["digest"]
+        self.chunk_digests = [
+            _digest(self.chunk(seq)) for seq in range(self.total_chunks)
+        ]
+        self.rounds = dict(rounds)
+        self.progress: "dict[str, set]" = {w: set() for w in rounds}
+        #: sharded mode: the shard plan (ranges + digests + owner + peer
+        #: addr per shard), shipped verbatim in every joiner's offer.
+        #: None = every joiner pulls the whole blob from the AM.
+        self.shards: "list[dict] | None" = None
+
+    def chunk(self, seq: int) -> memoryview:
+        start = seq * self.chunk_bytes
+        return self.blob[start:min(start + self.chunk_bytes, self.total_bytes)]
+
+    def fetched(self, joiner: str) -> bool:
+        return len(self.progress.get(joiner, ())) == self.total_chunks
+
+    @property
+    def complete(self) -> bool:
+        return all(self.fetched(joiner) for joiner in self.rounds)
+
+    def round_open(self, joiner: str) -> bool:
+        mine = self.rounds[joiner]
+        return all(
+            self.fetched(other)
+            for other, r in self.rounds.items()
+            if r < mine
+        )
+
+    def describe(self, transfer_id: str, joiner: str) -> dict:
+        """The ``state_transfer`` descriptor for one joiner's offer."""
+        descriptor = {
+            "transfer_id": transfer_id,
+            "total_bytes": self.total_bytes,
+            "total_chunks": self.total_chunks,
+            "chunk_bytes": self.chunk_bytes,
+            "codec": self.codec,
+            "digest": self.digest,
+            "round": self.rounds[joiner],
+        }
+        if self.shards is not None:
+            descriptor["shards"] = [dict(shard) for shard in self.shards]
+        return descriptor
+
+
+def _fanout_rounds(
+    sources: typing.Sequence[str], joiners: typing.Sequence[str],
+    state_bytes: int, fan_in: int = 1,
+) -> "dict[str, int]":
+    """The replication planner's round index per joiner.
+
+    Workers are modeled as single-GPU nodes of a flat cluster (every
+    pair is an L4/NET hop whose path claims only the two endpoint
+    NICs), so the planner's contention rules reduce to exactly the
+    paper's: distinct node pairs copy concurrently, a shared source
+    serializes, and chained fan-out lets round-``r`` joiners serve
+    round ``r+1``.
+
+    ``fan_in > 1`` models the sharded migration instead: each joiner
+    pulls disjoint shards from up to ``fan_in`` sources at once, so the
+    planner schedules per-joiner fan-in groups as units — same-round
+    joiners never share an owner link (chaining is off; shard owners
+    are elected among the survivors only).
+    """
+    cluster = TopologyNode(DeviceKind.CLUSTER, "netjob")
+    spec = ServerSpec(sockets=1, switches_per_socket=1, gpus_per_switch=1)
+    gpus = {}
+    for worker in (*sources, *joiners):
+        node = build_node(worker, spec=spec, parent=cluster)
+        gpus[worker] = next(node.iter_gpus())
+    plan = plan_replication(
+        existing=[gpus[w] for w in sources],
+        new=[gpus[w] for w in joiners],
+        gpu_bytes=state_bytes,
+        cpu_bytes=0,
+        allow_chaining=fan_in <= 1,
+        fan_in=fan_in,
+    )
+    rounds: "dict[str, int]" = {}
+    for index, round_ in enumerate(plan.rounds):
+        for transfer in round_:
+            rounds[transfer.target.name.rsplit("/", 1)[0]] = index
+    return rounds
+
+
+class ReplicationGate:
+    """Chunk intake, downloads, round gates and join offers of one AM.
+
+    Only the uploaded blob is durable (the ``snapshot`` record, written
+    through ``record``); downloads, fetch progress and offers are
+    volatile and rebuilt by :meth:`derive`.  ``mint_offer(plan,
+    descriptor)`` builds a joiner's offer around a ``state_transfer``
+    descriptor; ``on_snapshot`` lets the AM try to finish the commit.
+    """
+
+    def __init__(
+        self, state: JournalState, lock, metrics, tracer,
+        record: "typing.Callable[..., None]",
+        mint_offer: "typing.Callable[[dict, dict], dict]",
+        on_snapshot: "typing.Callable[[], None]",
+    ):
+        self.state = state
+        self.lock = lock
+        self.metrics = metrics
+        self.tracer = tracer
+        self._record = record
+        self._mint_offer = mint_offer
+        self._on_snapshot = on_snapshot
+        self.chunks = ChunkStore(metrics=metrics)
+        self.downloads: "dict[str, _Download]" = {}
+        #: joiner -> its single-use ``join`` reply, minted by derive().
+        self.offers: "dict[str, dict]" = {}
+
+    # -- intake: the uploader's STATE_CHUNK / STATE_DONE -----------------------
+
+    def _unexpected(self, worker: str) -> "dict | None":
+        """Lock held: the refusal for anyone but the plan's uploader."""
+        plan = self.state.plan
+        if plan is None or worker != plan["uploader"]:
+            return {"ok": False, "reason": "no snapshot expected"}
+        return None
+
+    def handle_chunk(self, worker: str, payload: dict) -> dict:
+        """One verified chunk of the uploader's snapshot blob."""
+        with self.lock:
+            refusal = self._unexpected(worker)
+            if refusal is not None:
+                return refusal
+            assembler = self.chunks.assembler(worker)
+            seq = payload.get("seq")
+            if (
+                (assembler is None
+                 or assembler.transfer_id != payload.get("transfer_id"))
+                and isinstance(seq, int) and seq > 0
+            ):
+                # A mid-stream chunk for a transfer this AM has no
+                # assembler for: the predecessor held chunks 0..seq-1
+                # and died with them.  Telling the uploader to restart
+                # (instead of letting the ChunkStore auto-create an
+                # assembler that can never complete) keeps the transfer
+                # finite.
+                return {
+                    "ok": False, "restart": True,
+                    "reason": (
+                        f"no assembler holds transfer "
+                        f"{payload.get('transfer_id')!r} at seq {seq}"
+                    ),
+                }
+            return self.chunks.handle_chunk(worker, payload)
+
+    def handle_done(self, worker: str, payload: dict) -> dict:
+        """Finalize a chunked upload: verify, journal, derive the rest.
+
+        The AM journals the assembled blob verbatim (digest-verified,
+        never decoded) and serves it back to joiners chunk by chunk in
+        the replication planner's round order.
+        """
+        with self.lock:
+            refusal = self._unexpected(worker)
+            if refusal is not None:
+                return refusal
+            transfer_id = str(payload.get("transfer_id"))
+            landed = self.state.plan_snapshot
+            if landed is not None and landed["transfer_id"] == transfer_id:
+                # Duplicate DONE for a transfer this AM (or its
+                # predecessor) already journaled.
+                return {
+                    "ok": True,
+                    "chunks": landed["total_chunks"],
+                    "payload_bytes": landed["total_bytes"],
+                    "duplicates": 0,
+                }
+            reply, assembler = self.chunks.handle_done(worker, payload)
+            if assembler is None:
+                if reply.get("reason") == "unknown transfer":
+                    # Post-failover DONE for chunks the predecessor held:
+                    # the uploader must restart the transfer from zero.
+                    reply = dict(reply, restart=True)
+                return reply
+            self._record(
+                "snapshot", generation=self.state.plan["generation"],
+                transfer_id=transfer_id,
+                # The one copy of the blob: the download views it.
+                blob=bytes(assembler.buffer),
+                total_bytes=assembler.total_bytes,
+                total_chunks=assembler.total_chunks,
+                chunk_bytes=assembler.chunk_bytes,
+                codec=assembler.codec,
+                digest=_digest(assembler.buffer),
+            )
+            self.derive(planned=True)
+            self._on_snapshot()
+            return reply
+
+    # -- derived: the download, its round gates, the offers --------------------
+
+    def derive(self, planned: bool = False) -> None:
+        """Lock held: rebuild download + offers from the journal fold.
+
+        Serves the in-flight plan's snapshot or — so a joiner whose
+        offer reply was lost can still be answered after a failover —
+        the last committed generation's, to the joiners that have not
+        finished.  ``planned`` is the live path: joiners fetch in the
+        replication planner's rounds.  After replay there is no way to
+        know which round each joiner had reached; serving everyone from
+        round 0 trades the contention-free schedule for guaranteed
+        progress.  Elected shard owners that were since condemned (or
+        never advertised a peer address) are dropped from the shard
+        plan; with none left joiners pull the whole blob from the AM.
+        """
+        state = self.state
+        plan = state.plan or state.last_commit
+        snap = state.last_snapshot
+        if plan is None or snap is None or (
+            snap["generation"] != plan["generation"]
+        ):
+            return
+        joiners = joiners_of(plan)
+        if state.plan is None:
+            joiners = [
+                w for w in joiners
+                if w not in state.final and w not in state.departed
+            ]
+        if not joiners:
+            return
+        owners = [
+            o for o in (plan.get("shards") or {}).get("owners", ())
+            if o not in state.condemned and o in state.peers
+        ]
+        if planned:
+            # Sharded fan-in: per-joiner groups pull one shard slice
+            # from every owner concurrently; the planner schedules the
+            # groups so same-round joiners never share an owner.
+            rounds = _fanout_rounds(
+                owners or plan["old_group"], joiners, snap["total_bytes"],
+                fan_in=max(1, len(owners)),
+            )
+        else:
+            rounds = dict.fromkeys(joiners, 0)
+        download = _Download(snap, rounds)
+        if owners:
+            download.shards = shard_ranges(
+                download.total_chunks, download.chunk_bytes,
+                download.total_bytes, len(owners),
+            )
+            for shard in download.shards:
+                shard["digest"] = _digest(
+                    download.blob[shard["start_byte"]:shard["end_byte"]]
+                )
+                shard["owner"] = owners[shard["index"] % len(owners)]
+                shard["addr"] = state.peers[shard["owner"]]
+            self.metrics.counter("net.shards.planned").inc(
+                len(download.shards)
+            )
+        transfer_id = snap["transfer_id"]
+        self.downloads[transfer_id] = download
+        for joiner in joiners:
+            self.offers[joiner] = self._mint_offer(
+                plan, download.describe(transfer_id, joiner)
+            )
+        if self.tracer is not None:
+            self.tracer.instant(
+                "replicate.fanout", track="am", cat="replicate",
+                transfer_id=transfer_id, rounds=rounds,
+                payload_bytes=download.total_bytes,
+                chunks=download.total_chunks,
+                **(
+                    {"shards": len(download.shards), "owners": owners}
+                    if owners else {}
+                ),
+            )
+
+    def take_offer(self, worker: str, generation: int) -> "dict | None":
+        """Lock held: consume ``worker``'s offer if it is for ``generation``.
+
+        Consumed either way: a retransmission of this very poll is
+        answered from the ServerCore reply cache, and the offer must not
+        survive to be replayed — stale generation, stale snapshot — if
+        the same worker id is scaled out and back in by a later
+        adjustment.  Only the offer minted for the live (or in-flight)
+        generation may be served; anything older belongs to a previous
+        incarnation of this worker id and would park the joiner at a
+        dead iteration where its SYNC barriers never complete.
+        """
+        offer = self.offers.pop(worker, None)
+        if offer is not None and offer["generation"] == generation:
+            return offer
+        return None
+
+    def forget(self, joiners: typing.Iterable[str]) -> None:
+        """Lock held: a plan was minted for (or aborted under) ``joiners``.
+
+        A joiner that never polled its offer from an earlier adjustment
+        (it crashed, or was scaled out before joining) must wait for the
+        new plan's snapshot, not receive the old one.  Fully-fetched
+        downloads from earlier adjustments are dead weight now;
+        in-flight ones stay so straggling joiners finish.
+        """
+        for joiner in joiners:
+            self.offers.pop(joiner, None)
+        for transfer_id in [
+            t for t, d in self.downloads.items() if d.complete
+        ]:
+            del self.downloads[transfer_id]
+
+    def unfetched(self, plan: dict) -> "list[str]":
+        """Lock held: the plan's joiners still missing (part of) its state."""
+        snap = self.state.plan_snapshot
+        download = self.downloads.get(snap["transfer_id"]) if snap else None
+        return sorted(
+            w for w in joiners_of(plan)
+            if download is None or not download.fetched(w)
+        )
+
+    # -- serving: the joiners' STATE_FETCH --------------------------------------
+
+    def handle_fetch(self, worker: str, payload: dict) -> dict:
+        """Serve one chunk of a stored snapshot to a joiner."""
+        with self.lock:
+            download = self.downloads.get(payload.get("transfer_id"))
+            if download is None:
+                return {"ok": False, "reason": "unknown transfer"}
+            if worker not in download.rounds:
+                return {"ok": False, "reason": "not a planned joiner"}
+            if payload.get("complete"):
+                # A sharded joiner's chunks crossed the peer mesh, not
+                # this link; its completion report is what advances the
+                # round gate for later fan-in rounds.
+                download.progress[worker] = set(range(download.total_chunks))
+                self.metrics.counter("net.shards.joins_completed").inc()
+                return {"ok": True}
+            if not download.round_open(worker):
+                # Earlier planner rounds are still copying; the joiner
+                # polls until its round opens.
+                return {"status": "pending"}
+            if payload.get("probe"):
+                # Sharded round gate: the joiner only asks whether its
+                # fan-in round is open before turning to the owners.
+                return {"ok": True, "open": True}
+            seq = payload.get("seq")
+            if not isinstance(seq, int) or not 0 <= seq < download.total_chunks:
+                return {"ok": False, "reason": f"bad seq {seq!r}"}
+            download.progress[worker].add(seq)
+            self.metrics.counter("net.chunks.served").inc()
+            return {
+                "ok": True,
+                "seq": seq,
+                "data": download.chunk(seq),
+                "digest": download.chunk_digests[seq],
+            }

@@ -29,6 +29,7 @@ timings differ.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import time
 import typing
@@ -47,6 +48,7 @@ from ..observability.fleet import (  # noqa: F401  (re-exports)
     derive_report,
 )
 from .agent import WorkerAgent
+from .journal import JournalState
 from .master_service import JobSpec, NetworkedApplicationMaster
 from .peers import MemoryPeerHost, TcpPeerHost
 from .transport import (
@@ -55,6 +57,39 @@ from .transport import (
     TransportClosed,
     memory_link,
 )
+
+
+def _plain(value):
+    """``value`` as comparable plain data (blobs by digest)."""
+    if isinstance(value, (bytes, bytearray, memoryview)):
+        return hashlib.sha256(value).hexdigest()
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted(value)
+    return value
+
+
+def assert_replay_matches(master: NetworkedApplicationMaster) -> None:
+    """The oracle for "the AM is its journal": replay ≡ live.
+
+    Folding the journal a standby would read must give exactly the
+    state the live AM holds — every field, the snapshot blob by digest.
+    Only ``replayed`` (how many records a successor folded before its
+    own) is a property of the replay rather than of the state.
+    """
+    with master._lock:
+        live = _plain(vars(master.state))
+        replayed = _plain(vars(JournalState.replay(master.journal.records())))
+    del live["replayed"], replayed["replayed"]
+    mismatched = {
+        name: (live[name], replayed[name])
+        for name in live if live[name] != replayed[name]
+    }
+    if mismatched:
+        raise AssertionError(f"live state != journal replay: {mismatched}")
 
 
 class SoakSchedule:
@@ -241,7 +276,9 @@ class ChaosSoak:
         else:
             self._mesh = MemoryPeerHost()
         try:
-            return self._drive()
+            report = self._drive()
+            assert_replay_matches(self.master)
+            return report
         finally:
             if self._standby is not None:
                 try:

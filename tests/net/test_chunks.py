@@ -29,7 +29,7 @@ from repro.net import (
     tcp_link,
 )
 from repro.net.chunks import decode_state_blob
-from repro.net.master_service import _fanout_rounds
+from repro.net.replication_gate import _fanout_rounds
 from repro.observability import MetricRegistry
 
 
@@ -305,12 +305,12 @@ class TestMasterChunkProtocol:
         )
         base = blob.describe(transfer_id)
         for seq in range(blob.total_chunks):
-            reply = net._handle_state_chunk(worker, dict(
+            reply = net.replication.handle_chunk(worker, dict(
                 base, seq=seq, digest=blob.chunk_digest(seq),
                 data=blob.chunk(seq),
             ))
             assert reply["ok"], reply
-        reply = net._handle_state_done(worker, dict(base))
+        reply = net.replication.handle_done(worker, dict(base))
         assert reply["ok"], reply
         return blob
 
@@ -321,7 +321,7 @@ class TestMasterChunkProtocol:
             blob.describe("t-x"), seq=0, digest=blob.chunk_digest(0),
             data=blob.chunk(0),
         )
-        assert net._handle_state_chunk("w9", payload) == {
+        assert net.replication.handle_chunk("w9", payload) == {
             "ok": False, "reason": "no snapshot expected",
         }
 
@@ -351,27 +351,27 @@ class TestMasterChunkProtocol:
         assert later, rounds
         transfer_id = offers[first]["state_transfer"]["transfer_id"]
         # A later-round joiner is told to wait while round 0 is copying.
-        assert net._handle_state_fetch(
+        assert net.replication.handle_fetch(
             later[0], {"transfer_id": transfer_id, "seq": 0}
         ) == {"status": "pending"}
         # Round 0 fetches everything...
         collected = bytearray()
         for seq in range(blob.total_chunks):
-            reply = net._handle_state_fetch(
+            reply = net.replication.handle_fetch(
                 first, {"transfer_id": transfer_id, "seq": seq}
             )
             assert reply["ok"]
             collected.extend(bytes(reply["data"]))
         assert_states_equal(decode_state_blob(collected), state)
         # ...and the next round opens.
-        reply = net._handle_state_fetch(
+        reply = net.replication.handle_fetch(
             later[0], {"transfer_id": transfer_id, "seq": 0}
         )
         assert reply["ok"]
 
     def test_unknown_transfer_is_refused_not_pending(self):
         net = self._adjusting_master()
-        assert net._handle_state_fetch(
+        assert net.replication.handle_fetch(
             "w2", {"transfer_id": "no-such", "seq": 0}
         ) == {"ok": False, "reason": "unknown transfer"}
 
@@ -381,10 +381,10 @@ class TestMasterChunkProtocol:
         self._upload(net, state)
         offer = net._handle_join("w2")
         transfer_id = offer["state_transfer"]["transfer_id"]
-        assert not net._handle_state_fetch(
+        assert not net.replication.handle_fetch(
             "w9", {"transfer_id": transfer_id, "seq": 0}
         )["ok"]
-        assert not net._handle_state_fetch(
+        assert not net.replication.handle_fetch(
             "w2", {"transfer_id": transfer_id, "seq": 10**6}
         )["ok"]
 
@@ -395,10 +395,10 @@ class TestMasterChunkProtocol:
         offer = net._handle_join("w2")
         transfer_id = offer["state_transfer"]["transfer_id"]
         for seq in range(blob.total_chunks):
-            assert net._handle_state_fetch(
+            assert net.replication.handle_fetch(
                 "w2", {"transfer_id": transfer_id, "seq": seq}
             )["ok"]
-        assert net._downloads[transfer_id].complete
+        assert net.replication.downloads[transfer_id].complete
         # Finish the adjustment, then start the next one: the download
         # is fully served and must not outlive its generation.
         net._handle_coordinate("w0", 8)
@@ -411,7 +411,7 @@ class TestMasterChunkProtocol:
                 break
             if net._handle_coordinate("w2", iteration)["kind"] == "adjust":
                 break
-        assert transfer_id not in net._downloads
+        assert transfer_id not in net.replication.downloads
 
     def test_chunk_metrics_are_recorded(self):
         metrics = MetricRegistry()
@@ -427,11 +427,11 @@ class TestMasterChunkProtocol:
         blob = StateBlob.encode(sample_state(), chunk_bytes=256)
         base = blob.describe("t-m")
         for seq in range(blob.total_chunks):
-            net._handle_state_chunk("w0", dict(
+            net.replication.handle_chunk("w0", dict(
                 base, seq=seq, digest=blob.chunk_digest(seq),
                 data=blob.chunk(seq),
             ))
-        net._handle_state_done("w0", dict(base))
+        net.replication.handle_done("w0", dict(base))
         snap = metrics.snapshot()
         assert snap["net.chunks.received"] == blob.total_chunks
         assert snap["net.chunks.bytes_received"] == blob.total_bytes
@@ -501,7 +501,7 @@ class TestPipelinedUploadAgainstTheRestartRule:
         assert summary["digest"] == StateBlob.encode(
             state, chunk_bytes=256
         ).digest
-        download = net._downloads[summary["transfer_id"]]
+        download = net.replication.downloads[summary["transfer_id"]]
         assert download.total_bytes == summary["payload_bytes"]
         assert net.core.executions[("w0", "state_chunk")] == summary["chunks"]
 
@@ -525,11 +525,11 @@ class TestConcurrentFanout:
         blob = StateBlob.encode(state, chunk_bytes=128)
         base = blob.describe("t-c")
         for seq in range(blob.total_chunks):
-            net._handle_state_chunk("w0", dict(
+            net.replication.handle_chunk("w0", dict(
                 base, seq=seq, digest=blob.chunk_digest(seq),
                 data=blob.chunk(seq),
             ))
-        net._handle_state_done("w0", dict(base))
+        net.replication.handle_done("w0", dict(base))
         results, errors = {}, []
 
         def fetch(joiner):
@@ -540,7 +540,7 @@ class TestConcurrentFanout:
                 for seq in range(descriptor["total_chunks"]):
                     deadline = time.monotonic() + 10
                     while True:
-                        reply = net._handle_state_fetch(
+                        reply = net.replication.handle_fetch(
                             joiner,
                             {"transfer_id": descriptor["transfer_id"],
                              "seq": seq},

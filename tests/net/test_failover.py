@@ -13,6 +13,7 @@ import pytest
 
 from repro.coordination.messages import MessageType
 from repro.net import (
+    ChunkedUploader,
     JobSpec,
     NetworkedApplicationMaster,
     RetryableError,
@@ -240,9 +241,8 @@ class TestFailover:
             "epoch": 2, "generation": 0, "status": "ok", "job": "netjob",
         }
 
-        successor.journal.append("condemn", worker="w1")
-        with successor._lock:
-            successor._condemned["w1"] = 0.0
+        # What a predecessor's lease sweep would have left behind.
+        successor._record("condemn", worker="w1")
         reply = cluster.links["w1"].request(
             MessageType.ENROLL, {"generation": 0, "iteration": 4},
         )
@@ -267,7 +267,7 @@ class TestFailover:
             MessageType.ENROLL,
             {"generation": 0, "iteration": 4, "peer": "127.0.0.1:9999"},
         )
-        assert successor._peer_addrs["w0"] == "127.0.0.1:9999"
+        assert successor.state.peers["w0"] == "127.0.0.1:9999"
         assert successor.metrics.snapshot().get("am.enrollments", 0) == 1
 
     def test_double_failover_keeps_raising_the_epoch(self, cluster):
@@ -280,3 +280,88 @@ class TestFailover:
         status = cluster.driver.request(MessageType.STATUS)
         assert status["epoch"] == 3
         assert status["group"] == ["w0", "w1", "w2"]
+
+
+class TestShardedPlanFailover:
+    """The elected shard owners ride the ``plan`` record, so a plan
+    minted sharded stays sharded across a failover."""
+
+    @staticmethod
+    def _mint(cluster):
+        """Scale w3 out under ``replication_shards=2`` up to the first
+        directive: w0 is told to upload, w0/w1 are the elected owners."""
+        for worker, link in cluster.links.items():
+            reply = link.request(MessageType.JOIN, {"peer": f"mem://{worker}"})
+            assert reply["status"] == "start"
+        assert cluster.driver.request(
+            MessageType.ADJUSTMENT_REQUEST,
+            {"kind": "scale_out", "add": ["w3"]},
+        )["accepted"] is True
+        cluster.links["w3"] = memory_link(cluster.master.core, "w3")
+        assert cluster.links["w3"].request(
+            MessageType.JOIN, {"peer": "mem://w3"}
+        ) == {"status": "pending"}
+        directive = cluster.coordinate("w0", 4)
+        assert directive["upload"] is True
+        assert directive["shards"] == {
+            "transfer_id": "shard/g1", "owners": ["w0", "w1"], "count": 2,
+        }
+        return directive["shards"]
+
+    @staticmethod
+    def _upload(cluster, transfer_id):
+        import numpy as np
+
+        state = {"params": {"w": np.arange(64.0)}, "optimizer": {},
+                 "loader": {}}
+        ChunkedUploader(cluster.links["w0"], chunk_bytes=128).upload(
+            state, transfer_id=transfer_id,
+        )
+
+    def test_sharded_plan_survives_failover(self):
+        cluster = Cluster(
+            make_spec(replication_shards=2), ["w0", "w1", "w2"]
+        )
+        try:
+            shards = self._mint(cluster)
+            successor = cluster.fail_over()
+            # A late-coordinating owner must still be told to freeze its
+            # blob, under the very transfer id the uploader was given.
+            directive = cluster.coordinate("w1", 4)
+            assert directive["kind"] == "adjust"
+            assert directive["shards"] == shards
+            cluster.coordinate("w2", 4)
+            self._upload(cluster, shards["transfer_id"])
+            assert successor.metrics.snapshot()["net.shards.planned"] == 2
+            offer = cluster.links["w3"].request(
+                MessageType.JOIN, {"peer": "mem://w3"}
+            )
+            assert offer["status"] == "join"
+            plan = offer["state_transfer"]["shards"]
+            assert [s["owner"] for s in plan] == ["w0", "w1"]
+            assert [s["addr"] for s in plan] == ["mem://w0", "mem://w1"]
+            status = cluster.driver.request(MessageType.STATUS)
+            assert status["adjustments_committed"] == 1
+        finally:
+            cluster.close()
+
+    def test_condemned_owner_is_dropped_from_the_shard_plan(self):
+        """The inverse: an owner condemned before STATE_DONE is not
+        offered to joiners — on the primary and on a successor alike."""
+        cluster = Cluster(
+            make_spec(replication_shards=2), ["w0", "w1", "w2"]
+        )
+        try:
+            shards = self._mint(cluster)
+            with cluster.master._lock:
+                cluster.master._record("condemn", worker="w1")
+            cluster.fail_over()
+            cluster.coordinate("w2", 4)
+            self._upload(cluster, shards["transfer_id"])
+            offer = cluster.links["w3"].request(
+                MessageType.JOIN, {"peer": "mem://w3"}
+            )
+            plan = offer["state_transfer"]["shards"]
+            assert [s["owner"] for s in plan] == ["w0"]
+        finally:
+            cluster.close()

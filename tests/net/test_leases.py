@@ -18,7 +18,7 @@ from repro.net import (
     NetworkedApplicationMaster,
     memory_link,
 )
-from repro.net.master_service import _SyncBarrier
+from repro.net.sync_barriers import _SyncBarrier
 
 
 class FakeClock:
@@ -45,7 +45,7 @@ def rig():
     master = NetworkedApplicationMaster(
         spec, ["w0", "w1", "w2"], clock=clock,
     )
-    assert master._lease_thread is None  # injectable clock: no thread
+    assert master.leases.thread is None  # injectable clock: no thread
     links = {w: memory_link(master.core, w) for w in ("w0", "w1", "w2")}
     for worker, link in links.items():
         assert link.request(MessageType.JOIN, {})["status"] == "start"
@@ -118,7 +118,7 @@ class TestLeases:
         barrier = _SyncBarrier(expected=("w0", "w1", "w2"))
         barrier.contributions["w2"] = {"g": np.zeros(2)}
         with master._lock:
-            master._barriers[(0, 4)] = barrier
+            master.barriers.open[(0, 4)] = barrier
 
         clock.advance(TTL * 1.1)
         condemned = master.check_leases()

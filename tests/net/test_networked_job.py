@@ -15,6 +15,7 @@ import pytest
 from repro.coordination.faults import FaultPlan
 from repro.coordination.messages import MessageType
 from repro.net import (
+    ChunkedUploader,
     JobSpec,
     NetworkedApplicationMaster,
     WorkerAgent,
@@ -143,7 +144,7 @@ class TestElasticJobOverBothTransports:
             assert harness.results["w0"]["iterations_run"] == spec.iterations
             # Every completed rendezvous was evicted once all members
             # collected the mean — no per-iteration gradient retention.
-            assert not harness.master._barriers
+            assert not harness.master.barriers.open
 
             # The chaos actually happened on w0's transport.
             chaotic = harness.transports["w0"]
@@ -161,7 +162,7 @@ class TestElasticJobOverBothTransports:
             core = harness.master.core
             assert core.executions[("w0", "state_chunk")] == chunks
             assert core.executions[("w0", "state_done")] == 1
-            assert harness.master._chunks.completed == 1
+            assert harness.master.replication.chunks.completed == 1
             snap = harness.master.metrics.snapshot()
             assert snap["net.chunks.received"] == chunks
             assert snap["net.chunks.served"] == 2 * chunks
@@ -248,27 +249,29 @@ class TestJoinOfferLifecycle:
         assert net._handle_join("w2") == {"status": "pending"}
         reply = self._drive_to_adjust(net, "w0")
         assert reply["upload"]
-        assert net._handle_state_upload("w0", self._snapshot())["ok"]
+        link = memory_link(net.core, "w0")
+        ChunkedUploader(link).upload(self._snapshot())
+        link.close()
         offer = net._handle_join("w2")
         assert offer["status"] == "join"
         assert offer["generation"] == 1
         # Consumed: nothing left to replay to a later incarnation.
-        assert net._join_offers == {}
+        assert net.replication.offers == {}
 
     def test_stale_offer_is_dropped_not_served(self):
         spec = JobSpec(iterations=64, coordination_interval=4)
         net = NetworkedApplicationMaster(spec, ["w0"])
-        net._generation = 3
-        net._groups[3] = ("w0",)
+        net.state.generation = 3
+        net.state.groups[3] = ("w0",)
         # An offer left over from generation 1 (its joiner never polled).
-        net._join_offers["w2"] = {"status": "join", "generation": 1}
+        net.replication.offers["w2"] = {"status": "join", "generation": 1}
         assert net._handle_join("w2") == {"status": "pending"}
-        assert "w2" not in net._join_offers
+        assert "w2" not in net.replication.offers
 
     def test_minting_a_new_plan_clears_predecessor_offers(self):
         spec = JobSpec(iterations=64, coordination_interval=4)
         net = NetworkedApplicationMaster(spec, ["w0"])
-        net._join_offers["w2"] = {"status": "join", "generation": 5}
+        net.replication.offers["w2"] = {"status": "join", "generation": 5}
         assert net._handle_adjustment_request(
             {"kind": "scale_out", "add": ["w2"]}
         )["accepted"]
@@ -277,4 +280,57 @@ class TestJoinOfferLifecycle:
         assert reply["kind"] == "adjust"
         # The stale offer died at mint time; w2 now waits for the new
         # plan's snapshot.
-        assert "w2" not in net._join_offers
+        assert "w2" not in net.replication.offers
+
+
+class TestStatusWaitingOn:
+    def test_status_says_what_the_am_is_waiting_on(self):
+        """``waiting_on`` names the members an open barrier lacks and,
+        for an in-flight plan, who has not acked, whether the snapshot
+        arrived and which joiners have not fetched it."""
+        spec = JobSpec(iterations=64, coordination_interval=4,
+                       allreduce_timeout=5.0)
+        net = NetworkedApplicationMaster(spec, ["w0", "w1"])
+        assert net.status()["waiting_on"] == {"barriers": [], "plan": None}
+
+        parked = threading.Thread(
+            target=net.barriers.sync,
+            args=("w0", {"generation": 0, "iteration": 3, "grads": None}),
+            daemon=True,
+        )
+        parked.start()
+        deadline = time.monotonic() + 5.0
+        while not net.status()["waiting_on"]["barriers"]:
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        assert net.status()["waiting_on"]["barriers"] == [
+            {"generation": 0, "iteration": 3, "missing": ["w1"]},
+        ]
+        net.barriers.sync(
+            "w1", {"generation": 0, "iteration": 3, "grads": None}
+        )
+        parked.join(timeout=5.0)
+        assert not parked.is_alive()
+
+        assert net._handle_adjustment_request(
+            {"kind": "scale_out", "add": ["w2"]}
+        )["accepted"]
+        assert net._handle_join("w2") == {"status": "pending"}
+        assert net._handle_coordinate("w0", 4)["upload"]
+        waiting = net.status()["waiting_on"]
+        assert waiting["barriers"] == []
+        assert waiting["plan"] == {
+            "generation": 1, "unacked": ["w1"], "uploader": "w0",
+            "snapshot": False, "unfetched": ["w2"],
+        }
+
+        link = memory_link(net.core, "w0")
+        ChunkedUploader(link).upload(
+            TestJoinOfferLifecycle._snapshot()
+        )
+        link.close()
+        waiting = net.status()["waiting_on"]["plan"]
+        assert waiting["snapshot"] is True and waiting["unacked"] == ["w1"]
+        net._handle_coordinate("w1", 4)
+        assert net.status()["waiting_on"]["plan"] is None
+        net.close()

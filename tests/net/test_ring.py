@@ -798,21 +798,21 @@ class TestMasterRingPlumbing:
     def test_sync_rejects_superseded_generation(self):
         spec = JobSpec(iterations=8)
         net = NetworkedApplicationMaster(spec, ["w0"])
-        net._generation = 2
-        net._groups[2] = ("w0",)
+        net.state.generation = 2
+        net.state.groups[2] = ("w0",)
         with pytest.raises(KeyError, match="superseded"):
-            net._handle_sync("w0", {"generation": 1, "iteration": 3,
+            net.barriers.sync("w0", {"generation": 1, "iteration": 3,
                                     "grads": None})
 
     def test_superseded_barriers_dropped_with_error(self):
-        from repro.net.master_service import _SyncBarrier
+        from repro.net.sync_barriers import _SyncBarrier
 
         spec = JobSpec(iterations=64)
         net = NetworkedApplicationMaster(spec, ["w0", "w1"])
-        barrier = net._barriers[(0, 7)] = _SyncBarrier(("w0", "w1"))
-        net._generation = 1
-        net._drop_superseded_barriers()
-        assert (0, 7) not in net._barriers
+        barrier = net.barriers.open[(0, 7)] = _SyncBarrier(("w0", "w1"))
+        net.state.generation = 1
+        net.barriers.drop_superseded()
+        assert (0, 7) not in net.barriers.open
         assert barrier.event.is_set()
         assert "superseded" in barrier.result["__error__"]
 
@@ -820,9 +820,9 @@ class TestMasterRingPlumbing:
         spec = JobSpec(iterations=8)
         net = NetworkedApplicationMaster(spec, ["w0", "w1"])
         assert net._ring_payload(0, ("w0", "w1"), active_from=4) is None
-        net._peer_addrs["w0"] = "mem://w0"
+        net.state.peers["w0"] = "mem://w0"
         assert net._ring_payload(0, ("w0", "w1"), active_from=4) is None
-        net._peer_addrs["w1"] = "mem://w1"
+        net.state.peers["w1"] = "mem://w1"
         ring = net._ring_payload(0, ("w0", "w1"), active_from=4)
         assert ring == {
             "epoch": 0, "order": ["w0", "w1"],
@@ -832,7 +832,7 @@ class TestMasterRingPlumbing:
         assert net._ring_payload(0, ("w0",), active_from=4) is None
         off = JobSpec(iterations=8, ring_enabled=False)
         star = NetworkedApplicationMaster(off, ["w0", "w1"])
-        star._peer_addrs.update(net._peer_addrs)
+        star.state.peers.update(net.state.peers)
         assert star._ring_payload(0, ("w0", "w1"), active_from=4) is None
 
     def test_reply_wait_derives_from_allreduce_timeout(self):
@@ -851,7 +851,7 @@ class TestMasterRingPlumbing:
         done = []
 
         def sync(worker, grads):
-            done.append(net._handle_sync(worker, {
+            done.append(net.barriers.sync(worker, {
                 "generation": 0, "iteration": 0, "grads": grads,
             }))
 
@@ -869,7 +869,7 @@ class TestMasterRingPlumbing:
     def test_sync_all_empty_returns_none(self):
         spec = JobSpec(iterations=8)
         net = NetworkedApplicationMaster(spec, ["w0"])
-        result = net._handle_sync(
+        result = net.barriers.sync(
             "w0", {"generation": 0, "iteration": 0, "grads": None}
         )
         assert result == {"grads": None, "members": 1}
