@@ -1,0 +1,31 @@
+"""CI check on one worker trace of the multiprocess ring smokes.
+
+Ring segments must have left as one-way posts, the injected peer reset
+must have landed on one and been absorbed by the link (an immediate
+retry of the lost send, or a replay of unconfirmed posts on the redial)
+— and never by degrading the ring.
+"""
+
+import json
+import sys
+
+events = json.load(open(sys.argv[1]))
+segments = [
+    e["args"] for e in events
+    if e["name"] == "net.send" and e["args"].get("type") == "ring_segment"
+]
+posts = [args for args in segments if args.get("post")]
+lost = [args for args in segments if not args["delivered"]]
+replayed = sum(
+    e["args"].get("replayed", 0) for e in events
+    if e["name"] == "net.reconnect"
+)
+degraded = [e for e in events if e["name"] == "net.allreduce.degraded"]
+print(
+    f"{len(segments)} ring_segment sends, {len(posts)} posts, "
+    f"{len(lost)} lost to the reset, {replayed} replayed, "
+    f"{len(degraded)} degraded"
+)
+assert posts, "no ring segment left as a post"
+assert lost or replayed, "the injected peer reset never hit a ring segment"
+assert not degraded, degraded

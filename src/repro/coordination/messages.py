@@ -56,13 +56,16 @@ class Message:
     """One protocol message.
 
     ``msg_id`` is globally unique per logical message; a retransmission
-    reuses the ID so receivers can deduplicate.
+    reuses the ID so receivers can deduplicate.  A ``post`` is one-way:
+    the receiver executes it exactly once like any message and sends no
+    reply (docs/PROTOCOL.md, "One-way messages").
     """
 
     msg_id: int
     msg_type: MessageType
     sender: str
     payload: dict
+    post: bool = False
 
     def duplicate(self) -> "Message":
         """A retransmission of this message (same ID on purpose)."""
@@ -93,13 +96,17 @@ class MessageFactory:
         self.epoch = secrets.randbits(40) if epoch is None else epoch
         self._ids = itertools.count((self.epoch << self.EPOCH_SHIFT) + 1)
 
-    def make(self, msg_type: MessageType, sender: str, payload: dict) -> Message:
+    def make(
+        self, msg_type: MessageType, sender: str, payload: dict,
+        post: bool = False,
+    ) -> Message:
         """Create a new uniquely-identified message."""
         return Message(
             msg_id=next(self._ids),
             msg_type=msg_type,
             sender=sender,
             payload=dict(payload),
+            post=post,
         )
 
 

@@ -6,7 +6,8 @@ AM per iteration and one blocked reader thread per member.  This module
 moves the gradient hot path onto direct worker↔worker links: the
 classic two-phase ring — reduce-scatter then all-gather — as one
 pipeline of ``2·(N-1)`` hops over element-aligned buckets, each reduced
-as it lands and forwarded at once within a bounded unacknowledged window.
+as it lands and written to the successor at once by the same thread —
+one-way, within a bounded unconfirmed window.
 
 Bit-identity with the star path
 -------------------------------
@@ -37,7 +38,6 @@ retries the iteration through the star path — exactly-once either way.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import dataclasses
 import threading
@@ -51,9 +51,11 @@ from .codecs import decode_bucket, encode_bucket, validate_codec
 from .transport import RequestTimeout, TransportClosed
 from .wire import WireError
 
-#: default ring bucket size (bytes).  A segment's request/reply costs
-#: ≈ 120 µs plus only ≈ 15 µs per 64 KB, so partitions up to this size
-#: travel as one segment per hop; larger ones pipeline bucket by bucket.
+#: default ring bucket size (bytes).  A segment costs ≈ 80 µs before
+#: its first byte and ≈ 35 µs per 64 KB (docs/PROTOCOL.md, "Bucket
+#: size"), so partitions up to this size travel as one segment per hop
+#: — the fixed cost under a tenth of it; larger ones pipeline bucket by
+#: bucket.
 DEFAULT_RING_BUCKET_BYTES = 1024 * 1024
 
 #: consecutive degraded iterations after which a node stops attempting
@@ -366,16 +368,18 @@ def _maybe_span(tracer, name: str, track: str, **args):
 
 
 class RingNode:
-    """One rank of the ring: owns the peer links, the pump and the algorithm.
+    """One rank of the ring: owns the peer links and the algorithm.
 
     ``connect`` is a callable ``addr -> ReliableLink`` (supplied by the
     peer host), so the node itself is transport-agnostic.  Links are
     cached per address and reused across generations when the address
     survives the reshuffle.
 
-    The calling thread runs the hop pipeline and all codec work; one
-    long-lived pump thread only ships bytes, ``window`` bounding the
-    segments posted but not yet acknowledged.
+    The calling thread runs the hop pipeline, all codec work and every
+    send: a segment is a one-way ``post`` unless it is the iteration's
+    last or ``window`` segments are already posted but not yet
+    acknowledged — then it is a request, whose reply acknowledges
+    everything written before it.  The node owns no thread.
     """
 
     def __init__(
@@ -429,13 +433,8 @@ class RingNode:
         #: set — a merely slow peer rejoins there.
         self._suspects: "set[str]" = set()
         self._lock = threading.Lock()
-        #: the pump's queue of ``(link, payload)`` — the link captured at
-        #: post time, so a later :meth:`install` cannot strand the send —
-        #: and the count of segments posted but not yet settled.
-        self._outbox: "collections.deque[tuple]" = collections.deque()
-        self._unacked = 0
-        self._cond = threading.Condition()
-        self._pump = None  # the pump thread, started by the first post
+        #: segments posted to the successor since its last reply.
+        self._unconfirmed = 0
         self._closed = False
 
     # -- membership ------------------------------------------------------------
@@ -526,6 +525,8 @@ class RingNode:
     def _link_to(self, peer: str):
         addr = self.ring["peers"][peer]
         with self._lock:
+            if self._closed:
+                raise TransportClosed(f"ring node {self.worker_id!r} is closed")
             if peer in self._suspects:
                 raise TransportClosed(f"peer {peer!r} is suspect")
             link = self._links.get(addr)
@@ -534,14 +535,9 @@ class RingNode:
             return link
 
     def close(self) -> None:
-        """Stop and join the pump, then close every peer link."""
-        with self._cond:
-            self._closed = True
-            self._drop_posted()
-        if self._pump is not None:
-            # Idle already unless an allreduce gave up on its drain.
-            self._pump.join(self.step_timeout)
+        """Close every peer link; nothing is dialled afterwards."""
         with self._lock:
+            self._closed = True
             links, self._links = list(self._links.values()), {}
         for link in links:
             _close_quietly(link)
@@ -556,10 +552,11 @@ class RingNode:
 
         One pipeline of ``2·(N-1)`` hops on the calling thread: the
         partition received at hop ``h`` is the one sent at hop ``h+1``,
-        so a bucket is folded in place as it lands and posted to the
-        pump at once.  The mean is returned only once every posted
-        segment is acknowledged, failed or dropped for a suspect: no
-        send outlives the call that issued it.
+        so a bucket is folded in place as it lands and written to the
+        successor at once.  The last segment goes as a request, so the
+        mean is returned only once every segment sent is acknowledged,
+        failed or dropped for a suspect: no send outlives the call that
+        issued it.
 
         Raises :class:`RingDegraded` (after marking the iteration
         degraded, so peers' probes converge) on a receive timeout.  Send
@@ -589,6 +586,15 @@ class RingNode:
         started = time.perf_counter()
         steps = members - 1  # hops per phase
         phases = (("rs", "reduce_scatter"), ("ag", "all_gather"))
+        # Hop h sends partition (rank - h); the last bucket of the last
+        # hop that has any is the iteration's confirming request.
+        last = next(
+            ((hop, len(layout.buckets[(rank - hop) % members]) - 1)
+             for hop in reversed(range(2 * steps))
+             if layout.buckets[(rank - hop) % members]),
+            None,
+        )
+        self._unconfirmed = 0
 
         def post(hop: int, part: int, index: int, views) -> None:
             phase, step = phases[hop // steps][0], hop % steps
@@ -602,7 +608,7 @@ class RingNode:
                     self._residual_views(scratch, layout.buckets[part][index])
                     if phase == "rs" else None,
                 )
-            self._post(successor, payload)
+            self._send(successor, payload, confirm=(hop, index) == last)
 
         try:
             if iteration in self.fail_at:
@@ -636,13 +642,16 @@ class RingNode:
                                 self._receive(key, part, views, divisor)
                                 if hop + 1 < 2 * steps:
                                     post(hop + 1, part, index, views)
-                self._await_acks(0, successor)
-        except RingDegraded:
-            with self._cond:
-                self._drop_posted()
+        except RingDegraded as exc:
             self.mailbox.degrade(generation, iteration)
             self.strikes += 1
             self._count("net.allreduce.degraded")
+            if self.tracer is not None:
+                self.tracer.instant(
+                    "net.allreduce.degraded", track=self.worker_id,
+                    cat="net", generation=generation, iteration=iteration,
+                    reason=str(exc),
+                )
             raise
         self.mailbox.record_mean(generation, iteration, scratch)
         self.strikes = 0
@@ -713,10 +722,18 @@ class RingNode:
         self._count("net.codec.fallbacks", enc.fallbacks)
         return enc.data, enc.meta
 
-    # -- the pump --------------------------------------------------------------
+    # -- sending ---------------------------------------------------------------
 
-    def _post(self, successor: str, payload: dict) -> None:
-        """Hand the pump one segment on the successor's *current* link."""
+    def _send(self, successor: str, payload: dict, confirm: bool) -> None:
+        """Write one segment on the successor's *current* link.
+
+        A one-way post, or — for the iteration's last segment and for
+        one that would leave more than ``window`` posts unacknowledged —
+        a request: its reply acknowledges every segment written before
+        it on the link.  A successor that leaves a request's whole
+        resend budget unanswered has timed out its own receive long
+        ago: it is suspected, so nothing blocks on it again.
+        """
         try:
             link = self._link_to(successor)
         except (TransportClosed, WireError, OSError):
@@ -726,72 +743,31 @@ class RingNode:
             self._suspect(successor)
             self._count("net.allreduce.send_failures")
             return
-        if not self._await_acks(self.window - 1, successor):
-            return
-        with self._cond:
-            if self._closed:
-                return
-            if self._pump is None:
-                self._pump = threading.Thread(
-                    target=self._pump_loop,
-                    name=f"ring-pump-{self.worker_id}", daemon=True,
-                )
-                self._pump.start()
-            self._outbox.append((link, payload))
-            self._unacked += 1
-            self._cond.notify_all()
-
-    def _await_acks(self, limit: int, successor: str) -> bool:
-        """Wait until at most ``limit`` posted segments are unacknowledged.
-
-        A successor silent for ``step_timeout`` has timed out its own
-        receive by now: it is suspected and what is queued for it is
-        dropped (False), so no post and no drain blocks for longer.
-        """
-        with self._cond:
-            if self._cond.wait_for(
-                lambda: self._unacked <= limit, self.step_timeout
-            ):
-                return True
-            self._drop_posted()
-        self._suspect(successor)
-        return False
-
-    def _drop_posted(self) -> None:
-        """Forget what the pump has not started (``_cond`` held)."""
-        self._unacked -= len(self._outbox)
-        self._count("net.allreduce.send_failures", len(self._outbox))
-        self._outbox.clear()
-        self._cond.notify_all()
-
-    def _pump_loop(self) -> None:
-        while True:
-            with self._cond:
-                while not self._outbox:
-                    if self._closed:
-                        return
-                    self._cond.wait()
-                link, payload = self._outbox.popleft()
-            try:
+        try:
+            if confirm or self._unconfirmed >= self.window:
                 link.request(MessageType.RING_SEGMENT, payload)
-                nbytes = sum(view.nbytes for view in payload["data"])
-                self._count("net.allreduce.segments_sent")
-                self._count("net.allreduce.bytes_sent", nbytes)
-            except RequestTimeout:
-                # Lossy but alive: it may well have received the segment.
-                self._count("net.allreduce.send_failures")
-            except Exception as exc:
-                # Nothing a link is meant to raise (a remote handler
-                # error, a bug) — and the pump has to outlive it.
-                self._count("net.allreduce.send_failures")
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        "net.allreduce.send_error", track=self.worker_id,
-                        cat="net", error=repr(exc),
-                    )
-            with self._cond:
-                self._unacked -= 1
-                self._cond.notify_all()
+                self._unconfirmed = 0
+            else:
+                link.post(MessageType.RING_SEGMENT, payload)
+                self._unconfirmed += 1
+        except RequestTimeout:
+            self._suspect(successor)
+            self._count("net.allreduce.send_failures")
+        except Exception as exc:
+            # Nothing a link is meant to raise (a remote handler error,
+            # a bug) — and the collective has to outlive it.
+            self._count("net.allreduce.send_failures")
+            if self.tracer is not None:
+                self.tracer.instant(
+                    "net.allreduce.send_error", track=self.worker_id,
+                    cat="net", error=repr(exc),
+                )
+        else:
+            self._count("net.allreduce.segments_sent")
+            self._count(
+                "net.allreduce.bytes_sent",
+                sum(view.nbytes for view in payload["data"]),
+            )
 
     # -- degraded-path probes --------------------------------------------------
 

@@ -36,6 +36,13 @@ from . import wire
 #: to a retransmission must get fresh timestamps).
 TRACE_CTX_KEY = "__ctx__"
 
+#: How long one frame may wait for its pipe to take it (a full socket
+#: buffer, a full shm ring) before the write gives up and the
+#: connection is dropped.  A link bounds its own sends tighter, by its
+#: ack timeout (:meth:`ReliableLink.attach`); this is the bound for
+#: everything else — replies, heartbeats, a bare ``Connection``.
+WRITE_TIMEOUT = 10.0
+
 
 # -- deterministic fault injection -------------------------------------------
 
@@ -97,20 +104,23 @@ class TransportFaults:
 class FramePipe:
     """One *handshaken* byte path; base of the socket and shm pipes.
 
-    ``write(frame)`` returns the bytes moved; ``read()`` blocks for the
-    next frame, None once the peer is gone (its arrays may alias the
-    pipe's buffers until ``release()``; ``own(payload)`` makes a copy
-    that outlives it); ``count(metrics, n)`` books ``n`` written bytes;
-    ``close()`` wakes anyone blocked on the pipe and frees it.
+    ``write(frame, timeout)`` returns the bytes moved, or raises
+    ``OSError`` when the peer has not taken the frame in ``timeout``
+    seconds (the frame may be torn: the caller drops the connection);
+    ``read()`` blocks for the next frame, None once the peer is gone
+    (its arrays may alias the pipe's buffers until ``release()``;
+    ``own(payload)`` makes a copy that outlives it); ``count(metrics,
+    n)`` books ``n`` written bytes; ``close()`` wakes anyone blocked on
+    the pipe and frees it.
     """
 
     #: Whether frames keep ndarrays in place (binary data plane) or wrap
     #: them in base64 envelopes.
     raw = True
 
-    def send(self, message: Message) -> int:
+    def send(self, message: Message, timeout: float = WRITE_TIMEOUT) -> int:
         """Client → server: one protocol message as a ``msg`` frame."""
-        return self.write(wire.message_frame(message, raw=self.raw))
+        return self.write(wire.message_frame(message, raw=self.raw), timeout)
 
     def release(self) -> None:
         """The last ``read`` frame is no longer referenced."""
@@ -162,6 +172,16 @@ class Connection:
     before any further traffic flows; ``ReliableLink`` only ever sees
     "send and wait for the reply".  Subclasses implement
     ``_open_pipe(endpoint)``: dial, handshake, return the live pipe.
+
+    One-way messages (``message.post``) get no reply, so nothing tells
+    the sender that one written to a pipe that later died ever arrived.
+    The connection therefore keeps every post it wrote — the message
+    itself, not a copy — until a *later reply on the same pipe* confirms
+    it: the server answers one connection in order, so the reply to a
+    request proves every frame written before that request was
+    dispatched.  A new pipe starts by replaying what is still
+    unconfirmed, original msg_ids, in order, before any newer frame; the
+    server's dedup makes the replay idempotent.
     """
 
     server_node: "str | None" = None
@@ -171,6 +191,9 @@ class Connection:
     server_epoch: "int | None" = None
     #: Counter bumped on every successful redial (None: not exported).
     _reconnect_metric: "str | None" = None
+    #: Bound on one frame's wait for the pipe (``ReliableLink.attach``
+    #: lowers it to the link's ack timeout).
+    write_timeout = WRITE_TIMEOUT
 
     def __init__(self, node_id: str, on_reply, endpoints: list,
                  backoff: ExponentialBackoff, codec: str = "json",
@@ -193,6 +216,19 @@ class Connection:
         self.bytes_sent = 0
         self.frames_sent = 0
         self.reconnects = 0
+        #: Posts written again on a new pipe because no reply had
+        #: confirmed them on the old one.
+        self.post_replays = 0
+        #: msg_id -> post, written on the current pipe and unconfirmed,
+        #: in first-write order.
+        self._posted: "dict[int, Message]" = {}
+        #: request msg_id -> (pipe it was last written on, the newest
+        #: unconfirmed post at that moment): what its reply confirms.
+        self._marks: "dict[int, tuple]" = {}
+        #: Guards the two maps above — not the send lock: the reader
+        #: confirms, and a reader queued behind a sender blocked on a
+        #: full pipe would stop draining the replies that unblock it.
+        self._posts_lock = threading.Lock()
         self._on_reply = on_reply
         self._faults = TransportFaults.from_plan(fault_plan)
         #: The shared loss/duplication stage — one FaultyChannel wrapping
@@ -243,6 +279,7 @@ class Connection:
             )
             if hasattr(pipe, "read"):
                 _spawn(f"net-read-{self.node_id}", self._read_loop, pipe)
+            self._replay_posts()
             if self._heartbeat_interval and self._heartbeat_thread is None:
                 self._heartbeat_thread = _spawn(
                     f"net-hb-{self.node_id}", self._heartbeat_loop
@@ -300,6 +337,7 @@ class Connection:
             span = self.tracer.begin(
                 "net.reconnect", track=self.node_id, cat="net"
             )
+        replayed = self.post_replays
         try:
             attempts = self.dial(self._max_reconnect_attempts)
         except (OSError, wire.WireError):
@@ -312,7 +350,10 @@ class Connection:
         if self.metrics is not None and self._reconnect_metric:
             self.metrics.counter(self._reconnect_metric).inc()
         if self.tracer is not None:
-            self.tracer.end(span, attempts=attempts, ok=True)
+            self.tracer.end(
+                span, attempts=attempts, ok=True,
+                replayed=self.post_replays - replayed,
+            )
 
     def _drop_connection(self, only: "typing.Any | None" = None) -> None:
         """Close the whole pipe (``only``: just if it is still this one).
@@ -326,6 +367,8 @@ class Connection:
             if pipe is None or (only is not None and pipe is not only):
                 return
             self._pipe = None
+            with self._posts_lock:
+                self._marks.clear()
             self._on_drop()
             pipe.close()
 
@@ -375,23 +418,71 @@ class Connection:
         pipe = self._pipe
         if pipe is None:
             raise OSError("not connected")
+        if not message.post and self._posted:
+            # Before the write: the memory pipe answers inside it.  A
+            # retransmission on the same pipe keeps its first mark — the
+            # reply may be to that first copy.
+            with self._posts_lock:
+                if self._posted:
+                    self._marks.setdefault(
+                        message.msg_id, (pipe, next(reversed(self._posted)))
+                    )
         try:
-            n = pipe.send(message)
+            n = pipe.send(message, self.write_timeout)
         except OSError:
             self._drop_connection(pipe)
             raise
+        if message.post:
+            with self._posts_lock:
+                self._posted.setdefault(message.msg_id, message)
         self.frames_sent += 1
         if n:
             self.bytes_sent += n
             if self.metrics is not None:
                 pipe.count(self.metrics, n)
 
+    def _replay_posts(self) -> None:
+        """Write the unconfirmed posts on the pipe just opened.
+
+        Straight to the pipe, not through the fault stage: a replay is
+        part of the redial, and a redial that cannot finish it fails as
+        a whole (the pipe is dropped; the send that paid for it is
+        lost and retried).
+        """
+        with self._posts_lock:
+            posts = list(self._posted.values())
+        for message in posts:
+            self._write_message(message)
+        if posts:
+            self.post_replays += len(posts)
+            if self.metrics is not None:
+                self.metrics.counter("net.post_replays").inc(len(posts))
+
+    def _confirm_posts(self, in_reply_to: int, pipe) -> None:
+        """A reply landed on ``pipe``: every post written on it before
+        that request is dispatched.  A reply read off an earlier pipe
+        confirms nothing — its marks died with that pipe."""
+        with self._posts_lock:
+            written_on, newest = self._marks.pop(in_reply_to, (None, None))
+            if written_on is not pipe or newest not in self._posted:
+                return
+            for msg_id in list(self._posted):
+                del self._posted[msg_id]
+                if msg_id == newest:
+                    break
+            if not self._posted:
+                self._marks.clear()
+
     # -- receiving -------------------------------------------------------------
 
-    def _deliver_reply(self, in_reply_to: int, payload: dict, ctx) -> None:
-        """Hand one reply (the caller's own dict) to the link; the
-        transmission context rides in as a payload key the link pops
-        before anyone else looks."""
+    def _deliver_reply(
+        self, in_reply_to: int, payload: dict, ctx, pipe
+    ) -> None:
+        """Hand one reply (the caller's own dict), read off ``pipe``, to
+        the link; the transmission context rides in as a payload key the
+        link pops before anyone else looks."""
+        if self._marks:
+            self._confirm_posts(in_reply_to, pipe)
         if isinstance(ctx, dict):
             payload[TRACE_CTX_KEY] = ctx
         self._on_reply(in_reply_to, payload)
@@ -407,7 +498,7 @@ class Connection:
                         self._deliver_reply(
                             int(frame["in_reply_to"]),
                             pipe.own(frame.get("payload") or {}),
-                            frame.get("ctx"),
+                            frame.get("ctx"), pipe,
                         )
                     else:
                         self._on_frame(frame)
@@ -497,9 +588,12 @@ class ConnectionServer:
                     peer=handshake.node, codec=handshake.codec,
                     binary=handshake.binary, **self._accept_tags,
                 )
-            while not self._closed.is_set():
+            while True:
                 frame = pipe.read()
-                if frame is None:
+                # Closed is checked *after* the read: the shm pipe still
+                # drains records written behind a hangup, and a server
+                # that close() has returned from must answer none.
+                if frame is None or self._closed.is_set():
                     break
                 self._handle_frame(pipe, frame)
         except (OSError, wire.WireError):
@@ -533,6 +627,8 @@ class ConnectionServer:
             reply = self.core.dispatch(message)
         finally:
             pipe.release()
+        if message.post:
+            return  # one-way: dispatched exactly like a request, unanswered
         # If the connection died while the handler ran, this write
         # raises and ends the connection; the reply stays in the core's
         # cache for the retransmission to collect.

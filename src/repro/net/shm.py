@@ -50,7 +50,13 @@ import numpy as np
 
 from ..coordination.faults import ExponentialBackoff, FaultPlan
 from . import wire
-from .connection import Connection, ConnectionServer, FramePipe, hang_up
+from .connection import (
+    WRITE_TIMEOUT,
+    Connection,
+    ConnectionServer,
+    FramePipe,
+    hang_up,
+)
 from .peers import SocketPeerHost, dial_tcp_peer, peer_scheme
 from .transport import ReliableLink, ServerCore
 
@@ -166,7 +172,9 @@ class ShmRing:
 
     # -- producer side ---------------------------------------------------------
 
-    def write(self, buffers: typing.Sequence, timeout: float = 10.0) -> int:
+    def write(
+        self, buffers: typing.Sequence, timeout: float = WRITE_TIMEOUT
+    ) -> int:
         """Append one record built from ``buffers``; returns bytes written.
 
         Blocks (spin-then-sleep) while the ring is full; returns 0 if
@@ -332,15 +340,11 @@ class ShmRing:
 def shm_frame_buffers(frame: dict, codec: str = "json") -> "list":
     """The buffer list one ring record carries for ``frame``.
 
-    Binary frames reuse :func:`wire.binary_frame_buffers` verbatim
-    (prefix + header + raw segments); array-free frames are one plain
-    codec frame.  Either way the receiver parses it with
-    :func:`decode_shm_frame`.
+    :func:`wire.frame_buffers` verbatim: a binary frame (prefix +
+    header + raw segments), or one plain codec frame when array-free.
+    Either way the receiver parses it with :func:`decode_shm_frame`.
     """
-    buffers, _total = wire.binary_frame_buffers(frame, codec)
-    if buffers is not None:
-        return buffers
-    return [wire.frame_bytes(frame, codec)]
+    return wire.frame_buffers(frame, codec)[0]
 
 
 def decode_shm_frame(view: memoryview, codec: str = "json") -> dict:
@@ -441,10 +445,12 @@ class ShmPipe(FramePipe):
         self.out_ring = out_ring
         self.codec = codec
 
-    def write(self, frame: dict) -> int:
-        n = self.out_ring.write(shm_frame_buffers(frame, self.codec))
+    def write(self, frame: dict, timeout: float = WRITE_TIMEOUT) -> int:
+        n = self.out_ring.write(
+            shm_frame_buffers(frame, self.codec), timeout
+        )
         if n == 0:
-            raise OSError("shm ring closed under the send")
+            raise OSError("shm ring closed or full under the send")
         _ring_doorbell(self.sock)
         return n
 
@@ -529,11 +535,11 @@ class ShmTransport(Connection):
         rings: "list[ShmRing]" = []
         try:
             sock.connect(path)
-            sock.settimeout(None)
             rings = [ShmRing(capacity=self.capacity) for _ in range(2)]
             hello = wire.hello_frame(self.node_id, self.codec, binary=True)
             hello["shm"] = {"c2s": rings[0].name, "s2c": rings[1].name}
             self._handshake(sock, hello)
+            sock.settimeout(None)
         except BaseException:
             sock.close()
             for ring in rings:

@@ -22,7 +22,13 @@ import typing
 from ..coordination.faults import ExponentialBackoff, FaultPlan
 from ..coordination.messages import Message
 from . import wire
-from .connection import Connection, ConnectionServer, FramePipe, hang_up
+from .connection import (
+    WRITE_TIMEOUT,
+    Connection,
+    ConnectionServer,
+    FramePipe,
+    hang_up,
+)
 from .transport import ReliableLink, ServerCore
 
 #: Default cadence of client keep-alive heartbeats (seconds).
@@ -44,14 +50,11 @@ class SocketPipe(FramePipe):
         #: Frames that left as binary frames (header + raw segments).
         self.binary_frames = 0
 
-    def write(self, frame: dict) -> int:
-        buffers = None
-        if self.raw:
-            buffers, total = wire.binary_frame_buffers(frame, self.codec)
-        if buffers is None:
-            return wire.write_frame(self.sock, frame, self.codec)
-        wire.sendmsg_gather(self.sock, buffers)
-        self.binary_frames += 1
+    def write(self, frame: dict, timeout: float = WRITE_TIMEOUT) -> int:
+        buffers, total = wire.frame_buffers(frame, self.codec, self.raw)
+        wire.sendmsg_gather(self.sock, buffers, timeout)
+        if len(buffers) > 1:
+            self.binary_frames += 1
         return total
 
     def read(self) -> "dict | None":
@@ -117,13 +120,15 @@ class TcpTransport(Connection):
         sock = socket.create_connection(
             endpoint, timeout=self._connect_timeout
         )
-        sock.settimeout(None)
+        # The dial's timeout covers the handshake too: a peer that
+        # accepts and never answers must not park the dialler.
         answer = self._handshake(
             sock,
             wire.hello_frame(
                 self.node_id, self.codec, binary=self._binary_wanted
             ),
         )
+        sock.settimeout(None)
         self.binary = self._binary_wanted and bool(answer.get("bin"))
         return SocketPipe(sock, self.codec, self.binary)
 

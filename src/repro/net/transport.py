@@ -163,8 +163,13 @@ class ReliableLink:
     # -- wiring ----------------------------------------------------------------
 
     def attach(self, transport: Transport) -> "ReliableLink":
-        """Bind the transport (which needed ``on_reply`` to exist first)."""
+        """Bind the transport (which needed ``on_reply`` to exist first).
+
+        One attempt is bounded by ``ack_timeout`` whether it waits for
+        the reply or for the pipe to take the frame.
+        """
         self.transport = transport
+        transport.write_timeout = self.ack_timeout
         return self
 
     def on_reply(self, in_reply_to: int, payload: dict) -> None:
@@ -216,16 +221,7 @@ class ReliableLink:
         budget runs out; raises :class:`RequestTimeout` on exhaustion,
         :class:`RemoteError` if the handler raised remotely.
         """
-        if self.transport is None:
-            raise TransportClosed("link has no transport attached")
-        stamped = dict(payload or {})
-        stamped[TRACE_CTX_KEY] = dict(
-            self.trace_context,
-            node=self.node_id,
-            epoch=self._factory.epoch,
-            sent=time.perf_counter(),
-        )
-        message = self._factory.make(msg_type, self.node_id, stamped)
+        message = self._stamp(msg_type, payload)
         slot = _ReplySlot()
         with self._slots_lock:
             self._slots[message.msg_id] = slot
@@ -252,6 +248,45 @@ class ReliableLink:
             raise RemoteError(reply["__error__"])
         return reply
 
+    def post(
+        self, msg_type: MessageType, payload: "dict | None" = None
+    ) -> None:
+        """Send one message one-way: executed exactly once, never answered.
+
+        Returns once the transport has taken the frame.  A send it
+        reports lost is retried at once, on the same attempt budget and
+        backoff as a request; :class:`RequestTimeout` when every attempt
+        was lost.  A post written to a connection that later dies is
+        replayed by the connection itself, which keeps it until a later
+        reply on this link confirms it — so a caller follows its posts
+        with a request, both to *know* and to let them go.
+        """
+        message = self._stamp(msg_type, payload, post=True)
+        channel = self._sender.channel
+        if self.metrics is not None:
+            self.metrics.counter("net.posts").inc()
+        if not self._sender.send(message, acknowledged=channel.taken):
+            raise RequestTimeout(
+                f"{msg_type.value} post {message.msg_id} from "
+                f"{self.node_id!r} exhausted its resend budget"
+            )
+
+    def _stamp(
+        self, msg_type: MessageType, payload: "dict | None",
+        post: bool = False,
+    ) -> Message:
+        """A fresh message carrying this link's trace context."""
+        if self.transport is None:
+            raise TransportClosed("link has no transport attached")
+        stamped = dict(payload or {})
+        stamped[TRACE_CTX_KEY] = dict(
+            self.trace_context,
+            node=self.node_id,
+            epoch=self._factory.epoch,
+            sent=time.perf_counter(),
+        )
+        return self._factory.make(msg_type, self.node_id, stamped, post)
+
     def close(self) -> None:
         """Close the underlying transport."""
         if self.transport is not None:
@@ -268,16 +303,24 @@ class _LinkChannel:
 
     def __init__(self, link: ReliableLink):
         self._link = link
+        #: per thread: did the transport take this thread's latest send?
+        self._last = threading.local()
+
+    def taken(self) -> bool:
+        """A post's acknowledgement: its last transmission was not lost."""
+        return getattr(self._last, "delivered", False)
 
     def send(self, message: Message) -> bool:
         transport = self._link.transport
         if transport is None:
+            self._last.delivered = False
             return False
-        # Timestamp every transmission (resends overwrite): the reply's
-        # clock sample wants the t0 of the send that produced it, and
-        # the latest send is the best available estimate.
-        self._link._send_times[message.msg_id] = time.perf_counter()
-        delivered = transport.send(message)
+        if not message.post:
+            # Timestamp every transmission (resends overwrite): the
+            # reply's clock sample wants the t0 of the send that
+            # produced it, and the latest send is the best estimate.
+            self._link._send_times[message.msg_id] = time.perf_counter()
+        delivered = self._last.delivered = transport.send(message)
         tracer, metrics = self._link.tracer, self._link.metrics
         if tracer is None and metrics is None:
             return delivered
@@ -287,6 +330,7 @@ class _LinkChannel:
                 "net.send", track=self._link.node_id, cat="net",
                 type=message.msg_type.value, msg_id=message.msg_id,
                 delivered=delivered, payload_bytes=nbytes,
+                **({"post": True} if message.post else {}),
             )
         if metrics is not None:
             metrics.counter("net.sends").inc()
@@ -359,6 +403,8 @@ class ServerCore:
         self._lock = threading.Lock()
         self.handled = 0
         self.evicted = 0
+        #: one-way messages whose handler raised (nobody to tell).
+        self.post_errors = 0
         #: per-(sender, type) handler executions, for exactly-once asserts.
         self.executions: "dict[tuple, int]" = {}
 
@@ -408,6 +454,7 @@ class ServerCore:
                 sender=message.sender, type=message.msg_type.value,
                 msg_id=message.msg_id, duplicate=not fresh,
                 payload_bytes=nbytes, **ctx_args,
+                **({"post": True} if message.post else {}),
             )
         if self.metrics is not None:
             self.metrics.counter(
@@ -426,6 +473,8 @@ class ServerCore:
             payload = self.handler(message)
         except Exception as exc:
             payload = {"__error__": f"{type(exc).__name__}: {exc}"}
+            if message.post:
+                self._post_failed(message, payload["__error__"])
         with self._lock:
             self.handled += 1
             count_key = (message.sender, message.msg_type.value)
@@ -434,6 +483,19 @@ class ServerCore:
         pending.payload = payload
         pending.event.set()
         return payload
+
+    def _post_failed(self, message: Message, error: str) -> None:
+        """A one-way message has no reply to carry ``__error__`` home:
+        the failure is counted and traced here instead."""
+        self.post_errors += 1
+        if self.metrics is not None:
+            self.metrics.counter("net.post_errors").inc()
+        if self.tracer is not None:
+            self.tracer.instant(
+                "net.post_error", track=self.node_id, cat="net",
+                sender=message.sender, type=message.msg_type.value,
+                msg_id=message.msg_id, error=error,
+            )
 
 
 # -- the in-memory transport --------------------------------------------------
@@ -444,22 +506,25 @@ class DirectPipe:
 
     No frames and no reader — the reply comes back on the sender's own
     thread, stamped with a transmission context exactly like a reply
-    frame.  In-process both clocks are the same perf_counter, so the
-    measured offset is ~0 — a free sanity check on the estimator.
+    frame; a post is dispatched the same way and nothing comes back.
+    In-process both clocks are the same perf_counter, so the measured
+    offset is ~0 — a free sanity check on the estimator.
     """
 
     def __init__(self, server: "ServerCore", deliver_reply):
         self.server = server
         self._deliver_reply = deliver_reply
 
-    def send(self, message: Message) -> int:
+    def send(self, message: Message, timeout: "float | None" = None) -> int:
         t_recv = time.perf_counter()
         reply = self.server.dispatch(message)
-        # A shallow copy: the context must never land on the cached
-        # reply dict itself.
-        self._deliver_reply(
-            message.msg_id, dict(reply), transmission_ctx(self.server, t_recv)
-        )
+        if not message.post:
+            # A shallow copy: the context must never land on the cached
+            # reply dict itself.
+            self._deliver_reply(
+                message.msg_id, dict(reply),
+                transmission_ctx(self.server, t_recv), self,
+            )
         return 0
 
     def close(self) -> None:

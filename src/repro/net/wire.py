@@ -32,11 +32,14 @@ in-memory transport never needs it — which is exactly the point of the
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 import math
+import select
 import socket
 import struct
+import time
 import typing
 
 import numpy as np
@@ -114,6 +117,9 @@ def _array_view(array: np.ndarray) -> memoryview:
     return _flat_view(array)
 
 
+_PLAIN_SCALARS = frozenset((int, str, float, bool, type(None)))
+
+
 def payload_nbytes(obj) -> int:
     """Data-plane bytes inside a payload: ndarrays plus raw buffers.
 
@@ -121,6 +127,8 @@ def payload_nbytes(obj) -> int:
     spans and byte counters identically over TCP (where frames have a
     real wire size) and in-memory (where nothing is serialized).
     """
+    if type(obj) in _PLAIN_SCALARS:  # most of any payload: one lookup
+        return 0
     if isinstance(obj, np.ndarray):
         return obj.nbytes
     if isinstance(obj, memoryview):
@@ -128,9 +136,9 @@ def payload_nbytes(obj) -> int:
     if isinstance(obj, (bytes, bytearray)):
         return len(obj)
     if isinstance(obj, dict):
-        return sum(payload_nbytes(value) for value in obj.values())
+        return sum(map(payload_nbytes, obj.values()))
     if isinstance(obj, (list, tuple)):
-        return sum(payload_nbytes(item) for item in obj)
+        return sum(map(payload_nbytes, obj))
     return 0
 
 
@@ -207,6 +215,37 @@ def params_digest(params: "dict[str, np.ndarray]") -> str:
 # -- the binary data plane: segment extraction --------------------------------
 
 
+_NOT_A_LEAF = object()
+
+
+def _lift_leaf(obj, segments: "list[memoryview]"):
+    """What a buffer-ish leaf becomes in a header: ndarrays and raw
+    bytes a segment placeholder (the view appended to ``segments``), a
+    numpy scalar its plain value; :data:`_NOT_A_LEAF` for the rest."""
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.hasobject:
+            raise WireError("object-dtype arrays cannot cross the wire")
+        segments.append(_array_view(obj))
+        return {
+            "__seg__": len(segments) - 1,
+            "dtype": _dtype_name(obj.dtype),
+            "shape": list(obj.shape),
+        }
+    if isinstance(obj, (bytes, bytearray, memoryview)):
+        segments.append(_flat_view(obj))
+        return {"__seg__": len(segments) - 1}
+    if isinstance(obj, np.generic):
+        return obj.item()
+    return _NOT_A_LEAF
+
+
+@functools.lru_cache(maxsize=64)
+def _dtype_name(dtype: np.dtype) -> str:
+    """``str(dtype)``, remembered: numpy builds the name on every call
+    (≈ 10 µs), a ring sends the same one or two dtypes forever."""
+    return str(dtype)
+
+
 def split_buffers(
     obj, segments: "list[memoryview] | None" = None
 ) -> "tuple[typing.Any, list[memoryview]]":
@@ -220,22 +259,9 @@ def split_buffers(
     """
     if segments is None:
         segments = []
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.hasobject:
-            raise WireError("object-dtype arrays cannot cross the wire")
-        placeholder = {
-            "__seg__": len(segments),
-            "dtype": str(obj.dtype),
-            "shape": list(obj.shape),
-        }
-        segments.append(_array_view(obj))
-        return placeholder, segments
-    if isinstance(obj, (bytes, bytearray, memoryview)):
-        placeholder = {"__seg__": len(segments)}
-        segments.append(_flat_view(obj))
-        return placeholder, segments
-    if isinstance(obj, np.generic):
-        return obj.item(), segments
+    lifted = _lift_leaf(obj, segments)
+    if lifted is not _NOT_A_LEAF:
+        return lifted, segments
     if isinstance(obj, dict):
         return (
             {k: split_buffers(v, segments)[0] for k, v in obj.items()},
@@ -319,10 +345,77 @@ def decode_frame(data: "bytes | bytearray", codec: str = "json") -> dict:
 
 def frame_bytes(frame: dict, codec: str = "json") -> bytes:
     """One length-prefixed codec frame, ready for ``sendall``."""
-    payload = encode_frame(frame, codec)
+    return _prefixed(encode_frame(frame, codec))
+
+
+def _prefixed(payload: bytes) -> bytes:
     if len(payload) > MAX_FRAME_BYTES:
         raise WireError(f"frame of {len(payload)} bytes exceeds the maximum")
     return _LENGTH.pack(len(payload)) + payload
+
+
+def _json_header(frame: dict) -> "tuple[bytes, list[memoryview]]":
+    """``frame`` as a JSON header, its buffers lifted into segments.
+
+    The bytes :func:`split_buffers` + :func:`encode_frame` would give
+    and the segments in the same depth-first order, but the walk is the
+    encoder's own: it calls the hook only for what it cannot encode —
+    ndarrays, byte buffers, numpy scalars — so an array-free frame
+    costs no Python-level walk, and the segment table (the header's
+    last key) is spliced onto the tail instead of a second encode.
+    """
+    segments: "list[memoryview]" = []
+
+    def lift(obj):
+        lifted = _lift_leaf(obj, segments)
+        if lifted is _NOT_A_LEAF:
+            raise TypeError(
+                f"Object of type {type(obj).__name__} "
+                f"is not JSON serializable"
+            )
+        return lifted
+
+    header = json.dumps(frame, separators=(",", ":"), default=lift)
+    if segments:
+        sizes = ",".join(str(segment.nbytes) for segment in segments)
+        header = f'{header[:-1]},"__segs__":[{sizes}]}}'
+    return header.encode("utf-8"), segments
+
+
+def _msgpack_header(frame: dict) -> "tuple[bytes, list[memoryview]]":
+    """The msgpack twin of :func:`_json_header`, by explicit walk:
+    msgpack packs ``bytes`` natively, so a hook would never see them."""
+    header_obj, segments = split_buffers(frame)
+    if segments:
+        header_obj["__segs__"] = [segment.nbytes for segment in segments]
+    return encode_frame(header_obj, "msgpack"), segments
+
+
+def frame_buffers(
+    frame: dict, codec: str = "json", binary: bool = True
+) -> "tuple[list, int]":
+    """The buffers one frame leaves as, and their total byte count.
+
+    With ``binary`` a frame holding ndarrays or raw bytes is a binary
+    frame (flagged prefix, header, raw segments); every other frame —
+    and every frame without ``binary`` — is one plain codec frame, both
+    smaller and cheaper when there is nothing to scatter.
+    """
+    if not binary:
+        data = frame_bytes(frame, codec)
+        return [data], len(data)
+    if codec == "msgpack" and msgpack is not None:
+        header, segments = _msgpack_header(frame)
+    else:
+        header, segments = _json_header(frame)
+    if not segments:
+        data = _prefixed(header)
+        return [data], len(data)
+    total = len(header) + sum(segment.nbytes for segment in segments)
+    if total > MAX_FRAME_BYTES:
+        raise WireError(f"frame of {total} bytes exceeds the maximum")
+    prefix = _LENGTH.pack(BINARY_FLAG | len(header))
+    return [prefix, header, *segments], _LENGTH.size + total
 
 
 def binary_frame_buffers(
@@ -332,35 +425,42 @@ def binary_frame_buffers(
 
     Returns ``(buffers, total_bytes)``; ``buffers`` is None when the
     frame holds no arrays or raw bytes — a plain codec frame is both
-    smaller and cheaper then, so the caller should fall back to
-    :func:`frame_bytes`.
+    smaller and cheaper then (:func:`frame_buffers` picks for you).
     """
-    header_obj, segments = split_buffers(frame)
-    if not segments:
+    buffers, total = frame_buffers(frame, codec)
+    if len(buffers) == 1:
         return None, 0
-    header_obj["__segs__"] = [segment.nbytes for segment in segments]
-    header = encode_frame(header_obj, codec)
-    total = len(header) + sum(segment.nbytes for segment in segments)
-    if total > MAX_FRAME_BYTES:
-        raise WireError(f"frame of {total} bytes exceeds the maximum")
-    prefix = _LENGTH.pack(BINARY_FLAG | len(header))
-    return [prefix, header, *segments], _LENGTH.size + total
+    return buffers, total
 
 
-def sendmsg_gather(sock: socket.socket, buffers: typing.Sequence) -> None:
+def sendmsg_gather(
+    sock: socket.socket, buffers: typing.Sequence,
+    timeout: "float | None" = None,
+) -> None:
     """Write a buffer list with scatter/gather IO.
 
     Uses ``socket.sendmsg`` (one ``writev`` per batch, no flattening
     copy) where available, ``sendall`` per buffer otherwise.  Handles
-    partial writes by advancing views in place.
+    partial writes by advancing views in place.  With a ``timeout`` no
+    call blocks: a full socket buffer is waited on with ``select``, and
+    a peer that has not taken the whole list in time raises
+    ``TimeoutError`` — the frame is torn, so the caller must drop the
+    connection.
     """
     views = [_flat_view(buffer) for buffer in buffers if len(buffer)]
     if not hasattr(sock, "sendmsg"):  # pragma: no cover - all POSIX have it
         for view in views:
             sock.sendall(view)
         return
+    flags, deadline = 0, None
+    if timeout is not None:
+        flags, deadline = socket.MSG_DONTWAIT, time.monotonic() + timeout
     while views:
-        sent = sock.sendmsg(views[:_SENDMSG_BATCH])
+        try:
+            sent = sock.sendmsg(views[:_SENDMSG_BATCH], (), flags)
+        except BlockingIOError:
+            _await_writable(sock, deadline - time.monotonic())
+            continue
         while sent:
             head = views[0]
             if sent >= head.nbytes:
@@ -369,6 +469,15 @@ def sendmsg_gather(sock: socket.socket, buffers: typing.Sequence) -> None:
             else:
                 views[0] = head[sent:]
                 sent = 0
+
+
+def _await_writable(sock: socket.socket, timeout: float) -> None:
+    try:
+        writable = timeout > 0 and select.select((), (sock,), (), timeout)[1]
+    except ValueError as exc:  # closed under the writer: fileno() is -1
+        raise OSError("socket closed mid-frame") from exc
+    if not writable:
+        raise TimeoutError("peer did not take the frame in time")
 
 
 def _recv_exact(sock: socket.socket, count: int) -> "bytearray | None":
@@ -460,14 +569,9 @@ def write_frame(
     scatter/gather; everything else — and every frame when
     ``binary=False`` — is a plain codec frame with base64 envelopes.
     """
-    if binary:
-        buffers, total = binary_frame_buffers(frame, codec)
-        if buffers is not None:
-            sendmsg_gather(sock, buffers)
-            return total
-    data = frame_bytes(frame, codec)
-    sock.sendall(data)
-    return len(data)
+    buffers, total = frame_buffers(frame, codec, binary)
+    sendmsg_gather(sock, buffers)
+    return total
 
 
 # -- frame kinds --------------------------------------------------------------
@@ -530,7 +634,7 @@ def message_frame(message: Message, raw: bool = False) -> dict:
     binary data plane (the frame writer extracts them as segments);
     ``raw=False`` wraps them in base64 envelopes for codec-only peers.
     """
-    return {
+    frame = {
         "kind": "msg",
         "msg_id": message.msg_id,
         "type": message.msg_type.value,
@@ -539,6 +643,11 @@ def message_frame(message: Message, raw: bool = False) -> dict:
             dict(message.payload) if raw else encode_payload(message.payload)
         ),
     }
+    if message.post:
+        # One-way: the receiver dispatches it and writes no reply.  A
+        # peer that predates the key answers anyway, to nobody.
+        frame["post"] = True
+    return frame
 
 
 def decode_message(frame: dict) -> Message:
@@ -548,6 +657,7 @@ def decode_message(frame: dict) -> Message:
         msg_type=MessageType(frame["type"]),
         sender=frame["sender"],
         payload=decode_payload(frame.get("payload") or {}),
+        post=bool(frame.get("post")),
     )
 
 

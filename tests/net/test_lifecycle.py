@@ -4,9 +4,11 @@ Every behaviour the shared connection core (``repro.net.connection``)
 owns is asserted once here, parametrised over the memory, TCP and shm
 transports: round trip, exactly-once under drops + duplicates, reset →
 redial → retransmit, refusal after close, server close, injected delay,
-and the lifecycle spans.  The second half kills a *real* server process
-under a live link: the reader must take the whole connection down on
-every pipe, and the next send must redial.
+the lifecycle spans, and the one-way message (``post``): exactly-once
+under faults, replay after a real connection death, confirmation only
+by a reply on the same pipe, bounded writes.  The second half kills a
+*real* server process under a live link: the reader must take the whole
+connection down on every pipe, and the next send must redial.
 
 Transport-specific behaviour (heartbeat bookkeeping, handshake
 rejection, ring geometry, segment cleanup) stays in ``test_tcp.py`` /
@@ -16,6 +18,7 @@ rejection, ring geometry, segment cleanup) stays in ``test_tcp.py`` /
 import glob
 import os
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -24,6 +27,7 @@ import threading
 import time
 import uuid
 
+import numpy as np
 import pytest
 
 from repro.coordination.faults import FaultPlan
@@ -31,6 +35,9 @@ from repro.coordination.messages import MessageType
 from repro.net import (
     MemoryPeerHost,
     RequestTimeout,
+    RingDegraded,
+    RingMailbox,
+    RingNode,
     ServerCore,
     ShmServer,
     TcpServer,
@@ -38,8 +45,10 @@ from repro.net import (
     shm_link,
     tcp_link,
 )
+from repro.net import wire
+from repro.net.connection import hang_up
 from repro.net.shm import SHM_NAME_PREFIX
-from repro.observability import Tracer
+from repro.observability import MetricRegistry, Tracer
 
 SOCKET_BACKED = ("tcp", "shm")
 
@@ -160,6 +169,25 @@ class TestLifecycle:
             link.request(MessageType.ACK, ack_timeout=0.01)
         assert endpoint.seen == [0]
 
+    def test_closed_server_handles_nothing_more(self, endpoint):
+        """Once ``close()`` has returned, no request reaches the handler
+        — not even one the shm pipe finds in its ring behind the hangup."""
+        link = endpoint.link(ack_timeout=0.05, max_attempts=2)
+        try:
+            link.request(MessageType.ACK, {"i": 0})
+            endpoint.close()
+            handled = endpoint.core.handled
+            for _ in range(3):
+                with pytest.raises((RequestTimeout, TransportClosed)):
+                    link.request(MessageType.ACK, {"after": "close"})
+                with pytest.raises((RequestTimeout, TransportClosed)):
+                    link.post(MessageType.ACK, {"after": "close"})
+            time.sleep(0.1)
+            assert endpoint.core.handled == handled
+            assert endpoint.seen == [0]
+        finally:
+            link.close()
+
     def test_server_close_unblocks_client(self, endpoint):
         link = endpoint.link(ack_timeout=0.2, max_attempts=2)
         try:
@@ -263,6 +291,333 @@ class TestLifecycle:
             assert (kind == "shm") == all(
                 e["args"].get("transport") == "shm" for e in accepts
             )
+
+
+class TestPosts:
+    """``ReliableLink.post``: dispatched exactly like a request, never
+    answered; confirmed by a later reply on the same pipe; replayed on a
+    new one until then."""
+
+    def test_post_is_dispatched_and_unanswered(self, kind):
+        tracer, metrics = Tracer(process="test"), MetricRegistry()
+        endpoint = Endpoint(kind, tracer=tracer)
+        try:
+            link = endpoint.link(tracer=tracer, metrics=metrics)
+            try:
+                assert link.post(MessageType.ACK, {"i": 0}) is None
+                assert wait_until(lambda: endpoint.seen == [0])
+                assert link.request(MessageType.ACK, {"i": 1})["echo"] == {
+                    "i": 1
+                }
+                # The reply confirmed the post: nothing left to replay.
+                assert link.transport._posted == {}
+            finally:
+                link.close()
+        finally:
+            endpoint.close()
+        assert endpoint.core.executions[("w0", "ack")] == 2
+        assert endpoint.core.handled == 2
+        assert metrics.counter("net.posts").value == 1
+        events = tracer.to_events()
+        for name in ("net.send", "net.recv"):
+            flags = [
+                e["args"].get("post", False) for e in events
+                if e["name"] == name
+            ]
+            assert flags == [True, False], name
+        if endpoint.server is not None:
+            # One reply on the wire, for the one request.
+            assert link.transport.frames_sent == 2
+
+    def test_exactly_once_under_drops_duplicates_and_resets(self, endpoint):
+        plan = FaultPlan(
+            drop_every=3, duplicate_every=4, connection_resets=(5, 11)
+        )
+        link = endpoint.link(fault_plan=plan, ack_timeout=0.2)
+        posts = 20
+        try:
+            for i in range(posts):
+                link.post(MessageType.ACK, {"i": i})
+            link.request(MessageType.ACK, {"i": posts})
+            assert link.transport._posted == {}
+            assert link.transport._channel.dropped >= 4
+            assert link.transport.reconnects == 2
+        finally:
+            link.close()
+        assert endpoint.core.executions[("w0", "ack")] == posts + 1
+        assert endpoint.core.duplicates > 0
+        # In order, and the confirming request after every post.
+        assert endpoint.seen == list(range(posts + 1))
+
+    def test_concurrent_posters_and_requesters_share_one_link(self, endpoint):
+        """More senders than cores on one link, the reader confirming
+        under them: nothing executed twice, nothing left unconfirmed."""
+        link = endpoint.link(
+            fault_plan=FaultPlan(duplicate_every=7, connection_resets=(40,)),
+            ack_timeout=0.5,
+        )
+        senders, each = 6, 40
+        errors = []
+
+        def sender(lane):
+            try:
+                for i in range(each):
+                    if i % 5 == 4:
+                        link.request(MessageType.ACK, {"i": (lane, i)})
+                    else:
+                        link.post(MessageType.ACK, {"i": (lane, i)})
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=sender, args=(lane,), daemon=True)
+                for lane in range(senders)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert all(not t.is_alive() for t in threads)
+            assert not errors, errors
+            link.request(MessageType.ACK, {"i": "last"})
+            assert link.transport._posted == {}
+        finally:
+            sys.setswitchinterval(interval)
+            link.close()
+        assert endpoint.core.executions[("w0", "ack")] == senders * each + 1
+        for lane in range(senders):  # per sender, in its own order
+            mine = [i[1] for i in endpoint.seen[:-1] if i[0] == lane]
+            assert mine == list(range(each))
+
+    def test_failed_post_is_counted_not_swallowed(self, kind):
+        tracer, metrics = Tracer(process="test"), MetricRegistry()
+        endpoint = Endpoint(kind, tracer=tracer)
+        endpoint.core.metrics = metrics
+
+        def handler(message):
+            raise ValueError("no such bucket")
+
+        endpoint.core.handler = handler
+        try:
+            link = endpoint.link()
+            try:
+                link.post(MessageType.ACK, {"i": 0})
+                assert wait_until(lambda: endpoint.core.post_errors == 1)
+            finally:
+                link.close()
+        finally:
+            endpoint.close()
+        assert metrics.counter("net.post_errors").value == 1
+        (failed,) = [
+            e for e in tracer.to_events() if e["name"] == "net.post_error"
+        ]
+        assert "no such bucket" in failed["args"]["error"]
+        assert failed["args"]["sender"] == "w0"
+
+    def test_a_post_no_transport_takes_raises(self, endpoint):
+        link = endpoint.link(max_attempts=3)
+        link.close()
+        started = time.monotonic()
+        with pytest.raises(RequestTimeout):
+            link.post(MessageType.ACK, {"i": 0})
+        assert time.monotonic() - started < 1.0
+        assert endpoint.seen == []
+
+    def test_a_reply_confirms_only_what_its_own_pipe_carried(self, endpoint):
+        link = endpoint.link()
+        transport = link.transport
+        try:
+            link.post(MessageType.ACK, {"i": 0})
+            (first,) = transport._posted
+            earlier = transport._pipe
+            transport._drop_connection()
+            assert transport._marks == {}
+            link.post(MessageType.ACK, {"i": 1})  # redial: replays post 0
+            assert transport.post_replays == 1
+            assert list(transport._posted) == [first, first + 1]
+            # A request last written on the current pipe, behind both ...
+            with transport._posts_lock:
+                transport._marks[999] = (transport._pipe, first + 1)
+            # ... whose reply straggles in off the *earlier* pipe.
+            transport._deliver_reply(999, {}, None, earlier)
+            assert list(transport._posted) == [first, first + 1]
+            with transport._posts_lock:
+                transport._marks[999] = (transport._pipe, first + 1)
+            transport._deliver_reply(999, {}, None, transport._pipe)
+            assert transport._posted == {} and transport._marks == {}
+        finally:
+            link.close()
+        assert wait_until(lambda: endpoint.seen == [0, 1])
+        assert endpoint.core.executions[("w0", "ack")] == 2
+
+
+@pytest.fixture(params=SOCKET_BACKED)
+def socket_endpoint(request):
+    before = shm_segments()
+    built = Endpoint(request.param)
+    yield built
+    built.close()
+    assert wait_until(lambda: not shm_segments() - before, timeout=2.0)
+
+
+class TestPostsAcrossConnectionDeath:
+    def test_posts_behind_a_dead_connection_are_replayed_in_order(
+        self, socket_endpoint
+    ):
+        """The *server* side kills the connection with posts still
+        unread behind a parked handler: the redial replays them,
+        original ids, before the confirming request."""
+        endpoint = socket_endpoint
+        parked, release = threading.Event(), threading.Event()
+        record = endpoint.core.handler
+
+        def handler(message):
+            if message.payload.get("i") == 0:
+                parked.set()
+                release.wait(10.0)
+            return record(message)
+
+        endpoint.core.handler = handler
+        metrics = MetricRegistry()
+        link = endpoint.link(ack_timeout=0.2, metrics=metrics)
+        transport = link.transport
+        try:
+            for i in range(3):
+                link.post(MessageType.ACK, {"i": i})
+            assert parked.wait(5.0)
+            with endpoint.server._conn_lock:
+                connections = list(endpoint.server._connections)
+            for conn in connections:
+                hang_up(conn)
+            assert wait_until(lambda: not transport.connected)
+            release.set()
+            reply = link.request(MessageType.ACK, {"i": 3})
+            assert reply["echo"] == {"i": 3}
+            assert transport.reconnects == 1
+            assert transport.post_replays == 3
+            assert metrics.counter("net.post_replays").value == 3
+            assert transport._posted == {}
+        finally:
+            release.set()
+            link.close()
+        # Executed once each, in order; the request returned after them.
+        assert endpoint.seen == [0, 1, 2, 3]
+        assert endpoint.core.executions[("w0", "ack")] == 4
+        assert endpoint.core.duplicates >= 1  # post 0 had been dispatched
+
+
+class DeafPeer:
+    """A TCP peer that accepts, welcomes — and never reads again."""
+
+    def __init__(self):
+        self.listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        # Inherited by accepted sockets: the sender hits a full pipe
+        # after a few hundred kilobytes instead of a few megabytes.
+        self.listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        self.listener.bind(("127.0.0.1", 0))
+        self.listener.listen(16)
+        self.port = self.listener.getsockname()[1]
+        self.accepted = []
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self):
+        while True:
+            try:
+                conn, _ = self.listener.accept()
+            except OSError:
+                return
+            self.accepted.append(conn)
+            hello = wire.read_frame(conn, "json")
+            wire.write_frame(
+                conn, wire.welcome_frame("deaf", hello["codec"], binary=True)
+            )
+
+    def close(self):
+        hang_up(self.listener)
+        for conn in self.accepted:
+            hang_up(conn)
+
+
+def threads_in_sendmsg():
+    frames = sys._current_frames()
+    stuck = []
+    for thread in threading.enumerate():
+        frame = frames.get(thread.ident)
+        while frame is not None:
+            if frame.f_code.co_name == "sendmsg_gather":
+                stuck.append(thread.name)
+            frame = frame.f_back
+    return stuck
+
+
+class TestBoundedWrites:
+    def test_post_to_a_deaf_peer_returns_or_raises_in_time(self):
+        peer = DeafPeer()
+        link, transport = tcp_link(
+            "127.0.0.1", peer.port, "w0", heartbeat_interval=None,
+            ack_timeout=0.2, max_attempts=3, max_reconnect_attempts=2,
+        )
+        horizon = 3 * 0.2
+        blob = bytes(1 << 20)
+        outcomes = []
+        try:
+            for i in range(8):
+                started = time.monotonic()
+                try:
+                    link.post(MessageType.ACK, {"i": i, "blob": blob})
+                    outcomes.append("taken")
+                except RequestTimeout:
+                    outcomes.append("lost")
+                assert time.monotonic() - started < horizon + 1.0, outcomes
+            # The pipe did fill: some post was lost and said so.
+            assert "lost" in outcomes
+            started = time.monotonic()
+            with pytest.raises(RequestTimeout):
+                link.request(MessageType.ACK, {"i": -1})
+            assert time.monotonic() - started < horizon + 1.0
+        finally:
+            link.close()
+            peer.close()
+        assert threads_in_sendmsg() == []
+
+    def test_allreduce_past_a_deaf_successor_degrades_in_time(self):
+        peer = DeafPeer()
+        links = []
+
+        def connect(addr):
+            link, _ = tcp_link(
+                "127.0.0.1", peer.port, "w0", heartbeat_interval=None,
+                ack_timeout=0.1, max_attempts=3, max_reconnect_attempts=2,
+            )
+            links.append(link)
+            return link
+
+        step_timeout, horizon = 0.5, 3 * 0.1
+        node = RingNode(
+            "w0", RingMailbox(), connect, bucket_bytes=64 * 1024, window=1,
+            step_timeout=step_timeout,
+        )
+        node.install({
+            "epoch": 0, "order": ["w0", "w1"], "active_from": 0,
+            "peers": {"w0": "tcp://unused:1", "w1": "tcp://deaf:1"},
+        })
+        grads = {"w": np.ones(64 * 1024)}  # 4 buckets per partition
+        started = time.monotonic()
+        try:
+            with pytest.raises(RingDegraded):
+                node.allreduce(0, 0, grads)
+            elapsed = time.monotonic() - started
+            assert elapsed < step_timeout + horizon + 1.0
+            assert node._suspects == {"w1"}
+        finally:
+            node.close()
+            peer.close()
+        assert node._links == {}
+        assert all(not link.transport.connected for link in links)
+        assert threads_in_sendmsg() == []
 
 
 # -- a real server process dying under a live link ------------------------------

@@ -39,6 +39,7 @@ from repro.net import (
 from repro.net import collective
 from repro.net.collective import Slice, bucketize, partition_layout
 from repro.net.transport import ServerCore
+from repro.observability import MetricRegistry
 
 
 def random_grads(seed, shapes=None, dtype=np.float64):
@@ -166,6 +167,8 @@ class Mesh:
     """N ring nodes over real peer links (no AM involved)."""
 
     def __init__(self, transport, workers, fault_plans=None, **node_kwargs):
+        #: per worker, shared by its mailbox and its node.
+        self.metrics = {w: MetricRegistry() for w in workers}
         self.host = {
             "memory": MemoryPeerHost, "tcp": TcpPeerHost,
             "shm": lambda: ShmPeerHost(capacity=1 << 20),
@@ -175,7 +178,7 @@ class Mesh:
         addrs = {}
         cores = {}
         for worker in workers:
-            mailbox = RingMailbox()
+            mailbox = RingMailbox(metrics=self.metrics[worker])
             core = ServerCore(mailbox.handle, node_id=f"{worker}/peer")
             cores[worker] = core
             addrs[worker] = self.host.serve(core, worker)
@@ -186,7 +189,8 @@ class Mesh:
                 )
             )
             self.nodes[worker] = RingNode(
-                worker, mailbox, connect, **node_kwargs
+                worker, mailbox, connect, metrics=self.metrics[worker],
+                **node_kwargs
             )
         self.cores = cores
         ring = {
@@ -369,6 +373,64 @@ class TestDistributedRing:
             successor = mesh.cores[workers[(rank + 1) % members]]
             assert successor.executions[(worker, "ring_segment")] == expected
 
+    @pytest.mark.parametrize("members", [3, 4])
+    def test_segment_counters_are_exact_per_member_iteration(
+        self, transport, members
+    ):
+        """The program's own counters, booked where a segment is written
+        and where it is deposited: 2·(N−1)·buckets of each per
+        member-iteration, posts and confirming requests alike — and of
+        those, only the window overflow and the last were requests."""
+        workers = [f"w{i}" for i in range(members)]
+        shapes = {"w": (members * 64,)}  # equal partitions
+        grads = {
+            w: random_grads(30 + i, shapes=shapes)
+            for i, w in enumerate(workers)
+        }
+        nbytes = grads[workers[0]]["w"].nbytes
+        buckets = 2  # per partition
+        mesh = Mesh(
+            transport, workers, step_timeout=10.0,
+            bucket_bytes=nbytes // members // buckets, window=4,
+        )
+        sent = {w: {"post": 0, "request": 0} for w in workers}
+        iterations = 3
+        try:
+            for worker, node in mesh.nodes.items():
+                link = node._link_to(workers[
+                    (workers.index(worker) + 1) % members
+                ])
+                for how in ("post", "request"):
+                    def counted(*args, _inner=getattr(link, how),
+                                _tally=sent[worker], _how=how, **kwargs):
+                        _tally[_how] += 1
+                        return _inner(*args, **kwargs)
+                    setattr(link, how, counted)
+            for iteration in range(iterations):
+                _, errors = mesh.allreduce_all(grads, iteration=iteration)
+                assert not errors, errors
+        finally:
+            mesh.close()
+        segments = 2 * (members - 1) * buckets
+        for worker in workers:
+            counters = mesh.metrics[worker]
+            for name, expected in (
+                ("segments_sent", segments),
+                ("segments_received", segments),
+                ("bytes_sent", segments * nbytes // members // buckets),
+                ("bytes_received", segments * nbytes // members // buckets),
+            ):
+                assert counters.counter(
+                    f"net.allreduce.{name}"
+                ).value == expected * iterations, (worker, name)
+            assert counters.counter("net.allreduce.send_failures").value == 0
+            # window = 4: every fifth segment and the last are requests.
+            requests = len(range(4, segments, 5)) + (segments % 5 != 0)
+            assert sent[worker] == {
+                "post": (segments - requests) * iterations,
+                "request": requests * iterations,
+            }
+
     def test_layout_built_once_per_geometry(self, monkeypatch):
         built = []
 
@@ -445,26 +507,39 @@ class TestDrainBeforeReturn:
                 assert np.array_equal(results[worker][name], reference[name])
 
     def test_close_leaves_no_ring_thread_behind(self, transport):
+        """The node owns no thread: segments are written by whoever
+        calls ``allreduce``, so no ``ring-*`` thread exists at any point
+        of a run — sampled at every send and every receive."""
         workers = ["drain0", "drain1", "drain2"]
+        seen = set()
 
-        def ring_threads():
-            return sorted(
+        def sample():
+            seen.update(
                 t.name for t in threading.enumerate()
                 if t.name.startswith("ring-")
-                and t.name.endswith(tuple(workers))
             )
 
         grads = {w: random_grads(i) for i, w in enumerate(workers)}
         mesh = Mesh(transport, workers, bucket_bytes=64, step_timeout=10.0)
+        for node in mesh.nodes.values():
+            for name in ("_send", "_receive"):
+                def spied(*args, _inner=getattr(node, name), **kwargs):
+                    sample()
+                    return _inner(*args, **kwargs)
+                setattr(node, name, spied)
         try:
             for iteration in range(2):
+                sample()
                 _, errors = mesh.allreduce_all(grads, iteration=iteration)
                 assert not errors, errors
-            # One owned pump per node, and nothing else named ring-*.
-            assert ring_threads() == [f"ring-pump-{w}" for w in workers]
+                sample()
         finally:
             mesh.close()
-        assert ring_threads() == []
+        sample()
+        assert seen == set()
+        # ...and close() leaves no open link behind either.
+        for node in mesh.nodes.values():
+            assert node._links == {}
 
 
 class TestDegradation:

@@ -3,6 +3,7 @@
 import io
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -62,6 +63,33 @@ class TestFraming:
                 wire.read_frame(accepted)
         finally:
             accepted.close()
+
+    def test_bounded_write_gives_up_on_a_peer_that_does_not_read(self):
+        client, accepted = socket_pair()
+        try:
+            started = time.monotonic()
+            with pytest.raises(TimeoutError):
+                for _ in range(64):
+                    wire.sendmsg_gather(client, [bytes(1 << 20)], timeout=0.1)
+            assert time.monotonic() - started < 5.0
+            # Unbounded writes still block-and-finish when there is room.
+            fresh, reader = socket_pair()
+            wire.sendmsg_gather(fresh, [b"abc", b"", b"de"])
+            assert reader.recv(16) == b"abcde"
+            fresh.close()
+            reader.close()
+        finally:
+            client.close()
+            accepted.close()
+
+    def test_post_key_rides_the_msg_frame(self):
+        factory = MessageFactory(epoch=0)
+        post = factory.make(MessageType.RING_SEGMENT, "w0", {"x": 1}, post=True)
+        plain = factory.make(MessageType.RING_SEGMENT, "w0", {"x": 1})
+        assert wire.message_frame(post)["post"] is True
+        assert "post" not in wire.message_frame(plain)
+        assert wire.decode_message(wire.message_frame(post)).post is True
+        assert wire.decode_message(wire.message_frame(plain)).post is False
 
     def test_oversize_frame_rejected_on_write(self):
         huge = {"pad": "x" * (wire.MAX_FRAME_BYTES + 1)}
@@ -208,6 +236,53 @@ class TestBinaryFrames:
         frame = {"kind": "msg", "plain": [1, 2, 3]}
         buffers, total = wire.binary_frame_buffers(frame)
         assert buffers is None and total == 0
+
+    def test_one_pass_header_is_byte_identical_to_the_walk(self):
+        """``frame_buffers`` lets the JSON encoder lift buffers through
+        its ``default`` hook; the header (and the segments behind it)
+        must be exactly what ``split_buffers`` + ``encode_frame`` give."""
+        base = np.arange(24, dtype=np.float64).reshape(4, 6)
+        frame = {
+            "kind": "msg", "msg_id": (7 << 20) + 3, "type": "ring_segment",
+            "sender": "w0", "post": True,
+            "payload": {
+                "generation": np.int64(2), "iteration": 5, "phase": "rs",
+                "scale": np.float32(0.5), "ratio": np.float64(1 / 3),
+                "flag": np.bool_(True), "none": None,
+                "data": [base[0], base[:, 1], np.empty((0, 3), np.int8)],
+                "shape": (4, 6), "pair": (np.int16(1), b"xy"),
+                "raw": b"\x00\x01", "buffer": bytearray(b"abc"),
+                "view": memoryview(b"defg")[1:],
+                "codec": {"kind": "int8", "scales": [np.float32(2.0)],
+                          "deep": {"z": np.arange(3, dtype=np.uint8)}},
+                "__ctx__": {"node": "w0", "epoch": 1, "sent": 12.5},
+                3: "int key", "unicode": "bücket",
+            },
+        }
+        header_obj, segments = wire.split_buffers(frame)
+        header_obj["__segs__"] = [segment.nbytes for segment in segments]
+        expected = wire.encode_frame(header_obj)
+        buffers, total = wire.frame_buffers(frame)
+        assert bytes(buffers[1]) == expected
+        assert buffers[0] == wire._LENGTH.pack(
+            wire.BINARY_FLAG | len(expected)
+        )
+        assert [bytes(b) for b in buffers[2:]] == [bytes(s) for s in segments]
+        assert total == sum(len(bytes(b)) for b in buffers)
+        assert wire.binary_frame_buffers(frame) == (buffers, total)
+
+    def test_array_free_frames_are_encoded_once_as_plain_frames(self):
+        frame = {"kind": "reply", "in_reply_to": 9, "node": "am",
+                 "payload": {"ok": True, "n": np.int64(3)},
+                 "ctx": {"recv": 1.5, "sent": 2.5}}
+        plain = dict(frame, payload={"ok": True, "n": 3})
+        buffers, total = wire.frame_buffers(frame)
+        assert buffers == [wire.frame_bytes(plain)] and total == len(buffers[0])
+        assert wire.binary_frame_buffers(frame) == (None, 0)
+
+    def test_unserializable_values_still_raise_type_error(self):
+        with pytest.raises(TypeError):
+            wire.frame_buffers({"payload": {"x": object(), "a": np.ones(2)}})
 
     def test_corrupt_segment_length_raises(self):
         client, accepted = socket_pair()
