@@ -58,7 +58,12 @@ class Message:
     ``msg_id`` is globally unique per logical message; a retransmission
     reuses the ID so receivers can deduplicate.  A ``post`` is one-way:
     the receiver executes it exactly once like any message and sends no
-    reply (docs/PROTOCOL.md, "One-way messages").
+    reply (docs/PROTOCOL.md, "One-way messages").  ``borrowed`` is the
+    delivering pipe's word to the handler: the payload's arrays may
+    alias memory someone reuses once the handler returns (a shm ring
+    slot, the in-process sender's live buffers), so a handler copies
+    what it keeps; only a pipe that read them into a buffer of their
+    own clears it.
     """
 
     msg_id: int
@@ -66,6 +71,7 @@ class Message:
     sender: str
     payload: dict
     post: bool = False
+    borrowed: bool = True
 
     def duplicate(self) -> "Message":
         """A retransmission of this message (same ID on purpose)."""

@@ -51,11 +51,11 @@ from .codecs import decode_bucket, encode_bucket, validate_codec
 from .transport import RequestTimeout, TransportClosed
 from .wire import WireError
 
-#: default ring bucket size (bytes).  A segment costs ≈ 80 µs before
-#: its first byte and ≈ 35 µs per 64 KB (docs/PROTOCOL.md, "Bucket
-#: size"), so partitions up to this size travel as one segment per hop
-#: — the fixed cost under a tenth of it; larger ones pipeline bucket by
-#: bucket.
+#: default ring bucket size (bytes).  A lean segment costs ≈ 47 µs
+#: before its first byte and ≈ 20–40 µs per 64 KB (docs/PROTOCOL.md,
+#: "Bucket size"), so partitions up to this size travel as one segment
+#: per hop — the fixed cost under a tenth of it; larger ones pipeline
+#: bucket by bucket.
 DEFAULT_RING_BUCKET_BYTES = 1024 * 1024
 
 #: consecutive degraded iterations after which a node stops attempting
@@ -330,11 +330,13 @@ class RingMailbox:
                 int(payload["step"]),
                 int(payload["bucket"]),
             )
-            # Copy: over the in-memory transport the arrays alias the
-            # sender's live scratch (TCP and SHM deliver read-only
-            # frombuffer views into a receive buffer); the accumulate
-            # step needs stable, owned data.
-            data = [np.array(array) for array in payload["data"]]
+            # The accumulate step needs data that stays put.  A socket
+            # pipe read it into a buffer of its own; over the in-memory
+            # transport it aliases the sender's live scratch and over
+            # shm a ring slot the sender will overwrite: copy those.
+            data = payload["data"]
+            if message.borrowed:
+                data = [np.array(array) for array in data]
             codec_meta = payload.get("codec")
             if self.metrics is not None:
                 self.metrics.counter("net.allreduce.segments_received").inc()

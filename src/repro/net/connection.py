@@ -23,18 +23,9 @@ import time
 import typing
 
 from ..coordination.faults import ExponentialBackoff, FaultPlan
-from ..coordination.messages import FaultyChannel, Message
+from ..coordination.messages import FaultyChannel, Message, MessageType
 from . import wire
-
-#: Reserved request-payload key carrying the sender's trace context
-#: (job id, node id, per-process incarnation epoch, send timestamp).
-#: Stamped by :meth:`ReliableLink.request`, popped by
-#: :meth:`ServerCore.dispatch` before the handler runs; the message id
-#: itself is the request→reply correlation id.  Replies carry the
-#: server's context under the same key, stamped per *transmission* by
-#: the connection layer (never by ServerCore — a cached reply re-served
-#: to a retransmission must get fresh timestamps).
-TRACE_CTX_KEY = "__ctx__"
+from .wire import TRACE_CTX_KEY
 
 #: How long one frame may wait for its pipe to take it (a full socket
 #: buffer, a full shm ring) before the write gives up and the
@@ -107,20 +98,62 @@ class FramePipe:
     ``write(frame, timeout)`` returns the bytes moved, or raises
     ``OSError`` when the peer has not taken the frame in ``timeout``
     seconds (the frame may be torn: the caller drops the connection);
-    ``read()`` blocks for the next frame, None once the peer is gone
-    (its arrays may alias the pipe's buffers until ``release()``;
-    ``own(payload)`` makes a copy that outlives it); ``count(metrics,
-    n)`` books ``n`` written bytes; ``close()`` wakes anyone blocked on
-    the pipe and frees it.
+    ``read()`` blocks for the next frame — a dict, or the ``Message``
+    itself for a lean segment — None once the peer is gone (its arrays
+    may alias the pipe's buffers until ``release()``; ``own(payload)``
+    makes a copy that outlives it); ``count(metrics, n)`` books ``n``
+    written bytes; ``close()`` wakes anyone blocked on the pipe and
+    frees it.  A subclass moves buffers: ``_put(buffers, total,
+    timeout)``.
     """
 
     #: Whether frames keep ndarrays in place (binary data plane) or wrap
     #: them in base64 envelopes.
     raw = True
+    #: Whether arrays in a frame just read alias memory the pipe reuses
+    #: after ``release()`` (:attr:`Message.borrowed`).
+    borrowed = True
+
+    def __init__(self, codec: str, node: str, lean: bool = False):
+        self.codec = codec
+        #: The node the handshake's ``hello`` named: the client.  Lean
+        #: frames carry no sender; both ends take it from here.
+        self.node = node
+        #: Negotiated per connection, like ``raw``.
+        self.lean = lean
+        #: Frames that left as binary frames (header + raw segments),
+        #: and how many of those were lean.
+        self.binary_frames = 0
+        self.lean_frames = 0
+
+    @property
+    def lean_sender(self) -> "str | None":
+        """Whose lean frames ``read`` accepts (None: nobody's)."""
+        return self.node if self.lean else None
 
     def send(self, message: Message, timeout: float = WRITE_TIMEOUT) -> int:
-        """Client → server: one protocol message as a ``msg`` frame."""
+        """Client → server: one protocol message as a frame.
+
+        The one place a message becomes a frame, so the one place that
+        picks the form: a ring segment on a pipe that negotiated
+        ``lean`` is a lean frame if the lean header can say all of it,
+        and everything else is a ``msg`` frame.
+        """
+        if self.lean and message.msg_type is MessageType.RING_SEGMENT:
+            lean = wire.lean_segment_buffers(message, self.node, self.codec)
+            if lean is not None:
+                n = self._put(*lean, timeout)
+                self.binary_frames += 1
+                self.lean_frames += 1
+                return n
         return self.write(wire.message_frame(message, raw=self.raw), timeout)
+
+    def write(self, frame: dict, timeout: float = WRITE_TIMEOUT) -> int:
+        buffers, total = wire.frame_buffers(frame, self.codec, self.raw)
+        n = self._put(buffers, total, timeout)
+        if len(buffers) > 1:
+            self.binary_frames += 1
+        return n
 
     def release(self) -> None:
         """The last ``read`` frame is no longer referenced."""
@@ -215,6 +248,10 @@ class Connection:
         self.metrics = metrics
         self.bytes_sent = 0
         self.frames_sent = 0
+        #: Messages that left as binary frames, and the lean ones among
+        #: them (0 forever on a pipe without frames).
+        self.binary_frames_sent = 0
+        self.lean_frames_sent = 0
         self.reconnects = 0
         #: Posts written again on a new pipe because no reply had
         #: confirmed them on the old one.
@@ -427,11 +464,14 @@ class Connection:
                     self._marks.setdefault(
                         message.msg_id, (pipe, next(reversed(self._posted)))
                     )
+        binary, lean = pipe.binary_frames, pipe.lean_frames
         try:
             n = pipe.send(message, self.write_timeout)
         except OSError:
             self._drop_connection(pipe)
             raise
+        self.binary_frames_sent += pipe.binary_frames - binary
+        self.lean_frames_sent += pipe.lean_frames - lean
         if message.post:
             with self._posts_lock:
                 self._posted.setdefault(message.msg_id, message)
@@ -494,6 +534,8 @@ class Connection:
                 if frame is None:
                     break
                 try:
+                    if not isinstance(frame, dict):
+                        raise wire.WireError("a lean frame towards a client")
                     if frame.get("kind") == "reply":
                         self._deliver_reply(
                             int(frame["in_reply_to"]),
@@ -506,10 +548,12 @@ class Connection:
                     pipe.release()
         except (OSError, wire.WireError):
             pass
-        # EOF or error: the peer is gone.  If this is still the current
-        # pipe, drop all of it — `connected` goes False, nothing lingers
-        # for a send to land in, and the next send redials.
-        self._drop_connection(pipe)
+        finally:
+            # EOF, an error, or a death nobody foresaw: the peer is gone
+            # or this reader is.  If this is still the current pipe,
+            # drop all of it — `connected` goes False, nothing lingers
+            # for a send to land in, and the next send redials.
+            self._drop_connection(pipe)
 
     def _heartbeat_loop(self) -> None:
         while not self._closed.wait(self._heartbeat_interval):
@@ -547,6 +591,8 @@ class ConnectionServer:
         self._conn_lock = threading.Lock()
         self.connections_accepted = 0
         self.handshakes_rejected = 0
+        #: Connections ended by a frame that broke the wire format.
+        self.wire_errors = 0
         self.heartbeats_received = 0
         self.last_seen: "dict[str, float]" = {}
 
@@ -578,7 +624,7 @@ class ConnectionServer:
                 return
             welcome = wire.welcome_frame(
                 self.core.node_id, handshake.codec, binary=handshake.binary,
-                epoch=getattr(self.core, "epoch", None),
+                epoch=getattr(self.core, "epoch", None), lean=pipe.lean,
             )
             wire.write_frame(conn, welcome, "json")
             self.connections_accepted += 1
@@ -586,7 +632,8 @@ class ConnectionServer:
                 self.tracer.instant(
                     "net.accept", track=self.core.node_id, cat="net",
                     peer=handshake.node, codec=handshake.codec,
-                    binary=handshake.binary, **self._accept_tags,
+                    binary=handshake.binary, lean=pipe.lean,
+                    **self._accept_tags,
                 )
             while True:
                 frame = pipe.read()
@@ -596,18 +643,21 @@ class ConnectionServer:
                 if frame is None or self._closed.is_set():
                     break
                 self._handle_frame(pipe, frame)
-        except (OSError, wire.WireError):
+        except wire.WireError:
+            self.wire_errors += 1  # the finally hangs up; the client redials
+        except OSError:
             pass
         finally:
             with self._conn_lock:
                 self._connections.discard(conn)
             (pipe or conn).close()
 
-    def _handle_frame(self, pipe, frame: dict) -> None:
+    def _handle_frame(self, pipe, frame: "dict | Message") -> None:
         try:
             t_recv = time.perf_counter()
-            kind = frame.get("kind")
-            if kind == "heartbeat":
+            if isinstance(frame, Message):
+                message = frame  # a lean segment: the pipe parsed it
+            elif frame.get("kind") == "heartbeat":
                 self.heartbeats_received += 1
                 node = frame.get("node", "?")
                 self.last_seen[node] = t_recv
@@ -618,9 +668,12 @@ class ConnectionServer:
                     self.core.on_activity(node)
                 pipe.write(wire.heartbeat_ack_frame(frame.get("seq", 0)))
                 return
-            if kind != "msg":
-                raise wire.WireError(f"unexpected frame kind {kind!r}")
-            message = wire.decode_message(frame)
+            elif frame.get("kind") == "msg":
+                message = wire.decode_message(frame, borrowed=pipe.borrowed)
+            else:
+                raise wire.WireError(
+                    f"unexpected frame kind {frame.get('kind')!r}"
+                )
             self.last_seen[message.sender] = t_recv
             # Dispatch while the frame's views are live (handlers copy
             # what they keep); the slot is released only after it ran.

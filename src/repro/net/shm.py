@@ -49,6 +49,7 @@ import uuid
 import numpy as np
 
 from ..coordination.faults import ExponentialBackoff, FaultPlan
+from ..coordination.messages import Message
 from . import wire
 from .connection import (
     WRITE_TIMEOUT,
@@ -347,12 +348,17 @@ def shm_frame_buffers(frame: dict, codec: str = "json") -> "list":
     return wire.frame_buffers(frame, codec)[0]
 
 
-def decode_shm_frame(view: memoryview, codec: str = "json") -> dict:
-    """Parse one ring record back into a frame dict.
+def decode_shm_frame(
+    view: memoryview, codec: str = "json", lean_sender: "str | None" = None
+) -> "dict | Message":
+    """Parse one ring record back into a frame dict — or, for a lean
+    record on a pipe that negotiated it, the ``Message`` it carries
+    (:func:`wire.read_frame`'s contract).
 
     Array segments come back as ``np.frombuffer`` views **into the
     ring** — valid until the caller advances the ring, so handlers
-    retaining data must copy (the ring mailbox already does).
+    retaining data must copy (the ring mailbox does: the message says
+    ``borrowed``).
     """
     if view.nbytes < wire._LENGTH.size:
         raise wire.WireError("shm record shorter than a frame prefix")
@@ -362,9 +368,25 @@ def decode_shm_frame(view: memoryview, codec: str = "json") -> dict:
         if body.nbytes != length:
             raise wire.WireError("shm record length mismatch")
         return wire.decode_frame(bytes(body), codec)
-    header_len = length & ~wire.BINARY_FLAG
+    header_len = length & wire._LEAN_HEAD_MASK
     if header_len > body.nbytes:
         raise wire.WireError("shm binary header overruns the record")
+    if length & wire.LEAN_FLAG:
+        if lean_sender is None:
+            raise wire.WireError("lean record on a pipe that negotiated none")
+        rest = body[header_len:]
+
+        def body_of(nbytes: int) -> memoryview:
+            if nbytes != rest.nbytes:
+                raise wire.WireError(
+                    "shm array table disagrees with the record"
+                )
+            return rest
+
+        return wire.parse_lean_segment(
+            body[:header_len], body_of, lean_sender, borrowed=True,
+            codec=codec,
+        )
     frame = wire.decode_frame(bytes(body[:header_len]), codec)
     seg_lens = frame.pop("__segs__", None)
     if not isinstance(seg_lens, list) or not all(
@@ -439,27 +461,26 @@ class ShmPipe(FramePipe):
     """
 
     def __init__(self, sock: socket.socket, in_ring: ShmRing,
-                 out_ring: ShmRing, codec: str):
+                 out_ring: ShmRing, codec: str, node: str,
+                 lean: bool = False):
+        super().__init__(codec, node, lean)
         self.sock = sock
         self.in_ring = in_ring
         self.out_ring = out_ring
-        self.codec = codec
 
-    def write(self, frame: dict, timeout: float = WRITE_TIMEOUT) -> int:
-        n = self.out_ring.write(
-            shm_frame_buffers(frame, self.codec), timeout
-        )
+    def _put(self, buffers: list, total: int, timeout: float) -> int:
+        n = self.out_ring.write(buffers, timeout)
         if n == 0:
             raise OSError("shm ring closed or full under the send")
         _ring_doorbell(self.sock)
         return n
 
-    def read(self) -> "dict | None":
+    def read(self) -> "dict | Message | None":
         peer_gone = False
         while True:
             view = self.in_ring.read(timeout=0)
             if view is not None:
-                return decode_shm_frame(view, self.codec)
+                return decode_shm_frame(view, self.codec, self.lean_sender)
             # A dead peer's in-flight records are still drained above
             # before the hangup ends the connection.
             if self.in_ring.closed or peer_gone:
@@ -538,14 +559,17 @@ class ShmTransport(Connection):
             rings = [ShmRing(capacity=self.capacity) for _ in range(2)]
             hello = wire.hello_frame(self.node_id, self.codec, binary=True)
             hello["shm"] = {"c2s": rings[0].name, "s2c": rings[1].name}
-            self._handshake(sock, hello)
+            answer = self._handshake(sock, hello)
             sock.settimeout(None)
         except BaseException:
             sock.close()
             for ring in rings:
                 ring.close(unlink=True)
             raise
-        return ShmPipe(sock, rings[1], rings[0], self.codec)
+        return ShmPipe(
+            sock, rings[1], rings[0], self.codec, self.node_id,
+            lean=wire.lean_negotiated(answer, bool(answer.get("bin"))),
+        )
 
 
 class ShmServer(ConnectionServer):
@@ -586,7 +610,10 @@ class ShmServer(ConnectionServer):
             for ring in rings:
                 ring.close(unlink=True)
             raise wire.WireError(f"bad shm bootstrap: {exc}") from exc
-        return ShmPipe(conn, rings[0], rings[1], handshake.codec)
+        return ShmPipe(
+            conn, rings[0], rings[1], handshake.codec, handshake.node,
+            lean=wire.lean_negotiated(hello, handshake.binary),
+        )
 
     def _unlink_path(self) -> None:
         try:

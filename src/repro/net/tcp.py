@@ -23,7 +23,6 @@ from ..coordination.faults import ExponentialBackoff, FaultPlan
 from ..coordination.messages import Message
 from . import wire
 from .connection import (
-    WRITE_TIMEOUT,
     Connection,
     ConnectionServer,
     FramePipe,
@@ -38,27 +37,26 @@ HEARTBEAT_INTERVAL = 0.5
 class SocketPipe(FramePipe):
     """A handshaken stream socket carrying length-prefixed frames."""
 
-    def __init__(self, sock: socket.socket, codec: str, binary: bool):
+    #: Every frame body is read into a buffer of its own.
+    borrowed = False
+
+    def __init__(self, sock: socket.socket, codec: str, binary: bool,
+                 node: str, lean: bool = False):
+        super().__init__(codec, node, lean)
         # Every frame leaves in one ``sendmsg``/``sendall``, so Nagle has
         # nothing to coalesce — but two requests overlapping on one link
         # stall ≈ 40 ms on Nagle × delayed ACK without this.
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.sock = sock
-        self.codec = codec
         #: Negotiated per connection (AND of both sides' ``bin``).
         self.raw = binary
-        #: Frames that left as binary frames (header + raw segments).
-        self.binary_frames = 0
 
-    def write(self, frame: dict, timeout: float = WRITE_TIMEOUT) -> int:
-        buffers, total = wire.frame_buffers(frame, self.codec, self.raw)
+    def _put(self, buffers: list, total: int, timeout: float) -> int:
         wire.sendmsg_gather(self.sock, buffers, timeout)
-        if len(buffers) > 1:
-            self.binary_frames += 1
         return total
 
-    def read(self) -> "dict | None":
-        return wire.read_frame(self.sock, self.codec)
+    def read(self) -> "dict | Message | None":
+        return wire.read_frame(self.sock, self.codec, self.lean_sender)
 
     own = staticmethod(wire.decode_payload)
 
@@ -107,7 +105,6 @@ class TcpTransport(Connection):
         self._binary_wanted = binary
         self.binary = False
         self.host, self.port = self.endpoints[0]
-        self.binary_frames_sent = 0
         self._connect_timeout = connect_timeout
         self._heartbeat_seq = 0
         self._heartbeat_sent_at: "dict[int, float]" = {}
@@ -130,13 +127,10 @@ class TcpTransport(Connection):
         )
         sock.settimeout(None)
         self.binary = self._binary_wanted and bool(answer.get("bin"))
-        return SocketPipe(sock, self.codec, self.binary)
-
-    def _write_message(self, message: Message) -> None:
-        pipe = self._pipe
-        before = pipe.binary_frames if pipe is not None else 0
-        super()._write_message(message)  # raises unless the pipe is up
-        self.binary_frames_sent += pipe.binary_frames - before
+        return SocketPipe(
+            sock, self.codec, self.binary, self.node_id,
+            lean=wire.lean_negotiated(answer, self.binary),
+        )
 
     # -- keep-alive ------------------------------------------------------------
 
@@ -194,7 +188,10 @@ class TcpServer(ConnectionServer):
         return self.host, self.port
 
     def _open_pipe(self, conn, hello, handshake) -> SocketPipe:
-        return SocketPipe(conn, handshake.codec, handshake.binary)
+        return SocketPipe(
+            conn, handshake.codec, handshake.binary, handshake.node,
+            lean=wire.lean_negotiated(hello, handshake.binary),
+        )
 
 
 def reserve_port(host: str = "127.0.0.1") -> "tuple[socket.socket, int]":

@@ -508,8 +508,13 @@ class DirectPipe:
     thread, stamped with a transmission context exactly like a reply
     frame; a post is dispatched the same way and nothing comes back.
     In-process both clocks are the same perf_counter, so the measured
-    offset is ~0 — a free sanity check on the estimator.
+    offset is ~0 — a free sanity check on the estimator.  The server
+    sees the sender's own ``Message``: its arrays are the sender's live
+    buffers, ``borrowed`` as constructed.
     """
+
+    #: No frames, so none of either form ever leaves.
+    binary_frames = lean_frames = 0
 
     def __init__(self, server: "ServerCore", deliver_reply):
         self.server = server

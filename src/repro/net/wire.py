@@ -20,6 +20,12 @@ in-memory transport never needs it — which is exactly the point of the
   scatter/gather IO, and the reader rebuilds arrays with
   ``np.frombuffer`` over one receive buffer — no base64, no
   intermediate copies.
+* **Lean frames** — a ``RING_SEGMENT`` is a fixed shape, so on a pipe
+  that negotiated ``lean`` it travels as one ``struct`` (ids, the trace
+  context's two numbers, the ring key, a dtype/count record per flat
+  array), an opaque codec-meta tail, then the raw arrays:
+  :func:`lean_segment_buffers` / :func:`parse_lean_segment`, shared by
+  the socket and shm pipes.  No JSON, no payload walk.
 * **Handshake** — the first frame on a connection must be ``hello``
   carrying the protocol version, the node id, the requested codec, and
   the data-plane feature flag; the server answers ``welcome`` (echoing
@@ -66,6 +72,21 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 #: follow.  Payloads are capped far below 2**31, so the bit is
 #: unambiguous.
 BINARY_FLAG = 0x80000000
+
+#: Second flag bit, only ever set beside :data:`BINARY_FLAG`: a *lean*
+#: frame (docs/PROTOCOL.md, "Lean segment frames").  The low 30 bits
+#: are the length of its head — fixed header, array table, meta tail.
+LEAN_FLAG = 0x40000000
+
+#: Reserved request-payload key carrying the sender's trace context
+#: (job id, node id, per-process incarnation epoch, send timestamp).
+#: Stamped by :meth:`ReliableLink.request`, popped by
+#: :meth:`ServerCore.dispatch` before the handler runs; the message id
+#: itself is the request→reply correlation id.  Replies carry the
+#: server's context under the same key, stamped per *transmission* by
+#: the connection layer (never by ServerCore — a cached reply re-served
+#: to a retransmission must get fresh timestamps).
+TRACE_CTX_KEY = "__ctx__"
 
 #: Largest number of buffers handed to one ``sendmsg`` call (IOV_MAX on
 #: common platforms is 1024; stay far below it).
@@ -293,6 +314,14 @@ def join_buffers(obj, segments: "typing.Sequence[memoryview]"):
                 shape = tuple(int(d) for d in obj["shape"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise WireError(f"corrupt array placeholder: {exc}") from exc
+            if (
+                dtype.hasobject or dtype.itemsize == 0
+                or min(shape, default=0) < 0
+            ):
+                raise WireError(
+                    f"array placeholder dtype {dtype} shape {shape} "
+                    f"cannot be rebuilt from bytes"
+                )
             expected = dtype.itemsize * math.prod(shape)
             if data.nbytes != expected:
                 raise WireError(
@@ -511,16 +540,32 @@ def _recv_into(sock: socket.socket, view: memoryview) -> None:
         received += n
 
 
+def _recv_body(sock: socket.socket, count: int) -> np.ndarray:
+    """``count`` body bytes in a fresh buffer nothing else refers to —
+    uninitialised (``recv_into`` overwrites every byte; a zero fill
+    would touch each page once more for nothing), so the arrays rebuilt
+    over it belong to their frame alone."""
+    body = np.empty(count, dtype=np.uint8)
+    if count:
+        _recv_into(sock, memoryview(body))
+    return body
+
+
+def _recv_head(sock: socket.socket, head_len: int) -> bytearray:
+    """The header of a flagged frame, whose length the prefix named."""
+    if head_len > MAX_FRAME_BYTES:
+        raise WireError(f"binary header length {head_len} exceeds the maximum")
+    head = _recv_exact(sock, head_len)
+    if head is None:
+        raise WireError("connection closed mid-frame")
+    return head
+
+
 def _read_binary_frame(
     sock: socket.socket, header_len: int, codec: str
 ) -> dict:
     """Read the remainder of a binary frame after its flagged prefix."""
-    if header_len > MAX_FRAME_BYTES:
-        raise WireError(f"binary header length {header_len} exceeds the maximum")
-    header = _recv_exact(sock, header_len)
-    if header is None:
-        raise WireError("connection closed mid-frame")
-    frame = decode_frame(header, codec)
+    frame = decode_frame(_recv_head(sock, header_len), codec)
     seg_lens = frame.pop("__segs__", None)
     if not isinstance(seg_lens, list) or not all(
         isinstance(n, int) and n >= 0 for n in seg_lens
@@ -529,10 +574,7 @@ def _read_binary_frame(
     total = sum(seg_lens)
     if total + header_len > MAX_FRAME_BYTES:
         raise WireError(f"frame of {total + header_len} bytes exceeds the maximum")
-    buffer = bytearray(total)
-    view = memoryview(buffer)
-    if total:
-        _recv_into(sock, view)
+    view = memoryview(_recv_body(sock, total))
     segments, offset = [], 0
     for length in seg_lens:
         segments.append(view[offset:offset + length])
@@ -540,14 +582,32 @@ def _read_binary_frame(
     return join_buffers(frame, segments)
 
 
-def read_frame(sock: socket.socket, codec: str = "json") -> "dict | None":
-    """Read one frame (codec or binary) from a socket; None on clean EOF."""
+def read_frame(
+    sock: socket.socket, codec: str = "json",
+    lean_sender: "str | None" = None,
+) -> "dict | Message | None":
+    """Read one frame from a socket; None on clean EOF.
+
+    A codec or binary frame comes back as its dict.  A lean frame comes
+    back as the :class:`Message` it carries, sent by ``lean_sender`` —
+    the node the connection's handshake named; without one (the pipe
+    negotiated no ``lean``, or this is the handshake itself) a lean
+    frame is a violation.
+    """
     header = _recv_exact(sock, _LENGTH.size)
     if header is None:
         return None
     (length,) = _LENGTH.unpack(header)
     if length & BINARY_FLAG:
-        return _read_binary_frame(sock, length & ~BINARY_FLAG, codec)
+        if not length & LEAN_FLAG:
+            return _read_binary_frame(sock, length & ~BINARY_FLAG, codec)
+        if lean_sender is None:
+            raise WireError("lean frame on a pipe that negotiated none")
+        return parse_lean_segment(
+            _recv_head(sock, length & _LEAN_HEAD_MASK),
+            functools.partial(_recv_body, sock),
+            lean_sender, borrowed=False, codec=codec,
+        )
     if length > MAX_FRAME_BYTES:
         raise WireError(f"frame length {length} exceeds the maximum")
     payload = _recv_exact(sock, length) if length else b""
@@ -578,19 +638,25 @@ def write_frame(
 
 
 def hello_frame(node_id: str, codec: str = "json", binary: bool = True) -> dict:
-    """The mandatory first frame of every connection."""
+    """The mandatory first frame of every connection.
+
+    Whoever offers the binary data plane offers lean segment frames
+    with it: one willingness, two keys, so a server that knows only
+    ``bin`` still negotiates that.
+    """
     return {
         "kind": "hello",
         "version": PROTOCOL_VERSION,
         "node": node_id,
         "codec": codec,
         "bin": bool(binary),
+        "lean": bool(binary),
     }
 
 
 def welcome_frame(
     node_id: str, codec: str = "json", binary: bool = False,
-    epoch: "int | None" = None,
+    epoch: "int | None" = None, lean: bool = False,
 ) -> dict:
     """The server's handshake acceptance.
 
@@ -606,6 +672,7 @@ def welcome_frame(
         "node": node_id,
         "codec": codec,
         "bin": bool(binary),
+        "lean": bool(lean),
     }
     if epoch is not None:
         frame["epoch"] = int(epoch)
@@ -650,14 +717,178 @@ def message_frame(message: Message, raw: bool = False) -> dict:
     return frame
 
 
-def decode_message(frame: dict) -> Message:
-    """Rebuild the :class:`Message` carried by a ``msg`` frame."""
+def decode_message(frame: dict, borrowed: bool = True) -> Message:
+    """Rebuild the :class:`Message` carried by a ``msg`` frame.
+
+    ``borrowed`` is the reading pipe's word on who owns the payload's
+    arrays (:attr:`Message.borrowed`).  A frame that names no id,
+    sender or known type is a :class:`WireError` like any other
+    corruption.
+    """
+    try:
+        return Message(
+            msg_id=int(frame["msg_id"]),
+            msg_type=MessageType(frame["type"]),
+            sender=frame["sender"],
+            payload=decode_payload(frame.get("payload") or {}),
+            post=bool(frame.get("post")),
+            borrowed=borrowed,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise WireError(f"corrupt msg frame: {exc!r}") from exc
+
+
+# -- lean segment frames ------------------------------------------------------
+#
+# prefix  u32  BINARY_FLAG | LEAN_FLAG | head length
+# head    the fixed header below, ``arrays`` dtype/count records, then
+#         ``meta_len`` bytes of codec-encoded gradient-codec metadata
+# body    the arrays' bytes, back to back, in table order
+
+_LEAN_HEAD_MASK = ~(BINARY_FLAG | LEAN_FLAG)
+#: msg_id, post | ctx epoch, ctx sent | generation, iteration, phase,
+#: step, part, bucket | arrays, meta_len.  Big-endian, unpadded.
+_LEAN_FIELDS = "Q?QdqqBIIIHI"
+_LEAN_HEADER = struct.Struct(">" + _LEAN_FIELDS)
+_LEAN_PREFIXED_HEADER = struct.Struct(">I" + _LEAN_FIELDS)
+#: one array: dtype kind (an ASCII letter), dtype itemsize, elements.
+_LEAN_ARRAY = struct.Struct(">BBQ")
+_LEAN_PHASES = ("rs", "ag")
+
+#: dtype kinds a lean record may name: bool, int, uint, float, complex —
+#: plain numbers, so never an object pointer and never zero bytes wide.
+_LEAN_KINDS = "biufc"
+
+
+@functools.lru_cache(maxsize=64)
+def _lean_dtype_code(dtype: np.dtype) -> "tuple[int, int] | None":
+    """``(kind, itemsize)`` when that alone names ``dtype`` (a plain
+    native number), else None: the array keeps the generic frame."""
+    if dtype.kind not in _LEAN_KINDS:
+        return None
+    if np.dtype(f"{dtype.kind}{dtype.itemsize}") != dtype:
+        return None  # foreign byte order
+    return ord(dtype.kind), dtype.itemsize
+
+
+@functools.lru_cache(maxsize=64)
+def _lean_dtype(kind: int, itemsize: int) -> np.dtype:
+    """Inverse of :func:`_lean_dtype_code`, trusting nothing."""
+    try:
+        if chr(kind) not in _LEAN_KINDS:
+            raise TypeError("not a plain number")
+        return np.dtype(f"{chr(kind)}{itemsize}")
+    except TypeError as exc:
+        raise WireError(f"lean dtype code {kind}/{itemsize}: {exc}") from exc
+
+
+def lean_segment_buffers(
+    message: Message, node: str, codec: str = "json"
+) -> "tuple[list, int] | None":
+    """The buffers ``message`` leaves as in a lean frame, and their byte
+    count — or None when it is not what a lean frame can say.
+
+    What it can say is exactly what :class:`RingNode` sends on a link
+    dialled as ``node``: the six ring-key integers, flat native-number
+    arrays under ``data``, an optional ``codec`` dict (carried opaque,
+    in the pipe's codec) and a trace context of node/epoch/sent whose
+    node — like the message's sender — is the handshake's.  Anything
+    else (an extra context key such as the AM link's ``job``, a 2-D
+    array, a float where an id belongs) keeps the generic ``msg`` frame.
+    """
+    payload = message.payload
+    ctx = payload.get(TRACE_CTX_KEY)
+    arrays = payload.get("data")
+    meta = payload.get("codec")
+    if (
+        type(ctx) is not dict or len(ctx) != 3
+        or type(arrays) is not list
+        or type(meta) not in (dict, type(None))
+        or len(payload) != (8 if meta is None else 9)
+        or not ctx.get("node") == message.sender == node
+    ):
+        return None
+    records, views, body = [], [], 0
+    for array in arrays:
+        if type(array) is not np.ndarray or array.ndim != 1:
+            return None
+        code = _lean_dtype_code(array.dtype)
+        if code is None:
+            return None
+        if not array.flags.c_contiguous:
+            array = np.ascontiguousarray(array)
+        records.append(_LEAN_ARRAY.pack(*code, array.size))
+        views.append(array)
+        body += array.nbytes
+    tail = b"" if meta is None else encode_frame(meta, codec)
+    head_len = _LEAN_HEADER.size + _LEAN_ARRAY.size * len(arrays) + len(tail)
+    if head_len + body > MAX_FRAME_BYTES:
+        raise WireError(f"frame of {head_len + body} bytes exceeds the maximum")
+    try:
+        header = _LEAN_PREFIXED_HEADER.pack(
+            BINARY_FLAG | LEAN_FLAG | head_len,
+            message.msg_id, message.post, ctx["epoch"], ctx["sent"],
+            payload["generation"], payload["iteration"],
+            _LEAN_PHASES.index(payload["phase"]), payload["step"],
+            payload["part"], payload["bucket"], len(arrays), len(tail),
+        )
+    except (KeyError, TypeError, ValueError, struct.error):
+        return None  # a key missing or a value the header has no room for
+    return (
+        [b"".join((header, *records, tail)), *views],
+        _LENGTH.size + head_len + body,
+    )
+
+
+def parse_lean_segment(
+    head, body_of: "typing.Callable[[int], typing.Any]", sender: str,
+    borrowed: bool, codec: str = "json",
+) -> Message:
+    """Inverse of :func:`lean_segment_buffers`: the ``RING_SEGMENT``
+    :class:`Message` a lean frame carries.
+
+    ``head`` is what the prefix measured; ``body_of(nbytes)`` supplies
+    the body once the array table has said how long it is (a socket
+    reads it, a shm record already holds it) and ``borrowed`` says whose
+    memory that is.  ``sender`` is the connection's, from its handshake.
+    Every field is checked before anything is allocated; any violation
+    is a :class:`WireError`.
+    """
+    if len(head) < _LEAN_HEADER.size:
+        raise WireError("lean frame shorter than its fixed header")
+    (
+        msg_id, post, epoch, sent, generation, iteration, phase, step,
+        part, bucket, arrays, meta_len,
+    ) = _LEAN_HEADER.unpack_from(head)
+    table_end = _LEAN_HEADER.size + _LEAN_ARRAY.size * arrays
+    if table_end + meta_len != len(head):
+        raise WireError("lean header disagrees with its own length")
+    if phase >= len(_LEAN_PHASES):
+        raise WireError(f"lean frame names unknown phase {phase}")
+    specs = [
+        (_lean_dtype(kind, itemsize), count)
+        for kind, itemsize, count in _LEAN_ARRAY.iter_unpack(
+            head[_LEAN_HEADER.size:table_end]
+        )
+    ]
+    total = sum(dtype.itemsize * count for dtype, count in specs)
+    if len(head) + total > MAX_FRAME_BYTES:
+        raise WireError(f"frame of {len(head) + total} bytes exceeds the maximum")
+    body = body_of(total)
+    data, offset = [], 0
+    for dtype, count in specs:
+        data.append(np.frombuffer(body, dtype, count, offset))
+        offset += dtype.itemsize * count
+    payload = {
+        "generation": generation, "iteration": iteration,
+        "phase": _LEAN_PHASES[phase], "step": step, "part": part,
+        "bucket": bucket, "data": data,
+    }
+    if meta_len:
+        payload["codec"] = decode_frame(head[table_end:], codec)
+    payload[TRACE_CTX_KEY] = {"node": sender, "epoch": epoch, "sent": sent}
     return Message(
-        msg_id=int(frame["msg_id"]),
-        msg_type=MessageType(frame["type"]),
-        sender=frame["sender"],
-        payload=decode_payload(frame.get("payload") or {}),
-        post=bool(frame.get("post")),
+        msg_id, MessageType.RING_SEGMENT, sender, payload, post, borrowed
     )
 
 
@@ -722,3 +953,15 @@ def check_handshake(
         codec=negotiate_codec(str(frame.get("codec", "json"))),
         binary=bool(frame.get("bin")) and bool(binary),
     )
+
+
+def lean_negotiated(frame: dict, binary: bool) -> bool:
+    """Whether a connection speaks lean segment frames.
+
+    ``frame`` is the other side's ``hello`` (asked by the server) or
+    ``welcome`` (asked by the client) and ``binary`` what the connection
+    negotiated for ``bin``: lean frames are binary frames, so the answer
+    is the AND of the two.  A peer that never heard of the key keeps
+    getting JSON-header binary frames.
+    """
+    return bool(binary) and bool(frame.get("lean"))

@@ -509,6 +509,62 @@ class TestPostsAcrossConnectionDeath:
         assert endpoint.core.duplicates >= 1  # post 0 had been dispatched
 
 
+class TestPoisonedFrames:
+    """A frame whose header names an array numpy cannot rebuild (dtype
+    ``object``) is a wire violation like any other: whoever reads it
+    drops the connection, quietly, and the link heals by redialling."""
+
+    @staticmethod
+    def poison_next_header(monkeypatch):
+        real, spent = wire._dtype_name, []
+
+        def once(dtype):
+            if spent:
+                return real(dtype)
+            spent.append(dtype)
+            return "object"
+
+        monkeypatch.setattr(wire, "_dtype_name", once)
+        return spent
+
+    def test_poisoned_reply_drops_the_pipe_and_the_next_request_redials(
+        self, socket_endpoint, monkeypatch
+    ):
+        endpoint = socket_endpoint
+        endpoint.core.handler = lambda message: {"grad": np.arange(4.0)}
+        link = endpoint.link(ack_timeout=0.3, max_attempts=1)
+        transport = link.transport
+        try:
+            spent = self.poison_next_header(monkeypatch)
+            with pytest.raises(RequestTimeout):
+                link.request(MessageType.STATUS, {})
+            assert spent, "the reply never carried the poisoned header"
+            # The reader met the frame, and took the whole pipe with it.
+            assert wait_until(lambda: not transport.connected)
+            reply = link.request(MessageType.STATUS, {})
+            np.testing.assert_array_equal(reply["grad"], np.arange(4.0))
+            assert transport.connected
+            assert transport.reconnects == 1
+            assert endpoint.server.connections_accepted == 2
+        finally:
+            link.close()
+
+    def test_poisoned_request_ends_the_connection_quietly_and_is_counted(
+        self, socket_endpoint, monkeypatch
+    ):
+        endpoint = socket_endpoint
+        link = endpoint.link(ack_timeout=0.3)
+        try:
+            self.poison_next_header(monkeypatch)
+            reply = link.request(MessageType.STATUS, {"i": np.arange(3)})
+            np.testing.assert_array_equal(reply["echo"]["i"], np.arange(3))
+            assert endpoint.server.wire_errors == 1
+            assert link.transport.reconnects == 1
+            assert endpoint.core.executions[("w0", "status")] == 1
+        finally:
+            link.close()
+
+
 class DeafPeer:
     """A TCP peer that accepts, welcomes — and never reads again."""
 

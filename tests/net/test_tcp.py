@@ -59,6 +59,27 @@ class TestHandshake:
             transport.close()
 
 
+    def test_hello_without_lean_is_welcomed_without_it(self, server):
+        """A version-1 hello from before the ``lean`` key: binary frames
+        are negotiated as ever, lean ones are not — and a lean frame on
+        that connection is a violation the server ends it over."""
+        sock = socket.create_connection((server.host, server.port))
+        try:
+            hello = wire.hello_frame("old-worker")
+            del hello["lean"]
+            wire.write_frame(sock, hello)
+            welcome = wire.read_frame(sock)
+            assert welcome["kind"] == "welcome"
+            assert welcome["bin"] is True and welcome["lean"] is False
+            sock.sendall(wire._LENGTH.pack(
+                wire.BINARY_FLAG | wire.LEAN_FLAG | 60
+            ) + bytes(60))
+            assert wire.read_frame(sock) is None  # hung up on
+        finally:
+            sock.close()
+        assert server.wire_errors == 1
+
+
 class TestSocketOptions:
     def test_nodelay_on_both_ends_and_binary_frames_still_counted(
         self, server, monkeypatch

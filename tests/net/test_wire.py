@@ -1,6 +1,5 @@
 """Wire-format tests: framing, codecs, envelopes, handshake."""
 
-import io
 import socket
 import threading
 import time
@@ -438,3 +437,207 @@ class TestDecodeHardening:
         assert wire.negotiate_codec("cbor") == "json"
         for codec in wire.available_codecs():
             assert wire.negotiate_codec(codec) == codec
+
+    @pytest.mark.parametrize("placeholder", [
+        {"dtype": "object", "shape": [2]},
+        {"dtype": "float64", "shape": [-2]},
+        {"dtype": "float64", "shape": [2, -1, -1]},
+        {"dtype": "S0", "shape": [0]},
+        {"dtype": "V0", "shape": [4]},
+        {"dtype": "float64", "shape": "ab"},
+        {"dtype": "float64"},
+    ])
+    def test_corrupt_array_placeholder_is_a_wire_error(self, placeholder):
+        """numpy's own ValueError for a placeholder it cannot rebuild
+        (object dtype, negative or several unknown dimensions, a dtype
+        of no width) used to escape and kill the reader thread."""
+        data = memoryview(bytes(16))
+        with pytest.raises(wire.WireError):
+            wire.join_buffers({"__seg__": 0, **placeholder}, [data])
+
+    def test_corrupt_msg_frame_is_a_wire_error(self):
+        good = wire.message_frame(
+            MessageFactory(epoch=0).make(MessageType.STATUS, "w0", {})
+        )
+        for key, value in (
+            ("msg_id", "seven"), ("type", "no_such_type"), ("sender", None),
+        ):
+            frame = dict(good, **{key: value})
+            if value is None:
+                del frame[key]
+            with pytest.raises(wire.WireError, match="corrupt msg frame"):
+                wire.decode_message(frame)
+
+
+def segment(post=True, codec_meta=None, arrays=None, ctx=None, **key):
+    """A ``RING_SEGMENT`` as ``RingNode`` + ``ReliableLink`` build it."""
+    payload = dict(
+        generation=3, iteration=41, phase="ag", step=1, part=2, bucket=0,
+        data=[np.arange(6.0)] if arrays is None else arrays,
+    )
+    payload.update(key)
+    if codec_meta is not None:
+        payload["codec"] = codec_meta
+    payload[wire.TRACE_CTX_KEY] = (
+        {"node": "w0", "epoch": 77, "sent": 1.5} if ctx is None else ctx
+    )
+    return MessageFactory(epoch=5).make(
+        MessageType.RING_SEGMENT, "w0", payload, post
+    )
+
+
+def lean_bytes(message, node="w0"):
+    buffers, total = wire.lean_segment_buffers(message, node)
+    blob = b"".join(bytes(wire._flat_view(b)) for b in buffers)
+    assert len(blob) == total
+    return blob
+
+
+def parse_lean(blob, node="w0", borrowed=True):
+    (length,) = wire._LENGTH.unpack_from(blob)
+    assert length & wire.BINARY_FLAG and length & wire.LEAN_FLAG
+    head_len = length & wire._LEAN_HEAD_MASK
+    head, body = blob[4:4 + head_len], blob[4 + head_len:]
+
+    def body_of(nbytes):
+        assert nbytes == len(body)
+        return body
+
+    return wire.parse_lean_segment(head, body_of, node, borrowed)
+
+
+class TestLeanFrames:
+    def test_round_trip_field_for_field(self):
+        message = segment(post=True)
+        parsed = parse_lean(lean_bytes(message), borrowed=False)
+        assert parsed.msg_id == message.msg_id
+        assert parsed.msg_type is MessageType.RING_SEGMENT
+        assert (parsed.sender, parsed.post, parsed.borrowed) == (
+            "w0", True, False
+        )
+        data = parsed.payload.pop("data")
+        assert parsed.payload == {
+            k: v for k, v in message.payload.items() if k != "data"
+        }
+        assert [a.dtype for a in data] == [np.float64]
+        np.testing.assert_array_equal(data[0], np.arange(6.0))
+
+    def test_header_is_the_documented_size_and_carries_no_json(self):
+        blob = lean_bytes(segment())
+        # prefix + 60-byte fixed header + one 10-byte array record
+        assert len(blob) == 4 + 60 + 10 + 6 * 8
+        assert b"{" not in blob[:74] and b"w0" not in blob
+
+    def test_codec_meta_rides_as_an_opaque_tail(self):
+        meta = {"name": "int8", "arrays": [
+            {"dtype": "float64", "scale": 0.1 / 3}, {"raw": True},
+        ]}
+        arrays = [np.arange(-4, 4, dtype=np.int8), np.arange(3)]
+        parsed = parse_lean(lean_bytes(
+            segment(post=False, codec_meta=meta, arrays=arrays)
+        ))
+        assert parsed.payload["codec"] == meta
+        assert parsed.post is False
+        for got, want in zip(parsed.payload["data"], arrays):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("message", [
+        segment(ctx={"node": "w0", "epoch": 1, "sent": 0.5, "job": "j1"}),
+        segment(ctx={"node": "w9", "epoch": 1, "sent": 0.5}),
+        segment(arrays=[np.ones((2, 2))]),
+        segment(arrays=[np.ones(2, dtype=">f8")]),
+        segment(arrays=(np.ones(2),)),
+        segment(phase="xx"),
+        segment(step=1.5),
+        segment(iteration=-1, bucket=2 ** 40),
+        segment(extra="key"),
+        segment(codec_meta="fp16"),
+    ], ids=[
+        "ctx-extra-key", "ctx-other-node", "2d", "foreign-endian",
+        "tuple", "phase", "float-step", "bucket-overflow", "extra-key",
+        "meta-not-a-dict",
+    ])
+    def test_what_the_header_cannot_say_keeps_the_generic_frame(
+        self, message
+    ):
+        assert wire.lean_segment_buffers(message, "w0") is None
+
+    def test_sender_must_be_the_handshake_node(self):
+        assert wire.lean_segment_buffers(segment(), "w1") is None
+
+    def test_strided_view_is_compacted(self):
+        strided = np.arange(12.0)[::2]
+        parsed = parse_lean(lean_bytes(segment(arrays=[strided])))
+        np.testing.assert_array_equal(parsed.payload["data"][0], strided)
+
+    def test_oversize_lean_frame_rejected_on_write(self):
+        big = np.zeros(wire.MAX_FRAME_BYTES // 8 + 1)
+        with pytest.raises(wire.WireError, match="exceeds"):
+            wire.lean_segment_buffers(segment(arrays=[big]), "w0")
+
+    @pytest.mark.parametrize("kind,itemsize", [
+        (ord("O"), 8), (ord("S"), 0), (ord("V"), 0), (ord("x"), 8),
+        (200, 8), (ord("f"), 3),
+    ])
+    def test_bad_dtype_code_is_a_wire_error(self, kind, itemsize):
+        blob = bytearray(lean_bytes(segment()))
+        blob[64:66] = bytes([kind, itemsize])
+        with pytest.raises(wire.WireError):
+            parse_lean(bytes(blob))
+
+    def test_body_shorter_than_the_array_table_says(self):
+        blob = lean_bytes(segment())
+        client, accepted = socket_pair()
+        try:
+            client.sendall(blob[:-8])
+            client.close()
+            with pytest.raises(wire.WireError, match="mid-frame"):
+                wire.read_frame(accepted, "json", lean_sender="w0")
+        finally:
+            accepted.close()
+
+    def test_lean_frame_needs_a_negotiated_pipe(self):
+        client, accepted = socket_pair()
+        try:
+            client.sendall(lean_bytes(segment()))
+            with pytest.raises(wire.WireError, match="negotiated none"):
+                wire.read_frame(accepted, "json")
+        finally:
+            client.close()
+            accepted.close()
+
+    def test_socket_bodies_land_in_a_private_writable_buffer(self):
+        client, accepted = socket_pair()
+        try:
+            wire.sendmsg_gather(
+                client, wire.lean_segment_buffers(segment(), "w0")[0]
+            )
+            lean = wire.read_frame(accepted, "json", lean_sender="w0")
+            wire.write_frame(
+                client, wire.message_frame(segment(), raw=True), binary=True
+            )
+            generic = wire.decode_message(
+                wire.read_frame(accepted, "json"), borrowed=False
+            )
+        finally:
+            client.close()
+            accepted.close()
+        for message in (lean, generic):
+            (array,) = message.payload["data"]
+            assert not message.borrowed
+            assert array.flags.writeable and not array.flags.owndata
+            np.testing.assert_array_equal(array, np.arange(6.0))
+
+    def test_handshake_negotiates_lean_like_bin(self):
+        hello = wire.hello_frame("w0")
+        assert hello["lean"] is True
+        assert wire.hello_frame("w0", binary=False)["lean"] is False
+        assert wire.lean_negotiated(hello, binary=True)
+        assert not wire.lean_negotiated(hello, binary=False)
+        old = dict(hello)
+        del old["lean"]  # a peer that never heard of it
+        assert not wire.lean_negotiated(old, binary=True)
+        assert wire.welcome_frame("s", lean=True)["lean"] is True
+        assert wire.welcome_frame("s", binary=True)["lean"] is False
+        assert wire.PROTOCOL_VERSION == 1
