@@ -1,26 +1,23 @@
-"""Payload-size sweep: base64-JSON vs msgpack vs binary frames.
+"""Payload-size sweep of the binary data plane on its three paths.
 
-The PR-4 data plane exists for one reason: a snapshot serialized as
-base64-inside-JSON costs a 4/3 size blowup plus two full copies per
-direction, while a binary frame ships the arrays' own buffers and
-rebuilds them as ``np.frombuffer`` views.  This sweep measures
-serialization+transfer for payloads from 1 KB to 64 MB on both sides of
+A message holding arrays travels as a binary frame — a JSON header plus
+the arrays' own buffers, rebuilt as ``np.frombuffer`` views on the far
+side (there is no other form).  This sweep measures
+serialization+transfer for payloads from 1 KB to 64 MB on each side of
 the transport seam:
 
-* ``memory`` — pure serialize + deserialize (no socket), the cost the
-  in-memory transport's callers would pay if they flattened state the
-  old way versus the blob path.
+* ``memory`` — the state-blob path without a socket: the gather list
+  over live buffers, the one contiguous copy a receiver makes, decoded
+  views.
 * ``tcp``    — a real loopback-TCP round trip through
   ``write_frame``/``read_frame`` including decode on the far side.
 * ``shm``    — the same binary frame through a shared-memory ring
-  buffer (PR 9): one copy into the ring, ``np.frombuffer`` views out.
+  buffer: one copy into the ring, ``np.frombuffer`` views out.
 
-The acceptance bar (ISSUE 4): binary is at least 5x cheaper than
-base64-JSON for snapshots of 16 MB and up, on both paths.  msgpack is
-measured only when the optional dependency is importable; the column
-reads ``n/a`` otherwise.  The shm bar (ISSUE 9): shipping the binary
-frame through the ring is no slower than shipping it over loopback TCP
-at the acceptance size.
+``BandwidthProfile.measured_loopback`` cites these rows (64 MB frames
+for peak bandwidth, 1 KB frames for latency).  The shm bar: shipping
+the binary frame through the ring is no slower than shipping it over
+loopback TCP at the acceptance size.
 """
 
 import socket
@@ -33,7 +30,7 @@ from conftest import fmt_row
 from repro.coordination.messages import MessageFactory, MessageType
 from repro.net import ShmRing, StateBlob, decode_state_blob
 from repro.net import wire
-from repro.net.shm import decode_shm_frame, shm_frame_buffers
+from repro.net.shm import decode_shm_frame
 
 SIZES = (
     ("1KB", 1_000),
@@ -44,9 +41,8 @@ SIZES = (
 )
 
 ACCEPTANCE_SIZE = "16MB"
-ACCEPTANCE_SPEEDUP = 5.0
 
-HAVE_MSGPACK = wire.msgpack is not None
+PATHS = ("memory", "tcp", "shm")
 
 
 def make_state(nbytes):
@@ -65,21 +61,7 @@ def timed(fn, repeats=3):
 # -- memory path: serialize + deserialize, no socket --------------------------
 
 
-def memory_codec_round_trip(state, codec):
-    """Encode the state the legacy way (arrays -> base64 envelopes in a
-    codec frame) and decode it back to ndarrays."""
-    def run():
-        data = wire.encode_frame(
-            {"state": wire.encode_payload(state)}, codec
-        )
-        decoded = wire.decode_payload(
-            wire.decode_frame(data, codec)["state"]
-        )
-        assert decoded["params"]["w"].nbytes == state["params"]["w"].nbytes
-    return run
-
-
-def memory_binary_round_trip(state):
+def memory_round_trip(state):
     """Encode via the blob path (gather list over live buffers), make
     the one contiguous copy a receiver would, and decode views."""
     def run():
@@ -110,7 +92,7 @@ def loopback_pair():
     return client, accepted
 
 
-def tcp_round_trip(state, codec, binary):
+def tcp_round_trip(state):
     """One full message over loopback TCP: build the frame, write it,
     read and decode it on the far side.  Timed end to end."""
     factory = MessageFactory()
@@ -121,15 +103,12 @@ def tcp_round_trip(state, codec, binary):
             result = {}
 
             def read():
-                result["frame"] = wire.read_frame(accepted, codec)
+                result["frame"] = wire.read_frame(accepted)
 
             reader = threading.Thread(target=read, daemon=True)
             reader.start()
             message = factory.make(MessageType.SYNC, "bench", state)
-            wire.write_frame(
-                client, wire.message_frame(message, raw=binary),
-                codec, binary=binary,
-            )
+            wire.write_frame(client, wire.message_frame(message))
             reader.join(timeout=120)
             decoded = wire.decode_message(result["frame"])
             assert (
@@ -159,12 +138,10 @@ def shm_round_trip(state):
         ring = ShmRing(capacity=capacity)
         try:
             message = factory.make(MessageType.SYNC, "bench", state)
-            buffers = shm_frame_buffers(
-                wire.message_frame(message, raw=True), "json"
-            )
+            buffers, _ = wire.frame_buffers(wire.message_frame(message))
             assert ring.write(buffers) > 0
             view = ring.read()
-            decoded = wire.decode_message(decode_shm_frame(view, "json"))
+            decoded = wire.decode_message(decode_shm_frame(view))
             assert (
                 decoded.payload["params"]["w"].nbytes
                 == state["params"]["w"].nbytes
@@ -182,107 +159,37 @@ def sweep():
     for label, nbytes in SIZES:
         state = make_state(nbytes)
         repeats = 3 if nbytes <= 1_000_000 else 1
-        row = {"label": label, "nbytes": nbytes}
-        for path in ("memory", "tcp"):
-            for codec_label, fn in (
-                ("json", (
-                    memory_codec_round_trip(state, "json")
-                    if path == "memory"
-                    else tcp_round_trip(state, "json", binary=False)
-                )),
-                ("msgpack", (
-                    memory_codec_round_trip(state, "msgpack")
-                    if path == "memory"
-                    else tcp_round_trip(state, "msgpack", binary=False)
-                ) if HAVE_MSGPACK else None),
-                ("binary", (
-                    memory_binary_round_trip(state)
-                    if path == "memory"
-                    else tcp_round_trip(state, "json", binary=True)
-                )),
-            ):
-                key = f"{path}/{codec_label}"
-                if fn is None:
-                    row[key] = None  # dependency not installed
-                    continue
-                try:
-                    row[key] = timed(fn, repeats)
-                except wire.WireError:
-                    # base64 expansion pushes the frame past the 64 MiB
-                    # cap; the codec path simply cannot ship this size.
-                    row[key] = "cap"
-        row["shm/binary"] = timed(shm_round_trip(state), repeats)
-        rows.append(row)
+        rows.append({
+            "label": label,
+            "memory": timed(memory_round_trip(state), repeats),
+            "tcp": timed(tcp_round_trip(state), repeats),
+            "shm": timed(shm_round_trip(state), repeats),
+        })
     return rows
 
 
 def test_data_plane_sweep(benchmark, save_result):
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
 
-    def cell(value):
-        if value is None:
-            return "n/a"
-        if value == "cap":
-            return "n/a (frame cap)"
-        return f"{value * 1e3:.2f}"
-
-    widths = (6, 14, 14, 14, 14, 14, 14, 14, 9, 9)
+    widths = (6, 14, 14, 14)
     lines = [
-        fmt_row(
-            (
-                "Size",
-                "mem json (ms)", "mem msgpk (ms)", "mem bin (ms)",
-                "tcp json (ms)", "tcp msgpk (ms)", "tcp bin (ms)",
-                "shm bin (ms)",
-                "mem x", "tcp x",
-            ),
-            widths,
-        )
+        fmt_row(("Size", "mem bin (ms)", "tcp bin (ms)", "shm bin (ms)"), widths)
     ]
-    speedups = {}
     for row in rows:
-        mem_x = tcp_x = "-"
-        if isinstance(row["memory/json"], float):
-            mem_x = f"{row['memory/json'] / row['memory/binary']:.1f}"
-        if isinstance(row["tcp/json"], float):
-            tcp_x = f"{row['tcp/json'] / row['tcp/binary']:.1f}"
-        speedups[row["label"]] = (mem_x, tcp_x)
-        lines.append(
-            fmt_row(
-                (
-                    row["label"],
-                    cell(row["memory/json"]), cell(row["memory/msgpack"]),
-                    cell(row["memory/binary"]),
-                    cell(row["tcp/json"]), cell(row["tcp/msgpack"]),
-                    cell(row["tcp/binary"]), cell(row["shm/binary"]),
-                    mem_x, tcp_x,
-                ),
-                widths,
-            )
-        )
+        lines.append(fmt_row(
+            (row["label"], *(f"{row[path] * 1e3:.2f}" for path in PATHS)),
+            widths,
+        ))
     lines.append(
-        "x columns: base64-JSON time / binary-frame time (same path); "
-        "msgpack measured only when importable"
+        "binary frames (JSON header + raw arrays), the only form; "
+        "tcp and shm pay a fresh socket / ring per frame"
     )
     save_result("data_plane_sweep", lines)
 
-    # The acceptance bar: >=5x at the 16 MB snapshot on BOTH paths.
-    target = next(r for r in rows if r["label"] == ACCEPTANCE_SIZE)
-    for path in ("memory", "tcp"):
-        json_t, bin_t = target[f"{path}/json"], target[f"{path}/binary"]
-        assert isinstance(json_t, float) and isinstance(bin_t, float)
-        assert json_t / bin_t >= ACCEPTANCE_SPEEDUP, (
-            f"{path}: json {json_t * 1e3:.1f} ms vs "
-            f"binary {bin_t * 1e3:.1f} ms "
-            f"({json_t / bin_t:.1f}x < {ACCEPTANCE_SPEEDUP}x)"
-        )
     # The shm bar: the ring's single-copy path is no slower than the
     # loopback socket's two-copy path at the acceptance size.
-    assert target["shm/binary"] <= target["tcp/binary"], (
-        f"shm {target['shm/binary'] * 1e3:.1f} ms vs "
-        f"tcp {target['tcp/binary'] * 1e3:.1f} ms at {ACCEPTANCE_SIZE}"
+    target = next(r for r in rows if r["label"] == ACCEPTANCE_SIZE)
+    assert target["shm"] <= target["tcp"], (
+        f"shm {target['shm'] * 1e3:.1f} ms vs "
+        f"tcp {target['tcp'] * 1e3:.1f} ms at {ACCEPTANCE_SIZE}"
     )
-    # Small payloads must not regress to absurdity either: binary stays
-    # within the same order of magnitude at 1 KB.
-    small = next(r for r in rows if r["label"] == "1KB")
-    assert small["tcp/binary"] < small["tcp/json"] * 10

@@ -4,9 +4,9 @@ Part 1 crashes the application master mid-adjustment and recovers it from
 the persisted state machine (the etcd stand-in), then finishes the
 adjustment with the recovered AM.
 
-Part 2 pushes worker reports through a channel that drops and duplicates
-messages; unique message IDs + timeout-resend deliver each report exactly
-once.
+Part 2 pushes worker reports through a link whose fault plan drops and
+duplicates messages; unique message IDs + timeout-resend + receiver dedup
+deliver each report exactly once.
 
 Run:  python examples/fault_tolerance.py
 """
@@ -15,14 +15,12 @@ from repro.coordination import (
     AdjustmentKind,
     AdjustmentRequest,
     ApplicationMaster,
-    DeduplicatingInbox,
     DirectiveKind,
-    FaultyChannel,
+    FaultPlan,
     KeyValueStore,
-    MessageFactory,
     MessageType,
-    ReliableSender,
 )
+from repro.net import ServerCore, memory_link
 
 
 def am_failover():
@@ -49,32 +47,26 @@ def am_failover():
 
 
 def lossy_control_plane():
-    print("\n=== Part 2: exactly-once reports over a lossy channel ===")
-    inbox = DeduplicatingInbox()
+    print("\n=== Part 2: exactly-once reports over a lossy link ===")
     received = []
-
-    def deliver(message):
-        if inbox.accept(message):
-            received.append(message)
-
-    channel = FaultyChannel(deliver, drop_every=3, duplicate_every=4)
-    sender = ReliableSender(channel, max_attempts=6)
-    factory = MessageFactory()
+    am = ServerCore(
+        handler=lambda m: received.append(m.payload["worker"]) or {"ok": True}
+    )
+    link = memory_link(
+        am, "reporter", ack_timeout=0.01, max_attempts=6,
+        fault_plan=FaultPlan(drop_every=3, duplicate_every=4),
+    )
     for i in range(20):
-        message = factory.make(
-            MessageType.WORKER_REPORT, f"w{i}", {"ready": True}
-        )
-        ok = sender.send(
-            message,
-            acknowledged=lambda m=message: any(
-                r.msg_id == m.msg_id for r in received
-            ),
-        )
-        assert ok
-    print(f"sends attempted: {channel.sent} "
-          f"(dropped {channel.dropped}, duplicated {channel.duplicated})")
-    print(f"reports delivered exactly once: {len(received)}/20, "
-          f"duplicates discarded: {inbox.duplicates_dropped}")
+        reply = link.request(MessageType.WORKER_REPORT, {"worker": f"w{i}"})
+        assert reply == {"ok": True}
+    faults = link.transport._faults
+    print(f"sends attempted: {faults.arrived} "
+          f"(dropped {faults.dropped}, duplicated {faults.duplicated}, "
+          f"resent {link.resends})")
+    print(f"reports handled exactly once: {len(received)}/20, "
+          f"duplicates discarded: {am.duplicates}")
+    assert received == [f"w{i}" for i in range(20)]
+    assert am.duplicates == faults.duplicated
 
 
 if __name__ == "__main__":

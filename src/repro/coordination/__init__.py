@@ -15,11 +15,9 @@ from .master import (
 )
 from .messages import (
     DeduplicatingInbox,
-    FaultyChannel,
     Message,
     MessageFactory,
     MessageType,
-    ReliableSender,
 )
 from .ring import RingCollective, flatten_params, unflatten_params
 from .runtime import (
@@ -51,7 +49,6 @@ __all__ = [
     "ElasticRuntime",
     "ExponentialBackoff",
     "FaultPlan",
-    "FaultyChannel",
     "GroupPlan",
     "Hook",
     "HookRegistry",
@@ -72,7 +69,6 @@ __all__ = [
     "TOMBSTONE",
     "MessageFactory",
     "MessageType",
-    "ReliableSender",
     "WorkerContext",
     "flatten_params",
     "params_consistent",

@@ -20,8 +20,6 @@ import dataclasses
 import time
 import typing
 
-from .messages import FaultyChannel, Message
-
 
 class LeaseExpired(RuntimeError):
     """Recorded as a worker's cause of death when its lease lapses.
@@ -98,9 +96,10 @@ class FaultPlan:
     silent_crashes: typing.Mapping[str, int] = dataclasses.field(
         default_factory=dict
     )
-    #: drop each n-th control-plane message (0 = lossless).
+    #: drop each n-th control-plane send that reaches the loss stage
+    #: (0 = lossless); consumed by :class:`repro.net.TransportFaults`.
     drop_every: int = 0
-    #: deliver each n-th control-plane message twice (0 = no dupes).
+    #: deliver each n-th such send twice (0 = no dupes).
     duplicate_every: int = 0
     #: send index (1-based) -> extra seconds of delivery latency injected
     #: before that send (network-transport plans only).
@@ -171,19 +170,10 @@ class FaultPlan:
                 return True
         return False
 
-    def channel(
-        self, deliver: typing.Callable[[Message], None]
-    ) -> FaultyChannel:
-        """A control-plane channel afflicted with this plan's loss/dupes."""
-        return FaultyChannel(
-            deliver,
-            drop_every=self.drop_every,
-            duplicate_every=self.duplicate_every,
-        )
-
     @property
     def has_transport_faults(self) -> bool:
-        """True if any network-transport fault is scheduled."""
+        """True if any network-transport fault — drop, duplicate,
+        delay, reset — is scheduled."""
         return bool(
             self.drop_every
             or self.duplicate_every

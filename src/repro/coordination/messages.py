@@ -2,16 +2,15 @@
 
 Every message carries a unique ID; receivers deduplicate by ID and senders
 resend on timeout — the paper's fault-tolerance recipe ("we tag every
-message with a unique ID and resend it in case of timeout").  The channel
-abstraction supports injectable delivery faults (drops, duplicates) so the
-resend/dedup logic is actually exercised by tests.
+message with a unique ID and resend it in case of timeout").
 
-These primitives are transport-agnostic: :class:`FaultyChannel` satisfies
-the :class:`repro.net.Transport` protocol (``send`` / ``close`` /
-``connected`` / ``node_id``), and the networked stack in
-:mod:`repro.net` reuses :class:`ReliableSender` as its only resend loop
-and :class:`DeduplicatingInbox` as its only dedup filter — the in-memory
-and TCP paths share one code path for the §V-D recipe.
+These primitives are transport-agnostic: the networked stack in
+:mod:`repro.net` allocates every ID with :class:`MessageFactory`, runs
+its one resend loop in :class:`repro.net.ReliableLink` and its one dedup
+filter on :class:`DeduplicatingInbox` — the in-memory, TCP and shm
+paths share one code path for the §V-D recipe, and
+:class:`repro.coordination.FaultPlan` drives the drops and duplicates
+that exercise it.
 """
 
 from __future__ import annotations
@@ -97,8 +96,8 @@ class MessageFactory:
     EPOCH_SHIFT = 20
 
     def __init__(self, epoch: "int | None" = None):
-        # 40 + 20 bits keeps every ID well inside int64, so both wire
-        # codecs (JSON, msgpack) carry it exactly.
+        # 40 + 20 bits keeps every ID well inside int64, so JSON and
+        # the lean frame header carry it exactly.
         self.epoch = secrets.randbits(40) if epoch is None else epoch
         self._ids = itertools.count((self.epoch << self.EPOCH_SHIFT) + 1)
 
@@ -106,12 +105,17 @@ class MessageFactory:
         self, msg_type: MessageType, sender: str, payload: dict,
         post: bool = False,
     ) -> Message:
-        """Create a new uniquely-identified message."""
+        """Create a new uniquely-identified message.
+
+        The message takes ``payload`` as it is, no copy: hand it a dict
+        nobody else mutates (:meth:`ReliableLink.request` hands it the
+        one copy it makes of its caller's).
+        """
         return Message(
             msg_id=next(self._ids),
             msg_type=msg_type,
             sender=sender,
-            payload=dict(payload),
+            payload=payload,
             post=post,
         )
 
@@ -145,98 +149,3 @@ class DeduplicatingInbox:
     def forget(self, key: typing.Hashable) -> None:
         """Evict one remembered key (bounded dedup windows need this)."""
         self._seen.discard(key)
-
-
-class FaultyChannel:
-    """A lossy in-memory channel with deterministic fault injection.
-
-    ``drop_every`` drops each n-th send (simulating loss so that the
-    sender's resend path runs); ``duplicate_every`` delivers each n-th
-    send twice (so the receiver's dedup path runs).
-
-    The channel satisfies the :class:`repro.net.Transport` protocol: it
-    carries a ``node_id``, reports ``connected``, and can be ``close``\\ d
-    (after which every send fails).  The TCP transport reuses this class
-    verbatim as its loss-injection stage, so both transports share one
-    drop/duplicate code path.
-    """
-
-    def __init__(
-        self,
-        deliver: typing.Callable[[Message], None],
-        drop_every: int = 0,
-        duplicate_every: int = 0,
-        node_id: str = "local",
-    ):
-        self._deliver = deliver
-        self.drop_every = drop_every
-        self.duplicate_every = duplicate_every
-        self.node_id = node_id
-        self.sent = 0
-        self.dropped = 0
-        self.duplicated = 0
-        self._closed = False
-
-    @property
-    def connected(self) -> bool:
-        """An in-memory channel is connected until closed."""
-        return not self._closed
-
-    def close(self) -> None:
-        """Tear the channel down; subsequent sends report failure."""
-        self._closed = True
-
-    def send(self, message: Message) -> bool:
-        """Send through the channel; returns False if the send was dropped."""
-        if self._closed:
-            return False
-        self.sent += 1
-        if self.drop_every and self.sent % self.drop_every == 0:
-            self.dropped += 1
-            return False
-        self._deliver(message)
-        if self.duplicate_every and self.sent % self.duplicate_every == 0:
-            self.duplicated += 1
-            self._deliver(message.duplicate())
-        return True
-
-
-class ReliableSender:
-    """Send-with-retry over a possibly lossy channel.
-
-    Mirrors the paper's timeout-resend: the caller supplies an
-    acknowledgement predicate; the sender retries (same message ID) until
-    acknowledged or the attempt budget is exhausted.  Every re-attempt is
-    counted in ``retries`` — including those of sends that ultimately
-    give up — and an optional backoff policy (duck-typed: anything with
-    ``wait(attempt)``, e.g. :class:`~repro.coordination.faults.
-    ExponentialBackoff`) spaces the resends out instead of hammering the
-    channel.
-    """
-
-    def __init__(
-        self,
-        channel: FaultyChannel,
-        max_attempts: int = 5,
-        backoff: "typing.Any | None" = None,
-    ):
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-        self.channel = channel
-        self.max_attempts = max_attempts
-        self.backoff = backoff
-        self.retries = 0
-
-    def send(
-        self, message: Message, acknowledged: typing.Callable[[], bool]
-    ) -> bool:
-        """Deliver ``message``, retrying until ``acknowledged()`` is true."""
-        for attempt in range(self.max_attempts):
-            if attempt > 0:
-                self.retries += 1
-                if self.backoff is not None:
-                    self.backoff.wait(attempt - 1)
-            self.channel.send(message)
-            if acknowledged():
-                return True
-        return False

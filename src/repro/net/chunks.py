@@ -125,11 +125,10 @@ class StateBlob:
     gives exactly that window.
     """
 
-    def __init__(self, buffers: "list[memoryview | bytes]", codec: str,
+    def __init__(self, buffers: "list[memoryview | bytes]",
                  chunk_bytes: int = DEFAULT_CHUNK_BYTES):
         if chunk_bytes < 1:
             raise ValueError("chunk_bytes must be positive")
-        self.codec = codec
         self.chunk_bytes = int(chunk_bytes)
         self._views = [_flat_view(buffer) for buffer in buffers]
         self._starts: "list[int]" = []
@@ -145,15 +144,15 @@ class StateBlob:
         self.digest = hasher.hexdigest()
 
     @classmethod
-    def encode(cls, state: dict, codec: str = "json",
+    def encode(cls, state: dict,
                chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> "StateBlob":
         """Encode a state dict into a blob without flattening it."""
         header_obj, segments = wire.split_buffers(state)
         header_obj = {"state": header_obj,
                       "__segs__": [seg.nbytes for seg in segments]}
-        header = wire.encode_frame(header_obj, codec)
+        header = wire.encode_frame(header_obj)
         buffers = [_LENGTH.pack(len(header)), header, *segments]
-        return cls(buffers, codec, chunk_bytes)
+        return cls(buffers, chunk_bytes)
 
     def chunk(self, seq: int) -> "memoryview | bytes":
         """Bytes of chunk ``seq`` — a view when it lies inside one
@@ -217,12 +216,11 @@ class StateBlob:
             "total_bytes": self.total_bytes,
             "total_chunks": self.total_chunks,
             "chunk_bytes": self.chunk_bytes,
-            "codec": self.codec,
             "digest": self.digest,
         }
 
 
-def decode_state_blob(data, codec: "str | None" = None) -> dict:
+def decode_state_blob(data) -> dict:
     """Decode a reassembled blob back into a state dict (zero-copy:
     arrays are ``np.frombuffer`` views over ``data``)."""
     view = _flat_view(data)
@@ -231,9 +229,7 @@ def decode_state_blob(data, codec: "str | None" = None) -> dict:
     (header_len,) = _LENGTH.unpack(view[:_LENGTH.size])
     if _LENGTH.size + header_len > view.nbytes:
         raise WireError("state blob header overruns the blob")
-    header = wire.decode_frame(
-        bytes(view[_LENGTH.size:_LENGTH.size + header_len]), codec or "json"
-    )
+    header = wire.decode_frame(view[_LENGTH.size:_LENGTH.size + header_len])
     seg_lens = header.get("__segs__")
     if not isinstance(seg_lens, list) or not all(
         isinstance(n, int) and n >= 0 for n in seg_lens
@@ -261,7 +257,7 @@ class ChunkAssembler:
     """
 
     def __init__(self, transfer_id: str, total_bytes: int, total_chunks: int,
-                 chunk_bytes: int, codec: str = "json",
+                 chunk_bytes: int,
                  clock: "typing.Callable[[], float]" = time.monotonic):
         total_bytes = int(total_bytes)
         total_chunks = int(total_chunks)
@@ -277,7 +273,6 @@ class ChunkAssembler:
         self.total_bytes = total_bytes
         self.total_chunks = total_chunks
         self.chunk_bytes = chunk_bytes
-        self.codec = codec
         self.buffer = bytearray(total_bytes)
         self.received: "set[int]" = set()
         self.duplicates = 0
@@ -374,7 +369,7 @@ class ChunkAssembler:
         return memoryview(self.buffer)
 
     def decode(self, digest: "str | None" = None) -> dict:
-        return decode_state_blob(self.finish(digest), self.codec)
+        return decode_state_blob(self.finish(digest))
 
 
 class ChunkStore:
@@ -441,7 +436,6 @@ class ChunkStore:
                 total_bytes=payload.get("total_bytes", -1),
                 total_chunks=payload.get("total_chunks", -1),
                 chunk_bytes=payload.get("chunk_bytes", 0),
-                codec=str(payload.get("codec", "json")),
                 clock=self._clock,
             )
             self._inflight[sender] = assembler
@@ -694,13 +688,12 @@ class ChunkedUploader:
     """
 
     def __init__(self, link: "ReliableLink", chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-                 window: int = 4, codec: str = "json",
+                 window: int = 4,
                  tracer: "Tracer | None" = None,
                  metrics: "MetricRegistry | None" = None):
         self.link = link
         self.chunk_bytes = int(chunk_bytes)
         self.window = max(1, int(window))
-        self.codec = codec
         self.tracer = tracer
         self.metrics = metrics
 
@@ -723,7 +716,7 @@ class ChunkedUploader:
         has no chunks, so resume is impossible but a clean restart is
         cheap and bounded.
         """
-        blob = StateBlob.encode(state, self.codec, self.chunk_bytes)
+        blob = StateBlob.encode(state, self.chunk_bytes)
         fixed_id = transfer_id is not None
         restarts = 0
         fenced = 0
@@ -865,7 +858,6 @@ class ChunkedFetcher:
             total_bytes=descriptor["total_bytes"],
             total_chunks=descriptor["total_chunks"],
             chunk_bytes=descriptor["chunk_bytes"],
-            codec=str(descriptor.get("codec", "json")),
         )
         deadline = time.monotonic() + self.timeout
         lock = threading.Lock()
@@ -985,8 +977,7 @@ class ShardedFetcher:
             return set()
         try:
             stale = StateBlob.encode(
-                stale_state, str(descriptor.get("codec", "json")),
-                int(descriptor["chunk_bytes"]),
+                stale_state, int(descriptor["chunk_bytes"])
             )
         except (WireError, ValueError, TypeError):
             return set()
@@ -1216,7 +1207,6 @@ class ShardedFetcher:
             total_bytes=descriptor["total_bytes"],
             total_chunks=descriptor["total_chunks"],
             chunk_bytes=descriptor["chunk_bytes"],
-            codec=str(descriptor.get("codec", "json")),
         )
         shards = [dict(shard) for shard in descriptor.get("shards", [])]
 

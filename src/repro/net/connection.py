@@ -2,9 +2,10 @@
 
 The "reconnecting sockets" third of §V-D's recipe, written once.
 :class:`Connection` is the client state machine (dial → hello/welcome →
-up → drop → backoff redial → closed) and owns the fault stage, the send
-lock, the traced redial with endpoint rotation, the reader's hand-off
-to ``on_reply`` and the optional heartbeat thread;
+up → drop → backoff redial → closed) and owns the one fault stage
+(:class:`TransportFaults`), the send lock, the traced redial with
+endpoint rotation, the reader's hand-off to ``on_reply`` and the
+optional heartbeat thread;
 :class:`ConnectionServer` owns the accept loop, the handshake, the
 dispatch-and-reply path and ``close``.  What differs per transport is a
 *pipe* (:class:`FramePipe`) and how to open it: a socket
@@ -23,7 +24,7 @@ import time
 import typing
 
 from ..coordination.faults import ExponentialBackoff, FaultPlan
-from ..coordination.messages import FaultyChannel, Message, MessageType
+from ..coordination.messages import Message, MessageType
 from . import wire
 from .wire import TRACE_CTX_KEY
 
@@ -50,14 +51,20 @@ _NO_FAULT = FaultAction()
 
 
 class TransportFaults:
-    """Stateful consumer of a :class:`FaultPlan`'s network faults.
+    """Stateful consumer of a :class:`FaultPlan`'s network faults: the
+    one fault stage between a connection and its pipe.
 
-    Drops and duplicates are *not* handled here — they go through the
-    shared :class:`FaultyChannel` stage so every transport inherits the
-    exact semantics the in-memory tests pinned down.  This class owns
-    the send-indexed faults a channel cannot express: added latency and
-    connection resets.
+    Two counters number the sends, so a schedule replays identically
+    on every pipe: delays and resets index *every* send
+    (:meth:`next_send`); drops and duplicates index only the sends that
+    reach the loss stage — not reset, redial done, link still open
+    (:meth:`copies`).
     """
+
+    #: Drop / duplicate each n-th send that reaches the loss stage
+    #: (0: never); :meth:`from_plan` takes them from the plan.
+    drop_every = 0
+    duplicate_every = 0
 
     def __init__(
         self,
@@ -69,13 +76,20 @@ class TransportFaults:
         self.sends = 0
         self.delays_injected = 0
         self.resets_injected = 0
+        #: Sends that reached the loss stage, and what it did to them.
+        self.arrived = 0
+        self.dropped = 0
+        self.duplicated = 0
 
     @classmethod
     def from_plan(cls, plan: "FaultPlan | None") -> "TransportFaults | None":
-        """The plan's latency/reset schedule (None if it has neither)."""
-        if plan is None or not (plan.net_delays or plan.connection_resets):
+        """The plan's network-fault schedule (None if it has none)."""
+        if plan is None or not plan.has_transport_faults:
             return None
-        return cls(delays=plan.net_delays, resets=plan.connection_resets)
+        faults = cls(delays=plan.net_delays, resets=plan.connection_resets)
+        faults.drop_every = plan.drop_every
+        faults.duplicate_every = plan.duplicate_every
+        return faults
 
     def next_send(self) -> FaultAction:
         """Advance the send counter and report this send's faults."""
@@ -87,6 +101,18 @@ class TransportFaults:
         if reset:
             self.resets_injected += 1
         return FaultAction(delay=delay, reset=reset)
+
+    def copies(self) -> int:
+        """Advance the loss counter: how many times this send is written
+        — 0 (dropped), 1, or 2 (duplicated)."""
+        self.arrived += 1
+        if self.drop_every and self.arrived % self.drop_every == 0:
+            self.dropped += 1
+            return 0
+        if self.duplicate_every and self.arrived % self.duplicate_every == 0:
+            self.duplicated += 1
+            return 2
+        return 1
 
 
 # -- the pipe seam -------------------------------------------------------------
@@ -101,59 +127,36 @@ class FramePipe:
     ``read()`` blocks for the next frame — a dict, or the ``Message``
     itself for a lean segment — None once the peer is gone (its arrays
     may alias the pipe's buffers until ``release()``; ``own(payload)``
-    makes a copy that outlives it); ``count(metrics, n)`` books ``n``
-    written bytes; ``close()`` wakes anyone blocked on the pipe and
-    frees it.  A subclass moves buffers: ``_put(buffers, total,
-    timeout)``.
+    makes it outlive that); ``count(metrics, n)`` books ``n`` written
+    bytes; ``close()`` wakes anyone blocked on the pipe and frees it.
+    A subclass moves buffers: ``_put(buffers, total, timeout)``.
     """
 
-    #: Whether frames keep ndarrays in place (binary data plane) or wrap
-    #: them in base64 envelopes.
-    raw = True
     #: Whether arrays in a frame just read alias memory the pipe reuses
     #: after ``release()`` (:attr:`Message.borrowed`).
     borrowed = True
 
-    def __init__(self, codec: str, node: str, lean: bool = False):
-        self.codec = codec
+    def __init__(self, node: str):
         #: The node the handshake's ``hello`` named: the client.  Lean
         #: frames carry no sender; both ends take it from here.
         self.node = node
-        #: Negotiated per connection, like ``raw``.
-        self.lean = lean
-        #: Frames that left as binary frames (header + raw segments),
-        #: and how many of those were lean.
-        self.binary_frames = 0
-        self.lean_frames = 0
-
-    @property
-    def lean_sender(self) -> "str | None":
-        """Whose lean frames ``read`` accepts (None: nobody's)."""
-        return self.node if self.lean else None
 
     def send(self, message: Message, timeout: float = WRITE_TIMEOUT) -> int:
-        """Client → server: one protocol message as a frame.
-
-        The one place a message becomes a frame, so the one place that
-        picks the form: a ring segment on a pipe that negotiated
-        ``lean`` is a lean frame if the lean header can say all of it,
-        and everything else is a ``msg`` frame.
-        """
-        if self.lean and message.msg_type is MessageType.RING_SEGMENT:
-            lean = wire.lean_segment_buffers(message, self.node, self.codec)
-            if lean is not None:
-                n = self._put(*lean, timeout)
-                self.binary_frames += 1
-                self.lean_frames += 1
-                return n
-        return self.write(wire.message_frame(message, raw=self.raw), timeout)
+        """Client → server: one protocol message as a frame — a lean
+        frame for a ring segment, a ``msg`` frame for anything else."""
+        if message.msg_type is MessageType.RING_SEGMENT:
+            return self._put(
+                *wire.lean_segment_buffers(message, self.node), timeout
+            )
+        return self.write(wire.message_frame(message), timeout)
 
     def write(self, frame: dict, timeout: float = WRITE_TIMEOUT) -> int:
-        buffers, total = wire.frame_buffers(frame, self.codec, self.raw)
-        n = self._put(buffers, total, timeout)
-        if len(buffers) > 1:
-            self.binary_frames += 1
-        return n
+        return self._put(*wire.frame_buffers(frame), timeout)
+
+    @staticmethod
+    def own(payload: dict) -> dict:
+        """``payload``, safe to keep after ``release()``."""
+        return payload
 
     def release(self) -> None:
         """The last ``read`` frame is no longer referenced."""
@@ -229,7 +232,7 @@ class Connection:
     write_timeout = WRITE_TIMEOUT
 
     def __init__(self, node_id: str, on_reply, endpoints: list,
-                 backoff: ExponentialBackoff, codec: str = "json",
+                 backoff: ExponentialBackoff,
                  fault_plan: "FaultPlan | None" = None, tracer=None,
                  metrics=None, max_reconnect_attempts: int = 8,
                  heartbeat_interval: "float | None" = None):
@@ -240,18 +243,10 @@ class Connection:
         self.endpoints = endpoints
         self._endpoint_index = 0
         self.endpoint_rotations = 0
-        # Never request a codec this process cannot decode: the server
-        # would agree to it and the two ends would silently speak
-        # different formats.
-        self.codec = wire.negotiate_codec(codec)
         self.tracer = tracer
         self.metrics = metrics
         self.bytes_sent = 0
         self.frames_sent = 0
-        #: Messages that left as binary frames, and the lean ones among
-        #: them (0 forever on a pipe without frames).
-        self.binary_frames_sent = 0
-        self.lean_frames_sent = 0
         self.reconnects = 0
         #: Posts written again on a new pipe because no reply had
         #: confirmed them on the old one.
@@ -268,15 +263,6 @@ class Connection:
         self._posts_lock = threading.Lock()
         self._on_reply = on_reply
         self._faults = TransportFaults.from_plan(fault_plan)
-        #: The shared loss/duplication stage — one FaultyChannel wrapping
-        #: the pipe write, so drop/duplicate schedules behave identically
-        #: on every transport.
-        self._channel = FaultyChannel(
-            deliver=self._write_message,
-            drop_every=fault_plan.drop_every if fault_plan else 0,
-            duplicate_every=fault_plan.duplicate_every if fault_plan else 0,
-            node_id=node_id,
-        )
         self._backoff = backoff
         self._max_reconnect_attempts = max_reconnect_attempts
         self._pipe: "typing.Any | None" = None
@@ -325,8 +311,8 @@ class Connection:
     def _handshake(self, sock: socket.socket, hello: dict) -> dict:
         """hello → welcome on a fresh socket (closed on any failure)."""
         try:
-            wire.write_frame(sock, hello, "json")
-            answer = wire.read_frame(sock, "json")
+            wire.write_frame(sock, hello)
+            answer = wire.read_frame(sock)
             if answer is None or answer.get("kind") == "reject":
                 reason = (answer or {}).get("reason", "connection closed")
                 raise wire.WireError(f"handshake rejected: {reason}")
@@ -337,7 +323,6 @@ class Connection:
         except BaseException:
             sock.close()
             raise
-        self.codec = answer.get("codec", self.codec)
         self.server_node = answer.get("node")
         if answer.get("epoch") is not None:
             self.server_epoch = int(answer["epoch"])
@@ -413,17 +398,19 @@ class Connection:
         """Tear the connection down for good."""
         self._closed.set()
         self._drop_connection()
-        self._channel.close()
 
     # -- sending ---------------------------------------------------------------
 
     def send(self, message: Message) -> bool:
         """One delivery attempt; False when the send is known-lost.
 
-        Resets from the fault schedule (and real pipe errors) kill the
-        connection along with the in-flight frame; the *next* send pays
-        the reconnect.  The reliability layer's timeout-resend turns
-        either case into a retransmission.
+        The fault stage first: a scheduled reset kills the connection
+        with the in-flight message, a delay holds it, a drop loses it, a
+        duplicate writes it twice.  A failed redial or a real pipe error
+        is a lost send too; the reliability layer's timeout-resend turns
+        any of them into a retransmission, and the next attempt pays the
+        reconnect.  A message no frame can carry raises
+        :class:`~repro.net.wire.WireError`: no resend would help.
         """
         if self._closed.is_set():
             return False
@@ -436,22 +423,26 @@ class Connection:
             try:
                 if self._pipe is None:
                     self._reconnect()
-                # An injected delay waits on the closed event, not the
-                # clock: closing the link mid-delay returns at once.
-                if action.delay and self._closed.wait(action.delay):
-                    return False
-                return self._channel.send(message)
             except (OSError, wire.WireError):
-                # The redial failed, or a real broken pipe / reset
-                # surfaced mid-write (_write_message already dropped the
-                # connection).  Report the send as lost so the
-                # reliability layer resends and the next attempt pays
-                # the reconnect — the same path a scheduled fault-plan
-                # reset takes.
                 return False
+            if action.delay:
+                # On the closed event, not the clock: closing the link
+                # mid-delay returns at once.
+                self._closed.wait(action.delay)
+            if self._closed.is_set():
+                return False
+            copies = faults.copies() if faults is not None else 1
+            try:
+                for _ in range(copies):
+                    self._write_message(message)
+            except wire.WireError:
+                raise  # (an OSError too) the message, not the pipe
+            except OSError:
+                return False  # _write_message dropped the connection
+            return copies > 0
 
     def _write_message(self, message: Message) -> None:
-        """The channel's deliver hook: hand to the pipe, or die trying."""
+        """Hand one message to the pipe, or die trying."""
         pipe = self._pipe
         if pipe is None:
             raise OSError("not connected")
@@ -464,14 +455,13 @@ class Connection:
                     self._marks.setdefault(
                         message.msg_id, (pipe, next(reversed(self._posted)))
                     )
-        binary, lean = pipe.binary_frames, pipe.lean_frames
         try:
             n = pipe.send(message, self.write_timeout)
+        except wire.WireError:
+            raise  # no frame can carry it; the pipe is fine
         except OSError:
             self._drop_connection(pipe)
             raise
-        self.binary_frames_sent += pipe.binary_frames - binary
-        self.lean_frames_sent += pipe.lean_frames - lean
         if message.post:
             with self._posts_lock:
                 self._posted.setdefault(message.msg_id, message)
@@ -569,13 +559,10 @@ class ConnectionServer:
     One thread per connection reads frames and runs the handler on it,
     so dedup and reply caching are identical to the in-memory path.
     Subclasses build the listener and implement ``_open_pipe(conn,
-    hello, handshake)``: the pipe a validated ``hello`` asks for
-    (WireError: reject).
+    hello, node)``: the pipe a validated ``hello`` from ``node`` asks
+    for (WireError: reject).
     """
 
-    #: Whether this server is willing to speak binary frames; each
-    #: connection uses them only if its client advertised ``bin``.
-    binary = True
     #: Extra ``net.accept`` tags naming the transport.
     _accept_tags: "dict[str, str]" = {}
 
@@ -615,25 +602,21 @@ class ConnectionServer:
         pipe = None
         try:
             try:
-                hello = wire.read_frame(conn, "json")
-                handshake = wire.check_handshake(hello, binary=self.binary)
-                pipe = self._open_pipe(conn, hello, handshake)
+                hello = wire.read_frame(conn)
+                node = wire.check_handshake(hello)
+                pipe = self._open_pipe(conn, hello, node)
             except wire.WireError as exc:
                 self.handshakes_rejected += 1
-                wire.write_frame(conn, wire.reject_frame(str(exc)), "json")
+                wire.write_frame(conn, wire.reject_frame(str(exc)))
                 return
-            welcome = wire.welcome_frame(
-                self.core.node_id, handshake.codec, binary=handshake.binary,
-                epoch=getattr(self.core, "epoch", None), lean=pipe.lean,
-            )
-            wire.write_frame(conn, welcome, "json")
+            wire.write_frame(conn, wire.welcome_frame(
+                self.core.node_id, epoch=getattr(self.core, "epoch", None)
+            ))
             self.connections_accepted += 1
             if self.tracer is not None:
                 self.tracer.instant(
                     "net.accept", track=self.core.node_id, cat="net",
-                    peer=handshake.node, codec=handshake.codec,
-                    binary=handshake.binary, lean=pipe.lean,
-                    **self._accept_tags,
+                    peer=node, **self._accept_tags,
                 )
             while True:
                 frame = pipe.read()
@@ -686,7 +669,7 @@ class ConnectionServer:
         # raises and ends the connection; the reply stays in the core's
         # cache for the retransmission to collect.
         n = pipe.write(wire.reply_frame(
-            self.core.node_id, message.msg_id, reply, raw=pipe.raw,
+            self.core.node_id, message.msg_id, reply,
             ctx=transmission_ctx(self.core, t_recv),
         ))
         self.bytes_sent += n

@@ -25,8 +25,8 @@ Two invariants make replay safe:
   can only lose un-replied work.
 
 Records are JSONL (one JSON object per line) with ndarray/bytes values
-riding the same base64 envelopes as the wire codec
-(:func:`repro.net.wire.encode_payload`), so a journal is both
+in base64 envelopes (:func:`repro.net.wire.encode_payload`; the wire
+itself carries arrays raw, in binary frames), so a journal is both
 human-greppable and able to hold a chunked snapshot blob verbatim.
 """
 

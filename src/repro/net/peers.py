@@ -20,8 +20,8 @@ A :class:`PeerHost` abstracts where peers live:
   :class:`~repro.net.tcp.TcpServer` on an ephemeral loopback port
   (the listener registry is :class:`SocketPeerHost`'s, shared with shm);
   addresses are ``tcp://host:port`` and connecting dials a
-  :func:`~repro.net.tcp.tcp_link` (binary frames negotiated, no
-  heartbeat thread — ring traffic is its own liveness signal).
+  :func:`~repro.net.tcp.tcp_link` (no heartbeat thread — ring traffic
+  is its own liveness signal).
 * :class:`~repro.net.shm.ShmPeerHost` — each ``serve`` starts a
   shared-memory ring-buffer server bootstrapped over a Unix socket;
   addresses are ``shm://<uds-path>`` and connecting to a ``tcp://``

@@ -33,8 +33,8 @@ class _Download:
     """
 
     __slots__ = (
-        "blob", "total_bytes", "total_chunks", "chunk_bytes", "codec",
-        "digest", "chunk_digests", "rounds", "progress", "shards",
+        "blob", "total_bytes", "total_chunks", "chunk_bytes", "digest",
+        "chunk_digests", "rounds", "progress", "shards",
     )
 
     def __init__(self, snapshot: dict, rounds: "dict[str, int]"):
@@ -42,7 +42,6 @@ class _Download:
         self.total_bytes = snapshot["total_bytes"]
         self.total_chunks = snapshot["total_chunks"]
         self.chunk_bytes = snapshot["chunk_bytes"]
-        self.codec = snapshot["codec"]
         self.digest = snapshot["digest"]
         self.chunk_digests = [
             _digest(self.chunk(seq)) for seq in range(self.total_chunks)
@@ -80,7 +79,6 @@ class _Download:
             "total_bytes": self.total_bytes,
             "total_chunks": self.total_chunks,
             "chunk_bytes": self.chunk_bytes,
-            "codec": self.codec,
             "digest": self.digest,
             "round": self.rounds[joiner],
         }
@@ -231,7 +229,6 @@ class ReplicationGate:
                 total_bytes=assembler.total_bytes,
                 total_chunks=assembler.total_chunks,
                 chunk_bytes=assembler.chunk_bytes,
-                codec=assembler.codec,
                 digest=_digest(assembler.buffer),
             )
             self.derive(planned=True)

@@ -24,7 +24,7 @@ doorbell doubles as the liveness signal.  Reliability is unchanged:
 :class:`~repro.net.transport.ServerCore` provide exactly-once, dedup
 and resend on top, and :class:`~repro.coordination.faults.FaultPlan`
 faults (drops, duplicates, delays, resets) inject through the same
-stages as TCP.
+fault stage as TCP.
 
 Crash cleanup: segments are registered with multiprocessing's resource
 tracker in *both* processes, so a SIGKILL'd worker's tracker unlinks
@@ -312,7 +312,15 @@ class ShmRing:
         self._buf = None
         try:
             self._shm.close()
-        except (OSError, BufferError):  # pragma: no cover - platform noise
+        except BufferError:
+            # A record view somebody still holds pins the mapping, and
+            # an mmap cannot be closed under an export.  Let go of it:
+            # the last view unmaps it.  Closed again, the segment only
+            # shuts its descriptor — nothing is left for its finaliser
+            # to fail at.
+            self._shm._mmap = None
+            self._shm.close()
+        except OSError:  # pragma: no cover - platform noise
             pass
         if unlink:
             # A successful unlink unregisters internally, consuming this
@@ -335,25 +343,15 @@ class ShmRing:
             _unregister_segment(self.name)
 
 
-# -- frame codec over a ring ---------------------------------------------------
-
-
-def shm_frame_buffers(frame: dict, codec: str = "json") -> "list":
-    """The buffer list one ring record carries for ``frame``.
-
-    :func:`wire.frame_buffers` verbatim: a binary frame (prefix +
-    header + raw segments), or one plain codec frame when array-free.
-    Either way the receiver parses it with :func:`decode_shm_frame`.
-    """
-    return wire.frame_buffers(frame, codec)[0]
+# -- frames over a ring ---------------------------------------------------------
 
 
 def decode_shm_frame(
-    view: memoryview, codec: str = "json", lean_sender: "str | None" = None
+    view: memoryview, lean_sender: "str | None" = None
 ) -> "dict | Message":
     """Parse one ring record back into a frame dict — or, for a lean
-    record on a pipe that negotiated it, the ``Message`` it carries
-    (:func:`wire.read_frame`'s contract).
+    record, the ``Message`` it carries (:func:`wire.read_frame`'s
+    contract).
 
     Array segments come back as ``np.frombuffer`` views **into the
     ring** — valid until the caller advances the ring, so handlers
@@ -367,13 +365,13 @@ def decode_shm_frame(
     if not length & wire.BINARY_FLAG:
         if body.nbytes != length:
             raise wire.WireError("shm record length mismatch")
-        return wire.decode_frame(bytes(body), codec)
+        return wire.decode_frame(body)
     header_len = length & wire._LEAN_HEAD_MASK
     if header_len > body.nbytes:
         raise wire.WireError("shm binary header overruns the record")
     if length & wire.LEAN_FLAG:
         if lean_sender is None:
-            raise wire.WireError("lean record on a pipe that negotiated none")
+            raise wire.WireError("lean record before the handshake")
         rest = body[header_len:]
 
         def body_of(nbytes: int) -> memoryview:
@@ -384,10 +382,9 @@ def decode_shm_frame(
             return rest
 
         return wire.parse_lean_segment(
-            body[:header_len], body_of, lean_sender, borrowed=True,
-            codec=codec,
+            body[:header_len], body_of, lean_sender, borrowed=True
         )
-    frame = wire.decode_frame(bytes(body[:header_len]), codec)
+    frame = wire.decode_frame(body[:header_len])
     seg_lens = frame.pop("__segs__", None)
     if not isinstance(seg_lens, list) or not all(
         isinstance(n, int) and n >= 0 for n in seg_lens
@@ -461,9 +458,8 @@ class ShmPipe(FramePipe):
     """
 
     def __init__(self, sock: socket.socket, in_ring: ShmRing,
-                 out_ring: ShmRing, codec: str, node: str,
-                 lean: bool = False):
-        super().__init__(codec, node, lean)
+                 out_ring: ShmRing, node: str):
+        super().__init__(node)
         self.sock = sock
         self.in_ring = in_ring
         self.out_ring = out_ring
@@ -480,7 +476,7 @@ class ShmPipe(FramePipe):
         while True:
             view = self.in_ring.read(timeout=0)
             if view is not None:
-                return decode_shm_frame(view, self.codec, self.lean_sender)
+                return decode_shm_frame(view, self.node)
             # A dead peer's in-flight records are still drained above
             # before the hangup ends the connection.
             if self.in_ring.closed or peer_gone:
@@ -516,7 +512,7 @@ class ShmTransport(Connection):
     """One shared-memory connection (satisfies ``Transport``).
 
     The shared :class:`~repro.net.connection.Connection` lifecycle over
-    a :class:`ShmPipe` — the same fault stages and drop-and-redial
+    a :class:`ShmPipe` — the same fault stage and drop-and-redial
     semantics as TCP (a reset, or the server's death seen on the
     doorbell, tears the segment pair down; the next send bootstraps a
     fresh pair over the UDS) — so a chaos schedule replays identically
@@ -530,7 +526,6 @@ class ShmTransport(Connection):
         path: str,
         node_id: str,
         on_reply: typing.Callable[[int, dict], None],
-        codec: str = "json",
         fault_plan: "FaultPlan | None" = None,
         backoff: "ExponentialBackoff | None" = None,
         tracer: "typing.Any | None" = None,
@@ -542,7 +537,7 @@ class ShmTransport(Connection):
         super().__init__(
             node_id, on_reply, endpoints=[path],
             backoff=backoff or ExponentialBackoff(base=0.005, max_delay=0.25),
-            codec=codec, fault_plan=fault_plan, tracer=tracer,
+            fault_plan=fault_plan, tracer=tracer,
             metrics=metrics, max_reconnect_attempts=max_reconnect_attempts,
         )
         self.path = path
@@ -557,19 +552,16 @@ class ShmTransport(Connection):
         try:
             sock.connect(path)
             rings = [ShmRing(capacity=self.capacity) for _ in range(2)]
-            hello = wire.hello_frame(self.node_id, self.codec, binary=True)
+            hello = wire.hello_frame(self.node_id)
             hello["shm"] = {"c2s": rings[0].name, "s2c": rings[1].name}
-            answer = self._handshake(sock, hello)
+            self._handshake(sock, hello)
             sock.settimeout(None)
         except BaseException:
             sock.close()
             for ring in rings:
                 ring.close(unlink=True)
             raise
-        return ShmPipe(
-            sock, rings[1], rings[0], self.codec, self.node_id,
-            lean=wire.lean_negotiated(answer, bool(answer.get("bin"))),
-        )
+        return ShmPipe(sock, rings[1], rings[0], self.node_id)
 
 
 class ShmServer(ConnectionServer):
@@ -598,7 +590,7 @@ class ShmServer(ConnectionServer):
         listener.listen(16)
         super().__init__(core, listener, tracer=tracer, metrics=metrics)
 
-    def _open_pipe(self, conn, hello, handshake) -> ShmPipe:
+    def _open_pipe(self, conn, hello, node) -> ShmPipe:
         names = hello.get("shm")
         if not isinstance(names, dict):
             raise wire.WireError("shm hello names no segments")
@@ -610,10 +602,7 @@ class ShmServer(ConnectionServer):
             for ring in rings:
                 ring.close(unlink=True)
             raise wire.WireError(f"bad shm bootstrap: {exc}") from exc
-        return ShmPipe(
-            conn, rings[0], rings[1], handshake.codec, handshake.node,
-            lean=wire.lean_negotiated(hello, handshake.binary),
-        )
+        return ShmPipe(conn, rings[0], rings[1], node)
 
     def _unlink_path(self) -> None:
         try:
@@ -632,7 +621,6 @@ def shm_link(
     fault_plan: "FaultPlan | None" = None,
     ack_timeout: float = 0.5,
     max_attempts: int = 10,
-    codec: str = "json",
     tracer: "typing.Any | None" = None,
     metrics: "typing.Any | None" = None,
     capacity: int = DEFAULT_SHM_CAPACITY,
@@ -644,7 +632,7 @@ def shm_link(
         tracer=tracer, metrics=metrics,
     )
     transport = ShmTransport(
-        path, node_id, on_reply=link.on_reply, codec=codec,
+        path, node_id, on_reply=link.on_reply,
         fault_plan=fault_plan, tracer=tracer, metrics=metrics,
         capacity=capacity, max_reconnect_attempts=max_reconnect_attempts,
     )

@@ -5,8 +5,8 @@ The connection lifecycle itself — dial, handshake, drop, backoff redial,
 fault injection, reader hand-off, accept loop, dispatch-and-reply — is
 :mod:`repro.net.connection`'s, shared with the shm and memory
 transports.  What is TCP's own lives here: :class:`SocketPipe` (frames
-over a stream socket), the client's dial + ``hello`` with the ``bin``
-offer, its list of candidate AM endpoints, and the keep-alive:
+over a stream socket), the client's dial + ``hello``, its list of
+candidate AM endpoints, and the keep-alive:
 :class:`TcpTransport` exchanges ``heartbeat``/``heartbeat_ack`` frames
 on an idle link so half-dead connections are noticed before a request
 needs them.  :class:`TcpServer` is the shared server on an ``AF_INET``
@@ -40,25 +40,20 @@ class SocketPipe(FramePipe):
     #: Every frame body is read into a buffer of its own.
     borrowed = False
 
-    def __init__(self, sock: socket.socket, codec: str, binary: bool,
-                 node: str, lean: bool = False):
-        super().__init__(codec, node, lean)
+    def __init__(self, sock: socket.socket, node: str):
+        super().__init__(node)
         # Every frame leaves in one ``sendmsg``/``sendall``, so Nagle has
         # nothing to coalesce — but two requests overlapping on one link
         # stall ≈ 40 ms on Nagle × delayed ACK without this.
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.sock = sock
-        #: Negotiated per connection (AND of both sides' ``bin``).
-        self.raw = binary
 
     def _put(self, buffers: list, total: int, timeout: float) -> int:
         wire.sendmsg_gather(self.sock, buffers, timeout)
         return total
 
     def read(self) -> "dict | Message | None":
-        return wire.read_frame(self.sock, self.codec, self.lean_sender)
-
-    own = staticmethod(wire.decode_payload)
+        return wire.read_frame(self.sock, self.node)
 
     @staticmethod
     def count(metrics, nbytes: int) -> None:
@@ -77,14 +72,12 @@ class TcpTransport(Connection):
         port: int,
         node_id: str,
         on_reply: typing.Callable[[int, dict], None],
-        codec: str = "json",
         fault_plan: "FaultPlan | None" = None,
         backoff: "ExponentialBackoff | None" = None,
         tracer: "typing.Any | None" = None,
         heartbeat_interval: "float | None" = HEARTBEAT_INTERVAL,
         connect_timeout: float = 5.0,
         max_reconnect_attempts: int = 8,
-        binary: bool = True,
         metrics: "typing.Any | None" = None,
         endpoints: "typing.Sequence[tuple[str, int]] | None" = None,
     ):
@@ -95,15 +88,10 @@ class TcpTransport(Connection):
                 if endpoints else [(host, port)]
             ),
             backoff=backoff or ExponentialBackoff(base=0.005, max_delay=0.25),
-            codec=codec, fault_plan=fault_plan, tracer=tracer,
+            fault_plan=fault_plan, tracer=tracer,
             metrics=metrics, max_reconnect_attempts=max_reconnect_attempts,
             heartbeat_interval=heartbeat_interval,
         )
-        #: Whether this side is willing to speak binary frames; the
-        #: per-connection decision lands in :attr:`binary` after the
-        #: handshake (AND of both sides).
-        self._binary_wanted = binary
-        self.binary = False
         self.host, self.port = self.endpoints[0]
         self._connect_timeout = connect_timeout
         self._heartbeat_seq = 0
@@ -119,18 +107,9 @@ class TcpTransport(Connection):
         )
         # The dial's timeout covers the handshake too: a peer that
         # accepts and never answers must not park the dialler.
-        answer = self._handshake(
-            sock,
-            wire.hello_frame(
-                self.node_id, self.codec, binary=self._binary_wanted
-            ),
-        )
+        self._handshake(sock, wire.hello_frame(self.node_id))
         sock.settimeout(None)
-        self.binary = self._binary_wanted and bool(answer.get("bin"))
-        return SocketPipe(
-            sock, self.codec, self.binary, self.node_id,
-            lean=wire.lean_negotiated(answer, self.binary),
-        )
+        return SocketPipe(sock, self.node_id)
 
     # -- keep-alive ------------------------------------------------------------
 
@@ -171,7 +150,6 @@ class TcpServer(ConnectionServer):
         host: str = "127.0.0.1",
         port: int = 0,
         tracer: "typing.Any | None" = None,
-        binary: bool = True,
         metrics: "typing.Any | None" = None,
     ):
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -179,7 +157,6 @@ class TcpServer(ConnectionServer):
         listener.bind((host, port))
         listener.listen(64)
         super().__init__(core, listener, tracer=tracer, metrics=metrics)
-        self.binary = binary
         self.host, self.port = listener.getsockname()[:2]
 
     @property
@@ -187,11 +164,8 @@ class TcpServer(ConnectionServer):
         """The (host, port) the server is listening on."""
         return self.host, self.port
 
-    def _open_pipe(self, conn, hello, handshake) -> SocketPipe:
-        return SocketPipe(
-            conn, handshake.codec, handshake.binary, handshake.node,
-            lean=wire.lean_negotiated(hello, handshake.binary),
-        )
+    def _open_pipe(self, conn, hello, node) -> SocketPipe:
+        return SocketPipe(conn, node)
 
 
 def reserve_port(host: str = "127.0.0.1") -> "tuple[socket.socket, int]":
@@ -216,10 +190,8 @@ def tcp_link(
     fault_plan: "FaultPlan | None" = None,
     ack_timeout: float = 1.0,
     max_attempts: int = 10,
-    codec: str = "json",
     tracer: "typing.Any | None" = None,
     heartbeat_interval: "float | None" = HEARTBEAT_INTERVAL,
-    binary: bool = True,
     metrics: "typing.Any | None" = None,
     endpoints: "typing.Sequence[tuple[str, int]] | None" = None,
     connect_attempts: int = 1,
@@ -239,10 +211,9 @@ def tcp_link(
         tracer=tracer, metrics=metrics,
     )
     transport = TcpTransport(
-        host, port, node_id, on_reply=link.on_reply, codec=codec,
+        host, port, node_id, on_reply=link.on_reply,
         fault_plan=fault_plan, tracer=tracer,
-        heartbeat_interval=heartbeat_interval, binary=binary,
-        metrics=metrics, endpoints=endpoints,
+        heartbeat_interval=heartbeat_interval, metrics=metrics, endpoints=endpoints,
         max_reconnect_attempts=max_reconnect_attempts,
     )
     transport.dial(connect_attempts)

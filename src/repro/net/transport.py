@@ -5,9 +5,8 @@ dedup, sender timeout-resend — is transport-independent, so this module
 pins it to a small :class:`Transport` protocol and implements the recipe
 *once*:
 
-* :class:`ReliableLink` is the only resend loop (it drives
-  :class:`~repro.coordination.messages.ReliableSender`), used unchanged
-  over the in-memory transport and over TCP;
+* :class:`ReliableLink` is the only resend loop, used unchanged over
+  the in-memory, TCP and shm transports;
 * :class:`ServerCore` is the only dedup filter (it drives
   :class:`~repro.coordination.messages.DeduplicatingInbox` keyed by
   ``(sender, msg_id)``) and caches each reply so a retransmission is
@@ -36,7 +35,6 @@ from ..coordination.messages import (
     Message,
     MessageFactory,
     MessageType,
-    ReliableSender,
 )
 from ..observability.fleet import ClockSync
 from .connection import (
@@ -81,9 +79,8 @@ class RequestTimeout(TimeoutError):
 class Transport(typing.Protocol):
     """What a control-plane transport must offer.
 
-    Both :class:`~repro.coordination.messages.FaultyChannel` (the
-    in-memory channel) and :class:`repro.net.tcp.TcpTransport` satisfy
-    this structurally: fire-and-forget ``send`` of one
+    Every :class:`~repro.net.connection.Connection` (memory, TCP, shm)
+    satisfies this structurally: fire-and-forget ``send`` of one
     :class:`~repro.coordination.messages.Message` (False = known-lost;
     True promises nothing — acknowledgement is the reliability layer's
     job), a liveness flag, and teardown.
@@ -123,9 +120,12 @@ class ReliableLink:
 
     Every request is a uniquely-identified
     :class:`~repro.coordination.messages.Message`; retransmissions reuse
-    the ID (so the server can dedup), and the retry loop itself is the
-    existing :class:`ReliableSender` — acknowledgement means "the reply
-    for this msg_id arrived within ``ack_timeout``".
+    the ID (so the server can dedup).  :meth:`_deliver` is the one
+    resend loop: a request is acknowledged by its reply arriving within
+    ``ack_timeout``, a post by the transport taking it; every
+    re-attempt is counted in :attr:`resends` — abandoned sends' too —
+    and spaced by ``backoff`` (anything with ``wait(attempt)``) when
+    one is given.
     """
 
     def __init__(
@@ -138,19 +138,20 @@ class ReliableLink:
         tracer: "typing.Any | None" = None,
         metrics: "typing.Any | None" = None,
     ):
+        if max_attempts < 1:
+            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         self.node_id = node_id
         self.transport = transport
         self.ack_timeout = ack_timeout
+        self.max_attempts = max_attempts
+        self.backoff = backoff
         self.tracer = tracer
         self.metrics = metrics
+        #: Retransmissions performed, including those of abandoned sends.
+        self.resends = 0
         self._factory = MessageFactory()
         self._slots: "dict[int, _ReplySlot]" = {}
         self._slots_lock = threading.Lock()
-        self._sender = ReliableSender(
-            channel=_LinkChannel(self),
-            max_attempts=max_attempts,
-            backoff=backoff,
-        )
         #: extra trace-context fields stamped on every request (the
         #: worker agent fills in the job id once it learns it).
         self.trace_context: "dict[str, typing.Any]" = {}
@@ -200,13 +201,6 @@ class ReliableLink:
                 best_offset=self.clock_sync.offset,
             )
 
-    # -- stats -----------------------------------------------------------------
-
-    @property
-    def resends(self) -> int:
-        """Total retransmissions performed (shared resend counter)."""
-        return self._sender.retries
-
     # -- the request path ------------------------------------------------------
 
     def request(
@@ -227,8 +221,8 @@ class ReliableLink:
             self._slots[message.msg_id] = slot
         timeout = self.ack_timeout if ack_timeout is None else ack_timeout
         try:
-            delivered = self._sender.send(
-                message, acknowledged=lambda: slot.event.wait(timeout)
+            delivered = self._deliver(
+                message, lambda _taken: slot.event.wait(timeout)
             )
         finally:
             with self._slots_lock:
@@ -262,10 +256,9 @@ class ReliableLink:
         with a request, both to *know* and to let them go.
         """
         message = self._stamp(msg_type, payload, post=True)
-        channel = self._sender.channel
         if self.metrics is not None:
             self.metrics.counter("net.posts").inc()
-        if not self._sender.send(message, acknowledged=channel.taken):
+        if not self._deliver(message, lambda taken: taken):
             raise RequestTimeout(
                 f"{msg_type.value} post {message.msg_id} from "
                 f"{self.node_id!r} exhausted its resend budget"
@@ -275,7 +268,8 @@ class ReliableLink:
         self, msg_type: MessageType, payload: "dict | None",
         post: bool = False,
     ) -> Message:
-        """A fresh message carrying this link's trace context."""
+        """A fresh message carrying this link's trace context — in the
+        one copy of the caller's payload, which is never mutated."""
         if self.transport is None:
             raise TransportClosed("link has no transport attached")
         stamped = dict(payload or {})
@@ -287,56 +281,49 @@ class ReliableLink:
         )
         return self._factory.make(msg_type, self.node_id, stamped, post)
 
-    def close(self) -> None:
-        """Close the underlying transport."""
-        if self.transport is not None:
-            self.transport.close()
+    def _deliver(
+        self, message: Message, acknowledged: "typing.Callable[[bool], bool]"
+    ) -> bool:
+        """Transmit ``message`` until ``acknowledged(taken)`` — ``taken``
+        being whether the transport took that transmission — or the
+        attempt budget runs out."""
+        for attempt in range(self.max_attempts):
+            if attempt:
+                self.resends += 1
+                if self.backoff is not None:
+                    self.backoff.wait(attempt - 1)
+            if acknowledged(self._transmit(message)):
+                return True
+        return False
 
-
-class _LinkChannel:
-    """Adapter presenting a :class:`Transport` to ReliableSender.
-
-    ReliableSender only calls ``channel.send(message)``; this shim adds
-    the per-send trace instant so both transports' sends land in the
-    observability taxonomy uniformly.
-    """
-
-    def __init__(self, link: ReliableLink):
-        self._link = link
-        #: per thread: did the transport take this thread's latest send?
-        self._last = threading.local()
-
-    def taken(self) -> bool:
-        """A post's acknowledgement: its last transmission was not lost."""
-        return getattr(self._last, "delivered", False)
-
-    def send(self, message: Message) -> bool:
-        transport = self._link.transport
-        if transport is None:
-            self._last.delivered = False
-            return False
+    def _transmit(self, message: Message) -> bool:
+        """One transmission, traced as ``net.send``; True if taken."""
         if not message.post:
             # Timestamp every transmission (resends overwrite): the
             # reply's clock sample wants the t0 of the send that
             # produced it, and the latest send is the best estimate.
-            self._link._send_times[message.msg_id] = time.perf_counter()
-        delivered = self._last.delivered = transport.send(message)
-        tracer, metrics = self._link.tracer, self._link.metrics
-        if tracer is None and metrics is None:
+            self._send_times[message.msg_id] = time.perf_counter()
+        delivered = self.transport.send(message)
+        if self.tracer is None and self.metrics is None:
             return delivered
         nbytes = payload_nbytes(message.payload)
-        if tracer is not None:
-            tracer.instant(
-                "net.send", track=self._link.node_id, cat="net",
+        if self.tracer is not None:
+            self.tracer.instant(
+                "net.send", track=self.node_id, cat="net",
                 type=message.msg_type.value, msg_id=message.msg_id,
                 delivered=delivered, payload_bytes=nbytes,
                 **({"post": True} if message.post else {}),
             )
-        if metrics is not None:
-            metrics.counter("net.sends").inc()
+        if self.metrics is not None:
+            self.metrics.counter("net.sends").inc()
             if nbytes:
-                metrics.counter("net.payload_bytes_sent").inc(nbytes)
+                self.metrics.counter("net.payload_bytes_sent").inc(nbytes)
         return delivered
+
+    def close(self) -> None:
+        """Close the underlying transport."""
+        if self.transport is not None:
+            self.transport.close()
 
 
 # -- server side: the single dedup code path ----------------------------------
@@ -513,9 +500,6 @@ class DirectPipe:
     buffers, ``borrowed`` as constructed.
     """
 
-    #: No frames, so none of either form ever leaves.
-    binary_frames = lean_frames = 0
-
     def __init__(self, server: "ServerCore", deliver_reply):
         self.server = server
         self._deliver_reply = deliver_reply
@@ -540,7 +524,7 @@ class InMemoryTransport(Connection):
     """A :class:`Transport` that dispatches straight into a ServerCore.
 
     The shared :class:`~repro.net.connection.Connection` lifecycle over
-    a :class:`DirectPipe`: the same loss/duplication stage, injected
+    a :class:`DirectPipe`: the same fault stage — drops, duplicates, injected
     latency and connection resets as a real socket.  A reset drops the
     in-flight message with the "connection"; the next send pays the
     reconnect (counted, traced as ``net.reconnect``) and then proceeds,
@@ -595,7 +579,6 @@ class InMemoryTransport(Connection):
         # has to be released under it.
         self._closed.set()
         self._pipe = None
-        self._channel.close()
 
     def redirect(self, server: ServerCore) -> None:
         """Point this transport at a successor server (AM failover).

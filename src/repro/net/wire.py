@@ -1,38 +1,34 @@
-"""Wire format: framing, codecs, binary data plane, and the handshake.
+"""Wire format: framing, the binary data plane, lean segments, the handshake.
 
 Everything that crosses a process boundary goes through this module, so
 the format is documented once (docs/PROTOCOL.md, "Wire format") and the
 in-memory transport never needs it — which is exactly the point of the
-:class:`repro.net.Transport` seam.
+:class:`repro.net.Transport` seam.  Nothing here is negotiated: the
+format is a fact of :data:`PROTOCOL_VERSION`.
 
 * **Framing** — length-prefixed: a 4-byte big-endian unsigned length
   followed by that many payload bytes.  Frames are self-delimiting, so a
   reader never depends on TCP segmentation.
-* **Codec** — JSON by default (always available); msgpack when the
-  optional ``msgpack`` package is importable.  The codec is negotiated
-  in the handshake, and ndarray values ride inside either codec as
-  ``{"__nd__": ...}`` envelopes (raw bytes, base64 under JSON).
-* **Binary frames** — the data plane.  When both peers negotiate the
-  ``bin`` feature, any frame whose payload holds ndarrays or raw bytes
-  is written as a small codec-encoded *header* followed by the raw
+* **Plain frames** — one JSON object, for every frame that holds no
+  ndarray or raw bytes (handshake, heartbeats, most replies).
+* **Binary frames** — the data plane.  A frame whose payload holds
+  ndarrays or raw bytes is a small JSON *header* followed by the raw
   array segments: the length prefix carries :data:`BINARY_FLAG` in its
   top bit, segments are contiguous ``memoryview``\\ s written with
   scatter/gather IO, and the reader rebuilds arrays with
-  ``np.frombuffer`` over one receive buffer — no base64, no
-  intermediate copies.
-* **Lean frames** — a ``RING_SEGMENT`` is a fixed shape, so on a pipe
-  that negotiated ``lean`` it travels as one ``struct`` (ids, the trace
-  context's two numbers, the ring key, a dtype/count record per flat
-  array), an opaque codec-meta tail, then the raw arrays:
+  ``np.frombuffer`` over one receive buffer — no intermediate copies.
+* **Lean frames** — a ``RING_SEGMENT`` is a fixed shape, so on a framed
+  pipe it always travels as one ``struct`` (ids, the trace context's two
+  numbers, the ring key, a dtype/count record per flat array), an
+  opaque JSON codec-meta tail, then the raw arrays:
   :func:`lean_segment_buffers` / :func:`parse_lean_segment`, shared by
-  the socket and shm pipes.  No JSON, no payload walk.
+  the socket and shm pipes.  No payload walk; a segment the header
+  cannot say is a :class:`WireError` at the sender.
 * **Handshake** — the first frame on a connection must be ``hello``
-  carrying the protocol version, the node id, the requested codec, and
-  the data-plane feature flag; the server answers ``welcome`` (echoing
-  what it negotiated) or ``reject`` and closes.  A version mismatch is
-  a hard reject: silent cross-version traffic is how elastic clusters
-  corrupt jobs.  A peer that does not advertise ``bin`` simply keeps
-  receiving base64 envelopes — the feature degrades, it never rejects.
+  carrying the protocol version and the node id; the server answers
+  ``welcome`` or ``reject`` and closes.  A version mismatch is a hard
+  reject: silent cross-version traffic is how elastic clusters corrupt
+  jobs.
 """
 
 from __future__ import annotations
@@ -52,16 +48,11 @@ import numpy as np
 
 from ..coordination.messages import Message, MessageType
 
-try:  # optional accelerated codec; the wire works without it
-    import msgpack  # type: ignore
-except ImportError:  # pragma: no cover - exercised where msgpack exists
-    msgpack = None
-
 #: Protocol version carried by every handshake.  Bump on any
-#: *incompatible* change; the binary data plane is feature-negotiated
-#: (``bin`` in the handshake), so version 1 peers interoperate whether
-#: or not they speak it.
-PROTOCOL_VERSION = 1
+#: *incompatible* change.  Version 2 fixed the frame format: JSON
+#: headers, binary frames for arrays, lean ring segments — a version-1
+#: peer, which negotiated them, is rejected.
+PROTOCOL_VERSION = 2
 
 #: Hard upper bound on one frame's payload, a corruption guard: a bogus
 #: length prefix must fail loudly, not allocate gigabytes.
@@ -97,23 +88,6 @@ _LENGTH = struct.Struct(">I")
 
 class WireError(ConnectionError):
     """Framing or handshake violation; the connection must be dropped."""
-
-
-def available_codecs() -> "tuple[str, ...]":
-    """Codecs this process can encode/decode, preferred first."""
-    return ("msgpack", "json") if msgpack is not None else ("json",)
-
-
-def negotiate_codec(requested: str) -> str:
-    """Clamp a requested codec to what this process can actually speak.
-
-    The server calls this to answer a ``hello``; the client calls it
-    before *sending* one, so it never requests a codec it cannot
-    decode.  Falls back to JSON when the requested codec is unknown or
-    not importable here — JSON is the mandatory baseline both sides
-    have.
-    """
-    return requested if requested in available_codecs() else "json"
 
 
 # -- buffer views -------------------------------------------------------------
@@ -163,11 +137,12 @@ def payload_nbytes(obj) -> int:
     return 0
 
 
-# -- value envelopes (codec fallback: arrays as base64) -----------------------
+# -- value envelopes (the journal's arrays as base64) -------------------------
 
 
-def _pack_arrays(obj):
-    """Recursively wrap ndarrays / raw bytes in a codec-safe envelope."""
+def encode_payload(obj):
+    """Wrap ndarrays / raw bytes in JSON-safe base64 envelopes, and
+    numpy scalars as plain numbers (the journal's record format)."""
     if isinstance(obj, np.ndarray):
         return {
             "__nd__": base64.b64encode(_array_view(obj)).decode("ascii"),
@@ -179,14 +154,14 @@ def _pack_arrays(obj):
     if isinstance(obj, np.generic):
         return obj.item()
     if isinstance(obj, dict):
-        return {key: _pack_arrays(value) for key, value in obj.items()}
+        return {key: encode_payload(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_pack_arrays(item) for item in obj]
+        return [encode_payload(item) for item in obj]
     return obj
 
 
-def _unpack_arrays(obj):
-    """Inverse of :func:`_pack_arrays`."""
+def decode_payload(obj):
+    """Inverse of :func:`encode_payload`."""
     if isinstance(obj, dict):
         if "__nd__" in obj:
             raw = base64.b64decode(obj["__nd__"])
@@ -195,20 +170,10 @@ def _unpack_arrays(obj):
             ).copy()
         if "__bytes__" in obj:
             return base64.b64decode(obj["__bytes__"])
-        return {key: _unpack_arrays(value) for key, value in obj.items()}
+        return {key: decode_payload(value) for key, value in obj.items()}
     if isinstance(obj, list):
-        return [_unpack_arrays(item) for item in obj]
+        return [decode_payload(item) for item in obj]
     return obj
-
-
-def encode_payload(payload: dict) -> dict:
-    """Make an arbitrary payload (possibly holding ndarrays) codec-safe."""
-    return _pack_arrays(payload)
-
-
-def decode_payload(payload: dict) -> dict:
-    """Restore ndarrays inside a decoded payload."""
-    return _unpack_arrays(payload)
 
 
 def params_digest(params: "dict[str, np.ndarray]") -> str:
@@ -272,8 +237,8 @@ def split_buffers(
 ) -> "tuple[typing.Any, list[memoryview]]":
     """Replace ndarray / raw-bytes values with segment placeholders.
 
-    Returns ``(codec_safe_obj, segments)``: the transformed object can
-    be encoded by any codec, and each segment is a contiguous byte view
+    Returns ``(json_safe_obj, segments)``: the transformed object can
+    be encoded as JSON, and each segment is a contiguous byte view
     of the *original* data — the zero-copy half of a binary frame (and
     of a state blob).  Non-contiguous arrays are the one exception:
     they are compacted first, one bounded copy.
@@ -335,32 +300,28 @@ def join_buffers(obj, segments: "typing.Sequence[memoryview]"):
     return obj
 
 
-# -- codecs -------------------------------------------------------------------
+# -- JSON ---------------------------------------------------------------------
 
 
-def encode_frame(frame: dict, codec: str = "json") -> bytes:
-    """Serialize one frame dict to payload bytes."""
-    if codec == "msgpack" and msgpack is not None:
-        return msgpack.packb(frame, use_bin_type=True)
+def encode_frame(frame: dict) -> bytes:
+    """Serialize one array-free frame dict to JSON bytes."""
     return json.dumps(frame, separators=(",", ":")).encode("utf-8")
 
 
-def decode_frame(data: "bytes | bytearray", codec: str = "json") -> dict:
-    """Deserialize payload bytes back to a frame dict.
+def decode_frame(data: "bytes | bytearray") -> dict:
+    """Deserialize JSON bytes back to a frame dict.
 
-    Any decode failure — corrupt bytes, a codec mismatch, a payload
-    that is not a dict — raises :class:`WireError`, so read loops
-    handle corruption through the same drop-and-reconnect path as
-    framing violations instead of dying on a codec exception.
+    Any decode failure — bytes that are not UTF-8 or not JSON, JSON
+    nested deeper than the decoder recurses, a payload that is not a
+    dict — raises :class:`WireError`, so read loops handle corruption
+    through the same drop-and-reconnect path as framing violations
+    instead of dying on a decoder exception.
     """
     try:
-        if codec == "msgpack" and msgpack is not None:
-            frame = msgpack.unpackb(data, raw=False)
-        else:
-            frame = json.loads(bytes(data).decode("utf-8"))
-    except Exception as exc:
+        frame = json.loads(bytes(data).decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
         raise WireError(
-            f"undecodable {codec} frame: {type(exc).__name__}: {exc}"
+            f"undecodable frame: {type(exc).__name__}: {exc}"
         ) from exc
     if not isinstance(frame, dict):
         raise WireError(
@@ -370,17 +331,6 @@ def decode_frame(data: "bytes | bytearray", codec: str = "json") -> dict:
 
 
 # -- framing ------------------------------------------------------------------
-
-
-def frame_bytes(frame: dict, codec: str = "json") -> bytes:
-    """One length-prefixed codec frame, ready for ``sendall``."""
-    return _prefixed(encode_frame(frame, codec))
-
-
-def _prefixed(payload: bytes) -> bytes:
-    if len(payload) > MAX_FRAME_BYTES:
-        raise WireError(f"frame of {len(payload)} bytes exceeds the maximum")
-    return _LENGTH.pack(len(payload)) + payload
 
 
 def _json_header(frame: dict) -> "tuple[bytes, list[memoryview]]":
@@ -411,52 +361,33 @@ def _json_header(frame: dict) -> "tuple[bytes, list[memoryview]]":
     return header.encode("utf-8"), segments
 
 
-def _msgpack_header(frame: dict) -> "tuple[bytes, list[memoryview]]":
-    """The msgpack twin of :func:`_json_header`, by explicit walk:
-    msgpack packs ``bytes`` natively, so a hook would never see them."""
-    header_obj, segments = split_buffers(frame)
-    if segments:
-        header_obj["__segs__"] = [segment.nbytes for segment in segments]
-    return encode_frame(header_obj, "msgpack"), segments
-
-
-def frame_buffers(
-    frame: dict, codec: str = "json", binary: bool = True
-) -> "tuple[list, int]":
+def frame_buffers(frame: dict) -> "tuple[list, int]":
     """The buffers one frame leaves as, and their total byte count.
 
-    With ``binary`` a frame holding ndarrays or raw bytes is a binary
-    frame (flagged prefix, header, raw segments); every other frame —
-    and every frame without ``binary`` — is one plain codec frame, both
-    smaller and cheaper when there is nothing to scatter.
+    A frame holding ndarrays or raw bytes is a binary frame (flagged
+    prefix, JSON header, raw segments); any other frame is one plain
+    JSON frame, both smaller and cheaper when there is nothing to
+    scatter.
     """
-    if not binary:
-        data = frame_bytes(frame, codec)
-        return [data], len(data)
-    if codec == "msgpack" and msgpack is not None:
-        header, segments = _msgpack_header(frame)
-    else:
-        header, segments = _json_header(frame)
-    if not segments:
-        data = _prefixed(header)
-        return [data], len(data)
+    header, segments = _json_header(frame)
     total = len(header) + sum(segment.nbytes for segment in segments)
     if total > MAX_FRAME_BYTES:
         raise WireError(f"frame of {total} bytes exceeds the maximum")
+    if not segments:
+        data = _LENGTH.pack(total) + header
+        return [data], len(data)
     prefix = _LENGTH.pack(BINARY_FLAG | len(header))
     return [prefix, header, *segments], _LENGTH.size + total
 
 
-def binary_frame_buffers(
-    frame: dict, codec: str = "json"
-) -> "tuple[list | None, int]":
+def binary_frame_buffers(frame: dict) -> "tuple[list | None, int]":
     """Scatter/gather buffer list for one binary frame.
 
     Returns ``(buffers, total_bytes)``; ``buffers`` is None when the
-    frame holds no arrays or raw bytes — a plain codec frame is both
-    smaller and cheaper then (:func:`frame_buffers` picks for you).
+    frame holds no arrays or raw bytes — a plain frame is both smaller
+    and cheaper then (:func:`frame_buffers` picks for you).
     """
-    buffers, total = frame_buffers(frame, codec)
+    buffers, total = frame_buffers(frame)
     if len(buffers) == 1:
         return None, 0
     return buffers, total
@@ -561,11 +492,9 @@ def _recv_head(sock: socket.socket, head_len: int) -> bytearray:
     return head
 
 
-def _read_binary_frame(
-    sock: socket.socket, header_len: int, codec: str
-) -> dict:
+def _read_binary_frame(sock: socket.socket, header_len: int) -> dict:
     """Read the remainder of a binary frame after its flagged prefix."""
-    frame = decode_frame(_recv_head(sock, header_len), codec)
+    frame = decode_frame(_recv_head(sock, header_len))
     seg_lens = frame.pop("__segs__", None)
     if not isinstance(seg_lens, list) or not all(
         isinstance(n, int) and n >= 0 for n in seg_lens
@@ -583,16 +512,14 @@ def _read_binary_frame(
 
 
 def read_frame(
-    sock: socket.socket, codec: str = "json",
-    lean_sender: "str | None" = None,
+    sock: socket.socket, lean_sender: "str | None" = None
 ) -> "dict | Message | None":
     """Read one frame from a socket; None on clean EOF.
 
-    A codec or binary frame comes back as its dict.  A lean frame comes
+    A plain or binary frame comes back as its dict.  A lean frame comes
     back as the :class:`Message` it carries, sent by ``lean_sender`` —
-    the node the connection's handshake named; without one (the pipe
-    negotiated no ``lean``, or this is the handshake itself) a lean
-    frame is a violation.
+    the node the connection's handshake named; without one (the
+    handshake itself) a lean frame is a violation.
     """
     header = _recv_exact(sock, _LENGTH.size)
     if header is None:
@@ -600,36 +527,25 @@ def read_frame(
     (length,) = _LENGTH.unpack(header)
     if length & BINARY_FLAG:
         if not length & LEAN_FLAG:
-            return _read_binary_frame(sock, length & ~BINARY_FLAG, codec)
+            return _read_binary_frame(sock, length & ~BINARY_FLAG)
         if lean_sender is None:
-            raise WireError("lean frame on a pipe that negotiated none")
+            raise WireError("lean frame before the handshake")
         return parse_lean_segment(
             _recv_head(sock, length & _LEAN_HEAD_MASK),
-            functools.partial(_recv_body, sock),
-            lean_sender, borrowed=False, codec=codec,
+            functools.partial(_recv_body, sock), lean_sender, borrowed=False,
         )
     if length > MAX_FRAME_BYTES:
         raise WireError(f"frame length {length} exceeds the maximum")
     payload = _recv_exact(sock, length) if length else b""
     if payload is None:
         raise WireError("connection closed mid-frame")
-    return decode_frame(payload, codec)
+    return decode_frame(payload)
 
 
-def write_frame(
-    sock: socket.socket,
-    frame: dict,
-    codec: str = "json",
-    binary: bool = False,
-) -> int:
-    """Write one frame; returns the bytes put on the wire.
-
-    With ``binary=True`` (both peers negotiated the data plane), frames
-    holding arrays or raw bytes go out as binary frames via
-    scatter/gather; everything else — and every frame when
-    ``binary=False`` — is a plain codec frame with base64 envelopes.
-    """
-    buffers, total = frame_buffers(frame, codec, binary)
+def write_frame(sock: socket.socket, frame: dict) -> int:
+    """Write one frame (plain or binary); returns the bytes put on the
+    wire."""
+    buffers, total = frame_buffers(frame)
     sendmsg_gather(sock, buffers)
     return total
 
@@ -637,43 +553,20 @@ def write_frame(
 # -- frame kinds --------------------------------------------------------------
 
 
-def hello_frame(node_id: str, codec: str = "json", binary: bool = True) -> dict:
-    """The mandatory first frame of every connection.
-
-    Whoever offers the binary data plane offers lean segment frames
-    with it: one willingness, two keys, so a server that knows only
-    ``bin`` still negotiates that.
-    """
-    return {
-        "kind": "hello",
-        "version": PROTOCOL_VERSION,
-        "node": node_id,
-        "codec": codec,
-        "bin": bool(binary),
-        "lean": bool(binary),
-    }
+def hello_frame(node_id: str) -> dict:
+    """The mandatory first frame of every connection."""
+    return {"kind": "hello", "version": PROTOCOL_VERSION, "node": node_id}
 
 
-def welcome_frame(
-    node_id: str, codec: str = "json", binary: bool = False,
-    epoch: "int | None" = None, lean: bool = False,
-) -> dict:
+def welcome_frame(node_id: str, epoch: "int | None" = None) -> dict:
     """The server's handshake acceptance.
 
     ``epoch`` carries the server's fencing epoch when it has one (the
     networked AM always does): a client that reconnects and sees the
     epoch move knows it is talking to a successor AM and must
-    re-enroll.  Peers that predate the field simply ignore it —
-    :data:`PROTOCOL_VERSION` is unchanged.
+    re-enroll.
     """
-    frame = {
-        "kind": "welcome",
-        "version": PROTOCOL_VERSION,
-        "node": node_id,
-        "codec": codec,
-        "bin": bool(binary),
-        "lean": bool(lean),
-    }
+    frame = {"kind": "welcome", "version": PROTOCOL_VERSION, "node": node_id}
     if epoch is not None:
         frame["epoch"] = int(epoch)
     return frame
@@ -694,26 +587,22 @@ def heartbeat_ack_frame(seq: int) -> dict:
     return {"kind": "heartbeat_ack", "seq": seq}
 
 
-def message_frame(message: Message, raw: bool = False) -> dict:
+def message_frame(message: Message, raw: bool = True) -> dict:
     """Envelope for one protocol :class:`Message`.
 
-    ``raw=True`` leaves ndarrays and byte buffers in place for the
-    binary data plane (the frame writer extracts them as segments);
-    ``raw=False`` wraps them in base64 envelopes for codec-only peers.
+    Its ndarrays and byte buffers stay in place: the frame writer lifts
+    them out as segments.  ``raw`` is accepted for callers that still
+    pass it; there is no other form.
     """
     frame = {
         "kind": "msg",
         "msg_id": message.msg_id,
         "type": message.msg_type.value,
         "sender": message.sender,
-        "payload": (
-            dict(message.payload) if raw else encode_payload(message.payload)
-        ),
+        "payload": message.payload,
     }
     if message.post:
-        # One-way: the receiver dispatches it and writes no reply.  A
-        # peer that predates the key answers anyway, to nobody.
-        frame["post"] = True
+        frame["post"] = True  # one-way: dispatched, never answered
     return frame
 
 
@@ -722,15 +611,18 @@ def decode_message(frame: dict, borrowed: bool = True) -> Message:
 
     ``borrowed`` is the reading pipe's word on who owns the payload's
     arrays (:attr:`Message.borrowed`).  A frame that names no id,
-    sender or known type is a :class:`WireError` like any other
-    corruption.
+    sender or known type, or whose payload is not a dict, is a
+    :class:`WireError` like any other corruption.
     """
     try:
+        payload = frame.get("payload") or {}
+        if type(payload) is not dict:
+            raise TypeError(f"payload is a {type(payload).__name__}")
         return Message(
             msg_id=int(frame["msg_id"]),
             msg_type=MessageType(frame["type"]),
             sender=frame["sender"],
-            payload=decode_payload(frame.get("payload") or {}),
+            payload=payload,
             post=bool(frame.get("post")),
             borrowed=borrowed,
         )
@@ -742,7 +634,7 @@ def decode_message(frame: dict, borrowed: bool = True) -> Message:
 #
 # prefix  u32  BINARY_FLAG | LEAN_FLAG | head length
 # head    the fixed header below, ``arrays`` dtype/count records, then
-#         ``meta_len`` bytes of codec-encoded gradient-codec metadata
+#         ``meta_len`` bytes of JSON gradient-codec metadata
 # body    the arrays' bytes, back to back, in table order
 
 _LEAN_HEAD_MASK = ~(BINARY_FLAG | LEAN_FLAG)
@@ -763,7 +655,7 @@ _LEAN_KINDS = "biufc"
 @functools.lru_cache(maxsize=64)
 def _lean_dtype_code(dtype: np.dtype) -> "tuple[int, int] | None":
     """``(kind, itemsize)`` when that alone names ``dtype`` (a plain
-    native number), else None: the array keeps the generic frame."""
+    native number), else None."""
     if dtype.kind not in _LEAN_KINDS:
         return None
     if np.dtype(f"{dtype.kind}{dtype.itemsize}") != dtype:
@@ -782,19 +674,18 @@ def _lean_dtype(kind: int, itemsize: int) -> np.dtype:
         raise WireError(f"lean dtype code {kind}/{itemsize}: {exc}") from exc
 
 
-def lean_segment_buffers(
-    message: Message, node: str, codec: str = "json"
-) -> "tuple[list, int] | None":
+def lean_segment_buffers(message: Message, node: str) -> "tuple[list, int]":
     """The buffers ``message`` leaves as in a lean frame, and their byte
-    count — or None when it is not what a lean frame can say.
+    count.
 
-    What it can say is exactly what :class:`RingNode` sends on a link
+    A lean frame says exactly what :class:`RingNode` sends on a link
     dialled as ``node``: the six ring-key integers, flat native-number
     arrays under ``data``, an optional ``codec`` dict (carried opaque,
-    in the pipe's codec) and a trace context of node/epoch/sent whose
-    node — like the message's sender — is the handshake's.  Anything
-    else (an extra context key such as the AM link's ``job``, a 2-D
-    array, a float where an id belongs) keeps the generic ``msg`` frame.
+    as JSON) and a trace context of node/epoch/sent whose node — like
+    the message's sender — is the handshake's.  Anything else (an extra
+    context key such as the AM link's ``job``, a 2-D array, a float
+    where an id belongs) is a :class:`WireError`: there is no other
+    frame for a ring segment.
     """
     payload = message.payload
     ctx = payload.get(TRACE_CTX_KEY)
@@ -806,21 +697,23 @@ def lean_segment_buffers(
         or type(meta) not in (dict, type(None))
         or len(payload) != (8 if meta is None else 9)
         or not ctx.get("node") == message.sender == node
+        or not all(
+            type(array) is np.ndarray and array.ndim == 1
+            and _lean_dtype_code(array.dtype) for array in arrays
+        )
     ):
-        return None
+        raise WireError(
+            f"ring segment {message.msg_id} from {message.sender!r} is "
+            f"not what a lean frame can say"
+        )
     records, views, body = [], [], 0
     for array in arrays:
-        if type(array) is not np.ndarray or array.ndim != 1:
-            return None
-        code = _lean_dtype_code(array.dtype)
-        if code is None:
-            return None
         if not array.flags.c_contiguous:
             array = np.ascontiguousarray(array)
-        records.append(_LEAN_ARRAY.pack(*code, array.size))
+        records.append(_LEAN_ARRAY.pack(*_lean_dtype_code(array.dtype), array.size))
         views.append(array)
         body += array.nbytes
-    tail = b"" if meta is None else encode_frame(meta, codec)
+    tail = b"" if meta is None else encode_frame(meta)
     head_len = _LEAN_HEADER.size + _LEAN_ARRAY.size * len(arrays) + len(tail)
     if head_len + body > MAX_FRAME_BYTES:
         raise WireError(f"frame of {head_len + body} bytes exceeds the maximum")
@@ -832,8 +725,11 @@ def lean_segment_buffers(
             _LEAN_PHASES.index(payload["phase"]), payload["step"],
             payload["part"], payload["bucket"], len(arrays), len(tail),
         )
-    except (KeyError, TypeError, ValueError, struct.error):
-        return None  # a key missing or a value the header has no room for
+    except (KeyError, TypeError, ValueError, struct.error) as exc:
+        raise WireError(
+            f"ring segment {message.msg_id}: the lean header has no room "
+            f"for it: {exc!r}"
+        ) from exc
     return (
         [b"".join((header, *records, tail)), *views],
         _LENGTH.size + head_len + body,
@@ -842,7 +738,7 @@ def lean_segment_buffers(
 
 def parse_lean_segment(
     head, body_of: "typing.Callable[[int], typing.Any]", sender: str,
-    borrowed: bool, codec: str = "json",
+    borrowed: bool,
 ) -> Message:
     """Inverse of :func:`lean_segment_buffers`: the ``RING_SEGMENT``
     :class:`Message` a lean frame carries.
@@ -885,7 +781,7 @@ def parse_lean_segment(
         "bucket": bucket, "data": data,
     }
     if meta_len:
-        payload["codec"] = decode_frame(head[table_end:], codec)
+        payload["codec"] = decode_frame(head[table_end:])
     payload[TRACE_CTX_KEY] = {"node": sender, "epoch": epoch, "sent": sent}
     return Message(
         msg_id, MessageType.RING_SEGMENT, sender, payload, post, borrowed
@@ -893,8 +789,7 @@ def parse_lean_segment(
 
 
 def reply_frame(
-    node_id: str, in_reply_to: int, payload: dict, raw: bool = False,
-    ctx: "dict | None" = None,
+    node_id: str, in_reply_to: int, payload: dict, ctx: "dict | None" = None
 ) -> dict:
     """Server response to one ``msg`` frame, correlated by message id.
 
@@ -903,38 +798,19 @@ def reply_frame(
     timestamps on its own clock) so the client can estimate the clock
     offset NTP-style.  It lives at the frame level — never inside the
     cached reply payload — because a retransmitted request re-sends the
-    cached payload but must get *fresh* timestamps.  Peers that predate
-    the field ignore it; :data:`PROTOCOL_VERSION` is unchanged.
+    cached payload but must get *fresh* timestamps.
     """
     frame = {
-        "kind": "reply",
-        "node": node_id,
-        "in_reply_to": in_reply_to,
-        "payload": dict(payload) if raw else encode_payload(payload),
+        "kind": "reply", "node": node_id, "in_reply_to": in_reply_to,
+        "payload": payload,
     }
     if ctx is not None:
-        frame["ctx"] = dict(ctx)
+        frame["ctx"] = ctx
     return frame
 
 
-class Handshake(typing.NamedTuple):
-    """A validated ``hello``: peer identity plus negotiated features."""
-
-    node: str
-    codec: str
-    binary: bool
-
-
-def check_handshake(
-    frame: "dict | None", binary: bool = True
-) -> Handshake:
-    """Validate a ``hello``; returns the negotiated :class:`Handshake`.
-
-    ``binary`` is whether *this* side is willing to speak the binary
-    data plane; the negotiated flag is the AND of both sides, so a peer
-    that never heard of it (no ``bin`` key) degrades to base64
-    envelopes instead of being rejected.
-    """
+def check_handshake(frame: "dict | None") -> str:
+    """Validate a ``hello``; returns the node id it names."""
     if frame is None:
         raise WireError("connection closed before the handshake")
     if frame.get("kind") != "hello":
@@ -948,20 +824,4 @@ def check_handshake(
     node = frame.get("node")
     if not node:
         raise WireError("hello carries no node id")
-    return Handshake(
-        node=str(node),
-        codec=negotiate_codec(str(frame.get("codec", "json"))),
-        binary=bool(frame.get("bin")) and bool(binary),
-    )
-
-
-def lean_negotiated(frame: dict, binary: bool) -> bool:
-    """Whether a connection speaks lean segment frames.
-
-    ``frame`` is the other side's ``hello`` (asked by the server) or
-    ``welcome`` (asked by the client) and ``binary`` what the connection
-    negotiated for ``bin``: lean frames are binary frames, so the answer
-    is the AND of the two.  A peer that never heard of the key keeps
-    getting JSON-header binary frames.
-    """
-    return bool(binary) and bool(frame.get("lean"))
+    return str(node)

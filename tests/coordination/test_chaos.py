@@ -18,13 +18,12 @@ from repro.coordination import (
     ElasticRuntime,
     ExponentialBackoff,
     FaultPlan,
-    MessageFactory,
     MessageType,
-    ReliableSender,
     SimulatedElasticJob,
     StaleEpochError,
     params_consistent,
 )
+from repro.net import ServerCore, memory_link
 from repro.perfmodel.models import TRANSFORMER
 from repro.training import make_classification
 
@@ -159,21 +158,17 @@ def test_chaos_soak_composed_fault_plan():
     assert params_consistent(contexts)
     _assert_exactly_once_coverage(contexts)
 
-    # The same plan's lossy channel still achieves delivery under the
+    # The same plan's lossy link still achieves delivery under the
     # retrying sender, and every re-attempt is accounted for.
     inbox = []
-    sender = ReliableSender(
-        plan.channel(inbox.append),
-        backoff=ExponentialBackoff(base=0.001, sleeper=lambda _s: None),
-    )
-    factory = MessageFactory()
+    core = ServerCore(handler=lambda m: inbox.append(m.payload) or {})
+    link = memory_link(core, "w0", fault_plan=plan, ack_timeout=0.01)
+    link.backoff = ExponentialBackoff(base=0.001, sleeper=lambda _s: None)
     for i in range(6):
-        message = factory.make(MessageType.HEARTBEAT, f"w{i}", {"i": i})
-        assert sender.send(
-            message, lambda m=message: any(q.msg_id == m.msg_id for q in inbox)
-        )
-    assert sender.retries > 0
-    assert sender.backoff.waits == sender.retries
+        link.request(MessageType.HEARTBEAT, {"i": i})
+    assert [payload["i"] for payload in inbox] == list(range(6))
+    assert link.resends > 0
+    assert link.backoff.waits == link.resends
 
 
 def test_dessim_supervision_twin_matches_live_semantics():

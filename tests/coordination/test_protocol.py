@@ -12,17 +12,26 @@ from repro.coordination import (
     CollectiveAborted,
     DeduplicatingInbox,
     ExponentialBackoff,
-    FaultyChannel,
+    FaultPlan,
     Hook,
     HookRegistry,
     KeyValueStore,
     LeaseRevoked,
     MessageFactory,
     MessageType,
-    ReliableSender,
     RetryingStore,
     StoreUnavailable,
 )
+from repro.net import ReliableLink, RequestTimeout, ServerCore, memory_link
+
+
+def lossy_link(plan, **options):
+    """A memory link under ``plan`` into a recording server."""
+    seen = []
+    core = ServerCore(
+        handler=lambda message: seen.append(message.payload) or {}
+    )
+    return memory_link(core, "w0", fault_plan=plan, **options), core, seen
 
 
 class TestMessages:
@@ -46,72 +55,62 @@ class TestMessages:
         assert inbox.duplicates_dropped == 1
 
     def test_channel_drops_every_nth(self):
-        delivered = []
-        channel = FaultyChannel(delivered.append, drop_every=2)
-        factory = MessageFactory()
-        for _ in range(4):
-            channel.send(factory.make(MessageType.COORDINATE, "w0", {}))
-        assert len(delivered) == 2
-        assert channel.dropped == 2
+        link, core, seen = lossy_link(FaultPlan(drop_every=2), max_attempts=1)
+        for i in range(4):
+            try:
+                link.post(MessageType.COORDINATE, {"i": i})
+            except RequestTimeout:
+                pass
+        assert [payload["i"] for payload in seen] == [0, 2]
+        assert link.transport._faults.dropped == 2
 
     def test_channel_duplicates_every_nth(self):
-        delivered = []
-        channel = FaultyChannel(delivered.append, duplicate_every=3)
-        factory = MessageFactory()
-        for _ in range(3):
-            channel.send(factory.make(MessageType.COORDINATE, "w0", {}))
-        assert len(delivered) == 4  # 3 sends + 1 duplicate
+        link, core, seen = lossy_link(FaultPlan(duplicate_every=3))
+        for i in range(3):
+            link.post(MessageType.COORDINATE, {"i": i})
+        # 3 sends + 1 duplicate reached the server; dedup ran it once.
+        assert core.handled + core.duplicates == 4
+        assert len(seen) == 3
 
     def test_reliable_sender_retries_through_loss(self):
         """§V-D: unique IDs + resend on timeout survive a lossy channel."""
-        inbox = DeduplicatingInbox()
-        received = []
-
-        def deliver(msg):
-            if inbox.accept(msg):
-                received.append(msg)
-
-        channel = FaultyChannel(deliver, drop_every=2)
-        sender = ReliableSender(channel, max_attempts=5)
-        factory = MessageFactory()
+        link, core, seen = lossy_link(
+            FaultPlan(drop_every=2), max_attempts=5, ack_timeout=0.01
+        )
         for i in range(10):
-            msg = factory.make(MessageType.WORKER_REPORT, "w4", {"seq": i})
-            assert sender.send(
-                msg, acknowledged=lambda m=msg: any(
-                    r.msg_id == m.msg_id for r in received
-                )
-            )
-        assert len(received) == 10  # exactly once despite drops
+            link.request(MessageType.WORKER_REPORT, {"seq": i})
+        # exactly once despite drops
+        assert [payload["seq"] for payload in seen] == list(range(10))
 
     def test_reliable_sender_gives_up(self):
-        channel = FaultyChannel(lambda m: None, drop_every=1)  # drops all
-        sender = ReliableSender(channel, max_attempts=3)
-        msg = MessageFactory().make(MessageType.ACK, "am", {})
-        assert not sender.send(msg, acknowledged=lambda: False)
+        link, _core, seen = lossy_link(
+            FaultPlan(drop_every=1), max_attempts=3, ack_timeout=0.01
+        )  # drops all
+        with pytest.raises(RequestTimeout):
+            link.request(MessageType.ACK)
+        assert seen == []
 
     def test_sender_validates_attempts(self):
         with pytest.raises(ValueError):
-            ReliableSender(FaultyChannel(lambda m: None), max_attempts=0)
+            ReliableLink("w0", max_attempts=0)
 
     def test_sender_counts_retries_of_abandoned_sends(self):
         """Every re-attempt counts, even when the send ultimately fails —
         a sender that only counted successful deliveries under-reported
         exactly the pathological channels the counter exists to expose."""
-        channel = FaultyChannel(lambda m: None, drop_every=1)  # drops all
-        sender = ReliableSender(channel, max_attempts=4)
-        msg = MessageFactory().make(MessageType.ACK, "am", {})
-        assert not sender.send(msg, acknowledged=lambda: False)
-        assert sender.retries == 3  # attempts 2, 3 and 4
+        link, _core, _seen = lossy_link(FaultPlan(drop_every=1), max_attempts=4)
+        with pytest.raises(RequestTimeout):
+            link.post(MessageType.ACK)
+        assert link.resends == 3  # attempts 2, 3 and 4
 
     def test_sender_backoff_spaces_resends(self):
         sleeps = []
-        backoff = ExponentialBackoff(
+        link, _core, _seen = lossy_link(FaultPlan(drop_every=1), max_attempts=4)
+        link.backoff = ExponentialBackoff(
             base=0.01, factor=2.0, max_delay=1.0, sleeper=sleeps.append
         )
-        channel = FaultyChannel(lambda m: None, drop_every=1)
-        sender = ReliableSender(channel, max_attempts=4, backoff=backoff)
-        msg = MessageFactory().make(MessageType.HEARTBEAT, "w0", {})
-        sender.send(msg, acknowledged=lambda: False)
+        with pytest.raises(RequestTimeout):
+            link.post(MessageType.HEARTBEAT)
         assert sleeps == [0.01, 0.02, 0.04]  # exponential, per re-attempt
 
 

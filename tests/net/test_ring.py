@@ -14,7 +14,6 @@ Three layers of coverage:
 """
 
 import json
-import socket
 import threading
 import time
 
@@ -435,20 +434,10 @@ class TestDistributedRing:
             for iteration in range(iterations):
                 _, errors = mesh.allreduce_all(grads, iteration=iteration)
                 assert not errors, errors
-            lean = {
-                worker: sum(
-                    link.transport.lean_frames_sent
-                    for link in node._links.values()
-                )
-                for worker, node in mesh.nodes.items()
-            }
         finally:
             mesh.close()
         segments = 2 * (members - 1) * buckets
         framed = transport != "memory"
-        assert lean == {
-            w: segments * iterations if framed else 0 for w in workers
-        }
         replies = sum(tally["request"] for tally in sent.values())
         assert (json_calls.dumps_calls, json_calls.loads_calls) == (
             (replies, replies) if framed else (0, 0)
@@ -535,16 +524,6 @@ class TestLeanSegments:
                     )
                     assert not errors, errors
                 means[transport] = results
-                lean = sum(
-                    link.transport.lean_frames_sent
-                    for node in mesh.nodes.values()
-                    for link in node._links.values()
-                )
-                sent = sum(
-                    registry.counter("net.allreduce.segments_sent").value
-                    for registry in mesh.metrics.values()
-                )
-                assert lean == (sent if transport != "memory" else 0)
             finally:
                 mesh.close()
         for transport in ("tcp", "shm"):
@@ -552,109 +531,15 @@ class TestLeanSegments:
                 for name, mean in means["memory"][worker].items():
                     assert np.array_equal(means[transport][worker][name], mean)
 
-    def test_mixed_ring_with_a_peer_that_never_heard_of_lean(self):
-        """One member's server sees hellos without the ``lean`` key, as
-        from a peer that predates it: its predecessor falls back to
-        JSON-header binary segments on that link alone, and the ring is
-        still bit-identical."""
-        workers = ["w0", "w1", "w2", "w3"]
-        grads = {w: random_grads(60 + i) for i, w in enumerate(workers)}
-        mesh = Mesh("tcp", workers, step_timeout=10.0, bucket_bytes=256)
-        old = mesh.host._servers[mesh.nodes["w0"].ring["peers"]["w2"]]
-
-        def open_pipe(conn, hello, handshake, _inner=old._open_pipe):
-            return _inner(
-                conn, {k: v for k, v in hello.items() if k != "lean"},
-                handshake,
-            )
-
-        old._open_pipe = open_pipe
-        try:
-            results, errors = mesh.allreduce_all(grads)
-            assert not errors, errors
-            forms = {
-                worker: (transport.binary_frames_sent,
-                         transport.lean_frames_sent)
-                for worker, node in mesh.nodes.items()
-                for transport in [
-                    link.transport for link in node._links.values()
-                ]
-            }
-        finally:
-            mesh.close()
-        sent = mesh.metrics["w1"].counter("net.allreduce.segments_sent").value
-        assert sent > 0
-        assert forms["w1"] == (sent, 0)  # w1 -> w2: binary, none lean
-        for worker in ("w0", "w2", "w3"):
-            assert forms[worker] == (sent, sent)
-        reference = ring_reference_average([grads[w] for w in workers])
-        for worker in workers:
-            for name in reference:
-                assert np.array_equal(results[worker][name], reference[name])
-
-    def test_bin_only_server_receives_json_header_segments(self):
-        """A hand-written server that welcomes with ``bin`` and no
-        ``lean``: the segments it reads are today's binary frames."""
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-        frames = []
-
-        def serve():
-            conn, _ = listener.accept()
-            with conn:
-                hello = wire.read_frame(conn, "json")
-                assert hello["lean"] is True  # offered, not taken up
-                welcome = wire.welcome_frame("old", "json", binary=True)
-                del welcome["lean"]
-                wire.write_frame(conn, welcome, "json")
-                while True:
-                    # No lean sender named: a lean frame would raise.
-                    frame = wire.read_frame(conn, "json")
-                    if frame is None:
-                        return
-                    frames.append(frame)
-                    if not frame.get("post"):
-                        wire.write_frame(conn, wire.reply_frame(
-                            "old", frame["msg_id"], {"ok": True},
-                        ), "json")
-
-        server = threading.Thread(target=serve, daemon=True)
-        server.start()
-        link, transport = tcp_link(
-            "127.0.0.1", listener.getsockname()[1], "w0",
-            heartbeat_interval=None,
-        )
-        payload = dict(
-            generation=0, iteration=0, phase="rs", step=0, part=0,
-            bucket=0, data=[np.arange(8.0)],
-        )
-        try:
-            link.post(MessageType.RING_SEGMENT, payload)
-            assert link.request(
-                MessageType.RING_SEGMENT, dict(payload, bucket=1)
-            ) == {"ok": True}
-            assert (transport.binary_frames_sent,
-                    transport.lean_frames_sent) == (2, 0)
-        finally:
-            link.close()
-            server.join(timeout=5.0)
-            listener.close()
-        assert not server.is_alive()
-        assert [f["type"] for f in frames] == ["ring_segment"] * 2
-        for frame in frames:
-            np.testing.assert_array_equal(
-                frame["payload"]["data"][0], np.arange(8.0)
-            )
-
     @pytest.mark.parametrize("transport", ["tcp", "shm"])
-    def test_extra_trace_context_keeps_the_generic_frame_and_lean_is_traced(
+    def test_extra_trace_context_is_refused_at_the_sender_and_lean_is_traced(
         self, transport
     ):
         """A link stamping more than node/epoch/sent (the AM link's
-        ``job``) has a context the lean header cannot carry, so it never
-        goes lean; a plain peer link does, the server's ``net.accept``
-        says so, and ``net.recv`` still learns the sender's epoch."""
+        ``job``) has a context the lean header cannot carry, and a ring
+        segment has no other frame: it is a ``WireError`` at the sender,
+        the connection untouched.  A plain peer link's segment goes
+        lean, and ``net.recv`` still learns the sender's epoch."""
         tracer = Tracer(process="peer")
         mailbox = RingMailbox()
         core = ServerCore(mailbox.handle, node_id="w1/peer", tracer=tracer)
@@ -673,25 +558,21 @@ class TestLeanSegments:
         try:
             mailbox.begin(0, 0)
             link.request(MessageType.RING_SEGMENT, dict(payload, bucket=0))
-            assert (pipe.binary_frames_sent, pipe.lean_frames_sent) == (1, 1)
             link.trace_context["job"] = "j1"
-            link.request(MessageType.RING_SEGMENT, dict(payload, bucket=1))
-            assert (pipe.binary_frames_sent, pipe.lean_frames_sent) == (2, 1)
+            with pytest.raises(wire.WireError, match="ring segment"):
+                link.request(MessageType.RING_SEGMENT, dict(payload, bucket=1))
+            assert pipe.connected and pipe.reconnects == 0
         finally:
             link.close()
             server.close()
         events = tracer.to_events()
         (accept,) = [e for e in events if e["name"] == "net.accept"]
-        assert accept["args"]["lean"] is True and accept["args"]["binary"]
-        lean_recv, json_recv = [
-            e["args"] for e in events if e["name"] == "net.recv"
-        ]
+        assert accept["args"]["peer"] == "w0"
+        (lean_recv,) = [e["args"] for e in events if e["name"] == "net.recv"]
         assert lean_recv["sender_epoch"] == link._factory.epoch
-        assert json_recv["sender_epoch"] == link._factory.epoch
-        assert "job" not in lean_recv and json_recv["job"] == "j1"
-        for bucket in (0, 1):
-            (array,), _meta = mailbox.collect((0, 0, "rs", 0, bucket), 1.0)
-            np.testing.assert_array_equal(array, np.arange(8.0))
+        assert "job" not in lean_recv
+        (array,), _meta = mailbox.collect((0, 0, "rs", 0, 0), 1.0)
+        np.testing.assert_array_equal(array, np.arange(8.0))
 
     @pytest.mark.parametrize("transport", ["memory", "tcp", "shm"])
     def test_mailbox_copies_exactly_what_is_borrowed(self, transport):

@@ -138,7 +138,6 @@ class TestChunkStoreTtl:
             "total_bytes": blob.total_bytes,
             "total_chunks": blob.total_chunks,
             "chunk_bytes": blob.chunk_bytes,
-            "codec": blob.codec,
         }
 
     def test_abandoned_upload_is_swept_inline(self):

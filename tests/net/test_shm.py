@@ -24,7 +24,6 @@ from repro.net.shm import (
     SHM_NAME_PREFIX,
     ShmServer,
     decode_shm_frame,
-    shm_frame_buffers,
     shm_link,
 )
 
@@ -137,6 +136,29 @@ class TestShmRing:
         finally:
             ring.close(unlink=True)
 
+    def test_close_under_a_live_record_view_leaves_the_finaliser_nothing(
+        self, monkeypatch
+    ):
+        """A record view still alive at ``close`` pins the mapping; the
+        segment's finaliser must not try (and fail) to close it again."""
+        import gc
+
+        raised = []
+        monkeypatch.setattr(
+            sys, "unraisablehook", lambda hook: raised.append(hook.exc_value)
+        )
+        ring = ShmRing(capacity=4096)
+        ring.write([b"x" * 16])
+        view = ring.read()
+        ring.close(unlink=True)
+        del ring
+        gc.collect()
+        assert raised == []
+        assert bytes(view) == b"x" * 16  # the mapping outlived the ring
+        del view
+        gc.collect()
+        assert raised == []
+
     def test_double_close_and_double_unlink_tolerated(self):
         ring = ShmRing(capacity=1024)
         other = ShmRing(name=ring.name)
@@ -154,10 +176,9 @@ class TestShmFrames:
                 wire.decode_message({
                     "kind": "msg", "type": "ack", "sender": "w0",
                     "msg_id": 1, "payload": {"grad": arr, "tag": "t"},
-                }),
-                raw=True,
+                })
             )
-            ring.write(shm_frame_buffers(frame))
+            ring.write(wire.frame_buffers(frame)[0])
             decoded = decode_shm_frame(ring.read())
             got = decoded["payload"]["grad"]
             assert np.array_equal(got, arr)
@@ -211,8 +232,8 @@ class TestShmTransport:
         sock = socket_mod.socket(socket_mod.AF_UNIX, socket_mod.SOCK_STREAM)
         try:
             sock.connect(shm_server.path)
-            wire.write_frame(sock, wire.hello_frame("w0"), "json")
-            answer = wire.read_frame(sock, "json")
+            wire.write_frame(sock, wire.hello_frame("w0"))
+            answer = wire.read_frame(sock)
             assert answer["kind"] == "reject"
             assert "segments" in answer["reason"]
         finally:

@@ -49,9 +49,7 @@ class TestHandshake:
         # Sabotage the advertised version to provoke the reject path.
         real = wire.hello_frame
         try:
-            wire.hello_frame = lambda node, codec="json", binary=True: {
-                **real(node, codec, binary), "version": 999,
-            }
+            wire.hello_frame = lambda node: {**real(node), "version": 999}
             with pytest.raises(wire.WireError, match="rejected"):
                 transport.connect()
         finally:
@@ -60,20 +58,19 @@ class TestHandshake:
 
 
     def test_hello_without_lean_is_welcomed_without_it(self, server):
-        """A version-1 hello from before the ``lean`` key: binary frames
-        are negotiated as ever, lean ones are not — and a lean frame on
-        that connection is a violation the server ends it over."""
+        """A version-2 hello names no format — there is nothing to
+        negotiate — and the welcome names none back.  Lean frames are
+        simply part of the protocol: one whose head disagrees with its
+        own length is a violation the server ends the connection over."""
         sock = socket.create_connection((server.host, server.port))
         try:
-            hello = wire.hello_frame("old-worker")
-            del hello["lean"]
-            wire.write_frame(sock, hello)
+            wire.write_frame(sock, wire.hello_frame("w0"))
             welcome = wire.read_frame(sock)
             assert welcome["kind"] == "welcome"
-            assert welcome["bin"] is True and welcome["lean"] is False
+            assert not {"codec", "bin", "lean"} & set(welcome)
             sock.sendall(wire._LENGTH.pack(
-                wire.BINARY_FLAG | wire.LEAN_FLAG | 60
-            ) + bytes(60))
+                wire.BINARY_FLAG | wire.LEAN_FLAG | 59
+            ) + bytes(59))
             assert wire.read_frame(sock) is None  # hung up on
         finally:
             sock.close()
@@ -87,7 +84,8 @@ class TestSocketOptions:
         """Two requests overlapping on one link (the ring pump beside a
         probe, windowed chunk fetches, a heartbeat) must not stall on
         Nagle x delayed ACK; and an unobserved TCP link counts its
-        binary frames without walking any payload."""
+        frames and their bytes — the binary one's raw array included —
+        without walking any payload."""
         import numpy as np
 
         from repro.net import transport as seam
@@ -110,7 +108,8 @@ class TestSocketOptions:
                 assert sock.getsockopt(
                     socket.IPPROTO_TCP, socket.TCP_NODELAY
                 ) != 0
-            assert transport.binary_frames_sent == 1
+            assert transport.frames_sent == 2
+            assert transport.bytes_sent > np.arange(4.0).nbytes
             assert walks == []
         finally:
             link.close()
@@ -175,7 +174,7 @@ class TestRawSocketErrors:
             heartbeat_interval=None,
         )
         try:
-            real_deliver = transport._channel._deliver
+            real_write = transport._write_message
             failures = []
 
             def broken_pipe_once(message):
@@ -183,9 +182,9 @@ class TestRawSocketErrors:
                     failures.append(True)
                     transport._drop_connection()
                     raise OSError(32, "Broken pipe")
-                return real_deliver(message)
+                return real_write(message)
 
-            transport._channel._deliver = broken_pipe_once
+            transport._write_message = broken_pipe_once
             assert link.request(MessageType.ACK, {"x": 1})["echo"] == {"x": 1}
             assert failures, "the injected write failure never fired"
             assert link.resends >= 1

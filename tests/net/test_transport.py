@@ -33,11 +33,6 @@ class TestTransportProtocol:
         transport = InMemoryTransport("w0", echo_core(), on_reply=lambda *a: None)
         assert isinstance(transport, Transport)
 
-    def test_faulty_channel_satisfies_protocol(self):
-        from repro.coordination.messages import FaultyChannel
-
-        assert isinstance(FaultyChannel(lambda m: None), Transport)
-
 
 class TestReliableLink:
     def test_duplicates_absorbed_without_reexecution(self):
@@ -65,6 +60,21 @@ class TestReliableLink:
         )
         with pytest.raises(RequestTimeout):
             link.request(MessageType.ACK)
+
+    def test_the_callers_payload_is_copied_once_and_never_mutated(self):
+        from repro.coordination.messages import MessageFactory
+
+        seen = []
+        core = ServerCore(handler=lambda m: seen.append(m.payload) or {})
+        link = memory_link(core, "w0")
+        payload = {"x": 1}
+        link.request(MessageType.ACK, payload)
+        assert payload == {"x": 1}  # no trace context left in it
+        (delivered,) = seen
+        assert delivered is not payload and delivered == {"x": 1}
+        # The one copy is the link's: the factory takes what it is given.
+        message = MessageFactory(epoch=0).make(MessageType.ACK, "w0", payload)
+        assert message.payload is payload
 
     def test_per_sender_dedup_keys_do_not_collide(self):
         """Two clients' message ids could coincide (the epoch nonce
@@ -117,14 +127,80 @@ class TestTransportFaults:
         assert faults.next_send().delay == 0.02
         assert faults.delays_injected == 2
 
-    def test_from_plan_ignores_pure_loss_plans(self):
-        assert TransportFaults.from_plan(FaultPlan(drop_every=3)) is None
+    def test_from_plan_ignores_fault_free_plans(self):
+        assert TransportFaults.from_plan(FaultPlan(worker_crashes={"w0": 1})) \
+            is None
         assert TransportFaults.from_plan(None) is None
-        faults = TransportFaults.from_plan(
-            FaultPlan(net_delays={2: 0.1}, connection_resets=(4,))
-        )
+        faults = TransportFaults.from_plan(FaultPlan(
+            net_delays={2: 0.1}, connection_resets=(4,), drop_every=3,
+        ))
         assert faults.delays == {2: 0.1}
         assert faults.resets == frozenset({4})
+        assert (faults.drop_every, faults.duplicate_every) == (3, 0)
+
+    def test_loss_stage_numbers_its_own_arrivals(self):
+        faults = TransportFaults.from_plan(
+            FaultPlan(drop_every=3, duplicate_every=2)
+        )
+        assert [faults.copies() for _ in range(6)] == [1, 2, 0, 2, 1, 0]
+        assert (faults.arrived, faults.dropped, faults.duplicated) == (6, 2, 2)
+        assert faults.sends == 0  # delays and resets count separately
+
+
+class TestFaultNumbering:
+    def test_mixed_plan_hits_the_same_sends(self):
+        """Which send each fault of a mixed plan lands on.  Delays and
+        resets index every send; drops and duplicates index only the
+        sends that reached the loss stage (not reset, redial done, link
+        open).  A replay on a redial is part of the redial, not a send."""
+        from repro.observability import Tracer
+
+        core = echo_core()
+        seen = []
+        dispatch = core.dispatch
+
+        def recording(message):
+            seen.append((message.msg_id & 0xFFFFF, message.post))
+            return dispatch(message)
+
+        core.dispatch = recording
+        tracer = Tracer(process="test")
+        plan = FaultPlan(
+            drop_every=3, duplicate_every=4,
+            net_delays={3: 0.001, 7: 0.002}, connection_resets=(2, 13),
+        )
+        link = memory_link(
+            core, "w0", fault_plan=plan, ack_timeout=0.02, max_attempts=10,
+            tracer=tracer,
+        )
+        for i in range(4):
+            link.post(MessageType.ACK, {"i": i})
+            link.post(MessageType.ACK, {"i": i})
+            link.request(MessageType.ACK, {"i": i})
+        transport = link.transport
+        T, F = True, False
+        assert seen == [
+            (1, T), (1, T), (2, T), (3, F), (3, F), (4, T), (5, T), (6, F),
+            (6, F), (7, T), (8, T), (7, T), (8, T), (9, F), (10, T), (11, T),
+            (11, T), (12, F),
+        ]
+        sends = [
+            (e["args"]["msg_id"] & 0xFFFFF, e["args"]["delivered"])
+            for e in tracer.to_events() if e["name"] == "net.send"
+        ]
+        assert sends == [
+            (1, T), (2, F), (2, T), (3, F), (3, T), (4, T), (5, F), (5, T),
+            (6, T), (7, F), (7, T), (8, T), (9, F), (9, F), (9, T), (10, T),
+            (11, F), (11, T), (12, T),
+        ]
+        faults = transport._faults
+        assert (faults.sends, faults.resets_injected, faults.delays_injected) \
+            == (19, 2, 2)
+        lost = sum(not delivered for _, delivered in sends)
+        assert lost - faults.resets_injected == 5  # dropped
+        assert core.duplicates - transport.post_replays == 3  # duplicated
+        assert (link.resends, transport.reconnects, transport.post_replays) \
+            == (7, 2, 3)
 
 
 class TestServerCore:

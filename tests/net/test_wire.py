@@ -1,4 +1,4 @@
-"""Wire-format tests: framing, codecs, envelopes, handshake."""
+"""Wire-format tests: framing, envelopes, binary and lean frames, handshake."""
 
 import socket
 import threading
@@ -55,7 +55,7 @@ class TestFraming:
     def test_mid_frame_eof_raises(self):
         client, accepted = socket_pair()
         try:
-            data = wire.frame_bytes({"kind": "msg", "pad": "x" * 1000})
+            (data,), _ = wire.frame_buffers({"kind": "msg", "pad": "x" * 1000})
             client.sendall(data[: len(data) // 2])
             client.close()
             with pytest.raises(wire.WireError):
@@ -90,10 +90,18 @@ class TestFraming:
         assert wire.decode_message(wire.message_frame(post)).post is True
         assert wire.decode_message(wire.message_frame(plain)).post is False
 
+    def test_message_frame_takes_raw_for_old_callers(self):
+        message = MessageFactory(epoch=0).make(
+            MessageType.SYNC, "w0", {"grads": np.ones(3)}
+        )
+        frame = wire.message_frame(message)
+        assert wire.message_frame(message, raw=True) == frame
+        assert frame["payload"] is message.payload  # lifted, not copied
+
     def test_oversize_frame_rejected_on_write(self):
         huge = {"pad": "x" * (wire.MAX_FRAME_BYTES + 1)}
         with pytest.raises(wire.WireError):
-            wire.frame_bytes(huge)
+            wire.frame_buffers(huge)
 
     def test_bogus_length_prefix_rejected_on_read(self):
         client, accepted = socket_pair()
@@ -140,10 +148,13 @@ class TestEnvelopes:
             MessageType.SYNC, "w0",
             {"grads": {"w": np.ones((2, 2))}, "iteration": 3},
         )
-        frame = wire.decode_frame(
-            wire.encode_frame(wire.message_frame(message))
-        )
-        rebuilt = wire.decode_message(frame)
+        client, accepted = socket_pair()
+        try:
+            wire.write_frame(client, wire.message_frame(message))
+            rebuilt = wire.decode_message(wire.read_frame(accepted))
+        finally:
+            client.close()
+            accepted.close()
         assert rebuilt.msg_id == message.msg_id
         assert rebuilt.msg_type is MessageType.SYNC
         assert rebuilt.sender == "w0"
@@ -162,7 +173,7 @@ class TestEnvelopes:
 class TestBinaryFrames:
     """The zero-copy data plane: header + raw segments, no base64."""
 
-    def round_trip(self, payload, codec="json"):
+    def round_trip(self, payload):
         client, accepted = socket_pair()
         try:
             message = MessageFactory().make(MessageType.SYNC, "w0", payload)
@@ -172,16 +183,13 @@ class TestBinaryFrames:
 
             def write():
                 try:
-                    wire.write_frame(
-                        client, wire.message_frame(message, raw=True),
-                        codec, binary=True,
-                    )
+                    wire.write_frame(client, wire.message_frame(message))
                 except BaseException as exc:  # noqa: BLE001
                     errors.append(exc)
 
             writer = threading.Thread(target=write, daemon=True)
             writer.start()
-            frame = wire.read_frame(accepted, codec)
+            frame = wire.read_frame(accepted)
             writer.join(timeout=10)
             assert not errors, errors
             return wire.decode_message(frame)
@@ -276,7 +284,10 @@ class TestBinaryFrames:
                  "ctx": {"recv": 1.5, "sent": 2.5}}
         plain = dict(frame, payload={"ok": True, "n": 3})
         buffers, total = wire.frame_buffers(frame)
-        assert buffers == [wire.frame_bytes(plain)] and total == len(buffers[0])
+        assert buffers == [
+            wire._LENGTH.pack(len(wire.encode_frame(plain)))
+            + wire.encode_frame(plain)
+        ] and total == len(buffers[0])
         assert wire.binary_frame_buffers(frame) == (None, 0)
 
     def test_unserializable_values_still_raise_type_error(self):
@@ -289,12 +300,12 @@ class TestBinaryFrames:
             array = np.arange(16, dtype=np.float32)
             header_obj, segments = wire.split_buffers({"kind": "msg", "a": array})
             header_obj["__segs__"] = [segments[0].nbytes - 4]  # lie
-            header = wire.encode_frame(header_obj, "json")
+            header = wire.encode_frame(header_obj)
             client.sendall(wire._LENGTH.pack(wire.BINARY_FLAG | len(header)))
             client.sendall(header)
             client.sendall(bytes(segments[0])[:-4])
             with pytest.raises(wire.WireError, match="needs"):
-                wire.read_frame(accepted, "json")
+                wire.read_frame(accepted)
         finally:
             client.close()
             accepted.close()
@@ -302,11 +313,11 @@ class TestBinaryFrames:
     def test_missing_segment_table_raises(self):
         client, accepted = socket_pair()
         try:
-            header = wire.encode_frame({"kind": "msg"}, "json")
+            header = wire.encode_frame({"kind": "msg"})
             client.sendall(wire._LENGTH.pack(wire.BINARY_FLAG | len(header)))
             client.sendall(header)
             with pytest.raises(wire.WireError, match="segment table"):
-                wire.read_frame(accepted, "json")
+                wire.read_frame(accepted)
         finally:
             client.close()
             accepted.close()
@@ -361,12 +372,7 @@ class TestStreamingDigest:
 
 class TestHandshake:
     def test_hello_welcome(self):
-        node, codec, binary = wire.check_handshake(
-            wire.hello_frame("w3", "json")
-        )
-        assert node == "w3"
-        assert codec == "json"
-        assert binary is True
+        assert wire.check_handshake(wire.hello_frame("w3")) == "w3"
 
     def test_version_mismatch_rejected(self):
         hello = wire.hello_frame("w0")
@@ -386,31 +392,15 @@ class TestHandshake:
         with pytest.raises(wire.WireError, match="closed"):
             wire.check_handshake(None)
 
-    def test_unknown_codec_falls_back_to_json(self):
-        handshake = wire.check_handshake(wire.hello_frame("w0", "cbor"))
-        assert handshake.codec == "json"
-
-    def test_json_always_available(self):
-        assert "json" in wire.available_codecs()
-
-    def test_binary_requires_both_sides(self):
-        # Client opts out -> negotiated off.
-        hs = wire.check_handshake(wire.hello_frame("w0", binary=False))
-        assert hs.binary is False
-        # Server opts out -> negotiated off.
-        hs = wire.check_handshake(
-            wire.hello_frame("w0", binary=True), binary=False
-        )
-        assert hs.binary is False
-
-    def test_legacy_peer_without_bin_flag_degrades(self):
-        """A version-1 hello that predates the data plane (no ``bin``
-        key) must negotiate base64 envelopes, not be rejected."""
-        hello = wire.hello_frame("old-worker")
-        del hello["bin"]
-        hs = wire.check_handshake(hello)
-        assert hs.node == "old-worker"
-        assert hs.binary is False
+    def test_version_1_hello_is_rejected(self):
+        """A version-1 peer negotiated codec, binary and lean frames;
+        version 2 speaks one format, so it is refused, not degraded."""
+        legacy = {
+            "kind": "hello", "version": 1, "node": "old-worker",
+            "codec": "json", "bin": True, "lean": True,
+        }
+        with pytest.raises(wire.WireError, match="version mismatch"):
+            wire.check_handshake(legacy)
 
 
 class TestDecodeHardening:
@@ -419,24 +409,46 @@ class TestDecodeHardening:
         drop-and-reconnect cleanup instead of dying on a codec
         exception."""
         with pytest.raises(wire.WireError, match="undecodable"):
-            wire.decode_frame(b"\xff\x00 definitely not json", "json")
+            wire.decode_frame(b"\xff\x00 definitely not json")
 
     def test_codec_mismatch_is_a_wire_error(self):
-        # msgpack bytes read as JSON (and vice versa where msgpack is
-        # importable) must fail loudly, not kill the reader thread.
-        packed = wire.encode_frame({"kind": "msg"}, "msgpack")
-        if packed != wire.encode_frame({"kind": "msg"}, "json"):
-            with pytest.raises(wire.WireError):
-                wire.decode_frame(packed, "json")
+        # Another format's bytes (here a msgpack map) read as JSON must
+        # fail loudly, not kill the reader thread.
+        with pytest.raises(wire.WireError, match="undecodable"):
+            wire.decode_frame(b"\x81\xa4kind\xa3msg")
 
     def test_non_dict_payload_is_a_wire_error(self):
         with pytest.raises(wire.WireError, match="not a dict"):
-            wire.decode_frame(b"[1,2,3]", "json")
+            wire.decode_frame(b"[1,2,3]")
 
-    def test_client_never_requests_codec_it_cannot_speak(self):
-        assert wire.negotiate_codec("cbor") == "json"
-        for codec in wire.available_codecs():
-            assert wire.negotiate_codec(codec) == codec
+    def test_json_nested_past_the_recursion_limit_is_a_wire_error(self):
+        """json raises RecursionError, not ValueError, on deep nesting:
+        the typed handler must catch it too, and a server that reads
+        such a frame ends that connection and keeps serving."""
+        from repro.net import ServerCore, TcpServer
+
+        hostile = b"[" * 100_000
+        with pytest.raises(wire.WireError, match="RecursionError"):
+            wire.decode_frame(hostile)
+        server = TcpServer(ServerCore(handler=lambda m: {"ok": True})).start()
+        try:
+            sock = socket.create_connection((server.host, server.port))
+            try:
+                wire.write_frame(sock, wire.hello_frame("w0"))
+                assert wire.read_frame(sock)["kind"] == "welcome"
+                sock.sendall(wire._LENGTH.pack(len(hostile)) + hostile)
+                assert wire.read_frame(sock) is None  # hung up on
+            finally:
+                sock.close()
+            assert server.wire_errors == 1
+            survivor = socket.create_connection((server.host, server.port))
+            try:
+                wire.write_frame(survivor, wire.hello_frame("w1"))
+                assert wire.read_frame(survivor)["kind"] == "welcome"
+            finally:
+                survivor.close()
+        finally:
+            server.close()
 
     @pytest.mark.parametrize("placeholder", [
         {"dtype": "object", "shape": [2]},
@@ -454,6 +466,14 @@ class TestDecodeHardening:
         data = memoryview(bytes(16))
         with pytest.raises(wire.WireError):
             wire.join_buffers({"__seg__": 0, **placeholder}, [data])
+
+    def test_msg_payload_that_is_not_a_dict_is_a_wire_error(self):
+        frame = wire.message_frame(
+            MessageFactory(epoch=0).make(MessageType.STATUS, "w0", {})
+        )
+        for payload in ([1, 2], "text", 7):
+            with pytest.raises(wire.WireError, match="corrupt msg frame"):
+                wire.decode_message(dict(frame, payload=payload))
 
     def test_corrupt_msg_frame_is_a_wire_error(self):
         good = wire.message_frame(
@@ -558,13 +578,15 @@ class TestLeanFrames:
         "tuple", "phase", "float-step", "bucket-overflow", "extra-key",
         "meta-not-a-dict",
     ])
-    def test_what_the_header_cannot_say_keeps_the_generic_frame(
+    def test_what_the_header_cannot_say_is_refused_at_the_sender(
         self, message
     ):
-        assert wire.lean_segment_buffers(message, "w0") is None
+        with pytest.raises(wire.WireError, match="ring segment"):
+            wire.lean_segment_buffers(message, "w0")
 
     def test_sender_must_be_the_handshake_node(self):
-        assert wire.lean_segment_buffers(segment(), "w1") is None
+        with pytest.raises(wire.WireError):
+            wire.lean_segment_buffers(segment(), "w1")
 
     def test_strided_view_is_compacted(self):
         strided = np.arange(12.0)[::2]
@@ -593,7 +615,7 @@ class TestLeanFrames:
             client.sendall(blob[:-8])
             client.close()
             with pytest.raises(wire.WireError, match="mid-frame"):
-                wire.read_frame(accepted, "json", lean_sender="w0")
+                wire.read_frame(accepted, lean_sender="w0")
         finally:
             accepted.close()
 
@@ -601,8 +623,9 @@ class TestLeanFrames:
         client, accepted = socket_pair()
         try:
             client.sendall(lean_bytes(segment()))
-            with pytest.raises(wire.WireError, match="negotiated none"):
-                wire.read_frame(accepted, "json")
+            # The handshake itself is read with no sender to name.
+            with pytest.raises(wire.WireError, match="before the handshake"):
+                wire.read_frame(accepted)
         finally:
             client.close()
             accepted.close()
@@ -613,12 +636,10 @@ class TestLeanFrames:
             wire.sendmsg_gather(
                 client, wire.lean_segment_buffers(segment(), "w0")[0]
             )
-            lean = wire.read_frame(accepted, "json", lean_sender="w0")
-            wire.write_frame(
-                client, wire.message_frame(segment(), raw=True), binary=True
-            )
+            lean = wire.read_frame(accepted, lean_sender="w0")
+            wire.write_frame(client, wire.message_frame(segment()))
             generic = wire.decode_message(
-                wire.read_frame(accepted, "json"), borrowed=False
+                wire.read_frame(accepted), borrowed=False
             )
         finally:
             client.close()
@@ -629,15 +650,14 @@ class TestLeanFrames:
             assert array.flags.writeable and not array.flags.owndata
             np.testing.assert_array_equal(array, np.arange(6.0))
 
-    def test_handshake_negotiates_lean_like_bin(self):
-        hello = wire.hello_frame("w0")
-        assert hello["lean"] is True
-        assert wire.hello_frame("w0", binary=False)["lean"] is False
-        assert wire.lean_negotiated(hello, binary=True)
-        assert not wire.lean_negotiated(hello, binary=False)
-        old = dict(hello)
-        del old["lean"]  # a peer that never heard of it
-        assert not wire.lean_negotiated(old, binary=True)
-        assert wire.welcome_frame("s", lean=True)["lean"] is True
-        assert wire.welcome_frame("s", binary=True)["lean"] is False
-        assert wire.PROTOCOL_VERSION == 1
+    def test_handshake_carries_no_format_keys(self):
+        """Version 2 negotiates nothing: hello and welcome name the
+        version and the node (and the AM's epoch), and that is all."""
+        assert wire.PROTOCOL_VERSION == 2
+        assert wire.hello_frame("w0") == {
+            "kind": "hello", "version": 2, "node": "w0",
+        }
+        assert wire.welcome_frame("s") == {
+            "kind": "welcome", "version": 2, "node": "s",
+        }
+        assert wire.welcome_frame("am", epoch=3)["epoch"] == 3

@@ -100,8 +100,8 @@ class TestLeanRoundTrip:
             buffers, total = wire.lean_segment_buffers(message, "w0")
             wire.sendmsg_gather(writer, buffers)
             writer.close()
-            parsed = wire.read_frame(reader, "json", lean_sender="w0")
-            assert wire.read_frame(reader, "json") is None  # nothing left
+            parsed = wire.read_frame(reader, lean_sender="w0")
+            assert wire.read_frame(reader) is None  # nothing left
         finally:
             writer.close()
             reader.close()
@@ -115,7 +115,7 @@ class TestLeanRoundTrip:
         try:
             buffers, total = wire.lean_segment_buffers(message, "w0")
             assert ring.write(buffers) == total + 4  # the record's own u32
-            parsed = decode_shm_frame(ring.read(), "json", lean_sender="w0")
+            parsed = decode_shm_frame(ring.read(), lean_sender="w0")
             assert_same_message(parsed, message, borrowed=True)
             del parsed  # its arrays are views into the ring
             ring.advance()
@@ -191,7 +191,7 @@ class TestLeanFuzz:
                 writer.sendall(mutated + (body if with_body else b""))
                 writer.close()
                 try:
-                    frame = wire.read_frame(reader, "json", lean_sender="w0")
+                    frame = wire.read_frame(reader, lean_sender="w0")
                 except wire.WireError:
                     outcomes.add("error")
                 else:
@@ -210,7 +210,7 @@ class TestLeanFuzz:
         for mutated, with_body in corruptions(head):
             record = memoryview(mutated + (body if with_body else b""))
             try:
-                frame = decode_shm_frame(record, "json", lean_sender="w0")
+                frame = decode_shm_frame(record, lean_sender="w0")
             except wire.WireError:
                 outcomes.add("error")
             else:

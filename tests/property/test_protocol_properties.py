@@ -7,14 +7,12 @@ from repro.coordination import (
     AdjustmentKind,
     AdjustmentRequest,
     ApplicationMaster,
-    DeduplicatingInbox,
     DirectiveKind,
-    FaultyChannel,
+    FaultPlan,
     KeyValueStore,
-    MessageFactory,
     MessageType,
-    ReliableSender,
 )
+from repro.net import ServerCore, memory_link
 
 
 class TestAmProperties:
@@ -91,27 +89,17 @@ class TestReliableDeliveryProperties:
     def test_exactly_once_under_arbitrary_faults(
         self, drop_every, duplicate_every, messages
     ):
-        inbox = DeduplicatingInbox()
         received = []
-
-        def deliver(message):
-            if inbox.accept(message):
-                received.append(message)
-
-        channel = FaultyChannel(
-            deliver, drop_every=drop_every, duplicate_every=duplicate_every
+        core = ServerCore(handler=lambda m: received.append(m) or {})
+        link = memory_link(
+            core, "w0", max_attempts=10,
+            fault_plan=FaultPlan(
+                drop_every=drop_every, duplicate_every=duplicate_every
+            ),
         )
-        sender = ReliableSender(channel, max_attempts=10)
-        factory = MessageFactory()
         for i in range(messages):
-            message = factory.make(MessageType.COORDINATE, "w0", {"seq": i})
-            assert sender.send(
-                message,
-                acknowledged=lambda m=message: any(
-                    r.msg_id == m.msg_id for r in received
-                ),
-            )
-        assert len(received) == messages
+            link.post(MessageType.COORDINATE, {"seq": i})
+        assert [m.payload["seq"] for m in received] == list(range(messages))
         assert len({m.msg_id for m in received}) == messages
 
 

@@ -126,7 +126,6 @@ class TestStateBlobShardPlan:
         }
         assembler = ChunkAssembler(
             "t", blob.total_bytes, blob.total_chunks, blob.chunk_bytes,
-            codec=blob.codec,
         )
         for shard in shards:
             if shard["index"] in adopt:
@@ -139,6 +138,6 @@ class TestStateBlobShardPlan:
                 for seq in range(shard["start_chunk"], shard["end_chunk"]):
                     assembler.add(seq, blob.chunk(seq), blob.chunk_digest(seq))
         assembled = assembler.finish(blob.digest)
-        decoded = decode_state_blob(assembled, codec=blob.codec)
+        decoded = decode_state_blob(assembled)
         for name, value in state["params"].items():
             np.testing.assert_array_equal(decoded["params"][name], value)
