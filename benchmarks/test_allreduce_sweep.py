@@ -1,4 +1,4 @@
-"""Gradient-plane sweep: star vs ring, across transports and codecs.
+"""Gradient-plane sweep: star vs ring, across transports.
 
 The PR-5 ring exists for one reason: the star plane funnels ``2·N·S``
 gradient bytes through the AM every iteration (N uploads of S bytes, N
@@ -6,17 +6,12 @@ mean downloads), serializing the whole job's gradient traffic through
 one process, while the ring moves ``2·S·(N-1)/N`` bytes per member over
 direct peer links and the AM moves **zero**.  This sweep measures both
 planes end to end — N worker threads per iteration, real reliable
-links — and extends the ring axis along two new dimensions (PR 9):
+links — and runs the ring over in-memory links, loopback TCP, and the
+``shm://`` shared-memory ring-buffer transport for co-located workers.
 
-* transport — in-memory links, loopback TCP, and the ``shm://``
-  shared-memory ring-buffer transport for co-located workers;
-* codec — raw float64 buckets (``none``), and the ``fp16`` / ``int8``
-  error-feedback quantizers negotiated per ring epoch.
-
-The acceptance bars: ring AM bytes are exactly zero and the
-uncompressed ring is bit-identical to the star reference (ISSUE 5);
-SHM beats loopback TCP at the largest payload and fp16 cuts shipped
-ring bytes to ~a quarter (float64 grads) with bounded drift (ISSUE 9).
+The acceptance bars: ring AM bytes are exactly zero, the ring is
+bit-identical to the star reference, and SHM beats loopback TCP at the
+largest payload.
 """
 
 import threading
@@ -51,11 +46,6 @@ SIZES = (
 )
 
 RING_TRANSPORTS = ("memory", "tcp", "shm")
-RING_CODECS = ("none", "fp16", "int8")
-
-#: Worst-case drift of the compressed mean from the exact mean, per
-#: element, for standard-normal gradients (asserted per run).
-DRIFT_BOUND = {"none": 0.0, "fp16": 5e-3, "int8": 1e-1}
 
 
 def make_grads(nbytes, seed):
@@ -134,7 +124,7 @@ def make_host(transport):
     }[transport]()
 
 
-def ring_plane(transport, nbytes, codec="none"):
+def ring_plane(transport, nbytes):
     """The same collective over direct peer links; the AM is not even
     instantiated — there is nothing for it to do."""
     workers = [f"w{i}" for i in range(WORKERS)]
@@ -155,8 +145,6 @@ def ring_plane(transport, nbytes, codec="none"):
             worker, mailbox, connect, step_timeout=60.0, metrics=metrics,
         )
     ring = {"epoch": 0, "order": workers, "peers": addrs, "active_from": 0}
-    if codec != "none":
-        ring["codec"] = codec
     for node in nodes.values():
         node.install(ring)
     results = {}
@@ -176,30 +164,17 @@ def ring_plane(transport, nbytes, codec="none"):
         for node in nodes.values():
             node.close()
         host.close()
-    # Correctness oracle: uncompressed, the distributed mean is
-    # bit-identical to the reference the star path would have served;
-    # compressed, every replica holds identical bytes within the codec's
-    # drift bound of the exact mean.
+    # Correctness oracle: the distributed mean is bit-identical to the
+    # reference the star path would have served.
     reference = ring_reference_average([grads[w] for w in workers])
-    drift = 0.0
     for worker in workers:
-        if codec == "none":
-            assert results[worker]["w"].tobytes() == reference["w"].tobytes()
-        else:
-            assert (
-                results[worker]["w"].tobytes()
-                == results[workers[0]]["w"].tobytes()
-            )
-    if codec != "none":
-        drift = float(np.max(np.abs(results[workers[0]]["w"] - reference["w"])))
-        assert drift < DRIFT_BOUND[codec], (transport, codec, drift)
+        assert results[worker]["w"].tobytes() == reference["w"].tobytes()
     return {
         "sec_per_iter": elapsed / ITERATIONS,
         "am_bytes_per_iter": 0.0,  # no AM in the gradient path at all
         "peer_bytes_per_member_iter": (
             snap["net.allreduce.bytes_sent"] / WORKERS / ITERATIONS
         ),
-        "drift": drift,
     }
 
 
@@ -207,11 +182,7 @@ def sweep():
     rows = []
     for label, nbytes in SIZES:
         star = {t: star_plane(t, nbytes) for t in ("memory", "tcp")}
-        ring = {
-            (transport, codec): ring_plane(transport, nbytes, codec)
-            for transport in RING_TRANSPORTS
-            for codec in RING_CODECS
-        }
+        ring = {t: ring_plane(t, nbytes) for t in RING_TRANSPORTS}
         rows.append({
             "label": label, "nbytes": nbytes, "star": star, "ring": ring,
         })
@@ -221,51 +192,36 @@ def sweep():
 def test_allreduce_sweep(benchmark, save_result):
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
 
-    widths = (7, 6, 12, 12, 12, 12, 12, 15, 9)
+    widths = (7, 12, 12, 12, 12, 12, 15)
     lines = [
         fmt_row(
             (
-                "Size", "Codec", "star-mem ms", "star-tcp ms",
-                "ring-mem ms", "ring-tcp ms", "ring-shm ms",
-                "peer B/mbr/it", "drift",
+                "Size", "star-mem ms", "star-tcp ms",
+                "ring-mem ms", "ring-tcp ms", "ring-shm ms", "peer B/mbr/it",
             ),
             widths,
         )
     ]
     for row in rows:
-        for codec in RING_CODECS:
-            ring = {
-                t: row["ring"][(t, codec)] for t in RING_TRANSPORTS
-            }
-            star_cells = (
+        star, ring = row["star"], row["ring"]
+        lines.append(
+            fmt_row(
                 (
-                    f"{row['star']['memory']['sec_per_iter'] * 1e3:.2f}",
-                    f"{row['star']['tcp']['sec_per_iter'] * 1e3:.2f}",
-                )
-                if codec == "none" else ("-", "-")
+                    row["label"],
+                    *(f"{star[t]['sec_per_iter'] * 1e3:.2f}"
+                      for t in ("memory", "tcp")),
+                    *(f"{ring[t]['sec_per_iter'] * 1e3:.2f}"
+                      for t in RING_TRANSPORTS),
+                    f"{ring['shm']['peer_bytes_per_member_iter']:.0f}",
+                ),
+                widths,
             )
-            lines.append(
-                fmt_row(
-                    (
-                        row["label"], codec, *star_cells,
-                        f"{ring['memory']['sec_per_iter'] * 1e3:.2f}",
-                        f"{ring['tcp']['sec_per_iter'] * 1e3:.2f}",
-                        f"{ring['shm']['sec_per_iter'] * 1e3:.2f}",
-                        f"{ring['shm']['peer_bytes_per_member_iter']:.0f}",
-                        (
-                            f"{ring['shm']['drift']:.1e}"
-                            if codec != "none" else "exact"
-                        ),
-                    ),
-                    widths,
-                )
-            )
+        )
     lines.append(
         f"{WORKERS} workers, {ITERATIONS} iterations per cell; star AM "
         f"bytes = 2*N*S (N uploads + N mean downloads), ring AM bytes "
-        f"= 0 by construction, ring peer bytes/member ~= 2*S*(N-1)/N "
-        f"(scaled by the codec: fp16 ~1/4 of float64, int8 ~1/8); "
-        f"drift = max |compressed mean - exact mean|"
+        f"= 0 by construction, ring peer bytes/member ~= 2*S*(N-1)/N; "
+        f"every ring mean is bit-identical to the star reference"
     )
     save_result("allreduce_sweep", lines)
 
@@ -276,9 +232,8 @@ def test_allreduce_sweep(benchmark, save_result):
         for transport in ("memory", "tcp"):
             star_bytes = row["star"][transport]["am_bytes_per_iter"]
             assert star_bytes >= 2 * WORKERS * nbytes * 0.99, row["label"]
-        raw = {}
         for transport in RING_TRANSPORTS:
-            ring = row["ring"][(transport, "none")]
+            ring = row["ring"][transport]
             # Ring: the AM sees zero gradient bytes.
             assert ring["am_bytes_per_iter"] == 0.0, row["label"]
             # And the bytes that do flow are spread across peer links
@@ -288,25 +243,12 @@ def test_allreduce_sweep(benchmark, save_result):
             assert 0.9 * expected_peer <= peer <= 1.3 * expected_peer, (
                 row["label"], transport, peer,
             )
-            raw[transport] = peer
-        # Codecs shrink shipped bytes by the dtype ratio: float64->fp16
-        # is 4x, float64->int8 is 8x (metadata rides the JSON header,
-        # not the counted segments).
-        for transport in RING_TRANSPORTS:
-            fp16 = row["ring"][(transport, "fp16")]
-            int8 = row["ring"][(transport, "int8")]
-            assert fp16["peer_bytes_per_member_iter"] <= (
-                0.30 * raw[transport]
-            ), (row["label"], transport)
-            assert int8["peer_bytes_per_member_iter"] <= (
-                0.15 * raw[transport]
-            ), (row["label"], transport)
 
     # The SHM acceptance bar: at the largest payload, shared-memory
-    # links beat loopback TCP on the uncompressed ring.
+    # links beat loopback TCP.
     largest = rows[-1]
-    shm = largest["ring"][("shm", "none")]["sec_per_iter"]
-    tcp = largest["ring"][("tcp", "none")]["sec_per_iter"]
+    shm = largest["ring"]["shm"]["sec_per_iter"]
+    tcp = largest["ring"]["tcp"]["sec_per_iter"]
     assert shm < tcp, (
         f"shm {shm * 1e3:.2f} ms/it not faster than tcp {tcp * 1e3:.2f} "
         f"ms/it at {largest['label']}"

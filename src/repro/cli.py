@@ -473,7 +473,6 @@ def cmd_serve(args) -> int:
         iterations=args.iterations,
         coordination_interval=args.interval,
         ring_enabled=not args.no_ring,
-        ring_codec=args.ring_codec,
         worker_lease_ttl=args.lease_ttl,
         telemetry_interval=args.telemetry_interval,
         replication_shards=args.shards,
@@ -920,11 +919,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--trace", help="export a Chrome trace here")
     serve.add_argument("--no-ring", action="store_true",
                        help="disable the ring gradient plane (star only)")
-    serve.add_argument("--ring-codec", choices=("none", "fp16", "int8"),
-                       default="none",
-                       help="gradient compression codec every ring epoch "
-                            "negotiates (none keeps the bit-identical "
-                            "uncompressed path)")
     serve.add_argument("--journal",
                        help="write-ahead journal file (enables failover)")
     serve.add_argument("--lease-ttl", type=float, default=0.0,

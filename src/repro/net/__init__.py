@@ -32,12 +32,7 @@ from .chunks import (
     TransferError,
     decode_state_blob,
 )
-from .codecs import (
-    RING_CODECS,
-    decode_bucket,
-    encode_bucket,
-    validate_codec,
-)
+from .codecs import decode_bucket, encode_bucket
 from .collective import (
     DEFAULT_RING_BUCKET_BYTES,
     RingDegraded,
@@ -102,7 +97,6 @@ __all__ = [
     "decode_state_blob",
     "DEFAULT_RING_BUCKET_BYTES",
     "DEFAULT_SHM_CAPACITY",
-    "RING_CODECS",
     "ChaosSoak",
     "GoodputReport",
     "JobFailed",
@@ -151,5 +145,4 @@ __all__ = [
     "reserve_port",
     "shm_link",
     "tcp_link",
-    "validate_codec",
 ]

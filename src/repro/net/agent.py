@@ -51,6 +51,7 @@ from .master_service import JobSpec
 from .telemetry import TelemetryShipper
 from .transport import (
     ReliableLink,
+    RemoteError,
     RequestTimeout,
     RetryableError,
     ServerCore,
@@ -372,7 +373,6 @@ class WorkerAgent:
             tracer=self.tracer,
             metrics=self.metrics,
             fail_at=self.ring_fail_at,
-            codec=spec.ring_codec,
         )
 
     def _install_ring(self, ring: "dict | None") -> None:
@@ -443,7 +443,7 @@ class WorkerAgent:
             for peer in peers:
                 try:
                     reply = node.fetch_peer_state(peer, generation, iteration)
-                except Exception:
+                except (OSError, RemoteError):
                     continue
                 if reply.get("state") == "done" and reply.get("grads"):
                     self.stale_repairs += 1
@@ -497,7 +497,7 @@ class WorkerAgent:
             for peer in peers:
                 try:
                     reply = node.fetch_peer_state(peer, generation, iteration)
-                except Exception:
+                except (OSError, RemoteError):
                     continue  # unreachable counts as unable to complete
                 state = reply.get("state")
                 if state == "done" and reply.get("grads") is not None:

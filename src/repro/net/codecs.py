@@ -1,35 +1,13 @@
-"""Gradient compression codecs for the ring plane: fp16 / int8 + EF.
+"""Stateless fp16 / int8 bucket quantizers, kept for one isolated drive.
 
-The ring gradient plane ships raw full-precision buckets by default —
-bit-identical to the star path, the determinism anchor of the whole
-system.  This module is the opt-in codec seam on top: per ring epoch
-the AM negotiates one codec for every member (``JobSpec.ring_codec``
-rides the ring payload), and each shipped bucket is quantized with
-**error feedback**: the quantization error of every element is kept in
-a full-size per-parameter residual and added back into the *next*
-iteration's value before quantizing — so the error is fed forward, not
-lost, and the long-run drift stays bounded instead of accumulating.
+The ring is lossless: it ships raw buckets and nothing in ``src/``
+calls this module.  It exists only because the benchmark harness's
+``codecs.*`` drive times an encode/decode round trip through these two
+functions; it goes when that drive does.
 
-* ``fp16`` — IEEE half-precision cast (4× on float64 gradients, 2× on
-  float32).
+* ``fp16`` — IEEE half-precision cast.
 * ``int8`` — per-array symmetric linear quantization: one float scale
-  (``max|x| / 127``) per shipped array, values rounded to int8.
-
-Determinism contract (see docs/PROTOCOL.md, "Codec negotiation"):
-
-* ``none`` takes *exactly* the uncompressed code path — zero new ufunc
-  calls — so every existing bit-identity guarantee is untouched.
-* With a codec active, replicas remain bit-identical **to each other**:
-  the all-gather relays received quantized bytes verbatim and the
-  partition owner applies ``decode(encode(x))`` to its own copy, so
-  every rank ends the iteration holding the same bytes.  Only the
-  distance to the exact mean changes, and it is bounded by the codec's
-  per-element error (asserted in tests).
-
-Residuals are stored per parameter at full size, independent of ring
-geometry — they survive re-partitioning across adjustments, and
-:meth:`RingNode.capture_residuals` / ``restore_residuals`` move them
-with the worker's state.
+  (``max|x| / 127``) per array, values rounded to int8.
 """
 
 from __future__ import annotations
@@ -40,117 +18,48 @@ import numpy as np
 
 from .wire import WireError
 
-#: Codecs a ring epoch can negotiate.
-RING_CODECS = ("none", "fp16", "int8")
-
-
-def validate_codec(name: "str | None") -> str:
-    """Clamp/validate a configured ring codec name."""
-    codec = str(name or "none")
-    if codec not in RING_CODECS:
-        raise ValueError(
-            f"unknown ring codec {codec!r}; expected one of {RING_CODECS}"
-        )
-    return codec
-
 
 class BucketEncoding(typing.NamedTuple):
     """One encoded bucket: shipped arrays + the metadata to invert them."""
 
     data: "list[np.ndarray]"
     meta: "dict"
-    raw_bytes: int
-    compressed_bytes: int
-    fallbacks: int
-    residual_sq: float
 
 
-def _quantize(
-    codec: str, values: np.ndarray
-) -> "tuple[np.ndarray, dict, np.ndarray]":
-    """Quantize one float array; returns (shipped, meta, dequantized)."""
+def _quantize(codec: str, values: np.ndarray) -> "tuple[np.ndarray, dict]":
     if codec == "fp16":
-        shipped = values.astype(np.float16)
-        return shipped, {"dtype": str(values.dtype)}, shipped.astype(values.dtype)
+        return values.astype(np.float16), {"dtype": str(values.dtype)}
     if codec == "int8":
         peak = float(np.max(np.abs(values))) if values.size else 0.0
         scale = peak / 127.0 if peak > 0.0 else 1.0
-        shipped = np.clip(
-            np.rint(values / scale), -127, 127
-        ).astype(np.int8)
-        dequantized = (shipped.astype(values.dtype)) * values.dtype.type(scale)
-        return shipped, {"dtype": str(values.dtype), "scale": scale}, dequantized
-    raise WireError(f"unknown ring codec {codec!r}")
-
-
-def dequantize(array: np.ndarray, meta: dict) -> np.ndarray:
-    """Invert :func:`_quantize` for one shipped array."""
-    dtype = np.dtype(meta["dtype"])
-    if "scale" in meta:
-        return array.astype(dtype) * dtype.type(meta["scale"])
-    return array.astype(dtype)
+        shipped = np.clip(np.rint(values / scale), -127, 127).astype(np.int8)
+        return shipped, {"dtype": str(values.dtype), "scale": scale}
+    raise WireError(f"unknown codec {codec!r}")
 
 
 def encode_bucket(
-    codec: str,
-    views: "typing.Sequence[np.ndarray]",
-    residuals: "typing.Sequence[np.ndarray] | None" = None,
+    codec: str, views: "typing.Sequence[np.ndarray]"
 ) -> BucketEncoding:
-    """Quantize one bucket's views for shipping.
-
-    ``residuals``, when given, must be flat views aligned with
-    ``views`` (same slices of the full-size residual arrays): each view
-    is quantized as ``Q(x + r)`` and the new error ``(x + r) - dq``
-    is written back into the residual in place — classic error
-    feedback.  When ``residuals`` is None (the all-gather), values are
-    quantized as-is and the caller decides what to do with ``dq``.
-
-    Non-float arrays fall back to raw shipping (counted, not fatal):
-    integer parameters carry exact values that quantization would
-    corrupt.
-    """
-    data: "list[np.ndarray]" = []
-    metas: "list[dict]" = []
-    raw = compressed = fallbacks = 0
-    residual_sq = 0.0
-    for index, view in enumerate(views):
-        raw += view.nbytes
-        if view.dtype.kind != "f":
-            data.append(view)
-            metas.append({"raw": True})
-            compressed += view.nbytes
-            fallbacks += 1
-            continue
-        residual = residuals[index] if residuals is not None else None
-        values = view if residual is None else view + residual
-        shipped, meta, dequantized = _quantize(codec, values)
-        if residual is not None:
-            np.subtract(values, dequantized, out=residual)
-            residual_sq += float(np.dot(residual, residual))
-        data.append(shipped)
-        metas.append(meta)
-        compressed += shipped.nbytes
+    """Quantize one bucket's float views with ``codec``."""
+    shipped = [_quantize(codec, view) for view in views]
     return BucketEncoding(
-        data=data,
-        meta={"name": codec, "arrays": metas},
-        raw_bytes=raw,
-        compressed_bytes=compressed,
-        fallbacks=fallbacks,
-        residual_sq=residual_sq,
+        data=[array for array, _ in shipped],
+        meta={"name": codec, "arrays": [meta for _, meta in shipped]},
     )
 
 
 def decode_bucket(
     data: "typing.Sequence[np.ndarray]", meta: dict
 ) -> "list[np.ndarray]":
-    """Invert :func:`encode_bucket` on the receiving rank."""
+    """Invert :func:`encode_bucket`."""
     metas = meta.get("arrays")
     if not isinstance(metas, list) or len(metas) != len(data):
         raise WireError("codec metadata disagrees with the bucket")
-    decoded: "list[np.ndarray]" = []
+    decoded = []
     for array, array_meta in zip(data, metas):
-        if array_meta.get("raw"):
-            decoded.append(np.asarray(array))
-        else:
-            decoded.append(dequantize(np.asarray(array), array_meta))
+        dtype = np.dtype(array_meta["dtype"])
+        values = np.asarray(array).astype(dtype)
+        if "scale" in array_meta:
+            values *= dtype.type(array_meta["scale"])
+        decoded.append(values)
     return decoded

@@ -47,9 +47,7 @@ import typing
 import numpy as np
 
 from ..coordination.messages import Message, MessageType
-from .codecs import decode_bucket, encode_bucket, validate_codec
-from .transport import RequestTimeout, TransportClosed
-from .wire import WireError
+from .transport import RemoteError, RequestTimeout, TransportClosed
 
 #: default ring bucket size (bytes).  A lean segment costs ≈ 47 µs
 #: before its first byte and ≈ 20–40 µs per 64 KB (docs/PROTOCOL.md,
@@ -337,13 +335,12 @@ class RingMailbox:
             data = payload["data"]
             if message.borrowed:
                 data = [np.array(array) for array in data]
-            codec_meta = payload.get("codec")
             if self.metrics is not None:
                 self.metrics.counter("net.allreduce.segments_received").inc()
                 self.metrics.counter("net.allreduce.bytes_received").inc(
                     sum(array.nbytes for array in data)
                 )
-            accepted = self.deposit(key, (data, codec_meta))
+            accepted = self.deposit(key, data)
             return {"ok": True, "stale": not accepted}
         if message.msg_type is MessageType.RING_FETCH:
             state, mean = self.peer_state(
@@ -359,7 +356,7 @@ class RingMailbox:
 def _close_quietly(link) -> None:
     try:
         link.close()
-    except Exception:
+    except OSError:
         pass
 
 
@@ -377,11 +374,11 @@ class RingNode:
     cached per address and reused across generations when the address
     survives the reshuffle.
 
-    The calling thread runs the hop pipeline, all codec work and every
-    send: a segment is a one-way ``post`` unless it is the iteration's
-    last or ``window`` segments are already posted but not yet
-    acknowledged — then it is a request, whose reply acknowledges
-    everything written before it.  The node owns no thread.
+    The calling thread runs the hop pipeline and every send: a segment
+    is a one-way ``post`` unless it is the iteration's last or
+    ``window`` segments are already posted but not yet acknowledged —
+    then it is a request, whose reply acknowledges everything written
+    before it.  The node owns no thread.
     """
 
     def __init__(
@@ -395,7 +392,6 @@ class RingNode:
         tracer: "typing.Any | None" = None,
         metrics: "typing.Any | None" = None,
         fail_at: "typing.Collection[int]" = (),
-        codec: str = "none",
     ):
         self.worker_id = worker_id
         self.mailbox = mailbox
@@ -405,19 +401,6 @@ class RingNode:
         self.step_timeout = step_timeout
         self.tracer = tracer
         self.metrics = metrics
-        #: negotiated gradient codec — the constructor value is the
-        #: default; :meth:`install` adopts whatever the ring payload
-        #: carries, so the whole epoch agrees on one codec.
-        self.codec = validate_codec(codec)
-        #: full-size per-parameter error-feedback residuals, keyed by
-        #: name — geometry-independent, so they survive re-partitioning
-        #: when the ring membership changes.
-        self._residuals: "dict[str, np.ndarray]" = {}
-        #: per-iteration all-gather relay cache: (part, bucket) ->
-        #: (quantized arrays, codec meta) exactly as received, forwarded
-        #: verbatim so every rank ends up holding identical bytes.
-        self._ag_relay: "dict[tuple, tuple]" = {}
-        self._iter_residual_sq = 0.0
         #: test knob: iterations at which this node aborts its ring
         #: before participating (deterministic degradation injection).
         self.fail_at = frozenset(fail_at)
@@ -442,59 +425,16 @@ class RingNode:
     # -- membership ------------------------------------------------------------
 
     def install(self, ring: "dict") -> None:
-        """Adopt a generation's ring (order, peer addresses, epoch).
-
-        The ring payload optionally carries the epoch's negotiated
-        gradient ``codec``; error-feedback residuals deliberately
-        survive the install — they are keyed by parameter name at full
-        size, so the new geometry reuses them as-is.
-        """
+        """Adopt a generation's ring (order, peer addresses, epoch)."""
         self.ring = {
             "epoch": int(ring["epoch"]),
             "order": list(ring["order"]),
             "peers": dict(ring["peers"]),
             "active_from": int(ring["active_from"]),
         }
-        if "codec" in ring:
-            self.codec = validate_codec(ring["codec"])
         self.strikes = 0
         with self._lock:
             self._suspects.clear()
-
-    # -- error-feedback residual state -----------------------------------------
-
-    def capture_residuals(self) -> "dict[str, np.ndarray]":
-        """Copy of the EF residual state (ships with worker snapshots)."""
-        with self._lock:
-            return {
-                name: np.array(residual)
-                for name, residual in self._residuals.items()
-            }
-
-    def restore_residuals(
-        self, state: "typing.Mapping[str, np.ndarray]"
-    ) -> None:
-        """Adopt captured residuals (restart / migration path)."""
-        with self._lock:
-            self._residuals = {
-                name: np.array(residual) for name, residual in state.items()
-            }
-
-    def _residual_views(
-        self, scratch: "typing.Mapping[str, np.ndarray]", bucket
-    ) -> "list[np.ndarray]":
-        """Flat residual views aligned with one bucket's slices."""
-        views = []
-        for piece in bucket:
-            full = scratch[piece.name]
-            with self._lock:
-                residual = self._residuals.get(piece.name)
-                if residual is None or residual.size != full.size:
-                    residual = self._residuals[piece.name] = np.zeros(
-                        full.size, dtype=full.dtype
-                    )
-            views.append(residual[piece.start:piece.stop])
-        return views
 
     def _count(self, name: str, amount: int = 1) -> None:
         if self.metrics is not None and amount:
@@ -583,8 +523,6 @@ class RingNode:
         # Working copy: the pristine ``grads`` stay untouched for the
         # star fallback; ``scratch`` becomes the mean in place.
         scratch = {name: np.array(grads[name]) for name in grads}
-        self._ag_relay = {}
-        self._iter_residual_sq = 0.0
         started = time.perf_counter()
         steps = members - 1  # hops per phase
         phases = (("rs", "reduce_scatter"), ("ag", "all_gather"))
@@ -598,18 +536,12 @@ class RingNode:
         )
         self._unconfirmed = 0
 
-        def post(hop: int, part: int, index: int, views) -> None:
-            phase, step = phases[hop // steps][0], hop % steps
+        def post(hop: int, index: int, views) -> None:
             payload = dict(
-                generation=generation, iteration=iteration, phase=phase,
-                step=step, part=part, bucket=index, data=views,
+                generation=generation, iteration=iteration,
+                phase=phases[hop // steps][0], step=hop % steps,
+                bucket=index, data=views,
             )
-            if self.codec != "none":
-                payload["data"], payload["codec"] = self._encode(
-                    phase, step, (part, index), views,
-                    self._residual_views(scratch, layout.buckets[part][index])
-                    if phase == "rs" else None,
-                )
             self._send(successor, payload, confirm=(hop, index) == last)
 
         try:
@@ -624,7 +556,7 @@ class RingNode:
             ):
                 # Hop 0 ships this rank's own partition as computed.
                 for index, bucket in enumerate(layout.buckets[rank]):
-                    post(0, rank, index, layout.views(scratch, bucket))
+                    post(0, index, layout.views(scratch, bucket))
                 for first, (phase, name) in zip((0, steps), phases):
                     with _maybe_span(
                         self.tracer, f"net.allreduce.{name}", self.worker_id,
@@ -641,9 +573,9 @@ class RingNode:
                                 views = layout.views(scratch, bucket)
                                 key = (generation, iteration, phase,
                                        hop % steps, index)
-                                self._receive(key, part, views, divisor)
+                                self._receive(key, views, divisor)
                                 if hop + 1 < 2 * steps:
-                                    post(hop + 1, part, index, views)
+                                    post(hop + 1, index, views)
         except RingDegraded as exc:
             self.mailbox.degrade(generation, iteration)
             self.strikes += 1
@@ -662,29 +594,19 @@ class RingNode:
             self.metrics.histogram("net.allreduce.seconds").observe(
                 time.perf_counter() - started
             )
-            if self.codec != "none":
-                self.metrics.histogram("net.codec.residual_norm").observe(
-                    float(np.sqrt(self._iter_residual_sq))
-                )
         return scratch
 
-    def _receive(self, key: tuple, part: int, views, divisor: int) -> None:
+    def _receive(self, key: tuple, views, divisor: int) -> None:
         """Collect one bucket and fold it into ``views`` in place."""
-        deposited = self.mailbox.collect(key, self.step_timeout)
-        if deposited is None:
+        data = self.mailbox.collect(key, self.step_timeout)
+        if data is None:
             raise RingDegraded(
                 f"{self.worker_id} timed out waiting for segment "
                 f"(generation, iteration, phase, step, bucket) = {key}"
             )
-        data, codec_meta = deposited
-        _, _, phase, _, index = key
-        if codec_meta is not None:
-            if phase == "ag":
-                # Kept for verbatim relay at the next all-gather step.
-                self._ag_relay[(part, index)] = (data, codec_meta)
-            data = decode_bucket(data, codec_meta)
+        gather = key[2] == "ag"
         for view, received in zip(views, data):
-            if phase == "ag":
+            if gather:
                 view[:] = received
                 continue
             # The arriving partial arc is the left operand — the
@@ -692,37 +614,6 @@ class RingNode:
             np.add(received, view, out=view)
             if divisor:
                 np.true_divide(view, divisor, out=view)
-
-    def _encode(self, phase: str, step: int, relay_key: tuple, data, residuals):
-        """Quantize one outgoing bucket per the phase's rules.
-
-        Reduce-scatter quantizes with error feedback.  The all-gather
-        must leave every rank holding *identical* bytes: the partition
-        owner (step 0) quantizes without EF and adopts the dequantized
-        values itself, while relays (step ≥ 1) forward the received
-        quantized bytes verbatim from the per-iteration relay cache.
-        """
-        if phase == "rs":
-            enc = encode_bucket(self.codec, data, residuals)
-            self._iter_residual_sq += enc.residual_sq
-        elif step == 0:
-            enc = encode_bucket(self.codec, data)
-            for view, dequantized in zip(
-                data, decode_bucket(enc.data, enc.meta)
-            ):
-                view[:] = dequantized
-        else:
-            relayed = self._ag_relay.get(relay_key)
-            if relayed is not None:
-                return relayed
-            # A star-repaired or freshly-installed rank may lack the
-            # cache; re-encoding its (already dequantized) values is
-            # the best remaining approximation.
-            enc = encode_bucket(self.codec, data)
-        self._count("net.codec.bytes_raw", enc.raw_bytes)
-        self._count("net.codec.bytes_compressed", enc.compressed_bytes)
-        self._count("net.codec.fallbacks", enc.fallbacks)
-        return enc.data, enc.meta
 
     # -- sending ---------------------------------------------------------------
 
@@ -738,7 +629,7 @@ class RingNode:
         """
         try:
             link = self._link_to(successor)
-        except (TransportClosed, WireError, OSError):
+        except OSError:
             # A connect-level failure (refused, endpoint gone) means
             # the successor is dead, not lossy: suspect it so later
             # sends and probes fail instantly, without the dial.
@@ -755,9 +646,9 @@ class RingNode:
         except RequestTimeout:
             self._suspect(successor)
             self._count("net.allreduce.send_failures")
-        except Exception as exc:
-            # Nothing a link is meant to raise (a remote handler error,
-            # a bug) — and the collective has to outlive it.
+        except (OSError, RemoteError) as exc:
+            # A broken link short of a timeout, or the successor's
+            # handler refusing the segment: the collective outlives it.
             self._count("net.allreduce.send_failures")
             if self.tracer is not None:
                 self.tracer.instant(
@@ -778,16 +669,17 @@ class RingNode:
     ) -> dict:
         """One ``RING_FETCH`` probe of a peer's iteration state.
 
-        A probe that fails for *any* reason suspects the peer: probes
-        are tiny requests with a full resend budget, so a peer that
-        cannot answer one is dead for this ring epoch — recovery loops
-        must not pay the same multi-second discovery on every round.
+        A probe that the link or the peer's handler fails suspects the
+        peer: probes are tiny requests with a full resend budget, so a
+        peer that cannot answer one is dead for this ring epoch —
+        recovery loops must not pay the same multi-second discovery on
+        every round.  Anything else is a bug and propagates.
         """
         try:
             return self._link_to(peer).request(
                 MessageType.RING_FETCH,
                 {"generation": generation, "iteration": iteration},
             )
-        except Exception:
+        except (OSError, RemoteError):
             self._suspect(peer)
             raise

@@ -121,13 +121,6 @@ class JobSpec:
     ring_step_timeout: float = 2.0
     #: peer-link ack timeout (resend cadence between ring neighbours).
     ring_ack_timeout: float = 0.5
-    #: gradient compression codec on the ring plane (``none`` | ``fp16``
-    #: | ``int8``).  Negotiated per ring epoch: the value rides the ring
-    #: payload the AM freezes at plan mint, so every member of an epoch
-    #: agrees.  ``none`` (the default) keeps the ring bit-identical to
-    #: the star path; a codec trades bounded, error-feedback-compensated
-    #: precision for per-iteration ring bytes.
-    ring_codec: str = "none"
     #: heartbeat-derived worker lease TTL (seconds).  0 disables lease
     #: tracking entirely — the default, so small tests and legacy jobs
     #: run without a supervisor thread.  With a TTL, any message or TCP
@@ -615,18 +608,12 @@ class NetworkedApplicationMaster:
             if addr is None:
                 return None
             peers[member] = addr
-        ring = {
+        return {
             "epoch": generation,
             "order": list(group),
             "peers": peers,
             "active_from": int(active_from),
         }
-        # "none" ships no codec key at all: the default ring payload —
-        # and everything downstream of it — stays byte-identical to the
-        # uncompressed protocol.
-        if self.spec.ring_codec != "none":
-            ring["codec"] = self.spec.ring_codec
-        return ring
 
     def _mint_plan(self, directive) -> None:
         """Lock held: the first adjust directive mints the commit plan."""

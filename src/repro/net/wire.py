@@ -19,8 +19,8 @@ format is a fact of :data:`PROTOCOL_VERSION`.
   ``np.frombuffer`` over one receive buffer — no intermediate copies.
 * **Lean frames** — a ``RING_SEGMENT`` is a fixed shape, so on a framed
   pipe it always travels as one ``struct`` (ids, the trace context's two
-  numbers, the ring key, a dtype/count record per flat array), an
-  opaque JSON codec-meta tail, then the raw arrays:
+  numbers, the ring key, a dtype/count record per flat array), then the
+  raw arrays:
   :func:`lean_segment_buffers` / :func:`parse_lean_segment`, shared by
   the socket and shm pipes.  No payload walk; a segment the header
   cannot say is a :class:`WireError` at the sender.
@@ -51,8 +51,9 @@ from ..coordination.messages import Message, MessageType
 #: Protocol version carried by every handshake.  Bump on any
 #: *incompatible* change.  Version 2 fixed the frame format: JSON
 #: headers, binary frames for arrays, lean ring segments — a version-1
-#: peer, which negotiated them, is rejected.
-PROTOCOL_VERSION = 2
+#: peer, which negotiated them, is rejected.  Version 3 dropped the lean
+#: header's codec-meta tail and its ``part`` field.
+PROTOCOL_VERSION = 3
 
 #: Hard upper bound on one frame's payload, a corruption guard: a bogus
 #: length prefix must fail loudly, not allocate gigabytes.
@@ -66,7 +67,7 @@ BINARY_FLAG = 0x80000000
 
 #: Second flag bit, only ever set beside :data:`BINARY_FLAG`: a *lean*
 #: frame (docs/PROTOCOL.md, "Lean segment frames").  The low 30 bits
-#: are the length of its head — fixed header, array table, meta tail.
+#: are the length of its head — fixed header and array table.
 LEAN_FLAG = 0x40000000
 
 #: Reserved request-payload key carrying the sender's trace context
@@ -633,14 +634,13 @@ def decode_message(frame: dict, borrowed: bool = True) -> Message:
 # -- lean segment frames ------------------------------------------------------
 #
 # prefix  u32  BINARY_FLAG | LEAN_FLAG | head length
-# head    the fixed header below, ``arrays`` dtype/count records, then
-#         ``meta_len`` bytes of JSON gradient-codec metadata
+# head    the fixed header below, then ``arrays`` dtype/count records
 # body    the arrays' bytes, back to back, in table order
 
 _LEAN_HEAD_MASK = ~(BINARY_FLAG | LEAN_FLAG)
 #: msg_id, post | ctx epoch, ctx sent | generation, iteration, phase,
-#: step, part, bucket | arrays, meta_len.  Big-endian, unpadded.
-_LEAN_FIELDS = "Q?QdqqBIIIHI"
+#: step, bucket | arrays.  Big-endian, unpadded: 52 bytes.
+_LEAN_FIELDS = "Q?QdqqBIIH"
 _LEAN_HEADER = struct.Struct(">" + _LEAN_FIELDS)
 _LEAN_PREFIXED_HEADER = struct.Struct(">I" + _LEAN_FIELDS)
 #: one array: dtype kind (an ASCII letter), dtype itemsize, elements.
@@ -679,23 +679,21 @@ def lean_segment_buffers(message: Message, node: str) -> "tuple[list, int]":
     count.
 
     A lean frame says exactly what :class:`RingNode` sends on a link
-    dialled as ``node``: the six ring-key integers, flat native-number
-    arrays under ``data``, an optional ``codec`` dict (carried opaque,
-    as JSON) and a trace context of node/epoch/sent whose node — like
-    the message's sender — is the handshake's.  Anything else (an extra
-    context key such as the AM link's ``job``, a 2-D array, a float
-    where an id belongs) is a :class:`WireError`: there is no other
-    frame for a ring segment.
+    dialled as ``node``: the five ring-key fields, flat native-number
+    arrays under ``data`` and a trace context of node/epoch/sent whose
+    node — like the message's sender — is the handshake's.  Anything
+    else (an extra key such as ``part`` or ``codec``, an extra context
+    key such as the AM link's ``job``, a 2-D array, a float where an id
+    belongs) is a :class:`WireError`: there is no other frame for a ring
+    segment.
     """
     payload = message.payload
     ctx = payload.get(TRACE_CTX_KEY)
     arrays = payload.get("data")
-    meta = payload.get("codec")
     if (
         type(ctx) is not dict or len(ctx) != 3
         or type(arrays) is not list
-        or type(meta) not in (dict, type(None))
-        or len(payload) != (8 if meta is None else 9)
+        or len(payload) != 7
         or not ctx.get("node") == message.sender == node
         or not all(
             type(array) is np.ndarray and array.ndim == 1
@@ -713,8 +711,7 @@ def lean_segment_buffers(message: Message, node: str) -> "tuple[list, int]":
         records.append(_LEAN_ARRAY.pack(*_lean_dtype_code(array.dtype), array.size))
         views.append(array)
         body += array.nbytes
-    tail = b"" if meta is None else encode_frame(meta)
-    head_len = _LEAN_HEADER.size + _LEAN_ARRAY.size * len(arrays) + len(tail)
+    head_len = _LEAN_HEADER.size + _LEAN_ARRAY.size * len(arrays)
     if head_len + body > MAX_FRAME_BYTES:
         raise WireError(f"frame of {head_len + body} bytes exceeds the maximum")
     try:
@@ -723,7 +720,7 @@ def lean_segment_buffers(message: Message, node: str) -> "tuple[list, int]":
             message.msg_id, message.post, ctx["epoch"], ctx["sent"],
             payload["generation"], payload["iteration"],
             _LEAN_PHASES.index(payload["phase"]), payload["step"],
-            payload["part"], payload["bucket"], len(arrays), len(tail),
+            payload["bucket"], len(arrays),
         )
     except (KeyError, TypeError, ValueError, struct.error) as exc:
         raise WireError(
@@ -731,7 +728,7 @@ def lean_segment_buffers(message: Message, node: str) -> "tuple[list, int]":
             f"for it: {exc!r}"
         ) from exc
     return (
-        [b"".join((header, *records, tail)), *views],
+        [b"".join((header, *records)), *views],
         _LENGTH.size + head_len + body,
     )
 
@@ -754,17 +751,16 @@ def parse_lean_segment(
         raise WireError("lean frame shorter than its fixed header")
     (
         msg_id, post, epoch, sent, generation, iteration, phase, step,
-        part, bucket, arrays, meta_len,
+        bucket, arrays,
     ) = _LEAN_HEADER.unpack_from(head)
-    table_end = _LEAN_HEADER.size + _LEAN_ARRAY.size * arrays
-    if table_end + meta_len != len(head):
+    if _LEAN_HEADER.size + _LEAN_ARRAY.size * arrays != len(head):
         raise WireError("lean header disagrees with its own length")
     if phase >= len(_LEAN_PHASES):
         raise WireError(f"lean frame names unknown phase {phase}")
     specs = [
         (_lean_dtype(kind, itemsize), count)
         for kind, itemsize, count in _LEAN_ARRAY.iter_unpack(
-            head[_LEAN_HEADER.size:table_end]
+            head[_LEAN_HEADER.size:]
         )
     ]
     total = sum(dtype.itemsize * count for dtype, count in specs)
@@ -777,12 +773,10 @@ def parse_lean_segment(
         offset += dtype.itemsize * count
     payload = {
         "generation": generation, "iteration": iteration,
-        "phase": _LEAN_PHASES[phase], "step": step, "part": part,
-        "bucket": bucket, "data": data,
+        "phase": _LEAN_PHASES[phase], "step": step, "bucket": bucket,
+        "data": data,
+        TRACE_CTX_KEY: {"node": sender, "epoch": epoch, "sent": sent},
     }
-    if meta_len:
-        payload["codec"] = decode_frame(head[table_end:])
-    payload[TRACE_CTX_KEY] = {"node": sender, "epoch": epoch, "sent": sent}
     return Message(
         msg_id, MessageType.RING_SEGMENT, sender, payload, post, borrowed
     )

@@ -1,38 +1,10 @@
-"""Gradient codec tests: quantization units + the ring's codec seam."""
-
-import threading
+"""The stateless bucket quantizers: round-trip bounds and metadata checks."""
 
 import numpy as np
 import pytest
 
-from repro.net import (
-    MemoryPeerHost,
-    RingMailbox,
-    RingNode,
-    ServerCore,
-    ring_reference_average,
-)
-from repro.net.codecs import (
-    RING_CODECS,
-    decode_bucket,
-    encode_bucket,
-    validate_codec,
-)
+from repro.net.codecs import decode_bucket, encode_bucket
 from repro.net.wire import WireError
-
-
-class TestValidate:
-    def test_known_codecs_pass_through(self):
-        for codec in RING_CODECS:
-            assert validate_codec(codec) == codec
-
-    def test_none_and_empty_default(self):
-        assert validate_codec(None) == "none"
-        assert validate_codec("") == "none"
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError, match="unknown ring codec"):
-            validate_codec("zstd")
 
 
 class TestEncodeBucket:
@@ -41,7 +13,7 @@ class TestEncodeBucket:
         values = rng.standard_normal(4096)
         enc = encode_bucket("fp16", [values])
         assert enc.data[0].dtype == np.float16
-        assert enc.compressed_bytes == enc.raw_bytes // 4
+        assert enc.data[0].nbytes == values.nbytes // 4
         decoded = decode_bucket(enc.data, enc.meta)[0]
         assert decoded.dtype == np.float64
         # fp16 has ~2^-11 relative precision.
@@ -52,7 +24,7 @@ class TestEncodeBucket:
         values = rng.standard_normal(4096)
         enc = encode_bucket("int8", [values])
         assert enc.data[0].dtype == np.int8
-        assert enc.compressed_bytes == enc.raw_bytes // 8
+        assert enc.data[0].nbytes == values.nbytes // 8
         decoded = decode_bucket(enc.data, enc.meta)[0]
         peak = float(np.max(np.abs(values)))
         # Symmetric linear quantization: half a step of error.
@@ -63,260 +35,7 @@ class TestEncodeBucket:
         enc = encode_bucket("int8", [values])
         assert np.array_equal(decode_bucket(enc.data, enc.meta)[0], values)
 
-    def test_error_feedback_updates_residual_in_place(self):
-        rng = np.random.default_rng(2)
-        values = rng.standard_normal(512)
-        residual = np.zeros_like(values)
-        enc = encode_bucket("fp16", [values], [residual])
-        decoded = decode_bucket(enc.data, enc.meta)[0]
-        # residual = (x + r) - dq(Q(x + r)) with r starting at zero.
-        assert np.allclose(residual, values - decoded)
-        assert enc.residual_sq == pytest.approx(float(np.dot(
-            residual, residual
-        )))
-        # Next round: the error is added back before quantizing.
-        enc2 = encode_bucket("fp16", [values], [residual])
-        carried = values + (values - decoded)
-        assert np.allclose(
-            decode_bucket(enc2.data, enc2.meta)[0],
-            carried.astype(np.float16).astype(np.float64),
-        )
-
-    def test_non_float_arrays_fall_back_to_raw(self):
-        counts = np.arange(100, dtype=np.int64)
-        enc = encode_bucket("fp16", [counts])
-        assert enc.fallbacks == 1
-        assert enc.compressed_bytes == enc.raw_bytes
-        assert np.array_equal(decode_bucket(enc.data, enc.meta)[0], counts)
-
     def test_decode_rejects_mismatched_metadata(self):
         enc = encode_bucket("fp16", [np.ones(8)])
         with pytest.raises(WireError, match="disagrees"):
             decode_bucket(enc.data, {"name": "fp16", "arrays": []})
-
-
-# -- the ring's codec seam -----------------------------------------------------
-
-
-class CodecMesh:
-    """N ring nodes over in-memory peer links with one codec."""
-
-    def __init__(self, workers, codec):
-        self.host = MemoryPeerHost()
-        self.nodes = {}
-        addrs = {}
-        for worker in workers:
-            mailbox = RingMailbox()
-            core = ServerCore(mailbox.handle, node_id=f"{worker}/peer")
-            addrs[worker] = self.host.serve(core, worker)
-            connect = lambda addr, w=worker: self.host.connect(
-                addr, node_id=w, ack_timeout=0.2,
-            )
-            self.nodes[worker] = RingNode(worker, mailbox, connect)
-        self.ring = {
-            "epoch": 0, "order": list(workers), "peers": addrs,
-            "active_from": 0,
-        }
-        if codec != "none":
-            self.ring["codec"] = codec
-        for node in self.nodes.values():
-            node.install(self.ring)
-
-    def allreduce_all(self, grads_by_worker, iteration=0):
-        results, errors = {}, {}
-
-        def run(worker):
-            try:
-                results[worker] = self.nodes[worker].allreduce(
-                    0, iteration, grads_by_worker[worker]
-                )
-            except Exception as exc:  # pragma: no cover - surfaced below
-                errors[worker] = exc
-
-        threads = [
-            threading.Thread(target=run, args=(w,), daemon=True)
-            for w in self.nodes
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30.0)
-        assert all(not t.is_alive() for t in threads), "ring hung"
-        assert not errors, errors
-        return results
-
-    def close(self):
-        for node in self.nodes.values():
-            node.close()
-        self.host.close()
-
-
-def make_grads(workers, seed=42):
-    rng = np.random.default_rng(seed)
-    return {
-        w: {
-            "dense.w": rng.standard_normal(1000),
-            "dense.b": rng.standard_normal((32, 8)),
-        }
-        for w in workers
-    }
-
-
-WORKERS = ["w0", "w1", "w2"]
-
-
-@pytest.fixture(params=["fp16", "int8"])
-def codec(request):
-    return request.param
-
-
-class TestRingCodecs:
-    def test_install_adopts_the_payload_codec(self, codec):
-        mesh = CodecMesh(WORKERS, codec)
-        try:
-            assert all(n.codec == codec for n in mesh.nodes.values())
-        finally:
-            mesh.close()
-
-    def test_no_codec_key_means_none(self):
-        mesh = CodecMesh(WORKERS, "none")
-        try:
-            assert all(n.codec == "none" for n in mesh.nodes.values())
-        finally:
-            mesh.close()
-
-    def test_replicas_stay_bit_identical_under_compression(self, codec):
-        grads = make_grads(WORKERS)
-        mesh = CodecMesh(WORKERS, codec)
-        try:
-            results = mesh.allreduce_all(grads)
-            base = results["w0"]
-            for worker in WORKERS[1:]:
-                for name in base:
-                    assert np.array_equal(results[worker][name], base[name])
-        finally:
-            mesh.close()
-
-    def test_compressed_mean_error_is_bounded(self, codec):
-        grads = make_grads(WORKERS)
-        reference = ring_reference_average([grads[w] for w in WORKERS])
-        mesh = CodecMesh(WORKERS, codec)
-        try:
-            results = mesh.allreduce_all(grads)
-            bound = 5e-3 if codec == "fp16" else 1e-1
-            for name, exact in reference.items():
-                drift = float(np.max(np.abs(results["w0"][name] - exact)))
-                assert drift < bound, (name, drift)
-        finally:
-            mesh.close()
-
-    def test_error_feedback_keeps_longrun_drift_bounded(self, codec):
-        """Feeding the quantization error forward means repeated
-        allreduces do not accumulate bias: the mean of the compressed
-        means tracks the exact mean."""
-        grads = make_grads(WORKERS)
-        reference = ring_reference_average([grads[w] for w in WORKERS])
-        mesh = CodecMesh(WORKERS, codec)
-        try:
-            totals = {name: np.zeros_like(ref)
-                      for name, ref in reference.items()}
-            rounds = 12
-            for iteration in range(rounds):
-                results = mesh.allreduce_all(grads, iteration=iteration)
-                for name in totals:
-                    totals[name] += results["w0"][name]
-            per_round = 5e-3 if codec == "fp16" else 1e-1
-            for name, ref in reference.items():
-                mean_drift = float(np.max(np.abs(
-                    totals[name] / rounds - ref
-                )))
-                # Without error feedback the per-round bias would add up
-                # linearly; with it the average stays a fraction of one
-                # round's quantization error.
-                assert mean_drift < per_round / 2, (name, mean_drift)
-        finally:
-            mesh.close()
-
-    def test_residuals_survive_capture_restore_and_reinstall(self, codec):
-        grads = make_grads(WORKERS)
-        mesh = CodecMesh(WORKERS, codec)
-        try:
-            mesh.allreduce_all(grads)
-            node = mesh.nodes["w0"]
-            state = node.capture_residuals()
-            assert set(state) == {"dense.w", "dense.b"}
-            assert any(np.any(r != 0) for r in state.values())
-            # Residuals are full-size per parameter, geometry-free.
-            assert state["dense.w"].shape == (1000,)
-            assert state["dense.b"].shape == (32 * 8,)
-            # A new ring epoch keeps them; an explicit restore replaces.
-            node.install({**mesh.ring, "epoch": 1})
-            after = node.capture_residuals()
-            assert all(
-                np.array_equal(after[name], state[name]) for name in state
-            )
-            node.restore_residuals(
-                {name: np.zeros_like(r) for name, r in state.items()}
-            )
-            assert all(
-                not np.any(r) for r in node.capture_residuals().values()
-            )
-        finally:
-            mesh.close()
-
-    def test_codec_metrics_recorded(self, codec):
-        from repro.observability import MetricRegistry
-
-        grads = make_grads(WORKERS)
-        host = MemoryPeerHost()
-        metrics = MetricRegistry()
-        nodes, addrs = {}, {}
-        for worker in WORKERS:
-            mailbox = RingMailbox()
-            core = ServerCore(mailbox.handle, node_id=f"{worker}/peer")
-            addrs[worker] = host.serve(core, worker)
-            connect = lambda addr, w=worker: host.connect(
-                addr, node_id=w, ack_timeout=0.2,
-            )
-            nodes[worker] = RingNode(
-                worker, mailbox, connect,
-                metrics=metrics if worker == "w0" else None,
-            )
-        ring = {
-            "epoch": 0, "order": list(WORKERS), "peers": addrs,
-            "active_from": 0, "codec": codec,
-        }
-        for node in nodes.values():
-            node.install(ring)
-        try:
-            results, errors = {}, {}
-
-            def run(worker):
-                try:
-                    results[worker] = nodes[worker].allreduce(
-                        0, 0, grads[worker]
-                    )
-                except Exception as exc:
-                    errors[worker] = exc
-
-            threads = [
-                threading.Thread(target=run, args=(w,), daemon=True)
-                for w in WORKERS
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30.0)
-            assert not errors, errors
-            snapshot = metrics.snapshot()
-            raw = snapshot["net.codec.bytes_raw"]
-            compressed = snapshot["net.codec.bytes_compressed"]
-            assert raw > 0
-            ratio = compressed / raw
-            expected = 0.25 if codec == "fp16" else 0.125
-            assert ratio == pytest.approx(expected, rel=0.01)
-            assert snapshot["net.codec.residual_norm"]["count"] >= 1
-        finally:
-            for node in nodes.values():
-                node.close()
-            host.close()

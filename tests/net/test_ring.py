@@ -32,6 +32,7 @@ from repro.net import (
     RingNode,
     ShmPeerHost,
     TcpPeerHost,
+    TransportClosed,
     WorkerAgent,
     memory_link,
     ring_reference_average,
@@ -501,36 +502,6 @@ class TestDistributedRing:
 class TestLeanSegments:
     """Which form a segment leaves in, and who owns it on arrival."""
 
-    @pytest.mark.parametrize("codec", ["fp16", "int8"])
-    def test_compressed_rings_end_identically_on_every_pipe(self, codec):
-        """The codec dict rides a lean frame as an opaque tail; the
-        memory pipe has no frames at all, so agreeing with it bit for
-        bit is agreeing with what these rings computed before."""
-        workers = ["w0", "w1", "w2"]
-        grads = {
-            w: random_grads(50 + i, shapes={"a": (300,), "b": (7, 9)})
-            for i, w in enumerate(workers)
-        }
-        means = {}
-        for transport in ("memory", "tcp", "shm"):
-            mesh = Mesh(
-                transport, workers, step_timeout=10.0, bucket_bytes=512,
-                codec=codec,
-            )
-            try:
-                for iteration in range(2):  # the second one feeds back error
-                    results, errors = mesh.allreduce_all(
-                        grads, iteration=iteration
-                    )
-                    assert not errors, errors
-                means[transport] = results
-            finally:
-                mesh.close()
-        for transport in ("tcp", "shm"):
-            for worker in workers:
-                for name, mean in means["memory"][worker].items():
-                    assert np.array_equal(means[transport][worker][name], mean)
-
     @pytest.mark.parametrize("transport", ["tcp", "shm"])
     def test_extra_trace_context_is_refused_at_the_sender_and_lean_is_traced(
         self, transport
@@ -552,7 +523,7 @@ class TestLeanSegments:
             server = ShmServer(core, tracer=tracer).start()
             link, pipe = shm_link(server.path, "w0")
         payload = dict(
-            generation=0, iteration=0, phase="rs", step=0, part=0,
+            generation=0, iteration=0, phase="rs", step=0,
             data=[np.arange(8.0)],
         )
         try:
@@ -571,7 +542,7 @@ class TestLeanSegments:
         (lean_recv,) = [e["args"] for e in events if e["name"] == "net.recv"]
         assert lean_recv["sender_epoch"] == link._factory.epoch
         assert "job" not in lean_recv
-        (array,), _meta = mailbox.collect((0, 0, "rs", 0, 0), 1.0)
+        (array,) = mailbox.collect((0, 0, "rs", 0, 0), 1.0)
         np.testing.assert_array_equal(array, np.arange(8.0))
 
     @pytest.mark.parametrize("transport", ["memory", "tcp", "shm"])
@@ -583,7 +554,7 @@ class TestLeanSegments:
         mesh = Mesh(transport, ["w0", "w1"], step_timeout=10.0)
         scratch = np.arange(32768.0)  # four of these lap the 1 MiB shm ring
         payload = dict(
-            generation=0, iteration=0, phase="rs", step=0, part=0,
+            generation=0, iteration=0, phase="rs", step=0,
             data=[scratch],
         )
         try:
@@ -598,7 +569,7 @@ class TestLeanSegments:
                 link.request(
                     MessageType.RING_SEGMENT, dict(payload, bucket=bucket)
                 )
-            (kept,), _meta = mailbox.collect((0, 0, "rs", 0, 0), 1.0)
+            (kept,) = mailbox.collect((0, 0, "rs", 0, 0), 1.0)
         finally:
             mesh.close()
         np.testing.assert_array_equal(kept, np.arange(32768.0))
@@ -753,6 +724,45 @@ class TestDegradation:
         node.install({"epoch": 2, "order": ["w1", "w2"],
                       "peers": {"w1": "a", "w2": "b"}, "active_from": 9})
         assert not node.active(2, 9)   # not a member
+
+    @pytest.mark.parametrize("failure,falls_back", [
+        (TransportClosed("no peer serving mem://w1"), True),
+        (TypeError("connect() got an unexpected keyword"), False),
+    ], ids=["link-error", "bug"])
+    def test_only_link_errors_send_a_probe_to_the_star(
+        self, failure, falls_back
+    ):
+        """A probe the link fails counts as an unreachable peer: it is
+        suspected and the iteration retries through the star.  Anything
+        else is a bug and propagates out of the recovery loop instead of
+        quietly turning into a star iteration."""
+        star = []
+
+        class StarLink:
+            transport = None
+
+            def request(self, msg_type, payload=None, ack_timeout=None):
+                star.append(msg_type)
+                return {"grads": payload["grads"]}
+
+        def connect(addr):
+            raise failure
+
+        agent = WorkerAgent("w0", StarLink())
+        node = agent._ring_node = RingNode("w0", RingMailbox(), connect)
+        node.install({"epoch": 0, "order": ["w0", "w1"],
+                      "peers": {"w0": "mem://w0", "w1": "mem://w1"},
+                      "active_from": 0})
+        spec = JobSpec(allreduce_timeout=1.0)
+        grads = random_grads(0)
+        if falls_back:
+            assert agent._ring_recover(spec, 0, 0, grads) is grads
+            assert star == [MessageType.SYNC]
+            assert node._suspects == {"w1"}
+        else:
+            with pytest.raises(TypeError):
+                agent._ring_recover(spec, 0, 0, grads)
+            assert star == [] and node._suspects == set()
 
 
 class RingHarness:

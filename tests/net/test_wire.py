@@ -393,14 +393,19 @@ class TestHandshake:
             wire.check_handshake(None)
 
     def test_version_1_hello_is_rejected(self):
-        """A version-1 peer negotiated codec, binary and lean frames;
-        version 2 speaks one format, so it is refused, not degraded."""
+        """A version-1 peer negotiated codec, binary and lean frames; a
+        version-2 peer's lean header carries a meta tail and ``part``.
+        Version 3 speaks one format, so both are refused, not degraded."""
         legacy = {
             "kind": "hello", "version": 1, "node": "old-worker",
             "codec": "json", "bin": True, "lean": True,
         }
         with pytest.raises(wire.WireError, match="version mismatch"):
             wire.check_handshake(legacy)
+        with pytest.raises(wire.WireError, match="version mismatch"):
+            wire.check_handshake(
+                {"kind": "hello", "version": 2, "node": "old-worker"}
+            )
 
 
 class TestDecodeHardening:
@@ -489,15 +494,13 @@ class TestDecodeHardening:
                 wire.decode_message(frame)
 
 
-def segment(post=True, codec_meta=None, arrays=None, ctx=None, **key):
+def segment(post=True, arrays=None, ctx=None, **key):
     """A ``RING_SEGMENT`` as ``RingNode`` + ``ReliableLink`` build it."""
     payload = dict(
-        generation=3, iteration=41, phase="ag", step=1, part=2, bucket=0,
+        generation=3, iteration=41, phase="ag", step=1, bucket=0,
         data=[np.arange(6.0)] if arrays is None else arrays,
     )
     payload.update(key)
-    if codec_meta is not None:
-        payload["codec"] = codec_meta
     payload[wire.TRACE_CTX_KEY] = (
         {"node": "w0", "epoch": 77, "sent": 1.5} if ctx is None else ctx
     )
@@ -544,23 +547,18 @@ class TestLeanFrames:
 
     def test_header_is_the_documented_size_and_carries_no_json(self):
         blob = lean_bytes(segment())
-        # prefix + 60-byte fixed header + one 10-byte array record
-        assert len(blob) == 4 + 60 + 10 + 6 * 8
-        assert b"{" not in blob[:74] and b"w0" not in blob
+        # prefix + 52-byte fixed header + one 10-byte array record
+        assert wire._LEAN_HEADER.size == 52
+        assert len(blob) == 4 + 52 + 10 + 6 * 8
+        assert b"{" not in blob[:66] and b"w0" not in blob
 
-    def test_codec_meta_rides_as_an_opaque_tail(self):
-        meta = {"name": "int8", "arrays": [
-            {"dtype": "float64", "scale": 0.1 / 3}, {"raw": True},
-        ]}
-        arrays = [np.arange(-4, 4, dtype=np.int8), np.arange(3)]
-        parsed = parse_lean(lean_bytes(
-            segment(post=False, codec_meta=meta, arrays=arrays)
-        ))
-        assert parsed.payload["codec"] == meta
-        assert parsed.post is False
-        for got, want in zip(parsed.payload["data"], arrays):
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
+    def test_codec_or_part_key_is_refused_at_the_sender(self):
+        """Version 3 has no meta tail and no ``part`` field: a segment
+        carrying either is one the ring never sends."""
+        meta = {"name": "int8", "arrays": [{"dtype": "float64"}]}
+        for extra in ({"codec": meta}, {"part": 2}):
+            with pytest.raises(wire.WireError, match="ring segment"):
+                wire.lean_segment_buffers(segment(**extra), "w0")
 
     @pytest.mark.parametrize("message", [
         segment(ctx={"node": "w0", "epoch": 1, "sent": 0.5, "job": "j1"}),
@@ -572,7 +570,7 @@ class TestLeanFrames:
         segment(step=1.5),
         segment(iteration=-1, bucket=2 ** 40),
         segment(extra="key"),
-        segment(codec_meta="fp16"),
+        segment(codec="fp16"),
     ], ids=[
         "ctx-extra-key", "ctx-other-node", "2d", "foreign-endian",
         "tuple", "phase", "float-step", "bucket-overflow", "extra-key",
@@ -604,7 +602,7 @@ class TestLeanFrames:
     ])
     def test_bad_dtype_code_is_a_wire_error(self, kind, itemsize):
         blob = bytearray(lean_bytes(segment()))
-        blob[64:66] = bytes([kind, itemsize])
+        blob[56:58] = bytes([kind, itemsize])
         with pytest.raises(wire.WireError):
             parse_lean(bytes(blob))
 
@@ -651,13 +649,13 @@ class TestLeanFrames:
             np.testing.assert_array_equal(array, np.arange(6.0))
 
     def test_handshake_carries_no_format_keys(self):
-        """Version 2 negotiates nothing: hello and welcome name the
+        """Version 3 negotiates nothing: hello and welcome name the
         version and the node (and the AM's epoch), and that is all."""
-        assert wire.PROTOCOL_VERSION == 2
+        assert wire.PROTOCOL_VERSION == 3
         assert wire.hello_frame("w0") == {
-            "kind": "hello", "version": 2, "node": "w0",
+            "kind": "hello", "version": 3, "node": "w0",
         }
         assert wire.welcome_frame("s") == {
-            "kind": "welcome", "version": 2, "node": "s",
+            "kind": "welcome", "version": 3, "node": "s",
         }
         assert wire.welcome_frame("am", epoch=3)["epoch"] == 3
