@@ -61,9 +61,12 @@ from .connection import (
 from .peers import SocketPeerHost, dial_tcp_peer, peer_scheme
 from .transport import ReliableLink, ServerCore
 
-#: Default per-direction ring capacity.  Must hold the largest frame a
-#: peer link ships (ring buckets are small, but degraded-path
-#: ``RING_FETCH`` replies carry a whole gradient dict).
+#: Default per-direction ring capacity.  It bounds the largest frame a
+#: peer link ships (half of it: ring buckets are small, but
+#: degraded-path ``RING_FETCH`` replies and state chunks carry much
+#: more) and the backlog a slow consumer may queue.  It does not bound
+#: the pages a link touches: a drained ring rewinds to offset 0, so a
+#: steady link stays within its largest backlog.
 DEFAULT_SHM_CAPACITY = 16 * 1024 * 1024
 
 #: Shared-memory segment name prefix — also what the leak checks (CI,
@@ -91,14 +94,19 @@ _unregistered_lock = threading.Lock()
 
 
 def _tracker_call(action: str, name: str) -> None:
-    """Raw best-effort resource_tracker register/unregister of a segment."""
-    try:  # pragma: no cover - depends on resource_tracker internals
-        from multiprocessing import resource_tracker
+    """Raw best-effort resource_tracker register/unregister of a segment.
 
+    A tracker that died or cannot be spawned raises ``OSError``, an
+    over-long message ``ValueError``; anything else is a bug and
+    propagates.
+    """
+    from multiprocessing import resource_tracker
+
+    try:
         getattr(resource_tracker, action)(
             "/" + name.lstrip("/"), "shared_memory"
         )
-    except Exception:
+    except (OSError, ValueError):
         pass
 
 
@@ -120,7 +128,10 @@ class ShmRing:
     so the consumer always sees each frame as one contiguous region and
     can hand out ``np.frombuffer`` views into it with no reassembly.
     The consumer owns a frame's region until :meth:`advance`; the
-    producer cannot overwrite it before then.
+    producer cannot overwrite it before then.  A drained ring (head ==
+    tail) takes the same skip to offset 0 as soon as the record fits
+    before the current position, so records reuse the lap's first,
+    already-faulted pages instead of marching through the segment.
     """
 
     def __init__(self, name: "str | None" = None, capacity: int = DEFAULT_SHM_CAPACITY):
@@ -212,8 +223,12 @@ class ShmRing:
             head, tail = self._head, self._tail
             pos = head % self.capacity
             room_to_end = self.capacity - pos
+            # A drained ring rewinds early (see the class docstring).
+            # Only the producer moves head, so head == tail holds until
+            # this write publishes.
+            lap_end = record > room_to_end or (head == tail and record <= pos)
             # The skip marker (when needed) consumes the rest of the lap.
-            need = record if record <= room_to_end else room_to_end + record
+            need = room_to_end + record if lap_end else record
             if self.capacity - (head - tail) >= need:
                 break
             spins += 1
@@ -221,7 +236,7 @@ class ShmRing:
                 time.sleep(0.0002)
             if time.monotonic() >= deadline:
                 return 0
-        if record > room_to_end:
+        if lap_end:
             if room_to_end >= _RECORD.size:
                 _RECORD.pack_into(self._data, pos, _SKIP)
             head += room_to_end

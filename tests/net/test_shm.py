@@ -7,6 +7,8 @@ close — or a SIGKILL — no ``elanshm_*`` segment may survive in
 
 import glob
 import os
+import random
+import resource
 import signal
 import subprocess
 import sys
@@ -18,8 +20,15 @@ import numpy as np
 import pytest
 
 from repro.coordination.messages import MessageType
-from repro.net import ServerCore, ShmPeerHost, ShmRing, TransportClosed
-from repro.net import wire
+from repro.net import (
+    RingMailbox,
+    RingNode,
+    ServerCore,
+    ShmPeerHost,
+    ShmRing,
+    TransportClosed,
+)
+from repro.net import shm, wire
 from repro.net.shm import (
     SHM_NAME_PREFIX,
     ShmServer,
@@ -135,6 +144,94 @@ class TestShmRing:
             assert ring.write([b"c" * 120], timeout=5.0) > 0
         finally:
             ring.close(unlink=True)
+
+    def test_drained_ring_rewinds_to_the_lap_start(self):
+        """Once the consumer has released every record, the next record
+        starts at offset 0 of a new lap as soon as it fits before the
+        current position: a steady link reuses the pages it touched."""
+        ring = ShmRing(capacity=4096)
+        try:
+            record = 4 + 300
+            for cycle in range(50):
+                payload = os.urandom(300)
+                assert ring.write([payload]) == record
+                # The record ends at ``record``, so it starts at 0.
+                assert ring._head % ring.capacity == record
+                assert ring._head // ring.capacity == cycle
+                assert bytes(ring.read()) == payload
+                ring.advance()
+        finally:
+            ring.close(unlink=True)
+
+    def test_no_rewind_while_the_consumer_holds_or_lags(self):
+        ring = ShmRing(capacity=4096)
+        try:
+            record = 4 + 300
+            payloads = [os.urandom(300) for _ in range(4)]
+            ring.write([payloads[0]])
+            held = ring.read()  # read but not advanced
+            ring.write([payloads[1]])
+            assert ring._head % ring.capacity == 2 * record
+            assert bytes(held) == payloads[0]
+            del held
+            ring.advance()
+            # Lagging by one: payloads[1] is still unread.
+            ring.write([payloads[2]])
+            assert ring._head % ring.capacity == 3 * record
+            for expected in payloads[1:3]:
+                assert bytes(ring.read()) == expected
+                ring.advance()
+            # Drained: now the next record rewinds.
+            ring.write([payloads[3]])
+            assert ring._head % ring.capacity == record
+            assert bytes(ring.read()) == payloads[3]
+            ring.advance()
+            assert ring.read(timeout=0.05) is None
+        finally:
+            ring.close(unlink=True)
+
+    def test_records_from_another_process_arrive_intact_and_in_order(self):
+        """A child creates a ring and writes 200 random-size records —
+        skips, rewinds and full-ring waits included — while this process
+        attaches and drains it."""
+        count, seed = 200, 27
+        script = textwrap.dedent(f"""
+            import random, sys
+            from repro.net.shm import ShmRing
+
+            ring = ShmRing(capacity=1 << 16)
+            print(ring.name, flush=True)
+            rng = random.Random({seed})
+            for _ in range({count}):
+                payload = rng.randbytes(rng.randint(0, 20000))
+                assert ring.write([payload], timeout=10.0) > 0
+            sys.stdin.readline()
+            ring.close(unlink=True)
+        """)
+        process = subprocess.Popen(
+            [sys.executable, "-c", script], env=child_env(),
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            ring = ShmRing(name=process.stdout.readline().strip())
+            try:
+                rng = random.Random(seed)
+                for index in range(count):
+                    expected = rng.randbytes(rng.randint(0, 20000))
+                    view = ring.read(timeout=10.0)
+                    assert view is not None, index
+                    got = bytes(view)
+                    del view
+                    ring.advance()
+                    assert got == expected, index
+            finally:
+                ring.close()
+            process.communicate("done\n", timeout=10.0)
+            assert process.returncode == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=10.0)
 
     def test_close_under_a_live_record_view_leaves_the_finaliser_nothing(
         self, monkeypatch
@@ -340,4 +437,97 @@ class TestCrashCleanup:
         )
         assert done.returncode == 0, done.stderr
         assert "KeyError" not in done.stderr, done.stderr
+
+
+class TestTrackerCalls:
+    @pytest.mark.parametrize("error", [OSError, ValueError])
+    def test_tracker_failures_are_best_effort(self, monkeypatch, error):
+        from multiprocessing import resource_tracker
+
+        def fail(name, rtype):
+            raise error("tracker gone")
+
+        monkeypatch.setattr(resource_tracker, "unregister", fail)
+        shm._tracker_call("unregister", "elanshm_gone")
+
+    def test_a_tracker_bug_propagates(self, monkeypatch):
+        from multiprocessing import resource_tracker
+
+        def buggy(name, rtype):
+            raise TypeError("not a tracker failure")
+
+        monkeypatch.setattr(resource_tracker, "register", buggy)
+        with pytest.raises(TypeError, match="not a tracker failure"):
+            shm._tracker_call("register", "elanshm_bug")
+
+
+class TestPageReuse:
+    def test_steady_ring_rounds_touch_no_fresh_pages(self):
+        """Four ring nodes over one ShmPeerHost, 512 KiB gradients: once
+        warm, a round reuses the ring pages earlier rounds touched.
+        Appending every record to the 16 MiB lap instead puts each
+        128 KiB segment on fresh tmpfs pages until the first wrap —
+        ≈ 840 minor faults per round, ≈ 320 averaged over rounds 10–39
+        on a 2-core x86 host, against ≈ 10 with the rewind."""
+        rounds, workers = 40, ["w0", "w1", "w2", "w3"]
+        host = ShmPeerHost()
+        nodes, addrs = {}, {}
+        # Long-lived member threads keep their malloc arenas warm, so
+        # the count is the ring's pages and not thread start-up.
+        start = threading.Barrier(len(workers) + 1, timeout=30.0)
+        end = threading.Barrier(len(workers) + 1, timeout=30.0)
+        errors, faults = [], []
+
+        def member(worker, grads):
+            try:
+                for iteration in range(rounds):
+                    start.wait()
+                    nodes[worker].allreduce(0, iteration, grads)
+                    end.wait()
+            except Exception as exc:
+                errors.append(exc)
+                start.abort()
+                end.abort()
+
+        try:
+            for worker in workers:
+                mailbox = RingMailbox()
+                addrs[worker] = host.serve(
+                    ServerCore(mailbox.handle, node_id=f"{worker}/peer"),
+                    worker,
+                )
+                nodes[worker] = RingNode(
+                    worker, mailbox,
+                    lambda addr, w=worker: host.connect(addr, node_id=w),
+                    step_timeout=10.0,
+                )
+            ring = {
+                "epoch": 0, "order": workers, "peers": addrs,
+                "active_from": 0,
+            }
+            rng = np.random.default_rng(0)
+            threads = []
+            for worker in workers:
+                nodes[worker].install(ring)
+                grads = {"g": rng.standard_normal(1 << 16)}
+                threads.append(threading.Thread(
+                    target=member, args=(worker, grads), daemon=True
+                ))
+                threads[-1].start()
+            for _ in range(rounds):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                start.wait()
+                end.wait()
+                after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                faults.append(after - before)
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            for node in nodes.values():
+                node.close()
+            host.close()
+        assert not errors, errors
+        assert not any(thread.is_alive() for thread in threads)
+        steady = faults[10:]
+        assert sum(steady) / len(steady) < 50, faults
 
