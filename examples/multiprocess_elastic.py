@@ -20,7 +20,7 @@ Run:  python examples/multiprocess_elastic.py
 
 The scale-out snapshot travels the chunked binary data plane
 (``STATE_CHUNK``/``STATE_DONE`` upload, round-gated ``STATE_FETCH``
-fan-out); environment knobs size the synthetic model so CI can push a
+of a shard plan); environment knobs size the synthetic model so CI can push a
 multi-megabyte snapshot through it:
 
 * ``ELAN_HIDDEN`` / ``ELAN_INPUT`` — model dimensions (default 16/16;
@@ -45,10 +45,10 @@ drill: the AM journals to disk and worker leases are enabled):
   run then asserts the fencing epoch bumped and an ``am.failover``
   instant landed in the trace.
 
-Sharded-migration knobs (docs/PROTOCOL.md "Sharded replication"):
+Sharded-migration knobs (docs/PROTOCOL.md "Sharded plans"):
 
 * ``ELAN_SHARDS`` — number of shard owners for the scale-out snapshot
-  (0, the default, keeps the monolithic AM fan-out; 2 makes w0 and w1
+  (0, the default, plans one AM-owned shard; 2 makes w0 and w1
   each freeze the snapshot and serve disjoint shard halves directly to
   the joiners over the peer mesh),
 * ``ELAN_ZERO`` — nonzero enables the ZeRO-style sharded optimizer

@@ -36,7 +36,7 @@ class MessageType(enum.Enum):
     STATE_UPLOAD = "state_upload"  # uploader -> AM (snapshot / digest)
     STATE_CHUNK = "state_chunk"  # uploader -> AM (one snapshot chunk)
     STATE_DONE = "state_done"  # uploader -> AM (all chunks sent; digest)
-    STATE_FETCH = "state_fetch"  # joiner -> AM (pull one snapshot chunk)
+    STATE_FETCH = "state_fetch"  # joiner -> owner or AM (one chunk; probe; complete)
     STATUS = "status"  # driver -> AM (job progress query)
     ENROLL = "enroll"  # worker -> successor AM (re-enroll after failover)
     RING_SEGMENT = "ring_segment"  # worker -> ring successor (one bucket)

@@ -25,7 +25,6 @@ from .agent import JoinRejected, WorkerAgent, WorkerEvicted
 from .chunks import (
     DEFAULT_CHUNK_BYTES,
     ChunkAssembler,
-    ChunkedFetcher,
     ChunkedUploader,
     ChunkStore,
     StateBlob,
@@ -88,7 +87,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ChunkAssembler",
     "ChunkStore",
-    "ChunkedFetcher",
     "ChunkedUploader",
     "FaultAction",
     "InMemoryTransport",

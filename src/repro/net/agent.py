@@ -39,13 +39,7 @@ from ..training.architectures import mlp_architecture
 from ..training.dataloader import SerialLoader
 from ..training.datasets import make_classification
 from ..training.optim import MomentumSGD, ShardedMomentumSGD
-from .chunks import (
-    ChunkedFetcher,
-    ChunkedUploader,
-    ShardedFetcher,
-    ShardStore,
-    StateBlob,
-)
+from .chunks import ChunkedUploader, ShardedFetcher, ShardStore, StateBlob
 from .collective import RingDegraded, RingMailbox, RingNode
 from .master_service import JobSpec
 from .telemetry import TelemetryShipper
@@ -349,9 +343,10 @@ class WorkerAgent:
         )
         self.peer_addr = self.peer_host.serve(core, self.worker_id)
 
-    def _build_ring_node(self, spec: JobSpec) -> None:
-        if self.peer_host is None or not spec.ring_enabled:
-            return
+    def _peer_connector(self, spec: JobSpec):
+        """``connect(addr)`` onto a peer endpoint, or None without a mesh."""
+        if self.peer_host is None:
+            return None
 
         def connect(addr: str):
             return self.peer_host.connect(
@@ -363,10 +358,15 @@ class WorkerAgent:
                 metrics=self.metrics,
             )
 
+        return connect
+
+    def _build_ring_node(self, spec: JobSpec) -> None:
+        if self.peer_host is None or not spec.ring_enabled:
+            return
         self._ring_node = RingNode(
             self.worker_id,
             self._mailbox,
-            connect,
+            self._peer_connector(spec),
             bucket_bytes=spec.ring_bucket_bytes,
             window=spec.ring_window,
             step_timeout=spec.ring_step_timeout,
@@ -576,43 +576,21 @@ class WorkerAgent:
             optimizer = MomentumSGD(spec.base_lr, momentum=spec.momentum)
         state = None
         transfer = admission.get("state_transfer")
-        if transfer and transfer.get("shards"):
-            # Sharded offer: fan in from every shard owner concurrently
-            # over the peer mesh (the AM only gates rounds and backstops
-            # dead owners), adopting matching shards from any stale
-            # local snapshot first.
-            connect = None
-            if self.peer_host is not None:
-                def connect(addr):
-                    return self.peer_host.connect(
-                        addr,
-                        node_id=self.worker_id,
-                        fault_plan=self.peer_fault_plan,
-                        ack_timeout=spec.ring_ack_timeout,
-                        tracer=self.tracer,
-                        metrics=self.metrics,
-                    )
+        if transfer:
+            # The offer is a shard plan: fan in from every shard owner
+            # concurrently over the peer mesh, or pull an owner-less
+            # shard from the AM, adopting matching shards from any
+            # stale local snapshot first.  The AM gates rounds and
+            # backstops failed owners.
             fetcher = ShardedFetcher(
                 self.link,
-                connect=connect,
+                connect=self._peer_connector(spec),
                 window=spec.replication_window,
                 timeout=spec.allreduce_timeout,
                 tracer=self.tracer,
                 metrics=self.metrics,
             )
             state = fetcher.fetch(transfer, stale_state=self.stale_state)
-        elif transfer:
-            # The offer names a chunked snapshot; pull it through the
-            # replication data plane (round-gated by the AM per the
-            # replication plan), verify, and decode.
-            fetcher = ChunkedFetcher(
-                self.link,
-                window=spec.replication_window,
-                timeout=spec.allreduce_timeout,
-                tracer=self.tracer,
-                metrics=self.metrics,
-            )
-            state = fetcher.fetch(transfer)
         if state:
             # Copy: over the in-memory transport several joiners receive
             # the same snapshot object; each replica needs its own arrays.

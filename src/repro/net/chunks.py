@@ -14,9 +14,9 @@ fixed-size chunks:
 * :class:`ChunkStore` — server-side bookkeeping: one in-flight
   assembler per sender, plus the reply shapes for ``STATE_CHUNK`` /
   ``STATE_DONE``.
-* :class:`ChunkedUploader` / :class:`ChunkedFetcher` — client loops
-  that push (or pull) chunks through a :class:`~repro.net.ReliableLink`
-  with a small pipeline window.
+* :class:`ChunkedUploader` — the donor's client loop that pushes chunks
+  to the AM through a :class:`~repro.net.ReliableLink` with a small
+  pipeline window.
 
 Because every chunk rides an ordinary reliable request, resume after a
 connection reset is free: acked chunks are never resent — the link
@@ -25,21 +25,23 @@ it has, so an upload continues from the last acked chunk rather than
 restarting.  The same property holds verbatim on ``InMemoryTransport``
 and ``TcpTransport``; chunking happens *above* the transport seam.
 
-Sharded migration
------------------
+Joining
+-------
 
-On top of the chunk geometry sits a deterministic *shard plan*
-(:func:`shard_ranges` / :meth:`StateBlob.shard_plan`): the blob is
-partitioned into ``k`` contiguous, chunk-aligned, digest-addressed
-shards.  Because every healthy worker holds a bit-identical replica,
-any of them can encode the same blob and serve any shard of it —
+A joiner receives state one way: as a deterministic *shard plan*
+(:func:`shard_ranges` / :meth:`StateBlob.shard_plan`) — the blob
+partitioned into contiguous, chunk-aligned, digest-addressed shards.
+Because every healthy worker holds a bit-identical replica, any of
+them can encode the same blob and serve any shard of it —
 :class:`ShardStore` is that owner-side registry (frozen bytes, TTL
-eviction, chunk serving), and :class:`ShardedFetcher` is the joiner
-side: one pipelined fetch loop per source peer concurrently (fan-in
-bandwidth instead of the single-uploader bottleneck), per-shard
-digests for delta rejoin (matching shards are adopted from a stale
-local blob instead of fetched), and re-planning onto surviving owners
-— or the AM's full copy — when a shard owner dies mid-fetch.
+eviction, chunk serving).  A plan with no live owner is one shard
+covering the whole blob, served by the AM from its uploaded copy.
+:class:`ShardedFetcher` is the one joiner side: one pipelined fetch
+loop per source concurrently (fan-in bandwidth instead of the
+single-uploader bottleneck), per-shard digests for delta rejoin
+(matching shards are adopted from a stale local blob instead of
+fetched), and re-planning onto surviving owners — or the AM's full
+copy — when a shard owner fails mid-fetch.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ import typing
 from ..coordination.faults import ExponentialBackoff
 from ..coordination.messages import MessageType
 from . import wire
-from .transport import RetryableError
+from .collective import _close_quietly
+from .transport import RemoteError, RetryableError
 from .wire import WireError, _flat_view
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -336,21 +339,6 @@ class ChunkAssembler:
         self.received.update(range(start_chunk, end_chunk))
         return view.nbytes
 
-    def shard_view(self, shard: dict) -> memoryview:
-        """The assembled bytes of one shard (its chunks must all be in)."""
-        missing = [
-            seq for seq in range(int(shard["start_chunk"]), int(shard["end_chunk"]))
-            if seq not in self.received
-        ]
-        if missing:
-            raise WireError(
-                f"shard {shard.get('index')} incomplete: "
-                f"{len(missing)} chunks missing"
-            )
-        return memoryview(self.buffer)[
-            int(shard["start_byte"]):int(shard["end_byte"])
-        ]
-
     @property
     def complete(self) -> bool:
         return len(self.received) == self.total_chunks
@@ -499,7 +487,8 @@ class ChunkStore:
 
 
 class _ShardEntry:
-    """One frozen blob a shard owner serves (registered per transfer)."""
+    """One frozen blob served chunk by chunk, digests computed lazily
+    (an owner's registered transfer, or the AM's download)."""
 
     __slots__ = (
         "data", "total_bytes", "total_chunks", "chunk_bytes",
@@ -820,122 +809,34 @@ class ChunkedUploader:
         }
 
 
-class ChunkedFetcher:
-    """Pull a described snapshot from the server chunk by chunk.
-
-    The server answers ``{"status": "pending"}`` while the fetcher's
-    replication round has not opened yet (earlier rounds still copying);
-    the fetcher backs off exponentially (``poll_interval`` doubling up
-    to ``max_poll_interval``) until its round opens or ``timeout``
-    passes — queued joiners stop hammering the AM while earlier fan-out
-    rounds drain.
-    """
-
-    def __init__(self, link: "ReliableLink", window: int = 4,
-                 poll_interval: float = 0.05, timeout: float = 30.0,
-                 max_poll_interval: float = 1.0,
-                 tracer: "Tracer | None" = None,
-                 metrics: "MetricRegistry | None" = None):
-        self.link = link
-        self.window = max(1, int(window))
-        self.poll_interval = poll_interval
-        self.timeout = timeout
-        self.max_poll_interval = max(poll_interval, max_poll_interval)
-        self.tracer = tracer
-        self.metrics = metrics
-
-    def _backoff(self) -> "ExponentialBackoff":
-        return ExponentialBackoff(
-            base=self.poll_interval, factor=2.0,
-            max_delay=self.max_poll_interval,
-        )
-
-    def fetch(self, descriptor: dict) -> dict:
-        """Fetch, verify, and decode the snapshot named by ``descriptor``."""
-        transfer_id = descriptor["transfer_id"]
-        assembler = ChunkAssembler(
-            transfer_id=transfer_id,
-            total_bytes=descriptor["total_bytes"],
-            total_chunks=descriptor["total_chunks"],
-            chunk_bytes=descriptor["chunk_bytes"],
-        )
-        deadline = time.monotonic() + self.timeout
-        lock = threading.Lock()
-
-        def pump(feed, errors):
-            backoff = self._backoff()
-            while not errors:
-                seq = feed.take()
-                if seq is None:
-                    return
-                attempt = 0
-                while True:
-                    reply = self.link.request(
-                        MessageType.STATE_FETCH,
-                        {"transfer_id": transfer_id, "seq": seq},
-                    )
-                    if reply.get("status") == "pending":
-                        if time.monotonic() > deadline:
-                            raise TransferError(
-                                f"transfer {transfer_id} never opened: "
-                                f"round still pending after {self.timeout}s"
-                            )
-                        backoff.wait(attempt)
-                        attempt += 1
-                        continue
-                    if not reply.get("ok"):
-                        raise TransferError(f"fetch of chunk {seq} refused: {reply}")
-                    break
-                with lock:
-                    assembler.add(seq, reply.get("data", b""), reply.get("digest"))
-                if self.metrics is not None:
-                    self.metrics.counter("net.chunks.fetched").inc()
-
-        def run():
-            _run_window(self.window, assembler.total_chunks, pump)
-            return assembler.decode(descriptor.get("digest"))
-
-        if self.tracer is not None:
-            with self.tracer.span(
-                "net.state_fetch", track=self.link.node_id, cat="net",
-                transfer_id=transfer_id,
-                payload_bytes=assembler.total_bytes,
-                chunks=assembler.total_chunks,
-            ):
-                state = run()
-        else:
-            state = run()
-        if self.metrics is not None:
-            self.metrics.counter("net.chunks.bytes_fetched").inc(
-                assembler.total_bytes
-            )
-        return state
-
-
 class ShardedFetcher:
-    """Pull a snapshot as shards, one pipelined loop per source peer.
+    """The one joiner-side fetch: pull a shard plan, one loop per source.
 
-    The descriptor (minted by the AM) extends the AM-served shape with
-    a ``shards`` list — each entry a :func:`shard_ranges` range plus its
-    ground-truth ``digest`` (from the uploaded blob), the ``owner``
-    worker elected to serve it, and that owner's peer ``addr``.  The
-    fetch then proceeds in three stages:
+    The descriptor (minted by the AM) carries a ``shards`` list — each
+    entry a :func:`shard_ranges` range plus its ground-truth ``digest``
+    (from the uploaded blob), the ``owner`` worker elected to serve it,
+    and that owner's peer ``addr``.  A shard whose owner and addr are
+    ``None`` is served by the AM itself over ``link``: a planned
+    source, not a re-plan.  The fetch proceeds in three stages:
 
     1. **Delta rejoin** — when the caller still holds a stale snapshot,
        it is encoded with the descriptor's geometry and shards whose
        digests already match are adopted locally, never fetched.
-    2. **Fan-in** — remaining shards are grouped by owner and fetched
-       concurrently, one thread (each running a ``window``-wide pipeline)
-       per owner, after a round-gate probe against the AM.  Fan-in
-       bandwidth replaces the single-uploader bottleneck.
-    3. **Recovery** — a shard whose owner died mid-fetch (or whose bytes
-       fail the digest check: a divergent replica) is re-planned onto
-       the surviving owners in turn and finally onto the AM's own full
-       copy, so one owner death never fails the join.
+    2. **Fan-in** — remaining shards are fetched concurrently, one
+       thread (each running a ``window``-wide pipeline) per owner after
+       a round-gate probe against the AM, the AM's own shard on the
+       calling thread (the AM answers its chunk requests ``pending``
+       until the round opens).  Fan-in bandwidth replaces the
+       single-uploader bottleneck.
+    3. **Recovery** — a shard whose owner was lost mid-fetch, whose
+       owner's handler raised, or whose bytes fail the digest check (a
+       divergent replica) is re-planned onto the surviving owners in
+       turn and finally onto the AM's own full copy, so one owner
+       failure never fails the join.
 
-    Completion is reported to the AM (``{"complete": True}``) so its
-    round gating can admit the next fan-in round — in sharded mode the
-    chunks themselves never cross the AM link.
+    Only once the assembled blob verifies is completion reported to the
+    AM (``{"complete": True}``): that report is what opens the next
+    joiner round.
     """
 
     def __init__(self, link: "ReliableLink", connect=None, window: int = 4,
@@ -1094,7 +995,12 @@ class ShardedFetcher:
 
     def _fan_in(self, assembler: "ChunkAssembler", transfer_id: str,
                 pending: "list[dict]") -> "tuple[list[dict], set[str]]":
-        """First pass: one thread per owner; returns (failed, dead_owners)."""
+        """First pass over the planned sources; returns (failed, dead_owners).
+
+        An owner that is lost (``OSError``) or whose handler raised
+        (``RemoteError``) hands its remaining shards to :meth:`_recover`;
+        any other exception reaches the caller once every loop stopped.
+        """
         by_owner: "dict[tuple, list[dict]]" = {}
         for shard in pending:
             by_owner.setdefault(
@@ -1102,45 +1008,50 @@ class ShardedFetcher:
             ).append(shard)
         failed: "list[dict]" = []
         dead: "set[str]" = set()
+        errors: "list[BaseException]" = []
         results_lock = threading.Lock()
 
         def owner_loop(owner, addr, shards):
-            peer = None
+            done = 0
             try:
                 peer = self.connect(addr)
-                for pos, shard in enumerate(shards):
-                    try:
+                try:
+                    for shard in shards:
                         self._fetch_shard(
                             peer, assembler, transfer_id, shard, str(owner)
                         )
-                    except (WireError, TransferError, ConnectionError, OSError):
-                        with results_lock:
-                            dead.add(str(owner))
-                            failed.extend(shards[pos:])
-                        return
-            except (ConnectionError, OSError):
+                        done += 1
+                finally:
+                    _close_quietly(peer)
+            except (OSError, RemoteError):
                 with results_lock:
                     dead.add(str(owner))
-                    failed.extend(shards)
-            finally:
-                if peer is not None:
-                    try:
-                        peer.close()
-                    except Exception:  # noqa: BLE001 - best-effort teardown
-                        pass
+                    failed.extend(shards[done:])
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                errors.append(exc)
 
-        threads = []
+        am_shards, threads = [], []
         for (owner, addr), shards in by_owner.items():
-            if self.connect is None or addr is None:
-                failed.extend(shards)  # no peer route: AM serves these
-                continue
-            threads.append(threading.Thread(
-                target=owner_loop, args=(owner, addr, shards), daemon=True,
-            ))
+            if addr is None:
+                am_shards.extend(shards)  # owner-less: the AM serves it
+            elif self.connect is None:
+                failed.extend(shards)  # no peer route: re-planned onto the AM
+            else:
+                threads.append(threading.Thread(
+                    target=owner_loop, args=(owner, addr, shards), daemon=True,
+                ))
         for thread in threads:
             thread.start()
-        for thread in threads:
-            thread.join()
+        try:
+            for shard in am_shards:
+                self._fetch_shard(
+                    self.link, assembler, transfer_id, shard, "am"
+                )
+        finally:
+            for thread in threads:
+                thread.join()
+        if errors:
+            raise errors[0]
         return failed, dead
 
     # ------------------------------------------------------------------
@@ -1171,15 +1082,12 @@ class ShardedFetcher:
                             peer, assembler, transfer_id, shard, owner
                         )
                         placed = True
-                    except (WireError, TransferError, ConnectionError, OSError):
+                    except (OSError, RemoteError):
                         dead.add(owner)
                         continue
                     finally:
                         if peer is not None:
-                            try:
-                                peer.close()
-                            except Exception:  # noqa: BLE001
-                                pass
+                            _close_quietly(peer)
                     break
             if not placed:
                 # last resort: the AM's own full copy over the control link
@@ -1200,7 +1108,7 @@ class ShardedFetcher:
     # ------------------------------------------------------------------
 
     def fetch(self, descriptor: dict, stale_state: "dict | None" = None) -> dict:
-        """Fetch, verify, and decode the sharded snapshot ``descriptor``."""
+        """Fetch, verify, and decode the snapshot ``descriptor`` plans."""
         transfer_id = descriptor["transfer_id"]
         assembler = ChunkAssembler(
             transfer_id=transfer_id,
@@ -1208,27 +1116,35 @@ class ShardedFetcher:
             total_chunks=descriptor["total_chunks"],
             chunk_bytes=descriptor["chunk_bytes"],
         )
-        shards = [dict(shard) for shard in descriptor.get("shards", [])]
+        shards = [dict(shard) for shard in descriptor["shards"]]
+        digest = descriptor.get("digest")
+        if len(shards) == 1 and shards[0].get("digest") == digest:
+            # A lone shard spans the blob under the blob's digest, so
+            # adopting it already was the whole-blob check.
+            digest = None
 
         def run():
             adopted = self._adopt_delta(assembler, shards, descriptor,
                                         stale_state)
             pending = [s for s in shards if s["index"] not in adopted]
-            self._await_round(transfer_id)
+            if any(s.get("addr") is not None for s in pending):
+                # Owners do not gate rounds: ask the AM before turning
+                # to them.  The AM gates its own chunks as it serves them.
+                self._await_round(transfer_id)
             if pending:
                 failed, dead = self._fan_in(assembler, transfer_id, pending)
                 if failed:
                     self._recover(assembler, transfer_id, failed, shards, dead)
+            blob = assembler.finish(digest)
             self._report_complete(transfer_id)
-            return assembler.decode(descriptor.get("digest"))
+            return decode_state_blob(blob)
 
         if self.tracer is not None:
             with self.tracer.span(
                 "net.state_fetch", track=self.link.node_id, cat="net",
                 transfer_id=transfer_id,
                 payload_bytes=assembler.total_bytes,
-                chunks=assembler.total_chunks, sharded=True,
-                shards=len(shards),
+                chunks=assembler.total_chunks, shards=len(shards),
             ):
                 state = run()
         else:

@@ -145,8 +145,8 @@ class JobSpec:
     #: letting a slow AM grow the shipper's cursor debt forever.
     telemetry_backlog: int = 4096
     #: sharded state migration: how many shard owners each adjustment
-    #: elects among the survivors.  0 (the default) keeps the AM-served
-    #: fan-out: joiners pull the whole blob from the AM.  With
+    #: elects among the survivors.  0 (the default) plans one
+    #: owner-less shard: joiners pull the whole blob from the AM.  With
     #: ``k > 0`` the snapshot is cut into ``k`` contiguous digest-
     #: addressed shards, each owned by one survivor that freezes the
     #: (bit-identical) blob locally and serves its chunks over the peer

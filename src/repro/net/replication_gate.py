@@ -4,10 +4,11 @@ The elected uploader streams its snapshot blob in with ``STATE_CHUNK`` /
 ``STATE_DONE``; the AM verifies it, journals it as the plan's
 ``snapshot`` record and never decodes it.  Everything joiners then see
 is *derived* from that record by :meth:`ReplicationGate.derive` — the
-:class:`_Download` served chunk-by-chunk over ``STATE_FETCH``, the
-replication planner's round gates, the shard plan, and the single-use
-join offers — on the live path right after the record lands and, with
-the very same function, by a successor after journal replay.
+shard plan every join offer carries, the :class:`_Download` that
+serves the AM's own shard over ``STATE_FETCH``, the replication
+planner's round gates, and the single-use join offers — on the live
+path right after the record lands and, with the very same function, by
+a successor after journal replay.
 """
 
 from __future__ import annotations
@@ -17,74 +18,61 @@ import typing
 from ..replication.planner import plan_replication
 from ..topology.builder import ServerSpec, build_node
 from ..topology.tree import DeviceKind, TopologyNode
-from .chunks import ChunkStore, _digest, shard_ranges
+from .chunks import ChunkStore, _digest, _ShardEntry, shard_ranges
 from .journal import JournalState, joiners_of
 
 
-class _Download:
-    """One journaled snapshot served chunk-by-chunk to joiners.
+class _Download(_ShardEntry):
+    """One journaled snapshot, planned as shards and gated by rounds.
 
-    A view over the ``snapshot`` record: the application master never
-    decodes the blob — it verified the whole-blob digest at
-    ``STATE_DONE`` and now serves byte ranges of it.  ``rounds`` carries
-    the replication planner's ordering: a joiner's fetches are gated
-    until every earlier-round joiner has pulled its last chunk,
-    mirroring the plan's contention-free rounds.
+    A frozen-blob view over the ``snapshot`` record: the application
+    master never decodes it — it verified the whole-blob digest at
+    ``STATE_DONE`` and serves chunks of it (digested lazily) for the
+    owner-less shard and for re-planned ones.  ``rounds`` carries the
+    replication planner's ordering: a joiner's round opens once every
+    earlier-round joiner has reported its fetch complete, mirroring the
+    plan's contention-free rounds.
     """
 
-    __slots__ = (
-        "blob", "total_bytes", "total_chunks", "chunk_bytes", "digest",
-        "chunk_digests", "rounds", "progress", "shards",
-    )
+    __slots__ = ("digest", "rounds", "done", "shards")
 
-    def __init__(self, snapshot: dict, rounds: "dict[str, int]"):
-        self.blob = memoryview(snapshot["blob"])
-        self.total_bytes = snapshot["total_bytes"]
-        self.total_chunks = snapshot["total_chunks"]
-        self.chunk_bytes = snapshot["chunk_bytes"]
+    def __init__(self, snapshot: dict, rounds: "dict[str, int]",
+                 shards: "list[dict]"):
+        super().__init__(snapshot["blob"], snapshot["chunk_bytes"], now=0.0)
         self.digest = snapshot["digest"]
-        self.chunk_digests = [
-            _digest(self.chunk(seq)) for seq in range(self.total_chunks)
-        ]
         self.rounds = dict(rounds)
-        self.progress: "dict[str, set]" = {w: set() for w in rounds}
-        #: sharded mode: the shard plan (ranges + digests + owner + peer
-        #: addr per shard), shipped verbatim in every joiner's offer.
-        #: None = every joiner pulls the whole blob from the AM.
-        self.shards: "list[dict] | None" = None
-
-    def chunk(self, seq: int) -> memoryview:
-        start = seq * self.chunk_bytes
-        return self.blob[start:min(start + self.chunk_bytes, self.total_bytes)]
+        #: joiners that reported ``state_fetch {complete: true}``
+        self.done: "set[str]" = set()
+        #: the shard plan (ranges + digest + owner + peer addr per
+        #: shard), shipped verbatim in every joiner's offer.
+        self.shards = shards
 
     def fetched(self, joiner: str) -> bool:
-        return len(self.progress.get(joiner, ())) == self.total_chunks
+        return joiner in self.done
 
     @property
     def complete(self) -> bool:
-        return all(self.fetched(joiner) for joiner in self.rounds)
+        return self.done.issuperset(self.rounds)
 
     def round_open(self, joiner: str) -> bool:
         mine = self.rounds[joiner]
         return all(
-            self.fetched(other)
+            other in self.done
             for other, r in self.rounds.items()
             if r < mine
         )
 
     def describe(self, transfer_id: str, joiner: str) -> dict:
         """The ``state_transfer`` descriptor for one joiner's offer."""
-        descriptor = {
+        return {
             "transfer_id": transfer_id,
             "total_bytes": self.total_bytes,
             "total_chunks": self.total_chunks,
             "chunk_bytes": self.chunk_bytes,
             "digest": self.digest,
             "round": self.rounds[joiner],
+            "shards": [dict(shard) for shard in self.shards],
         }
-        if self.shards is not None:
-            descriptor["shards"] = [dict(shard) for shard in self.shards]
-        return descriptor
 
 
 def _fanout_rounds(
@@ -196,8 +184,8 @@ class ReplicationGate:
         """Finalize a chunked upload: verify, journal, derive the rest.
 
         The AM journals the assembled blob verbatim (digest-verified,
-        never decoded) and serves it back to joiners chunk by chunk in
-        the replication planner's round order.
+        never decoded) and offers it to joiners as a shard plan, gated
+        in the replication planner's round order.
         """
         with self.lock:
             refusal = self._unexpected(worker)
@@ -249,7 +237,8 @@ class ReplicationGate:
         round 0 trades the contention-free schedule for guaranteed
         progress.  Elected shard owners that were since condemned (or
         never advertised a peer address) are dropped from the shard
-        plan; with none left joiners pull the whole blob from the AM.
+        plan; with none left the plan is one owner-less shard, the
+        whole blob, which joiners pull from the AM.
         """
         state = self.state
         plan = state.plan or state.last_commit
@@ -280,21 +269,23 @@ class ReplicationGate:
             )
         else:
             rounds = dict.fromkeys(joiners, 0)
-        download = _Download(snap, rounds)
-        if owners:
-            download.shards = shard_ranges(
-                download.total_chunks, download.chunk_bytes,
-                download.total_bytes, len(owners),
+        shards = shard_ranges(
+            snap["total_chunks"], snap["chunk_bytes"], snap["total_bytes"],
+            max(1, len(owners)),
+        )
+        blob = memoryview(snap["blob"])
+        for shard in shards:
+            # A lone shard is the whole blob: its digest is the one this
+            # AM verified at STATE_DONE, no second hash.
+            shard["digest"] = snap["digest"] if len(shards) == 1 else _digest(
+                blob[shard["start_byte"]:shard["end_byte"]]
             )
-            for shard in download.shards:
-                shard["digest"] = _digest(
-                    download.blob[shard["start_byte"]:shard["end_byte"]]
-                )
-                shard["owner"] = owners[shard["index"] % len(owners)]
-                shard["addr"] = state.peers[shard["owner"]]
-            self.metrics.counter("net.shards.planned").inc(
-                len(download.shards)
-            )
+            # No live owner: the AM serves the whole blob itself.
+            owner = owners[shard["index"] % len(owners)] if owners else None
+            shard["owner"] = owner
+            shard["addr"] = state.peers[owner] if owner else None
+        self.metrics.counter("net.shards.planned").inc(len(shards))
+        download = _Download(snap, rounds, shards)
         transfer_id = snap["transfer_id"]
         self.downloads[transfer_id] = download
         for joiner in joiners:
@@ -307,10 +298,7 @@ class ReplicationGate:
                 transfer_id=transfer_id, rounds=rounds,
                 payload_bytes=download.total_bytes,
                 chunks=download.total_chunks,
-                **(
-                    {"shards": len(download.shards), "owners": owners}
-                    if owners else {}
-                ),
+                shards=len(shards), owners=owners,
             )
 
     def take_offer(self, worker: str, generation: int) -> "dict | None":
@@ -358,7 +346,7 @@ class ReplicationGate:
     # -- serving: the joiners' STATE_FETCH --------------------------------------
 
     def handle_fetch(self, worker: str, payload: dict) -> dict:
-        """Serve one chunk of a stored snapshot to a joiner."""
+        """A joiner's round probe, completion report, or chunk request."""
         with self.lock:
             download = self.downloads.get(payload.get("transfer_id"))
             if download is None:
@@ -366,10 +354,9 @@ class ReplicationGate:
             if worker not in download.rounds:
                 return {"ok": False, "reason": "not a planned joiner"}
             if payload.get("complete"):
-                # A sharded joiner's chunks crossed the peer mesh, not
-                # this link; its completion report is what advances the
-                # round gate for later fan-in rounds.
-                download.progress[worker] = set(range(download.total_chunks))
+                # The joiner holds the verified blob, wherever its chunks
+                # came from; this report is what opens later rounds.
+                download.done.add(worker)
                 self.metrics.counter("net.shards.joins_completed").inc()
                 return {"ok": True}
             if not download.round_open(worker):
@@ -377,17 +364,14 @@ class ReplicationGate:
                 # polls until its round opens.
                 return {"status": "pending"}
             if payload.get("probe"):
-                # Sharded round gate: the joiner only asks whether its
-                # fan-in round is open before turning to the owners.
                 return {"ok": True, "open": True}
             seq = payload.get("seq")
             if not isinstance(seq, int) or not 0 <= seq < download.total_chunks:
                 return {"ok": False, "reason": f"bad seq {seq!r}"}
-            download.progress[worker].add(seq)
             self.metrics.counter("net.chunks.served").inc()
             return {
                 "ok": True,
                 "seq": seq,
                 "data": download.chunk(seq),
-                "digest": download.chunk_digests[seq],
+                "digest": download.chunk_digest(seq),
             }

@@ -337,6 +337,14 @@ class TestMasterChunkProtocol:
             assert descriptor["total_chunks"] == blob.total_chunks
             assert descriptor["digest"] == blob.digest
             assert descriptor["round"] >= 0
+            # No owner was elected: one owner-less shard, the whole
+            # blob, under the digest the AM verified at STATE_DONE.
+            [shard] = descriptor["shards"]
+            assert (shard["owner"], shard["addr"]) == (None, None)
+            assert shard["digest"] == blob.digest
+            assert (shard["start_chunk"], shard["end_chunk"]) == (
+                0, blob.total_chunks
+            )
 
     def test_fetches_are_gated_by_planner_rounds(self):
         net = self._adjusting_master(joiners=("w2", "w3", "w4"))
@@ -363,7 +371,13 @@ class TestMasterChunkProtocol:
             assert reply["ok"]
             collected.extend(bytes(reply["data"]))
         assert_states_equal(decode_state_blob(collected), state)
-        # ...and the next round opens.
+        # ...but only its completion report opens the next round.
+        assert net.replication.handle_fetch(
+            later[0], {"transfer_id": transfer_id, "seq": 0}
+        ) == {"status": "pending"}
+        assert net.replication.handle_fetch(
+            first, {"transfer_id": transfer_id, "complete": True}
+        ) == {"ok": True}
         reply = net.replication.handle_fetch(
             later[0], {"transfer_id": transfer_id, "seq": 0}
         )
@@ -398,6 +412,10 @@ class TestMasterChunkProtocol:
             assert net.replication.handle_fetch(
                 "w2", {"transfer_id": transfer_id, "seq": seq}
             )["ok"]
+        assert not net.replication.downloads[transfer_id].complete
+        assert net.replication.handle_fetch(
+            "w2", {"transfer_id": transfer_id, "complete": True}
+        )["ok"]
         assert net.replication.downloads[transfer_id].complete
         # Finish the adjustment, then start the next one: the download
         # is fully served and must not outlive its generation.

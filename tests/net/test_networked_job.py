@@ -22,6 +22,7 @@ from repro.net import (
     memory_link,
     tcp_link,
 )
+from repro.observability import MetricRegistry
 
 CHAOS_PLAN = FaultPlan(drop_every=9, connection_resets=(5, 17))
 
@@ -58,10 +59,12 @@ class Harness:
         self.transports[node_id] = link.transport
         return link
 
-    def start_worker(self, worker_id, fault_plan=None):
+    def start_worker(self, worker_id, fault_plan=None, metrics=None):
         def run():
             link = self.link(worker_id, fault_plan=fault_plan)
-            agent = WorkerAgent(worker_id, link, poll_interval=0.02)
+            agent = WorkerAgent(
+                worker_id, link, poll_interval=0.02, metrics=metrics
+            )
             self.agents[worker_id] = agent
             try:
                 self.results[worker_id] = agent.run()
@@ -217,6 +220,95 @@ class TestElasticJobOverBothTransports:
                 assert core.executions[(worker, "coordinate")] == 1
                 assert core.executions[(worker, "state_upload")] == 1
             assert core.duplicates > 0
+        finally:
+            harness.close()
+
+
+class TestStarJoin:
+    def test_star_joiners_pull_the_am_shard_in_round_order(self, transport):
+        """A star job (no peer mesh) scales 1 -> 3.  Every offer is a
+        shard plan of one owner-less shard; the AM serves each joiner
+        every chunk once, nothing is re-planned, and the round-1 joiner
+        is answered ``pending`` until the round-0 joiner reports its
+        fetch complete."""
+        spec = JobSpec(
+            iterations=16, coordination_interval=4, iteration_sleep=0.01,
+            allreduce_timeout=10.0, sync_ack_timeout=1.0, chunk_bytes=1024,
+        )
+        harness = Harness(transport, spec, ["w0"])
+        replication = harness.master.replication
+        take_offer, handle_fetch = (
+            replication.take_offer, replication.handle_fetch
+        )
+        offers, log = {}, []
+        turned_away = threading.Event()
+
+        def recording_take_offer(worker, generation):
+            offer = take_offer(worker, generation)
+            if offer is not None:
+                offers[worker] = offer
+            return offer
+
+        def gated_handle_fetch(worker, payload):
+            complete = bool(payload.get("complete"))
+            if complete and offers[worker]["state_transfer"]["round"] == 0:
+                # Hold the round-0 report until the round-1 joiner has
+                # been turned away at least once.
+                turned_away.wait(10.0)
+            reply = handle_fetch(worker, payload)
+            if reply.get("status") == "pending":
+                turned_away.set()
+            log.append((worker, complete, reply.get("status")))
+            return reply
+
+        replication.take_offer = recording_take_offer
+        replication.handle_fetch = gated_handle_fetch
+        metrics = {w: MetricRegistry() for w in ("w1", "w2")}
+        try:
+            harness.start_worker("w0")
+            driver = harness.link("driver", ack_timeout=2.0)
+            wait_for_iteration(driver, 4)
+            assert driver.request(
+                MessageType.ADJUSTMENT_REQUEST,
+                {"kind": "scale_out", "add": ["w1", "w2"]},
+            )["accepted"] is True
+            harness.start_worker("w1", metrics=metrics["w1"])
+            harness.start_worker("w2", metrics=metrics["w2"])
+            harness.join_all()
+            status = driver.request(MessageType.STATUS)
+            assert status["complete"]
+            assert len(set(status["digests"].values())) == 1
+            driver.close()
+
+            assert sorted(offers) == ["w1", "w2"]
+            for offer in offers.values():
+                [shard] = offer["state_transfer"]["shards"]
+                assert (shard["owner"], shard["addr"]) == (None, None)
+            chunks = harness.agents["w0"].upload_summary["chunks"]
+            snap = harness.master.metrics.snapshot()
+            assert snap["net.chunks.served"] == chunks * 2
+            assert snap["net.shards.joins_completed"] == 2
+            for registry in metrics.values():
+                fetched = registry.snapshot()
+                assert fetched.get("net.shards.replans", 0) == 0
+                assert fetched["net.shards.fetched"] == 1
+
+            rounds = {
+                w: o["state_transfer"]["round"] for w, o in offers.items()
+            }
+            first = min(rounds, key=rounds.get)
+            later = max(rounds, key=rounds.get)
+            assert (rounds[first], rounds[later]) == (0, 1)
+            reported = log.index((first, True, None))
+            pending = [
+                i for i, (w, _, s) in enumerate(log)
+                if w == later and s == "pending"
+            ]
+            served = [
+                i for i, (w, _, s) in enumerate(log)
+                if w == later and s is None
+            ]
+            assert pending and max(pending) < reported < min(served)
         finally:
             harness.close()
 

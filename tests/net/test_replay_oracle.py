@@ -17,13 +17,13 @@ import numpy as np
 
 from repro.coordination.messages import MessageType
 from repro.net import (
-    ChunkedFetcher,
     ChunkedUploader,
     JobSpec,
     NetworkedApplicationMaster,
     WorkerAgent,
     memory_link,
 )
+from repro.net.chunks import ShardedFetcher
 from repro.net.soak import assert_replay_matches
 
 TTL = 5.0
@@ -139,8 +139,9 @@ def test_replay_matches_live_after_every_handler_call():
         s.final("w3", 4, removed=True)
         assert s.status()["group"] == ["w0", "w1", "w2"]
 
-        # Chunked scale-out: nobody advertised a peer address, so no
-        # shard owner can be elected and w4 pulls the blob from the AM.
+        # Star scale-out: nobody advertised a peer address, so no shard
+        # owner can be elected and w4 pulls the one owner-less shard —
+        # the whole blob — from the AM.
         s.request(kind="scale_out", add=["w4"])
         assert s.link("w4").request(MessageType.JOIN, {}) == {
             "status": "pending"
@@ -155,7 +156,11 @@ def test_replay_matches_live_after_every_handler_call():
         s.coordinate("w2", 8)
         offer = s.send("w4", MessageType.JOIN)
         assert offer["status"] == "join" and offer["generation"] == 2
-        fetched = ChunkedFetcher(s.links["w4"], window=1).fetch(
+        assert [
+            (shard["owner"], shard["addr"])
+            for shard in offer["state_transfer"]["shards"]
+        ] == [(None, None)]
+        fetched = ShardedFetcher(s.links["w4"], window=1).fetch(
             offer["state_transfer"]
         )
         np.testing.assert_array_equal(

@@ -5,15 +5,17 @@ Four layers:
 * :class:`ShardStore` — owners freeze a bit-identical full blob and
   serve digest-verified chunks of it over the peer plane, with TTL
   eviction so a dead transfer cannot pin memory forever;
-* :class:`ChunkedFetcher` backoff — a queued joiner polls its round
+* :class:`ShardedFetcher` backoff — a queued joiner polls its round
   gate with bounded exponential backoff instead of a tight loop;
 * :class:`ShardedFetcher` — multi-peer fan-in, delta rejoin, and
-  re-planning a shard whose owner died (or diverged) mid-fetch, driven
-  against in-memory fakes so every failure mode is deterministic;
+  re-planning a shard whose owner died (or diverged, or raised)
+  mid-fetch, driven against in-memory fakes so every failure mode is
+  deterministic;
 * end-to-end — a ring-enabled elastic job with ``replication_shards``
   set scales out over the memory and TCP transports; the joiners pull
   their shards from the owner peers (never through the AM link) and
-  every replica finishes bit-identical.
+  every replica finishes bit-identical.  A star job's joiners pull
+  the one owner-less shard from the AM, in round order.
 """
 
 import threading
@@ -24,13 +26,14 @@ import pytest
 
 from repro.coordination.messages import MessageType
 from repro.net import (
-    ChunkedFetcher,
     ChunkStore,
     JobSpec,
     MemoryPeerHost,
     NetworkedApplicationMaster,
+    RemoteError,
     StateBlob,
     TcpPeerHost,
+    WireError,
     WorkerAgent,
     memory_link,
     tcp_link,
@@ -191,12 +194,43 @@ class FakeLink:
         self.closed = True
 
 
+def am_owned_descriptor(blob, transfer_id="t1"):
+    """What a star join offer carries: one owner-less whole-blob shard."""
+    descriptor = blob.describe(transfer_id)
+    descriptor["shards"] = [
+        dict(shard, owner=None, addr=None) for shard in blob.shard_plan(1)
+    ]
+    return descriptor
+
+
+def am_serving(blob):
+    """An AM handler that opens the round, takes completion reports and
+    serves ``blob``'s chunks; ``completions`` records the reports."""
+    completions = []
+
+    def handler(msg_type, payload):
+        assert msg_type is MessageType.STATE_FETCH
+        if payload.get("probe"):
+            return {"ok": True, "open": True}
+        if payload.get("complete"):
+            completions.append(payload["transfer_id"])
+            return {"ok": True}
+        seq = payload["seq"]
+        return {
+            "ok": True, "seq": seq, "data": blob.chunk(seq),
+            "digest": blob.chunk_digest(seq),
+        }
+
+    handler.completions = completions
+    return handler
+
+
 class TestFetcherBackoff:
     """Satellite: the pending wait is bounded exponential backoff."""
 
     def test_backoff_delays_grow_and_cap(self):
         link = FakeLink(lambda m, p: {"ok": True})
-        fetcher = ChunkedFetcher(
+        fetcher = ShardedFetcher(
             link, poll_interval=0.01, max_poll_interval=0.05
         )
         backoff = fetcher._backoff()
@@ -208,7 +242,7 @@ class TestFetcherBackoff:
 
     def test_max_poll_interval_never_below_poll_interval(self):
         link = FakeLink(lambda m, p: {"ok": True})
-        fetcher = ChunkedFetcher(
+        fetcher = ShardedFetcher(
             link, poll_interval=0.2, max_poll_interval=0.01
         )
         assert fetcher.max_poll_interval == 0.2
@@ -216,23 +250,20 @@ class TestFetcherBackoff:
     def test_pending_rounds_resolve_after_backoff(self):
         blob = StateBlob.encode(sample_state(), chunk_bytes=2048)
         pending_left = [3]
+        serving = am_serving(blob)
 
         def handler(msg_type, payload):
             assert msg_type is MessageType.STATE_FETCH
             if pending_left[0] > 0:
                 pending_left[0] -= 1
                 return {"status": "pending"}
-            seq = payload["seq"]
-            return {
-                "ok": True, "seq": seq, "data": blob.chunk(seq),
-                "digest": blob.chunk_digest(seq),
-            }
+            return serving(msg_type, payload)
 
-        fetcher = ChunkedFetcher(
+        fetcher = ShardedFetcher(
             FakeLink(handler), window=1,
             poll_interval=0.001, max_poll_interval=0.004, timeout=5.0,
         )
-        state = fetcher.fetch(blob.describe("t1"))
+        state = fetcher.fetch(am_owned_descriptor(blob))
         assert_states_equal(state, sample_state())
         assert pending_left[0] == 0
 
@@ -258,34 +289,18 @@ def make_sharded_world(owners=("w0", "w1"), chunk_bytes=1024,
         store = ShardStore()
         store.register("t1", blob)
         stores[owner] = store
-
-    completions = []
-
-    def am_handler(msg_type, payload):
-        assert msg_type is MessageType.STATE_FETCH
-        if payload.get("probe"):
-            return {"ok": True, "open": True}
-        if payload.get("complete"):
-            completions.append(payload["transfer_id"])
-            return {"ok": True}
-        seq = payload["seq"]
-        return {
-            "ok": True, "seq": seq, "data": am_blob.chunk(seq),
-            "digest": am_blob.chunk_digest(seq),
-        }
-
     descriptor = blob.describe("t1")
     descriptor["shards"] = shards
-    am_handler.completions = completions
-    return descriptor, stores, am_handler
+    return descriptor, stores, am_serving(am_blob)
 
 
-def peer_connector(stores, dead=(), die_after=None):
+def peer_connector(stores, dead=(), die_after=None, fault=ConnectionError):
     """connect(addr) -> FakeLink onto the owner's ShardStore.
 
     Owners in ``dead`` refuse the connection; ``die_after[owner]``
-    makes the owner's link raise after that many served chunks — the
-    in-process analogue of ``--shard-die-after``'s hard exit.
+    makes the owner's link raise ``fault`` after that many served
+    chunks — the in-process analogue of ``--shard-die-after``'s hard
+    exit (or, with ``RemoteError``, of the owner's handler raising).
     """
     def connect(addr):
         owner = addr.split("://", 1)[1]
@@ -296,7 +311,7 @@ def peer_connector(stores, dead=(), die_after=None):
 
         def handler(msg_type, payload):
             if limit is not None and store.served >= limit:
-                raise ConnectionError(f"{owner} died mid-fetch")
+                raise fault(f"{owner} failed mid-fetch")
             return store.handle_fetch("joiner", payload)
 
         return FakeLink(handler, node_id=owner)
@@ -341,6 +356,121 @@ class TestShardedFetcher:
         # The survivor holds the FULL frozen blob, so it covered the
         # dead owner's shard too.
         assert stores["w1"].served >= descriptor["total_chunks"] - 1
+
+    def test_owner_handler_error_replans_onto_the_survivor(self):
+        """An owner whose handler raises (``RemoteError`` on the joiner's
+        link) is re-planned like a dead one; the join succeeds and is
+        reported complete exactly once."""
+        state = sample_state()
+        descriptor, stores, am = make_sharded_world(state=state)
+        connect = peer_connector(
+            stores, die_after={"w0": 1}, fault=RemoteError
+        )
+        fetcher = ShardedFetcher(
+            FakeLink(am), connect=connect,
+            window=1, poll_interval=0.001, timeout=5.0,
+        )
+        fetched = fetcher.fetch(descriptor)
+        assert_states_equal(fetched, state)
+        assert fetcher.stats.get("net.shards.replans", 0) >= 1
+        assert am.completions == ["t1"]
+
+    @pytest.mark.parametrize("owners", [("w0", "w1"), ()])
+    def test_blob_failing_its_digest_reports_no_completion(self, owners):
+        """Completion is reported only after the assembled blob
+        verifies — with owners (every shard passes, the whole blob does
+        not) and with the one AM-owned shard (which is the whole blob)."""
+        state = sample_state()
+        if owners:
+            descriptor, stores, am = make_sharded_world(state=state)
+            descriptor["digest"] = "0" * 64
+            connect = peer_connector(stores)
+        else:
+            blob = StateBlob.encode(state, chunk_bytes=1024)
+            descriptor = am_owned_descriptor(blob)
+            descriptor["digest"] = descriptor["shards"][0]["digest"] = (
+                "0" * 64
+            )
+            am, connect = am_serving(blob), None
+        fetcher = ShardedFetcher(
+            FakeLink(am), connect=connect, poll_interval=0.001, timeout=5.0,
+        )
+        with pytest.raises(WireError):
+            fetcher.fetch(descriptor)
+        assert am.completions == []
+
+    def test_type_error_from_close_propagates(self):
+        """Only ``OSError`` from a peer's ``close`` is swallowed; a
+        programming error surfaces and no completion is reported."""
+        descriptor, stores, am = make_sharded_world()
+        connect = peer_connector(stores)
+
+        def broken_close():
+            raise TypeError("close() takes no arguments")
+
+        def connect_with_broken_close(addr):
+            link = connect(addr)
+            link.close = broken_close
+            return link
+
+        fetcher = ShardedFetcher(
+            FakeLink(am), connect=connect_with_broken_close,
+            poll_interval=0.001, timeout=5.0,
+        )
+        with pytest.raises(TypeError):
+            fetcher.fetch(descriptor)
+        assert am.completions == []
+
+    def test_owner_less_shard_is_a_planned_am_source(self):
+        """A star offer's one shard comes off the AM link as planned:
+        no peer is dialled and nothing counts as a re-plan."""
+        state = sample_state()
+        blob = StateBlob.encode(state, chunk_bytes=1024)
+        am = am_serving(blob)
+        link = FakeLink(am)
+
+        def no_peers(addr):
+            raise AssertionError(f"dialled {addr}")
+
+        fetcher = ShardedFetcher(
+            link, connect=no_peers, window=2, poll_interval=0.001,
+            timeout=5.0,
+        )
+        fetched = fetcher.fetch(am_owned_descriptor(blob))
+        assert_states_equal(fetched, state)
+        assert fetcher.stats.get("net.shards.replans", 0) == 0
+        assert fetcher.stats["net.shards.fetched"] == 1
+        assert am.completions == ["t1"]
+        # one request per chunk (the AM gates them itself, so no probe)
+        # and one completion report
+        assert link.requests == blob.total_chunks + 1
+
+    def test_am_owned_join_hashes_each_byte_twice(self, monkeypatch):
+        """Per-chunk digests on arrival plus one whole-blob check — the
+        lone shard's digest check is that check, not an extra pass."""
+        import repro.net.chunks as chunks_module
+
+        blob = StateBlob.encode(sample_state(), chunk_bytes=1024)
+        digests = [blob.chunk_digest(s) for s in range(blob.total_chunks)]
+        descriptor = am_owned_descriptor(blob)
+
+        def am(msg_type, payload):
+            if payload.get("probe") or payload.get("complete"):
+                return {"ok": True}
+            seq = payload["seq"]
+            return {"ok": True, "seq": seq, "data": blob.chunk(seq),
+                    "digest": digests[seq]}
+
+        hashed = []
+        real_digest = chunks_module._digest
+
+        def counting_digest(data):
+            hashed.append(memoryview(data).nbytes)
+            return real_digest(data)
+
+        monkeypatch.setattr(chunks_module, "_digest", counting_digest)
+        ShardedFetcher(FakeLink(am), poll_interval=0.001).fetch(descriptor)
+        assert sum(hashed) == 2 * blob.total_bytes
 
     def test_all_owners_dead_falls_back_to_the_am_full_copy(self):
         state = sample_state()
