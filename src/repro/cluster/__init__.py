@@ -11,7 +11,7 @@ in-memory/TCP transports (SUBMIT / OFFER / RESIZE / RELEASE /
 JOB_STATUS on the §V-D reliable links).
 """
 
-from .runners import ElasticJobRunner, MultiprocessJobRunner
+from .runners import ElasticJobRunner
 from .scenario import ChurnScenario, ScenarioReport, run_churn_scenario
 from .scheduler import (
     CLUSTER_RECORD_KINDS,
@@ -28,7 +28,6 @@ __all__ = [
     "ClusterScheduler",
     "ElasticJobRunner",
     "JobRequest",
-    "MultiprocessJobRunner",
     "POLICIES",
     "ScenarioReport",
     "run_churn_scenario",

@@ -1,22 +1,15 @@
-"""Per-job data planes the cluster scheduler starts and resizes.
+"""The per-job data plane the cluster scheduler starts and resizes.
 
 The scheduler (:mod:`repro.cluster.scheduler`) deals only in worker
-*counts*; a runner turns those counts into a live elastic job — one
-:class:`~repro.net.NetworkedApplicationMaster` plus its workers — and
-names, starts, and retires the actual worker identities.  Every grow /
-shrink travels as a ``RESIZE`` message over the job's own reliable
-link, so a scheduler decision reaches the AM through exactly the wire
-path an external operator would use (and is journaled by the AM with
-``origin="scheduler"`` and its pinned commit boundary).
-
-Two implementations of the runner protocol:
-
-* :class:`ElasticJobRunner` — workers as in-process threads
-  (:class:`~repro.net.agent.WorkerAgent`) over the in-memory transport
-  or loopback TCP; what the churn scenario, tests, and CI use.
-* :class:`MultiprocessJobRunner` — workers as real OS processes via
-  :class:`~repro.net.job.MultiprocessElasticJob`; what a demo closest
-  to a real deployment uses.
+*counts*; :class:`ElasticJobRunner` turns those counts into a live
+elastic job — one :class:`~repro.net.NetworkedApplicationMaster` plus
+its :class:`~repro.net.agent.WorkerAgent` threads over the in-memory
+transport or loopback TCP — and names, starts, and retires the actual
+worker identities.  Every grow / shrink travels as a ``RESIZE`` message
+over the job's own reliable link, so a scheduler decision reaches the
+AM through exactly the wire path an external operator would use (and
+is journaled by the AM with ``origin="scheduler"`` and its pinned
+commit boundary).
 """
 
 from __future__ import annotations
@@ -40,16 +33,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .scheduler import JobRequest
 
 
-def _net_spec(request: "JobRequest", ring_enabled: bool) -> NetJobSpec:
-    return NetJobSpec(
-        seed=request.seed,
-        iterations=request.iterations,
-        coordination_interval=request.coordination_interval,
-        iteration_sleep=request.iteration_sleep,
-        ring_enabled=ring_enabled,
-    )
-
-
 class ElasticJobRunner:
     """One scheduled elastic job with thread workers (memory or TCP).
 
@@ -67,7 +50,6 @@ class ElasticJobRunner:
         tracer: "typing.Any | None" = None,
         metrics: "typing.Any | None" = None,
         host: str = "127.0.0.1",
-        ring_enabled: bool = False,
         join_timeout: float = 30.0,
     ):
         if transport not in ("memory", "tcp"):
@@ -77,7 +59,12 @@ class ElasticJobRunner:
         self.tracer = tracer
         self.metrics = metrics
         self.host = host
-        self.spec = _net_spec(request, ring_enabled)
+        # Star jobs: the scheduler sizes groups, it never wires a mesh.
+        self.spec = NetJobSpec(
+            seed=request.seed, iterations=request.iterations,
+            coordination_interval=request.coordination_interval,
+            iteration_sleep=request.iteration_sleep, ring_enabled=False,
+        )
         self.join_timeout = join_timeout
         self.master: "NetworkedApplicationMaster | None" = None
         self.results: "dict[str, dict]" = {}
@@ -163,10 +150,7 @@ class ElasticJobRunner:
             f"{self.request.job_id}-driver", ack_timeout=1.0
         )
 
-    def resize(
-        self, workers: int, at_iteration: "int | None" = None,
-        origin: str = "scheduler",
-    ) -> bool:
+    def resize(self, workers: int, at_iteration: "int | None" = None) -> bool:
         """Grow/shrink to ``workers`` via one ``RESIZE`` message.
 
         Returns False when the AM already has an adjustment in flight
@@ -180,17 +164,11 @@ class ElasticJobRunner:
             raise ValueError("resize target must be >= 1")
         if workers > current:
             added = self._new_workers(workers - current)
-            payload = {
-                "kind": "scale_out", "add": added, "origin": origin,
-                "at_iteration": at_iteration,
-            }
+            payload = {"kind": "scale_out", "add": added}
         else:
             added = []
-            payload = {
-                "kind": "scale_in",
-                "remove": self._workers[workers:], "origin": origin,
-                "at_iteration": at_iteration,
-            }
+            payload = {"kind": "scale_in", "remove": self._workers[workers:]}
+        payload["at_iteration"] = at_iteration
         try:
             reply = self._driver.request(MessageType.RESIZE, payload)
         except (RequestTimeout, TransportClosed, RetryableError,
@@ -254,109 +232,3 @@ class ElasticJobRunner:
                 self.master.close()
             if self._server is not None:
                 self._server.close()
-
-
-class MultiprocessJobRunner:
-    """The runner protocol over real OS-process workers.
-
-    Wraps :class:`~repro.net.job.MultiprocessElasticJob`: the AM lives
-    in this process, each worker is ``python -m repro.cli join`` over
-    loopback TCP, and resizes travel as ``RESIZE`` on the job's
-    control link.
-    """
-
-    def __init__(
-        self,
-        request: "JobRequest",
-        tracer: "typing.Any | None" = None,
-        worker_trace_dir: "str | None" = None,
-    ):
-        self.request = request
-        self.tracer = tracer
-        self.worker_trace_dir = worker_trace_dir
-        self.job = None
-        self._workers: "list[str]" = []
-        self._next_worker = 0
-        self._closed = False
-
-    def _new_workers(self, count: int) -> "list[str]":
-        names = [
-            f"{self.request.job_id}-w{self._next_worker + i}"
-            for i in range(count)
-        ]
-        self._next_worker += count
-        return names
-
-    def start(self, workers: int) -> None:
-        from ..net.job import MultiprocessElasticJob
-
-        if self.job is not None:
-            raise RuntimeError(f"{self.request.job_id}: already started")
-        self._workers = self._new_workers(workers)
-        self.job = MultiprocessElasticJob(
-            _net_spec(self.request, ring_enabled=False), self._workers,
-            tracer=self.tracer, worker_trace_dir=self.worker_trace_dir,
-        ).start()
-
-    def resize(
-        self, workers: int, at_iteration: "int | None" = None,
-        origin: str = "scheduler",
-    ) -> bool:
-        current = len(self._workers)
-        if workers == current:
-            return True
-        if workers < 1:
-            raise ValueError("resize target must be >= 1")
-        if workers > current:
-            added = self._new_workers(workers - current)
-            payload = {
-                "kind": "scale_out", "add": added, "origin": origin,
-                "at_iteration": at_iteration,
-            }
-        else:
-            added = []
-            payload = {
-                "kind": "scale_in",
-                "remove": self._workers[workers:], "origin": origin,
-                "at_iteration": at_iteration,
-            }
-        try:
-            reply = self.job.control.request(MessageType.RESIZE, payload)
-        except (RequestTimeout, TransportClosed, RetryableError,
-                RemoteError):
-            return False
-        if not reply.get("accepted"):
-            return False
-        if added:
-            self._workers = list(self._workers) + added
-            for worker_id in added:
-                self.job.spawn(worker_id)
-        else:
-            self._workers = self._workers[:workers]
-        return True
-
-    def progress(self) -> int:
-        if self.job is None:
-            return 0
-        return int(self.job.master.status()["iteration"])
-
-    def committed(self) -> int:
-        if self.job is None:
-            return 0
-        return int(self.job.master.status()["adjustments_committed"])
-
-    def complete(self) -> bool:
-        return self.job is not None and self.job.master.complete
-
-    def digests(self) -> "dict[str, str]":
-        return {} if self.job is None else self.job.master.final_digests()
-
-    def stop(self) -> None:
-        if self.job is not None and not self._closed:
-            self._closed = True
-            self.job.shutdown()
-
-    def close(self) -> None:
-        if self.job is not None and not self._closed:
-            self._closed = True
-            self.job.shutdown()

@@ -28,8 +28,10 @@ agree:
   admit, resize, preempt, capacity change, release, completion) is
   appended to a checksummed :class:`~repro.net.journal.Journal` with
   cluster-specific record kinds *before* the reply that makes it
-  observable, so a successor scheduler can replay its inventory and
-  queue (:meth:`ClusterScheduler.from_journal`).
+  observable.  The scheduler *is* its journal: its durable state is
+  the fold of those records (:class:`ClusterJournalState`), so a
+  successor replays exactly the inventory and queue its predecessor
+  held (:meth:`ClusterScheduler.from_journal`).
 
 The scheduler never names workers or touches training state: runners
 (:mod:`repro.cluster.runners`) own the per-job data plane, and the
@@ -39,6 +41,7 @@ trivially testable against a stub runner.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import threading
 import time
@@ -143,24 +146,30 @@ class JobRequest:
         )
 
 
-class _JobRecord:
-    """The scheduler's bookkeeping for one submitted job."""
+@dataclasses.dataclass
+class _Job:
+    """One queued or running job, as the decision journal knows it."""
 
-    __slots__ = (
-        "request", "submit_seq", "submitted_at", "enqueued_at",
-        "admitted_at", "admit_seq", "workers", "runner", "preemptions",
-    )
+    request: JobRequest
+    submit_seq: int
+    preemptions: int = 0
+    workers: int = 0
 
-    def __init__(self, request: JobRequest, submit_seq: int, now: float):
-        self.request = request
-        self.submit_seq = submit_seq
-        self.submitted_at = now
-        self.enqueued_at = now  # reset on preemption requeue
-        self.admitted_at: "float | None" = None  # first admission
-        self.admit_seq = -1  # monotonically increasing per admission
-        self.workers = 0
-        self.runner: "typing.Any | None" = None
-        self.preemptions = 0
+
+@dataclasses.dataclass(eq=False)
+class _Live:
+    """One job's runner and clock stamps on this incarnation (volatile)."""
+
+    job: _Job
+    submitted_at: float
+    enqueued_at: float  # reset on preemption requeue
+    admitted_at: "float | None" = None  # first admission
+    admit_seq: int = -1  # monotonically increasing per admission
+    runner: "typing.Any | None" = None
+
+    @property
+    def workers(self) -> int:
+        return self.job.workers
 
 
 class ClusterScheduler:
@@ -178,7 +187,9 @@ class ClusterScheduler:
     mutate the queue, and every decision (admission, resize, eviction)
     happens inside ``step`` — which is what makes a scripted scenario
     deterministic and a live deployment a trivial loop
-    (:meth:`serve_forever`).
+    (:meth:`serve_forever`).  Only :meth:`_record` changes the durable
+    :attr:`state`; runners and clock stamps live in one :class:`_Live`
+    per job.
     """
 
     def __init__(
@@ -197,7 +208,6 @@ class ClusterScheduler:
         if isinstance(policy, str):
             policy = POLICIES[policy]()
         self.adapter = PolicyAdapter(policy)
-        self.capacity = total_gpus
         self.runner_factory = runner_factory
         self.tracer = tracer
         self.metrics = metrics
@@ -210,27 +220,53 @@ class ClusterScheduler:
         self._fenced = False
         self._server = None
         self._stop = threading.Event()
-        #: submit order: the queue list stays sorted by ``submit_seq``.
-        self.jobs: "dict[str, _JobRecord]" = {}
-        self.queue: "list[str]" = []
-        self.running: "dict[str, _JobRecord]" = {}
-        self.completed: "dict[str, dict]" = {}
-        self.preemptions = 0
-        self._submit_seq = 0
+        self.state = _replay if _replay is not None else ClusterJournalState()
         self._admit_seq = 0
         self.core = ServerCore(
             handler=self.handle, node_id="cluster", tracer=tracer,
             metrics=metrics,
         )
         if _replay is None:
-            self.epoch = 1
-            self.journal.append(
-                "open", policy=self.adapter.name, capacity=total_gpus,
-            )
-            self.journal.append("epoch", epoch=self.epoch)
-        else:
-            self._restore(_replay)
+            self._record("open", policy=self.adapter.name, capacity=total_gpus)
+        # A successor's epoch requeues its predecessor's running jobs.
+        self._record("epoch", epoch=self.state.epoch + 1)
+        now = self._now()
+        self._live = {
+            job_id: _Live(job, now, now) for job_id, job in self.jobs.items()
+        }
         self.core.epoch = self.epoch
+        if _replay is not None:
+            self._instant("cluster.failover", epoch=self.epoch,
+                          replayed=_replay.replayed, requeued=len(self.queue),
+                          completed=len(self.completed))
+            self._count("cluster.failovers")
+
+    # -- the durable state, read through ---------------------------------------
+
+    epoch = property(lambda self: self.state.epoch)
+    capacity = property(lambda self: self.state.capacity)
+    preemptions = property(lambda self: self.state.preemptions)
+    #: queued and running jobs (``.request``, ``.workers``, ``.preemptions``)
+    jobs = property(lambda self: self.state.jobs)
+    #: queued job ids, in submit order
+    queue = property(lambda self: self.state.queue)
+    completed = property(lambda self: self.state.completed)
+
+    @property
+    def running(self) -> "dict[str, _Live]":
+        """Running jobs in admission order (``.workers``, ``.runner``)."""
+        return {job_id: self._live[job_id] for job_id in self.state.running}
+
+    def _record(self, kind: str, /, **data) -> None:
+        """The scheduler's one transition: journal the record, then apply it.
+
+        The only ``journal.append`` call site and the only live caller
+        of ``state.apply`` — so every decision is durable before a reply
+        can reveal it, and the live state cannot drift from what a
+        successor replays.
+        """
+        with self._lock:
+            self.state.apply(kind, self.journal.append(kind, **data)["data"])
 
     # -- time ------------------------------------------------------------------
 
@@ -242,24 +278,20 @@ class ClusterScheduler:
 
     def submit(self, request: JobRequest) -> dict:
         """Queue one job request; the next :meth:`step` may admit it."""
+        job_id = request.job_id
         with self._lock:
-            if request.job_id in self.jobs:
+            if job_id in self.jobs or job_id in self.completed:
                 return {"accepted": False, "reason": "duplicate",
-                        "job_id": request.job_id}
+                        "job_id": job_id}
             now = self._now()
-            self.journal.append(
-                "submit", job=request.to_payload(), at=now,
-                seq=self._submit_seq,
-            )
-            record = _JobRecord(request, self._submit_seq, now)
-            self._submit_seq += 1
-            self.jobs[request.job_id] = record
-            self.queue.append(request.job_id)
-            self._instant("cluster.submit", job=request.job_id,
+            self._record("submit", job=request.to_payload(), at=now,
+                         seq=self.state.next_seq)
+            self._live[job_id] = _Live(self.jobs[job_id], now, now)
+            self._instant("cluster.submit", job=job_id,
                           priority=request.priority)
             self._count("cluster.submits")
             self._gauges()
-            return {"accepted": True, "job_id": request.job_id,
+            return {"accepted": True, "job_id": job_id,
                     "position": len(self.queue)}
 
     def set_capacity(self, gpus: int, reason: str = "operator") -> dict:
@@ -272,9 +304,9 @@ class ClusterScheduler:
         if gpus < 1:
             raise ValueError("capacity must stay >= 1")
         with self._lock:
-            old, self.capacity = self.capacity, gpus
-            self.journal.append("capacity", gpus=gpus, old=old,
-                                reason=reason, at=self._now())
+            old = self.capacity
+            self._record("capacity", gpus=gpus, old=old, reason=reason,
+                         at=self._now())
             self._instant("cluster.capacity", old=old, new=gpus,
                           reason=reason)
             self._count("cluster.capacity_changes")
@@ -284,22 +316,16 @@ class ClusterScheduler:
     def release(self, job_id: str) -> dict:
         """Return a job's GPUs (client cancel); queued or running."""
         with self._lock:
-            record = self.jobs.get(job_id)
-            if record is None or job_id in self.completed:
+            if job_id not in self.jobs:
                 return {"released": False, "job_id": job_id}
-            state = "running" if job_id in self.running else "queued"
-            if job_id in self.running:
-                self._stop_runner(record)
-                del self.running[job_id]
-            if job_id in self.queue:
-                self.queue.remove(job_id)
-            del self.jobs[job_id]
-            self.journal.append("release", job_id=job_id, state=state,
-                                at=self._now())
-            self._instant("cluster.release", job=job_id, state=state)
+            where = "running" if job_id in self.state.running else "queued"
+            self._record("release", job_id=job_id, state=where,
+                         at=self._now())
+            self._stop_runner(self._live.pop(job_id))
+            self._instant("cluster.release", job=job_id, state=where)
             self._count("cluster.releases")
             self._gauges()
-            return {"released": True, "job_id": job_id, "state": state}
+            return {"released": True, "job_id": job_id, "state": where}
 
     def offer(self, job_id: str) -> dict:
         """One job's current placement (the ``OFFER`` reply)."""
@@ -309,38 +335,38 @@ class ClusterScheduler:
                 return {"job_id": job_id, "state": "completed",
                         "digest": done.get("digest"),
                         "jct": done.get("jct")}
-            record = self.jobs.get(job_id)
-            if record is None:
+            job = self.jobs.get(job_id)
+            if job is None:
                 return {"job_id": job_id, "state": "unknown"}
-            if job_id in self.running:
-                progress = None
-                if record.runner is not None:
-                    progress = record.runner.progress()
+            if job_id in self.state.running:
+                runner = self._live[job_id].runner
                 return {"job_id": job_id, "state": "running",
-                        "workers": record.workers, "iteration": progress,
-                        "preemptions": record.preemptions}
+                        "workers": job.workers,
+                        "iteration": None if runner is None
+                        else runner.progress(),
+                        "preemptions": job.preemptions}
             return {"job_id": job_id, "state": "queued",
                     "position": self.queue.index(job_id) + 1,
-                    "preemptions": record.preemptions}
+                    "preemptions": job.preemptions}
 
     def tables(self) -> dict:
         """Queue / allocation / completion tables (``JOB_STATUS``)."""
         with self._lock:
+            now = self._now()
             queue_rows = [
                 {"job_id": jid, "priority": self.jobs[jid].request.priority,
                  "min": self.jobs[jid].request.min_res,
                  "max": self.jobs[jid].request.max_res,
                  "preemptions": self.jobs[jid].preemptions,
-                 "queued_for": round(
-                     self._now() - self.jobs[jid].enqueued_at, 3)}
+                 "queued_for": round(now - self._live[jid].enqueued_at, 3)}
                 for jid in self.queue
             ]
             running_rows = [
-                {"job_id": jid, "workers": rec.workers,
-                 "priority": rec.request.priority,
-                 "iteration": rec.runner.progress()
-                 if rec.runner is not None else None}
-                for jid, rec in self.running.items()
+                {"job_id": jid, "workers": live.workers,
+                 "priority": live.job.request.priority,
+                 "iteration": live.runner.progress()
+                 if live.runner is not None else None}
+                for jid, live in self.running.items()
             ]
             completed_rows = [
                 {"job_id": jid, "digest": data.get("digest"),
@@ -392,24 +418,22 @@ class ClusterScheduler:
 
     def _reap(self, now: float) -> "list[str]":
         reaped = []
-        for job_id, record in list(self.running.items()):
-            if record.runner is None or not record.runner.complete():
+        for job_id, live in self.running.items():
+            if live.runner is None or not live.runner.complete():
                 continue
-            digests = record.runner.digests()
+            digests = live.runner.digests()
             unique = sorted(set(digests.values()))
-            jct = now - record.submitted_at
-            queueing = (record.admitted_at or now) - record.submitted_at
-            data = {
-                "job_id": job_id, "digest": unique[0] if unique else None,
-                "digests": dict(digests), "workers": record.workers,
-                "jct": jct, "queueing_delay": queueing,
-                "preemptions": record.preemptions, "at": now,
-            }
-            self.journal.append("complete", **data)
-            self.completed[job_id] = data
-            record.runner.close()
-            record.workers = 0
-            del self.running[job_id]
+            jct = now - live.submitted_at
+            queueing = (live.admitted_at or now) - live.submitted_at
+            self._record(
+                "complete", job_id=job_id,
+                digest=unique[0] if unique else None,
+                digests=dict(digests), workers=live.workers, jct=jct,
+                queueing_delay=queueing, preemptions=live.job.preemptions,
+                at=now,
+            )
+            del self._live[job_id]
+            live.runner.close()
             reaped.append(job_id)
             self._instant("cluster.complete", job=job_id,
                           jct=round(jct, 3))
@@ -423,36 +447,28 @@ class ClusterScheduler:
 
         Victim order is the spot-churn rule: lowest priority tier
         first, newest admission first within a tier — the jobs with
-        the least seniority pay for the capacity loss.
+        the least seniority pay for the capacity loss.  The journal
+        requeues the victim in submit order.
         """
         preempted = []
-        while self.running:
-            floor = sum(
-                rec.request.min_res for rec in self.running.values()
-            )
+        while self.state.running:
+            running = self.running
+            floor = sum(live.job.request.min_res for live in running.values())
             if floor <= self.capacity:
                 break
             victim = min(
-                self.running.values(),
-                key=lambda r: (r.request.priority, -r.admit_seq),
+                running.values(),
+                key=lambda live: (live.job.request.priority, -live.admit_seq),
             )
-            job_id = victim.request.job_id
+            job_id = victim.job.request.job_id
             progress = (victim.runner.progress()
                         if victim.runner is not None else 0)
-            self._stop_runner(victim)
-            del self.running[job_id]
-            victim.workers = 0
-            victim.preemptions += 1
-            victim.enqueued_at = now
-            self.preemptions += 1
-            # Requeue in submit order: FIFO-family policies read the
-            # queue front-to-back.
-            self.queue.append(job_id)
-            self.queue.sort(key=lambda jid: self.jobs[jid].submit_seq)
-            self.journal.append(
+            self._record(
                 "preempt", job_id=job_id, progress_lost=progress,
                 capacity=self.capacity, at=now,
             )
+            self._stop_runner(victim)
+            victim.enqueued_at = now
             preempted.append(job_id)
             self._instant("cluster.preempt", job=job_id,
                           progress_lost=progress)
@@ -463,20 +479,20 @@ class ClusterScheduler:
         queue_execs = [
             self.adapter.execution(
                 self.jobs[jid].request.to_schedule_spec(
-                    self.jobs[jid].submitted_at
+                    self._live[jid].submitted_at
                 )
             )
             for jid in self.queue
         ]
         running_execs = [
             self.adapter.execution(
-                rec.request.to_schedule_spec(rec.submitted_at),
-                workers=rec.workers,
-                work_done=float(rec.runner.progress())
-                if rec.runner is not None else 0.0,
-                start_time=rec.admitted_at,
+                live.job.request.to_schedule_spec(live.submitted_at),
+                workers=live.workers,
+                work_done=float(live.runner.progress())
+                if live.runner is not None else 0.0,
+                start_time=live.admitted_at,
             )
-            for rec in self.running.values()
+            for live in self.running.values()
         ]
         return self.adapter.target_allocation(
             now, queue_execs, running_execs, self.capacity, clamp=True,
@@ -487,24 +503,23 @@ class ClusterScheduler:
         now: float,
     ) -> "dict[str, tuple[int, int]]":
         resized = {}
-        for job_id, record in self.running.items():
-            target = allocation.get(job_id, record.workers)
-            if target < record.request.min_res:
+        for job_id, live in self.running.items():
+            old = live.workers
+            target = allocation.get(job_id, old)
+            if target < live.job.request.min_res:
                 # Elastic policies keep running jobs at >= min_res; a
                 # policy that drops below the floor is ignored here —
                 # shrinking under the minimum is the eviction path's
                 # decision, not a resize.
                 continue
-            if target == record.workers or record.runner is None:
+            if target == old or live.runner is None:
                 continue
-            accepted = record.runner.resize(target, at_iteration=pin_at)
-            if not accepted:
+            if not live.runner.resize(target, at_iteration=pin_at):
                 # An adjustment is already in flight on this job's AM;
                 # the next pass re-requests (one in flight per job).
                 self._count("cluster.resize_deferrals")
                 continue
-            old, record.workers = record.workers, target
-            self.journal.append(
+            self._record(
                 "resize", job_id=job_id, old=old, new=target,
                 at_iteration=pin_at, at=now,
             )
@@ -522,10 +537,9 @@ class ClusterScheduler:
             target = allocation.get(job_id, 0)
             if target <= 0:
                 continue
-            record = self.jobs[job_id]
-            free = self.capacity - self._busy()
-            workers = min(target, free)
-            if workers < record.request.min_res:
+            live = self._live[job_id]
+            workers = min(target, self.capacity - self._busy())
+            if workers < live.job.request.min_res:
                 # The policy admitted it, but resize deferrals can keep
                 # GPUs physically occupied for another pass.
                 continue
@@ -533,20 +547,17 @@ class ClusterScheduler:
                 raise RuntimeError(
                     "cannot admit jobs without a runner_factory"
                 )
-            runner = self.runner_factory(record.request, self)
-            queueing = now - record.enqueued_at
-            self.journal.append(
+            runner = self.runner_factory(live.job.request, self)
+            queueing = now - live.enqueued_at
+            self._record(
                 "admit", job_id=job_id, workers=workers,
                 queueing_delay=queueing, at=now,
             )
-            record.runner = runner
-            record.workers = workers
-            record.admit_seq = self._admit_seq
+            live.runner = runner
+            live.admit_seq = self._admit_seq
             self._admit_seq += 1
-            if record.admitted_at is None:
-                record.admitted_at = now
-            self.queue.remove(job_id)
-            self.running[job_id] = record
+            if live.admitted_at is None:
+                live.admitted_at = now
             runner.start(workers)
             admitted.append(job_id)
             self._instant("cluster.admit", job=job_id, workers=workers,
@@ -559,16 +570,16 @@ class ClusterScheduler:
         return admitted
 
     def _busy(self) -> int:
-        return sum(rec.workers for rec in self.running.values())
+        return sum(self.jobs[jid].workers for jid in self.state.running)
 
-    def _stop_runner(self, record: _JobRecord) -> None:
-        if record.runner is None:
+    def _stop_runner(self, live: _Live) -> None:
+        if live.runner is None:
             return
         try:
-            record.runner.stop()
+            live.runner.stop()
         finally:
-            record.runner.close()
-            record.runner = None
+            live.runner.close()
+            live.runner = None
 
     # -- wire ------------------------------------------------------------------
 
@@ -591,7 +602,7 @@ class ClusterScheduler:
                     "policy": self.adapter.name, "epoch": self.epoch,
                     "capacity": self.capacity, "busy": self._busy(),
                     "queued": len(self.queue),
-                    "running": len(self.running),
+                    "running": len(self.state.running),
                     "completed": len(self.completed),
                     "preemptions": self.preemptions,
                 }
@@ -629,9 +640,8 @@ class ClusterScheduler:
         if self._server is not None:
             self._server.close()
         with self._lock:
-            for record in self.running.values():
-                self._stop_runner(record)
-            self.running.clear()
+            for live in self._live.values():
+                self._stop_runner(live)
         self.journal.close()
 
     def abandon(self) -> None:
@@ -643,8 +653,8 @@ class ClusterScheduler:
         self._stop.set()
         with self._lock:
             self._fenced = True
-            for record in self.running.values():
-                self._stop_runner(record)
+            for live in self._live.values():
+                self._stop_runner(live)
             if self.tracer is not None:
                 self.tracer.instant(
                     "cluster.abandoned", track="cluster", cat="cluster",
@@ -664,11 +674,11 @@ class ClusterScheduler:
     ) -> "ClusterScheduler":
         """Rebuild a crashed scheduler from its decision journal.
 
-        The successor replays every decision, journals a strictly
-        higher fencing epoch, and requeues the predecessor's running
-        jobs at their original submit positions (their runners died
-        with the predecessor; re-admission restarts them) — queued and
-        completed jobs come back verbatim.
+        Replay, then journal a strictly higher fencing epoch: applying
+        that record requeues the predecessor's running jobs at their
+        submit positions (their runners died with the predecessor;
+        re-admission restarts them); queued and completed jobs come
+        back verbatim.
         """
         state = ClusterJournalState.replay(journal.records())
         if state.policy is None:
@@ -678,38 +688,6 @@ class ClusterScheduler:
             runner_factory=runner_factory, journal=journal,
             tracer=tracer, metrics=metrics, clock=clock, _replay=state,
         )
-
-    def _restore(self, state: "ClusterJournalState") -> None:
-        self.epoch = state.epoch + 1
-        self.journal.append("epoch", epoch=self.epoch)
-        self.capacity = state.capacity
-        self.preemptions = state.preemptions
-        self._submit_seq = state.submit_seq
-        now = self._now()
-        for job_id, payload in state.submitted.items():
-            if job_id in state.completed or job_id in state.released:
-                continue
-            request = JobRequest.from_payload(payload)
-            record = _JobRecord(
-                request, state.submit_seq_of.get(job_id, 0), now,
-            )
-            record.preemptions = state.preemption_counts.get(job_id, 0)
-            self.jobs[job_id] = record
-            # Previously *running* jobs lost their runners with the old
-            # incarnation: requeue them for re-admission.
-            self.queue.append(job_id)
-        self.queue.sort(key=lambda jid: self.jobs[jid].submit_seq)
-        self.completed = {
-            jid: dict(data) for jid, data in state.completed.items()
-        }
-        if self.tracer is not None:
-            self.tracer.instant(
-                "cluster.failover", track="cluster", cat="cluster",
-                epoch=self.epoch, requeued=len(self.queue),
-                completed=len(self.completed),
-            )
-        if self.metrics is not None:
-            self.metrics.counter("cluster.failovers").inc()
 
     # -- observability helpers -------------------------------------------------
 
@@ -730,22 +708,27 @@ class ClusterScheduler:
 
 
 class ClusterJournalState:
-    """The scheduler state a decision journal replays to (pure data)."""
+    """The scheduler's durable state: the fold of its decision journal.
+
+    :meth:`apply` is the one transition function.  The live scheduler
+    holds a ``ClusterJournalState`` as *the* state and applies each
+    record the moment it is journaled (``ClusterScheduler._record``); a
+    successor folds the same records with :meth:`replay`.
+    """
 
     def __init__(self):
         self.policy: "str | None" = None
         self.capacity = 0
         self.epoch = 0
-        self.submitted: "dict[str, dict]" = {}
-        self.submit_seq_of: "dict[str, int]" = {}
-        self.queue: "list[str]" = []
-        self.running: "dict[str, int]" = {}
-        self.completed: "dict[str, dict]" = {}
-        self.released: "set[str]" = set()
         self.preemptions = 0
-        self.preemption_counts: "dict[str, int]" = {}
-        self.capacity_changes = 0
-        self.submit_seq = 0
+        self.next_seq = 0
+        #: queued and running jobs; completed and released ones leave.
+        self.jobs: "dict[str, _Job]" = {}
+        #: queued job ids, always in submit order.
+        self.queue: "list[str]" = []
+        #: running job ids, in admission order.
+        self.running: "list[str]" = []
+        self.completed: "dict[str, dict]" = {}
         self.replayed = 0
 
     @classmethod
@@ -754,49 +737,58 @@ class ClusterJournalState:
     ) -> "ClusterJournalState":
         state = cls()
         for record in records:
-            state._apply(record["kind"], record["data"])
+            state.apply(record["kind"], record["data"])
             state.replayed += 1
         return state
 
-    def _apply(self, kind: str, data: dict) -> None:
+    def apply(self, kind: str, data: dict) -> None:
+        """Fold one record into the state — live and at replay alike."""
         if kind == "open":
             self.policy = data["policy"]
             self.capacity = int(data["capacity"])
         elif kind == "epoch":
             self.epoch = max(self.epoch, int(data["epoch"]))
+            # A new incarnation: the running jobs' runners died with its
+            # predecessor, so they wait for re-admission (at boot nothing
+            # runs).
+            for job_id in self.running:
+                self._requeue(job_id)
+            self.running = []
         elif kind == "submit":
-            job_id = data["job"]["job_id"]
-            seq = int(data.get("seq", len(self.submitted)))
-            self.submitted[job_id] = dict(data["job"])
-            self.submit_seq_of[job_id] = seq
-            self.submit_seq = max(self.submit_seq, seq + 1)
-            self.queue.append(job_id)
+            request = JobRequest.from_payload(data["job"])
+            seq = int(data["seq"])
+            self.jobs[request.job_id] = _Job(request, seq)
+            self.next_seq = max(self.next_seq, seq + 1)
+            self._requeue(request.job_id)
         elif kind == "admit":
             job_id = data["job_id"]
-            if job_id in self.queue:
-                self.queue.remove(job_id)
-            self.running[job_id] = int(data["workers"])
+            self.queue.remove(job_id)
+            self.running.append(job_id)
+            self.jobs[job_id].workers = int(data["workers"])
         elif kind == "resize":
-            self.running[data["job_id"]] = int(data["new"])
+            self.jobs[data["job_id"]].workers = int(data["new"])
         elif kind == "preempt":
             job_id = data["job_id"]
-            self.running.pop(job_id, None)
+            self.running.remove(job_id)
+            self.jobs[job_id].preemptions += 1
             self.preemptions += 1
-            self.preemption_counts[job_id] = (
-                self.preemption_counts.get(job_id, 0) + 1
-            )
-            if job_id not in self.queue:
-                self.queue.append(job_id)
+            self._requeue(job_id)
         elif kind == "capacity":
             self.capacity = int(data["gpus"])
-            self.capacity_changes += 1
         elif kind == "release":
             job_id = data["job_id"]
-            self.released.add(job_id)
-            self.running.pop(job_id, None)
-            if job_id in self.queue:
-                self.queue.remove(job_id)
+            del self.jobs[job_id]
+            held = self.running if job_id in self.running else self.queue
+            held.remove(job_id)
         elif kind == "complete":
             job_id = data["job_id"]
-            self.running.pop(job_id, None)
+            self.running.remove(job_id)
+            del self.jobs[job_id]
             self.completed[job_id] = dict(data)
+
+    def _requeue(self, job_id: str) -> None:
+        """Wait at the job's submit position: FIFO-family policies read
+        the queue front to back."""
+        self.jobs[job_id].workers = 0
+        bisect.insort(self.queue, job_id,
+                      key=lambda jid: self.jobs[jid].submit_seq)

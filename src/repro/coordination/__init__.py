@@ -19,7 +19,6 @@ from .messages import (
     MessageFactory,
     MessageType,
 )
-from .ring import RingCollective, flatten_params, unflatten_params
 from .runtime import (
     ElasticRuntime,
     GroupPlan,
@@ -58,7 +57,6 @@ __all__ = [
     "MasterState",
     "Message",
     "RetryingStore",
-    "RingCollective",
     "RuntimeTelemetry",
     "SilentCrash",
     "SimulatedAdjustment",
@@ -70,7 +68,5 @@ __all__ = [
     "MessageFactory",
     "MessageType",
     "WorkerContext",
-    "flatten_params",
     "params_consistent",
-    "unflatten_params",
 ]

@@ -52,7 +52,6 @@ from ..training.state import RuntimeInfo, TrainingState
 from .collective import Collective, CollectiveAborted
 from .faults import ExponentialBackoff, FaultPlan, LeaseExpired, SilentCrash
 from .hooks import Hook, HookRegistry
-from .ring import RingCollective
 from .master import (
     AdjustmentKind,
     AdjustmentRequest,
@@ -82,7 +81,7 @@ class WorkerContext:
     generation: int
     group: typing.Tuple[str, ...]
     rank: int
-    collective: "Collective | RingCollective"
+    collective: Collective
     per_worker_batch: int
     lr_ramp: "LrRamp | None" = None
     gpu: "TopologyNode | None" = None
@@ -94,7 +93,7 @@ class GroupPlan:
 
     generation: int
     group: typing.Tuple[str, ...]
-    collective: "Collective | RingCollective"
+    collective: Collective
     total_batch_size: int
     per_worker_batch: int
     lr_ramp: "LrRamp | None"
@@ -139,7 +138,6 @@ class ElasticRuntime:
         store: "KeyValueStore | None" = None,
         seed: int = 0,
         allreduce_timeout: float = 30.0,
-        collective_backend: str = "rendezvous",
         iteration_delays: "typing.Dict[str, float] | None" = None,
         max_micro_batch: "int | None" = None,
         architecture: "Architecture | None" = None,
@@ -248,13 +246,6 @@ class ElasticRuntime:
             list(gpus_of(cluster)) if cluster is not None else []
         )
 
-        if collective_backend not in ("rendezvous", "ring"):
-            raise ValueError(
-                f"unknown collective backend {collective_backend!r}"
-            )
-        self.collective_backend = collective_backend
-        self._grad_template = self.architecture.gradient_template(seed)
-
         worker_ids = tuple(f"w{i}" for i in range(initial_workers))
         self.am = ApplicationMaster(
             job_id="job0",
@@ -263,7 +254,7 @@ class ElasticRuntime:
             coordination_interval=coordination_interval,
             tracer=self.tracer,
         )
-        collective = self._make_collective(0, worker_ids)
+        collective = Collective(0, worker_ids, timeout=allreduce_timeout)
         per_worker = total_batch_size // initial_workers
         self._workers: typing.Dict[str, _Worker] = {}
         for rank, worker_id in enumerate(worker_ids):
@@ -287,17 +278,6 @@ class ElasticRuntime:
             )
             self._workers[worker_id] = _Worker(worker_id, context)
         self.hidden_dim = hidden_dim
-
-    def _make_collective(self, generation: int, members):
-        """Build a collective of the configured backend (rendezvous
-        averaging, or the real chunked ring-allreduce)."""
-        if self.collective_backend == "ring":
-            return RingCollective(
-                generation, members,
-                template_factory=lambda: self._grad_template,
-                timeout=self.allreduce_timeout,
-            )
-        return Collective(generation, members, timeout=self.allreduce_timeout)
 
     # -- hooks (Table III RegisterHook) ---------------------------------------
 
@@ -746,7 +726,9 @@ class ElasticRuntime:
                 thread.join(timeout=join_timeout)
         with self._lock:
             self._generation += 1
-            collective = self._make_collective(self._generation, survivors)
+            collective = Collective(
+                self._generation, survivors, timeout=self.allreduce_timeout
+            )
             reference = None
             for worker_id in survivors:
                 context = self._workers[worker_id].context
@@ -1191,7 +1173,9 @@ class ElasticRuntime:
         captured = self.hooks.capture_all(leader)
         replication_plan = None
         new_contexts: typing.Dict[str, WorkerContext] = {}
-        collective = self._make_collective(self._generation + 1, new_group)
+        collective = Collective(
+            self._generation + 1, new_group, timeout=self.allreduce_timeout
+        )
         for worker_id in request.add_workers:
             context = WorkerContext(
                 worker_id=worker_id,

@@ -11,19 +11,27 @@ the job's logical clock.
 
 import pytest
 
-from repro.cluster import run_churn_scenario
+from repro.cluster import ChurnScenario
 from repro.cluster.scenario import GROW_PIN, SHRINK_PIN
 from repro.observability import validate_events
 
+from .replay import assert_replay_matches
+
 TRANSPORTS = ("memory", "tcp")
 
-_reports = {}
+_runs = {}
+
+
+def run_for(transport):
+    if transport not in _runs:
+        scenario = ChurnScenario(transport)
+        scenario.run()
+        _runs[transport] = scenario
+    return _runs[transport]
 
 
 def report_for(transport):
-    if transport not in _reports:
-        _reports[transport] = run_churn_scenario(transport)
-    return _reports[transport]
+    return run_for(transport).report
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
@@ -60,6 +68,9 @@ class TestChurnScenario:
         assert metrics["cluster.resizes"] == 5
         assert metrics["cluster.completions"] == 3
         assert metrics["cluster.queueing_delay_seconds"]["count"] == 4
+
+    def test_journal_replays_to_the_live_state(self, transport):
+        assert_replay_matches(run_for(transport).scheduler)
 
 
 def test_digests_bit_identical_across_transports():

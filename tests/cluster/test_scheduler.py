@@ -5,6 +5,11 @@ so a stub lets these tests script admission, preemption, backfill and
 failover without spinning up a single real worker.
 """
 
+import itertools
+import json
+import pathlib
+import shutil
+
 import pytest
 
 from repro.cluster import (
@@ -16,6 +21,17 @@ from repro.cluster import (
 from repro.coordination.messages import MessageType
 from repro.net.journal import Journal, JournalError
 from repro.net.transport import memory_link
+
+from .replay import assert_replay_matches
+
+#: The journal :func:`scripted_session` wrote before the scheduler became
+#: its journal; a successor must still recover from it.
+GOLDEN_JOURNAL = pathlib.Path(__file__).with_name("golden_session.jsonl")
+GOLDEN_KINDS = [
+    "open", "epoch", "submit", "submit", "submit", "admit", "admit",
+    "capacity", "preempt", "release", "submit", "admit", "complete",
+    "admit",
+]
 
 
 class StubRunner:
@@ -34,7 +50,7 @@ class StubRunner:
     def start(self, workers):
         self.workers = workers
 
-    def resize(self, workers, at_iteration=None, origin="scheduler"):
+    def resize(self, workers, at_iteration=None):
         if self.reject_next_resize:
             self.reject_next_resize = False
             return False
@@ -58,7 +74,7 @@ class StubRunner:
         self.closed = True
 
 
-def make_scheduler(policy="e-priority", gpus=4, journal=None):
+def make_scheduler(policy="e-priority", gpus=4, journal=None, clock=None):
     runners = {}
 
     def factory(request, scheduler):
@@ -67,7 +83,7 @@ def make_scheduler(policy="e-priority", gpus=4, journal=None):
         return runner
 
     sched = ClusterScheduler(
-        policy, gpus, runner_factory=factory, journal=journal,
+        policy, gpus, runner_factory=factory, journal=journal, clock=clock,
     )
     return sched, runners
 
@@ -77,6 +93,35 @@ def req(job_id, priority=0, min_res=1, req_res=1, max_res=2, iterations=24):
         job_id=job_id, priority=priority, min_res=min_res,
         req_res=req_res, max_res=max_res, iterations=iterations,
     )
+
+
+def scripted_session(check, journal=None):
+    """Every decision kind but ``resize``, with ``check`` after each call.
+
+    Two GPUs, priorities a=1, b=2, c=0: b and a run, c waits.  A drop to
+    one GPU preempts a, which requeues ahead of c (submit order).  b is
+    released, resubmitted and re-admitted; its completion admits a.
+    """
+    ticks = itertools.count()
+    sched, runners = make_scheduler(
+        gpus=2, journal=journal, clock=lambda: float(next(ticks)),
+    )
+
+    def call(method, *args, **kwargs):
+        method(*args, **kwargs)
+        check(sched)
+
+    for name, priority in (("a", 1), ("b", 2), ("c", 0)):
+        call(sched.submit, req(name, priority=priority))
+    call(sched.step)
+    call(sched.set_capacity, 1, reason="spot")
+    call(sched.step)
+    call(sched.release, "b")
+    call(sched.submit, req("b", priority=2))
+    call(sched.step)
+    runners["b"].done = True
+    call(sched.step)
+    return sched, runners
 
 
 class TestSubmitAndAdmit:
@@ -265,9 +310,11 @@ class TestJournalAndFailover:
         assert state.policy == "e-priority"
         assert state.capacity == 4
         assert state.completed.keys() == {"done"}
-        assert state.running == {"running": 2}
+        assert {jid: state.jobs[jid].workers for jid in state.running} == {
+            "running": 2
+        }
         assert state.queue == ["waiting"]
-        assert "gone" in state.released
+        assert "gone" not in state.jobs
 
     def test_failover_requeues_running_jobs_and_bumps_epoch(self, tmp_path):
         journal = Journal(
@@ -314,6 +361,53 @@ class TestJournalAndFailover:
         replayed = ClusterScheduler.from_journal(sched.journal)
         assert replayed.completed["a"]["digest"] == "digest-a"
         assert replayed.queue == []
+
+    def test_released_then_resubmitted_job_survives_failover(self):
+        sched, _ = make_scheduler(gpus=1)
+        sched.submit(req("a"))
+        sched.submit(req("b"))
+        sched.step()
+        assert list(sched.running) == ["a"]
+        assert sched.release("a")["released"]
+        assert sched.submit(req("a"))["accepted"]
+        assert sched.queue == ["b", "a"]
+        sched.abandon()
+        successor = ClusterScheduler.from_journal(sched.journal)
+        # The resubmission queues behind b, at its new submit position.
+        assert sorted(successor.jobs) == ["a", "b"]
+        assert successor.queue == ["b", "a"]
+
+    def test_replay_matches_live_after_every_call(self):
+        sched, _ = scripted_session(assert_replay_matches)
+        assert sched.queue == ["c"]
+        assert list(sched.running) == ["a"]
+        assert sched.jobs["a"].preemptions == 1
+        assert sched.completed.keys() == {"b"}
+
+    def test_session_writes_the_golden_kind_sequence(self):
+        sched, _ = scripted_session(lambda _sched: None)
+        kinds = [r["kind"] for r in sched.journal.records()]
+        golden = [
+            json.loads(line)["kind"]
+            for line in GOLDEN_JOURNAL.read_text().splitlines()
+        ]
+        assert kinds == golden == GOLDEN_KINDS
+
+    def test_golden_journal_recovers_like_its_writer(self, tmp_path):
+        path = tmp_path / "cluster.journal"
+        shutil.copyfile(GOLDEN_JOURNAL, path)
+        successor = ClusterScheduler.from_journal(
+            Journal(str(path), kinds=CLUSTER_RECORD_KINDS),
+        )
+        assert successor.epoch == 2
+        assert successor.capacity == 1
+        # a was running: its runner died with the writer, so it waits
+        # again at its submit position, ahead of c.
+        assert successor.queue == ["a", "c"]
+        assert successor.jobs["a"].preemptions == 1
+        assert {
+            jid: data["digest"] for jid, data in successor.completed.items()
+        } == {"b": "digest-b"}
 
 
 class TestValidation:

@@ -50,7 +50,7 @@ class TestResizeMessage:
         runner = make_runner("rz", iterations=16, sleep=0.02)
         runner.start(2)
         try:
-            assert runner.resize(3, at_iteration=8, origin="scheduler")
+            assert runner.resize(3, at_iteration=8)
             assert runner.master.wait_complete(timeout=30.0)
         finally:
             runner.close()
@@ -122,7 +122,7 @@ class TestResizeSurvivesFailover:
         runner.start(3)
         try:
             wait_progress(runner, 2)
-            assert runner.resize(2, at_iteration=16, origin="scheduler")
+            assert runner.resize(2, at_iteration=16)
             # Kill the primary before the pinned boundary can commit.
             wait_progress(runner, 4)
             old = runner.master
@@ -165,7 +165,7 @@ class TestResizeSurvivesFailover:
             for link in list(runner._links.values()):
                 link.transport.redirect(successor.core)
             runner.master = successor
-            assert runner.resize(3, at_iteration=12, origin="scheduler")
+            assert runner.resize(3, at_iteration=12)
             assert successor.wait_complete(timeout=30.0)
         finally:
             runner.close()

@@ -99,13 +99,13 @@ class TestArchitecturesInRuntime:
         assert params_consistent(runtime.final_contexts())
         assert 0.0 <= runtime.evaluate() <= 1.0
 
-    def test_logreg_on_ring_backend(self, dataset):
+    def test_logreg_three_workers_consistent(self, dataset):
         arch = logistic_regression_architecture(
             dataset.input_dim, dataset.num_classes
         )
         runtime = ElasticRuntime(
             dataset, initial_workers=3, total_batch_size=48,
-            seed=3, architecture=arch, collective_backend="ring",
+            seed=3, architecture=arch,
         )
         runtime.start()
         assert runtime.wait_until_iteration(10)
