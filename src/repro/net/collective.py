@@ -200,6 +200,11 @@ def ring_reference_average(
     and division the distributed path performs, so the result is
     bit-identical to every ring member's.  The divisor is always the
     member count (absent members contribute zeros upstream).
+
+    Each arc accumulates in place in the slice of ``out`` it owns; the
+    contributions are only read (over the memory pipe they are the
+    workers' live gradients).  ``out`` is fresh per call: the caller
+    hands the mean to every member and to the reply cache.
     """
     members = len(contributions)
     if members == 0:
@@ -215,14 +220,13 @@ def ring_reference_average(
 
     for part, slices in enumerate(layout.partitions):
         for piece in slices:
-            acc = np.array(arc(part, piece))
+            acc = RingLayout.flat(out[piece.name])[piece.start:piece.stop]
+            acc[...] = arc(part, piece)
             for hop in range(1, members):
                 # The ring accumulates np.add(received, local): the
                 # partial arc is the left operand at every hop.
-                acc = np.add(acc, arc(part + hop, piece))
-            RingLayout.flat(out[piece.name])[piece.start:piece.stop] = (
-                np.true_divide(acc, members)
-            )
+                np.add(acc, arc(part + hop, piece), out=acc)
+            np.true_divide(acc, members, out=acc)
     return out
 
 

@@ -22,12 +22,41 @@ import typing
 import numpy as np
 
 
-class SerialLoader:
+class _EpochOrder:
+    """The current epoch's sample order, drawn once per epoch.
+
+    The order is a pure function of ``(seed, epoch)``, so it is derived
+    state, not loader state: it is cached keyed on ``self.epoch`` and
+    redrawn when the epoch moves (rollover or ``load_state_dict``).  It
+    is read-only because the batches handed out are views into it.
+    """
+
+    dataset_size: int
+    seed: int
+    shuffle: bool
+    epoch: int
+    _order_epoch: "int | None" = None
+    _order: np.ndarray
+
+    def _epoch_order(self) -> np.ndarray:
+        if self._order_epoch != self.epoch:
+            if self.shuffle:
+                rng = np.random.default_rng(self.seed + self.epoch)
+                order = rng.permutation(self.dataset_size)
+            else:
+                order = np.arange(self.dataset_size)
+            order.flags.writeable = False
+            self._order, self._order_epoch = order, self.epoch
+        return self._order
+
+
+class SerialLoader(_EpochOrder):
     """Global serial data loading (the paper's proposed semantics).
 
     Each iteration hands out one contiguous slice of the current epoch's
     permutation, split contiguously among ranks.  The state is
-    ``(epoch, position)`` — "a single integer" plus the epoch counter.
+    ``(epoch, position)`` — "a single integer" plus the epoch counter;
+    the permutation itself is a per-epoch cache derived from it.
     """
 
     def __init__(self, dataset_size: int, seed: int = 0, shuffle: bool = True):
@@ -39,20 +68,16 @@ class SerialLoader:
         self.epoch = 0
         self.position = 0
 
-    def _epoch_order(self) -> np.ndarray:
-        if not self.shuffle:
-            return np.arange(self.dataset_size)
-        rng = np.random.default_rng(self.seed + self.epoch)
-        return rng.permutation(self.dataset_size)
-
     def next_iteration(
         self, num_workers: int, batch_per_worker: int
     ) -> "list[np.ndarray]":
         """Sample indices for each rank's next micro-batch.
 
         The last batch of an epoch may be smaller; it is still split as
-        evenly as possible so all ranks step together.  Advancing past the
-        end rolls the epoch over.
+        evenly as possible so all ranks step together (the first
+        ``len % num_workers`` ranks get one more, as ``np.array_split``
+        would).  Advancing past the end rolls the epoch over.  The
+        returned arrays are read-only views of the epoch's order.
         """
         if num_workers < 1 or batch_per_worker < 1:
             raise ValueError("num_workers and batch_per_worker must be >= 1")
@@ -64,7 +89,9 @@ class SerialLoader:
         if self.position >= self.dataset_size:
             self.epoch += 1
             self.position = 0
-        return [np.asarray(part) for part in np.array_split(batch, num_workers)]
+        each, extra = divmod(len(batch), num_workers)
+        bounds = [rank * each + min(rank, extra) for rank in range(num_workers + 1)]
+        return [batch[start:end] for start, end in zip(bounds, bounds[1:])]
 
     @property
     def remaining_in_epoch(self) -> int:
@@ -95,7 +122,7 @@ class SerialLoader:
         return 16
 
 
-class ChunkLoader:
+class ChunkLoader(_EpochOrder):
     """Chunk-based loading (the widely-used baseline the paper contrasts).
 
     The epoch's permutation is cut into fixed-size chunks; ranks own
@@ -132,13 +159,8 @@ class ChunkLoader:
         self._assign(num_workers)
 
     def _chunk_indices(self, chunk_id: int) -> np.ndarray:
-        if self.shuffle:
-            rng = np.random.default_rng(self.seed + self.epoch)
-            order = rng.permutation(self.dataset_size)
-        else:
-            order = np.arange(self.dataset_size)
         start = chunk_id * self.chunk_size
-        return order[start : start + self.chunk_size]
+        return self._epoch_order()[start : start + self.chunk_size]
 
     def _chunk_len(self, chunk_id: int) -> int:
         return min(self.chunk_size, self.dataset_size - chunk_id * self.chunk_size)

@@ -32,17 +32,44 @@ class MomentumSGD:
         self.momentum = momentum
         self.weight_decay = weight_decay
         self._velocity: typing.Dict[str, np.ndarray] = {}
+        #: per parameter: (dtype key, ``lr * grad`` buffer, in-place ok)
+        self._scratch: typing.Dict[str, tuple] = {}
 
     def step(self, params: Params, grads: Params) -> None:
-        """Apply one in-place update to ``params``."""
+        """Apply one in-place update to ``params``.
+
+        ``velocity = momentum * velocity - lr * grad`` runs as the same
+        ufuncs in the same operand order as that expression, written
+        into buffers held per parameter: ``lr * grad`` into a scratch
+        buffer of the dtype the product itself would have, the rest
+        into the velocity.  A step whose dtypes would promote the
+        velocity takes the out-of-place form once.
+        """
+        lr, momentum = self.lr, self.momentum
         for name, grad in grads.items():
             if self.weight_decay:
                 grad = grad + self.weight_decay * params[name]
             velocity = self._velocity.get(name)
             if velocity is None:
-                velocity = np.zeros_like(params[name])
-            velocity = self.momentum * velocity - self.lr * grad
-            self._velocity[name] = velocity
+                velocity = self._velocity[name] = np.zeros_like(params[name])
+            # Result dtypes follow from the operand types (NEP 50 promotion).
+            key = (type(lr), type(momentum), grad.dtype, grad.shape, velocity.dtype)
+            cached = self._scratch.get(name)
+            if cached is not None and cached[0] == key:
+                _, scaled, in_place = cached
+                np.multiply(lr, grad, out=scaled)
+            else:
+                scaled = lr * grad
+                in_place = (
+                    np.result_type(momentum, velocity) == velocity.dtype
+                    == np.result_type(velocity, scaled)
+                )
+                self._scratch[name] = (key, scaled, in_place)
+            if in_place:
+                np.multiply(momentum, velocity, out=velocity)
+                np.subtract(velocity, scaled, out=velocity)
+            else:
+                velocity = self._velocity[name] = momentum * velocity - scaled
             params[name] += velocity
 
     # -- state management (replicated by Elan, Table II) ---------------------

@@ -167,6 +167,63 @@ class TestReferenceAverage:
         assert np.array_equal(reference["x"], expected)
 
 
+def copy_per_hop_average(contributions):
+    """The ring's arithmetic with a fresh array per partition and hop."""
+    members = len(contributions)
+    base = contributions[0]
+    layout = RingLayout(base, members, bucket_bytes=2**62)
+    out = {name: np.empty_like(base[name]) for name in base}
+    for part, slices in enumerate(layout.partitions):
+        for piece in slices:
+            def arc(rank):
+                flat = contributions[rank % members][piece.name].reshape(-1)
+                return flat[piece.start:piece.stop]
+            acc = np.array(arc(part))
+            for hop in range(1, members):
+                acc = np.add(acc, arc(part + hop))
+            out[piece.name].reshape(-1)[piece.start:piece.stop] = (
+                np.true_divide(acc, members)
+            )
+    return out
+
+
+class TestReferenceAverageInPlace:
+    """The reduce accumulates in the output it returns, with the bits of
+    the copy-per-hop arithmetic and without touching a contribution."""
+
+    SHAPES = {"w": (7, 5), "b": (5,), "odd": (13,), "one": (1,)}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("members", range(1, 8))
+    def test_bit_identical_to_copy_per_hop(self, members, dtype):
+        contributions = [
+            random_grads(seed, self.SHAPES, dtype) for seed in range(members)
+        ]
+        before = [
+            {name: array.tobytes() for name, array in c.items()}
+            for c in contributions
+        ]
+        got = ring_reference_average(contributions)
+        want = copy_per_hop_average(contributions)
+        for name in self.SHAPES:
+            assert got[name].dtype == want[name].dtype == dtype
+            assert got[name].tobytes() == want[name].tobytes(), name
+        for contribution, raw in zip(contributions, before):
+            for name, array in contribution.items():
+                assert array.tobytes() == raw[name], name
+
+    def test_consecutive_calls_share_no_output(self):
+        contributions = [random_grads(seed) for seed in range(3)]
+        first = ring_reference_average(contributions)
+        second = ring_reference_average(contributions)
+        for name in first:
+            assert not np.shares_memory(first[name], second[name])
+            assert not any(
+                np.shares_memory(first[name], c[name]) for c in contributions
+            )
+            assert np.array_equal(first[name], second[name])
+
+
 class Mesh:
     """N ring nodes over real peer links (no AM involved)."""
 

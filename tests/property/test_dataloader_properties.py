@@ -6,6 +6,7 @@ epoch — the data-consistency guarantee elasticity must not break.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,3 +131,103 @@ class TestChunkLoaderProperties:
             c for c in loader.consumed if loader._remaining_of(c) > 0
         }
         assert unfinished <= set(owned) | unfinished
+
+
+def reference_shards(size, seed, epoch, position, num_workers, batch):
+    """The loader's defining formula, drawn from scratch on every call:
+    a fresh permutation of epoch ``epoch`` split with ``np.array_split``."""
+    order = np.random.default_rng(seed + epoch).permutation(size)
+    stop = min(position + num_workers * batch, size)
+    return np.array_split(order[position:stop], num_workers)
+
+
+class TestSerialLoaderEpochCache:
+    """The per-epoch permutation cache hands out exactly the shards the
+    from-scratch formula gives, whatever the call sequence."""
+
+    @given(
+        size=st.integers(min_value=1, max_value=60),
+        num_workers=workers,
+        batch=st.integers(min_value=1, max_value=8),
+        seed=st.integers(0, 50),
+        calls=st.integers(min_value=1, max_value=40),
+        restore_at=st.integers(min_value=0, max_value=40),
+        jump=st.integers(min_value=-2, max_value=3),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_from_scratch_formula(
+        self, size, num_workers, batch, seed, calls, restore_at, jump
+    ):
+        loader = SerialLoader(size, seed=seed)
+        for call in range(calls):
+            if call == restore_at:
+                # A state round trip, then a load into another epoch
+                # (possibly an earlier one) at an arbitrary position.
+                state = loader.state_dict()
+                replica = SerialLoader(size, seed=seed)
+                replica.load_state_dict(state)
+                assert replica.state_dict() == state
+                loader.load_state_dict({
+                    "epoch": max(0, state["epoch"] + jump),
+                    "position": (state["position"] * 7 + call) % size,
+                })
+            epoch, position = loader.epoch, loader.position
+            shards = loader.next_iteration(num_workers, batch)
+            expected = reference_shards(
+                size, seed, epoch, position, num_workers, batch
+            )
+            assert len(shards) == len(expected) == num_workers
+            for got, want in zip(shards, expected):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+    @given(size=sizes, num_workers=workers, batch=batches)
+    @settings(max_examples=30, deadline=None)
+    def test_shards_are_read_only(self, size, num_workers, batch):
+        loader = SerialLoader(size, seed=3)
+        for shard in loader.next_iteration(num_workers, batch):
+            with pytest.raises(ValueError):
+                shard[...] = 0
+
+    def test_one_generator_per_epoch(self, monkeypatch):
+        built = []
+        real = np.random.default_rng
+
+        def counting(seed):
+            built.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        loader = SerialLoader(10, seed=5)
+        for _ in range(15):  # 3 per epoch at 4 samples: epochs 0..4
+            loader.next_iteration(2, 2)
+        assert built == [5, 6, 7, 8, 9]
+        loader.load_state_dict({"epoch": 2, "position": 4})
+        loader.next_iteration(2, 2)
+        loader.next_iteration(2, 2)
+        assert built == [5, 6, 7, 8, 9, 7]
+
+
+class TestChunkLoaderEpochOrder:
+    @given(
+        size=st.integers(min_value=1, max_value=200),
+        chunk=st.integers(min_value=1, max_value=32),
+        num_workers=workers,
+        seed=st.integers(0, 20),
+        epoch=st.integers(0, 5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_chunks_are_slices_of_the_epoch_permutation(
+        self, size, chunk, num_workers, seed, epoch
+    ):
+        loader = ChunkLoader(size, chunk_size=chunk, num_workers=num_workers,
+                             seed=seed)
+        state = loader.state_dict()
+        state["epoch"] = epoch
+        loader.load_state_dict(state)
+        order = np.random.default_rng(seed + epoch).permutation(size)
+        for chunk_id in range(loader.num_chunks):
+            start = chunk_id * chunk
+            assert np.array_equal(
+                loader._chunk_indices(chunk_id), order[start:start + chunk]
+            )
