@@ -7,7 +7,7 @@ moves the gradient hot path onto direct worker↔worker links: the
 classic two-phase ring — reduce-scatter then all-gather — as one
 pipeline of ``2·(N-1)`` hops over element-aligned buckets, each reduced
 as it lands and written to the successor at once by the same thread —
-one-way, within a bounded unconfirmed window.
+one-way, confirmed once per iteration by its last segment.
 
 Bit-identity with the star path
 -------------------------------
@@ -379,10 +379,11 @@ class RingNode:
     survives the reshuffle.
 
     The calling thread runs the hop pipeline and every send: a segment
-    is a one-way ``post`` unless it is the iteration's last or
-    ``window`` segments are already posted but not yet acknowledged —
-    then it is a request, whose reply acknowledges everything written
-    before it.  The node owns no thread.
+    is a one-way ``post`` unless it is the iteration's last — then it
+    is a request, whose reply acknowledges everything written before
+    it, so an iteration waits on one round trip.  An integer ``window``
+    also confirms any segment that finds ``window`` posts already
+    unacknowledged.  The node owns no thread.
     """
 
     def __init__(
@@ -391,7 +392,7 @@ class RingNode:
         mailbox: RingMailbox,
         connect: "typing.Callable[[str], typing.Any]",
         bucket_bytes: int = DEFAULT_RING_BUCKET_BYTES,
-        window: int = 4,
+        window: "int | None" = None,
         step_timeout: float = 2.0,
         tracer: "typing.Any | None" = None,
         metrics: "typing.Any | None" = None,
@@ -401,7 +402,7 @@ class RingNode:
         self.mailbox = mailbox
         self._connect = connect
         self.bucket_bytes = bucket_bytes
-        self.window = max(1, window)
+        self.window = None if window is None else max(1, window)
         self.step_timeout = step_timeout
         self.tracer = tracer
         self.metrics = metrics
@@ -624,12 +625,13 @@ class RingNode:
     def _send(self, successor: str, payload: dict, confirm: bool) -> None:
         """Write one segment on the successor's *current* link.
 
-        A one-way post, or — for the iteration's last segment and for
-        one that would leave more than ``window`` posts unacknowledged —
-        a request: its reply acknowledges every segment written before
-        it on the link.  A successor that leaves a request's whole
-        resend budget unanswered has timed out its own receive long
-        ago: it is suspected, so nothing blocks on it again.
+        A one-way post, or — for the iteration's last segment and, with
+        an integer ``window``, for one that would leave more than
+        ``window`` posts unacknowledged — a request: its reply
+        acknowledges every segment written before it on the link.  A
+        successor that leaves a request's whole resend budget unanswered
+        has timed out its own receive long ago: it is suspected, so
+        nothing blocks on it again.
         """
         try:
             link = self._link_to(successor)
@@ -641,7 +643,9 @@ class RingNode:
             self._count("net.allreduce.send_failures")
             return
         try:
-            if confirm or self._unconfirmed >= self.window:
+            if confirm or (
+                self.window is not None and self._unconfirmed >= self.window
+            ):
                 link.request(MessageType.RING_SEGMENT, payload)
                 self._unconfirmed = 0
             else:

@@ -114,8 +114,9 @@ class JobSpec:
     #: ring bucket size (bytes, element-aligned); one RING_SEGMENT per
     #: bucket per hop.
     ring_bucket_bytes: int = DEFAULT_RING_BUCKET_BYTES
-    #: segments a ring node may have posted but not yet acknowledged.
-    ring_window: int = 4
+    #: segments a ring node may have posted but not yet acknowledged;
+    #: None confirms only each iteration's last segment.
+    ring_window: "int | None" = None
     #: how long a rank waits for one expected segment before declaring
     #: the ring degraded and falling back.
     ring_step_timeout: float = 2.0

@@ -330,7 +330,8 @@ class ReliableLink:
 
 
 class _PendingReply:
-    """Reply cache entry; exists from first sight of a msg_id onward."""
+    """Reply cache entry; exists from first sight of a request's msg_id
+    onward (a post has none)."""
 
     __slots__ = ("event", "payload")
 
@@ -346,7 +347,9 @@ class ServerCore:
     both feed inbound messages to :meth:`dispatch`.  A fresh message
     runs the handler once; a retransmission (same ``(sender, msg_id)``)
     waits for — or is served from — the cached reply, never re-executing
-    the handler.  That is the §V-D recipe's receiving half.
+    the handler.  That is the §V-D recipe's receiving half.  A one-way
+    ``post`` is deduplicated the same way but has no reply to cache:
+    its retransmission is dropped at once.
 
     The dedup window is bounded: ``dedup_ttl`` seconds after a reply
     completes, its cache entry and seen-key are evicted, so a
@@ -422,7 +425,9 @@ class ServerCore:
             if self.dedup_ttl is not None:
                 self._evict_expired_locked(time.monotonic())
             fresh = self._inbox.accept(message)
-            if fresh:
+            if message.post:
+                pending = None  # nobody waits on a post's reply
+            elif fresh:
                 pending = _PendingReply()
                 self._replies[key] = pending
             else:
@@ -450,6 +455,8 @@ class ServerCore:
             if fresh and nbytes:
                 self.metrics.counter("net.payload_bytes_received").inc(nbytes)
         if not fresh:
+            if message.post:
+                return {}
             # A retransmission: the original may still be executing (it
             # raced a reconnect); wait for its reply rather than running
             # the handler twice.
@@ -467,8 +474,9 @@ class ServerCore:
             count_key = (message.sender, message.msg_type.value)
             self.executions[count_key] = self.executions.get(count_key, 0) + 1
             self._retired.append((key, time.monotonic()))
-        pending.payload = payload
-        pending.event.set()
+        if pending is not None:
+            pending.payload = payload
+            pending.event.set()
         return payload
 
     def _post_failed(self, message: Message, error: str) -> None:

@@ -289,6 +289,23 @@ class Mesh:
         self.host.close()
 
 
+def count_successor_sends(mesh, workers) -> dict:
+    """Count each node's ``post`` and ``request`` calls on its link to
+    its ring successor (dialling the link)."""
+    sent = {w: {"post": 0, "request": 0} for w in workers}
+    for rank, worker in enumerate(workers):
+        link = mesh.nodes[worker]._link_to(
+            workers[(rank + 1) % len(workers)]
+        )
+        for how in ("post", "request"):
+            def counted(*args, _inner=getattr(link, how),
+                        _tally=sent[worker], _how=how, **kwargs):
+                _tally[_how] += 1
+                return _inner(*args, **kwargs)
+            setattr(link, how, counted)
+    return sent
+
+
 @pytest.fixture(params=["memory", "tcp"])
 def transport(request):
     return request.param
@@ -472,19 +489,9 @@ class TestDistributedRing:
             transport, workers, step_timeout=10.0,
             bucket_bytes=nbytes // members // buckets, window=4,
         )
-        sent = {w: {"post": 0, "request": 0} for w in workers}
         iterations = 3
         try:
-            for worker, node in mesh.nodes.items():
-                link = node._link_to(workers[
-                    (workers.index(worker) + 1) % members
-                ])
-                for how in ("post", "request"):
-                    def counted(*args, _inner=getattr(link, how),
-                                _tally=sent[worker], _how=how, **kwargs):
-                        _tally[_how] += 1
-                        return _inner(*args, **kwargs)
-                    setattr(link, how, counted)
+            sent = count_successor_sends(mesh, workers)
             # Every link is dialled: from here on only segments and
             # their replies can reach the wire's JSON.
             json_calls = CountingJson()
@@ -518,6 +525,43 @@ class TestDistributedRing:
                 "post": (segments - requests) * iterations,
                 "request": requests * iterations,
             }
+
+    @pytest.mark.parametrize("members", [3, 4])
+    @pytest.mark.parametrize("transport", ["memory", "tcp", "shm"])
+    def test_default_window_confirms_each_iteration_once(
+        self, transport, members
+    ):
+        """With no ``window`` only the iteration's last segment is a
+        request: 2·(N−1)·buckets − 1 posts and one confirmation per
+        member-iteration."""
+        workers = [f"w{i}" for i in range(members)]
+        shapes = {"w": (members * 64,)}
+        grads = {
+            w: random_grads(40 + i, shapes=shapes)
+            for i, w in enumerate(workers)
+        }
+        buckets = 2
+        mesh = Mesh(
+            transport, workers, step_timeout=10.0,
+            bucket_bytes=grads[workers[0]]["w"].nbytes // members // buckets,
+        )
+        iterations = 3
+        try:
+            assert all(node.window is None for node in mesh.nodes.values())
+            sent = count_successor_sends(mesh, workers)
+            for iteration in range(iterations):
+                results, errors = mesh.allreduce_all(grads, iteration)
+                assert not errors, errors
+        finally:
+            mesh.close()
+        segments = 2 * (members - 1) * buckets
+        for worker in workers:
+            assert sent[worker] == {
+                "post": (segments - 1) * iterations, "request": iterations,
+            }, worker
+        reference = ring_reference_average([grads[w] for w in workers])
+        for worker in workers:
+            assert results[worker]["w"].tobytes() == reference["w"].tobytes()
 
     def test_layout_built_once_per_geometry(self, monkeypatch):
         built = []

@@ -232,6 +232,111 @@ class TestServerCore:
         assert core.duplicates == 1
 
 
+class TestPostPath:
+    """A post is deduplicated like a request but keeps no reply state."""
+
+    def test_duplicate_post_never_parks_a_reader(self):
+        from repro.coordination.messages import MessageFactory
+
+        entered, release, returned = (threading.Event() for _ in range(3))
+        calls = []
+
+        def blocking(message):
+            calls.append(message.msg_id)
+            entered.set()
+            release.wait(10.0)
+            return {}
+
+        def dispatch_duplicate():
+            core.dispatch(message)
+            returned.set()
+
+        core = ServerCore(handler=blocking)
+        message = MessageFactory().make(
+            MessageType.RING_SEGMENT, "w0", {}, post=True
+        )
+        original = threading.Thread(target=core.dispatch, args=(message,))
+        original.start()
+        try:
+            assert entered.wait(5.0)
+            duplicate = threading.Thread(target=dispatch_duplicate)
+            duplicate.start()
+            # The original is still inside its handler: a duplicate that
+            # waited for its reply would still be parked here.
+            assert returned.wait(5.0), "the duplicate post waited"
+            assert not release.is_set() and original.is_alive()
+        finally:
+            release.set()
+            original.join(5.0)
+        duplicate.join(5.0)
+        assert calls == [message.msg_id]
+        assert core.duplicates == 1
+        assert core.executions == {("w0", "ring_segment"): 1}
+
+    def test_only_requests_are_cached(self):
+        core = echo_core()
+        link = memory_link(core, "w0")
+        posts = 5
+        for i in range(posts):
+            link.post(MessageType.ACK, {"i": i})
+        reply = link.request(MessageType.ACK, {"i": posts})
+        assert [pending.payload for pending in core._replies.values()] == [
+            reply
+        ]
+        # Every message still ages out of the dedup window.
+        assert len(core._retired) == posts + 1
+        assert core.handled == posts + 1
+
+    @pytest.mark.parametrize("plan", [
+        FaultPlan(duplicate_every=2),
+        FaultPlan(duplicate_every=3, connection_resets=(2, 5, 9)),
+        FaultPlan(drop_every=4, duplicate_every=2, connection_resets=(3,)),
+    ])
+    def test_handled_matches_executions_under_faults(self, plan):
+        core = echo_core()
+        link = memory_link(
+            core, "w0", fault_plan=plan, ack_timeout=0.02, max_attempts=10,
+        )
+        for i in range(6):
+            link.post(MessageType.RING_SEGMENT, {"i": i})
+            link.post(MessageType.RING_SEGMENT, {"i": i})
+            link.request(MessageType.ACK, {"i": i})
+        assert core.duplicates > 0
+        assert core.handled == sum(core.executions.values())
+        assert core.executions == {
+            ("w0", "ring_segment"): 12, ("w0", "ack"): 6,
+        }
+        assert len(core._replies) == 6
+
+    def test_observed_post_and_duplicate_book_as_before(self):
+        from repro.coordination.messages import MessageFactory
+        from repro.observability import MetricRegistry, Tracer
+
+        tracer, metrics = Tracer(process="test"), MetricRegistry()
+        core = echo_core(tracer=tracer, metrics=metrics, node_id="peer")
+        message = MessageFactory(epoch=0).make(
+            MessageType.RING_SEGMENT, "w0", {"data": b"12345678"}, post=True
+        )
+        core.dispatch(message)
+        core.dispatch(message)
+        recvs = [
+            e["args"] for e in tracer.to_events() if e["name"] == "net.recv"
+        ]
+        assert recvs == [
+            {
+                "sender": "w0", "type": "ring_segment", "msg_id": 1,
+                "duplicate": duplicate, "payload_bytes": 8, "post": True,
+            }
+            for duplicate in (False, True)
+        ]
+        snapshot = metrics.snapshot()
+        assert (
+            snapshot["net.requests"], snapshot["net.request_duplicates"],
+            snapshot["net.payload_bytes_received"],
+        ) == (1, 1, 8)
+        assert (core.handled, core.duplicates, core.post_errors) == (1, 1, 0)
+
+
 class TestIncarnations:
     def test_restarted_sender_is_not_misread_as_duplicate(self):
         """A worker restarted with the same worker id (the self-healing
