@@ -11,20 +11,13 @@ protocol-bound.
 """
 
 import statistics
-import threading
 import time
 
 from conftest import fmt_row
 
 from repro.coordination import ElasticRuntime
 from repro.coordination.messages import MessageType
-from repro.net import (
-    JobSpec,
-    NetworkedApplicationMaster,
-    WorkerAgent,
-    memory_link,
-    tcp_link,
-)
+from repro.net import JobSpec, LocalJob
 from repro.training import make_classification
 
 ADJUSTMENTS = 6
@@ -72,38 +65,19 @@ def run_networked_job(transport):
     spec = JobSpec(
         iterations=24, coordination_interval=4, iteration_sleep=0.005,
     )
-    master = NetworkedApplicationMaster(spec, ["w0", "w1"])
-    server = master.serve_tcp() if transport == "tcp" else None
-
-    def link(node_id, ack_timeout=0.5):
-        if transport == "tcp":
-            client, _ = tcp_link(
-                server.host, server.port, node_id, ack_timeout=ack_timeout
-            )
-            return client
-        return memory_link(master.core, node_id, ack_timeout=ack_timeout)
-
-    results = {}
-    threads = {}
-
-    def run(worker):
-        client = link(worker)
-        try:
-            results[worker] = WorkerAgent(
-                worker, client, poll_interval=0.01
-            ).run()
-        finally:
-            client.close()
+    job = LocalJob(transport, spec, ["w0", "w1"])
+    # Each TCP link dials once, as tcp_link does by default.
+    dial = {"connect_attempts": 1} if transport == "tcp" else {}
 
     def start(worker):
-        threads[worker] = threading.Thread(
-            target=run, args=(worker,), daemon=True
+        job.start_worker(
+            worker, link_options={"ack_timeout": 0.5, **dial},
+            poll_interval=0.01,
         )
-        threads[worker].start()
 
     for worker in ("w0", "w1"):
         start(worker)
-    driver = link("driver", ack_timeout=2.0)
+    driver = job.link("driver", ack_timeout=2.0, **dial)
     while driver.request(MessageType.STATUS)["iteration"] < 4:
         time.sleep(0.01)
     assert driver.request(
@@ -112,11 +86,9 @@ def run_networked_job(transport):
     )["accepted"]
     for worker in ("w2", "w3"):
         start(worker)
-    for thread in threads.values():
-        thread.join(timeout=60)
+    job.join(60)
     status = driver.request(MessageType.STATUS)
-    driver.close()
-    master.close()
+    job.close()
     assert status["complete"] and status["adjustments_committed"] == 1
     assert len(set(status["digests"].values())) == 1
     return status["commit_latencies"]

@@ -10,11 +10,9 @@ compares the mean ``worker.iteration`` span time — the ISSUE's
 acceptance bar is < 5 % overhead at the default interval.
 """
 
-import threading
-
 from conftest import fmt_row
 
-from repro.net import JobSpec, NetworkedApplicationMaster, WorkerAgent, memory_link
+from repro.net import JobSpec, LocalJob
 from repro.observability import MetricRegistry, Tracer
 
 WORKERS = ("w0", "w1")
@@ -29,41 +27,20 @@ def run_job(telemetry_interval):
         iteration_sleep=ITERATION_SLEEP, ring_enabled=False,
         telemetry_interval=telemetry_interval,
     )
-    master = NetworkedApplicationMaster(spec, list(WORKERS))
+    job = LocalJob("memory", spec, list(WORKERS))
     tracers = {}
-    agents = {}
-    errors = {}
-
-    def run_worker(worker_id):
-        tracer = Tracer(process=worker_id)
+    for worker_id in WORKERS:
+        tracer = tracers[worker_id] = Tracer(process=worker_id)
         metrics = MetricRegistry()
-        tracers[worker_id] = tracer
-        link = memory_link(
-            master.core, worker_id, ack_timeout=0.5,
+        job.start_worker(
+            worker_id,
+            link_options={"ack_timeout": 0.5, "tracer": tracer,
+                          "metrics": metrics},
             tracer=tracer, metrics=metrics,
         )
-        agent = WorkerAgent(
-            worker_id, link, poll_interval=0.02,
-            tracer=tracer, metrics=metrics,
-        )
-        agents[worker_id] = agent
-        try:
-            agent.run()
-        except Exception as exc:
-            errors[worker_id] = exc
-        finally:
-            link.close()
-
-    threads = [
-        threading.Thread(target=run_worker, args=(w,), daemon=True)
-        for w in WORKERS
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=120.0)
-    master.close()
-    assert not errors, errors
+    job.join(120.0)
+    job.close()
+    assert not job.errors, job.errors
 
     durations = [
         span.duration
@@ -72,11 +49,11 @@ def run_job(telemetry_interval):
     ]
     assert len(durations) == len(WORKERS) * ITERATIONS
     ships = sum(
-        a.telemetry.ships for a in agents.values() if a.telemetry is not None
+        a.telemetry.ships for a in job.agents.values() if a.telemetry is not None
     )
     events = sum(
         a.telemetry.events_shipped
-        for a in agents.values()
+        for a in job.agents.values()
         if a.telemetry is not None
     )
     return sum(durations) / len(durations), ships, events

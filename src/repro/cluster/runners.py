@@ -14,19 +14,16 @@ commit boundary).
 
 from __future__ import annotations
 
-import threading
 import typing
 
 from ..coordination.messages import MessageType
-from ..net.agent import WorkerAgent
+from ..net.job import LocalJob
 from ..net.master_service import JobSpec as NetJobSpec
-from ..net.master_service import NetworkedApplicationMaster
 from ..net.transport import (
     RemoteError,
     RequestTimeout,
     RetryableError,
     TransportClosed,
-    memory_link,
 )
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -40,7 +37,8 @@ class ElasticJobRunner:
     ``resize(workers, at_iteration=None) -> bool``, ``progress()``,
     ``complete()``, ``digests()``, ``stop()``, ``close()``.  Worker ids
     are ``<job_id>-w<n>`` with ``n`` never reused, so a grow after a
-    shrink introduces genuinely new members.
+    shrink introduces genuinely new members.  The job itself is a
+    :class:`~repro.net.job.LocalJob`.
     """
 
     def __init__(
@@ -52,8 +50,6 @@ class ElasticJobRunner:
         host: str = "127.0.0.1",
         join_timeout: float = 30.0,
     ):
-        if transport not in ("memory", "tcp"):
-            raise ValueError(f"unknown transport {transport!r}")
         self.request = request
         self.transport = transport
         self.tracer = tracer
@@ -66,62 +62,20 @@ class ElasticJobRunner:
             iteration_sleep=request.iteration_sleep, ring_enabled=False,
         )
         self.join_timeout = join_timeout
-        self.master: "NetworkedApplicationMaster | None" = None
-        self.results: "dict[str, dict]" = {}
-        self.errors: "dict[str, BaseException]" = {}
-        self._threads: "dict[str, threading.Thread]" = {}
-        self._links: "dict[str, typing.Any]" = {}
+        self.job: "LocalJob | None" = None
         self._workers: "list[str]" = []
         self._next_worker = 0
         self._driver = None
-        self._server = None
         self._stopped = False
-        self._closed = False
-        self._lock = threading.Lock()
 
-    # -- wiring ----------------------------------------------------------------
-
-    def _make_link(self, node_id: str, ack_timeout: float = 0.5):
-        if self.transport == "tcp":
-            from ..net.tcp import tcp_link
-
-            link, _transport = tcp_link(
-                self._server.host, self._server.port, node_id,
-                ack_timeout=ack_timeout, tracer=self.tracer,
-                metrics=self.metrics, connect_attempts=10,
-            )
-        else:
-            link = memory_link(
-                self.master.core, node_id, ack_timeout=ack_timeout,
-                tracer=self.tracer, metrics=self.metrics,
-            )
-        with self._lock:
-            self._links[node_id] = link
-        return link
+    master = property(lambda self: self.job and self.job.master)
+    errors = property(lambda self: self.job.errors if self.job else {})
 
     def _start_worker(self, worker_id: str) -> None:
-        def run():
-            link = self._make_link(worker_id)
-            agent = WorkerAgent(
-                worker_id, link, poll_interval=0.02,
-                join_timeout=self.join_timeout, tracer=self.tracer,
-                metrics=self.metrics,
-            )
-            try:
-                self.results[worker_id] = agent.run()
-            except BaseException as exc:
-                # A preempted job's workers die from their closed links;
-                # that is the mechanism, not a failure.
-                if not self._stopped:
-                    self.errors[worker_id] = exc
-            finally:
-                link.close()
-
-        thread = threading.Thread(
-            target=run, name=f"job-{worker_id}", daemon=True
+        self.job.start_worker(
+            worker_id, link_options={"ack_timeout": 0.5},
+            join_timeout=self.join_timeout,
         )
-        self._threads[worker_id] = thread
-        thread.start()
 
     def _new_workers(self, count: int) -> "list[str]":
         names = [
@@ -135,18 +89,17 @@ class ElasticJobRunner:
 
     def start(self, workers: int) -> None:
         """Bring up the AM and the initial worker group."""
-        if self.master is not None:
+        if self.job is not None:
             raise RuntimeError(f"{self.request.job_id}: already started")
         self._workers = self._new_workers(workers)
-        self.master = NetworkedApplicationMaster(
-            self.spec, self._workers, job_id=self.request.job_id,
-            tracer=self.tracer, metrics=self.metrics,
+        self.job = LocalJob(
+            self.transport, self.spec, self._workers,
+            job_id=self.request.job_id, tracer=self.tracer,
+            metrics=self.metrics, host=self.host,
         )
-        if self.transport == "tcp":
-            self._server = self.master.serve_tcp(host=self.host)
         for worker_id in self._workers:
             self._start_worker(worker_id)
-        self._driver = self._make_link(
+        self._driver = self.job.link(
             f"{self.request.job_id}-driver", ack_timeout=1.0
         )
 
@@ -205,30 +158,13 @@ class ElasticJobRunner:
     def stop(self) -> None:
         """Hard preemption: tear the job down, progress is lost."""
         self._stopped = True
-        with self._lock:
-            links, self._links = dict(self._links), {}
-        for link in links.values():
-            link.close()
-        if self.master is not None:
-            self.master.close()
-        if self._server is not None:
-            self._server.close()
-        for thread in self._threads.values():
-            thread.join(timeout=5.0)
+        if self.job is not None:
+            self.job.stop()
 
     def close(self) -> None:
         """Release everything after completion (or after ``stop``)."""
-        if self._closed:
+        if self.job is None:
             return
-        self._closed = True
         if not self._stopped:
-            for thread in self._threads.values():
-                thread.join(timeout=self.join_timeout)
-            with self._lock:
-                links, self._links = dict(self._links), {}
-            for link in links.values():
-                link.close()
-            if self.master is not None:
-                self.master.close()
-            if self._server is not None:
-                self._server.close()
+            self.job.join(self.join_timeout)
+        self.job.close()

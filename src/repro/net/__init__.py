@@ -6,15 +6,16 @@ peers — sharing a single dedup/resend code path, so the §V-D
 fault-tolerance recipe and every chaos schedule behave identically
 in-process, over real sockets, and across ``/dev/shm``.  On top of the seam:
 :class:`NetworkedApplicationMaster` (the message-driven AM + gradient
-rendezvous), :class:`WorkerAgent` (one replica), and
-:class:`MultiprocessElasticJob` (an elastic job as N OS processes).
+rendezvous), :class:`WorkerAgent` (one replica), and the two ways to
+run a job: :class:`LocalJob` (agents as threads in this process) and
+:class:`MultiprocessElasticJob` (agents as N OS processes).
 Steady-state gradients bypass the AM entirely via the decentralized
 ring allreduce (:class:`RingNode` over per-worker peer endpoints,
 :mod:`.peers`); the AM's star rendezvous remains the adjustment-window
 and degradation fallback.
 
-Crash tolerance rides on a write-ahead :class:`Journal`: a successor AM
-replays it (:meth:`NetworkedApplicationMaster.from_journal`), fences the
+Crash tolerance rides on a write-ahead :class:`Journal`: every takeover
+is one :func:`promote` — a successor AM replays the journal, fences the
 predecessor out with a higher epoch, and finishes or aborts any
 in-flight commit; workers re-enroll and resume.  Heartbeat leases evict
 silently dead workers, and :class:`ChaosSoak` runs the whole stack under
@@ -40,7 +41,7 @@ from .collective import (
     RingNode,
     ring_reference_average,
 )
-from .job import JobFailed, MultiprocessElasticJob
+from .job import JobFailed, LocalJob, MultiprocessElasticJob, promote
 from .journal import Journal, JournalError, JournalState
 from .master_service import JobSpec, NetworkedApplicationMaster
 from .peers import (
@@ -103,6 +104,7 @@ __all__ = [
     "Journal",
     "JournalError",
     "JournalState",
+    "LocalJob",
     "MemoryPeerHost",
     "MultiprocessElasticJob",
     "NetworkedApplicationMaster",
@@ -140,6 +142,7 @@ __all__ = [
     "params_digest",
     "parse_peer_addr",
     "peer_scheme",
+    "promote",
     "reserve_port",
     "shm_link",
     "tcp_link",

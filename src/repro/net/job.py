@@ -1,10 +1,11 @@
-"""Driver for an elastic job running as N separate OS processes.
+"""The two ways to run an elastic job, and the one AM takeover.
 
-:class:`MultiprocessElasticJob` hosts the networked AM in-process,
-spawns each worker as ``python -m repro.cli join`` talking to it over
-loopback TCP, and exposes the scheduler-side controls (scale-out /
-scale-in / status) over its own TCP control link — so the driver
-exercises exactly the same wire protocol the workers do.
+:class:`LocalJob` runs the networked AM and one agent thread per worker
+in this process.  :class:`MultiprocessElasticJob` hosts the AM, spawns
+each worker as ``python -m repro.cli join`` over loopback TCP, and
+drives scale-out / scale-in / status over its own TCP control link —
+the same wire protocol the workers speak.  Both take over through
+:func:`promote`.
 """
 
 from __future__ import annotations
@@ -12,15 +13,188 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import threading
 import time
 import typing
 
 import repro
 
+from ..coordination.faults import SilentCrash
 from ..coordination.messages import MessageType
+from .agent import WorkerAgent
 from .journal import Journal
 from .master_service import JobSpec, NetworkedApplicationMaster
+from .peers import MemoryPeerHost, TcpPeerHost
 from .tcp import tcp_link
+from .transport import memory_link
+
+
+def promote(
+    old: NetworkedApplicationMaster,
+    journal: Journal,
+    tracer: "typing.Any | None" = None,
+    metrics: "typing.Any | None" = None,
+    endpoint: "tuple[str, int] | None" = None,
+) -> NetworkedApplicationMaster:
+    """Fence ``old`` out; return its successor replayed from ``journal``.
+
+    A file-backed journal is re-read from disk, as an out-of-process
+    standby would.  With ``endpoint`` the successor serves TCP on that
+    ``(host, port)``, retrying the bind while the old listener's port
+    lingers in TIME_WAIT (clients are redialing it, so no fresh port).
+    """
+    old.abandon()
+    if journal.path is not None:
+        journal = Journal(journal.path)
+    successor = NetworkedApplicationMaster.from_journal(
+        journal, tracer=tracer, metrics=metrics
+    )
+    if endpoint is not None:
+        deadline = time.monotonic() + 5.0
+        while True:
+            try:
+                successor.serve_tcp(*endpoint)
+                break
+            except OSError:
+                if time.monotonic() >= deadline:
+                    raise
+                time.sleep(0.05)
+    return successor
+
+
+class LocalJob:
+    """One elastic job in this process: the AM and a thread per worker.
+
+    ``transport`` is ``"memory"`` or loopback ``"tcp"``; ``mesh=True``
+    adds a peer mesh of the same kind for the ring.  Link options go to
+    :func:`memory_link`/:func:`tcp_link` and agent options to
+    :class:`WorkerAgent`, over the job's defaults: its tracer and
+    metrics, ten TCP dial attempts, the mesh and a 20 ms agent poll.
+    """
+
+    def __init__(
+        self,
+        transport: str,
+        spec: JobSpec,
+        workers: typing.Sequence[str],
+        mesh: bool = False,
+        job_id: str = "netjob",
+        tracer: "typing.Any | None" = None,
+        metrics: "typing.Any | None" = None,
+        host: str = "127.0.0.1",
+    ):
+        if transport not in ("memory", "tcp"):
+            raise ValueError(f"unknown transport {transport!r}")
+        self.transport, self.tracer, self.metrics = transport, tracer, metrics
+        self.master = NetworkedApplicationMaster(
+            spec, workers, job_id=job_id, tracer=tracer, metrics=metrics,
+        )
+        if transport == "tcp":
+            self.master.serve_tcp(host=host)
+        peer_host = TcpPeerHost if transport == "tcp" else MemoryPeerHost
+        self.mesh = peer_host() if mesh else None
+        #: per worker its run's result, error and agent; per node id
+        #: (workers and drivers alike) its latest link.
+        self.results, self.errors, self.agents, self.links = {}, {}, {}, {}
+        #: workers whose thread died of :class:`SilentCrash` (chaos).
+        self.killed: "list[str]" = []
+        self._threads: "list[threading.Thread]" = []
+        self._stopped = self._closed = False
+
+    #: the current AM's TCP listener (None in memory).
+    server = property(lambda self: self.master._server)
+
+    def link(self, node_id: str, **options):
+        """A reliable link from ``node_id`` into the current AM."""
+        options = {"tracer": self.tracer, "metrics": self.metrics, **options}
+        if self.server is None:
+            link = memory_link(self.master.core, node_id, **options)
+        else:
+            options.setdefault("connect_attempts", 10)
+            link, _ = tcp_link(
+                self.server.host, self.server.port, node_id, **options
+            )
+        self.links[node_id] = link
+        return link
+
+    def start_worker(
+        self, worker_id: str, link_options: "dict | None" = None,
+        **agent_options,
+    ) -> None:
+        """Run ``worker_id``'s agent on its own thread and link."""
+        agent_options = {
+            "poll_interval": 0.02, "tracer": self.tracer,
+            "metrics": self.metrics, "peer_host": self.mesh,
+            **agent_options,
+        }
+
+        def run():
+            link = self.link(worker_id, **(link_options or {}))
+            agent = self.agents[worker_id] = WorkerAgent(
+                worker_id, link, **agent_options
+            )
+            try:
+                self.results[worker_id] = agent.run()
+            except SilentCrash:
+                self.killed.append(worker_id)
+            except BaseException as exc:
+                # A stopped job's workers die of their closed links.
+                if not self._stopped:
+                    self.errors[worker_id] = exc
+            finally:
+                # A dead worker's link dies with it, so nothing keeps
+                # feeding its lease.
+                link.close()
+
+        thread = threading.Thread(
+            target=run, name=f"job-{worker_id}", daemon=True
+        )
+        self._threads.append(thread)
+        thread.start()
+
+    def join(self, timeout: float) -> bool:
+        """Wait up to ``timeout`` s for the workers; True once all ended."""
+        deadline = time.monotonic() + timeout
+        for thread in list(self._threads):
+            thread.join(max(0.0, deadline - time.monotonic()))
+        return not any(thread.is_alive() for thread in self._threads)
+
+    def fail_over(
+        self, endpoint: "tuple[str, int] | None" = None
+    ) -> NetworkedApplicationMaster:
+        """Kill the AM and :func:`promote` its successor.
+
+        Over TCP the successor serves ``endpoint`` (default: the old
+        one) and the links redial it; in memory every link is
+        redirected to it.
+        """
+        if self.server is not None:
+            endpoint = endpoint or (self.server.host, self.server.port)
+        self.master = promote(
+            self.master, self.master.journal, tracer=self.tracer,
+            metrics=self.metrics, endpoint=endpoint,
+        )
+        if self.server is None:
+            for link in list(self.links.values()):
+                link.transport.redirect(self.master.core)
+        return self.master
+
+    def stop(self) -> None:
+        """Hard preemption: tear the job down under its workers."""
+        self._stopped = True
+        self.close()
+        self.join(5.0)
+
+    def close(self) -> None:
+        """Close every link, the AM (and its server) and the mesh."""
+        if self._closed:
+            return
+        self._closed = True
+        for link in list(self.links.values()):
+            link.close()
+        self.master.close()
+        if self.mesh is not None:
+            self.mesh.close()
 
 
 class JobFailed(RuntimeError):
@@ -56,14 +230,16 @@ class MultiprocessElasticJob:
         self.master = NetworkedApplicationMaster(
             spec, initial_workers, tracer=tracer, journal=journal
         )
-        self.server = self.master.serve_tcp(host=host, port=0)
-        self.port = self.server.port
+        self.port = self.master.serve_tcp(host=host, port=0).port
         self.processes: "dict[str, subprocess.Popen]" = {}
         #: workers we killed on purpose — their nonzero exits are chaos,
         #: not failure, and :meth:`_poll` must not abort the job on them.
         self._expected_dead: "set[str]" = set()
         self._control = None
         self.failovers = 0
+
+    #: the current AM's TCP listener.
+    server = property(lambda self: self.master._server)
 
     # -- worker processes -------------------------------------------------------
 
@@ -73,7 +249,7 @@ class MultiprocessElasticJob:
             return None
         return os.path.join(self.worker_trace_dir, f"{worker_id}.json")
 
-    def _worker_command(
+    def spawn(
         self,
         worker_id: str,
         reset_at: typing.Sequence[int] = (),
@@ -81,7 +257,17 @@ class MultiprocessElasticJob:
         peer_reset_at: typing.Sequence[int] = (),
         ring_fail_at: typing.Sequence[int] = (),
         shard_die_after: "int | None" = None,
-    ) -> "list[str]":
+    ) -> subprocess.Popen:
+        """Start one worker process pointed at this job's AM.
+
+        ``reset_at``/``drop_every`` inject that worker's deterministic
+        :class:`~repro.coordination.faults.FaultPlan` via CLI flags
+        (``peer_reset_at`` afflicts its ring peer links instead of the
+        AM link; ``ring_fail_at`` aborts its ring at those iterations;
+        ``shard_die_after`` hard-kills the process after it served that
+        many shard chunks, injecting a shard-owner death mid-fetch),
+        so chaos runs exercise a real process's real connections.
+        """
         command = [
             sys.executable, "-m", "repro.cli", "join",
             "--host", self.host, "--port", str(self.port),
@@ -104,27 +290,6 @@ class MultiprocessElasticJob:
         trace_path = self.worker_trace_path(worker_id)
         if trace_path:
             command += ["--trace", trace_path]
-        return command
-
-    def spawn(
-        self,
-        worker_id: str,
-        reset_at: typing.Sequence[int] = (),
-        drop_every: int = 0,
-        peer_reset_at: typing.Sequence[int] = (),
-        ring_fail_at: typing.Sequence[int] = (),
-        shard_die_after: "int | None" = None,
-    ) -> subprocess.Popen:
-        """Start one worker process pointed at this job's AM.
-
-        ``reset_at``/``drop_every`` inject that worker's deterministic
-        :class:`~repro.coordination.faults.FaultPlan` via CLI flags
-        (``peer_reset_at`` afflicts its ring peer links instead of the
-        AM link; ``ring_fail_at`` aborts its ring at those iterations;
-        ``shard_die_after`` hard-kills the process after it served that
-        many shard chunks, injecting a shard-owner death mid-fetch),
-        so chaos runs exercise a real process's real connections.
-        """
         if shard_die_after is not None:
             # The owner dies by design (os._exit); its nonzero exit is
             # the chaos, not a job failure.
@@ -137,11 +302,7 @@ class MultiprocessElasticJob:
             else os.pathsep.join([src_root, existing])
         )
         process = subprocess.Popen(
-            self._worker_command(
-                worker_id, reset_at=reset_at, drop_every=drop_every,
-                peer_reset_at=peer_reset_at, ring_fail_at=ring_fail_at,
-                shard_die_after=shard_die_after,
-            ),
+            command,
             env=env,
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
@@ -182,36 +343,14 @@ class MultiprocessElasticJob:
     def fail_over(self) -> NetworkedApplicationMaster:
         """Kill the AM and promote a journal-replayed successor.
 
-        The old incarnation is fenced out (:meth:`abandon`), a successor
-        is rebuilt from the same journal — re-read from disk when
-        ``journal_path`` is set, handed the live object otherwise — and
-        rebound to the *same* port so the worker processes' links
-        reconnect and retransmit without any endpoint change.
+        The successor is rebound to the *same* port so the worker
+        processes' links reconnect and retransmit without any endpoint
+        change (:func:`promote` re-reads a file-backed journal).
         """
-        old = self.master
-        old.abandon()
-        self.server.close()
-        journal = (
-            Journal(self.journal_path) if self.journal_path
-            else old.journal
+        self.master = promote(
+            self.master, self.master.journal, tracer=self.tracer,
+            metrics=self.master.metrics, endpoint=(self.host, self.port),
         )
-        self.master = NetworkedApplicationMaster.from_journal(
-            journal, tracer=self.tracer, metrics=old.metrics
-        )
-        deadline = time.monotonic() + 5.0
-        while True:
-            try:
-                self.server = self.master.serve_tcp(
-                    host=self.host, port=self.port
-                )
-                break
-            except OSError:
-                # The old listener's port can linger briefly in
-                # TIME_WAIT; the workers are retrying against it, so
-                # we must win the bind, not pick a fresh port.
-                if time.monotonic() >= deadline:
-                    raise
-                time.sleep(0.05)
         self.failovers += 1
         return self.master
 

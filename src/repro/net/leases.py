@@ -18,7 +18,7 @@ import threading
 import typing
 
 from ..coordination.store import KeyValueStore
-from .journal import JournalState
+from .journal import JournalError, JournalState
 
 
 class LeaseSupervisor:
@@ -26,14 +26,15 @@ class LeaseSupervisor:
 
     def __init__(
         self, spec, state: JournalState, lock, clock, metrics, tracer,
-        telemetry, sweep: "typing.Callable[[], typing.Any]",
+        sweep: "typing.Callable[[], typing.Any]",
     ):
         self.spec = spec
         self.state = state
         self.lock = lock
         self.metrics = metrics
         self.tracer = tracer
-        self.telemetry = telemetry
+        self._detection = metrics.histogram("failure.detection_latency_seconds")
+        self._mttr = metrics.histogram("failure.mttr_seconds")
         self._sweep = sweep
         #: heartbeat-lease substrate (PR 1 semantics, injectable clock).
         self.table = KeyValueStore(clock=clock)
@@ -61,7 +62,9 @@ class LeaseSupervisor:
         while not self._stop.wait(self.spec.lease_check_interval):
             try:
                 self._sweep()
-            except Exception:
+            except (JournalError, OSError, ValueError):
+                # The journal refused the record (a failed write, or its
+                # file closed under the sweep): count it, sweep on.
                 self.metrics.counter("am.lease_check_errors").inc()
 
     def renew(self, sender: str) -> None:
@@ -117,7 +120,8 @@ class LeaseSupervisor:
         # eviction is already acting on.
         self.table.force_expire(f"lease/{worker}")
         latency = max(0.0, now - deadline)
-        self.telemetry.record_detection(worker, latency, cause="lease_expired")
+        self._detection.observe(latency)
+        self.metrics.counter("events.failure_detected").inc()
         self.metrics.counter("worker.lease.expired").inc()
         if self.tracer is not None:
             self.tracer.instant(
@@ -133,7 +137,8 @@ class LeaseSupervisor:
             started = self.recovering.pop(worker, None)
             if started is not None:
                 evicted.append(worker)
-                self.telemetry.record_recovery([worker], max(0.0, now - started))
+                self._mttr.observe(max(0.0, now - started))
+                self.metrics.counter("events.recovery").inc()
         return evicted
 
     def adopt(self, now: float) -> None:

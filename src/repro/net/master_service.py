@@ -51,7 +51,6 @@ from ..coordination.master import (
     MasterState,
 )
 from ..coordination.messages import Message, MessageType
-from ..coordination.telemetry import RuntimeTelemetry
 from ..observability import FleetCollector, MetricRegistry
 from .chunks import DEFAULT_CHUNK_BYTES
 from .collective import DEFAULT_RING_BUCKET_BYTES
@@ -254,7 +253,6 @@ class NetworkedApplicationMaster:
         #: mint time so every directive and offer ships the same mesh.
         self._plan_ring: "dict | None" = None
         self._complete = threading.Event()
-        self.telemetry = RuntimeTelemetry(clock=clock, metrics=self.metrics)
         #: live fleet view fed by workers' TELEMETRY deltas.  Never
         #: journaled: a successor AM starts with an empty collector and
         #: every worker re-ships a full snapshot after re-enrollment,
@@ -270,7 +268,7 @@ class NetworkedApplicationMaster:
         )
         self.leases = LeaseSupervisor(
             spec, self.state, self._lock, clock, self.metrics, tracer,
-            self.telemetry, sweep=self.check_leases,
+            sweep=self.check_leases,
         )
         self.core = ServerCore(
             handler=self.handle, node_id="am", tracer=tracer,

@@ -1,19 +1,17 @@
 """Goodput-SLO chaos soak for the networked control plane.
 
-A :class:`ChaosSoak` runs one elastic job in-process (workers as
-threads, AM per transport seam) while a deterministic
-:class:`SoakSchedule` injects the failures this PR's failover machinery
+A :class:`ChaosSoak` runs one :class:`~repro.net.job.LocalJob` (workers
+as threads, AM per transport seam) while a deterministic
+:class:`SoakSchedule` injects the failures the failover machinery
 exists for:
 
 * **worker kills** — a thread raises
   :class:`~repro.coordination.faults.SilentCrash` mid-iteration and its
   link is torn down, so only lease expiry can notice;
-* **an AM kill** — the primary is :meth:`abandoned
-  <repro.net.master_service.NetworkedApplicationMaster.abandon>` and a
-  successor is rebuilt from the journal
-  (:meth:`~repro.net.master_service.NetworkedApplicationMaster.from_journal`),
-  taking over via transport redirect (memory) or a pre-advertised
-  standby endpoint (TCP);
+* **an AM kill** — :func:`~repro.net.job.promote` fences the primary
+  out and rebuilds a successor from the journal, taking over via
+  transport redirect (memory) or a pre-advertised standby endpoint
+  (TCP);
 * **connection resets / message drops** — the existing
   :class:`~repro.coordination.faults.FaultPlan` machinery.
 
@@ -30,11 +28,10 @@ timings differ.
 from __future__ import annotations
 
 import hashlib
-import threading
 import time
 import typing
 
-from ..coordination.faults import FaultPlan, SilentCrash
+from ..coordination.faults import FaultPlan
 from ..coordination.messages import MessageType
 from ..observability import MetricRegistry, Tracer
 
@@ -42,21 +39,15 @@ from ..observability import MetricRegistry, Tracer
 # repro.observability.fleet (they are fleet accounting, not soak
 # machinery); re-exported here so existing imports keep working.
 from ..observability.fleet import (  # noqa: F401  (re-exports)
-    _INSTANT_COUNTS,
     GoodputReport,
     SLOViolation,
     derive_report,
 )
-from .agent import WorkerAgent
+from .job import LocalJob
 from .journal import JournalState
 from .master_service import JobSpec, NetworkedApplicationMaster
-from .peers import MemoryPeerHost, TcpPeerHost
-from .transport import (
-    RequestTimeout,
-    RetryableError,
-    TransportClosed,
-    memory_link,
-)
+from .tcp import reserve_port
+from .transport import RequestTimeout, RetryableError, TransportClosed
 
 
 def _plain(value):
@@ -150,8 +141,6 @@ class ChaosSoak:
         join_timeout: float = 30.0,
         timeout: float = 120.0,
     ):
-        if transport not in ("memory", "tcp"):
-            raise ValueError(f"unknown transport {transport!r}")
         self.transport = transport
         self.spec = spec
         self.workers = list(workers)
@@ -160,143 +149,74 @@ class ChaosSoak:
         self.metrics = metrics or MetricRegistry()
         self.join_timeout = join_timeout
         self.timeout = timeout
-        self.results: "dict[str, dict]" = {}
-        self.errors: "dict[str, BaseException]" = {}
-        self.killed: "list[str]" = []
         self.failed_over = False
-        self.master: "NetworkedApplicationMaster | None" = None
+        self.job: "LocalJob | None" = None
         self.report: "GoodputReport | None" = None
-        self._threads: "dict[str, threading.Thread]" = {}
-        self._memory_transports: "dict[str, typing.Any]" = {}
-        self._endpoints: "list[tuple[str, int]] | None" = None
-        self._standby = None  # (socket, port) reserved for the successor
-        self._mesh = None
+        #: every soak link heartbeats; over TCP it also knows both AM
+        #: endpoints, the standby's pre-advertised.
+        self._link_options: dict = {"heartbeat_interval": 0.2}
+        #: TCP only: the socket holding the standby's port until failover.
+        self._standby = None
 
-    # -- wiring -----------------------------------------------------------------
-
-    def _make_link(self, node_id, fault_plan=None, ack_timeout=0.5):
-        if self.transport == "tcp":
-            from .tcp import tcp_link
-
-            link, transport = tcp_link(
-                self._endpoints[0][0], self._endpoints[0][1], node_id,
-                fault_plan=fault_plan, ack_timeout=ack_timeout,
-                heartbeat_interval=0.2, tracer=self.tracer,
-                metrics=self.metrics, endpoints=self._endpoints,
-                connect_attempts=10,
-            )
-            return link
-        link = memory_link(
-            self.master.core, node_id, fault_plan=fault_plan,
-            ack_timeout=ack_timeout, tracer=self.tracer,
-            metrics=self.metrics, heartbeat_interval=0.2,
-        )
-        self._memory_transports[node_id] = link.transport
-        return link
-
-    def _start_worker(self, worker_id: str) -> None:
-        def run():
-            link = self._make_link(
-                worker_id, fault_plan=self.schedule.fault_plan(worker_id)
-            )
-            agent = WorkerAgent(
-                worker_id, link, poll_interval=0.02,
-                join_timeout=self.join_timeout, tracer=self.tracer,
-                metrics=self.metrics, peer_host=self._mesh,
-                die_at_iteration=self.schedule.worker_kills.get(worker_id),
-            )
-            try:
-                self.results[worker_id] = agent.run()
-            except SilentCrash:
-                self.killed.append(worker_id)
-            except BaseException as exc:  # surfaced in the report/tests
-                self.errors[worker_id] = exc
-            finally:
-                # The crashed process's sockets die with it: closing the
-                # link here stops the TCP heartbeat thread, so nothing
-                # keeps feeding the dead worker's lease.
-                link.close()
-
-        thread = threading.Thread(
-            target=run, name=f"soak-{worker_id}", daemon=True
-        )
-        self._threads[worker_id] = thread
-        thread.start()
-
-    # -- failover ---------------------------------------------------------------
+    #: the job's live AM and its workers' fates (read through to it).
+    master = property(lambda self: self.job and self.job.master)
+    results = property(lambda self: self.job.results)
+    errors = property(lambda self: self.job.errors)
+    killed = property(lambda self: self.job.killed)
 
     def _fail_over(self) -> None:
         """Kill the primary AM and promote a journal-replayed successor."""
-        old = self.master
-        if self.tracer is not None:
-            self.tracer.instant(
-                "soak.am_kill", track="soak", cat="chaos", epoch=old.epoch,
-            )
-        old.abandon()
-        successor = NetworkedApplicationMaster.from_journal(
-            old.journal, tracer=self.tracer, metrics=self.metrics,
+        self.tracer.instant(
+            "soak.am_kill", track="soak", cat="chaos", epoch=self.master.epoch,
         )
-        if self.transport == "tcp":
-            sock, port = self._standby
-            sock.close()
-            host = self._endpoints[0][0]
-            deadline = time.monotonic() + 5.0
-            while True:
-                try:
-                    successor.serve_tcp(host, port)
-                    break
-                except OSError:
-                    if time.monotonic() >= deadline:
-                        raise
-                    time.sleep(0.05)
-        else:
-            for transport in list(self._memory_transports.values()):
-                transport.redirect(successor.core)
-        self.master = successor
+        standby = None
+        if self._standby is not None:
+            self._standby.close()  # the successor binds its port
+            standby = self._link_options["endpoints"][1]
+        self.job.fail_over(standby)
         self.failed_over = True
 
     # -- the soak ---------------------------------------------------------------
 
     def run(self) -> GoodputReport:
         """Run the job under the schedule; returns the goodput report."""
-        spec = self.spec
-        self.master = NetworkedApplicationMaster(
-            spec, self.workers, tracer=self.tracer, metrics=self.metrics,
+        self.job = job = LocalJob(
+            self.transport, self.spec, self.workers, mesh=True,
+            tracer=self.tracer, metrics=self.metrics,
         )
-        if self.transport == "tcp":
-            from .tcp import reserve_port
-
-            server = self.master.serve_tcp()
-            self._standby = reserve_port(server.host)
-            self._endpoints = [
-                (server.host, server.port),
-                (server.host, self._standby[1]),
+        if job.server is not None:
+            host = job.server.host
+            self._standby, port = reserve_port(host)
+            self._link_options["endpoints"] = [
+                (host, job.server.port), (host, port),
             ]
-            self._mesh = TcpPeerHost()
-        else:
-            self._mesh = MemoryPeerHost()
         try:
             report = self._drive()
-            assert_replay_matches(self.master)
+            assert_replay_matches(job.master)
             return report
         finally:
             if self._standby is not None:
-                try:
-                    self._standby[0].close()
-                except OSError:
-                    pass
-            if self._mesh is not None:
-                self._mesh.close()
-            self.master.close()
+                self._standby.close()
+            job.close()
 
     def _drive(self) -> GoodputReport:
         for worker_id in self.workers:
-            self._start_worker(worker_id)
-        driver = self._make_link("soak-driver", ack_timeout=1.0)
+            self.job.start_worker(
+                worker_id,
+                link_options={
+                    **self._link_options, "ack_timeout": 0.5,
+                    "fault_plan": self.schedule.fault_plan(worker_id),
+                },
+                join_timeout=self.join_timeout,
+                die_at_iteration=self.schedule.worker_kills.get(worker_id),
+            )
+        driver = self.job.link(
+            "soak-driver", **self._link_options, ack_timeout=1.0
+        )
         kill_at = self.schedule.am_kill_iteration
         deadline = time.monotonic() + self.timeout
         try:
-            while any(t.is_alive() for t in self._threads.values()):
+            while not self.job.join(0.05):
                 if time.monotonic() >= deadline:
                     raise TimeoutError(
                         f"soak did not finish within {self.timeout}s "
@@ -311,11 +231,8 @@ class ChaosSoak:
                     and status.get("iteration", 0) >= kill_at
                 ):
                     self._fail_over()
-                time.sleep(0.05)
         finally:
             driver.close()
-        for thread in self._threads.values():
-            thread.join(timeout=5.0)
         if self.errors:
             worker, error = sorted(self.errors.items())[0]
             raise RuntimeError(

@@ -18,8 +18,7 @@ from repro.coordination.master import (
     AdjustmentRequest,
     ApplicationMaster,
 )
-from repro.net import NetworkedApplicationMaster
-from repro.net.transport import memory_link
+from repro.net import LocalJob
 
 
 def make_runner(job_id, iterations=16, sleep=0.0, max_res=4):
@@ -125,14 +124,7 @@ class TestResizeSurvivesFailover:
             assert runner.resize(2, at_iteration=16)
             # Kill the primary before the pinned boundary can commit.
             wait_progress(runner, 4)
-            old = runner.master
-            old.abandon()
-            successor = NetworkedApplicationMaster.from_journal(
-                old.journal,
-            )
-            for link in list(runner._links.values()):
-                link.transport.redirect(successor.core)
-            runner.master = successor
+            successor = runner.job.fail_over()
             assert successor.wait_complete(timeout=30.0)
         finally:
             runner.close()
@@ -159,12 +151,7 @@ class TestResizeSurvivesFailover:
         runner.start(2)
         try:
             wait_progress(runner, 2)
-            old = runner.master
-            old.abandon()
-            successor = NetworkedApplicationMaster.from_journal(old.journal)
-            for link in list(runner._links.values()):
-                link.transport.redirect(successor.core)
-            runner.master = successor
+            successor = runner.job.fail_over()
             assert runner.resize(3, at_iteration=12)
             assert successor.wait_complete(timeout=30.0)
         finally:
@@ -183,43 +170,21 @@ class TestLeaseEvictionOrigin:
             worker_lease_ttl=0.6, lease_check_interval=0.1,
             ring_enabled=False,
         )
-        master = NetworkedApplicationMaster(spec, ["w0", "w1"])
-        links = {}
-        import threading
-
-        from repro.net.agent import WorkerAgent
-
-        def run(worker_id, die_at):
-            link = memory_link(master.core, worker_id, ack_timeout=0.2,
-                               heartbeat_interval=0.1)
-            links[worker_id] = link
-            agent = WorkerAgent(
-                worker_id, link, poll_interval=0.02,
+        job = LocalJob("memory", spec, ["w0", "w1"])
+        for worker_id, die_at in (("w0", None), ("w1", 8)):
+            job.start_worker(
+                worker_id,
+                link_options={"ack_timeout": 0.2, "heartbeat_interval": 0.1},
                 die_at_iteration=die_at,
             )
-            try:
-                agent.run()
-            except BaseException:
-                pass
-
-        threads = [
-            threading.Thread(target=run, args=("w0", None), daemon=True),
-            threading.Thread(target=run, args=("w1", 8), daemon=True),
-        ]
-        for thread in threads:
-            thread.start()
         try:
-            # w1 dies at iteration 8; close its link so nothing feeds
-            # its lease, then the evictor condemns it (scale-in).
-            threads[1].join(timeout=30.0)
-            links["w1"].close()
-            assert master.wait_complete(timeout=30.0)
+            # w1 dies at iteration 8 and its thread closes its link, so
+            # nothing feeds its lease: the evictor condemns it (scale-in).
+            assert job.master.wait_complete(timeout=30.0)
         finally:
-            for link in links.values():
-                link.close()
-            master.close()
+            job.close()
         evictions = [
-            r["data"] for r in master.journal.records()
+            r["data"] for r in job.master.journal.records()
             if r["kind"] == "request" and r["data"].get("auto")
         ]
         assert evictions

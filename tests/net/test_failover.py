@@ -6,7 +6,8 @@ the primary is abandoned mid-adjustment and a successor is rebuilt with
 :meth:`NetworkedApplicationMaster.from_journal`, after which the
 workers' links are redirected (the in-memory stand-in for re-resolving
 the AM endpoint) and the protocol must finish what the predecessor
-started — or abort it cleanly.
+started — or abort it cleanly.  The last test takes over on the
+predecessor's own TCP port through :func:`~repro.net.job.promote`.
 """
 
 import pytest
@@ -18,6 +19,8 @@ from repro.net import (
     NetworkedApplicationMaster,
     RetryableError,
     memory_link,
+    promote,
+    tcp_link,
 )
 
 
@@ -365,3 +368,22 @@ class TestShardedPlanFailover:
             assert [s["owner"] for s in plan] == ["w0"]
         finally:
             cluster.close()
+
+
+class TestSamePortTakeover:
+    def test_promote_rebinds_the_old_endpoint(self):
+        """The multiprocess job's takeover: the successor serves the
+        predecessor's own port, so a TCP client redials and is answered
+        by epoch 2 without ever learning a new endpoint."""
+        master = NetworkedApplicationMaster(make_spec(), ["w0"])
+        server = master.serve_tcp()
+        endpoint = (server.host, server.port)
+        link, transport = tcp_link(*endpoint, "driver", ack_timeout=0.5)
+        try:
+            assert link.request(MessageType.STATUS)["epoch"] == 1
+            master = promote(master, master.journal, endpoint=endpoint)
+            assert link.request(MessageType.STATUS)["epoch"] == 2
+            assert transport.endpoints == [endpoint]
+        finally:
+            link.close()
+            master.close()

@@ -6,8 +6,12 @@ message activity renews leases, :meth:`check_leases` condemns expired
 holders, condemnation mints the scale-in, fences the straggler out, and
 feeds the detection/MTTR telemetry — without any supervisor thread or
 wall-clock sleeps (the clock is a test-controlled lambda, which also
-keeps the AM from starting its lease loop).
+keeps the AM from starting its lease loop).  Only the sweep-failure
+tests at the end run the supervisor's real thread.
 """
+
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,9 +19,13 @@ import pytest
 from repro.coordination.messages import MessageType
 from repro.net import (
     JobSpec,
+    JournalError,
+    JournalState,
     NetworkedApplicationMaster,
     memory_link,
 )
+from repro.net.leases import LeaseSupervisor
+from repro.observability import MetricRegistry
 from repro.net.sync_barriers import _SyncBarrier
 
 
@@ -204,3 +212,52 @@ class TestLeases:
             assert status["adjustment_pending"]
         finally:
             successor.close()
+
+
+def start_sweeping(sweep, metrics):
+    """A real supervisor thread (wall clock) around a scripted sweep."""
+    spec = JobSpec(worker_lease_ttl=1.0, lease_check_interval=0.01)
+    supervisor = LeaseSupervisor(
+        spec, JournalState(), threading.RLock(), None, metrics, None,
+        sweep=sweep,
+    )
+    supervisor.start()
+    return supervisor
+
+
+class TestSweepFailures:
+    @pytest.mark.parametrize("error", [
+        JournalError("journal closed"), OSError("disk full"),
+        ValueError("I/O operation on closed file."),
+    ], ids=["journal", "os", "closed-file"])
+    def test_journal_failures_are_counted_and_sweeping_goes_on(self, error):
+        sweeps = []
+
+        def sweep():
+            sweeps.append(error)
+            raise error
+
+        metrics = MetricRegistry()
+        supervisor = start_sweeping(sweep, metrics)
+        deadline = time.monotonic() + 5.0
+        while len(sweeps) < 3:
+            assert time.monotonic() < deadline, sweeps
+            time.sleep(0.01)
+        supervisor.stop()
+        supervisor.thread.join(timeout=5.0)
+        assert not supervisor.thread.is_alive()
+        assert metrics.snapshot()["am.lease_check_errors"] == len(sweeps)
+
+    def test_any_other_failure_escapes_the_sweep(self, monkeypatch):
+        escaped = []
+        monkeypatch.setattr(threading, "excepthook", escaped.append)
+
+        def sweep():
+            raise KeyError("a bug, not a journal failure")
+
+        metrics = MetricRegistry()
+        supervisor = start_sweeping(sweep, metrics)
+        supervisor.thread.join(timeout=5.0)
+        assert not supervisor.thread.is_alive()
+        assert [hook.exc_type for hook in escaped] == [KeyError]
+        assert "am.lease_check_errors" not in metrics.snapshot()

@@ -18,91 +18,18 @@ from repro.net import (
     ChunkedUploader,
     JobSpec,
     NetworkedApplicationMaster,
-    WorkerAgent,
     memory_link,
-    tcp_link,
 )
 from repro.observability import MetricRegistry
 
+from .harness import Harness, wait_for_iteration
+
 CHAOS_PLAN = FaultPlan(drop_every=9, connection_resets=(5, 17))
-
-
-class Harness:
-    """One job, workers as threads, links per the chosen transport."""
-
-    def __init__(self, transport, spec, initial_workers):
-        self.transport = transport
-        self.spec = spec
-        self.master = NetworkedApplicationMaster(spec, initial_workers)
-        self.server = (
-            self.master.serve_tcp() if transport == "tcp" else None
-        )
-        self.results = {}
-        self.errors = {}
-        self.transports = {}
-        self.threads = {}
-        self.agents = {}
-
-    def link(self, node_id, fault_plan=None, ack_timeout=0.5):
-        if self.transport == "tcp":
-            link, transport = tcp_link(
-                self.server.host, self.server.port, node_id,
-                fault_plan=fault_plan, ack_timeout=ack_timeout,
-                heartbeat_interval=0.2,
-            )
-            self.transports[node_id] = transport
-            return link
-        link = memory_link(
-            self.master.core, node_id, fault_plan=fault_plan,
-            ack_timeout=ack_timeout,
-        )
-        self.transports[node_id] = link.transport
-        return link
-
-    def start_worker(self, worker_id, fault_plan=None, metrics=None):
-        def run():
-            link = self.link(worker_id, fault_plan=fault_plan)
-            agent = WorkerAgent(
-                worker_id, link, poll_interval=0.02, metrics=metrics
-            )
-            self.agents[worker_id] = agent
-            try:
-                self.results[worker_id] = agent.run()
-            except Exception as exc:  # surfaced by the test body
-                self.errors[worker_id] = exc
-            finally:
-                link.close()
-
-        thread = threading.Thread(target=run, daemon=True)
-        self.threads[worker_id] = thread
-        thread.start()
-
-    def join_all(self, timeout=60.0):
-        deadline = time.monotonic() + timeout
-        for thread in self.threads.values():
-            thread.join(timeout=max(0.1, deadline - time.monotonic()))
-        assert not self.errors, self.errors
-        assert all(not t.is_alive() for t in self.threads.values()), (
-            "workers still running"
-        )
-
-    def close(self):
-        self.master.close()
 
 
 @pytest.fixture(params=["memory", "tcp"])
 def transport(request):
     return request.param
-
-
-def wait_for_iteration(driver, iteration, timeout=30.0):
-    deadline = time.monotonic() + timeout
-    while True:
-        status = driver.request(MessageType.STATUS)
-        if status["iteration"] >= iteration:
-            return status
-        assert time.monotonic() < deadline, status
-        time.sleep(0.02)
 
 
 class TestElasticJobOverBothTransports:
@@ -121,7 +48,7 @@ class TestElasticJobOverBothTransports:
         )
         harness = Harness(transport, spec, ["w0", "w1"])
         try:
-            harness.start_worker("w0", fault_plan=CHAOS_PLAN)
+            harness.start_worker("w0", link_options={"fault_plan": CHAOS_PLAN})
             harness.start_worker("w1")
             driver = harness.link("driver", ack_timeout=2.0)
             wait_for_iteration(driver, 4)
@@ -132,7 +59,7 @@ class TestElasticJobOverBothTransports:
             assert reply["accepted"] is True
             harness.start_worker("w2")
             harness.start_worker("w3")
-            harness.join_all()
+            harness.join_all(timeout=60.0)
 
             status = driver.request(MessageType.STATUS)
             assert status["adjustments_committed"] == 1
@@ -150,7 +77,7 @@ class TestElasticJobOverBothTransports:
             assert not harness.master.barriers.open
 
             # The chaos actually happened on w0's transport.
-            chaotic = harness.transports["w0"]
+            chaotic = harness.links["w0"].transport
             assert chaotic.reconnects >= 1
             assert harness.master.core.duplicates >= 0
 
@@ -189,7 +116,7 @@ class TestElasticJobOverBothTransports:
                 {"kind": "scale_in", "remove": ["w2"]},
             )
             assert reply["accepted"] is True
-            harness.join_all()
+            harness.join_all(timeout=60.0)
 
             status = driver.request(MessageType.STATUS)
             assert status["adjustments_committed"] == 1
@@ -209,8 +136,8 @@ class TestElasticJobOverBothTransports:
         plan = FaultPlan(duplicate_every=1)
         harness = Harness(transport, spec, ["w0", "w1"])
         try:
-            harness.start_worker("w0", fault_plan=plan)
-            harness.start_worker("w1", fault_plan=plan)
+            harness.start_worker("w0", link_options={"fault_plan": plan})
+            harness.start_worker("w1", link_options={"fault_plan": plan})
             harness.join_all(timeout=30.0)
             core = harness.master.core
             # Each worker: 1 join + 8 syncs + 1 coordinate (iter 4)
@@ -274,7 +201,7 @@ class TestStarJoin:
             )["accepted"] is True
             harness.start_worker("w1", metrics=metrics["w1"])
             harness.start_worker("w2", metrics=metrics["w2"])
-            harness.join_all()
+            harness.join_all(timeout=60.0)
             status = driver.request(MessageType.STATUS)
             assert status["complete"]
             assert len(set(status["digests"].values())) == 1

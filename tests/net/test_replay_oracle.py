@@ -10,7 +10,6 @@ writes, so the journal a deployed standby would replay keeps its shape.
 ``test_soak.py`` checks it on both transports under faults.)
 """
 
-import threading
 import time
 
 import numpy as np
@@ -19,8 +18,8 @@ from repro.coordination.messages import MessageType
 from repro.net import (
     ChunkedUploader,
     JobSpec,
+    LocalJob,
     NetworkedApplicationMaster,
-    WorkerAgent,
     memory_link,
 )
 from repro.net.chunks import ShardedFetcher
@@ -239,23 +238,9 @@ def test_fault_free_job_writes_the_golden_record_sequence():
         seed=7,
     )
     workers = ["w0", "w1", "w2", "w3"]
-    master = NetworkedApplicationMaster(spec, workers)
-    driver = memory_link(master.core, "driver")
-    threads, errors = [], {}
-
-    def start(worker):
-        def run():
-            link = memory_link(master.core, worker)
-            try:
-                WorkerAgent(worker, link, poll_interval=0.02).run()
-            except Exception as exc:  # surfaced below
-                errors[worker] = exc
-            finally:
-                link.close()
-
-        thread = threading.Thread(target=run, daemon=True)
-        threads.append(thread)
-        thread.start()
+    job = LocalJob("memory", spec, workers)
+    master = job.master
+    driver = job.link("driver")
 
     def wait_for(predicate):
         deadline = time.monotonic() + 60.0
@@ -268,25 +253,23 @@ def test_fault_free_job_writes_the_golden_record_sequence():
             "kind": "scale_in", "remove": ["w2", "w3"], "at_iteration": 16,
         })["accepted"]
         for worker in workers:
-            start(worker)
+            job.start_worker(worker)
         wait_for(lambda status: status["adjustments_committed"] == 1)
         assert driver.request(MessageType.ADJUSTMENT_REQUEST, {
             "kind": "scale_out", "add": ["w2", "w3"], "at_iteration": 28,
         })["accepted"]
-        start("w2")
-        start("w3")
-        for thread in threads:
-            thread.join(timeout=60.0)
-        assert not errors, errors
-        assert not any(thread.is_alive() for thread in threads)
+        job.start_worker("w2")
+        job.start_worker("w3")
+        finished = job.join(60.0)
+        assert not job.errors, job.errors
+        assert finished
         status = driver.request(MessageType.STATUS)
         assert status["complete"]
         assert len(set(status["digests"].values())) == 1
         assert_replay_matches(master)
         kinds = [r["kind"] for r in master.journal.records()]
     finally:
-        driver.close()
-        master.close()
+        job.close()
 
     assert len(kinds) == 32
     assert kinds.count("final") == 6

@@ -15,7 +15,6 @@ Three layers of coverage:
 
 import json
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -34,7 +33,6 @@ from repro.net import (
     TcpPeerHost,
     TransportClosed,
     WorkerAgent,
-    memory_link,
     ring_reference_average,
     tcp_link,
 )
@@ -44,6 +42,8 @@ from repro.net.shm import ShmServer, shm_link
 from repro.net.tcp import TcpServer
 from repro.net.transport import ServerCore
 from repro.observability import MetricRegistry, Tracer
+
+from .harness import Harness, wait_for_iteration
 
 
 def random_grads(seed, shapes=None, dtype=np.float64):
@@ -866,74 +866,6 @@ class TestDegradation:
             assert star == [] and node._suspects == set()
 
 
-class RingHarness:
-    """Elastic-job harness with a live peer mesh (threads, both planes)."""
-
-    def __init__(self, transport, spec, initial_workers):
-        self.transport = transport
-        self.spec = spec
-        self.master = NetworkedApplicationMaster(spec, initial_workers)
-        self.server = (
-            self.master.serve_tcp() if transport == "tcp" else None
-        )
-        self.mesh = (
-            TcpPeerHost() if transport == "tcp" else MemoryPeerHost()
-        )
-        self.results = {}
-        self.errors = {}
-        self.threads = {}
-        self.agents = {}
-
-    def link(self, node_id, fault_plan=None, ack_timeout=0.5):
-        if self.transport == "tcp":
-            link, _transport = tcp_link(
-                self.server.host, self.server.port, node_id,
-                fault_plan=fault_plan, ack_timeout=ack_timeout,
-                heartbeat_interval=0.2,
-            )
-            return link
-        return memory_link(
-            self.master.core, node_id, fault_plan=fault_plan,
-            ack_timeout=ack_timeout,
-        )
-
-    def start_worker(
-        self, worker_id, fault_plan=None, peer_fault_plan=None,
-        ring_fail_at=(),
-    ):
-        def run():
-            link = self.link(worker_id, fault_plan=fault_plan)
-            agent = WorkerAgent(
-                worker_id, link, poll_interval=0.02,
-                peer_host=self.mesh, peer_fault_plan=peer_fault_plan,
-                ring_fail_at=ring_fail_at,
-            )
-            self.agents[worker_id] = agent
-            try:
-                self.results[worker_id] = agent.run()
-            except Exception as exc:  # surfaced by the test body
-                self.errors[worker_id] = exc
-            finally:
-                link.close()
-
-        thread = threading.Thread(target=run, daemon=True)
-        self.threads[worker_id] = thread
-        thread.start()
-
-    def join_all(self, timeout=90.0):
-        deadline = time.monotonic() + timeout
-        for thread in self.threads.values():
-            thread.join(timeout=max(0.1, deadline - time.monotonic()))
-        assert not self.errors, self.errors
-        assert all(not t.is_alive() for t in self.threads.values()), (
-            "workers still running"
-        )
-
-    def close(self):
-        self.master.close()
-        self.mesh.close()
-
-
 class TestRingJobs:
     def test_steady_state_takes_the_am_out_of_the_gradient_path(
         self, transport
@@ -942,7 +874,7 @@ class TestRingJobs:
             iterations=12, coordination_interval=4,
             ring_step_timeout=10.0,
         )
-        harness = RingHarness(transport, spec, ["w0", "w1", "w2"])
+        harness = Harness(transport, spec, ["w0", "w1", "w2"], mesh=True)
         try:
             for worker in ("w0", "w1", "w2"):
                 harness.start_worker(worker)
@@ -973,11 +905,11 @@ class TestRingJobs:
             allreduce_timeout=10.0, sync_ack_timeout=1.0,
             chunk_bytes=1024, ring_step_timeout=1.0,
         )
-        harness = RingHarness(transport, spec, ["w0", "w1"])
+        harness = Harness(transport, spec, ["w0", "w1"], mesh=True)
         try:
             harness.start_worker(
-                "w0", fault_plan=FaultPlan(drop_every=9,
-                                           connection_resets=(5, 17)),
+                "w0", link_options={"fault_plan": FaultPlan(
+                    drop_every=9, connection_resets=(5, 17))},
                 # Abort w0's ring at iteration 6: peers time out, all
                 # degrade, and the iteration retries through the star.
                 ring_fail_at=(6,),
@@ -988,13 +920,7 @@ class TestRingJobs:
                                           connection_resets=(9,)),
             )
             driver = harness.link("driver", ack_timeout=2.0)
-            deadline = time.monotonic() + 30.0
-            while True:
-                status = driver.request(MessageType.STATUS)
-                if status["iteration"] >= 8:
-                    break
-                assert time.monotonic() < deadline, status
-                time.sleep(0.02)
+            wait_for_iteration(driver, 8)
             reply = driver.request(
                 MessageType.ADJUSTMENT_REQUEST,
                 {"kind": "scale_out", "add": ["w2", "w3"]},
@@ -1035,7 +961,9 @@ class TestRingJobs:
                 iterations=16, coordination_interval=4,
                 allreduce_timeout=4.0, sync_ack_timeout=1.0,
             )
-            harness = RingHarness("memory", spec, ["w0", "w1", "w2", "w3"])
+            harness = Harness(
+                "memory", spec, ["w0", "w1", "w2", "w3"], mesh=True
+            )
             issued = []
             connect = harness.mesh.connect
 
@@ -1084,7 +1012,7 @@ class TestRingJobs:
 
     def test_job_leaves_no_ring_thread_behind(self, transport):
         spec = JobSpec(iterations=12, coordination_interval=4)
-        harness = RingHarness(transport, spec, ["w0", "w1", "w2"])
+        harness = Harness(transport, spec, ["w0", "w1", "w2"], mesh=True)
         before = set(threading.enumerate())
         try:
             for worker in ("w0", "w1", "w2"):
@@ -1101,7 +1029,7 @@ class TestRingJobs:
     def test_star_only_job_when_ring_disabled(self, transport):
         spec = JobSpec(iterations=8, coordination_interval=4,
                        ring_enabled=False)
-        harness = RingHarness(transport, spec, ["w0", "w1"])
+        harness = Harness(transport, spec, ["w0", "w1"], mesh=True)
         try:
             harness.start_worker("w0")
             harness.start_worker("w1")

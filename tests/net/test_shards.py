@@ -18,9 +18,6 @@ Four layers:
   the one owner-less shard from the AM, in round order.
 """
 
-import threading
-import time
-
 import numpy as np
 import pytest
 
@@ -28,18 +25,14 @@ from repro.coordination.messages import MessageType
 from repro.net import (
     ChunkStore,
     JobSpec,
-    MemoryPeerHost,
-    NetworkedApplicationMaster,
     RemoteError,
     StateBlob,
-    TcpPeerHost,
     WireError,
-    WorkerAgent,
-    memory_link,
-    tcp_link,
 )
 from repro.net.chunks import ShardedFetcher, ShardStore, TransferError
 from repro.observability import MetricRegistry
+
+from .harness import Harness, wait_for_iteration
 
 
 def sample_state(floats=4096, seed=7):
@@ -603,79 +596,9 @@ class TestShardedFetcher:
             fetcher.fetch(descriptor)
 
 
-class ShardedHarness:
-    """Ring-enabled elastic job with sharded replication, both transports."""
-
-    def __init__(self, transport, spec, initial_workers):
-        self.transport = transport
-        self.spec = spec
-        self.master = NetworkedApplicationMaster(spec, initial_workers)
-        self.server = (
-            self.master.serve_tcp() if transport == "tcp" else None
-        )
-        self.mesh = (
-            TcpPeerHost() if transport == "tcp" else MemoryPeerHost()
-        )
-        self.results = {}
-        self.errors = {}
-        self.threads = {}
-        self.agents = {}
-
-    def link(self, node_id, ack_timeout=0.5):
-        if self.transport == "tcp":
-            link, _transport = tcp_link(
-                self.server.host, self.server.port, node_id,
-                ack_timeout=ack_timeout, heartbeat_interval=0.2,
-            )
-            return link
-        return memory_link(self.master.core, node_id, ack_timeout=ack_timeout)
-
-    def start_worker(self, worker_id, stale_state=None):
-        def run():
-            link = self.link(worker_id)
-            agent = WorkerAgent(
-                worker_id, link, poll_interval=0.02,
-                peer_host=self.mesh, stale_state=stale_state,
-            )
-            self.agents[worker_id] = agent
-            try:
-                self.results[worker_id] = agent.run()
-            except Exception as exc:  # surfaced by the test body
-                self.errors[worker_id] = exc
-            finally:
-                link.close()
-
-        thread = threading.Thread(target=run, daemon=True)
-        self.threads[worker_id] = thread
-        thread.start()
-
-    def join_all(self, timeout=90.0):
-        deadline = time.monotonic() + timeout
-        for thread in self.threads.values():
-            thread.join(timeout=max(0.1, deadline - time.monotonic()))
-        assert not self.errors, self.errors
-        assert all(not t.is_alive() for t in self.threads.values()), (
-            "workers still running"
-        )
-
-    def close(self):
-        self.master.close()
-        self.mesh.close()
-
-
 @pytest.fixture(params=["memory", "tcp"])
 def transport(request):
     return request.param
-
-
-def wait_for_iteration(driver, iteration, timeout=30.0):
-    deadline = time.monotonic() + timeout
-    while True:
-        status = driver.request(MessageType.STATUS)
-        if status["iteration"] >= iteration:
-            return status
-        assert time.monotonic() < deadline, status
-        time.sleep(0.02)
 
 
 class TestShardedElasticJob:
@@ -689,7 +612,7 @@ class TestShardedElasticJob:
             allreduce_timeout=10.0, sync_ack_timeout=1.0,
             chunk_bytes=1024, replication_shards=2,
         )
-        harness = ShardedHarness(transport, spec, ["w0", "w1"])
+        harness = Harness(transport, spec, ["w0", "w1"], mesh=True)
         try:
             harness.start_worker("w0")
             harness.start_worker("w1")
@@ -736,7 +659,7 @@ class TestShardedElasticJob:
             allreduce_timeout=10.0, sync_ack_timeout=1.0,
             chunk_bytes=1024, replication_shards=2, zero_optimizer=True,
         )
-        harness = ShardedHarness(transport, spec, ["w0", "w1"])
+        harness = Harness(transport, spec, ["w0", "w1"], mesh=True)
         try:
             harness.start_worker("w0")
             harness.start_worker("w1")
@@ -788,7 +711,7 @@ class TestShardedElasticJob:
         )
 
         def run_once(stale_state=None):
-            harness = ShardedHarness("memory", spec, ["w0", "w1"])
+            harness = Harness("memory", spec, ["w0", "w1"], mesh=True)
             try:
                 harness.start_worker("w0")
                 harness.start_worker("w1")

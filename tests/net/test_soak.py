@@ -7,10 +7,10 @@ cached run: the SLO floors hold, the survivors finish bit-identical,
 and the recovery *counts* match across memory and TCP even though the
 timings differ.
 
-This is also the networked-path coverage for RuntimeTelemetry: the
-failure.detection_latency_seconds and failure.mttr_seconds histograms
-asserted here are fed by the lease evictor inside the message-driven
-AM, on the in-memory transport and on loopback TCP alike.
+This is also the networked-path coverage of the failure histograms:
+failure.detection_latency_seconds and failure.mttr_seconds asserted
+here are fed by the AM's lease supervisor straight into its metric
+registry, on the in-memory transport and on loopback TCP alike.
 """
 
 import pytest
@@ -96,9 +96,9 @@ class TestChaosSoak:
         assert status["group"] == ["w0", "w1"]
 
     def test_telemetry_histograms_fed_from_networked_path(self, soaked):
-        """Satellite coverage: record_detection/record_recovery driven
-        by the networked AM (lease expiry -> condemn -> commit), not by
-        the single-process runtime."""
+        """The detection and MTTR histograms are driven by the
+        networked AM (lease expiry -> condemn -> commit), not by the
+        single-process runtime."""
         soak, report = soaked
         snap = soak.master.metrics.snapshot()
         detection = snap["failure.detection_latency_seconds"]

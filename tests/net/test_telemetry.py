@@ -1,7 +1,6 @@
 """Live worker→AM telemetry shipping: delta cursor, backpressure,
 failover resync, and the end-to-end fleet view over both transports."""
 
-import threading
 import time
 
 import pytest
@@ -10,11 +9,11 @@ from repro.net import (
     JobSpec,
     NetworkedApplicationMaster,
     TelemetryShipper,
-    WorkerAgent,
     memory_link,
-    tcp_link,
 )
 from repro.observability import MetricRegistry, Tracer, validate_events
+
+from .harness import Harness
 
 
 def make_master(**overrides):
@@ -236,64 +235,13 @@ class TestShipperThread:
             master.close()
 
 
-class Harness:
-    """One job, workers as threads with tracers, per-transport links."""
-
-    def __init__(self, transport, spec, initial_workers):
-        self.transport = transport
-        self.spec = spec
-        self.master = NetworkedApplicationMaster(spec, initial_workers)
-        self.server = (
-            self.master.serve_tcp() if transport == "tcp" else None
-        )
-        self.results = {}
-        self.errors = {}
-        self.threads = {}
-        self.agents = {}
-        self.tracers = {}
-
-    def start_worker(self, worker_id):
-        tracer = Tracer(process=worker_id)
-        metrics = MetricRegistry()
-        self.tracers[worker_id] = tracer
-
-        def run():
-            if self.transport == "tcp":
-                link, _ = tcp_link(
-                    self.server.host, self.server.port, worker_id,
-                    ack_timeout=0.5, heartbeat_interval=0.2,
-                    tracer=tracer, metrics=metrics,
-                )
-            else:
-                link = memory_link(
-                    self.master.core, worker_id, ack_timeout=0.5,
-                    tracer=tracer, metrics=metrics,
-                )
-            agent = WorkerAgent(
-                worker_id, link, poll_interval=0.02,
-                tracer=tracer, metrics=metrics,
-            )
-            self.agents[worker_id] = agent
-            try:
-                self.results[worker_id] = agent.run()
-            except Exception as exc:  # surfaced by the test body
-                self.errors[worker_id] = exc
-            finally:
-                link.close()
-
-        thread = threading.Thread(target=run, daemon=True)
-        self.threads[worker_id] = thread
-        thread.start()
-
-    def join_all(self, timeout=60.0):
-        deadline = time.monotonic() + timeout
-        for thread in self.threads.values():
-            thread.join(timeout=max(0.1, deadline - time.monotonic()))
-        assert not self.errors, self.errors
-        assert all(not t.is_alive() for t in self.threads.values())
-
-    def close(self):
-        self.master.close()
+def start_traced_worker(harness, worker_id):
+    """A worker whose link and agent share its own tracer and registry."""
+    tracer, metrics = Tracer(process=worker_id), MetricRegistry()
+    harness.start_worker(
+        worker_id, link_options={"tracer": tracer, "metrics": metrics},
+        tracer=tracer, metrics=metrics,
+    )
 
 
 @pytest.fixture(params=["memory", "tcp"])
@@ -313,9 +261,9 @@ class TestEndToEndFleetView:
         )
         harness = Harness(transport, spec, ["w0", "w1"])
         try:
-            harness.start_worker("w0")
-            harness.start_worker("w1")
-            harness.join_all()
+            start_traced_worker(harness, "w0")
+            start_traced_worker(harness, "w1")
+            harness.join_all(timeout=60.0)
 
             fleet = harness.master.fleet
             assert fleet.workers() == ["w0", "w1"]
@@ -357,7 +305,7 @@ class TestEndToEndFleetView:
         )
         harness = Harness("memory", spec, ["w0"])
         try:
-            harness.start_worker("w0")
+            start_traced_worker(harness, "w0")
             harness.join_all(timeout=30.0)
             assert harness.agents["w0"].telemetry is None
             assert len(harness.master.fleet) == 0
