@@ -118,14 +118,22 @@ class TransportFaults:
 # -- the pipe seam -------------------------------------------------------------
 
 
+#: The messages that always travel as lean frames, and their encoders.
+_LEAN_MESSAGES = {
+    MessageType.RING_SEGMENT: wire.lean_segment_buffers,
+    MessageType.SYNC: wire.lean_sync_buffers,
+}
+
+
 class FramePipe:
     """One *handshaken* byte path; base of the socket and shm pipes.
 
     ``write(frame, timeout)`` returns the bytes moved, or raises
     ``OSError`` when the peer has not taken the frame in ``timeout``
     seconds (the frame may be torn: the caller drops the connection);
-    ``read()`` blocks for the next frame — a dict, or the ``Message``
-    itself for a lean segment — None once the peer is gone (its arrays
+    ``read()`` blocks for the next frame — a dict (a lean mean reply
+    too), or the ``Message`` itself for a lean ring segment or SYNC —
+    None once the peer is gone (its arrays
     may alias the pipe's buffers until ``release()``; ``own(payload)``
     makes it outlive that); ``count(metrics, n)`` books ``n`` written
     bytes; ``close()`` wakes anyone blocked on the pipe and frees it.
@@ -143,12 +151,25 @@ class FramePipe:
 
     def send(self, message: Message, timeout: float = WRITE_TIMEOUT) -> int:
         """Client → server: one protocol message as a frame — a lean
-        frame for a ring segment, a ``msg`` frame for anything else."""
-        if message.msg_type is MessageType.RING_SEGMENT:
-            return self._put(
-                *wire.lean_segment_buffers(message, self.node), timeout
-            )
+        frame for a ring segment or a SYNC, a ``msg`` frame for anything
+        else."""
+        lean = _LEAN_MESSAGES.get(message.msg_type)
+        if lean is not None:
+            return self._put(*lean(message, self.node), timeout)
         return self.write(wire.message_frame(message), timeout)
+
+    def answer(self, message: Message, reply: dict, ctx: dict) -> int:
+        """Server → client: the reply to ``message``, stamped with the
+        transmission context ``ctx`` — a lean frame for a SYNC's mean, a
+        ``reply`` frame for anything else (errors included)."""
+        if message.msg_type is MessageType.SYNC and "__error__" not in reply:
+            return self._put(
+                *wire.lean_mean_buffers(message.msg_id, reply, ctx),
+                WRITE_TIMEOUT,
+            )
+        return self.write(
+            wire.reply_frame(ctx["node"], message.msg_id, reply, ctx=ctx)
+        )
 
     def write(self, frame: dict, timeout: float = WRITE_TIMEOUT) -> int:
         return self._put(*wire.frame_buffers(frame), timeout)
@@ -639,7 +660,7 @@ class ConnectionServer:
         try:
             t_recv = time.perf_counter()
             if isinstance(frame, Message):
-                message = frame  # a lean segment: the pipe parsed it
+                message = frame  # a lean frame: the pipe parsed it
             elif frame.get("kind") == "heartbeat":
                 self.heartbeats_received += 1
                 node = frame.get("node", "?")
@@ -668,10 +689,7 @@ class ConnectionServer:
         # If the connection died while the handler ran, this write
         # raises and ends the connection; the reply stays in the core's
         # cache for the retransmission to collect.
-        n = pipe.write(wire.reply_frame(
-            self.core.node_id, message.msg_id, reply,
-            ctx=transmission_ctx(self.core, t_recv),
-        ))
+        n = pipe.answer(message, reply, transmission_ctx(self.core, t_recv))
         self.bytes_sent += n
         if self.metrics is not None:
             pipe.count(self.metrics, n)

@@ -365,8 +365,8 @@ def decode_shm_frame(
     view: memoryview, lean_sender: "str | None" = None
 ) -> "dict | Message":
     """Parse one ring record back into a frame dict — or, for a lean
-    record, the ``Message`` it carries (:func:`wire.read_frame`'s
-    contract).
+    record, what :func:`wire.parse_lean_frame` makes of it
+    (:func:`wire.read_frame`'s contract).
 
     Array segments come back as ``np.frombuffer`` views **into the
     ring** — valid until the caller advances the ring, so handlers
@@ -381,10 +381,11 @@ def decode_shm_frame(
         if body.nbytes != length:
             raise wire.WireError("shm record length mismatch")
         return wire.decode_frame(body)
-    header_len = length & wire._LEAN_HEAD_MASK
+    lean = length & wire.LEAN_FLAG
+    header_len = length & (wire._LEAN_HEAD_MASK if lean else ~wire.BINARY_FLAG)
     if header_len > body.nbytes:
         raise wire.WireError("shm binary header overruns the record")
-    if length & wire.LEAN_FLAG:
+    if lean:
         if lean_sender is None:
             raise wire.WireError("lean record before the handshake")
         rest = body[header_len:]
@@ -396,8 +397,8 @@ def decode_shm_frame(
                 )
             return rest
 
-        return wire.parse_lean_segment(
-            body[:header_len], body_of, lean_sender, borrowed=True
+        return wire.parse_lean_frame(
+            length, body[:header_len], body_of, lean_sender, borrowed=True
         )
     frame = wire.decode_frame(body[:header_len])
     seg_lens = frame.pop("__segs__", None)

@@ -252,13 +252,16 @@ class SyncBarriers:
             self._resolve(barrier, self.state.groups.get(key[0], ()))
 
     def release_all(self, fence: "dict | None" = None) -> None:
-        """Wake every waiter: the AM is closing, or — with ``fence``, a
-        retryable reply — being fenced out in favour of a successor."""
+        """Wake every waiter: the AM is closing (the waiters get an error:
+        there is no mean to give them), or — with ``fence``, a retryable
+        reply — being fenced out in favour of a successor."""
         with self.lock:
             self.fence = fence or self.fence
             for barrier in self.open.values():
-                if self.fence is not None and barrier.result is None:
-                    barrier.result = self.fence
+                if barrier.result is None:
+                    barrier.result = self.fence or {
+                        "__error__": "the AM closed before the barrier completed"
+                    }
                 barrier.event.set()
 
     # -- read-only views --------------------------------------------------------

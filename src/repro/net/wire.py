@@ -17,13 +17,16 @@ format is a fact of :data:`PROTOCOL_VERSION`.
   top bit, segments are contiguous ``memoryview``\\ s written with
   scatter/gather IO, and the reader rebuilds arrays with
   ``np.frombuffer`` over one receive buffer — no intermediate copies.
-* **Lean frames** — a ``RING_SEGMENT`` is a fixed shape, so on a framed
-  pipe it always travels as one ``struct`` (ids, the trace context's two
-  numbers, the ring key, a dtype/count record per flat array), then the
-  raw arrays:
-  :func:`lean_segment_buffers` / :func:`parse_lean_segment`, shared by
-  the socket and shm pipes.  No payload walk; a segment the header
-  cannot say is a :class:`WireError` at the sender.
+* **Lean frames** — the messages of the training loop are fixed shapes,
+  so on a framed pipe they always travel as one ``struct`` (ids, the
+  trace context's numbers, the message's own fields, a record per
+  array), then the raw arrays: a ``RING_SEGMENT``
+  (:func:`lean_segment_buffers` / :func:`parse_lean_segment`), a
+  ``SYNC`` (:func:`lean_sync_buffers` / :func:`parse_lean_sync`) and a
+  ``SYNC``'s mean reply (:func:`lean_mean_buffers` /
+  :func:`parse_lean_mean`), shared by the socket and shm pipes
+  (:func:`parse_lean_frame` picks the parser).  No payload walk; a
+  message the header cannot say is a :class:`WireError` at the sender.
 * **Handshake** — the first frame on a connection must be ``hello``
   carrying the protocol version and the node id; the server answers
   ``welcome`` or ``reject`` and closes.  A version mismatch is a hard
@@ -52,8 +55,9 @@ from ..coordination.messages import Message, MessageType
 #: *incompatible* change.  Version 2 fixed the frame format: JSON
 #: headers, binary frames for arrays, lean ring segments — a version-1
 #: peer, which negotiated them, is rejected.  Version 3 dropped the lean
-#: header's codec-meta tail and its ``part`` field.
-PROTOCOL_VERSION = 3
+#: header's codec-meta tail and its ``part`` field.  Version 4 made
+#: ``SYNC`` and its mean reply lean frames too.
+PROTOCOL_VERSION = 4
 
 #: Hard upper bound on one frame's payload, a corruption guard: a bogus
 #: length prefix must fail loudly, not allocate gigabytes.
@@ -66,9 +70,16 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 BINARY_FLAG = 0x80000000
 
 #: Second flag bit, only ever set beside :data:`BINARY_FLAG`: a *lean*
-#: frame (docs/PROTOCOL.md, "Lean segment frames").  The low 30 bits
-#: are the length of its head — fixed header and array table.
+#: frame (docs/PROTOCOL.md, "Lean segment frames", "Lean SYNC frames").
+#: Bits 29–28 name its kind (:data:`LEAN_SEGMENT`, :data:`LEAN_SYNC`,
+#: :data:`LEAN_MEAN`); the low 28 bits are the length of its head —
+#: fixed header and array table.
 LEAN_FLAG = 0x40000000
+
+#: The lean kinds: a ``RING_SEGMENT``, a ``SYNC`` and a ``SYNC``'s mean
+#: reply.  A ring segment's kind is 0, so its prefix is what it was
+#: before there were others.
+LEAN_SEGMENT, LEAN_SYNC, LEAN_MEAN = 0, 1, 2
 
 #: Reserved request-payload key carrying the sender's trace context
 #: (job id, node id, per-process incarnation epoch, send timestamp).
@@ -518,9 +529,9 @@ def read_frame(
     """Read one frame from a socket; None on clean EOF.
 
     A plain or binary frame comes back as its dict.  A lean frame comes
-    back as the :class:`Message` it carries, sent by ``lean_sender`` —
-    the node the connection's handshake named; without one (the
-    handshake itself) a lean frame is a violation.
+    back as what :func:`parse_lean_frame` makes of it, sent by
+    ``lean_sender`` — the node the connection's handshake named; without
+    one (the handshake itself) a lean frame is a violation.
     """
     header = _recv_exact(sock, _LENGTH.size)
     if header is None:
@@ -531,8 +542,8 @@ def read_frame(
             return _read_binary_frame(sock, length & ~BINARY_FLAG)
         if lean_sender is None:
             raise WireError("lean frame before the handshake")
-        return parse_lean_segment(
-            _recv_head(sock, length & _LEAN_HEAD_MASK),
+        return parse_lean_frame(
+            length, _recv_head(sock, length & _LEAN_HEAD_MASK),
             functools.partial(_recv_body, sock), lean_sender, borrowed=False,
         )
     if length > MAX_FRAME_BYTES:
@@ -633,11 +644,12 @@ def decode_message(frame: dict, borrowed: bool = True) -> Message:
 
 # -- lean segment frames ------------------------------------------------------
 #
-# prefix  u32  BINARY_FLAG | LEAN_FLAG | head length
+# prefix  u32  BINARY_FLAG | LEAN_FLAG | kind << 28 | head length
 # head    the fixed header below, then ``arrays`` dtype/count records
 # body    the arrays' bytes, back to back, in table order
 
-_LEAN_HEAD_MASK = ~(BINARY_FLAG | LEAN_FLAG)
+_LEAN_KIND_SHIFT = 28
+_LEAN_HEAD_MASK = (1 << _LEAN_KIND_SHIFT) - 1
 #: msg_id, post | ctx epoch, ctx sent | generation, iteration, phase,
 #: step, bucket | arrays.  Big-endian, unpadded: 52 bytes.
 _LEAN_FIELDS = "Q?QdqqBIIH"
@@ -780,6 +792,249 @@ def parse_lean_segment(
     return Message(
         msg_id, MessageType.RING_SEGMENT, sender, payload, post, borrowed
     )
+
+
+# -- lean SYNC frames ---------------------------------------------------------
+#
+# prefix  u32  BINARY_FLAG | LEAN_FLAG | kind << 28 | head length
+# head    the kind's fixed header, a UTF-8 text (a SYNC's ctx ``job``, a
+#         mean's ctx ``node``), then one named-array record per array
+# body    the arrays' bytes, back to back, in table order
+
+#: msg_id, flags | ctx epoch, ctx sent | generation, iteration | arrays,
+#: text bytes.  45 bytes.
+_SYNC_HEADER = struct.Struct(">QBQdqqHH")
+#: in_reply_to, flags | ctx epoch, ctx recv, ctx sent | members | arrays,
+#: text bytes.  45 bytes.
+_MEAN_HEADER = struct.Struct(">QBQddqHH")
+#: one array: name bytes, dtype kind, dtype itemsize, ndim — then ndim
+#: u64 dimensions and the UTF-8 name.
+_NAMED_ARRAY = struct.Struct(">HBBB")
+
+_POST, _RING_FALLBACK, _NO_GRADS, _JOB = 1, 2, 4, 8
+_SYNC_FLAGS = _POST | _RING_FALLBACK | _NO_GRADS | _JOB
+_SYNC_KEYS = frozenset(("generation", "iteration", "grads", TRACE_CTX_KEY))
+_SYNC_CTX_KEYS = frozenset(("node", "epoch", "sent"))
+_MEAN_CTX_KEYS = frozenset(("node", "epoch", "recv", "sent"))
+
+
+def _lean_frame(kind: int, header: bytes, text: bytes, grads) -> "tuple[list, int]":
+    """One lean SYNC-kind frame's buffers and byte count: prefix, fixed
+    ``header``, ``text`` and the array table of ``grads`` in one head,
+    then each array's own bytes.  Raises ``TypeError`` for an entry the
+    table cannot name, ``struct.error`` for a field that does not fit."""
+    table, views, body = [], [], 0
+    for name, array in (grads or {}).items():
+        code = type(array) is np.ndarray and _lean_dtype_code(array.dtype)
+        if not code or type(name) is not str:
+            raise TypeError(f"{name!r} is not a named plain-number array")
+        label = name.encode("utf-8")
+        table.append(struct.pack(
+            f">HBBB{array.ndim}Q", len(label), *code, array.ndim, *array.shape
+        ))
+        table.append(label)
+        views.append(_array_view(array))
+        body += array.nbytes
+    head_len = len(header) + len(text) + sum(map(len, table))
+    if head_len + body > MAX_FRAME_BYTES:
+        raise WireError(f"frame of {head_len + body} bytes exceeds the maximum")
+    prefix = _LENGTH.pack(
+        BINARY_FLAG | LEAN_FLAG | kind << _LEAN_KIND_SHIFT | head_len
+    )
+    return (
+        [b"".join((prefix, header, text, *table)), *views],
+        _LENGTH.size + head_len + body,
+    )
+
+
+def _parse_lean_arrays(head, offset: int, text_len: int, arrays: int, body_of):
+    """The text and the ``{name: array}`` dict (None for ``arrays`` of
+    None) of a lean SYNC-kind head whose fixed header ends at ``offset``.
+
+    Every record is checked against the head before the body is asked
+    for; any violation is a :class:`WireError`, never a numpy error.
+    """
+    end = offset + text_len
+    try:
+        text = str(head[offset:end], "utf-8")
+        specs, offset = [], end
+        for _ in range(arrays or 0):
+            name_len, kind, itemsize, ndim = _NAMED_ARRAY.unpack_from(head, offset)
+            offset += _NAMED_ARRAY.size
+            shape = struct.unpack_from(f">{ndim}Q", head, offset)
+            offset += 8 * ndim
+            end = offset + name_len
+            specs.append((
+                str(head[offset:end], "utf-8"), _lean_dtype(kind, itemsize),
+                shape, math.prod(shape),
+            ))
+            offset = end
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise WireError(f"lean table does not fit its head: {exc}") from exc
+    if end != len(head):
+        raise WireError("lean head disagrees with its own length")
+    if len({spec[0] for spec in specs}) != len(specs):
+        raise WireError("lean table names one array twice")
+    total = sum(dtype.itemsize * count for _, dtype, _, count in specs)
+    if len(head) + total > MAX_FRAME_BYTES:
+        raise WireError(f"frame of {len(head) + total} bytes exceeds the maximum")
+    body = body_of(total)
+    if arrays is None:
+        return text, None
+    grads, offset = {}, 0
+    try:
+        for name, dtype, shape, count in specs:
+            grads[name] = np.frombuffer(body, dtype, count, offset).reshape(shape)
+            offset += dtype.itemsize * count
+    except (ValueError, OverflowError) as exc:  # a shape no array can have
+        raise WireError(f"lean table names an impossible array: {exc}") from exc
+    return text, grads
+
+
+def lean_sync_buffers(message: Message, node: str) -> "tuple[list, int]":
+    """The buffers a ``SYNC`` leaves as in a lean frame, and their byte
+    count.
+
+    A lean SYNC says exactly what :meth:`WorkerAgent._star_sync` sends
+    through a link dialled as ``node``: ``generation``, ``iteration``,
+    ``grads`` (None, or names to native-number arrays of any shape), an
+    optional ``ring_fallback: True`` and a trace context of
+    node/epoch/sent — plus the ``job`` the agent stamps — whose node is
+    the handshake's.  Anything else is a :class:`WireError`: there is
+    no other frame for a SYNC.
+    """
+    payload = message.payload
+    ctx = payload.get(TRACE_CTX_KEY)
+    grads = payload.get("grads")
+    fallback = "ring_fallback" in payload
+    job = type(ctx) is dict and "job" in ctx
+    flags = (
+        message.post * _POST | fallback * _RING_FALLBACK
+        | (grads is None) * _NO_GRADS | job * _JOB
+    )
+    try:
+        if (
+            type(ctx) is not dict
+            or ctx.keys() ^ _SYNC_CTX_KEYS != ({"job"} if job else set())
+            or payload.keys() ^ _SYNC_KEYS
+            != ({"ring_fallback"} if fallback else set())
+            or not ctx["node"] == message.sender == node
+            or fallback and payload["ring_fallback"] is not True
+            or not (grads is None or type(grads) is dict)
+            or job and type(ctx["job"]) is not str
+        ):
+            raise TypeError("a key, a context or a type it has no field for")
+        text = ctx["job"].encode("utf-8") if job else b""
+        header = _SYNC_HEADER.pack(
+            message.msg_id, flags, ctx["epoch"], ctx["sent"],
+            payload["generation"], payload["iteration"],
+            len(grads or ()), len(text),
+        )
+        return _lean_frame(LEAN_SYNC, header, text, grads)
+    except (KeyError, TypeError, ValueError, struct.error) as exc:
+        raise WireError(
+            f"sync {message.msg_id} from {message.sender!r} is not what a "
+            f"lean frame can say: {exc!r}"
+        ) from exc
+
+
+def parse_lean_sync(
+    head, body_of: "typing.Callable[[int], typing.Any]", sender: str,
+    borrowed: bool,
+) -> Message:
+    """Inverse of :func:`lean_sync_buffers`: the ``SYNC``
+    :class:`Message` a lean frame carries (the arguments are
+    :func:`parse_lean_segment`'s)."""
+    if len(head) < _SYNC_HEADER.size:
+        raise WireError("lean sync shorter than its fixed header")
+    (
+        msg_id, flags, epoch, sent, generation, iteration, arrays, text_len,
+    ) = _SYNC_HEADER.unpack_from(head)
+    if flags & ~_SYNC_FLAGS or flags & _NO_GRADS and arrays:
+        raise WireError(f"lean sync flags {flags:#x} make no sense")
+    job, grads = _parse_lean_arrays(
+        head, _SYNC_HEADER.size, text_len,
+        None if flags & _NO_GRADS else arrays, body_of,
+    )
+    payload = {"generation": generation, "iteration": iteration, "grads": grads}
+    if flags & _RING_FALLBACK:
+        payload["ring_fallback"] = True
+    ctx = {"job": job} if flags & _JOB else {}
+    ctx.update(node=sender, epoch=epoch, sent=sent)
+    payload[TRACE_CTX_KEY] = ctx
+    return Message(
+        msg_id, MessageType.SYNC, sender, payload, bool(flags & _POST), borrowed
+    )
+
+
+def lean_mean_buffers(
+    in_reply_to: int, payload: dict, ctx: dict
+) -> "tuple[list, int]":
+    """The buffers a ``SYNC``'s success reply leaves as in a lean frame,
+    and their byte count: ``payload`` is exactly ``{"grads", "members"}``
+    (``grads`` None or names to arrays), ``ctx`` the transmission
+    context of node/epoch/recv/sent.  Anything else is a
+    :class:`WireError` (error replies are reply frames)."""
+    grads = payload.get("grads")
+    try:
+        if (
+            payload.keys() != {"grads", "members"}
+            or type(ctx) is not dict or ctx.keys() != _MEAN_CTX_KEYS
+            or not (grads is None or type(grads) is dict)
+            or type(ctx["node"]) is not str
+        ):
+            raise TypeError("a key, a context or a type it has no field for")
+        text = ctx["node"].encode("utf-8")
+        header = _MEAN_HEADER.pack(
+            in_reply_to, (grads is None) * _NO_GRADS, ctx["epoch"],
+            ctx["recv"], ctx["sent"], payload["members"],
+            len(grads or ()), len(text),
+        )
+        return _lean_frame(LEAN_MEAN, header, text, grads)
+    except (KeyError, TypeError, ValueError, struct.error) as exc:
+        raise WireError(
+            f"the reply to sync {in_reply_to} is not what a lean frame can "
+            f"say: {exc!r}"
+        ) from exc
+
+
+def parse_lean_mean(
+    head, body_of: "typing.Callable[[int], typing.Any]"
+) -> dict:
+    """Inverse of :func:`lean_mean_buffers`: the ``reply`` frame dict
+    (:func:`reply_frame`'s shape) a lean mean frame carries."""
+    if len(head) < _MEAN_HEADER.size:
+        raise WireError("lean mean shorter than its fixed header")
+    (
+        in_reply_to, flags, epoch, recv, sent, members, arrays, text_len,
+    ) = _MEAN_HEADER.unpack_from(head)
+    if flags & ~_NO_GRADS or flags and arrays:
+        raise WireError(f"lean mean flags {flags:#x} make no sense")
+    node, grads = _parse_lean_arrays(
+        head, _MEAN_HEADER.size, text_len, None if flags else arrays, body_of,
+    )
+    return {
+        "kind": "reply", "node": node, "in_reply_to": in_reply_to,
+        "payload": {"grads": grads, "members": members},
+        "ctx": {"node": node, "epoch": epoch, "recv": recv, "sent": sent},
+    }
+
+
+def parse_lean_frame(
+    length: int, head, body_of: "typing.Callable[[int], typing.Any]",
+    sender: str, borrowed: bool,
+) -> "Message | dict":
+    """The lean frame whose prefix is ``length``, by the kind it names:
+    a ``RING_SEGMENT`` or ``SYNC`` :class:`Message`, or a mean reply's
+    frame dict (the other arguments are :func:`parse_lean_segment`'s)."""
+    kind = length >> _LEAN_KIND_SHIFT & 3
+    if kind == LEAN_SEGMENT:
+        return parse_lean_segment(head, body_of, sender, borrowed)
+    if kind == LEAN_SYNC:
+        return parse_lean_sync(head, body_of, sender, borrowed)
+    if kind == LEAN_MEAN:
+        return parse_lean_mean(head, body_of)
+    raise WireError(f"unknown lean frame kind {kind}")
 
 
 def reply_frame(

@@ -18,9 +18,11 @@ from repro.net import (
     ChunkedUploader,
     JobSpec,
     NetworkedApplicationMaster,
+    RemoteError,
     memory_link,
+    wire,
 )
-from repro.observability import MetricRegistry
+from repro.observability import MetricRegistry, Tracer
 
 from .harness import Harness, wait_for_iteration
 
@@ -149,6 +151,68 @@ class TestElasticJobOverBothTransports:
             assert core.duplicates > 0
         finally:
             harness.close()
+
+
+class TestLeanSyncOnTheWire:
+    def test_no_sync_and_no_mean_takes_the_generic_frame(self, monkeypatch):
+        """A 4-worker star job over TCP trains through lean frames: no
+        SYNC passes ``wire.message_frame`` and no mean reply passes
+        ``wire.reply_frame``, while the other messages and every error
+        reply still do — and the AM's ``net.recv`` still reads the
+        sender's job and epoch off a lean SYNC."""
+        framed, replied = [], []
+        real_message_frame, real_reply_frame = (
+            wire.message_frame, wire.reply_frame
+        )
+
+        def message_frame(message, *args, **kwargs):
+            framed.append(message.msg_type)
+            return real_message_frame(message, *args, **kwargs)
+
+        def reply_frame(node_id, in_reply_to, payload, ctx=None):
+            replied.append(payload)
+            return real_reply_frame(node_id, in_reply_to, payload, ctx)
+
+        monkeypatch.setattr(wire, "message_frame", message_frame)
+        monkeypatch.setattr(wire, "reply_frame", reply_frame)
+        workers = ["w0", "w1", "w2", "w3"]
+        spec = JobSpec(iterations=8, coordination_interval=4)
+        tracer = Tracer(process="am")
+        harness = Harness(
+            "tcp", spec, workers, job_id="lean-job", tracer=tracer
+        )
+        try:
+            for worker in workers:
+                harness.start_worker(worker)
+            harness.join_all(timeout=60.0)
+            status = harness.master.status()
+            assert status["complete"]
+            assert len(set(status["digests"].values())) == 1
+            for worker in workers:
+                assert harness.master.core.executions[(worker, "sync")] == 8
+            assert MessageType.SYNC not in framed
+            assert MessageType.COORDINATE in framed
+            assert not [p for p in replied if "members" in p or "grads" in p]
+            assert replied  # joins, coordinates, uploads
+
+            driver = harness.link("driver")
+            with pytest.raises(RemoteError, match="not in generation"):
+                driver.request(MessageType.SYNC, {
+                    "generation": 0, "iteration": 0, "grads": None,
+                })
+            assert MessageType.SYNC not in framed
+            assert "not in generation" in replied[-1]["__error__"]
+        finally:
+            harness.close()
+        recvs = [
+            span.args for span in tracer.instants("net.recv")
+            if span.args["type"] == "sync"
+        ]
+        fresh = [r for r in recvs if not r.get("duplicate")]
+        assert len(fresh) == 8 * len(workers) + 1
+        assert all(r["sender_epoch"] is not None for r in recvs)
+        assert {r.get("job") for r in recvs} == {"lean-job", None}
+        assert [r["sender"] for r in recvs if "job" not in r] == ["driver"]
 
 
 class TestStarJoin:

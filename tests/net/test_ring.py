@@ -15,6 +15,7 @@ Three layers of coverage:
 
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -1116,6 +1117,50 @@ class TestMasterRingPlumbing:
             # (g + zeros) / 2 — the absent member still divides.
             assert np.array_equal(result["grads"]["x"],
                                   np.array([1.0, 2.0]))
+
+    def test_absent_members_contribute_zeros_to_the_ring_mean(self):
+        """A ring-ordered barrier with absent members returns the bytes
+        ``ring_reference_average`` gives over explicit fresh zeros."""
+        spec = JobSpec(iterations=8)
+        group = ("w0", "w1", "w2", "w3")
+        net = NetworkedApplicationMaster(spec, list(group))
+        rng = np.random.default_rng(5)
+        for iteration in range(3):
+            grads = {
+                "w": rng.standard_normal((3, 4)),
+                "b": rng.standard_normal(4).astype(np.float32),
+            }
+            present = {"w0": grads, "w2": {k: v * 3 for k, v in grads.items()}}
+            contributions = dict(present, w1=None, w3={})
+            got = net.barriers._average(group, contributions)
+            fresh = [
+                present.get(member)
+                or {k: np.zeros_like(v) for k, v in grads.items()}
+                for member in group
+            ]
+            want = ring_reference_average(fresh)
+            assert list(got) == list(want)
+            for name in want:
+                assert got[name].dtype == want[name].dtype
+                assert got[name].tobytes() == want[name].tobytes()
+
+    def test_closing_am_answers_a_waiting_sync_with_an_error(self):
+        """A barrier the AM closes under has no mean to give: its waiter
+        gets an error reply, never an empty success."""
+        spec = JobSpec(iterations=8)
+        net = NetworkedApplicationMaster(spec, ["w0", "w1"])
+        done = []
+        t = threading.Thread(target=lambda: done.append(net.barriers.sync(
+            "w0", {"generation": 0, "iteration": 0, "grads": None},
+        )), daemon=True)
+        t.start()
+        deadline = time.monotonic() + 10.0
+        while not net.barriers.open and time.monotonic() < deadline:
+            time.sleep(0.005)
+        net.close()
+        t.join(timeout=10.0)
+        (result,) = done
+        assert "closed" in result["__error__"]
 
     def test_sync_all_empty_returns_none(self):
         spec = JobSpec(iterations=8)

@@ -1,6 +1,7 @@
 """Wire-format tests: framing, envelopes, binary and lean frames, handshake."""
 
 import socket
+import struct
 import threading
 import time
 
@@ -9,6 +10,7 @@ import pytest
 
 from repro.coordination.messages import MessageFactory, MessageType
 from repro.net import wire
+from repro.net.shm import ShmRing, decode_shm_frame
 
 
 def socket_pair():
@@ -649,13 +651,361 @@ class TestLeanFrames:
             np.testing.assert_array_equal(array, np.arange(6.0))
 
     def test_handshake_carries_no_format_keys(self):
-        """Version 3 negotiates nothing: hello and welcome name the
+        """Version 4 negotiates nothing: hello and welcome name the
         version and the node (and the AM's epoch), and that is all."""
-        assert wire.PROTOCOL_VERSION == 3
+        assert wire.PROTOCOL_VERSION == 4
         assert wire.hello_frame("w0") == {
-            "kind": "hello", "version": 3, "node": "w0",
+            "kind": "hello", "version": 4, "node": "w0",
         }
         assert wire.welcome_frame("s") == {
-            "kind": "welcome", "version": 3, "node": "s",
+            "kind": "welcome", "version": 4, "node": "s",
         }
         assert wire.welcome_frame("am", epoch=3)["epoch"] == 3
+
+    def test_version_3_hello_is_rejected(self):
+        """A version-3 peer frames SYNC and its mean as JSON."""
+        with pytest.raises(wire.WireError, match="version mismatch"):
+            wire.check_handshake(
+                {"kind": "hello", "version": 3, "node": "old-worker"}
+            )
+
+
+GRADS = {
+    "w1": np.arange(12.0).reshape(3, 4),
+    "b1": np.linspace(-1.0, 1.0, 4, dtype=np.float32),
+    "steps": np.arange(5, dtype=np.int64),
+    "flat": np.arange(7.0),
+}
+MEAN_CTX = {"node": "am", "epoch": 2, "recv": 10.25, "sent": 10.5}
+
+
+def sync(grads=GRADS, ring_fallback=False, job=None, post=False, ctx=None,
+         **extra):
+    """A ``SYNC`` as ``WorkerAgent._star_sync`` + ``ReliableLink`` build it."""
+    payload = {"generation": 3, "iteration": 41, "grads": grads, **extra}
+    if ring_fallback:
+        payload["ring_fallback"] = True
+    if ctx is None:
+        ctx = {"node": "w0", "epoch": 77, "sent": 1.5}
+        if job is not None:
+            ctx = {"job": job, **ctx}
+    payload[wire.TRACE_CTX_KEY] = ctx
+    return MessageFactory(epoch=5).make(MessageType.SYNC, "w0", payload, post)
+
+
+def sync_with(**payload):
+    """A :func:`sync` whose payload also holds ``payload``."""
+    message = sync()
+    message.payload.update(payload)
+    return message
+
+
+def frame_bytes(buffers, total):
+    blob = b"".join(bytes(wire._flat_view(b)) for b in buffers)
+    assert len(blob) == total
+    return blob
+
+
+def sync_bytes(message):
+    return frame_bytes(*wire.lean_sync_buffers(message, "w0"))
+
+
+def mean_bytes(grads=GRADS, members=4, ctx=MEAN_CTX):
+    payload = {"grads": grads, "members": members}
+    return frame_bytes(*wire.lean_mean_buffers(9, payload, ctx))
+
+
+def over_socket(blob):
+    writer, reader = socket.socketpair()
+    try:
+        writer.sendall(blob)
+        writer.close()
+        frame = wire.read_frame(reader, lean_sender="w0")
+        assert wire.read_frame(reader) is None  # nothing left behind
+        return frame
+    finally:
+        reader.close()
+
+
+def through_shm(blob, check):
+    ring = ShmRing(capacity=1 << 16)
+    try:
+        ring.write([blob])
+        check(decode_shm_frame(ring.read(), lean_sender="w0"))
+        ring.advance()
+    finally:
+        ring.close(unlink=True)
+
+
+def assert_same_grads(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert list(got) == list(want)
+    for name, array in want.items():
+        assert got[name].dtype == array.dtype
+        assert got[name].shape == array.shape
+        assert got[name].tobytes() == array.tobytes()
+
+
+class TestLeanSyncFrames:
+    """``SYNC`` and its mean reply as lean frames (protocol version 4)."""
+
+    @pytest.mark.parametrize("pipe", ["socket", "shm"])
+    @pytest.mark.parametrize("grads", [GRADS, None, {}], ids=["grads", "none", "empty"])
+    @pytest.mark.parametrize("ring_fallback", [False, True])
+    @pytest.mark.parametrize("job", [None, "j1"])
+    def test_sync_round_trip(self, pipe, grads, ring_fallback, job):
+        message = sync(grads, ring_fallback=ring_fallback, job=job)
+
+        def check(parsed):
+            assert (parsed.msg_id, parsed.msg_type, parsed.sender) == (
+                message.msg_id, MessageType.SYNC, "w0"
+            )
+            assert parsed.post is False
+            assert parsed.borrowed is (pipe == "shm")
+            got, want = dict(parsed.payload), dict(message.payload)
+            assert_same_grads(got.pop("grads"), want.pop("grads"))
+            assert got == want
+            assert list(got) == list(want)
+
+        blob = sync_bytes(message)
+        if pipe == "socket":
+            check(over_socket(blob))
+        else:
+            through_shm(blob, check)
+
+    @pytest.mark.parametrize("pipe", ["socket", "shm"])
+    @pytest.mark.parametrize("grads", [GRADS, None], ids=["grads", "none"])
+    def test_mean_round_trip(self, pipe, grads):
+        def check(frame):
+            payload = frame.pop("payload")
+            assert frame == {
+                "kind": "reply", "node": "am", "in_reply_to": 9,
+                "ctx": MEAN_CTX,
+            }
+            assert payload["members"] == 4
+            assert_same_grads(payload["grads"], grads)
+
+        blob = mean_bytes(grads)
+        if pipe == "socket":
+            check(over_socket(blob))
+        else:
+            through_shm(blob, check)
+
+    def test_post_flag_and_strided_and_fortran_arrays(self):
+        grads = {
+            "strided": np.arange(12.0)[::3],
+            "fortran": np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+            "scalar": np.array(2.5),
+        }
+        parsed = over_socket(sync_bytes(sync(grads, post=True)))
+        assert parsed.post is True
+        assert_same_grads(
+            parsed.payload["grads"],
+            {k: np.array(v, order="C") for k, v in grads.items()},
+        )
+
+    def test_head_carries_no_json(self):
+        blob = sync_bytes(sync(job="j1"))
+        (length,) = wire._LENGTH.unpack_from(blob)
+        assert length >> 28 & 3 == wire.LEAN_SYNC
+        head = blob[4:4 + (length & wire._LEAN_HEAD_MASK)]
+        assert wire._SYNC_HEADER.size == 45
+        assert b"{" not in head and b"w0" not in head and b"j1" in head
+
+    def test_ring_segment_prefix_is_unchanged(self):
+        blob = lean_bytes(segment())
+        (length,) = wire._LENGTH.unpack_from(blob)
+        assert length == wire.BINARY_FLAG | wire.LEAN_FLAG | (52 + 10)
+
+    @pytest.mark.parametrize("message", [
+        sync(ctx={"node": "w0", "epoch": 1, "sent": 0.5, "extra": 1}),
+        sync(ctx={"node": "w9", "epoch": 1, "sent": 0.5}),
+        sync(ctx={"node": "w0", "sent": 0.5}),
+        sync(ctx={"job": 7, "node": "w0", "epoch": 1, "sent": 0.5}),
+        sync(extra="key"),
+        sync_with(ring_fallback=False),
+        sync(grads=[np.ones(2)]),
+        sync(grads={"w": [1.0, 2.0]}),
+        sync(grads={"w": np.array([object()])}),
+        sync(grads={"w": np.ones(2, dtype=">f8")}),
+        sync(grads={"w": np.array(["a"])}),
+        sync(grads={1: np.ones(2)}),
+        sync(grads={"x" * 70000: np.ones(2)}),
+        sync(generation=1.5),
+        sync(ctx={"node": "w0", "epoch": -1, "sent": 0.5}),
+    ], ids=[
+        "ctx-extra-key", "ctx-other-node", "ctx-no-epoch", "job-not-str",
+        "extra-key", "fallback-false", "grads-list", "array-a-list",
+        "object-dtype", "foreign-endian", "string-dtype", "name-not-str",
+        "name-too-long", "float-generation", "negative-epoch",
+    ])
+    def test_what_the_sync_header_cannot_say_is_refused_at_the_sender(
+        self, message
+    ):
+        with pytest.raises(wire.WireError, match="sync"):
+            wire.lean_sync_buffers(message, "w0")
+
+    def test_sync_without_grads_key_is_refused(self):
+        message = sync()
+        del message.payload["grads"]
+        with pytest.raises(wire.WireError, match="sync"):
+            wire.lean_sync_buffers(message, "w0")
+
+    def test_sync_sender_must_be_the_handshake_node(self):
+        with pytest.raises(wire.WireError):
+            wire.lean_sync_buffers(sync(), "w1")
+
+    @pytest.mark.parametrize("payload,ctx", [
+        ({"grads": None, "members": 2, "extra": 1}, MEAN_CTX),
+        ({"grads": None}, MEAN_CTX),
+        ({"grads": None, "members": 2.5}, MEAN_CTX),
+        ({"grads": [np.ones(2)], "members": 2}, MEAN_CTX),
+        ({"grads": None, "members": 2}, {"node": "am", "epoch": 1}),
+        ({"grads": None, "members": 2}, dict(MEAN_CTX, node=None)),
+        ({"__error__": "boom"}, MEAN_CTX),
+    ], ids=[
+        "extra-key", "no-members", "float-members", "grads-list",
+        "ctx-short", "node-not-str", "error",
+    ])
+    def test_what_the_mean_header_cannot_say_is_refused(self, payload, ctx):
+        with pytest.raises(wire.WireError, match="reply to sync"):
+            wire.lean_mean_buffers(9, payload, ctx)
+
+    @pytest.mark.parametrize("build", [
+        lambda big: wire.lean_sync_buffers(sync({"w": big}), "w0"),
+        lambda big: wire.lean_mean_buffers(
+            9, {"grads": {"w": big}, "members": 2}, MEAN_CTX
+        ),
+    ], ids=["sync", "mean"])
+    def test_oversize_frame_rejected_on_write(self, build):
+        big = np.zeros(wire.MAX_FRAME_BYTES // 8 + 1)
+        with pytest.raises(wire.WireError, match="exceeds"):
+            build(big)
+
+
+def shm_parse(blob):
+    return decode_shm_frame(memoryview(blob), lean_sender="w0")
+
+
+def patched(blob, offset, fmt, value):
+    blob = bytearray(blob)
+    struct.pack_into(fmt, blob, offset, value)
+    return bytes(blob)
+
+
+def with_head(blob, head, body=b""):
+    """``blob``'s prefix (kind kept) measuring ``head`` instead."""
+    (length,) = wire._LENGTH.unpack_from(blob)
+    prefix = length & ~wire._LEAN_HEAD_MASK | len(head)
+    return wire._LENGTH.pack(prefix) + head + body
+
+
+def head_and_body(blob):
+    (length,) = wire._LENGTH.unpack_from(blob)
+    head_len = length & wire._LEAN_HEAD_MASK
+    return blob[4:4 + head_len], blob[4 + head_len:]
+
+
+#: Offset of the first array record in ``sync_bytes(sync())``: prefix,
+#: fixed header, no job text.
+FIRST_RECORD = 4 + 45
+
+
+class TestLeanSyncHardening:
+    """A corrupt lean SYNC or mean is a ``WireError``, never a numpy or
+    struct error, and nothing is allocated for a body that cannot be."""
+
+    @pytest.mark.parametrize("blob", [
+        sync_bytes(sync()), sync_bytes(sync(None, job="j1")), mean_bytes(),
+    ], ids=["sync", "sync-no-grads", "mean"])
+    def test_every_truncated_head_is_a_wire_error(self, blob):
+        head, _ = head_and_body(blob)
+        for cut in range(len(head)):
+            with pytest.raises(wire.WireError):
+                shm_parse(with_head(blob, head[:cut]))
+
+    @pytest.mark.parametrize("kind,itemsize", [
+        (ord("O"), 8), (ord("S"), 0), (ord("V"), 0), (ord("x"), 8),
+        (200, 8), (ord("f"), 3),
+    ])
+    def test_bad_dtype_code_is_a_wire_error(self, kind, itemsize):
+        blob = bytearray(sync_bytes(sync()))
+        blob[FIRST_RECORD + 2:FIRST_RECORD + 4] = bytes([kind, itemsize])
+        with pytest.raises(wire.WireError):
+            shm_parse(bytes(blob))
+
+    @pytest.mark.parametrize("offset,fmt,value", [
+        (FIRST_RECORD, ">H", 0xFFFF),          # name runs past the head
+        (FIRST_RECORD + 4, ">B", 200),         # shape runs past the head
+        (4 + 43, ">H", 0xFFFF),                # text runs past the head
+        (4 + 41, ">H", 60),                    # more records than the head
+        (4 + 41, ">H", 1),                     # fewer records than the head
+    ], ids=["name", "shape", "text", "more-arrays", "fewer-arrays"])
+    def test_table_that_overruns_is_a_wire_error(self, offset, fmt, value):
+        with pytest.raises(wire.WireError):
+            shm_parse(patched(sync_bytes(sync()), offset, fmt, value))
+
+    def test_body_longer_or_shorter_than_the_table_is_a_wire_error(self):
+        blob = sync_bytes(sync())
+        for wrong in (blob + b"\0" * 8, blob[:-8]):
+            with pytest.raises(wire.WireError, match="disagrees"):
+                shm_parse(wrong)
+        writer, reader = socket.socketpair()
+        try:
+            writer.sendall(blob[:-8])
+            writer.close()
+            with pytest.raises(wire.WireError, match="mid-frame"):
+                wire.read_frame(reader, lean_sender="w0")
+        finally:
+            reader.close()
+
+    def test_table_over_the_frame_limit_asks_for_no_body(self):
+        grads = {"w": np.ones(2)}
+        head, _ = head_and_body(sync_bytes(sync(grads)))
+        # the one record's single dimension: 2 -> 2**40 elements
+        head = patched(head, 45 + 5, ">Q", 2 ** 40)
+
+        def body_of(nbytes):
+            raise AssertionError(f"asked for a {nbytes}-byte body")
+
+        with pytest.raises(wire.WireError, match="exceeds"):
+            wire.parse_lean_sync(head, body_of, "w0", borrowed=True)
+
+    def test_impossible_shape_is_a_wire_error(self):
+        grads = {"w": np.ones((0, 2))}
+        blob = sync_bytes(sync(grads))
+        # 0 x 2**63: no bytes, but no array numpy can shape either
+        blob = patched(blob, FIRST_RECORD + 5 + 8, ">Q", 2 ** 63)
+        with pytest.raises(wire.WireError, match="impossible"):
+            shm_parse(blob)
+
+    def test_one_name_twice_is_a_wire_error(self):
+        blob = sync_bytes(sync({"a": np.ones(1), "b": np.ones(1)}))
+        # each record: 5 bytes, one u64 dimension, a one-letter name
+        second_name = FIRST_RECORD + 14 + 13
+        assert blob[second_name:second_name + 1] == b"b"
+        blob = patched(blob, second_name, ">B", ord("a"))
+        with pytest.raises(wire.WireError, match="twice"):
+            shm_parse(blob)
+
+    @pytest.mark.parametrize("blob,offset", [
+        (sync_bytes(sync()), 4 + 8), (mean_bytes(), 4 + 8),
+    ], ids=["sync", "mean"])
+    def test_unknown_flags_are_a_wire_error(self, blob, offset):
+        with pytest.raises(wire.WireError, match="flags"):
+            shm_parse(patched(blob, offset, ">B", 0x80))
+
+    def test_no_grads_flag_with_a_table_is_a_wire_error(self):
+        with pytest.raises(wire.WireError, match="flags"):
+            shm_parse(patched(sync_bytes(sync()), 4 + 8, ">B", 4))
+
+    def test_unknown_lean_kind_is_a_wire_error(self):
+        blob = sync_bytes(sync())
+        (length,) = wire._LENGTH.unpack_from(blob)
+        blob = wire._LENGTH.pack(length | 3 << 28) + blob[4:]
+        with pytest.raises(wire.WireError, match="kind"):
+            shm_parse(blob)
+        with pytest.raises(wire.WireError, match="kind"):
+            over_socket(blob)
