@@ -1,11 +1,12 @@
 """Live measurement: the wall-clock cost of an in-process commit.
 
 The Fig. 15 numbers come from calibrated models of the paper's hardware;
-this benchmark measures the *live runtime's* steps 4-5 (state capture via
-hooks, replication, group reconstruction, repartition, scaling decision)
-on real threads.  It cannot reproduce the paper's absolute seconds — the
-state is a toy MLP and the transport is memory — but it demonstrates that
-the protocol machinery itself adds only milliseconds on top of the data
+this benchmark measures the networked AM's commits on real threads —
+request to committed adjustment: the joiners' report polls, the plan
+and its scaling decision, the directive acks, the snapshot upload and
+fetch.  It cannot reproduce the paper's absolute seconds — the state is
+a toy MLP and the transport is memory — but it demonstrates that the
+protocol machinery itself adds only milliseconds on top of the data
 movement, i.e. the ~1 s adjustments in Fig. 15 are transfer-bound, not
 protocol-bound.
 """
@@ -15,31 +16,29 @@ import time
 
 from conftest import fmt_row
 
-from repro.coordination import ElasticRuntime
 from repro.coordination.messages import MessageType
+from repro.core import ElasticJob
 from repro.net import JobSpec, LocalJob
-from repro.training import make_classification
 
 ADJUSTMENTS = 6
 
 
 def run_live_job():
-    dataset = make_classification(train_size=1024, test_size=256, seed=61)
-    runtime = ElasticRuntime(
-        dataset, initial_workers=2, total_batch_size=64, seed=61
+    job = ElasticJob(
+        workers=2, total_batch_size=64, seed=61, train_size=1024,
+        test_size=256, coordination_interval=1, iterations=600,
+        iteration_sleep=0.002,
     )
-    runtime.start()
-    committed = 0
-    for step in range(ADJUSTMENTS):
-        runtime.wait_until_iteration(runtime.snapshot()["iteration"] + 3)
-        if step % 2 == 0:
-            runtime.scale_out(2)
-        else:
-            runtime.scale_in(2)
-        committed += 1
-        assert runtime.wait_for_adjustments(committed)
-    runtime.stop()
-    return runtime.commit_latencies
+    with job:
+        for step in range(ADJUSTMENTS):
+            assert job.wait_until_iteration(job.status()["iteration"] + 3)
+            if step % 2 == 0:
+                job.scale_out(2)
+            else:
+                job.scale_in(2)
+            assert job.wait_for_adjustments(step + 1)
+    assert len(set(job.digests().values())) == 1
+    return [adjustment.latency for adjustment in job.history]
 
 
 def test_live_commit_latency(benchmark, save_result):

@@ -12,7 +12,8 @@ models and prints Fig. 18 / Fig. 19 / Table IV.
 Run:  python examples/elastic_training_adabatch.py
 """
 
-from repro.core import ElasticTrainingExperiment, ElasticJob, WeakScalingPolicy
+from repro.core import ElasticJob, ElasticTrainingExperiment
+from repro.core.hybrid_scaling import ScalingSpec
 from repro.training import make_classification, train_single
 
 
@@ -27,26 +28,30 @@ def live_adabatch_run():
 
     # Elastic: double the batch at two points; Elan doubles the workers
     # (weak scaling) and ramps the LR progressively.
-    job = ElasticJob(
-        dataset, workers=2, total_batch_size=64, base_lr=0.01,
-        scaling_policy=WeakScalingPolicy(ramp_iterations=15), seed=3,
-    )
     iterations_per_phase = 4 * (dataset.train_size // 64)
+    job = ElasticJob(
+        workers=2, train_size=4096, test_size=1024, input_dim=32,
+        hidden_dim=64, num_classes=10, total_batch_size=64, base_lr=0.01,
+        seed=3,
+        iterations=2 * iterations_per_phase,
+        scaling=ScalingSpec("weak", ramp_iterations=15),
+    )
     with job:
         job.wait_until_iteration(iterations_per_phase)
         job.scale_out(2)  # batch 64 -> 128 on 4 workers
         job.wait_for_adjustments(1)
-        job.wait_until_iteration(job.status()["iteration"] + iterations_per_phase // 2)
+        job.wait_until_iteration(
+            job.status()["iteration"] + iterations_per_phase // 2
+        )
         job.scale_out(4)  # batch 128 -> 256 on 8 workers
         job.wait_for_adjustments(2)
-        job.wait_until_iteration(job.status()["iteration"] + iterations_per_phase // 4)
     print(f"elastic (batch 64->128->256):  accuracy {job.evaluate():.3f}")
-    for plan in job.history:
+    for adjustment in job.history:
         print(
-            f"  scaled to {len(plan.group)} workers at iteration "
-            f"{plan.commit_iteration}: batch {plan.total_batch_size}, "
-            f"lr ramps to {plan.lr_ramp.target_lr:.3f}"
-            if plan.lr_ramp else ""
+            f"  scaled to {len(adjustment.group)} workers at iteration "
+            f"{adjustment.commit_iteration}: batch "
+            f"{adjustment.total_batch_size}, lr ramps to "
+            f"{adjustment.schedule.lr_ramp.target_lr:.3f}"
         )
 
 

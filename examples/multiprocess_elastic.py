@@ -51,8 +51,6 @@ Sharded-migration knobs (docs/PROTOCOL.md "Sharded plans"):
   (0, the default, plans one AM-owned shard; 2 makes w0 and w1
   each freeze the snapshot and serve disjoint shard halves directly to
   the joiners over the peer mesh),
-* ``ELAN_ZERO`` — nonzero enables the ZeRO-style sharded optimizer
-  axis (each worker persists only its optimizer shard),
 * ``ELAN_SHARD_OWNER_KILL`` — hard-kill shard owner w0 after it served
   this many shard chunks (mid-fetch); the joiners must re-plan the
   dead owner's shards onto the surviving owner (or the AM), the lease
@@ -122,7 +120,6 @@ def main() -> int:
         # Sharded migration: the scale-out snapshot fans in from this
         # many owner peers instead of trickling out of the AM alone.
         replication_shards=shards,
-        zero_optimizer=_env_int("ELAN_ZERO", 0) > 0,
     )
     trace_dir = os.environ.get(
         "ELAN_WORKER_TRACE_DIR"

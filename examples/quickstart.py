@@ -1,10 +1,12 @@
 """Quickstart: elastic training with the Table III API.
 
-Starts a 2-worker data-parallel job on the live threaded runtime, then —
-while training keeps running — scales out to 4 workers, scales back in,
-and finally migrates the whole job onto fresh workers.  Every adjustment
-follows the paper's 5-step procedure: request, report, coordinate,
-replicate, adjust.
+Starts a 2-worker data-parallel job on the networked stack in this
+process (the AM plus one worker thread each, over the in-memory
+transport), then — while training keeps running — scales out to 4
+workers, scales back in, and finally migrates the whole job onto fresh
+workers.  Every adjustment follows the paper's 5-step procedure:
+request, report, coordinate, replicate, adjust; weak scaling grows the
+total batch with the workers and ramps the learning rate (§III).
 
 Run:  python examples/quickstart.py
 
@@ -15,20 +17,24 @@ docs/OBSERVABILITY.md.
 
 import os
 
-from repro.coordination import params_consistent
-from repro.core import ElasticJob, WeakScalingPolicy
-from repro.training import make_classification
+from repro.core import ElasticJob
+from repro.core.hybrid_scaling import ScalingSpec
+from repro.observability import Tracer
 
 
 def main():
-    dataset = make_classification(train_size=2048, test_size=512, seed=7)
+    tracer = Tracer(process="elan-live")
     job = ElasticJob(
-        dataset,
         workers=2,
+        train_size=2048,
+        test_size=512,
         total_batch_size=64,
         base_lr=0.02,
-        scaling_policy=WeakScalingPolicy(ramp_iterations=20),
         seed=7,
+        iterations=200,
+        iteration_sleep=0.005,
+        scaling=ScalingSpec("weak", ramp_iterations=20),
+        tracer=tracer,
     )
     print("starting a 2-worker elastic job ...")
     with job:
@@ -50,24 +56,26 @@ def main():
         migrated = job.migrate()
         job.wait_for_adjustments(3)
         print(f"  now running on {migrated}: {job.status()}")
-        job.wait_until_iteration(job.status()["iteration"] + 30)
+        print(f"training out the {job.spec.iterations}-iteration budget ...")
 
-    contexts = job.runtime.final_contexts()
-    print(f"replicas consistent: {params_consistent(contexts)}")
+    digests = job.digests()
+    consistent = len(set(digests.values())) == 1
+    print(f"replicas consistent: {consistent} ({len(digests)} workers)")
     print(f"test accuracy after elastic training: {job.evaluate():.3f}")
     print("adjustments committed:")
-    for plan in job.history:
+    for adjustment in job.history:
         print(
-            f"  {plan.kind.value:9s} at iteration {plan.commit_iteration:4d} "
-            f"-> group {plan.group}, batch {plan.total_batch_size}, "
-            f"strategy {plan.strategy}"
+            f"  at iteration {adjustment.commit_iteration:4d} "
+            f"-> group {adjustment.group}, batch "
+            f"{adjustment.total_batch_size}, strategy {adjustment.strategy}"
         )
 
     trace_path = os.environ.get("ELAN_TRACE")
     if trace_path:
-        tracer = job.runtime.tracer
         tracer.export(trace_path)
         print(f"trace: {len(tracer.to_events())} events -> {trace_path}")
+    if len(job.history) != 3 or not consistent:
+        raise SystemExit("expected three committed adjustments on one digest")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ The package is organized bottom-up:
 * :mod:`repro.perfmodel` — calibrated throughput/bandwidth/convergence models;
 * :mod:`repro.training` — numpy training substrate + Table II state;
 * :mod:`repro.replication` — concurrent IO-free replication (§IV);
-* :mod:`repro.coordination` — AM, protocol, live elastic runtime (§II, §V);
+* :mod:`repro.coordination` — AM, protocol, store, DES twin (§II, §V);
+* :mod:`repro.net` — the live stack: networked AM + worker agents;
 * :mod:`repro.core` — hybrid scaling, progressive LR, AdaBatch, the
   Table III API facade, the §VI-B experiment;
 * :mod:`repro.baselines` — Shutdown-Restart and Litz;
@@ -17,9 +18,8 @@ The package is organized bottom-up:
 Quick start::
 
     from repro.core import ElasticJob
-    from repro.training import make_classification
 
-    with ElasticJob(make_classification(), workers=2) as job:
+    with ElasticJob(workers=2, iterations=200) as job:
         job.wait_until_iteration(50)
         job.scale_out(2)          # training continues while workers start
         job.wait_for_adjustments(1)

@@ -240,22 +240,19 @@ def cmd_tracing(args) -> int:
         return 0
 
     if args.action == "demo":
-        from .core import ElasticJob, WeakScalingPolicy
-        from .training import make_classification
+        from .core import ElasticJob
+        from .core.hybrid_scaling import ScalingSpec
+        from .observability import Tracer
 
-        dataset = make_classification(
-            train_size=512, test_size=128, seed=args.seed
-        )
+        tracer = Tracer(process="elan-live")
         with ElasticJob(
-            dataset, workers=2, total_batch_size=64, base_lr=0.02,
-            scaling_policy=WeakScalingPolicy(ramp_iterations=5),
-            seed=args.seed,
+            workers=2, total_batch_size=64, base_lr=0.02, seed=args.seed,
+            iterations=40, iteration_sleep=0.005, tracer=tracer,
+            scaling=ScalingSpec("weak", ramp_iterations=5),
         ) as job:
             job.wait_until_iteration(10)
             job.scale_out(2)
             job.wait_for_adjustments(1)
-            job.wait_until_iteration(job.status()["iteration"] + 10)
-        tracer = job.runtime.tracer
         tracer.export(args.path)
         print(f"wrote {len(tracer.to_events())} events to {args.path}")
         print("open in https://ui.perfetto.dev or chrome://tracing")
@@ -439,23 +436,28 @@ def cmd_fleet(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    """Run a short live elastic-training demo."""
-    from .coordination import params_consistent
-    from .core import ElasticJob, WeakScalingPolicy
-    from .training import make_classification
+    """Run a short live elastic-training demo: weak scale-out 2 -> 4."""
+    from .core import ElasticJob
+    from .core.hybrid_scaling import ScalingSpec
 
-    dataset = make_classification(train_size=1024, test_size=256, seed=args.seed)
     with ElasticJob(
-        dataset, workers=2, total_batch_size=64, base_lr=0.02,
-        scaling_policy=WeakScalingPolicy(ramp_iterations=10), seed=args.seed,
+        workers=2, train_size=1024, test_size=256, total_batch_size=64,
+        base_lr=0.02, seed=args.seed, iterations=60, iteration_sleep=0.005,
+        scaling=ScalingSpec("weak", ramp_iterations=10),
     ) as job:
         job.wait_until_iteration(20)
         print(f"running: {job.status()}")
         job.scale_out(2)
         job.wait_for_adjustments(1)
         print(f"scaled out: {job.status()}")
-        job.wait_until_iteration(job.status()["iteration"] + 20)
-    consistent = params_consistent(job.runtime.final_contexts())
+    for adjustment in job.history:
+        print(
+            f"committed at iteration {adjustment.commit_iteration}: "
+            f"group {adjustment.group}, batch {adjustment.total_batch_size} "
+            f"({adjustment.strategy}), lr ramps to "
+            f"{adjustment.schedule.lr_ramp.target_lr:.3f}"
+        )
+    consistent = len(set(job.digests().values())) == 1
     print(f"replicas consistent: {consistent}; accuracy {job.evaluate():.3f}")
     return 0 if consistent else 1
 
@@ -476,7 +478,6 @@ def cmd_serve(args) -> int:
         worker_lease_ttl=args.lease_ttl,
         telemetry_interval=args.telemetry_interval,
         replication_shards=args.shards,
-        zero_optimizer=args.zero_optimizer,
     )
     workers = [f"w{i}" for i in range(args.workers)]
     tracer = Tracer(process="elan-net") if args.trace else None
@@ -935,10 +936,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shard owners per adjustment: joiners fan in "
                             "shard slices from this many survivors over "
                             "the peer mesh (0 = AM-served fan-out)")
-    serve.add_argument("--zero-optimizer", action="store_true",
-                       help="ZeRO-style sharded optimizer state: each "
-                            "worker persists only its rank's velocity "
-                            "shard (resharded at every adjustment)")
 
     join = sub.add_parser(
         "join", help="run one worker agent against a serving AM"

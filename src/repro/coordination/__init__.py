@@ -1,6 +1,5 @@
-"""Elan's control plane: AM, protocol, store, hooks, live runtime (§II, §V)."""
+"""Elan's control plane: AM, protocol, store, hooks, timed twin (§II, §V)."""
 
-from .collective import Collective, CollectiveAborted
 from .dessim import SimulatedAdjustment, SimulatedElasticJob
 from .faults import ExponentialBackoff, FaultPlan, LeaseExpired, SilentCrash
 from .hooks import Hook, HookRegistry
@@ -19,19 +18,11 @@ from .messages import (
     MessageFactory,
     MessageType,
 )
-from .runtime import (
-    ElasticRuntime,
-    GroupPlan,
-    WorkerContext,
-    params_consistent,
-)
 from .store import (
     TOMBSTONE,
     CasConflict,
     KeyValueStore,
     LeaseRevoked,
-    RetryingStore,
-    StoreUnavailable,
 )
 from .telemetry import RuntimeTelemetry, TelemetryEvent
 
@@ -40,15 +31,11 @@ __all__ = [
     "AdjustmentRequest",
     "ApplicationMaster",
     "CasConflict",
-    "Collective",
-    "CollectiveAborted",
     "DeduplicatingInbox",
     "Directive",
     "DirectiveKind",
-    "ElasticRuntime",
     "ExponentialBackoff",
     "FaultPlan",
-    "GroupPlan",
     "Hook",
     "HookRegistry",
     "KeyValueStore",
@@ -56,17 +43,13 @@ __all__ = [
     "LeaseRevoked",
     "MasterState",
     "Message",
-    "RetryingStore",
     "RuntimeTelemetry",
     "SilentCrash",
     "SimulatedAdjustment",
     "SimulatedElasticJob",
     "StaleEpochError",
-    "StoreUnavailable",
     "TelemetryEvent",
     "TOMBSTONE",
     "MessageFactory",
     "MessageType",
-    "WorkerContext",
-    "params_consistent",
 ]

@@ -5,7 +5,7 @@ from discrete-event processes: a lockstep training group iterating at the
 calibrated iteration time, new-worker processes that start + initialize
 (with jitter) before reporting, and commits whose pause is computed from
 the topology-aware replication plan.  The same AM code thus runs in three
-harnesses — unit tests, the live threaded runtime, and this simulator —
+harnesses — unit tests, the networked AM, and this simulator —
 and the simulator's measured adjustment latencies cross-validate the
 closed-form :class:`~repro.baselines.timing.ElanAdjustmentModel`.
 """
@@ -74,8 +74,8 @@ class SimulatedElasticJob:
         tracer: "Tracer | None" = None,
     ):
         self.sim = Simulator()
-        #: Span recorder on *simulated* time — the same span taxonomy the
-        #: live runtime emits on wall time (docs/OBSERVABILITY.md).  An
+        #: Span recorder on *simulated* time — the adjustment spans the
+        #: live stack emits on wall time (docs/OBSERVABILITY.md).  An
         #: externally supplied tracer must read this job's ``sim.now``.
         self.tracer = tracer or Tracer(
             clock=lambda: self.sim.now, process="elan-dessim"
@@ -98,7 +98,7 @@ class SimulatedElasticJob:
         self._running = True
         self._actions: typing.List = []
 
-        # -- supervision twin (mirrors ElasticRuntime's live supervisor) --
+        # -- supervision twin (lease detect -> recover on sim time) --
         if lease_ttl is not None and lease_ttl <= 0:
             raise ValueError("lease_ttl must be > 0")
         self.lease_ttl = lease_ttl
@@ -107,10 +107,8 @@ class SimulatedElasticJob:
         )
         self.fault_plan = fault_plan
         #: The etcd stand-in, ticking on *simulated* time: lease deadlines
-        #: and outage windows are measured in sim seconds.
+        #: are measured in sim seconds.
         self.store = KeyValueStore(clock=lambda: self.sim.now)
-        if fault_plan is not None and fault_plan.store_outages:
-            self.store.set_outages(fault_plan.store_outages)
         #: (worker_id, detection latency in sim seconds) per detection.
         self.detections: typing.List[tuple] = []
         #: (removed worker ids, MTTR in sim seconds) per auto-recovery.

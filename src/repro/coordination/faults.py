@@ -4,10 +4,10 @@ The supervision layer (leases, fencing, automatic recovery) is only
 credible if the failure matrix it defends against is drivable from
 tests.  A :class:`FaultPlan` declares, up front and deterministically,
 every fault one run should suffer — worker crashes (loud or silent),
-control-plane message loss, forced lease expiries, store outages,
-replication transfer failures, an AM crash — and is threaded through the
-live runtime, the discrete-event simulator and the replication executor
-so all three harnesses replay the same scenario.
+control-plane message loss, forced lease expiries, replication
+transfer failures, an AM crash — and is threaded through the networked
+stack's links, the discrete-event simulator and the replication
+executor so every harness replays the same scenario.
 
 :class:`ExponentialBackoff` is the shared degradation policy: bounded
 exponential delays with an injectable sleeper, so retry loops are
@@ -36,7 +36,7 @@ class SilentCrash(BaseException):
     Models a ``kill -9``/machine loss: the thread vanishes without
     recording its own death or aborting the collective, so the *only*
     way the system can notice is the lease expiring.  Derives from
-    ``BaseException`` on purpose — the runtime's crash handler catches
+    ``BaseException`` on purpose — a worker's crash handler catches
     ``Exception``-like failures loudly; this must slip past it.
     """
 
@@ -84,7 +84,7 @@ class FaultPlan:
 
     Every field is optional; an empty plan injects nothing.  Times are
     on the clock of whichever harness consumes the plan (wall clock for
-    the live runtime, simulated seconds for dessim).
+    the live stack, simulated seconds for dessim).
     """
 
     #: worker id -> iteration at which its thread raises (a loud crash).
@@ -117,11 +117,6 @@ class FaultPlan:
     lease_expiries: typing.Mapping[str, float] = dataclasses.field(
         default_factory=dict
     )
-    #: make the next n store operations raise ``StoreUnavailable``
-    #: (an op-count outage: deterministic, clock-free).
-    store_outage_ops: int = 0
-    #: (start, end) clock windows during which every store op fails.
-    store_outages: typing.Tuple[typing.Tuple[float, float], ...] = ()
     #: replication transfer index (plan order) -> how many times it
     #: fails before succeeding.
     transfer_failures: typing.Mapping[int, int] = dataclasses.field(

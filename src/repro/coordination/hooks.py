@@ -40,6 +40,10 @@ class HookRegistry:
             raise KeyError(f"no hook named {name!r}")
         del self._hooks[name]
 
+    def __iter__(self) -> "typing.Iterator[Hook]":
+        """Registered hooks, in registration order."""
+        return iter(list(self._hooks.values()))
+
     @property
     def names(self) -> "list[str]":
         """Registered hook names, in registration order."""

@@ -9,12 +9,13 @@ coordinates workers through the 5-step procedure of Fig. 2:
    commits at the first coordination point after every new worker has
    reported — existing workers never wait or shut down (the asynchronous
    coordination mechanism);
-4. state replication and 5. state adjustment are executed by the runtime
+4. state replication and 5. state adjustment are executed by the workers
    at the commit point the AM chose.
 
-The AM is deliberately transport-free pure logic: the live threaded
-runtime calls it under a lock, the discrete-event experiments drive it
-with simulated time, and both get identical decisions.  Every transition
+The AM is deliberately transport-free pure logic: the networked AM
+(:mod:`repro.net.master_service`) calls it under a lock, the
+discrete-event experiments drive it with simulated time, and both get
+identical decisions.  Every transition
 is persisted to a :class:`~repro.coordination.store.KeyValueStore`
 (the etcd stand-in) so a failed AM can be recovered (§V-D).
 """
@@ -132,12 +133,14 @@ class ApplicationMaster:
     ):
         if not workers:
             raise ValueError("a job needs at least one worker")
+        if len(set(workers)) != len(workers):
+            raise ValueError(f"duplicate worker ids in {list(workers)}")
         if coordination_interval < 1:
             raise ValueError("coordination_interval must be >= 1")
         self.job_id = job_id
         self.store = store or KeyValueStore()
         self.coordination_interval = coordination_interval
-        #: Optional span recorder; both the live runtime and the DES twin
+        #: Optional span recorder; both the networked AM and the DES twin
         #: hand theirs in, so AM transitions land on either timeline.
         self.tracer = tracer
         self._directive_span = None
@@ -295,7 +298,7 @@ class ApplicationMaster:
         )
 
     def finish_adjustment(self) -> None:
-        """Called by the runtime once steps 4-5 completed at the commit."""
+        """Called by the harness once steps 4-5 completed at the commit."""
         self._check_fenced()
         directive = self._commit_directive()
         self.group = directive.new_group

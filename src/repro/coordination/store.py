@@ -12,12 +12,9 @@ version (and notifies watchers with :data:`TOMBSTONE`) instead of
 resetting it, so a delete + re-put can never resurrect a version number
 and let a stale ``compare_and_swap`` succeed (the ABA hazard).
 
-The clock used for leases is injectable — the live runtime keeps the
-default monotonic wall clock while the discrete-event simulator plugs in
-its simulated ``now`` — and availability faults (op-count or clock-window
-outages) can be injected for degradation tests.  :class:`RetryingStore`
-is the degradation policy: it wraps a store and retries unavailable
-operations under bounded exponential backoff.
+The clock used for leases is injectable — the default is the monotonic
+wall clock, and the discrete-event simulator plugs in its simulated
+``now``.
 """
 
 from __future__ import annotations
@@ -26,18 +23,12 @@ import threading
 import time
 import typing
 
-from .faults import ExponentialBackoff
-
 #: Sentinel delivered to watchers when a key is deleted.
 TOMBSTONE: typing.Any = object()
 
 
 class CasConflict(Exception):
     """Raised when a compare-and-swap loses a race."""
-
-
-class StoreUnavailable(Exception):
-    """Raised by store operations during an injected outage."""
 
 
 class LeaseRevoked(RuntimeError):
@@ -58,44 +49,12 @@ class KeyValueStore:
         self._deadlines: typing.Dict[str, float] = {}
         #: Leases revoked by force_expire; keep_alive cannot revive them.
         self._revoked: typing.Set[str] = set()
-        self._outage_ops = 0
-        self._outage_windows: typing.Tuple[typing.Tuple[float, float], ...] = ()
-
-    # -- fault injection -------------------------------------------------------
-
-    def fail_next(self, count: int) -> None:
-        """Make the next ``count`` operations raise StoreUnavailable."""
-        with self._lock:
-            self._outage_ops = max(0, int(count))
-
-    def set_outages(
-        self, windows: typing.Sequence[typing.Tuple[float, float]]
-    ) -> None:
-        """Fail every operation whose clock time falls in a window."""
-        with self._lock:
-            self._outage_windows = tuple(
-                (float(start), float(end)) for start, end in windows
-            )
-
-    def _check_available(self) -> None:
-        # Caller holds the lock.
-        if self._outage_ops > 0:
-            self._outage_ops -= 1
-            raise StoreUnavailable("injected op-count outage")
-        if self._outage_windows:
-            now = self.clock()
-            for start, end in self._outage_windows:
-                if start <= now < end:
-                    raise StoreUnavailable(
-                        f"injected outage window [{start}, {end}) at {now}"
-                    )
 
     # -- core operations -------------------------------------------------------
 
     def put(self, key: str, value: object) -> int:
         """Store ``value``; returns the new version (monotone per key)."""
         with self._lock:
-            self._check_available()
             new_version = self._versions.get(key, 0) + 1
             self._versions[key] = new_version
             self._data[key] = value
@@ -107,7 +66,6 @@ class KeyValueStore:
     def get(self, key: str, default: object = None) -> object:
         """Current value of ``key`` (or ``default``)."""
         with self._lock:
-            self._check_available()
             return self._data.get(key, default)
 
     def version(self, key: str) -> int:
@@ -126,7 +84,6 @@ class KeyValueStore:
         sneak through.
         """
         with self._lock:
-            self._check_available()
             version = self._versions.get(key, 0)
             if version != expected_version:
                 raise CasConflict(
@@ -148,7 +105,6 @@ class KeyValueStore:
         silence and stale CAS attempts keep failing after a re-put.
         """
         with self._lock:
-            self._check_available()
             existed = key in self._data
             if not existed:
                 return False
@@ -187,7 +143,6 @@ class KeyValueStore:
     def keys(self, prefix: str = "") -> "list[str]":
         """All live keys under ``prefix``, sorted."""
         with self._lock:
-            self._check_available()
             return sorted(k for k in self._data if k.startswith(prefix))
 
     # -- leases (heartbeat substrate for failure detection) --------------------
@@ -202,7 +157,6 @@ class KeyValueStore:
         if ttl <= 0:
             raise ValueError(f"ttl must be > 0, got {ttl}")
         with self._lock:
-            self._check_available()
             if key in self._revoked:
                 raise LeaseRevoked(
                     f"lease {key!r} was revoked; delete it before re-leasing"
@@ -226,7 +180,6 @@ class KeyValueStore:
         if ttl <= 0:
             raise ValueError(f"ttl must be > 0, got {ttl}")
         with self._lock:
-            self._check_available()
             if key not in self._deadlines or key in self._revoked:
                 return False
             self._deadlines[key] = self.clock() + ttl
@@ -249,7 +202,6 @@ class KeyValueStore:
         :meth:`delete` — detection and reaction are separate steps.
         """
         with self._lock:
-            self._check_available()
             now = self.clock()
             return sorted(
                 key
@@ -269,84 +221,3 @@ class KeyValueStore:
             self._deadlines[key] = self.clock() if at is None else float(at)
             self._revoked.add(key)
 
-
-class RetryingStore:
-    """A store proxy that rides out outages with bounded backoff.
-
-    Wraps any :class:`KeyValueStore` and retries operations that raise
-    :class:`StoreUnavailable`, sleeping between attempts through the
-    backoff's injectable sleeper.  Exhausting the attempt budget
-    re-raises — degradation is bounded, not silent.
-    """
-
-    def __init__(
-        self,
-        store: KeyValueStore,
-        max_attempts: int = 8,
-        backoff: "ExponentialBackoff | None" = None,
-    ):
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-        self.store = store
-        self.max_attempts = max_attempts
-        self.backoff = backoff or ExponentialBackoff()
-        self.retries = 0
-
-    @property
-    def clock(self) -> typing.Callable[[], float]:
-        """The underlying store's clock."""
-        return self.store.clock
-
-    def _retry(self, operation: typing.Callable[[], typing.Any]) -> typing.Any:
-        for attempt in range(self.max_attempts):
-            try:
-                return operation()
-            except StoreUnavailable:
-                if attempt + 1 >= self.max_attempts:
-                    raise
-                self.retries += 1
-                self.backoff.wait(attempt)
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    def put(self, key: str, value: object) -> int:
-        return self._retry(lambda: self.store.put(key, value))
-
-    def get(self, key: str, default: object = None) -> object:
-        return self._retry(lambda: self.store.get(key, default))
-
-    def version(self, key: str) -> int:
-        return self.store.version(key)
-
-    def compare_and_swap(
-        self, key: str, expected_version: int, value: object
-    ) -> int:
-        return self._retry(
-            lambda: self.store.compare_and_swap(key, expected_version, value)
-        )
-
-    def delete(self, key: str) -> bool:
-        return self._retry(lambda: self.store.delete(key))
-
-    def watch(self, prefix, callback):
-        return self.store.watch(prefix, callback)
-
-    def keys(self, prefix: str = "") -> "list[str]":
-        return self._retry(lambda: self.store.keys(prefix))
-
-    def lease(self, key: str, value: object, ttl: float) -> int:
-        return self._retry(lambda: self.store.lease(key, value, ttl))
-
-    def keep_alive(self, key: str, ttl: float) -> bool:
-        return self._retry(lambda: self.store.keep_alive(key, ttl))
-
-    def lease_deadline(self, key: str) -> "float | None":
-        return self.store.lease_deadline(key)
-
-    def lease_revoked(self, key: str) -> bool:
-        return self.store.lease_revoked(key)
-
-    def expired_keys(self, prefix: str = "") -> "list[str]":
-        return self._retry(lambda: self.store.expired_keys(prefix))
-
-    def force_expire(self, key: str, at: "float | None" = None) -> None:
-        self.store.force_expire(key, at)

@@ -1,12 +1,7 @@
-"""Runtime observability: per-worker timings, events, straggler detection.
+"""The discrete-event twin's control-plane event log.
 
-Synchronous data-parallel training hides stragglers inside the allreduce
-barrier — every member's *iteration* time equals the slowest member's.
-The telemetry therefore records each worker's **compute** time (iteration
-start to allreduce entry), which isolates the slow worker, plus a
-structured event log of adjustments and failures.  The straggler-
-mitigation example uses :meth:`RuntimeTelemetry.detect_stragglers` to
-pick its victim instead of cheating.
+A structured log of adjustments, failure detections and recoveries,
+with the detect-half latencies and repair times (MTTR) they imply.
 
 The collector sits on top of a
 :class:`~repro.observability.MetricRegistry`: every recording also feeds
@@ -16,20 +11,18 @@ the same numbers the query API serves.
 ==============================================  =========
 metric                                          kind
 ==============================================  =========
-``worker.compute_seconds``                      histogram
 ``failure.detection_latency_seconds``           histogram
 ``failure.mttr_seconds``                        histogram
 ``events.<kind>``                               counter
 ==============================================  =========
 
-Event timestamps come from an injectable ``clock`` (wall time in the
-live runtime, simulated time under the discrete-event twin), so dessim
-replays produce deterministic event logs.
+Event timestamps come from an injectable ``clock`` (simulated time
+under the discrete-event twin), so dessim replays produce deterministic
+event logs.
 """
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import statistics
 import threading
@@ -54,48 +47,31 @@ class TelemetryEvent:
 
 
 class RuntimeTelemetry:
-    """Thread-safe collector of per-worker timings and events."""
+    """Thread-safe collector of control-plane events."""
 
     def __init__(
         self,
-        window: int = 256,
         clock: "typing.Callable[[], float] | None" = None,
         metrics: "MetricRegistry | None" = None,
     ):
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.window = window
-        #: Timestamp source for event records.  The live runtime passes
-        #: the store's clock (the one its supervisor already reads); the
-        #: simulated twin passes ``lambda: sim.now``.
+        #: Timestamp source for event records; the simulated twin passes
+        #: ``lambda: sim.now``.
         self.clock = clock or time.time
         #: The metric registry every recording feeds.
         self.metrics = metrics or MetricRegistry()
         self._lock = threading.Lock()
-        self._compute_times: typing.Dict[str, collections.deque] = {}
         self.events: typing.List[TelemetryEvent] = []
         #: Seconds between a worker's lease deadline passing and the
         #: supervisor noticing (the detect half of detect->recover).
         self.detection_latencies: typing.List[float] = []
         #: Seconds from failure detection to training restored (MTTR).
         self.mttr_samples: typing.List[float] = []
-        self._compute_hist = self.metrics.histogram("worker.compute_seconds")
         self._detection_hist = self.metrics.histogram(
             "failure.detection_latency_seconds"
         )
         self._mttr_hist = self.metrics.histogram("failure.mttr_seconds")
 
     # -- recording ------------------------------------------------------------
-
-    def record_compute(self, worker_id: str, seconds: float) -> None:
-        """Record one iteration's compute duration for a worker."""
-        with self._lock:
-            buffer = self._compute_times.get(worker_id)
-            if buffer is None:
-                buffer = collections.deque(maxlen=self.window)
-                self._compute_times[worker_id] = buffer
-            buffer.append(seconds)
-        self._compute_hist.observe(seconds)
 
     def record_event(
         self, wall_time: "float | None", kind: str, **detail
@@ -140,51 +116,7 @@ class RuntimeTelemetry:
                 detail={"removed": list(removed), "mttr": mttr},
             ))
 
-    def forget_worker(self, worker_id: str) -> None:
-        """Drop a departed worker's samples."""
-        with self._lock:
-            self._compute_times.pop(worker_id, None)
-
     # -- queries ----------------------------------------------------------------
-
-    def mean_compute_time(self, worker_id: str) -> "float | None":
-        """Windowed mean compute time of one worker (None if no samples)."""
-        with self._lock:
-            buffer = self._compute_times.get(worker_id)
-            if not buffer:
-                return None
-            return statistics.fmean(buffer)
-
-    def summary(self) -> "dict[str, float]":
-        """{worker: mean compute seconds} for every observed worker."""
-        with self._lock:
-            return {
-                worker: statistics.fmean(buffer)
-                for worker, buffer in self._compute_times.items()
-                if buffer
-            }
-
-    def detect_stragglers(
-        self, factor: float = 2.0, min_samples: int = 5
-    ) -> "list[str]":
-        """Workers whose mean compute time exceeds ``factor`` x the group
-        median — the signal a mitigation policy acts on."""
-        if factor <= 1.0:
-            raise ValueError("factor must be > 1")
-        with self._lock:
-            means = {
-                worker: statistics.fmean(buffer)
-                for worker, buffer in self._compute_times.items()
-                if len(buffer) >= min_samples
-            }
-        if len(means) < 2:
-            return []
-        median = statistics.median(means.values())
-        if median <= 0:
-            return []
-        return sorted(
-            worker for worker, mean in means.items() if mean > factor * median
-        )
 
     def mean_detection_latency(self) -> "float | None":
         """Mean detect-half latency (None before any detection)."""

@@ -57,8 +57,8 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    """Lazy import of :class:`ElasticJob` to break the core <-> coordination
-    import cycle (the facade wraps the runtime, which uses core policies)."""
+    """Lazy import of :class:`ElasticJob` to break the core <-> net import
+    cycle (the facade wraps the networked job, which uses core policies)."""
     if name == "ElasticJob":
         from .api import ElasticJob
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from ..perfmodel.models import get_model
 from ..perfmodel.throughput import ThroughputModel
 from .progressive_lr import DEFAULT_RAMP_ITERATIONS, LrRamp, ramp_for_scale
 
@@ -141,4 +142,99 @@ class HybridScalingPolicy(ScalingPolicy):
         )
         return ScalingDecision(
             new_total_batch_size=new_tbs, lr_ramp=ramp, strategy=strategy
+        )
+
+
+#: the policies a :class:`ScalingSpec` can name.
+SCALING_POLICIES = ("strong", "weak", "hybrid")
+
+
+@dataclasses.dataclass(frozen=True)
+class BatchSchedule:
+    """The total batch and LR ramp a job trains with from one commit on.
+
+    The AM mints one per adjustment (journaled in the ``plan`` record,
+    shipped in the commit directive and the join admission); every
+    worker derives its per-worker batch and learning rate from it.
+    """
+
+    total_batch_size: int
+    lr_ramp: LrRamp
+    strategy: str = "strong"
+
+    @classmethod
+    def constant(cls, total_batch_size: int, lr: float) -> "BatchSchedule":
+        """A job's schedule before its first adjustment."""
+        return cls(total_batch_size, LrRamp(0, 0, lr, lr))
+
+    def per_worker_batch(self, group_size: int) -> int:
+        """The total batch split across the group."""
+        return max(1, self.total_batch_size // max(1, group_size))
+
+    def lr_at(self, iteration: int) -> float:
+        return self.lr_ramp.lr_at(iteration)
+
+    def to_payload(self) -> dict:
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "BatchSchedule":
+        return cls(
+            int(payload["total_batch_size"]), LrRamp(**payload["lr_ramp"]),
+            str(payload["strategy"]),
+        )
+
+
+@dataclasses.dataclass(frozen=True)
+class ScalingSpec:
+    """A scaling policy by name, so a job spec can carry it on the wire.
+
+    ``policy`` is ``"strong"``, ``"weak"`` or ``"hybrid"``; a hybrid
+    policy names the :mod:`repro.perfmodel` ``model`` whose throughput
+    curve Algorithm 1 searches.  ``ramp_iterations`` is the T of the
+    progressive LR ramp (Eq. 3).
+    """
+
+    policy: str = "strong"
+    model: "str | None" = None
+    ramp_iterations: int = DEFAULT_RAMP_ITERATIONS
+
+    def __post_init__(self):
+        if self.policy not in SCALING_POLICIES:
+            raise ValueError(f"unknown scaling policy {self.policy!r}")
+        if (self.policy == "hybrid") != (self.model is not None):
+            raise ValueError("a model is named by, and only by, hybrid")
+        if self.ramp_iterations < 0:
+            raise ValueError("ramp_iterations must be >= 0")
+
+    def build(self) -> ScalingPolicy:
+        """The :class:`ScalingPolicy` this spec names."""
+        if self.policy == "weak":
+            return WeakScalingPolicy(self.ramp_iterations)
+        if self.policy == "hybrid":
+            return HybridScalingPolicy(
+                ThroughputModel(get_model(self.model)), self.ramp_iterations
+            )
+        return StrongScalingPolicy()
+
+    def rescale(
+        self, schedule: BatchSchedule, old_workers: int, new_workers: int,
+        iteration: int,
+    ) -> BatchSchedule:
+        """The schedule in force from ``iteration``, when the group goes
+        from ``old_workers`` to ``new_workers`` there.
+
+        An adjustment that keeps the total batch (strong scaling, a
+        migration) keeps the current ramp, an unfinished one included;
+        one that changes it ramps from the current learning rate.
+        """
+        decision = self.build().decide(
+            old_workers, new_workers, schedule.total_batch_size,
+            schedule.lr_at(iteration), iteration,
+        )
+        ramp = schedule.lr_ramp
+        if decision.new_total_batch_size != schedule.total_batch_size:
+            ramp = decision.lr_ramp
+        return BatchSchedule(
+            decision.new_total_batch_size, ramp, decision.strategy
         )

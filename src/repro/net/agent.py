@@ -29,16 +29,18 @@ whose AM-side reference averaging is bit-identical to the ring's.
 from __future__ import annotations
 
 import time
+import types
 import typing
 
 import numpy as np
 
 from ..coordination.faults import ExponentialBackoff, SilentCrash
+from ..coordination.hooks import Hook, HookRegistry
 from ..coordination.messages import MessageType
-from ..training.architectures import mlp_architecture
+from ..core.hybrid_scaling import BatchSchedule
 from ..training.dataloader import SerialLoader
 from ..training.datasets import make_classification
-from ..training.optim import MomentumSGD, ShardedMomentumSGD
+from ..training.optim import MomentumSGD
 from .chunks import ChunkedUploader, ShardedFetcher, ShardStore, StateBlob
 from .collective import RingDegraded, RingMailbox, RingNode
 from .master_service import JobSpec
@@ -68,8 +70,36 @@ class WorkerEvicted(RuntimeError):
     """
 
 
+def _restore_params(replica, params: dict) -> None:
+    # Copy: over the in-memory transport several joiners receive the
+    # same snapshot object; each replica needs its own arrays.
+    replica.params = {name: np.array(array) for name, array in params.items()}
+
+
+#: the state every replica snapshots: the RegisterHook defaults (§V-A).
+#: Captures are references — a snapshot is taken, encoded and released
+#: while training is paused at a boundary.
+DEFAULT_HOOKS = (
+    Hook("params", lambda replica: replica.params, _restore_params),
+    Hook(
+        "optimizer", lambda replica: replica.optimizer.state_dict(),
+        lambda replica, state: replica.optimizer.load_state_dict(state),
+    ),
+    Hook(
+        "loader", lambda replica: replica.loader.state_dict(),
+        lambda replica, state: replica.loader.load_state_dict(state),
+    ),
+)
+
+
 class WorkerAgent:
-    """One data-parallel replica speaking the worker protocol."""
+    """One data-parallel replica speaking the worker protocol.
+
+    ``hooks`` (RegisterHook, Table III) add named extra state to the
+    snapshot an adjustment replicates: each captures from and restores
+    into ``agent.replica``, the namespace holding ``params``,
+    ``optimizer`` and ``loader``.
+    """
 
     def __init__(
         self,
@@ -86,8 +116,15 @@ class WorkerAgent:
         die_at_iteration: "int | None" = None,
         stale_state: "dict | None" = None,
         shard_die_after: "int | None" = None,
+        hooks: typing.Sequence[Hook] = (),
     ):
         self.worker_id = worker_id
+        self.hooks = HookRegistry()
+        for hook in (*DEFAULT_HOOKS, *hooks):
+            self.hooks.register(hook)
+        #: this replica's training state, captured and restored through
+        #: ``hooks`` (built at admission).
+        self.replica = types.SimpleNamespace()
         self.link = link
         self.poll_interval = poll_interval
         self.join_timeout = join_timeout
@@ -135,8 +172,6 @@ class WorkerAgent:
         #: completion) — a rejoin harness feeds it back as
         #: ``stale_state`` to exercise the delta path.
         self.final_state: "dict | None" = None
-        #: ZeRO mode: the rank's persisted optimizer shard at exit.
-        self.zero_shard: "dict | None" = None
         self._ring_node: "RingNode | None" = None
         self._mailbox: "RingMailbox | None" = None
         self._shard_store: "ShardStore | None" = None
@@ -561,20 +596,13 @@ class WorkerAgent:
             num_classes=spec.num_classes,
             seed=spec.seed,
         )
-        architecture = mlp_architecture(
-            spec.input_dim, spec.hidden_dim, spec.num_classes
+        architecture = spec.build_architecture()
+        replica = self.replica
+        replica.loader = SerialLoader(
+            dataset_size=spec.train_size, seed=spec.seed
         )
-        loader = SerialLoader(dataset_size=spec.train_size, seed=spec.seed)
-        if spec.zero_optimizer:
-            optimizer = ShardedMomentumSGD(
-                spec.base_lr, momentum=spec.momentum,
-                rank=group.index(self.worker_id) if self.worker_id in group
-                else 0,
-                world=max(1, len(group)),
-            )
-        else:
-            optimizer = MomentumSGD(spec.base_lr, momentum=spec.momentum)
-        state = None
+        replica.optimizer = MomentumSGD(spec.base_lr, momentum=spec.momentum)
+        replica.params = architecture.init(spec.seed)
         transfer = admission.get("state_transfer")
         if transfer:
             # The offer is a shard plan: fan in from every shard owner
@@ -590,23 +618,16 @@ class WorkerAgent:
                 tracer=self.tracer,
                 metrics=self.metrics,
             )
-            state = fetcher.fetch(transfer, stale_state=self.stale_state)
-        if state:
-            # Copy: over the in-memory transport several joiners receive
-            # the same snapshot object; each replica needs its own arrays.
-            params = {
-                name: np.array(array)
-                for name, array in state["params"].items()
-            }
-            optimizer.load_state_dict(state["optimizer"])
-            loader.load_state_dict(state["loader"])
-        else:
-            params = architecture.init(spec.seed)
+            self.hooks.restore_all(
+                replica,
+                fetcher.fetch(transfer, stale_state=self.stale_state),
+            )
+        schedule = BatchSchedule.from_payload(admission["schedule"])
 
         try:
             if self._train_loop(
-                spec, group, generation, start_iteration,
-                dataset, architecture, loader, optimizer, params,
+                spec, group, generation, start_iteration, schedule,
+                dataset, architecture,
             ):
                 self.removed = True  # voluntary scale-in departure
         except WorkerEvicted:
@@ -625,24 +646,14 @@ class WorkerAgent:
         # back as ``stale_state`` so the delta path can skip unchanged
         # shards.  References, not copies — nothing mutates them after
         # the loop.
-        self.final_state = {
-            "params": params,
-            "optimizer": optimizer.state_dict(),
-            "loader": loader.state_dict(),
-        }
-        if isinstance(optimizer, ShardedMomentumSGD):
-            self.zero_shard = optimizer.shard_state_dict()
-            if self.metrics is not None:
-                self.metrics.counter("training.zero.shard_bytes").inc(
-                    int(self.zero_shard["slice"].nbytes)
-                )
+        self.final_state = self.hooks.capture_all(replica)
 
         if self.telemetry is not None:
             # Clean exit: drain the trace/metric backlog before the
             # final report so the AM's fleet view includes our last
             # iterations (the final spans above are closed by now).
             self.telemetry.flush()
-        self.final_digest = params_digest(params)
+        self.final_digest = params_digest(replica.params)
         self._request(
             MessageType.STATE_UPLOAD,
             {
@@ -670,13 +681,13 @@ class WorkerAgent:
         group: "list[str]",
         generation: int,
         start_iteration: int,
+        schedule: BatchSchedule,
         dataset,
         architecture,
-        loader,
-        optimizer,
-        params: dict,
     ) -> bool:
         """The lockstep training loop; returns True if scaled out."""
+        params = self.replica.params
+        loader, optimizer = self.replica.loader, self.replica.optimizer
         iteration = start_iteration
         while iteration < spec.iterations:
             self._iteration = iteration
@@ -707,11 +718,7 @@ class WorkerAgent:
                         # training is paused at this boundary, and
                         # ``register`` copies the bytes out of the views.
                         blob = StateBlob.encode(
-                            {
-                                "params": params,
-                                "optimizer": optimizer.state_dict(),
-                                "loader": loader.state_dict(),
-                            },
+                            self.hooks.capture_all(self.replica),
                             chunk_bytes=spec.chunk_bytes,
                         )
                         self._shard_store.register(
@@ -730,11 +737,7 @@ class WorkerAgent:
                             metrics=self.metrics,
                         )
                         self.upload_summary = uploader.upload(
-                            {
-                                "params": params,
-                                "optimizer": optimizer.state_dict(),
-                                "loader": loader.state_dict(),
-                            },
+                            self.hooks.capture_all(self.replica),
                             transfer_id=(
                                 shard_spec["transfer_id"]
                                 if shard_spec else None
@@ -744,14 +747,11 @@ class WorkerAgent:
                     group[:] = directive["group"]
                     generation = int(directive["generation"])
                     self._generation = generation
+                    schedule = BatchSchedule.from_payload(
+                        directive["schedule"]
+                    )
                     if self.worker_id not in group:
                         return True
-                    if isinstance(optimizer, ShardedMomentumSGD):
-                        # The worker count changed: re-slice the flat
-                        # velocity space along the new world size.
-                        optimizer.reshard(
-                            group.index(self.worker_id), len(group)
-                        )
 
             if (
                 self.die_at_iteration is not None
@@ -770,7 +770,7 @@ class WorkerAgent:
                 time.sleep(spec.iteration_sleep)
             rank = group.index(self.worker_id)
             shards = loader.next_iteration(
-                len(group), spec.per_worker_batch(len(group))
+                len(group), schedule.per_worker_batch(len(group))
             )
             indices = shards[rank]
             grads = None
@@ -811,6 +811,7 @@ class WorkerAgent:
                 )
                 self.star_iterations += 1
             if averaged:
+                optimizer.lr = schedule.lr_at(iteration)
                 optimizer.step(params, averaged)
             if self.tracer is not None:
                 self.tracer.end(span)

@@ -100,6 +100,7 @@ class LocalJob:
         self.killed: "list[str]" = []
         self._threads: "list[threading.Thread]" = []
         self._stopped = self._closed = False
+        self._takeover = threading.Lock()
 
     #: the current AM's TCP listener (None in memory).
     server = property(lambda self: self.master._server)
@@ -108,12 +109,16 @@ class LocalJob:
         """A reliable link from ``node_id`` into the current AM."""
         options = {"tracer": self.tracer, "metrics": self.metrics, **options}
         if self.server is None:
-            link = memory_link(self.master.core, node_id, **options)
-        else:
-            options.setdefault("connect_attempts", 10)
-            link, _ = tcp_link(
-                self.server.host, self.server.port, node_id, **options
-            )
+            # Under the takeover lock: a memory link built while the AM
+            # is promoted must be in ``links`` when they are redirected.
+            with self._takeover:
+                link = memory_link(self.master.core, node_id, **options)
+                self.links[node_id] = link
+            return link
+        options.setdefault("connect_attempts", 10)
+        link, _ = tcp_link(
+            self.server.host, self.server.port, node_id, **options
+        )
         self.links[node_id] = link
         return link
 
@@ -170,13 +175,14 @@ class LocalJob:
         """
         if self.server is not None:
             endpoint = endpoint or (self.server.host, self.server.port)
-        self.master = promote(
-            self.master, self.master.journal, tracer=self.tracer,
-            metrics=self.metrics, endpoint=endpoint,
-        )
-        if self.server is None:
-            for link in list(self.links.values()):
-                link.transport.redirect(self.master.core)
+        with self._takeover:
+            self.master = promote(
+                self.master, self.master.journal, tracer=self.tracer,
+                metrics=self.metrics, endpoint=endpoint,
+            )
+            if self.server is None:
+                for link in list(self.links.values()):
+                    link.transport.redirect(self.master.core)
         return self.master
 
     def stop(self) -> None:

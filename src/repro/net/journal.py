@@ -47,7 +47,8 @@ RECORD_KINDS = frozenset({
     "epoch",      # a fencing epoch acquired by some AM incarnation
     "peer",       # a worker's advertised peer address
     "request",    # an accepted adjustment request (auto=True: eviction)
-    "plan",       # a minted commit plan (boundary, groups, uploader, shards)
+    "plan",       # a minted commit plan (boundary, groups, uploader,
+                  # shards, batch schedule)
     "ack",        # one worker's adjust-directive ack
     "snapshot",   # the uploaded state blob (verbatim) + its geometry
     "commit",     # a committed adjustment (the point of no return)
@@ -206,6 +207,9 @@ class JournalState:
         self.acked: "set[str]" = set()
         self.last_snapshot: "dict | None" = None
         self.last_commit: "dict | None" = None
+        #: the committed generation's batch schedule (total batch, LR
+        #: ramp); None until the first commit — the spec's own.
+        self.schedule: "dict | None" = None
         self.final: "dict[str, dict]" = {}
         self.departed: "dict[str, dict]" = {}
         #: boundary watermark: one ``progress`` record per boundary.
@@ -257,6 +261,7 @@ class JournalState:
                 if g >= self.generation
             }
             self.last_commit = dict(data)
+            self.schedule = data.get("schedule", self.schedule)
             self.plan = None
             self.pending_request = None
             self.acked = set()

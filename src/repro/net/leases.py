@@ -98,7 +98,12 @@ class LeaseSupervisor:
         doomed = []
         for key in self.table.expired_keys("lease/"):
             worker = key.split("/", 1)[1]
-            if worker in self.state.condemned or worker in self.state.departed:
+            if (
+                worker in self.state.condemned
+                or worker in self.state.departed
+                or worker in self.state.final
+            ):
+                # Gone, or done: a finished worker sends nothing more.
                 continue
             if worker in parked:
                 # The worker's request is parked in an open barrier

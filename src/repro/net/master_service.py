@@ -51,7 +51,9 @@ from ..coordination.master import (
     MasterState,
 )
 from ..coordination.messages import Message, MessageType
+from ..core.hybrid_scaling import BatchSchedule, ScalingSpec
 from ..observability import FleetCollector, MetricRegistry
+from ..training.architectures import build_architecture
 from .chunks import DEFAULT_CHUNK_BYTES
 from .collective import DEFAULT_RING_BUCKET_BYTES
 from .journal import Journal, JournalError, JournalState, joiners_of
@@ -152,11 +154,12 @@ class JobSpec:
     #: (bit-identical) blob locally and serves its chunks over the peer
     #: mesh — joiners fan in from all owners concurrently.
     replication_shards: int = 0
-    #: ZeRO-style sharded optimizer state: each worker persists only its
-    #: rank's shard of the optimizer (velocity) state, so replication
-    #: traffic per worker drops by 1/N; adjustments reshard the flat
-    #: velocity space across the new world size at commit boundaries.
-    zero_optimizer: bool = False
+    #: how an adjustment rescales the total batch and the learning
+    #: rate (§III): the AM decides once per plan and ships the result.
+    scaling: ScalingSpec = ScalingSpec()
+    #: the model every replica builds, by name (see
+    #: :func:`~repro.training.architectures.build_architecture`).
+    architecture: str = "mlp"
 
     @property
     def reply_wait(self) -> float:
@@ -170,8 +173,19 @@ class JobSpec:
         return self.allreduce_timeout + 5.0
 
     def per_worker_batch(self, group_size: int) -> int:
-        """Strong scaling: the total batch is split across the group."""
+        """Before any adjustment the total batch is split across the group
+        (:meth:`BatchSchedule.per_worker_batch` of :meth:`initial_schedule`)."""
         return max(1, self.total_batch_size // max(1, group_size))
+
+    def initial_schedule(self) -> BatchSchedule:
+        """The batch and learning rate a job starts with."""
+        return BatchSchedule.constant(self.total_batch_size, self.base_lr)
+
+    def build_architecture(self):
+        return build_architecture(
+            self.architecture, self.input_dim, self.hidden_dim,
+            self.num_classes,
+        )
 
     def to_payload(self) -> dict:
         """Codec-safe dict form (for the ``join`` reply)."""
@@ -181,7 +195,10 @@ class JobSpec:
     def from_payload(cls, payload: dict) -> "JobSpec":
         """Inverse of :meth:`to_payload`."""
         fields = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in payload.items() if k in fields})
+        values = {k: v for k, v in payload.items() if k in fields}
+        if "scaling" in values:
+            values["scaling"] = ScalingSpec(**values["scaling"])
+        return cls(**values)
 
 
 def _adjustment_request(data: dict) -> AdjustmentRequest:
@@ -233,6 +250,7 @@ class NetworkedApplicationMaster:
         #: the fold of ``journal`` — a successor is handed the replayed
         #: one and carries on applying records to it.
         self.state = _replay if _replay is not None else JournalState()
+        self._initial_schedule = spec.initial_schedule().to_payload()
         #: the fold's list itself (``apply`` appends in place).
         self.commit_latencies = self.state.commit_latencies
         self._clock = clock or time.monotonic
@@ -252,6 +270,9 @@ class NetworkedApplicationMaster:
         #: the in-flight plan's ring (order + peer addresses), frozen at
         #: mint time so every directive and offer ships the same mesh.
         self._plan_ring: "dict | None" = None
+        #: plan mint -> commit, the ``adjust.commit`` span (an aborted
+        #: plan's stays open and is dropped at export).
+        self._commit_span = None
         self._complete = threading.Event()
         #: live fleet view fed by workers' TELEMETRY deltas.  Never
         #: journaled: a successor AM starts with an empty collector and
@@ -476,6 +497,7 @@ class NetworkedApplicationMaster:
                     "group": list(state.initial_workers),
                     "generation": 0,
                     "iteration": 0,
+                    "schedule": self._schedule_payload(),
                     "epoch": self.epoch,
                     "job": self.am.job_id,
                 }
@@ -493,6 +515,7 @@ class NetworkedApplicationMaster:
             "group": list(plan["new_group"]),
             "generation": plan["generation"],
             "iteration": plan["commit_iteration"],
+            "schedule": plan["schedule"],
             "state_transfer": descriptor,
             "epoch": self.epoch,
             "job": self.am.job_id,
@@ -570,6 +593,7 @@ class NetworkedApplicationMaster:
             # A committed adjustment's snapshot was replicated before
             # the commit; nobody re-uploads.
             "upload": in_flight and worker == plan["uploader"],
+            "schedule": plan["schedule"],
         }
         ring = self._ring_for(plan)
         if ring is not None:
@@ -614,12 +638,23 @@ class NetworkedApplicationMaster:
             "active_from": int(active_from),
         }
 
+    def _schedule_payload(self) -> dict:
+        """Lock held: the batch schedule the committed generation runs."""
+        return self.state.schedule or self._initial_schedule
+
     def _mint_plan(self, directive) -> None:
         """Lock held: the first adjust directive mints the commit plan."""
         state = self.state
         generation = state.generation + 1
         old_group = list(self.am.group)
         new_group = list(directive.new_group)
+        # The scaling decision (§III, Alg. 1): made once, here, and
+        # journaled with the plan, so a successor and every joiner
+        # apply the very same batch and LR ramp.
+        schedule = self.spec.scaling.rescale(
+            BatchSchedule.from_payload(self._schedule_payload()),
+            len(old_group), len(new_group), directive.commit_iteration,
+        )
         joins = any(w not in old_group for w in new_group)
         shards = None
         if self.spec.replication_shards > 0 and joins:
@@ -648,6 +683,7 @@ class NetworkedApplicationMaster:
             # the joiners; without joiners there is nothing to replicate.
             uploader=old_group[0] if joins else None,
             shards=shards,
+            schedule=schedule.to_payload(),
         )
         self._install_plan()
 
@@ -657,6 +693,14 @@ class NetworkedApplicationMaster:
         plan = self.state.plan
         if self._requested_at is None:
             self._requested_at = time.perf_counter()
+        if self.tracer is not None:
+            self._commit_span = self.tracer.begin(
+                "adjust.commit", track="am", cat="adjust",
+                generation=plan["generation"],
+                commit_iteration=plan["commit_iteration"],
+                old_workers=len(plan["old_group"]),
+                new_workers=len(plan["new_group"]),
+            )
         # Freeze the new generation's ring now: every joiner reported
         # (scale-out plans are only minted after all reports, and a
         # report is a JOIN poll that recorded the peer address), so the
@@ -695,6 +739,7 @@ class NetworkedApplicationMaster:
             old_group=plan["old_group"],
             new_group=plan["new_group"],
             uploader=plan["uploader"],
+            schedule=plan["schedule"],
             latency=time.perf_counter() - self._requested_at,
             departed={
                 worker: {
@@ -707,6 +752,8 @@ class NetworkedApplicationMaster:
         )
         self.am.finish_adjustment()
         self._requested_at = None
+        if self.tracer is not None:
+            self.tracer.end(self._commit_span)
         self.barriers.drop_superseded()
         # More condemned workers may have queued up while this plan was
         # in flight; evict them in the next adjustment immediately.
@@ -1012,6 +1059,7 @@ class NetworkedApplicationMaster:
                 "generation": state.generation,
                 "group": list(state.current_group),
                 "adjustments_committed": state.adjustments_committed,
+                "schedule": self._schedule_payload(),
                 "adjustment_pending": plan is not None
                 or state.pending_request is not None,
                 "complete": self._complete.is_set(),

@@ -95,6 +95,11 @@ class SyncBarriers:
                 # resolve it and the worker would hang for the full
                 # allreduce timeout instead of re-enrolling.
                 return self.fence
+            if worker in state.condemned:
+                # Checked first: a condemned worker's late sync may name
+                # a generation its own eviction retired, and it must
+                # still learn it was evicted rather than fail.
+                return condemned_reply(worker)
             if generation < state.generation:
                 # Lockstep means live members never sync a retired
                 # generation; anything arriving here is a straggler of
@@ -109,8 +114,6 @@ class SyncBarriers:
                 raise KeyError(
                     f"{worker!r} is not in generation {generation}"
                 )
-            if worker in state.condemned:
-                return condemned_reply(worker)
             floor = self.floors.get(generation, -1)
             if iteration < floor:
                 # The rest of the group already synced past this
@@ -175,11 +178,13 @@ class SyncBarriers:
         planes, and IEEE float addition is not associative — so when
         the ring is on, the AM replays the ring's exact reduction
         (ring-order chained adds over zero-filled absentees) instead
-        of the naive sum.  Legacy star-only jobs keep the historical
-        ``average_gradients`` arithmetic.
+        of the naive sum.  Star-only jobs keep ``average_gradients``
+        arithmetic, summed in group order rather than arrival order so
+        the mean does not depend on the schedule.
         """
         concrete = [
-            grads for grads in contributions.values() if grads
+            contributions[member] for member in group
+            if contributions.get(member)
         ]
         if not concrete:
             return None

@@ -56,8 +56,10 @@ from ..coordination.messages import Message, MessageType
 #: headers, binary frames for arrays, lean ring segments — a version-1
 #: peer, which negotiated them, is rejected.  Version 3 dropped the lean
 #: header's codec-meta tail and its ``part`` field.  Version 4 made
-#: ``SYNC`` and its mean reply lean frames too.
-PROTOCOL_VERSION = 4
+#: ``SYNC`` and its mean reply lean frames too.  Version 5 ships the
+#: scaling decision (total batch, LR ramp) in the commit directive and
+#: the join admission: a version-4 worker would ignore it and diverge.
+PROTOCOL_VERSION = 5
 
 #: Hard upper bound on one frame's payload, a corruption guard: a bogus
 #: length prefix must fail loudly, not allocate gigabytes.

@@ -1,8 +1,8 @@
-"""Tracing + metrics shared by the live runtime and the simulators.
+"""Tracing + metrics shared by the live stack and the simulators.
 
 One :class:`Tracer` (nested spans on an injectable clock, Chrome-trace
 export) and one :class:`MetricRegistry` (counters, gauges, streaming
-histograms) instrument every harness — ``ElasticRuntime`` on wall time,
+histograms) instrument every harness — the networked stack on wall time,
 ``SimulatedElasticJob`` and the replication/scheduling simulators on
 simulated time — with a single span taxonomy (``docs/OBSERVABILITY.md``).
 

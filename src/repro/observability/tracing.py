@@ -1,11 +1,11 @@
 """Nested spans on an injectable clock, exported as Chrome trace events.
 
 The tracer is the shared timeline instrument of the reproduction: the
-live threaded runtime drives it with a wall clock
+live networked stack drives it with a wall clock
 (:func:`time.perf_counter`), the discrete-event harnesses drive it with
-their simulated ``now``, and both produce the *same span taxonomy* (see
-``docs/OBSERVABILITY.md``) so an adjustment's phase breakdown can be
-compared across harnesses event by event.
+their simulated ``now``, and both share one span taxonomy (see
+``docs/OBSERVABILITY.md``) so an adjustment's phases can be compared
+across harnesses.
 
 Output is the Chrome trace-event format (the JSON array flavor), one
 event per line, so an exported file opens directly in ``chrome://tracing``

@@ -1,9 +1,9 @@
 """Concurrent IO-free state replication (paper §IV) and its baseline.
 
 The planner turns topology into transfer assignments and contention-free
-rounds; the executors run plans either on the discrete-event kernel (for
-timed experiments) or live in memory (for the threaded runtime); the
-checkpoint module models and implements the storage-based baseline.
+rounds; the executor runs plans on the discrete-event kernel (for timed
+experiments); the checkpoint module models and implements the
+storage-based baseline.
 """
 
 from .checkpoint import (
@@ -13,7 +13,6 @@ from .checkpoint import (
     checkpoint_write_cost,
 )
 from .executor import (
-    LiveReplicator,
     ReplicationTimeline,
     SimulatedReplicationExecutor,
     TransferRecord,
@@ -29,7 +28,6 @@ from .planner import (
 __all__ = [
     "CheckpointCost",
     "ETHERNET_BANDWIDTH",
-    "LiveReplicator",
     "ReplicationPlan",
     "ReplicationTimeline",
     "SharedStorage",

@@ -1,17 +1,11 @@
 """Executing replication plans.
 
-Two executors share the planner's output:
-
-* :class:`SimulatedReplicationExecutor` — runs the plan on the
-  discrete-event kernel with one :class:`~repro.simcore.Resource` per
-  physical link/GPU claim, validating that the planner's round structure
-  is exactly what link contention permits and producing the timed
-  replication timeline used by the Fig. 15 benchmarks.
-
-* :class:`LiveReplicator` — performs the actual state copy between
-  in-process workers of the live runtime (deep-copying the
-  :class:`~repro.training.TrainingState`), which is "IO-free" in the same
-  sense as the paper: no filesystem, no serialization to disk.
+:class:`SimulatedReplicationExecutor` runs the planner's output on the
+discrete-event kernel with one :class:`~repro.simcore.Resource` per
+physical link/GPU claim, validating that the planner's round structure
+is exactly what link contention permits and producing the timed
+replication timeline used by the Fig. 15 benchmarks.  (Live jobs
+replicate over the networked stack's chunked data plane.)
 """
 
 from __future__ import annotations
@@ -21,11 +15,10 @@ import typing
 
 from ..simcore import Resource, Simulator
 from ..topology import BandwidthProfile
-from ..training.state import TrainingState
 from .planner import ReplicationPlan, Transfer, _transfer_claims
 
 if typing.TYPE_CHECKING:  # imported lazily at runtime (avoids a cycle
-    # through repro.coordination, whose runtime imports this package)
+    # through repro.coordination)
     from ..coordination.faults import ExponentialBackoff, FaultPlan
 
 
@@ -168,18 +161,3 @@ class SimulatedReplicationExecutor:
             sim.run(until=previous)
         return ReplicationTimeline(records=tuple(records))
 
-
-class LiveReplicator:
-    """IO-free in-memory replication for the live threaded runtime."""
-
-    def __init__(self):
-        self.replications = 0
-
-    def replicate(self, source_state: TrainingState) -> TrainingState:
-        """Produce an independent, byte-identical replica of the state.
-
-        No serialization to disk, no filesystem: exactly the property the
-        paper's mechanism has relative to checkpoint-based replication.
-        """
-        self.replications += 1
-        return source_state.clone()

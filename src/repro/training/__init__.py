@@ -1,12 +1,13 @@
 """Training substrate: numpy models, optimizers, loaders, training state.
 
 The real (non-simulated) execution layer of the reproduction: everything
-the live elastic runtime trains with, plus the two data-loading semantics
+every live elastic worker trains with, plus the two data-loading semantics
 of paper §V-C and the replicable training state of Table II.
 """
 
 from .architectures import (
     Architecture,
+    build_architecture,
     deep_mlp_architecture,
     logistic_regression_architecture,
     mlp_architecture,
@@ -47,6 +48,7 @@ __all__ = [
     "accuracy",
     "average_gradients",
     "clone_params",
+    "build_architecture",
     "deep_mlp_architecture",
     "forward",
     "init_mlp",

@@ -1,9 +1,9 @@
-"""Pluggable model architectures for the elastic runtime.
+"""Pluggable model architectures for the elastic workers.
 
 The paper demonstrates Elan's generality by integrating it with two
 frameworks (Caffe's static engine and PyTorch's dynamic one, §V-A): the
 elasticity machinery never looks inside the model, it only captures and
-restores state through hooks.  Mirroring that, the live runtime accepts
+restores state through hooks.  Mirroring that, every worker accepts
 any :class:`Architecture` — a triple of pure functions (initialize,
 loss+gradients, accuracy) over a parameter dict — and ships with three:
 the default two-layer MLP, a deeper MLP and plain logistic regression.
@@ -141,4 +141,27 @@ def logistic_regression_architecture(
         init=init,
         loss_and_gradients=loss_and_grads,
         accuracy=acc,
+    )
+
+
+#: the model families a job spec names, by name.
+ARCHITECTURE_NAMES = ("mlp", "deep-mlp", "logreg")
+
+
+def build_architecture(
+    name: str, input_dim: int, hidden_dim: int, num_classes: int
+) -> Architecture:
+    """The architecture a job spec names: ``"mlp"`` (one hidden layer
+    of ``hidden_dim``), ``"deep-mlp"`` (``hidden_dim`` then half of it)
+    or ``"logreg"`` (no hidden layer)."""
+    if name == "mlp":
+        return mlp_architecture(input_dim, hidden_dim, num_classes)
+    if name == "deep-mlp":
+        return deep_mlp_architecture(
+            input_dim, [hidden_dim, max(1, hidden_dim // 2)], num_classes
+        )
+    if name == "logreg":
+        return logistic_regression_architecture(input_dim, num_classes)
+    raise ValueError(
+        f"unknown architecture {name!r}; one of {ARCHITECTURE_NAMES}"
     )

@@ -7,7 +7,7 @@ widely used **chunk-based** semantics pre-partitions the epoch into chunks
 owned by workers; after elastic adjustments the remaining data is
 fragmented and the state is a record table with non-trivial management
 logic.  Both are implemented here so the trade-off can be measured
-(state size, repartition cost) and the runtime can use either.
+(state size, repartition cost); the workers use the serial one.
 
 Both loaders are *replicated state machines*: every worker holds an
 identical copy and advances it with the same arguments each iteration, so

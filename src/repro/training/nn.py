@@ -1,6 +1,6 @@
 """A small neural-network library on numpy.
 
-Implements exactly what the live elastic runtime needs: a two-layer MLP
+Implements exactly what the live elastic workers need: a two-layer MLP
 classifier with softmax cross-entropy, explicit parameter dictionaries
 (so training state can be extracted, replicated and restored byte-for-byte,
 as Elan's hooks require), and deterministic initialization from a seed

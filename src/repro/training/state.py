@@ -99,48 +99,6 @@ class TrainingState:
         """Total replicable state size."""
         return self.gpu_bytes() + self.cpu_bytes()
 
-    def optimizer_bytes(self) -> int:
-        """Bytes of the optimizer (velocity) buffers alone."""
-        return sum(
-            v.nbytes
-            for v in self.optimizer.get("velocity", {}).values()
-            if isinstance(v, np.ndarray)
-        )
-
-    def zero_shard_bytes(self, world: int, rank: int = 0) -> int:
-        """Per-worker optimizer bytes under ZeRO-style sharding.
-
-        With the sharded optimizer axis each worker persists only its
-        rank's contiguous slice of the flat velocity space, so the
-        optimizer contribution to replication traffic drops from
-        :meth:`optimizer_bytes` to roughly ``optimizer_bytes / world``
-        (remainder elements land on the lowest ranks).
-        """
-        world = int(world)
-        if world < 1:
-            raise ValueError(f"world size must be >= 1, got {world}")
-        if not 0 <= int(rank) < world:
-            raise ValueError(f"rank {rank} outside world of {world}")
-        velocity = [
-            v for v in self.optimizer.get("velocity", {}).values()
-            if isinstance(v, np.ndarray)
-        ]
-        total = sum(v.size for v in velocity)
-        itemsize = velocity[0].itemsize if velocity else 8
-        base, extra = divmod(total, world)
-        return (base + (1 if int(rank) < extra else 0)) * itemsize
-
-    def replicated_bytes(self, world: int = 1, zero_optimizer: bool = False,
-                         rank: int = 0) -> int:
-        """What one worker must actually receive at an adjustment."""
-        if not zero_optimizer:
-            return self.total_bytes()
-        return (
-            param_bytes(self.model)
-            + self.zero_shard_bytes(world, rank)
-            + self.cpu_bytes()
-        )
-
     # -- serialization (used by the checkpoint/S&R baseline) -----------------
 
     def serialize(self) -> bytes:

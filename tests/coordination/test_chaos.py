@@ -1,31 +1,29 @@
-"""Chaos soak: a composed FaultPlan against the self-healing runtime.
+"""Chaos soak: composed faults against the self-healing networked job.
 
 The acceptance scenario for the supervision layer: workers die silently
-(detectable only by lease expiry), healthy workers are fenced out by
-forced revocation, control-plane messages are dropped, and the AM crashes
-and recovers mid-run — all injected deterministically from one
-:class:`~repro.coordination.FaultPlan`, with **no manual recovery call**.
-The run must end with consistent replicas, exactly-once data coverage,
-the requested number of committed adjustments, a provably fenced stale
-AM, and detection-latency / MTTR samples in the telemetry.
+(detectable only by lease expiry), a healthy worker is fenced out when
+its lease lapses, control-plane messages are dropped, and the AM is
+killed and promoted from its journal mid-run — all injected
+deterministically, with **no manual recovery call**.  The run must end
+with consistent replicas, one total batch consumed per iteration, the
+requested adjustments committed, a provably fenced stale AM, and the
+evictions counted.
 """
+
+import time
 
 import pytest
 
 from repro.coordination import (
-    Directive,
-    DirectiveKind,
-    ElasticRuntime,
     ExponentialBackoff,
     FaultPlan,
+    Message,
     MessageType,
     SimulatedElasticJob,
     StaleEpochError,
-    params_consistent,
 )
-from repro.net import ServerCore, memory_link
+from repro.net import JobSpec, LocalJob, ServerCore, memory_link
 from repro.perfmodel.models import TRANSFORMER
-from repro.training import make_classification
 
 # 960 % 48 == 0: epochs divide evenly into iterations, so the serial
 # loader's position must equal (iterations * batch) % size exactly.
@@ -33,136 +31,130 @@ TRAIN_SIZE = 960
 TOTAL_BATCH = 48
 
 
-def _runtime(plan, workers=3, **kwargs):
-    dataset = make_classification(
-        train_size=TRAIN_SIZE, test_size=96, input_dim=8, seed=7
+def _job(**overrides):
+    spec = dict(
+        train_size=TRAIN_SIZE, test_size=96, input_dim=8,
+        total_batch_size=TOTAL_BATCH, iterations=32,
+        coordination_interval=4, iteration_sleep=0.02,
+        worker_lease_ttl=0.4, lease_check_interval=0.05,
+        ring_enabled=False, seed=7,
     )
-    # Slow iterations down so supervision (50ms ticks) interleaves with
-    # training instead of the run finishing before the first tick.
-    delays = {f"w{i}": 0.02 for i in range(workers + 4)}
-    return ElasticRuntime(
-        dataset,
-        initial_workers=workers,
-        total_batch_size=TOTAL_BATCH,
-        lease_ttl=0.2,
-        supervision_interval=0.05,
-        fault_plan=plan,
-        iteration_delays=delays,
-        **kwargs,
-    )
+    spec.update(overrides)
+    return LocalJob("memory", JobSpec(**spec), ["w0", "w1", "w2"])
 
 
-def _assert_exactly_once_coverage(contexts):
-    """Serial-loader invariant: no batch skipped, none issued twice."""
-    positions = {c.loader.state_dict()["position"] for c in contexts}
-    iterations = {c.runtime_info.iteration for c in contexts}
-    epochs = {c.loader.epoch for c in contexts}
-    assert len(positions) == len(iterations) == len(epochs) == 1
-    iteration = iterations.pop()
-    assert positions.pop() == (iteration * TOTAL_BATCH) % TRAIN_SIZE
-    assert epochs.pop() == (iteration * TOTAL_BATCH) // TRAIN_SIZE
+def _wait(job, predicate, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while not predicate(job.master.status()):
+        assert time.monotonic() < deadline, job.master.status()
+        time.sleep(0.01)
+
+
+def _finish(job):
+    try:
+        assert job.master.wait_complete(60.0), job.master.status()
+        assert job.join(10.0)
+        assert not job.errors, job.errors
+        return job.master.status()
+    finally:
+        job.close()
+
+
+def _assert_exactly_once_coverage(job, status):
+    """Serial-loader invariant: every iteration consumed one total batch
+    and every replica agrees on where the loader stands."""
+    loaders = [
+        job.agents[worker].final_state["loader"]
+        for worker in status["group"]
+    ]
+    iterations = job.master.spec.iterations
+    assert {loader["position"] for loader in loaders} == {
+        (iterations * TOTAL_BATCH) % TRAIN_SIZE
+    }
+    assert {loader["epoch"] for loader in loaders} == {
+        (iterations * TOTAL_BATCH) // TRAIN_SIZE
+    }
 
 
 def test_silent_crash_self_heals_without_manual_recovery():
-    """A FaultPlan-injected kill -9 is detected by lease expiry and the
-    job repairs itself — recover_from_failure is never called by hand."""
-    plan = FaultPlan(silent_crashes={"w2": 6})
-    runtime = _runtime(plan)
-    runtime.start()
-    assert runtime.wait_until_iteration(25, timeout=60), "job never healed"
-    runtime.stop()
+    """A kill -9 (the worker thread vanishes at iteration 6) is detected
+    by lease expiry and the job repairs itself — no recovery call."""
+    job = _job()
+    for worker in ("w0", "w1", "w2"):
+        job.start_worker(worker, die_at_iteration=6 if worker == "w2" else None)
+    status = _finish(job)
 
-    assert runtime.am.group == ("w0", "w1")
-    assert runtime.worker_failures == {}
-    # The detect half and the repair half are both visible in telemetry.
-    assert len(runtime.telemetry.detection_latencies) == 1
-    assert runtime.telemetry.mean_detection_latency() >= 0.0
-    assert len(runtime.telemetry.mttr_samples) == 1
-    assert runtime.telemetry.mean_mttr() > 0.0
-    detected = runtime.telemetry.events_of_kind("failure_detected")
-    assert [e.detail["worker"] for e in detected] == ["w2"]
-    recoveries = runtime.telemetry.events_of_kind("recovery")
-    assert [e.detail["removed"] for e in recoveries] == [["w2"]]
-
-    contexts = runtime.final_contexts()
-    assert params_consistent(contexts)
-    _assert_exactly_once_coverage(contexts)
+    assert status["group"] == ["w0", "w1"]
+    assert job.killed == ["w2"]
+    kinds = [r["kind"] for r in job.master.journal.records()]
+    assert kinds.count("condemn") == 1 and kinds.count("commit") == 1
+    metrics = job.master.metrics.snapshot()
+    assert metrics["am.evictions"] == 1
+    assert len(set(status["digests"].values())) == 1
+    _assert_exactly_once_coverage(job, status)
 
 
 def test_forced_lease_expiry_fences_healthy_worker():
-    """Revoking a healthy worker's lease evicts it: the worker fail-stops
-    (it may not act without a live lease) and the group heals around it."""
-    plan = FaultPlan(lease_expiries={"elan/job0/lease/w1": 0.0})
-    runtime = _runtime(plan)
-    runtime.start()
-    assert runtime.wait_until_iteration(25, timeout=60), "job never healed"
-    runtime.stop()
+    """A healthy worker whose lease lapses (its link stalls for longer
+    than the TTL) is condemned and fenced: when it comes back it learns
+    it was evicted and departs, and the group heals around it."""
+    job = _job()
+    stall = FaultPlan(net_delays={12: 1.5})
+    for worker in ("w0", "w1", "w2"):
+        job.start_worker(
+            worker,
+            link_options={"fault_plan": stall} if worker == "w1" else None,
+        )
+    status = _finish(job)
 
-    assert runtime.am.group == ("w0", "w2")
-    detected = runtime.telemetry.events_of_kind("failure_detected")
-    assert [e.detail["worker"] for e in detected] == ["w1"]
-    assert detected[0].detail["cause"] == "fenced"
-    contexts = runtime.final_contexts()
-    assert params_consistent(contexts)
-    _assert_exactly_once_coverage(contexts)
+    assert status["group"] == ["w0", "w2"]
+    assert status["condemned"] == ["w1"]
+    assert job.results["w1"]["removed"]
+    assert len(set(status["digests"].values())) == 1
+    _assert_exactly_once_coverage(job, status)
 
 
 def test_chaos_soak_composed_fault_plan():
     """The full storm at once: dropped messages, a silent worker crash
-    mid-adjustment, an AM crash/recover, and a stale-epoch directive."""
-    plan = FaultPlan(
-        drop_every=3,
-        silent_crashes={"w1": 8},
-        am_crash_iteration=16,
-    )
-    runtime = _runtime(plan, startup_delay=0.1)
-    stale_am = runtime.am
-    runtime.start()
-
-    # Phase 1: request a scale-out, then lose w1 while the new worker is
-    # still starting — the adjustment must survive the recovery.
-    assert runtime.wait_until_iteration(4, timeout=60)
-    runtime.scale_out(1)
-    assert runtime.wait_for_adjustments(1, timeout=60), "scale-out lost"
-    assert runtime.wait_until_iteration(14, timeout=60), "job never healed"
-
-    # Phase 2: the supervisor kills and recovers the AM at iteration 16.
-    assert runtime.wait_until_iteration(24, timeout=60)
-    runtime.stop()
-
-    # The supervisor drove every repair; nothing was recovered manually.
-    assert runtime.am is not stale_am
-    assert runtime.am.epoch > stale_am.epoch
-    assert "w1" not in runtime.am.group
-    assert "w3" in runtime.am.group
-    assert runtime.am.adjustments_committed == 1  # recovery is not one
-
-    # The superseded incarnation is fenced: acting raises, a directive it
-    # minted is rejected, and the rejection is logged.
-    with pytest.raises(StaleEpochError):
-        stale_am.coordinate("w0", 99)
-    with pytest.raises(StaleEpochError):
-        runtime._validate_directive(
-            Directive(kind=DirectiveKind.CONTINUE, epoch=stale_am.epoch)
+    while a scale-out is in flight, and an AM kill and promotion."""
+    # A dropped SYNC is resent after 0.1 s, well inside the lease TTL.
+    job = _job(iterations=40, sync_ack_timeout=0.1, worker_lease_ttl=1.0)
+    lossy = FaultPlan(drop_every=3)
+    for worker in ("w0", "w1", "w2"):
+        job.start_worker(
+            worker, link_options={"fault_plan": lossy, "ack_timeout": 0.2},
+            die_at_iteration=8 if worker == "w1" else None,
         )
-    assert runtime.telemetry.events_of_kind("stale_directive_rejected")
-    # The persisted snapshot carries the new incarnation's epoch.
-    snapshot = runtime.store.get(f"elan/{runtime.am.job_id}/am")
-    assert snapshot["epoch"] == runtime.am.epoch
+    driver = job.link("driver")
+    _wait(job, lambda status: status["iteration"] >= 4)
+    assert driver.request(MessageType.ADJUSTMENT_REQUEST, {
+        "kind": "scale_out", "add": ["w3"],
+    })["accepted"]
+    job.start_worker("w3", link_options={"fault_plan": lossy,
+                                         "ack_timeout": 0.2})
+    _wait(job, lambda status: status["iteration"] >= 16)
+    stale = job.master
+    successor = job.fail_over()
+    status = _finish(job)
 
-    assert runtime.telemetry.events_of_kind("am_failover")
-    assert runtime.telemetry.detection_latencies
-    assert runtime.telemetry.mttr_samples
-
-    contexts = runtime.final_contexts()
-    assert params_consistent(contexts)
-    _assert_exactly_once_coverage(contexts)
+    assert successor.epoch == stale.epoch + 1
+    assert "w1" not in status["group"]
+    assert "w3" in status["group"]
+    # The scale-out and w1's eviction.
+    assert status["adjustments_committed"] == 2
+    # The superseded incarnation is fenced: it answers nothing but a
+    # retryable "superseded".
+    reply = stale.handle(Message(1, MessageType.STATUS, "w0", {}))
+    assert reply["__retry__"] == "am_superseded"
+    assert successor.metrics.snapshot()["am.failover"] == 1
+    assert len(set(status["digests"].values())) == 1
+    _assert_exactly_once_coverage(job, status)
 
     # The same plan's lossy link still achieves delivery under the
     # retrying sender, and every re-attempt is accounted for.
     inbox = []
     core = ServerCore(handler=lambda m: inbox.append(m.payload) or {})
-    link = memory_link(core, "w0", fault_plan=plan, ack_timeout=0.01)
+    link = memory_link(core, "w0", fault_plan=lossy, ack_timeout=0.01)
     link.backoff = ExponentialBackoff(base=0.001, sleeper=lambda _s: None)
     for i in range(6):
         link.request(MessageType.HEARTBEAT, {"i": i})

@@ -1,4 +1,4 @@
-"""Live-runtime tests for sparse coordination (§V-B: the frequency of
+"""Live tests for sparse coordination (§V-B: the frequency of
 coordination is configurable).
 
 With ``coordination_interval = k`` workers only check in every k-th
@@ -9,73 +9,62 @@ under the least favourable alignment.
 
 import pytest
 
-from repro.coordination import ElasticRuntime, params_consistent
-from repro.training import make_classification
+from repro.core import ElasticJob
 
 
-@pytest.fixture(scope="module")
-def dataset():
-    return make_classification(train_size=512, test_size=128, seed=51)
+def live_job(interval, workers=2, **spec):
+    spec.setdefault("total_batch_size", 16 * workers)
+    spec.setdefault("iterations", 60)
+    spec.setdefault("iteration_sleep", 0.005)
+    return ElasticJob(
+        workers=workers, coordination_interval=interval, **spec
+    )
 
 
 class TestSparseCoordination:
     @pytest.mark.parametrize("interval", [2, 5, 8])
-    def test_commit_lands_on_boundary(self, dataset, interval):
-        runtime = ElasticRuntime(
-            dataset, initial_workers=2, total_batch_size=32,
-            coordination_interval=interval, seed=interval,
-        )
-        runtime.start()
-        assert runtime.wait_until_iteration(interval + 1)
-        runtime.scale_out(2)
-        assert runtime.wait_for_adjustments(1)
-        runtime.stop()
-        plan = runtime.history[0]
-        assert plan.commit_iteration % interval == 0
-        assert params_consistent(runtime.final_contexts())
+    def test_commit_lands_on_boundary(self, interval):
+        job = live_job(interval, seed=interval)
+        with job:
+            assert job.wait_until_iteration(interval + 1)
+            job.scale_out(2)
+            assert job.wait_for_adjustments(1)
+        assert job.history[0].commit_iteration % interval == 0
+        assert len(set(job.digests().values())) == 1
 
-    def test_training_correct_between_boundaries(self, dataset):
+    def test_training_correct_between_boundaries(self):
         """With interval 4, iterations between boundaries never consult
-        the AM; coordination count stays low while training proceeds."""
-        runtime = ElasticRuntime(
-            dataset, initial_workers=2, total_batch_size=32,
-            coordination_interval=4, seed=3,
-        )
-        runtime.start()
-        assert runtime.wait_until_iteration(20)
-        runtime.stop()
-        iterations = runtime.final_contexts()[0].runtime_info.iteration
-        # Each worker coordinates once per boundary: <= iterations/4 + 1.
-        per_worker_bound = iterations / 4 + 2
-        assert runtime.am.coordinations <= 2 * per_worker_bound
+        the AM: each worker coordinates once per boundary."""
+        job = live_job(4, seed=3, iterations=20)
+        with job:
+            pass
+        # Boundaries 4, 8, 12, 16 (iteration 0 is the start): 4 per worker.
+        assert job.master.am.coordinations == 2 * 4
+        progress = [
+            r["data"]["iteration"] for r in job.master.journal.records()
+            if r["kind"] == "progress"
+        ]
+        assert progress == [4, 8, 12, 16]
 
-    def test_multiple_adjustments_with_sparse_coordination(self, dataset):
-        runtime = ElasticRuntime(
-            dataset, initial_workers=2, total_batch_size=32,
-            coordination_interval=3, seed=4,
-        )
-        runtime.start()
-        assert runtime.wait_until_iteration(4)
-        runtime.scale_out(1)
-        assert runtime.wait_for_adjustments(1)
-        assert runtime.wait_until_iteration(runtime.snapshot()["iteration"] + 4)
-        runtime.scale_in(1)
-        assert runtime.wait_for_adjustments(2)
-        runtime.stop()
-        for plan in runtime.history:
+    def test_multiple_adjustments_with_sparse_coordination(self):
+        job = live_job(3, seed=4)
+        with job:
+            assert job.wait_until_iteration(4)
+            job.scale_out(1)
+            assert job.wait_for_adjustments(1)
+            assert job.wait_until_iteration(job.status()["iteration"] + 4)
+            job.scale_in(1)
+            assert job.wait_for_adjustments(2)
+        for plan in job.history:
             assert plan.commit_iteration % 3 == 0
-        assert params_consistent(runtime.final_contexts())
+        assert len(set(job.digests().values())) == 1
 
-    def test_all_workers_stop_on_the_same_boundary(self, dataset):
-        runtime = ElasticRuntime(
-            dataset, initial_workers=4, total_batch_size=64,
-            coordination_interval=5, seed=5,
-        )
-        runtime.start()
-        assert runtime.wait_until_iteration(7)
-        runtime.stop()
+    def test_all_workers_stop_on_the_same_boundary(self):
+        job = live_job(5, workers=4, seed=5, iterations=20)
+        with job:
+            assert job.wait_until_iteration(7)
         iterations = {
-            c.runtime_info.iteration for c in runtime.final_contexts()
+            report["iteration"] for report in job.master.state.final.values()
         }
-        assert len(iterations) == 1
-        assert next(iter(iterations)) % 5 == 0
+        assert iterations == {20}
+        assert len(job.master.state.final) == 4

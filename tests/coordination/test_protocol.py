@@ -1,6 +1,7 @@
 """Tests for messages, the KV store, collectives and hooks."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,8 +9,6 @@ import pytest
 from repro.coordination import (
     TOMBSTONE,
     CasConflict,
-    Collective,
-    CollectiveAborted,
     DeduplicatingInbox,
     ExponentialBackoff,
     FaultPlan,
@@ -19,10 +18,15 @@ from repro.coordination import (
     LeaseRevoked,
     MessageFactory,
     MessageType,
-    RetryingStore,
-    StoreUnavailable,
 )
-from repro.net import ReliableLink, RequestTimeout, ServerCore, memory_link
+from repro.net import (
+    JobSpec,
+    NetworkedApplicationMaster,
+    ReliableLink,
+    RequestTimeout,
+    ServerCore,
+    memory_link,
+)
 
 
 def lossy_link(plan, **options):
@@ -256,144 +260,90 @@ class TestLeases:
             store.keep_alive("l/w0", ttl=-1.0)
 
 
-class TestStoreOutages:
-    def test_op_count_outage(self):
-        store = KeyValueStore()
-        store.put("k", 1)
-        store.fail_next(2)
-        with pytest.raises(StoreUnavailable):
-            store.get("k")
-        with pytest.raises(StoreUnavailable):
-            store.put("k", 2)
-        assert store.get("k") == 1  # the outage has passed
-
-    def test_clock_window_outage(self):
-        clock = {"now": 0.0}
-        store = KeyValueStore(clock=lambda: clock["now"])
-        store.set_outages([(5.0, 10.0)])
-        store.put("k", 1)
-        clock["now"] = 7.0
-        with pytest.raises(StoreUnavailable):
-            store.get("k")
-        clock["now"] = 10.0
-        assert store.get("k") == 1
-
-    def test_retrying_store_rides_out_outage(self):
-        store = KeyValueStore()
-        store.put("k", "v")
-        store.fail_next(3)
-        sleeps = []
-        retrying = RetryingStore(
-            store,
-            max_attempts=8,
-            backoff=ExponentialBackoff(base=0.01, sleeper=sleeps.append),
-        )
-        assert retrying.get("k") == "v"
-        assert retrying.retries == 3
-        assert sleeps == [0.01, 0.02, 0.04]
-
-    def test_retrying_store_bounded(self):
-        """Exhausting the budget re-raises: degradation is not silent."""
-        store = KeyValueStore()
-        store.fail_next(10)
-        retrying = RetryingStore(
-            store,
-            max_attempts=3,
-            backoff=ExponentialBackoff(sleeper=lambda _s: None),
-        )
-        with pytest.raises(StoreUnavailable):
-            retrying.get("k")
-        assert retrying.retries == 2
-
-    def test_retrying_store_does_not_retry_revocation(self):
-        """LeaseRevoked is a permanent verdict, not an outage — burning
-        the retry budget on it would only delay the fail-stop."""
-        store = KeyValueStore()
-        store.lease("l/w0", "alive", ttl=10.0)
-        store.force_expire("l/w0")
-        retrying = RetryingStore(store)
-        with pytest.raises(LeaseRevoked):
-            retrying.lease("l/w0", "alive", ttl=10.0)
-        assert retrying.retries == 0
-
-
 class TestCollective:
-    def test_allreduce_averages(self):
-        collective = Collective(0, ["a", "b"])
+    """The live stack's collective is the AM's SYNC barrier: every
+    member of a generation posts its gradients and all get the mean."""
+
+    @staticmethod
+    def master(workers):
+        return NetworkedApplicationMaster(
+            JobSpec(ring_enabled=False), workers
+        )
+
+    @staticmethod
+    def allreduce(master, contributions, iteration=0):
         results = {}
 
-        def member(name, value):
-            results[name] = collective.allreduce(name, {"g": np.array([value])})
+        def member(name, grads):
+            results[name] = master.barriers.sync(name, {
+                "generation": 0, "iteration": iteration, "grads": grads,
+            })
 
         threads = [
-            threading.Thread(target=member, args=("a", 1.0)),
-            threading.Thread(target=member, args=("b", 3.0)),
+            threading.Thread(target=member, args=item)
+            for item in contributions.items()
         ]
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=5)
-        assert np.allclose(results["a"]["g"], [2.0])
-        assert np.allclose(results["b"]["g"], [2.0])
+        return results
+
+    def test_allreduce_averages(self):
+        results = self.allreduce(self.master(["a", "b"]), {
+            "a": {"g": np.array([1.0])}, "b": {"g": np.array([3.0])},
+        })
+        assert np.allclose(results["a"]["grads"]["g"], [2.0])
+        assert np.allclose(results["b"]["grads"]["g"], [2.0])
 
     def test_multiple_rounds(self):
-        collective = Collective(0, ["a", "b"])
-        sums = []
-
-        def member(name, values):
-            for v in values:
-                out = collective.allreduce(name, {"g": np.array([v])})
-                if name == "a":
-                    sums.append(float(out["g"][0]))
-
-        ta = threading.Thread(target=member, args=("a", [1.0, 10.0]))
-        tb = threading.Thread(target=member, args=("b", [3.0, 20.0]))
-        ta.start(); tb.start(); ta.join(5); tb.join(5)
+        master = self.master(["a", "b"])
+        sums = [
+            float(self.allreduce(master, {
+                "a": {"g": np.array([a])}, "b": {"g": np.array([b])},
+            }, iteration)["a"]["grads"]["g"][0])
+            for iteration, (a, b) in enumerate([(1.0, 3.0), (10.0, 20.0)])
+        ]
         assert sums == [2.0, 15.0]
 
     def test_none_contributions_skipped(self):
-        collective = Collective(0, ["a", "b"])
-        results = {}
-
-        def member(name, grads):
-            results[name] = collective.allreduce(name, grads)
-
-        ta = threading.Thread(target=member, args=("a", {"g": np.array([4.0])}))
-        tb = threading.Thread(target=member, args=("b", None))
-        ta.start(); tb.start(); ta.join(5); tb.join(5)
-        assert np.allclose(results["b"]["g"], [4.0])
+        results = self.allreduce(self.master(["a", "b"]), {
+            "a": {"g": np.array([4.0])}, "b": None,
+        })
+        assert np.allclose(results["b"]["grads"]["g"], [4.0])
 
     def test_non_member_rejected(self):
         with pytest.raises(KeyError):
-            Collective(0, ["a"]).allreduce("zz", None)
+            self.master(["a"]).barriers.sync(
+                "zz", {"generation": 0, "iteration": 0, "grads": None}
+            )
 
     def test_single_member_immediate(self):
-        collective = Collective(0, ["solo"])
-        out = collective.allreduce("solo", {"g": np.array([5.0])})
-        assert np.allclose(out["g"], [5.0])
+        out = self.master(["solo"]).barriers.sync("solo", {
+            "generation": 0, "iteration": 0, "grads": {"g": np.array([5.0])},
+        })
+        assert np.allclose(out["grads"]["g"], [5.0])
 
     def test_abort_wakes_waiters(self):
-        collective = Collective(0, ["a", "b"])
-        failures = []
-
-        def member():
-            try:
-                collective.allreduce("a", None)
-            except CollectiveAborted:
-                failures.append(True)
-
-        thread = threading.Thread(target=member)
+        master = self.master(["a", "b"])
+        results = []
+        thread = threading.Thread(target=lambda: results.append(
+            master.barriers.sync(
+                "a", {"generation": 0, "iteration": 0, "grads": None}
+            )
+        ))
         thread.start()
-        collective.abort()
+        while not master.barriers.open:
+            time.sleep(0.001)
+        master.close()
         thread.join(timeout=5)
-        assert failures == [True]
+        assert "__error__" in results[0]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Collective(0, [])
+            self.master([])
         with pytest.raises(ValueError):
-            Collective(0, ["a", "a"])
-
+            self.master(["a", "a"])
 
 class TestHooks:
     class Ctx:

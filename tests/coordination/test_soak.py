@@ -9,53 +9,49 @@ consistency, group algebra, loader agreement and monotone progress.
 import numpy as np
 import pytest
 
-from repro.coordination import ElasticRuntime, params_consistent
-from repro.core import WeakScalingPolicy
-from repro.training import make_classification
+from repro.core import ElasticJob
+from repro.core.hybrid_scaling import ScalingSpec
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_adjustment_soak(seed):
-    dataset = make_classification(train_size=1024, test_size=128, seed=91)
-    runtime = ElasticRuntime(
-        dataset, initial_workers=2, total_batch_size=64, seed=seed,
-        scaling_policy=WeakScalingPolicy(ramp_iterations=5),
+    job = ElasticJob(
+        workers=2, train_size=1024, test_size=128, total_batch_size=64,
+        seed=seed, coordination_interval=1, iterations=600,
+        iteration_sleep=0.002,
+        scaling=ScalingSpec("weak", ramp_iterations=5),
     )
-    runtime.start()
     rng = np.random.default_rng(seed)
-    committed = 0
-    for _step in range(10):
-        assert runtime.wait_until_iteration(
-            runtime.snapshot()["iteration"] + 2, timeout=30
-        ), "training stalled mid-soak"
-        group_size = len(runtime.am.group)
-        choice = rng.integers(0, 3)
-        if choice == 0 and group_size < 8:
-            runtime.scale_out(int(rng.integers(1, 3)))
-        elif choice == 1 and group_size > 1:
-            runtime.scale_in(1)
-        else:
-            runtime.migrate()
-        committed += 1
-        assert runtime.wait_for_adjustments(committed, timeout=30), (
-            f"adjustment {committed} never committed"
-        )
-        plan = runtime.history[-1]
-        # Invariants checked after EVERY commit:
-        assert plan.commit_iteration % runtime.coordination_interval == 0
-        assert len(plan.group) >= 1
-        assert plan.total_batch_size >= len(plan.group)
-        assert set(plan.group) == set(runtime.am.group)
-    runtime.stop()
+    with job:
+        for committed in range(1, 11):
+            assert job.wait_until_iteration(
+                job.status()["iteration"] + 2, timeout=30
+            ), "training stalled mid-soak"
+            group_size = len(job.status()["group"])
+            choice = rng.integers(0, 3)
+            if choice == 0 and group_size < 8:
+                job.scale_out(int(rng.integers(1, 3)))
+            elif choice == 1 and group_size > 1:
+                job.scale_in(1)
+            else:
+                job.migrate()
+            assert job.wait_for_adjustments(committed, timeout=30), (
+                f"adjustment {committed} never committed"
+            )
+            plan = job.history[-1]
+            # Invariants checked after EVERY commit:
+            assert plan.commit_iteration % job.coordination_interval == 0
+            assert len(plan.group) >= 1
+            assert plan.total_batch_size >= len(plan.group)
+            assert plan.group == job.status()["group"]
 
-    contexts = runtime.final_contexts()
-    assert params_consistent(contexts)
-    iterations = {c.runtime_info.iteration for c in contexts}
-    positions = {c.loader.state_dict()["position"] for c in contexts}
-    assert len(iterations) == 1
-    assert len(positions) == 1
-    assert runtime.am.adjustments_committed == 10
+    assert len(set(job.digests().values())) == 1
+    final = job.master.state.final
+    assert {report["iteration"] for report in final.values()} == {600}
+    loaders = [
+        job.job.agents[worker].final_state["loader"] for worker in final
+    ]
+    assert len({loader["position"] for loader in loaders}) == 1
+    assert job.status()["adjustments"] == 10
     # Every thread wound down (no leaks from the churn).
-    for worker in runtime._workers.values():
-        if worker.thread is not None:
-            assert not worker.thread.is_alive()
+    assert not any(thread.is_alive() for thread in job.job._threads)

@@ -1,65 +1,10 @@
-"""Tests for runtime telemetry and data-driven straggler detection."""
+"""Tests for the control-plane event log (the discrete-event twin's)."""
 
-import pytest
-
-from repro.coordination import ElasticRuntime, RuntimeTelemetry
-from repro.training import make_classification
-
-
-@pytest.fixture(scope="module")
-def dataset():
-    return make_classification(train_size=512, test_size=128, seed=81)
+from repro.coordination import FaultPlan, RuntimeTelemetry, SimulatedElasticJob
+from repro.perfmodel import RESNET50
 
 
 class TestRuntimeTelemetryUnit:
-    def test_window_bounds_samples(self):
-        telemetry = RuntimeTelemetry(window=3)
-        for value in (1.0, 2.0, 3.0, 10.0):
-            telemetry.record_compute("w0", value)
-        assert telemetry.mean_compute_time("w0") == pytest.approx(5.0)
-
-    def test_unknown_worker_is_none(self):
-        assert RuntimeTelemetry().mean_compute_time("ghost") is None
-
-    def test_summary_covers_all_workers(self):
-        telemetry = RuntimeTelemetry()
-        telemetry.record_compute("a", 0.1)
-        telemetry.record_compute("b", 0.2)
-        summary = telemetry.summary()
-        assert set(summary) == {"a", "b"}
-
-    def test_detect_stragglers_flags_outlier(self):
-        telemetry = RuntimeTelemetry()
-        for _ in range(10):
-            telemetry.record_compute("fast1", 0.01)
-            telemetry.record_compute("fast2", 0.011)
-            telemetry.record_compute("slow", 0.05)
-        assert telemetry.detect_stragglers(factor=2.0) == ["slow"]
-
-    def test_detect_requires_min_samples(self):
-        telemetry = RuntimeTelemetry()
-        telemetry.record_compute("a", 0.01)
-        telemetry.record_compute("b", 1.0)
-        assert telemetry.detect_stragglers(min_samples=5) == []
-
-    def test_detect_needs_two_workers(self):
-        telemetry = RuntimeTelemetry()
-        for _ in range(10):
-            telemetry.record_compute("solo", 0.5)
-        assert telemetry.detect_stragglers() == []
-
-    def test_forget_worker(self):
-        telemetry = RuntimeTelemetry()
-        telemetry.record_compute("a", 0.1)
-        telemetry.forget_worker("a")
-        assert telemetry.summary() == {}
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RuntimeTelemetry(window=0)
-        with pytest.raises(ValueError):
-            RuntimeTelemetry().detect_stragglers(factor=1.0)
-
     def test_event_log_filters_by_kind(self):
         telemetry = RuntimeTelemetry()
         telemetry.record_event(1.0, "adjustment", adjustment_kind="scale_out")
@@ -68,51 +13,6 @@ class TestRuntimeTelemetryUnit:
         assert telemetry.events_of_kind("worker_failure")[0].detail[
             "worker"
         ] == "w1"
-
-
-class TestDetectStragglersEdgeCases:
-    def _fill(self, telemetry, worker, value, n):
-        for _ in range(n):
-            telemetry.record_compute(worker, value)
-
-    def test_exactly_min_samples_counts(self):
-        telemetry = RuntimeTelemetry()
-        self._fill(telemetry, "fast1", 0.01, 5)
-        self._fill(telemetry, "fast2", 0.01, 5)
-        self._fill(telemetry, "slow", 0.10, 5)
-        assert telemetry.detect_stragglers(min_samples=5) == ["slow"]
-        # One sample short of the threshold: the worker is invisible.
-        telemetry = RuntimeTelemetry()
-        self._fill(telemetry, "fast1", 0.01, 5)
-        self._fill(telemetry, "fast2", 0.01, 5)
-        self._fill(telemetry, "slow", 0.10, 4)
-        assert telemetry.detect_stragglers(min_samples=5) == []
-
-    def test_all_equal_means_flag_nobody(self):
-        telemetry = RuntimeTelemetry()
-        for worker in ("a", "b", "c", "d"):
-            self._fill(telemetry, worker, 0.02, 8)
-        assert telemetry.detect_stragglers(factor=1.5) == []
-
-    def test_two_worker_group(self):
-        # With two workers the median is the midpoint: only a truly
-        # extreme outlier clears factor x median.
-        telemetry = RuntimeTelemetry()
-        self._fill(telemetry, "fast", 0.01, 8)
-        self._fill(telemetry, "slow", 0.05, 8)
-        assert telemetry.detect_stragglers(factor=1.5) == ["slow"]
-        telemetry = RuntimeTelemetry()
-        self._fill(telemetry, "fast", 0.01, 8)
-        self._fill(telemetry, "slowish", 0.012, 8)
-        assert telemetry.detect_stragglers(factor=1.5) == []
-
-    def test_zero_median_guard(self):
-        # All-zero compute times (degenerate clocks) must not divide by
-        # zero or flag everyone.
-        telemetry = RuntimeTelemetry()
-        self._fill(telemetry, "a", 0.0, 8)
-        self._fill(telemetry, "b", 0.0, 8)
-        assert telemetry.detect_stragglers(factor=2.0) == []
 
 
 class TestEventIntegrity:
@@ -147,64 +47,31 @@ class TestEventIntegrity:
 
     def test_recordings_feed_metric_registry(self):
         telemetry = RuntimeTelemetry(clock=lambda: 0.0)
-        telemetry.record_compute("w0", 0.25)
         telemetry.record_detection("w0", latency=1.5)
         telemetry.record_recovery(["w0"], mttr=2.5)
         telemetry.record_event(None, "adjustment")
         snap = telemetry.metrics.snapshot()
-        assert snap["worker.compute_seconds"]["count"] == 1
         assert snap["failure.detection_latency_seconds"]["max"] == 1.5
         assert snap["failure.mttr_seconds"]["max"] == 2.5
         assert snap["events.adjustment"] == 1
 
 
 class TestTelemetryInRuntime:
-    def test_detects_injected_straggler(self, dataset):
-        """End to end: the telemetry identifies the slow worker from real
-        compute timings, without knowing about the injection."""
-        runtime = ElasticRuntime(
-            dataset, initial_workers=3, total_batch_size=48, seed=1,
-            iteration_delays={"w1": 0.02},
-        )
-        runtime.start()
-        assert runtime.wait_until_iteration(10)
-        runtime.stop()
-        assert runtime.telemetry.detect_stragglers(factor=2.0) == ["w1"]
-
-    def test_healthy_job_has_no_stragglers(self, dataset):
-        runtime = ElasticRuntime(dataset, initial_workers=3,
-                                 total_batch_size=48, seed=2)
-        runtime.start()
-        assert runtime.wait_until_iteration(10)
-        runtime.stop()
-        assert runtime.telemetry.detect_stragglers(factor=3.0) == []
-
-    def test_adjustment_events_recorded(self, dataset):
-        runtime = ElasticRuntime(dataset, initial_workers=2,
-                                 total_batch_size=32, seed=3)
-        runtime.start()
-        runtime.wait_until_iteration(3)
-        runtime.scale_out(1)
-        assert runtime.wait_for_adjustments(1)
-        runtime.stop()
-        events = runtime.telemetry.events_of_kind("adjustment")
+    def test_adjustment_events_recorded(self):
+        job = SimulatedElasticJob(RESNET50, workers=2, total_batch_size=64,
+                                  seed=3)
+        job.at(5.0, lambda: job.request_scale_out(1))
+        job.run(until=240.0)
+        events = job.telemetry.events_of_kind("adjustment")
         assert len(events) == 1
         assert events[0].detail["adjustment_kind"] == "scale_out"
         assert events[0].detail["new_group"] == ["w0", "w1", "w2"]
-        assert events[0].detail["latency"] < 1.0
 
-    def test_failure_events_recorded(self, dataset):
-        import time as _time
-
-        runtime = ElasticRuntime(dataset, initial_workers=2,
-                                 total_batch_size=32, seed=4)
-        runtime.start()
-        runtime.failure_injections["w1"] = 2
-        deadline = _time.monotonic() + 10
-        while (
-            not runtime.telemetry.events_of_kind("worker_failure")
-            and _time.monotonic() < deadline
-        ):
-            _time.sleep(0.005)
-        events = runtime.telemetry.events_of_kind("worker_failure")
+    def test_failure_events_recorded(self):
+        job = SimulatedElasticJob(
+            RESNET50, workers=2, total_batch_size=64, lease_ttl=5.0,
+            fault_plan=FaultPlan(silent_crashes={"w1": 20}), seed=4,
+        )
+        job.run(until=240.0)
+        events = job.telemetry.events_of_kind("failure_detected")
         assert events and events[0].detail["worker"] == "w1"

@@ -1,127 +1,108 @@
 """Tests for worker-crash handling and checkpoint-free recovery.
 
 Extension beyond the paper's §V-D (which covers AM failures): because
-every worker holds the full state replica, worker crashes lose no state —
-survivors rewind the in-flight iteration, regroup, and continue.
+every worker holds the full state replica, worker crashes lose no state.
+On the networked stack a dead worker stops renewing its lease; the AM
+condemns it, releases the barrier it stalls, and commits its eviction as
+a scale-in at the next boundary — no manual recovery call.
 """
 
 import time
 
-import pytest
-
-from repro.coordination import ElasticRuntime, params_consistent
-from repro.training import make_classification
+from repro.coordination.messages import MessageType
+from repro.net import JobSpec, LocalJob
 
 
-@pytest.fixture(scope="module")
-def dataset():
-    return make_classification(train_size=512, test_size=128, seed=31)
+def lease_job(workers, deaths=None, **overrides):
+    spec = dict(
+        iterations=40, coordination_interval=4, iteration_sleep=0.02,
+        total_batch_size=16 * len(workers), worker_lease_ttl=0.4,
+        lease_check_interval=0.05, ring_enabled=False,
+    )
+    spec.update(overrides)
+    job = LocalJob("memory", JobSpec(**spec), workers)
+    for worker in workers:
+        job.start_worker(
+            worker, die_at_iteration=(deaths or {}).get(worker)
+        )
+    return job
 
 
-def crash_one_worker(runtime, victim, at_iteration=None):
-    at = at_iteration or (runtime.snapshot()["iteration"] + 3)
-    runtime.failure_injections[victim] = at
-    deadline = time.monotonic() + 10.0
-    while time.monotonic() < deadline:
-        if victim in runtime.worker_failures:
-            return
-        time.sleep(0.005)
-    raise AssertionError("injected crash never fired")
+def run_to_completion(job, timeout=60.0):
+    try:
+        assert job.master.wait_complete(timeout), job.master.status()
+        assert job.join(10.0)
+        assert not job.errors, job.errors
+        return job.master.status()
+    finally:
+        job.close()
 
 
 class TestCrashDetection:
-    def test_crash_is_recorded(self, dataset):
-        runtime = ElasticRuntime(dataset, initial_workers=3,
-                                 total_batch_size=48, seed=1)
-        runtime.start()
-        crash_one_worker(runtime, "w1")
-        assert isinstance(runtime.worker_failures["w1"], RuntimeError)
-        runtime.stop()
+    def test_crash_is_recorded(self):
+        job = lease_job(["w0", "w1", "w2"], deaths={"w1": 6}, seed=1)
+        status = run_to_completion(job)
+        assert job.killed == ["w1"]
+        assert status["condemned"] == ["w1"]
+        assert status["departed"] == ["w1"]
+        assert job.master.metrics.snapshot()["am.evictions"] == 1
 
-    def test_survivors_do_not_hang(self, dataset):
-        """The crashed worker aborts the collective so peers unblock
-        instead of waiting out the allreduce timeout."""
-        runtime = ElasticRuntime(dataset, initial_workers=3,
-                                 total_batch_size=48, seed=2)
-        runtime.start()
-        crash_one_worker(runtime, "w0")
-        for worker_id in ("w1", "w2"):
-            thread = runtime._workers[worker_id].thread
-            thread.join(timeout=5.0)
-            assert not thread.is_alive(), f"{worker_id} hung after the crash"
+    def test_survivors_do_not_hang(self):
+        """The dead worker's barrier is released over the survivors, so
+        they unblock instead of waiting out the allreduce timeout."""
+        job = lease_job(["w0", "w1", "w2"], deaths={"w0": 6}, seed=2)
+        started = time.monotonic()
+        run_to_completion(job)
+        assert time.monotonic() - started < job.master.spec.allreduce_timeout
+        assert not any(thread.is_alive() for thread in job._threads)
 
 
 class TestRecovery:
-    def test_training_resumes_without_state_loss(self, dataset):
-        runtime = ElasticRuntime(dataset, initial_workers=3,
-                                 total_batch_size=48, seed=3)
-        runtime.start()
-        crash_one_worker(runtime, "w2")
-        removed = runtime.recover_from_failure()
-        assert removed == ["w2"]
-        assert runtime.am.group == ("w0", "w1")
-        before = runtime.snapshot()["iteration"]
-        assert runtime.wait_until_iteration(before + 10)
-        runtime.stop()
-        contexts = runtime.final_contexts()
-        assert len(contexts) == 2
-        assert params_consistent(contexts)
+    def test_training_resumes_without_state_loss(self):
+        job = lease_job(["w0", "w1", "w2"], deaths={"w2": 6}, seed=3)
+        status = run_to_completion(job)
+        assert status["group"] == ["w0", "w1"]
+        assert sorted(status["digests"]) == ["w0", "w1"]
+        assert len(set(status["digests"].values())) == 1
+        assert status["complete"]
 
-    def test_interrupted_batch_is_reissued(self, dataset):
-        """The loader rewind: the batch in flight at the crash is consumed
-        again after recovery — exactly-once per epoch still holds."""
-        runtime = ElasticRuntime(dataset, initial_workers=2,
-                                 total_batch_size=32, seed=4)
-        runtime.start()
-        crash_one_worker(runtime, "w1")
-        runtime.recover_from_failure()
-        runtime.wait_until_iteration(runtime.snapshot()["iteration"] + 3)
-        runtime.stop()  # quiesce before inspecting loader state
-        # Survivor loader position must equal iteration * batch consumed
-        # (modulo epoch wrap): position tracks completed iterations only —
-        # the batch in flight at the crash was rewound, not skipped.
-        context = runtime._workers["w0"].context
-        iterations = context.runtime_info.iteration
-        expected_position = (iterations * 32) % dataset.train_size
-        assert context.loader.state_dict()["position"] == expected_position
+    def test_recovery_without_failures_is_noop(self):
+        job = lease_job(["w0", "w1"], seed=5)
+        while job.master.status()["iteration"] < 8:
+            time.sleep(0.01)
+        assert job.master.check_leases() == []
+        status = run_to_completion(job)
+        assert status["condemned"] == []
+        assert status["adjustments_committed"] == 0
 
-    def test_recovery_without_failures_is_noop(self, dataset):
-        runtime = ElasticRuntime(dataset, initial_workers=2,
-                                 total_batch_size=32, seed=5)
-        runtime.start()
-        assert runtime.recover_from_failure() == []
-        runtime.stop()
-
-    def test_recovered_job_can_scale_again(self, dataset):
+    def test_recovered_job_can_scale_again(self):
         """Elasticity still works after a recovery (fresh generation)."""
-        runtime = ElasticRuntime(dataset, initial_workers=3,
-                                 total_batch_size=48, seed=6)
-        runtime.start()
-        crash_one_worker(runtime, "w1")
-        runtime.recover_from_failure()
-        runtime.wait_until_iteration(runtime.snapshot()["iteration"] + 3)
-        runtime.scale_out(2)
-        assert runtime.wait_for_adjustments(1)
-        runtime.stop()
-        assert len(runtime.am.group) == 4
-        assert params_consistent(runtime.final_contexts())
+        job = lease_job(["w0", "w1", "w2"], deaths={"w1": 4}, seed=6,
+                        iterations=60)
+        driver = job.link("driver")
+        while job.master.status()["adjustments_committed"] < 1:
+            time.sleep(0.01)
+        assert driver.request(MessageType.ADJUSTMENT_REQUEST, {
+            "kind": "scale_out", "add": ["w3", "w4"],
+        })["accepted"]
+        job.start_worker("w3")
+        job.start_worker("w4")
+        status = run_to_completion(job)
+        assert status["group"] == ["w0", "w2", "w3", "w4"]
+        assert len(set(status["digests"].values())) == 1
 
-    def test_total_loss_rejected(self, dataset):
-        runtime = ElasticRuntime(dataset, initial_workers=1,
-                                 total_batch_size=16, seed=7)
-        runtime.start()
-        crash_one_worker(runtime, "w0")
-        with pytest.raises(RuntimeError, match="checkpoint"):
-            runtime.recover_from_failure()
-
-    def test_gpu_released_by_crashed_worker(self, dataset):
-        from repro.topology import build_cluster
-
-        runtime = ElasticRuntime(dataset, initial_workers=2,
-                                 total_batch_size=32, seed=8,
-                                 cluster=build_cluster(1))
-        runtime.start()
-        crash_one_worker(runtime, "w1")
-        runtime.recover_from_failure()
-        runtime.stop()
-        assert len(runtime._free_gpus) == 7
+    def test_total_loss_rejected(self):
+        """A lone worker's death cannot be repaired by a scale-in: it is
+        condemned, but no eviction removing every worker is minted."""
+        job = lease_job(["w0"], deaths={"w0": 4}, seed=7)
+        try:
+            deadline = time.monotonic() + 10.0
+            while not job.master.status()["condemned"]:
+                assert time.monotonic() < deadline, "death never detected"
+                time.sleep(0.01)
+            status = job.master.status()
+            assert status["condemned"] == ["w0"]
+            assert not status["adjustment_pending"]
+            assert status["adjustments_committed"] == 0
+        finally:
+            job.close()

@@ -7,6 +7,7 @@ from repro.core import (
     StrongScalingPolicy,
     WeakScalingPolicy,
 )
+from repro.core.hybrid_scaling import BatchSchedule, ScalingSpec
 from repro.perfmodel import RESNET50, ThroughputModel
 
 
@@ -103,3 +104,51 @@ class TestBaselinePolicies:
         decision = policy.decide(8, 4, 512, learning_rate=0.2, iteration=0)
         assert decision.new_total_batch_size == 256
         assert decision.lr_ramp.target_lr == pytest.approx(0.1)
+
+
+class TestScalingSpec:
+    """The serialisable policy a JobSpec carries, and the schedule the
+    AM derives from it at every plan."""
+
+    def test_names_build_their_policies(self):
+        assert isinstance(ScalingSpec().build(), StrongScalingPolicy)
+        assert isinstance(ScalingSpec("weak").build(), WeakScalingPolicy)
+        hybrid = ScalingSpec("hybrid", model="ResNet-50").build()
+        assert isinstance(hybrid, HybridScalingPolicy)
+        assert hybrid.throughput_model.model is RESNET50
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            ScalingSpec("elastic")
+        with pytest.raises(ValueError):
+            ScalingSpec("hybrid")
+        with pytest.raises(ValueError):
+            ScalingSpec("weak", model="ResNet-50")
+        with pytest.raises(ValueError):
+            ScalingSpec("weak", ramp_iterations=-1)
+
+    def test_weak_rescale_ramps_from_the_current_lr(self):
+        spec = ScalingSpec("weak", ramp_iterations=10)
+        start = BatchSchedule.constant(32, 0.1)
+        grown = spec.rescale(start, 2, 4, iteration=8)
+        assert (grown.total_batch_size, grown.strategy) == (64, "weak")
+        assert grown.lr_at(8) == 0.1 and grown.lr_at(18) == 0.2
+        # Mid-ramp scale-in: the new ramp starts where the old one is.
+        shrunk = spec.rescale(grown, 4, 2, iteration=13)
+        assert shrunk.total_batch_size == 32
+        assert shrunk.lr_ramp.base_lr == grown.lr_at(13)
+        assert shrunk.lr_ramp.target_lr == pytest.approx(grown.lr_at(13) / 2)
+
+    def test_unchanged_batch_keeps_the_ramp_in_force(self):
+        weak = ScalingSpec("weak", ramp_iterations=10)
+        grown = weak.rescale(BatchSchedule.constant(32, 0.1), 2, 4, 8)
+        migrated = weak.rescale(grown, 4, 4, iteration=12)
+        assert migrated.lr_ramp == grown.lr_ramp
+        assert ScalingSpec().rescale(grown, 4, 8, 12).lr_ramp == grown.lr_ramp
+
+    def test_schedule_round_trips_through_its_payload(self):
+        schedule = ScalingSpec("weak").rescale(
+            BatchSchedule.constant(48, 0.05), 3, 4, iteration=4
+        )
+        assert BatchSchedule.from_payload(schedule.to_payload()) == schedule
+        assert schedule.per_worker_batch(4) == 16

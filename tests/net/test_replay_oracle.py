@@ -15,6 +15,7 @@ import time
 import numpy as np
 
 from repro.coordination.messages import MessageType
+from repro.core.hybrid_scaling import BatchSchedule, ScalingSpec
 from repro.net import (
     ChunkedUploader,
     JobSpec,
@@ -24,6 +25,8 @@ from repro.net import (
 )
 from repro.net.chunks import ShardedFetcher
 from repro.net.soak import assert_replay_matches
+
+from .harness import serial_replay
 
 TTL = 5.0
 
@@ -283,3 +286,55 @@ def test_fault_free_job_writes_the_golden_record_sequence():
         r["data"] for r in master.journal.records() if r["kind"] == "plan"
     ]
     assert [p["commit_iteration"] for p in plans] == [16, 28]
+
+
+def test_promote_mid_ramp_ends_on_the_serial_replay():
+    """A weak scale-out journals its batch schedule; replay ≡ live once
+    it commits, and a successor promoted while the LR still ramps keeps
+    shipping the same schedule: every replica ends on the digest of the
+    serial replay of the journal."""
+    spec = JobSpec(
+        iterations=32, coordination_interval=4, iteration_sleep=0.02,
+        seed=5, ring_enabled=False,
+        scaling=ScalingSpec("weak", ramp_iterations=20),
+    )
+    job = LocalJob("memory", spec, ["w0", "w1"])
+    driver = job.link("driver")
+
+    def wait_for(predicate):
+        deadline = time.monotonic() + 60.0
+        while not predicate(driver.request(MessageType.STATUS)):
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+
+    try:
+        assert driver.request(MessageType.ADJUSTMENT_REQUEST, {
+            "kind": "scale_out", "add": ["w2", "w3"], "at_iteration": 8,
+        })["accepted"]
+        for worker in ("w0", "w1", "w2", "w3"):
+            job.start_worker(worker)
+        wait_for(lambda status: status["adjustments_committed"] == 1)
+        assert_replay_matches(job.master)
+        (commit,) = [
+            r["data"] for r in job.master.journal.records()
+            if r["kind"] == "commit"
+        ]
+        ramp = BatchSchedule.from_payload(commit["schedule"]).lr_ramp
+        wait_for(lambda status: status["iteration"] >= 12)
+        successor = job.fail_over()
+        assert successor.epoch == 2
+        # The successor took over at a boundary inside the ramp.
+        assert successor.state.progress < ramp.start_iteration + ramp.length
+        finished = job.join(60.0)
+        assert not job.errors, job.errors
+        assert finished
+        status = driver.request(MessageType.STATUS)
+        assert_replay_matches(successor)
+        records = successor.journal.records()
+    finally:
+        job.close()
+
+    assert status["complete"]
+    want = serial_replay(spec, records, spec.iterations)
+    assert set(status["digests"].values()) == {want}
+    assert len(status["digests"]) == 4

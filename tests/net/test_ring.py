@@ -43,6 +43,7 @@ from repro.net.shm import ShmServer, shm_link
 from repro.net.tcp import TcpServer
 from repro.net.transport import ServerCore
 from repro.observability import MetricRegistry, Tracer
+from repro.training.nn import average_gradients
 
 from .harness import Harness, wait_for_iteration
 
@@ -1143,6 +1144,25 @@ class TestMasterRingPlumbing:
             for name in want:
                 assert got[name].dtype == want[name].dtype
                 assert got[name].tobytes() == want[name].tobytes()
+
+    def test_star_mean_is_summed_in_group_order_not_arrival_order(self):
+        """A star-only barrier of three or more members returns the same
+        bytes whichever order the contributions arrived in: the sum runs
+        over the group, as the serial replay's ``average_gradients``."""
+        spec = JobSpec(iterations=8, ring_enabled=False)
+        group = ("w0", "w1", "w2", "w3")
+        net = NetworkedApplicationMaster(spec, list(group))
+        rng = np.random.default_rng(11)
+        grads = {
+            member: {"w": rng.standard_normal(64) * 10.0 ** rank}
+            for rank, member in enumerate(group)
+        }
+        want = average_gradients([grads[member] for member in group])
+        for order in (group, group[::-1], ("w2", "w0", "w3", "w1")):
+            got = net.barriers._average(
+                group, {member: grads[member] for member in order}
+            )
+            assert got["w"].tobytes() == want["w"].tobytes()
 
     def test_closing_am_answers_a_waiting_sync_with_an_error(self):
         """A barrier the AM closes under has no mean to give: its waiter

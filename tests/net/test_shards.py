@@ -648,58 +648,6 @@ class TestShardedElasticJob:
         finally:
             harness.close()
 
-    def test_zero_optimizer_job_matches_and_halves_persisted_state(
-        self, transport
-    ):
-        """With the ZeRO axis on, replicas still finish bit-identical
-        (stepping uses the full velocity) while each worker's persisted
-        optimizer shard is ~1/world of the full buffers."""
-        spec = JobSpec(
-            iterations=12, coordination_interval=4, iteration_sleep=0.01,
-            allreduce_timeout=10.0, sync_ack_timeout=1.0,
-            chunk_bytes=1024, replication_shards=2, zero_optimizer=True,
-        )
-        harness = Harness(transport, spec, ["w0", "w1"], mesh=True)
-        try:
-            harness.start_worker("w0")
-            harness.start_worker("w1")
-            driver = harness.link("driver", ack_timeout=2.0)
-            wait_for_iteration(driver, 4)
-            reply = driver.request(
-                MessageType.ADJUSTMENT_REQUEST,
-                {"kind": "scale_out", "add": ["w2"]},
-            )
-            assert reply["accepted"] is True
-            harness.start_worker("w2")
-            harness.join_all()
-
-            status = driver.request(MessageType.STATUS)
-            assert status["complete"]
-            assert len(set(status["digests"].values())) == 1
-
-            shards = {
-                w: harness.agents[w].zero_shard
-                for w in ("w0", "w1", "w2")
-            }
-            assert all(s is not None for s in shards.values())
-            ranks = sorted(
-                (s["rank"], s["world"]) for s in shards.values()
-            )
-            assert ranks == [(0, 3), (1, 3), (2, 3)]
-            total_elems = shards["w0"]["total"]
-            for shard in shards.values():
-                assert shard["slice"].size <= total_elems // 3 + 1
-            # Together the shards tile the flat space exactly.
-            from repro.training.optim import ShardedMomentumSGD
-            merged = ShardedMomentumSGD.merge_shards(list(shards.values()))
-            covered = sum(s["slice"].size for s in shards.values())
-            assert covered == total_elems
-            assert sum(
-                v.size for v in merged["velocity"].values()
-            ) == total_elems
-        finally:
-            harness.close()
-
     def test_delta_rejoin_skips_matching_shards_end_to_end(self):
         """A joiner holding a fresh stale snapshot (captured from a
         finished worker of an identical run) adopts every matching

@@ -1,10 +1,9 @@
-"""Tests for replication execution (DES timing + live copies) and the
+"""Tests for replication execution (DES timing) and the
 checkpoint baseline."""
 
 import pytest
 
 from repro.replication import (
-    LiveReplicator,
     SharedStorage,
     SimulatedReplicationExecutor,
     checkpoint_load_cost,
@@ -94,22 +93,6 @@ class TestSimulatedExecutor:
         plan = plan_replication(gpus_of(cluster)[:1], [], GPU_BYTES, CPU_BYTES)
         timeline = SimulatedReplicationExecutor().execute(plan)
         assert timeline.makespan == 0.0
-
-
-class TestLiveReplicator:
-    def test_replica_is_equal_and_independent(self):
-        state = make_state()
-        replica = LiveReplicator().replicate(state)
-        assert replica.equals(state)
-        replica.model["w1"][0, 0] += 1.0
-        assert not replica.equals(state)
-
-    def test_counts_replications(self):
-        replicator = LiveReplicator()
-        state = make_state()
-        replicator.replicate(state)
-        replicator.replicate(state)
-        assert replicator.replications == 2
 
 
 class TestCheckpointBaseline:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.coordination import ElasticRuntime, params_consistent
+from repro.core import ElasticJob
 from repro.training import (
     deep_mlp_architecture,
     logistic_regression_architecture,
@@ -80,46 +80,40 @@ class TestArchitectureContract:
             logistic_regression_architecture(4, 1)
 
 
+def arch_job(architecture, workers=2, **spec):
+    """An elastic job on ``architecture`` over the fixture's dataset."""
+    return ElasticJob(
+        workers=workers, architecture=architecture, train_size=512,
+        test_size=128, input_dim=32, hidden_dim=32, num_classes=10,
+        seed=spec.pop("seed"), total_batch_size=16 * workers,
+        iteration_sleep=0.002, **spec,
+    )
+
+
 class TestArchitecturesInRuntime:
     """The same elasticity machinery drives every model family — the
     reproduction's analogue of integrating Caffe and PyTorch."""
 
-    @pytest.mark.parametrize("factory", ARCHITECTURES, ids=ARCH_IDS)
-    def test_elastic_scale_out_works(self, dataset, factory):
-        runtime = ElasticRuntime(
-            dataset, initial_workers=2, total_batch_size=32,
-            seed=2, architecture=factory(dataset),
-        )
-        runtime.start()
-        assert runtime.wait_until_iteration(5)
-        runtime.scale_out(1)
-        assert runtime.wait_for_adjustments(1)
-        assert runtime.wait_until_iteration(runtime.snapshot()["iteration"] + 5)
-        runtime.stop()
-        assert params_consistent(runtime.final_contexts())
-        assert 0.0 <= runtime.evaluate() <= 1.0
+    @pytest.mark.parametrize("name", ARCH_IDS, ids=ARCH_IDS)
+    def test_elastic_scale_out_works(self, name):
+        with arch_job(name, seed=2, iterations=40) as job:
+            assert job.wait_until_iteration(5)
+            job.scale_out(1)
+            assert job.wait_for_adjustments(1)
+        assert len(job.digests()) == 3
+        assert len(set(job.digests().values())) == 1
+        assert 0.0 <= job.evaluate() <= 1.0
 
-    def test_logreg_three_workers_consistent(self, dataset):
-        arch = logistic_regression_architecture(
-            dataset.input_dim, dataset.num_classes
+    def test_logreg_three_workers_consistent(self):
+        with arch_job("logreg", workers=3, seed=3, iterations=10) as job:
+            pass
+        assert len(set(job.digests().values())) == 1
+        assert set(job.final_params()) == set(
+            logistic_regression_architecture(32, 10).init(0)
         )
-        runtime = ElasticRuntime(
-            dataset, initial_workers=3, total_batch_size=48,
-            seed=3, architecture=arch,
-        )
-        runtime.start()
-        assert runtime.wait_until_iteration(10)
-        runtime.stop()
-        assert params_consistent(runtime.final_contexts())
 
-    def test_deep_mlp_learns(self, dataset):
-        arch = deep_mlp_architecture(dataset.input_dim, [48, 24],
-                                     dataset.num_classes)
-        runtime = ElasticRuntime(
-            dataset, initial_workers=2, total_batch_size=32,
-            base_lr=0.02, seed=4, architecture=arch,
-        )
-        runtime.start()
-        assert runtime.wait_until_iteration(120)
-        runtime.stop()
-        assert runtime.evaluate() > 2.5 / dataset.num_classes
+    def test_deep_mlp_learns(self):
+        with arch_job("deep-mlp", seed=4, iterations=120,
+                      base_lr=0.02) as job:
+            pass
+        assert job.evaluate() > 2.5 / 10

@@ -9,7 +9,7 @@ state round trips and the sharded optimizer.
 import numpy as np
 import pytest
 
-from repro.training.optim import MomentumSGD, ShardedMomentumSGD
+from repro.training.optim import MomentumSGD
 
 SHAPES = {"w1": (13, 7), "b1": (7,), "w2": (7, 3), "b2": (3,)}
 
@@ -149,26 +149,3 @@ class TestStateUnderInPlaceSteps:
         assert_bit_identical(
             resumed.state_dict()["velocity"], straight.state_dict()["velocity"]
         )
-
-
-class TestShardedStaysBitIdentical:
-    def test_reshard_between_steps(self):
-        grads = grad_stream(24)
-        expected_params = make_params()
-        expected = OutOfPlaceSGD(lr=0.05, weight_decay=1e-4)
-        params = make_params()
-        sharded = ShardedMomentumSGD(lr=0.05, weight_decay=1e-4, rank=0, world=2)
-        for step, step_grads in enumerate(grads):
-            if step % 6 == 5:
-                world = 1 + step % 4
-                sharded.reshard(step % world, world)
-                shards = [sharded.shard_state_dict(r, world) for r in range(world)]
-                merged = ShardedMomentumSGD.merge_shards(shards)
-                assert_bit_identical(merged["velocity"], expected.velocity)
-                sharded = ShardedMomentumSGD(
-                    lr=0.05, weight_decay=1e-4, rank=step % world, world=world
-                )
-                sharded.load_state_dict(merged)
-            sharded.step(params, step_grads)
-            expected.step(expected_params, step_grads)
-            assert_bit_identical(params, expected_params)
