@@ -1,8 +1,10 @@
 """Fault tolerance (paper §V-D): AM fail-over and a lossy control plane.
 
-Part 1 crashes the application master mid-adjustment and recovers it from
-the persisted state machine (the etcd stand-in), then finishes the
-adjustment with the recovered AM.
+Part 1 kills the networked application master in the middle of a
+scale-out and promotes a successor replayed from its write-ahead
+journal.  The fenced predecessor answers every request with the
+retryable ``am_superseded`` error, and the successor finishes the
+adjustment the predecessor accepted.
 
 Part 2 pushes worker reports through a link whose fault plan drops and
 duplicates messages; unique message IDs + timeout-resend + receiver dedup
@@ -11,39 +13,72 @@ deliver each report exactly once.
 Run:  python examples/fault_tolerance.py
 """
 
-from repro.coordination import (
-    AdjustmentKind,
-    AdjustmentRequest,
-    ApplicationMaster,
-    DirectiveKind,
-    FaultPlan,
-    KeyValueStore,
-    MessageType,
+import numpy as np
+
+from repro.coordination import FaultPlan, MessageType
+from repro.net import (
+    ChunkedUploader,
+    JobSpec,
+    NetworkedApplicationMaster,
+    RetryableError,
+    ServerCore,
+    memory_link,
+    promote,
 )
-from repro.net import ServerCore, memory_link
 
 
 def am_failover():
-    print("=== Part 1: AM crash and recovery mid-adjustment ===")
-    store = KeyValueStore()
-    am = ApplicationMaster("job0", ["w0", "w1", "w2", "w3"], store=store)
-    am.request_adjustment(
-        AdjustmentRequest(AdjustmentKind.SCALE_OUT, add_workers=("w4", "w5"))
-    )
-    am.worker_report("w4")
-    print(f"AM state before crash: {am.state.value}, reported={sorted(am.reported)}")
+    print("=== Part 1: AM crash and takeover mid scale-out ===")
+    spec = JobSpec(iterations=8, coordination_interval=4,
+                   iteration_sleep=0.0, ring_enabled=False)
+    old = NetworkedApplicationMaster(spec, ["w0", "w1"])
+    links = {w: memory_link(old.core, w) for w in ("w0", "w1", "w2", "w3")}
+    driver = memory_link(old.core, "driver")
+    for worker in ("w0", "w1"):
+        assert links[worker].request(MessageType.JOIN, {})["status"] == "start"
+    assert driver.request(
+        MessageType.ADJUSTMENT_REQUEST,
+        {"kind": "scale_out", "add": ["w2", "w3"]},
+    )["accepted"]
+    # w2's first JOIN poll is its report; w3 is still starting.
+    assert links["w2"].request(MessageType.JOIN, {})["status"] == "pending"
+    status = driver.request(MessageType.STATUS)
+    print(f"AM epoch {status['epoch']} before the crash: adjustment "
+          f"pending={status['adjustment_pending']}, group={status['group']}")
 
-    print("... AM process dies; a replacement recovers from the store ...")
-    recovered = ApplicationMaster.recover("job0", store)
-    print(f"recovered state: {recovered.state.value}, "
-          f"reported={sorted(recovered.reported)}")
+    print("... the AM dies; a standby replays its journal and takes over ...")
+    successor = promote(old, old.journal)
+    for link in list(links.values()) + [driver]:
+        link.transport.redirect(successor.core)
+    stale = memory_link(old.core, "w0")
+    try:
+        stale.request(MessageType.STATUS)
+    except RetryableError as exc:
+        assert exc.reason == "am_superseded"
+        print(f"predecessor answers: {exc.reason} ({exc})")
+    else:
+        raise AssertionError("the fenced predecessor answered")
 
-    recovered.worker_report("w5")  # the missing report arrives
-    directive = recovered.coordinate("w0", recovered.commit_iteration)
-    assert directive.kind is DirectiveKind.ADJUST
-    recovered.finish_adjustment()
-    print(f"adjustment committed by the recovered AM; group is now "
-          f"{recovered.group}")
+    # Reports are not journaled: both joiners report to the successor.
+    for worker in ("w2", "w3"):
+        links[worker].request(MessageType.JOIN, {})
+    for worker in ("w0", "w1"):
+        directive = links[worker].request(
+            MessageType.COORDINATE, {"iteration": 4, "ring_epoch": -1},
+        )
+        assert directive["kind"] == "adjust"
+        if directive["upload"]:
+            state = {"params": {"w": np.arange(64.0)}, "optimizer": {},
+                     "loader": {}}
+            ChunkedUploader(links[worker], chunk_bytes=128).upload(state)
+    status = driver.request(MessageType.STATUS)
+    assert status["epoch"] == 2 and status["adjustments_committed"] == 1
+    assert status["group"] == ["w0", "w1", "w2", "w3"]
+    print(f"AM epoch {status['epoch']} committed the scale-out; group is "
+          f"now {status['group']}")
+    for link in list(links.values()) + [driver, stale]:
+        link.close()
+    successor.close()
 
 
 def lossy_control_plane():

@@ -1,4 +1,11 @@
-"""Elan's control plane: AM, protocol, store, hooks, timed twin (§II, §V)."""
+"""Elan's control plane: AM, protocol, leases, hooks, timed twin (§II, §V).
+
+The decision engine (:class:`ApplicationMaster`) persists nothing: the
+networked AM's write-ahead journal (:mod:`repro.net.journal`) is its one
+durable record, fencing epoch included.  :class:`LeaseTable` holds the
+worker heartbeat leases, and :class:`SimulatedElasticJob` runs the same
+engine on simulated time.
+"""
 
 from .dessim import SimulatedAdjustment, SimulatedElasticJob
 from .faults import ExponentialBackoff, FaultPlan, LeaseExpired, SilentCrash
@@ -10,7 +17,6 @@ from .master import (
     Directive,
     DirectiveKind,
     MasterState,
-    StaleEpochError,
 )
 from .messages import (
     DeduplicatingInbox,
@@ -18,19 +24,12 @@ from .messages import (
     MessageFactory,
     MessageType,
 )
-from .store import (
-    TOMBSTONE,
-    CasConflict,
-    KeyValueStore,
-    LeaseRevoked,
-)
-from .telemetry import RuntimeTelemetry, TelemetryEvent
+from .store import LeaseRevoked, LeaseTable
 
 __all__ = [
     "AdjustmentKind",
     "AdjustmentRequest",
     "ApplicationMaster",
-    "CasConflict",
     "DeduplicatingInbox",
     "Directive",
     "DirectiveKind",
@@ -38,18 +37,14 @@ __all__ = [
     "FaultPlan",
     "Hook",
     "HookRegistry",
-    "KeyValueStore",
     "LeaseExpired",
     "LeaseRevoked",
+    "LeaseTable",
     "MasterState",
     "Message",
-    "RuntimeTelemetry",
     "SilentCrash",
     "SimulatedAdjustment",
     "SimulatedElasticJob",
-    "StaleEpochError",
-    "TelemetryEvent",
-    "TOMBSTONE",
     "MessageFactory",
     "MessageType",
 ]

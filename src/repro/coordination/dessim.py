@@ -8,6 +8,14 @@ the topology-aware replication plan.  The same AM code thus runs in three
 harnesses — unit tests, the networked AM, and this simulator —
 and the simulator's measured adjustment latencies cross-validate the
 closed-form :class:`~repro.baselines.timing.ElanAdjustmentModel`.
+
+The twin records what the live AM records, on simulated time: spans and
+instants on ``job.tracer``, metrics under the live AM's names on
+``job.metrics``.  It supervises workers through a
+:class:`~repro.coordination.store.LeaseTable` and fails its AM over the
+way the live AM does: a fresh engine placed by
+:meth:`~repro.coordination.master.ApplicationMaster.reposition` where its
+predecessor stood.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import typing
 
 import numpy as np
 
-from ..observability import Tracer
+from ..observability import MetricRegistry, Tracer
 from ..perfmodel import calibration
 from ..perfmodel.models import ModelSpec
 from ..perfmodel.throughput import ClusterSpec, PAPER_CLUSTER, ThroughputModel
@@ -30,8 +38,7 @@ from .master import (
     ApplicationMaster,
     DirectiveKind,
 )
-from .store import KeyValueStore
-from .telemetry import RuntimeTelemetry
+from .store import LeaseTable
 from ..simcore import Simulator
 
 
@@ -80,9 +87,9 @@ class SimulatedElasticJob:
         self.tracer = tracer or Tracer(
             clock=lambda: self.sim.now, process="elan-dessim"
         )
-        #: Event log / metrics twin, stamped with simulated time so
-        #: replays are deterministic.
-        self.telemetry = RuntimeTelemetry(clock=lambda: self.sim.now)
+        #: The live AM's metric names (failure detection, MTTR,
+        #: failovers) plus the twin's adjustment counts.
+        self.metrics = MetricRegistry()
         self.model = model
         self.throughput = ThroughputModel(model, cluster)
         self.profile = profile or BandwidthProfile()
@@ -106,9 +113,9 @@ class SimulatedElasticJob:
             lease_ttl / 4.0 if lease_ttl else 1.0
         )
         self.fault_plan = fault_plan
-        #: The etcd stand-in, ticking on *simulated* time: lease deadlines
-        #: are measured in sim seconds.
-        self.store = KeyValueStore(clock=lambda: self.sim.now)
+        #: Worker leases, ticking on *simulated* time: deadlines are
+        #: measured in sim seconds.
+        self.leases = LeaseTable(clock=lambda: self.sim.now)
         #: (worker_id, detection latency in sim seconds) per detection.
         self.detections: typing.List[tuple] = []
         #: (removed worker ids, MTTR in sim seconds) per auto-recovery.
@@ -119,10 +126,12 @@ class SimulatedElasticJob:
 
         worker_ids = [f"w{i}" for i in range(workers)]
         self.am = ApplicationMaster(
-            "sim-job", worker_ids, store=self.store,
+            "sim-job", worker_ids,
             coordination_interval=coordination_interval,
             tracer=self.tracer,
         )
+        #: the open ``am.directive`` span (ADJUST issue -> commit).
+        self._directive_span = None
         _cluster, gpus = cluster_for_gpu_count(workers + 64)
         self._gpu_pool = list(gpus)
         for worker_id in worker_ids:
@@ -175,6 +184,12 @@ class SimulatedElasticJob:
             for worker_id in self.am.group:
                 directive = self.am.coordinate(worker_id, self.iteration)
             if directive.kind is DirectiveKind.ADJUST:
+                self._directive_span = self.tracer.begin(
+                    "am.directive", track="am", cat="am",
+                    kind=directive.adjustment.kind.value,
+                    commit_iteration=directive.commit_iteration,
+                    epoch=self._epoch(),
+                )
                 yield from self._commit(directive)
 
     # -- leases & supervision (the live supervisor's simulated twin) -----------
@@ -188,7 +203,7 @@ class SimulatedElasticJob:
 
     def _publish_lease(self, worker_id: str) -> None:
         if self.lease_ttl is not None:
-            self.store.lease(self._lease_key(worker_id), "alive", self.lease_ttl)
+            self.leases.lease(self._lease_key(worker_id), self.lease_ttl)
 
     def _worker_dead(self, worker_id: str) -> bool:
         """True once the fault plan has killed (or fenced out) the worker."""
@@ -197,7 +212,7 @@ class SimulatedElasticJob:
         plan = self.fault_plan
         if plan is not None and plan.crashes_by(worker_id, self.iteration):
             return True
-        return self.store.lease_revoked(self._lease_key(worker_id))
+        return self.leases.lease_revoked(self._lease_key(worker_id))
 
     def _group_stalled(self) -> bool:
         return any(self._worker_dead(w) for w in self.am.group)
@@ -208,7 +223,7 @@ class SimulatedElasticJob:
             return
         for worker_id in self.am.group:
             if not self._worker_dead(worker_id):
-                self.store.keep_alive(self._lease_key(worker_id), self.lease_ttl)
+                self.leases.keep_alive(self._lease_key(worker_id), self.lease_ttl)
 
     def _supervise_loop(self):
         while self._running:
@@ -222,37 +237,34 @@ class SimulatedElasticJob:
                     and self.iteration >= plan.am_crash_iteration
                 ):
                     self._am_crash_fired = True
-                    self.am = ApplicationMaster.recover(
-                        self.am.job_id, self.store, tracer=self.tracer
-                    )
-                    self.tracer.instant(
-                        "am.failover", track="am", cat="am",
-                        epoch=self.am.epoch,
-                    )
+                    self._fail_over()
                 for key in plan.due_lease_expiries(now):
                     if key in self._forced_expiries_done:
                         continue
-                    if self.store.lease_deadline(key) is None:
+                    if self.leases.lease_deadline(key) is None:
                         continue
                     self._forced_expiries_done.add(key)
-                    self.store.force_expire(key)
+                    self.leases.force_expire(key)
             if self.lease_ttl is None:
                 continue
             victims = []
-            for key in self.store.expired_keys(self._lease_prefix):
+            for key in self.leases.expired_keys(self._lease_prefix):
                 worker_id = key.rsplit("/", 1)[-1]
                 if worker_id not in self.am.group:
-                    self.store.delete(key)  # orphan lease; reap
+                    self.leases.delete(key)  # orphan lease; reap
                     continue
                 # Expiry alone is ambiguous (blocked survivors lapse
                 # too): condemn only plan-certified deaths and forced
                 # revocations — the sim analogue of the live
                 # thread-dead / revoked criteria.
                 if self._worker_dead(worker_id):
-                    deadline = self.store.lease_deadline(key)
+                    deadline = self.leases.lease_deadline(key)
                     latency = max(0.0, now - deadline)
                     self.detections.append((worker_id, latency))
-                    self.telemetry.record_detection(worker_id, latency)
+                    self.metrics.histogram(
+                        "failure.detection_latency_seconds"
+                    ).observe(latency)
+                    self.metrics.counter("events.failure_detected").inc()
                     self.tracer.instant(
                         "failure.detected", track="supervisor",
                         cat="failure", worker=worker_id, latency=latency,
@@ -274,22 +286,55 @@ class SimulatedElasticJob:
             + calibration.DATA_REPARTITION_TIME
         )
         self._dead.update(victims)
-        self.am.group = survivors
-        self.am._persist()
+        self._place(self.am, survivors)
         for worker_id in victims:
-            self.store.delete(self._lease_key(worker_id))
+            self.leases.delete(self._lease_key(worker_id))
             self._gpu_pool.insert(0, self._worker_gpus.pop(worker_id))
         for worker_id in survivors:
-            self.store.delete(self._lease_key(worker_id))
+            self.leases.delete(self._lease_key(worker_id))
             self._publish_lease(worker_id)
         mttr = self.sim.now - detected_at
         self.recoveries.append((list(victims), mttr))
-        self.telemetry.record_recovery(victims, mttr)
+        self.metrics.histogram("failure.mttr_seconds").observe(mttr)
+        self.metrics.counter("events.recovery").inc()
         self.tracer.add_span(
             "recover", detected_at, self.sim.now,
             track="supervisor", cat="failure", removed=list(victims),
         )
-        self.telemetry.metrics.gauge("workers").set(len(survivors))
+        self.metrics.gauge("workers").set(len(survivors))
+
+    # -- AM failover (the live promote's twin) -----------------------------------
+
+    def _epoch(self) -> int:
+        """The acting AM incarnation: 1, plus one per failover."""
+        return 1 + int(self.metrics.counter("am.failover").value)
+
+    def _fail_over(self) -> None:
+        """The AM dies; a fresh engine takes over where it stood."""
+        successor = ApplicationMaster(
+            self.am.job_id, self.am.group,
+            coordination_interval=self.coordination_interval,
+            tracer=self.tracer,
+        )
+        self.am = self._place(successor, self.am.group)
+        self.metrics.counter("am.failover").inc()
+        self.tracer.instant(
+            "am.failover", track="am", cat="am", epoch=self._epoch(),
+        )
+
+    def _place(
+        self, engine: ApplicationMaster, group: typing.Sequence[str]
+    ) -> ApplicationMaster:
+        """Reposition ``engine`` at the acting AM's position with
+        ``group`` as the membership."""
+        am = self.am
+        engine.reposition(
+            am.state, group, am.pending, reported=am.reported,
+            commit_iteration=am.commit_iteration,
+            latest_iteration=am.latest_iteration,
+            adjustments_committed=am.adjustments_committed,
+        )
+        return engine
 
     def _commit(self, directive):
         request = directive.adjustment
@@ -311,12 +356,12 @@ class SimulatedElasticJob:
             track="am", cat="adjust",
         )
         startup_iters = self._iterations_since(self._pending_request_time)
-        old_group = self.am.group
         self.am.finish_adjustment()
+        self.tracer.end(self._directive_span, group_size=len(self.am.group))
         for worker_id in request.remove_workers:
             self._gpu_pool.insert(0, self._worker_gpus.pop(worker_id))
             if self.lease_ttl is not None:
-                self.store.delete(self._lease_key(worker_id))
+                self.leases.delete(self._lease_key(worker_id))
         for worker_id in request.add_workers:
             self._publish_lease(worker_id)
         self.tracer.add_span(
@@ -325,15 +370,10 @@ class SimulatedElasticJob:
             commit_iteration=directive.commit_iteration,
             old_workers=old_size, new_workers=len(self.am.group),
         )
-        metrics = self.telemetry.metrics
+        metrics = self.metrics
         metrics.histogram("commit_seconds").observe(self.sim.now - commit_time)
         metrics.counter(f"adjustments.{request.kind.value}").inc()
         metrics.gauge("workers").set(len(self.am.group))
-        self.telemetry.record_event(
-            None, "adjustment", adjustment_kind=request.kind.value,
-            commit_iteration=directive.commit_iteration,
-            old_group=list(old_group), new_group=list(self.am.group),
-        )
         self.adjustments.append(
             SimulatedAdjustment(
                 kind=request.kind,

@@ -15,9 +15,10 @@ coordinates workers through the 5-step procedure of Fig. 2:
 The AM is deliberately transport-free pure logic: the networked AM
 (:mod:`repro.net.master_service`) calls it under a lock, the
 discrete-event experiments drive it with simulated time, and both get
-identical decisions.  Every transition
-is persisted to a :class:`~repro.coordination.store.KeyValueStore`
-(the etcd stand-in) so a failed AM can be recovered (§V-D).
+identical decisions.  The engine persists and fences nothing: its owner
+keeps the one durable record (the networked AM's write-ahead journal,
+§V-D) and places a successor's fresh engine at the recorded position
+with :meth:`ApplicationMaster.reposition`.
 """
 
 from __future__ import annotations
@@ -25,21 +26,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import typing
-
-from .store import CasConflict, KeyValueStore
-
-
-class StaleEpochError(RuntimeError):
-    """Raised when a fenced-off AM incarnation tries to act.
-
-    Every AM incarnation (initial launch and each recovery) acquires a
-    strictly increasing *fencing epoch* via CAS on the store.  An
-    incarnation whose epoch is no longer current — it crashed, a
-    replacement recovered, but the old process is still running — is
-    *stale*: its directives must be rejected and its writes refused, or a
-    zombie master could double-commit an adjustment the new master is
-    also driving.
-    """
 
 
 class AdjustmentKind(enum.Enum):
@@ -58,7 +44,7 @@ class DirectiveKind(enum.Enum):
 
 
 class MasterState(enum.Enum):
-    """AM state machine (persisted to the store)."""
+    """AM state machine."""
 
     RUNNING = "running"
     WAITING_REPORTS = "waiting_reports"
@@ -107,17 +93,12 @@ class AdjustmentRequest:
 
 @dataclasses.dataclass(frozen=True)
 class Directive:
-    """The AM's answer to one coordinate call.
-
-    Carries the issuing AM's fencing ``epoch`` so receivers can reject
-    directives from a master that has since been superseded.
-    """
+    """The AM's answer to one coordinate call."""
 
     kind: DirectiveKind
     adjustment: "AdjustmentRequest | None" = None
     new_group: typing.Tuple[str, ...] = ()
     commit_iteration: int = -1
-    epoch: int = 0
 
 
 class ApplicationMaster:
@@ -127,7 +108,6 @@ class ApplicationMaster:
         self,
         job_id: str,
         workers: typing.Sequence[str],
-        store: "KeyValueStore | None" = None,
         coordination_interval: int = 1,
         tracer: "typing.Any | None" = None,
     ):
@@ -138,12 +118,10 @@ class ApplicationMaster:
         if coordination_interval < 1:
             raise ValueError("coordination_interval must be >= 1")
         self.job_id = job_id
-        self.store = store or KeyValueStore()
         self.coordination_interval = coordination_interval
         #: Optional span recorder; both the networked AM and the DES twin
         #: hand theirs in, so AM transitions land on either timeline.
         self.tracer = tracer
-        self._directive_span = None
         self.state = MasterState.RUNNING
         self.group: typing.Tuple[str, ...] = tuple(workers)
         self.pending: "AdjustmentRequest | None" = None
@@ -152,48 +130,15 @@ class ApplicationMaster:
         self.latest_iteration = 0
         self.coordinations = 0
         self.adjustments_committed = 0
-        self.epoch = self._acquire_epoch(self.store, job_id)
-        self._persisted_iteration = 0
-        self._persist()
 
     def _instant(self, name: str, **args) -> None:
         if self.tracer is not None:
             self.tracer.instant(name, track="am", cat="am", **args)
 
-    # -- fencing (§V-D hardening) ---------------------------------------------
-
-    @staticmethod
-    def _acquire_epoch(store: KeyValueStore, job_id: str) -> int:
-        """Claim leadership: CAS the job's epoch counter one step higher.
-
-        Losing the CAS means another incarnation claimed concurrently;
-        re-read and try again — the loop terminates because every loser
-        observes a strictly larger version.
-        """
-        key = f"elan/{job_id}/am/epoch"
-        while True:
-            current = store.get(key, 0)
-            version = store.version(key)
-            try:
-                store.compare_and_swap(key, version, current + 1)
-            except CasConflict:
-                continue
-            return current + 1
-
-    def _check_fenced(self) -> None:
-        """Refuse to act if a newer incarnation holds the epoch."""
-        current = self.store.get(f"elan/{self.job_id}/am/epoch", 0)
-        if current != self.epoch:
-            raise StaleEpochError(
-                f"AM epoch {self.epoch} for job {self.job_id!r} has been "
-                f"superseded by epoch {current}"
-            )
-
     # -- service API offered to the scheduler (Table III) --------------------
 
     def request_adjustment(self, request: AdjustmentRequest) -> bool:
         """Step 1: accept an adjustment unless one is already in flight."""
-        self._check_fenced()
         if self.pending is not None:
             return False
         request.validate(self.group)
@@ -209,14 +154,12 @@ class ApplicationMaster:
         else:
             # Scale-in needs no reports: commit at the next boundary.
             self._schedule_commit()
-        self._persist()
         return True
 
     # -- worker-facing protocol ----------------------------------------------
 
     def worker_report(self, worker_id: str) -> None:
         """Step 2: a new worker finished start + init and is ready to join."""
-        self._check_fenced()
         if self.pending is None or worker_id not in self.pending.add_workers:
             return  # stale or unknown report; ignore (idempotent)
         self.reported.add(worker_id)
@@ -225,7 +168,6 @@ class ApplicationMaster:
             self.pending.add_workers
         ):
             self._schedule_commit()
-        self._persist()
 
     def coordinate(self, worker_id: str, iteration: int) -> Directive:
         """Step 3: an existing worker checks in at an iteration boundary.
@@ -237,7 +179,6 @@ class ApplicationMaster:
         workers never stall training, "the adjustment is left for future
         coordination".
         """
-        self._check_fenced()
         if worker_id not in self.group:
             raise KeyError(f"{worker_id!r} is not in the current group")
         self.coordinations += 1
@@ -247,16 +188,7 @@ class ApplicationMaster:
             and iteration >= self.commit_iteration
         ):
             return self._commit_directive()
-        # Keep the persisted iteration view fresh enough that a recovered
-        # AM never schedules a commit in the workers' past — but only one
-        # write per boundary (the first worker to mention it), so the hot
-        # path stays a dict insert, not a write per coordination.
-        if (
-            self.latest_iteration - self._persisted_iteration
-            >= self.coordination_interval
-        ):
-            self._persist()
-        return Directive(kind=DirectiveKind.CONTINUE, epoch=self.epoch)
+        return Directive(kind=DirectiveKind.CONTINUE)
 
     # -- internals -------------------------------------------------------------
 
@@ -276,14 +208,6 @@ class ApplicationMaster:
     def _commit_directive(self) -> Directive:
         request = self.pending
         assert request is not None
-        # Directive issue -> ack as one span: opened the first time an
-        # ADJUST directive is minted, closed by finish_adjustment.
-        if self.tracer is not None and self._directive_span is None:
-            self._directive_span = self.tracer.begin(
-                "am.directive", track="am", cat="am",
-                kind=request.kind.value,
-                commit_iteration=self.commit_iteration, epoch=self.epoch,
-            )
         if request.kind is AdjustmentKind.MIGRATION:
             new_group = tuple(request.add_workers)
         else:
@@ -294,12 +218,10 @@ class ApplicationMaster:
             adjustment=request,
             new_group=new_group,
             commit_iteration=self.commit_iteration,
-            epoch=self.epoch,
         )
 
     def finish_adjustment(self) -> None:
         """Called by the harness once steps 4-5 completed at the commit."""
-        self._check_fenced()
         directive = self._commit_directive()
         self.group = directive.new_group
         self.pending = None
@@ -307,79 +229,6 @@ class ApplicationMaster:
         self.commit_iteration = -1
         self.state = MasterState.RUNNING
         self.adjustments_committed += 1
-        if self.tracer is not None and self._directive_span is not None:
-            self.tracer.end(
-                self._directive_span, group_size=len(self.group)
-            )
-            self._directive_span = None
-        self._persist()
-
-    # -- fault tolerance (§V-D) --------------------------------------------------
-
-    def _persist(self) -> None:
-        self._persisted_iteration = self.latest_iteration
-        self.store.put(
-            f"elan/{self.job_id}/am",
-            {
-                "epoch": self.epoch,
-                "state": self.state.value,
-                "group": list(self.group),
-                "pending": None
-                if self.pending is None
-                else {
-                    "kind": self.pending.kind.value,
-                    "add": list(self.pending.add_workers),
-                    "remove": list(self.pending.remove_workers),
-                    "at_iteration": self.pending.at_iteration,
-                },
-                "reported": sorted(self.reported),
-                "commit_iteration": self.commit_iteration,
-                "latest_iteration": self.latest_iteration,
-                "coordination_interval": self.coordination_interval,
-                "adjustments_committed": self.adjustments_committed,
-            },
-        )
-
-    @classmethod
-    def recover(
-        cls, job_id: str, store: KeyValueStore,
-        tracer: "typing.Any | None" = None,
-    ) -> "ApplicationMaster":
-        """Rebuild a failed AM from its persisted state machine.
-
-        The replacement claims a fresh (strictly higher) fencing epoch
-        first, so the dead incarnation — should it turn out to be merely
-        slow — is locked out before any recovered state is acted on.
-        """
-        snapshot = store.get(f"elan/{job_id}/am")
-        if snapshot is None:
-            raise KeyError(f"no persisted AM state for job {job_id!r}")
-        master = cls.__new__(cls)
-        master.job_id = job_id
-        master.store = store
-        master.tracer = tracer
-        master._directive_span = None
-        master.epoch = cls._acquire_epoch(store, job_id)
-        master.coordination_interval = snapshot["coordination_interval"]
-        pending = snapshot["pending"]
-        master.coordinations = 0
-        master.reposition(
-            MasterState(snapshot["state"]),
-            snapshot["group"],
-            None
-            if pending is None
-            else AdjustmentRequest(
-                kind=AdjustmentKind(pending["kind"]),
-                add_workers=tuple(pending["add"]),
-                remove_workers=tuple(pending["remove"]),
-                at_iteration=pending.get("at_iteration"),
-            ),
-            reported=snapshot["reported"],
-            commit_iteration=snapshot["commit_iteration"],
-            latest_iteration=snapshot["latest_iteration"],
-            adjustments_committed=snapshot["adjustments_committed"],
-        )  # persisting re-stamps the snapshot with the new epoch
-        return master
 
     def reposition(
         self,
@@ -391,11 +240,12 @@ class ApplicationMaster:
         latest_iteration: int = 0,
         adjustments_committed: int = 0,
     ) -> None:
-        """Put the state machine at a position persisted elsewhere.
+        """Put the state machine at a position recorded elsewhere.
 
-        The one way to set the AM's position from outside its own
-        transitions: :meth:`recover` uses it with the store snapshot,
-        the networked AM with the fold of its write-ahead journal.
+        The one way to set the engine's position from outside its own
+        transitions: the networked AM places its engine from the fold of
+        its write-ahead journal, and the discrete-event twin places a
+        failed-over successor where its predecessor stood.
         """
         self.state = state
         self.group = tuple(group)
@@ -404,4 +254,3 @@ class ApplicationMaster:
         self.commit_iteration = commit_iteration
         self.latest_iteration = latest_iteration
         self.adjustments_committed = adjustments_committed
-        self._persist()

@@ -17,7 +17,7 @@ from __future__ import annotations
 import threading
 import typing
 
-from ..coordination.store import KeyValueStore
+from ..coordination.store import LeaseTable
 from .journal import JournalError, JournalState
 
 
@@ -36,8 +36,8 @@ class LeaseSupervisor:
         self._detection = metrics.histogram("failure.detection_latency_seconds")
         self._mttr = metrics.histogram("failure.mttr_seconds")
         self._sweep = sweep
-        #: heartbeat-lease substrate (PR 1 semantics, injectable clock).
-        self.table = KeyValueStore(clock=clock)
+        #: the heartbeat leases, on the injectable clock.
+        self.table = LeaseTable(clock=clock)
         #: condemned workers whose eviction has not committed yet ->
         #: detection clock time (MTTR measurement start).
         self.recovering: "dict[str, float]" = {}
@@ -91,10 +91,21 @@ class LeaseSupervisor:
                 return  # the driver, or a worker not (yet) in the job
             key = f"lease/{sender}"
             if not self.table.keep_alive(key, ttl):
-                self.table.lease(key, sender, ttl)
+                self.table.lease(key, ttl)
 
     def expired(self, parked: "set[str]", now: float) -> "list[tuple]":
-        """Lock held: ``(worker, deadline)`` per worker to condemn now."""
+        """Lock held: ``(worker, deadline)`` per worker to condemn now.
+
+        A worker whose request is parked in an open barrier the AM
+        itself is holding delivered a message we have not answered, so
+        it is live by definition (and on the in-memory transport a
+        parked sender produces no other traffic at all — its request
+        thread is blocked inside our handler).  Every sweep renews its
+        lease, so the barrier's release leaves it a whole TTL to speak
+        again rather than a lease that lapsed while it waited.
+        """
+        for worker in parked:
+            self.table.keep_alive(f"lease/{worker}", self.spec.worker_lease_ttl)
         doomed = []
         for key in self.table.expired_keys("lease/"):
             worker = key.split("/", 1)[1]
@@ -104,15 +115,6 @@ class LeaseSupervisor:
                 or worker in self.state.final
             ):
                 # Gone, or done: a finished worker sends nothing more.
-                continue
-            if worker in parked:
-                # The worker's request is parked in an open barrier
-                # the AM itself is holding: it delivered a message
-                # we have not answered, so it is live by definition
-                # (and on the in-memory transport a parked sender
-                # produces no other traffic at all — its request
-                # thread is blocked inside our handler).
-                self.table.lease(key, worker, self.spec.worker_lease_ttl)
                 continue
             doomed.append((worker, self.table.lease_deadline(key) or now))
         return doomed

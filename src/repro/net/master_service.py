@@ -270,9 +270,9 @@ class NetworkedApplicationMaster:
         #: the in-flight plan's ring (order + peer addresses), frozen at
         #: mint time so every directive and offer ships the same mesh.
         self._plan_ring: "dict | None" = None
-        #: plan mint -> commit, the ``adjust.commit`` span (an aborted
-        #: plan's stays open and is dropped at export).
-        self._commit_span = None
+        #: plan mint -> commit, the ``am.directive`` and ``adjust.commit``
+        #: spans (an aborted plan's stay open and are dropped at export).
+        self._directive_span = self._commit_span = None
         self._complete = threading.Event()
         #: live fleet view fed by workers' TELEMETRY deltas.  Never
         #: journaled: a successor AM starts with an empty collector and
@@ -694,6 +694,13 @@ class NetworkedApplicationMaster:
         if self._requested_at is None:
             self._requested_at = time.perf_counter()
         if self.tracer is not None:
+            # The first adjust directive mints the plan: directive issue
+            # -> every ack, stamped with this incarnation's epoch.
+            self._directive_span = self.tracer.begin(
+                "am.directive", track="am", cat="am",
+                kind=self.state.pending_request["kind"],
+                commit_iteration=plan["commit_iteration"], epoch=self.epoch,
+            )
             self._commit_span = self.tracer.begin(
                 "adjust.commit", track="am", cat="adjust",
                 generation=plan["generation"],
@@ -753,6 +760,7 @@ class NetworkedApplicationMaster:
         self.am.finish_adjustment()
         self._requested_at = None
         if self.tracer is not None:
+            self.tracer.end(self._directive_span, group_size=len(self.am.group))
             self.tracer.end(self._commit_span)
         self.barriers.drop_superseded()
         # More condemned workers may have queued up while this plan was

@@ -160,6 +160,7 @@ class ReliableLink:
         self.clock_sync = ClockSync()
         #: msg_id -> perf_counter time of its latest transmission.
         self._send_times: "dict[int, float]" = {}
+        self._closed = False
 
     # -- wiring ----------------------------------------------------------------
 
@@ -221,8 +222,11 @@ class ReliableLink:
             self._slots[message.msg_id] = slot
         timeout = self.ack_timeout if ack_timeout is None else ack_timeout
         try:
+            # A slot woken by close() holds no reply: not acknowledged.
             delivered = self._deliver(
-                message, lambda _taken: slot.event.wait(timeout)
+                message,
+                lambda _taken: slot.event.wait(timeout)
+                and slot.payload is not None,
             )
         finally:
             with self._slots_lock:
@@ -231,9 +235,11 @@ class ReliableLink:
         if not delivered:
             raise RequestTimeout(
                 f"{msg_type.value} request {message.msg_id} from "
-                f"{self.node_id!r} exhausted its resend budget"
+                f"{self.node_id!r} "
+                + ("was cut by close" if self._closed
+                   else "exhausted its resend budget")
             )
-        reply = slot.payload or {}
+        reply = slot.payload
         if "__error__" in reply:
             if "__retry__" in reply:
                 raise RetryableError(
@@ -286,8 +292,10 @@ class ReliableLink:
     ) -> bool:
         """Transmit ``message`` until ``acknowledged(taken)`` — ``taken``
         being whether the transport took that transmission — or the
-        attempt budget runs out."""
+        attempt budget runs out, or the link is closed."""
         for attempt in range(self.max_attempts):
+            if self._closed:
+                return False
             if attempt:
                 self.resends += 1
                 if self.backoff is not None:
@@ -321,7 +329,14 @@ class ReliableLink:
         return delivered
 
     def close(self) -> None:
-        """Close the underlying transport."""
+        """Close the underlying transport and wake every parked request:
+        each raises :class:`RequestTimeout` at once instead of sleeping
+        out its ``ack_timeout``, and nothing is transmitted after."""
+        self._closed = True
+        with self._slots_lock:
+            slots = list(self._slots.values())
+        for slot in slots:
+            slot.event.set()
         if self.transport is not None:
             self.transport.close()
 

@@ -12,15 +12,12 @@ evictions counted.
 
 import time
 
-import pytest
-
 from repro.coordination import (
     ExponentialBackoff,
     FaultPlan,
     Message,
     MessageType,
     SimulatedElasticJob,
-    StaleEpochError,
 )
 from repro.net import JobSpec, LocalJob, ServerCore, memory_link
 from repro.perfmodel.models import TRANSFORMER
@@ -165,7 +162,7 @@ def test_chaos_soak_composed_fault_plan():
 
 def test_dessim_supervision_twin_matches_live_semantics():
     """The simulated supervisor heals the same faults on simulated time:
-    deterministic detection latency, MTTR, and AM epoch bump."""
+    deterministic detection latency, MTTR, and AM failover."""
     plan = FaultPlan(
         silent_crashes={"w3": 40},
         lease_expiries={"elan/sim-job/lease/w2": 60.0},
@@ -187,9 +184,14 @@ def test_dessim_supervision_twin_matches_live_semantics():
     assert len(job.recoveries) == 2
     for _removed, mttr in job.recoveries:
         assert mttr > 0.0
-    assert job.am.epoch > stale_am.epoch
-    with pytest.raises(StaleEpochError):
-        stale_am.coordinate("w0", 9999)
+    # The crashed AM's successor is a fresh engine, placed where it
+    # stood, under the next epoch — the live AM's failover signals.
+    assert job.am is not stale_am
+    (failover,) = job.tracer.instants("am.failover")
+    assert failover.args["epoch"] == 2
+    assert job.metrics.snapshot()["am.failover"] == 1
+    assert job.metrics.snapshot()["events.failure_detected"] == 2
+    assert job.metrics.snapshot()["events.recovery"] == 2
     # Determinism: the same plan replays to the same timeline.
     twin = SimulatedElasticJob(
         TRANSFORMER, workers=4, total_batch_size=256,

@@ -8,7 +8,6 @@ from repro.coordination import (
     AdjustmentRequest,
     ApplicationMaster,
     DirectiveKind,
-    KeyValueStore,
     MasterState,
 )
 
@@ -175,47 +174,3 @@ class TestAsynchronousCoordination:
         am.worker_report("w1")
         assert am.commit_iteration == 15  # next multiple of 5
 
-
-class TestFaultTolerance:
-    """§V-D: the AM state machine survives on the store."""
-
-    def test_recover_mid_adjustment(self):
-        store = KeyValueStore()
-        am = ApplicationMaster("job", ["w0", "w1"], store=store)
-        am.request_adjustment(
-            AdjustmentRequest(AdjustmentKind.SCALE_OUT, add_workers=("w2", "w3"))
-        )
-        am.worker_report("w2")
-
-        # The AM dies; a replacement recovers from the store.
-        recovered = ApplicationMaster.recover("job", store)
-        assert recovered.state is MasterState.WAITING_REPORTS
-        assert recovered.group == ("w0", "w1")
-        assert recovered.reported == {"w2"}
-        recovered.worker_report("w3")
-        assert recovered.state is MasterState.COMMIT_SCHEDULED
-
-    def test_recover_running_state(self):
-        store = KeyValueStore()
-        ApplicationMaster("job", ["w0", "w1"], store=store)
-        recovered = ApplicationMaster.recover("job", store)
-        assert recovered.state is MasterState.RUNNING
-        assert recovered.pending is None
-
-    def test_recover_unknown_job_raises(self):
-        with pytest.raises(KeyError):
-            ApplicationMaster.recover("ghost", KeyValueStore())
-
-    def test_recovered_am_continues_protocol(self):
-        store = KeyValueStore()
-        am = ApplicationMaster("job", ["w0"], store=store)
-        am.request_adjustment(
-            AdjustmentRequest(AdjustmentKind.SCALE_OUT, add_workers=("w1",))
-        )
-        am.worker_report("w1")
-        commit = am.commit_iteration
-        recovered = ApplicationMaster.recover("job", store)
-        directive = recovered.coordinate("w0", commit)
-        assert directive.kind is DirectiveKind.ADJUST
-        recovered.finish_adjustment()
-        assert recovered.group == ("w0", "w1")

@@ -138,7 +138,7 @@ class TestMetricsAgree:
     def test_both_harnesses_count_the_adjustment(self, live_runtime,
                                                  sim_job):
         live = live_runtime.job.metrics.snapshot()
-        sim = sim_job.telemetry.metrics.snapshot()
+        sim = sim_job.metrics.snapshot()
         assert live["am.resizes.driver"] == 1
         assert sim["adjustments.scale_out"] == 1
         assert len(live_runtime.status()["group"]) == 4

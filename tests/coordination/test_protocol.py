@@ -1,4 +1,4 @@
-"""Tests for messages, the KV store, collectives and hooks."""
+"""Tests for messages, the lease table, collectives and hooks."""
 
 import threading
 import time
@@ -7,15 +7,13 @@ import numpy as np
 import pytest
 
 from repro.coordination import (
-    TOMBSTONE,
-    CasConflict,
     DeduplicatingInbox,
     ExponentialBackoff,
     FaultPlan,
     Hook,
     HookRegistry,
-    KeyValueStore,
     LeaseRevoked,
+    LeaseTable,
     MessageFactory,
     MessageType,
 )
@@ -118,101 +116,22 @@ class TestMessages:
         assert sleeps == [0.01, 0.02, 0.04]  # exponential, per re-attempt
 
 
-class TestKeyValueStore:
-    def test_put_get_roundtrip(self):
-        store = KeyValueStore()
-        store.put("a/b", {"x": 1})
-        assert store.get("a/b") == {"x": 1}
-
-    def test_get_default(self):
-        assert KeyValueStore().get("missing", default=7) == 7
-
-    def test_versions_monotone(self):
-        store = KeyValueStore()
-        assert store.put("k", 1) == 1
-        assert store.put("k", 2) == 2
-        assert store.version("k") == 2
-
-    def test_cas_succeeds_on_match(self):
-        store = KeyValueStore()
-        version = store.put("k", "old")
-        store.compare_and_swap("k", version, "new")
-        assert store.get("k") == "new"
-
-    def test_cas_conflict(self):
-        store = KeyValueStore()
-        store.put("k", "v1")
-        store.put("k", "v2")
-        with pytest.raises(CasConflict):
-            store.compare_and_swap("k", 1, "stale")
-
-    def test_watch_fires_on_prefix(self):
-        store = KeyValueStore()
-        events = []
-        store.watch("jobs/", lambda k, v, ver: events.append((k, v)))
-        store.put("jobs/1", "a")
-        store.put("other/2", "b")
-        assert events == [("jobs/1", "a")]
-
-    def test_watch_cancel(self):
-        store = KeyValueStore()
-        events = []
-        cancel = store.watch("", lambda k, v, ver: events.append(k))
-        store.put("x", 1)
-        cancel()
-        store.put("y", 2)
-        assert events == ["x"]
-
-    def test_delete(self):
-        store = KeyValueStore()
-        store.put("k", 1)
-        assert store.delete("k")
-        assert not store.delete("k")
-        assert store.get("k") is None
-
-    def test_keys_by_prefix(self):
-        store = KeyValueStore()
-        for key in ("a/1", "a/2", "b/1"):
-            store.put(key, None)
-        assert store.keys("a/") == ["a/1", "a/2"]
-
-    def test_delete_does_not_reset_versions(self):
-        """ABA regression: a CAS taken before a delete + re-put must keep
-        failing — versions are monotone across the key's whole history."""
-        store = KeyValueStore()
-        version = store.put("k", "original")
-        store.delete("k")
-        assert store.put("k", "impostor") > version + 1
-        with pytest.raises(CasConflict):
-            store.compare_and_swap("k", version, "stale write")
-
-    def test_delete_notifies_watchers_with_tombstone(self):
-        store = KeyValueStore()
-        events = []
-        store.watch("jobs/", lambda k, v, ver: events.append((k, v, ver)))
-        v1 = store.put("jobs/1", "a")
-        store.delete("jobs/1")
-        assert events[0] == ("jobs/1", "a", v1)
-        key, value, version = events[1]
-        assert key == "jobs/1" and value is TOMBSTONE and version == v1 + 1
-
-
 class TestLeases:
     def _store(self):
         clock = {"now": 0.0}
-        store = KeyValueStore(clock=lambda: clock["now"])
+        store = LeaseTable(clock=lambda: clock["now"])
         return store, clock
 
     def test_lease_expires_without_keep_alive(self):
         store, clock = self._store()
-        store.lease("l/w0", "alive", ttl=5.0)
+        store.lease("l/w0", ttl=5.0)
         assert store.expired_keys("l/") == []
         clock["now"] = 5.0
         assert store.expired_keys("l/") == ["l/w0"]
 
     def test_keep_alive_extends_deadline(self):
         store, clock = self._store()
-        store.lease("l/w0", "alive", ttl=5.0)
+        store.lease("l/w0", ttl=5.0)
         clock["now"] = 4.0
         assert store.keep_alive("l/w0", ttl=5.0)
         clock["now"] = 8.0
@@ -226,36 +145,44 @@ class TestLeases:
     def test_expired_lease_can_be_revived(self):
         """The holder coming back before the supervisor acts is fine."""
         store, clock = self._store()
-        store.lease("l/w0", "alive", ttl=1.0)
+        store.lease("l/w0", ttl=1.0)
         clock["now"] = 2.0
         assert store.expired_keys("l/") == ["l/w0"]
-        store.lease("l/w0", "alive", ttl=1.0)
+        store.lease("l/w0", ttl=1.0)
         assert store.expired_keys("l/") == []
 
     def test_force_expire_revokes(self):
         """A revoked lease cannot be revived by its holder: keep_alive
         and re-lease both refuse — the holder has been fenced out."""
         store, clock = self._store()
-        store.lease("l/w0", "alive", ttl=10.0)
+        store.lease("l/w0", ttl=10.0)
         store.force_expire("l/w0")
         assert store.expired_keys("l/") == ["l/w0"]
         assert store.lease_revoked("l/w0")
         assert not store.keep_alive("l/w0", ttl=10.0)
         with pytest.raises(LeaseRevoked):
-            store.lease("l/w0", "alive", ttl=10.0)
+            store.lease("l/w0", ttl=10.0)
+
+    def test_delete(self):
+        store, _clock = self._store()
+        store.lease("l/w0", ttl=5.0)
+        assert store.delete("l/w0")
+        assert not store.delete("l/w0")
+        assert store.lease_deadline("l/w0") is None
+        assert not store.keep_alive("l/w0", ttl=5.0)
 
     def test_delete_clears_revocation(self):
         store, _clock = self._store()
-        store.lease("l/w0", "alive", ttl=10.0)
+        store.lease("l/w0", ttl=10.0)
         store.force_expire("l/w0")
         store.delete("l/w0")
         assert not store.lease_revoked("l/w0")
-        store.lease("l/w0", "alive", ttl=10.0)  # a fresh holder may lease
+        store.lease("l/w0", ttl=10.0)  # a fresh holder may lease
 
     def test_lease_validates_ttl(self):
         store, _clock = self._store()
         with pytest.raises(ValueError):
-            store.lease("l/w0", "alive", ttl=0.0)
+            store.lease("l/w0", ttl=0.0)
         with pytest.raises(ValueError):
             store.keep_alive("l/w0", ttl=-1.0)
 

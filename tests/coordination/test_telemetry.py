@@ -1,59 +1,47 @@
-"""Tests for the control-plane event log (the discrete-event twin's)."""
+"""The discrete-event twin's control-plane record: tracer and metrics."""
 
-from repro.coordination import FaultPlan, RuntimeTelemetry, SimulatedElasticJob
+from repro.coordination import FaultPlan, SimulatedElasticJob
 from repro.perfmodel import RESNET50
 
 
-class TestRuntimeTelemetryUnit:
-    def test_event_log_filters_by_kind(self):
-        telemetry = RuntimeTelemetry()
-        telemetry.record_event(1.0, "adjustment", adjustment_kind="scale_out")
-        telemetry.record_event(2.0, "worker_failure", worker="w1")
-        assert len(telemetry.events_of_kind("adjustment")) == 1
-        assert telemetry.events_of_kind("worker_failure")[0].detail[
-            "worker"
-        ] == "w1"
+def crashing_job() -> SimulatedElasticJob:
+    """Two workers; w1 dies silently at iteration 20."""
+    job = SimulatedElasticJob(
+        RESNET50, workers=2, total_batch_size=64, lease_ttl=5.0,
+        fault_plan=FaultPlan(silent_crashes={"w1": 20}), seed=4,
+    )
+    job.run(until=240.0)
+    return job
+
+
+def instant_log(job):
+    return [(i.name, i.start, i.args) for i in job.tracer.instants()]
 
 
 class TestEventIntegrity:
-    def test_detail_is_copied_on_construction(self):
-        telemetry = RuntimeTelemetry()
-        detail = {"worker": "w1"}
-        telemetry.record_event(1.0, "worker_failure", **detail)
-        detail["worker"] = "mutated"
-        assert telemetry.events[0].detail["worker"] == "w1"
-
     def test_injectable_clock_stamps_events(self):
-        sim_now = {"t": 10.0}
-        telemetry = RuntimeTelemetry(clock=lambda: sim_now["t"])
-        telemetry.record_event(None, "adjustment")
-        sim_now["t"] = 20.0
-        telemetry.record_detection("w1", latency=0.5)
-        sim_now["t"] = 23.0
-        telemetry.record_recovery(["w1"], mttr=3.0)
-        times = [e.wall_time for e in telemetry.events]
-        assert times == [10.0, 20.0, 23.0]
-        # Replays with the same clock produce the same log: no hidden
-        # time.time() anywhere.
-        replay = RuntimeTelemetry(clock=lambda: 20.0)
-        replay.record_detection("w1", latency=0.5)
-        assert replay.events[0].wall_time == 20.0
-        assert replay.detection_latencies == [0.5]
-
-    def test_explicit_wall_time_still_wins(self):
-        telemetry = RuntimeTelemetry(clock=lambda: 99.0)
-        telemetry.record_event(5.0, "adjustment")
-        assert telemetry.events[0].wall_time == 5.0
+        """Events carry simulated time — the detection is stamped at the
+        supervision tick that opened the recovery — and a replay of the
+        same plan produces the same event log: no hidden wall clock."""
+        job = crashing_job()
+        (detected,) = job.tracer.instants("failure.detected")
+        (recover,) = job.tracer.spans("recover")
+        assert detected.start == recover.start
+        assert recover.end - recover.start == job.recoveries[0][1]
+        assert instant_log(crashing_job()) == instant_log(job)
 
     def test_recordings_feed_metric_registry(self):
-        telemetry = RuntimeTelemetry(clock=lambda: 0.0)
-        telemetry.record_detection("w0", latency=1.5)
-        telemetry.record_recovery(["w0"], mttr=2.5)
-        telemetry.record_event(None, "adjustment")
-        snap = telemetry.metrics.snapshot()
-        assert snap["failure.detection_latency_seconds"]["max"] == 1.5
-        assert snap["failure.mttr_seconds"]["max"] == 2.5
-        assert snap["events.adjustment"] == 1
+        """Detections and recoveries land in ``job.metrics`` under the
+        live AM's names."""
+        job = crashing_job()
+        ((_worker, latency),) = job.detections
+        ((_removed, mttr),) = job.recoveries
+        snap = job.metrics.snapshot()
+        assert snap["failure.detection_latency_seconds"]["max"] == latency
+        assert snap["failure.mttr_seconds"]["max"] == mttr
+        assert snap["events.failure_detected"] == 1
+        assert snap["events.recovery"] == 1
+        assert snap["workers"] == 1
 
 
 class TestTelemetryInRuntime:
@@ -62,16 +50,15 @@ class TestTelemetryInRuntime:
                                   seed=3)
         job.at(5.0, lambda: job.request_scale_out(1))
         job.run(until=240.0)
-        events = job.telemetry.events_of_kind("adjustment")
-        assert len(events) == 1
-        assert events[0].detail["adjustment_kind"] == "scale_out"
-        assert events[0].detail["new_group"] == ["w0", "w1", "w2"]
+        (commit,) = job.tracer.spans("adjust.commit")
+        assert commit.args["kind"] == "scale_out"
+        assert commit.args["old_workers"] == 2
+        assert commit.args["new_workers"] == 3
+        assert job.am.group == ("w0", "w1", "w2")
+        assert job.metrics.snapshot()["adjustments.scale_out"] == 1
 
     def test_failure_events_recorded(self):
-        job = SimulatedElasticJob(
-            RESNET50, workers=2, total_batch_size=64, lease_ttl=5.0,
-            fault_plan=FaultPlan(silent_crashes={"w1": 20}), seed=4,
-        )
-        job.run(until=240.0)
-        events = job.telemetry.events_of_kind("failure_detected")
-        assert events and events[0].detail["worker"] == "w1"
+        job = crashing_job()
+        events = job.tracer.instants("failure.detected")
+        assert events and events[0].args["worker"] == "w1"
+        assert events[0].args["cause"] == "lease_expired"

@@ -13,7 +13,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.net import Journal, JournalError, JournalState
+from repro.net import (
+    Journal,
+    JournalError,
+    JournalState,
+    NetworkedApplicationMaster,
+)
 from repro.net.journal import RECORD_KINDS, _checksum
 
 
@@ -199,6 +204,11 @@ class TestJournalStateReplay:
             ("epoch", {"epoch": 2}),
         ))
         assert state.epoch == 3
+
+    def test_takeover_without_init_record_is_refused(self):
+        """A journal that never recorded a job has nothing to take over."""
+        with pytest.raises(JournalError):
+            NetworkedApplicationMaster.from_journal(Journal())
 
     def test_final_and_condemn_records(self):
         state = JournalState.replay(self._records(

@@ -137,6 +137,31 @@ class TestLeases:
         clock.advance(TTL * 0.5)
         assert master.check_leases() == []
 
+    def test_released_worker_leaves_the_barrier_with_a_fresh_lease(self, rig):
+        """Every sweep renews a parked worker's lease, not only once it
+        has lapsed: when the sweep that condemns a straggler releases
+        the barrier, the survivors get a whole TTL to speak again — not
+        the lease that ran out while they waited."""
+        master, links, clock = rig
+        clock.advance(TTL * 0.1)
+        for worker in ("w1", "w2"):  # w0 goes silent
+            links[worker].request(
+                MessageType.COORDINATE, {"iteration": 1, "ring_epoch": -1},
+            )
+        barrier = _SyncBarrier(expected=("w0", "w1", "w2"))
+        for worker in ("w1", "w2"):
+            barrier.contributions[worker] = {"g": np.zeros(2)}
+        with master._lock:
+            master.barriers.open[(0, 4)] = barrier
+
+        # w0's lease has lapsed; the parked workers' have not, quite.
+        clock.advance(TTL * 0.95)
+        assert master.check_leases() == ["w0"]
+        assert barrier.result is not None  # w0's eviction released it
+        # Past the leases w1 and w2 held while they were parked.
+        clock.advance(TTL * 0.1)
+        assert master.check_leases() == []
+
     def test_condemned_worker_is_fenced_on_coordinate(self, rig):
         """A condemned-but-merely-slow worker must not keep feeding a
         generation that is being rebuilt without it: its COORDINATE is

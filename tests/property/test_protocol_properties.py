@@ -1,4 +1,4 @@
-"""Property-based tests: coordination protocol and the KV store."""
+"""Property-based tests: the coordination protocol and its engine."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +9,7 @@ from repro.coordination import (
     ApplicationMaster,
     DirectiveKind,
     FaultPlan,
-    KeyValueStore,
+    MasterState,
     MessageType,
 )
 from repro.net import ServerCore, memory_link
@@ -78,6 +78,145 @@ class TestAmProperties:
         assert len(directive.new_group) == group_size - remove
 
 
+KINDS = (
+    AdjustmentKind.SCALE_OUT, AdjustmentKind.SCALE_IN,
+    AdjustmentKind.MIGRATION,
+)
+
+
+class EngineDriver:
+    """Turns abstract history steps into calls valid for the engine's
+    position: requests for the current group, reports by pending
+    joiners (or a stranger), whole-group coordinates at boundaries, and
+    a finish only once an ADJUST directive was issued."""
+
+    def __init__(self, interval):
+        self.interval = interval
+        self.iteration = 0
+        self.next_id = 0
+
+    def resolve(self, am, op, arg):
+        """The concrete call ``(op, value)`` for ``am``'s position."""
+        if op == "request":
+            kind = KINDS[arg % 3]
+            count = 1 + (arg // 3) % 2
+            if kind is AdjustmentKind.SCALE_IN and len(am.group) < 2:
+                kind = AdjustmentKind.SCALE_OUT
+            fresh = tuple(f"n{self.next_id + i}" for i in range(count))
+            self.next_id += count
+            at = 3 * arg if arg >= 6 else None
+            if kind is AdjustmentKind.SCALE_OUT:
+                request = AdjustmentRequest(kind, add_workers=fresh,
+                                            at_iteration=at)
+            elif kind is AdjustmentKind.SCALE_IN:
+                victims = am.group[-min(count, len(am.group) - 1):]
+                request = AdjustmentRequest(kind, remove_workers=victims,
+                                            at_iteration=at)
+            else:
+                request = AdjustmentRequest(kind, add_workers=fresh,
+                                            remove_workers=am.group,
+                                            at_iteration=at)
+            return op, request
+        if op == "report":
+            joiners = (
+                [] if am.pending is None
+                else sorted(set(am.pending.add_workers) - am.reported)
+            )
+            if not joiners or arg % 4 == 3:
+                return op, "stranger"
+            return op, joiners[arg % len(joiners)]
+        if op == "coordinate":
+            self.iteration += (arg % 3) * self.interval
+            return op, self.iteration
+        adjusting = (
+            am.state is MasterState.COMMIT_SCHEDULED
+            and am.latest_iteration >= am.commit_iteration
+        )
+        return (op if adjusting else "skip"), None
+
+    @staticmethod
+    def perform(am, op, value):
+        """Make the call; return what the engine answered plus where it
+        now stands."""
+        scheduled = am.state is MasterState.COMMIT_SCHEDULED
+        answer = None
+        if op == "request":
+            answer = am.request_adjustment(value)
+        elif op == "report":
+            am.worker_report(value)
+        elif op == "coordinate":
+            answer = [
+                (d.kind, d.new_group, d.commit_iteration)
+                for d in (am.coordinate(w, value) for w in am.group)
+            ]
+        elif op == "finish":
+            am.finish_adjustment()
+        if not scheduled and am.state is MasterState.COMMIT_SCHEDULED:
+            # Every commit is scheduled on a boundary no worker has
+            # coordinated yet.
+            assert am.commit_iteration % am.coordination_interval == 0
+            assert am.commit_iteration > am.latest_iteration
+        position = (
+            am.state, am.group, am.pending, frozenset(am.reported),
+            am.commit_iteration, am.latest_iteration,
+            am.adjustments_committed,
+        )
+        return answer, position
+
+
+def placed_successor(am):
+    """A fresh engine placed by ``reposition`` where ``am`` stands —
+    what a failover does with the journal fold."""
+    successor = ApplicationMaster(
+        am.job_id, ["placeholder"],
+        coordination_interval=am.coordination_interval,
+    )
+    successor.reposition(
+        am.state, am.group, am.pending, reported=am.reported,
+        commit_iteration=am.commit_iteration,
+        latest_iteration=am.latest_iteration,
+        adjustments_committed=am.adjustments_committed,
+    )
+    return successor
+
+
+class TestRepositionProperties:
+    @given(
+        group_size=st.integers(1, 4),
+        interval=st.integers(1, 4),
+        history=st.lists(
+            st.tuples(
+                st.sampled_from(["request", "report", "coordinate",
+                                 "finish"]),
+                st.integers(0, 11),
+            ),
+            max_size=30,
+        ),
+        cut=st.integers(0, 30),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_repositioned_engine_answers_like_the_original(
+        self, group_size, interval, history, cut
+    ):
+        """Whatever history an engine went through, a fresh engine
+        placed by ``reposition`` at its position answers every later
+        coordinate, report, request and finish exactly as it does —
+        the engine's one way in loses nothing a successor needs."""
+        workers = [f"w{i}" for i in range(group_size)]
+        original = ApplicationMaster("job", workers,
+                                     coordination_interval=interval)
+        driver = EngineDriver(interval)
+        cut = min(cut, len(history))
+        for op, arg in history[:cut]:
+            driver.perform(original, *driver.resolve(original, op, arg))
+        successor = placed_successor(original)
+        for op, arg in history[cut:]:
+            op, value = driver.resolve(original, op, arg)
+            assert driver.perform(successor, op, value) == driver.perform(
+                original, op, value
+            ), (op, value)
+
+
 class TestReliableDeliveryProperties:
     @given(
         # drop_every=1 is a blackhole no retry can beat; exclude it.
@@ -102,37 +241,3 @@ class TestReliableDeliveryProperties:
         assert [m.payload["seq"] for m in received] == list(range(messages))
         assert len({m.msg_id for m in received}) == messages
 
-
-class TestStoreProperties:
-    @given(
-        operations=st.lists(
-            st.tuples(
-                st.sampled_from(["put", "delete"]),
-                st.sampled_from(["a", "b", "c"]),
-                st.integers(),
-            ),
-            max_size=40,
-        )
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_store_matches_reference_dict(self, operations):
-        store = KeyValueStore()
-        reference = {}
-        for op, key, value in operations:
-            if op == "put":
-                store.put(key, value)
-                reference[key] = value
-            else:
-                store.delete(key)
-                reference.pop(key, None)
-        for key in ("a", "b", "c"):
-            assert store.get(key) == reference.get(key)
-        assert store.keys() == sorted(reference)
-
-    @given(puts=st.integers(1, 20))
-    @settings(max_examples=40)
-    def test_version_counts_puts(self, puts):
-        store = KeyValueStore()
-        for i in range(puts):
-            assert store.put("k", i) == i + 1
-        assert store.version("k") == puts
