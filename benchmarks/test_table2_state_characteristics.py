@@ -7,14 +7,16 @@ info) — which is why replication must be efficient for GPU states and
 why CPU states can ride along over a plain socket.
 """
 
+import types
+
 from conftest import fmt_row
 
+from repro.coordination.hooks import DEFAULT_HOOKS
+from repro.net import StateBlob
 from repro.perfmodel import MODEL_ZOO
 from repro.training import (
     MomentumSGD,
-    RuntimeInfo,
     SerialLoader,
-    TrainingState,
     init_mlp,
     loss_and_gradients,
     make_classification,
@@ -52,19 +54,19 @@ def test_table2_state_characteristics(benchmark, save_result):
         assert params > 100 * cpu  # GPU state dominates CPU state
         assert optim == params  # one momentum slot per parameter
 
-    # Cross-check with a real (numpy) training state.
+    # Cross-check with the real (numpy) hook bundle Elan replicates.
     dataset = make_classification(train_size=256, test_size=64, seed=0)
-    params = init_mlp(dataset.input_dim, 64, dataset.num_classes, seed=0)
-    optimizer = MomentumSGD(lr=0.1)
-    _loss, grads = loss_and_gradients(params, dataset.train_x[:16],
-                                      dataset.train_y[:16])
-    optimizer.step(params, grads)
-    loader = SerialLoader(dataset.train_size)
-    state = TrainingState(
-        model=params,
-        optimizer=optimizer.state_dict(),
-        loader=loader.state_dict(),
-        comm_group=["w0", "w1"],
-        runtime=RuntimeInfo(),
+    replica = types.SimpleNamespace(
+        params=init_mlp(dataset.input_dim, 64, dataset.num_classes, seed=0),
+        optimizer=MomentumSGD(lr=0.1),
+        loader=SerialLoader(dataset.train_size),
     )
-    assert state.gpu_bytes() > 10 * state.cpu_bytes()
+    _loss, grads = loss_and_gradients(replica.params, dataset.train_x[:16],
+                                      dataset.train_y[:16])
+    replica.optimizer.step(replica.params, grads)
+    bundle = {hook.name: hook.capture(replica) for hook in DEFAULT_HOOKS}
+    gpu = StateBlob.encode(
+        {"params": bundle["params"], "optimizer": bundle["optimizer"]}
+    ).total_bytes
+    cpu = StateBlob.encode({"loader": bundle["loader"]}).total_bytes
+    assert gpu > 10 * cpu

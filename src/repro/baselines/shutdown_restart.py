@@ -4,18 +4,25 @@ The most common elasticity practice (Gandiva, Optimus): on an adjustment,
 checkpoint all training state to shared storage, shut every worker down,
 restart the job with the new resource configuration and load the
 checkpoint.  This implementation actually does all of that against the
-numpy substrate — real serialization through the in-memory shared
-filesystem, real teardown of the replica objects, real reload — so its
-data-consistency behaviour can be compared against Elan's runtime
-(state-wise they must agree; time-wise S&R pays the Fig. 11 phases).
+numpy substrate — a real encode through the in-memory shared filesystem,
+real teardown of the replica, real reload — so its data-consistency
+behaviour can be compared against Elan's runtime (state-wise they must
+agree; time-wise S&R pays the Fig. 11 phases).
+
+"All training state" is exactly what Elan replicates: the
+:data:`~repro.coordination.hooks.DEFAULT_HOOKS` bundle captured from the
+replica, plus the iteration count, encoded as the same
+:class:`~repro.net.chunks.StateBlob` a joiner fetches.
 """
 
 from __future__ import annotations
 
-import typing
+import types
 
 import numpy as np
 
+from ..coordination.hooks import DEFAULT_HOOKS
+from ..net.chunks import StateBlob, decode_state_blob
 from ..replication import SharedStorage
 from ..training.dataloader import SerialLoader
 from ..training.datasets import Dataset
@@ -26,7 +33,6 @@ from ..training.nn import (
     loss_and_gradients,
 )
 from ..training.optim import MomentumSGD
-from ..training.state import RuntimeInfo, TrainingState
 
 
 class ShutdownRestartJob:
@@ -64,22 +70,23 @@ class ShutdownRestartJob:
         self._alive = True
         self.workers = workers
         self.total_batch_size = total_batch_size
+        #: completed iterations.
+        self.iteration = 0
         # One canonical replica: in data-parallel training every worker
         # holds identical state, so the baseline tracks it once and splits
         # micro-batches the same way the real workers would.
-        self._params = init_mlp(
+        self.replica = self._fresh_replica()
+        self.replica.params = init_mlp(
             dataset.input_dim, hidden_dim, dataset.num_classes, seed=seed
         )
-        self._optimizer = MomentumSGD(lr=base_lr, momentum=momentum)
-        self._loader = SerialLoader(dataset.train_size, seed=seed)
-        self._info = RuntimeInfo(
-            learning_rate=base_lr, total_batch_size=total_batch_size
-        )
 
-    @property
-    def iteration(self) -> int:
-        """Completed iterations."""
-        return self._info.iteration
+    def _fresh_replica(self) -> types.SimpleNamespace:
+        """A cold-started replica: no parameters, blank optimizer/loader."""
+        return types.SimpleNamespace(
+            params=None,
+            optimizer=MomentumSGD(lr=self.base_lr, momentum=self.momentum),
+            loader=SerialLoader(self.dataset.train_size, seed=self.seed),
+        )
 
     @property
     def checkpoint_path(self) -> str:
@@ -91,46 +98,41 @@ class ShutdownRestartJob:
         if not self._alive:
             raise RuntimeError("job is shut down; restart() first")
         per_worker = max(1, self.total_batch_size // self.workers)
+        replica = self.replica
         losses = []
         for _ in range(iterations):
-            slices = self._loader.next_iteration(self.workers, per_worker)
+            slices = replica.loader.next_iteration(self.workers, per_worker)
             grads, batch_losses = [], []
             for indices in slices:
                 if len(indices) == 0:
                     continue
                 loss, grad = loss_and_gradients(
-                    self._params,
+                    replica.params,
                     self.dataset.train_x[indices],
                     self.dataset.train_y[indices],
                 )
                 grads.append(grad)
                 batch_losses.append(loss)
-            self._optimizer.step(self._params, average_gradients(grads))
+            replica.optimizer.step(replica.params, average_gradients(grads))
             losses.append(float(np.mean(batch_losses)))
-            self._info.iteration += 1
-            self._info.epoch = self._loader.epoch
+            self.iteration += 1
         return losses
 
     # -- the S&R adjustment cycle (Fig. 10 timeline) ----------------------------
 
     def checkpoint(self) -> int:
         """Dump the full training state to shared storage; returns bytes."""
-        state = TrainingState(
-            model=self._params,
-            optimizer=self._optimizer.state_dict(),
-            loader=self._loader.state_dict(),
-            comm_group=[f"w{i}" for i in range(self.workers)],
-            runtime=self._info,
-        )
+        state = {hook.name: hook.capture(self.replica) for hook in DEFAULT_HOOKS}
+        state["iteration"] = self.iteration
         self.checkpoints += 1
-        return self.storage.save(self.checkpoint_path, state)
+        return self.storage.save(
+            self.checkpoint_path, StateBlob.encode(state).tobytes()
+        )
 
     def shutdown(self) -> None:
         """Tear down every worker: all in-memory state is discarded."""
         self._alive = False
-        self._params = None
-        self._optimizer = None
-        self._loader = None
+        self.replica = None
 
     def restart(self, workers: int) -> None:
         """Cold-start with a new worker count and load the checkpoint."""
@@ -138,14 +140,13 @@ class ShutdownRestartJob:
             raise ValueError("workers must be >= 1")
         if not self.storage.exists(self.checkpoint_path):
             raise RuntimeError("no checkpoint to restart from")
-        state = self.storage.load(self.checkpoint_path)
-        self._params = state.model
-        self._optimizer = MomentumSGD(lr=self.base_lr, momentum=self.momentum)
-        self._optimizer.load_state_dict(state.optimizer)
-        self._loader = SerialLoader(self.dataset.train_size, seed=self.seed)
-        self._loader.load_state_dict(state.loader)
-        self._loader.repartition(workers)
-        self._info = state.runtime
+        state = decode_state_blob(self.storage.load(self.checkpoint_path))
+        replica = self._fresh_replica()
+        for hook in DEFAULT_HOOKS:
+            hook.restore(replica, state[hook.name])
+        replica.loader.repartition(workers)
+        self.replica = replica
+        self.iteration = int(state["iteration"])
         self.workers = workers
         self._alive = True
         self.restarts += 1
@@ -162,10 +163,12 @@ class ShutdownRestartJob:
         """Test accuracy of the current model."""
         if not self._alive:
             raise RuntimeError("job is shut down")
-        return accuracy(self._params, self.dataset.test_x, self.dataset.test_y)
+        return accuracy(
+            self.replica.params, self.dataset.test_x, self.dataset.test_y
+        )
 
     def params(self) -> dict:
         """The current model parameters (canonical replica)."""
         if not self._alive:
             raise RuntimeError("job is shut down")
-        return self._params
+        return self.replica.params

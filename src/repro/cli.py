@@ -595,7 +595,8 @@ def cmd_join(args) -> int:
 
 def cmd_soak(args) -> int:
     """Chaos-soak an elastic job (or replay a trace) and check its SLOs."""
-    from .net import ChaosSoak, SLOViolation, SoakSchedule, derive_report
+    from .coordination.faults import FaultPlan
+    from .net import ChaosSoak, SLOViolation, derive_report
     from .observability import load_trace_events
 
     def show(label, report):
@@ -631,8 +632,8 @@ def cmd_soak(args) -> int:
     kills = {}
     if args.worker_kill_iter is not None and len(workers) > 1:
         kills[workers[-1]] = args.worker_kill_iter
-    schedule = SoakSchedule(
-        worker_kills=kills, am_kill_iteration=args.am_kill_iter
+    plan = FaultPlan(
+        silent_crashes=kills, am_crash_iteration=args.am_kill_iter
     )
     transports = (
         ("memory", "tcp") if args.transport == "both" else (args.transport,)
@@ -640,7 +641,7 @@ def cmd_soak(args) -> int:
     ok = True
     for transport in transports:
         soak = ChaosSoak(
-            transport, spec, workers, schedule, timeout=args.timeout
+            transport, spec, workers, plan, timeout=args.timeout
         )
         report = soak.run()
         if args.trace:

@@ -8,7 +8,7 @@ engine on simulated time.
 """
 
 from .dessim import SimulatedAdjustment, SimulatedElasticJob
-from .faults import ExponentialBackoff, FaultPlan, LeaseExpired, SilentCrash
+from .faults import ExponentialBackoff, FaultPlan, SilentCrash
 from .hooks import Hook, HookRegistry
 from .master import (
     AdjustmentKind,
@@ -37,7 +37,6 @@ __all__ = [
     "FaultPlan",
     "Hook",
     "HookRegistry",
-    "LeaseExpired",
     "LeaseRevoked",
     "LeaseTable",
     "MasterState",

@@ -21,15 +21,6 @@ import time
 import typing
 
 
-class LeaseExpired(RuntimeError):
-    """Recorded as a worker's cause of death when its lease lapses.
-
-    Raised nowhere: the supervisor *assigns* it to a worker whose
-    heartbeat stopped (crash, hang, or forced expiry) so the recovery
-    path treats lease-detected deaths exactly like loud crashes.
-    """
-
-
 class SilentCrash(BaseException):
     """Kills a worker thread without tripping the failure handler.
 
@@ -148,14 +139,6 @@ class FaultPlan:
         )
 
     # -- consumption helpers --------------------------------------------------
-
-    def crash_iteration(self, worker_id: str) -> "int | None":
-        """Iteration of the worker's loud crash, if one is scheduled."""
-        return self.worker_crashes.get(worker_id)
-
-    def silent_crash_iteration(self, worker_id: str) -> "int | None":
-        """Iteration of the worker's silent crash, if one is scheduled."""
-        return self.silent_crashes.get(worker_id)
 
     def crashes_by(self, worker_id: str, iteration: int) -> bool:
         """True once ``worker_id`` should be dead (loud or silent)."""

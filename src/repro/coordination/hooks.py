@@ -14,6 +14,8 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+import numpy as np
+
 
 @dataclasses.dataclass(frozen=True)
 class Hook:
@@ -60,3 +62,26 @@ class HookRegistry:
             raise KeyError(f"captured bundle missing hooks: {sorted(missing)}")
         for name, hook in self._hooks.items():
             hook.restore(context, states[name])
+
+
+def _restore_params(replica, params: dict) -> None:
+    # Copy: over the in-memory transport several joiners receive the
+    # same snapshot object; each replica needs its own arrays.
+    replica.params = {name: np.array(array) for name, array in params.items()}
+
+
+#: the state every replica snapshots: the RegisterHook defaults (§V-A),
+#: captured from and restored into a namespace holding ``params``,
+#: ``optimizer`` and ``loader``.  Captures are references — a snapshot
+#: is taken, encoded and released while training is paused.
+DEFAULT_HOOKS = (
+    Hook("params", lambda replica: replica.params, _restore_params),
+    Hook(
+        "optimizer", lambda replica: replica.optimizer.state_dict(),
+        lambda replica, state: replica.optimizer.load_state_dict(state),
+    ),
+    Hook(
+        "loader", lambda replica: replica.loader.state_dict(),
+        lambda replica, state: replica.loader.load_state_dict(state),
+    ),
+)

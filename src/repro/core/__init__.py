@@ -6,14 +6,6 @@ from .elastic_training import (
     PhaseExecution,
     TrainingTimeline,
 )
-from .lr_schedules import (
-    ConstantLr,
-    CosineDecay,
-    LrSchedule,
-    ScaledSchedule,
-    StepDecay,
-    WarmupSchedule,
-)
 from .hybrid_scaling import (
     HybridScalingPolicy,
     ScalingDecision,
@@ -25,15 +17,11 @@ from .progressive_lr import (
     DEFAULT_RAMP_ITERATIONS,
     LrRamp,
     ramp_for_scale,
-    ramp_from_runtime_info,
-    ramp_to_runtime_info,
 )
 
 __all__ = [
     "AdaBatchSchedule",
     "BatchPhase",
-    "ConstantLr",
-    "CosineDecay",
     "DEFAULT_RAMP_ITERATIONS",
     "ElasticJob",
     "ElasticTrainingExperiment",
@@ -41,18 +29,12 @@ __all__ = [
     "TrainingTimeline",
     "HybridScalingPolicy",
     "LrRamp",
-    "LrSchedule",
-    "ScaledSchedule",
-    "StepDecay",
     "ScalingDecision",
     "ScalingPolicy",
     "StrongScalingPolicy",
-    "WarmupSchedule",
     "WeakScalingPolicy",
     "doubling_schedule",
     "ramp_for_scale",
-    "ramp_from_runtime_info",
-    "ramp_to_runtime_info",
 ]
 
 

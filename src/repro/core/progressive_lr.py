@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..training.state import RuntimeInfo
-
 #: The paper finishes the LR adjustment in 100 iterations (§VI-B).
 DEFAULT_RAMP_ITERATIONS = 100
 
@@ -64,24 +62,4 @@ def ramp_for_scale(
         length=length if scale != 1.0 else 0,
         base_lr=base_lr,
         target_lr=base_lr * scale,
-    )
-
-
-def ramp_to_runtime_info(info: RuntimeInfo, ramp: LrRamp) -> None:
-    """Record an in-flight ramp into the replicable runtime state."""
-    info.ramp_start = ramp.start_iteration
-    info.ramp_length = ramp.length
-    info.ramp_base_lr = ramp.base_lr
-    info.ramp_target_lr = ramp.target_lr
-
-
-def ramp_from_runtime_info(info: RuntimeInfo) -> "LrRamp | None":
-    """Reconstruct the in-flight ramp from replicated state (if any)."""
-    if info.ramp_start < 0:
-        return None
-    return LrRamp(
-        start_iteration=info.ramp_start,
-        length=info.ramp_length,
-        base_lr=info.ramp_base_lr,
-        target_lr=info.ramp_target_lr,
     )

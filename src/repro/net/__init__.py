@@ -19,9 +19,11 @@ is one :func:`promote` — a successor AM replays the journal, fences the
 predecessor out with a higher epoch, and finishes or aborts any
 in-flight commit; workers re-enroll and resume.  Heartbeat leases evict
 silently dead workers, and :class:`ChaosSoak` runs the whole stack under
-a deterministic fault schedule against goodput/MTTR SLOs.
+a deterministic :class:`~repro.coordination.faults.FaultPlan` against
+goodput/MTTR SLOs.
 """
 
+from ..observability import GoodputReport, SLOViolation, derive_report
 from .agent import JoinRejected, WorkerAgent, WorkerEvicted
 from .chunks import (
     DEFAULT_CHUNK_BYTES,
@@ -59,13 +61,7 @@ from .shm import (
     ShmTransport,
     shm_link,
 )
-from .soak import (
-    ChaosSoak,
-    GoodputReport,
-    SLOViolation,
-    SoakSchedule,
-    derive_report,
-)
+from .soak import ChaosSoak
 from .tcp import TcpServer, TcpTransport, reserve_port, tcp_link
 from .telemetry import TelemetryShipper
 from .transport import (
@@ -118,7 +114,6 @@ __all__ = [
     "ShmRing",
     "ShmServer",
     "ShmTransport",
-    "SoakSchedule",
     "TcpPeerHost",
     "TelemetryShipper",
     "ring_reference_average",

@@ -35,7 +35,7 @@ import typing
 import numpy as np
 
 from ..coordination.faults import ExponentialBackoff, SilentCrash
-from ..coordination.hooks import Hook, HookRegistry
+from ..coordination.hooks import DEFAULT_HOOKS, Hook, HookRegistry
 from ..coordination.messages import MessageType
 from ..core.hybrid_scaling import BatchSchedule
 from ..training.dataloader import SerialLoader
@@ -68,28 +68,6 @@ class WorkerEvicted(RuntimeError):
     correct move is to stop training and file a final ``removed``
     report — fighting the eviction would fork the replica set.
     """
-
-
-def _restore_params(replica, params: dict) -> None:
-    # Copy: over the in-memory transport several joiners receive the
-    # same snapshot object; each replica needs its own arrays.
-    replica.params = {name: np.array(array) for name, array in params.items()}
-
-
-#: the state every replica snapshots: the RegisterHook defaults (§V-A).
-#: Captures are references — a snapshot is taken, encoded and released
-#: while training is paused at a boundary.
-DEFAULT_HOOKS = (
-    Hook("params", lambda replica: replica.params, _restore_params),
-    Hook(
-        "optimizer", lambda replica: replica.optimizer.state_dict(),
-        lambda replica, state: replica.optimizer.load_state_dict(state),
-    ),
-    Hook(
-        "loader", lambda replica: replica.loader.state_dict(),
-        lambda replica, state: replica.loader.load_state_dict(state),
-    ),
-)
 
 
 class WorkerAgent:
@@ -263,11 +241,6 @@ class WorkerAgent:
         if not self._joined:
             return
         epoch = getattr(self.link.transport, "server_epoch", None)
-        if self._am_epoch is None and not self._enroll_needed:
-            # Admission predates epoch reporting (legacy harness):
-            # adopt what the transport sees without an extra message.
-            self._am_epoch = epoch
-            return
         if not self._enroll_needed and (
             epoch is None or epoch == self._am_epoch
         ):
@@ -453,6 +426,38 @@ class WorkerAgent:
             })
         return mean
 
+    def _peer_mean(
+        self, spec: JobSpec, generation: int, iteration: int,
+        settle: bool,
+    ) -> "tuple[str, dict] | None":
+        """Poll every other ring member for this iteration's cached mean.
+
+        Returns ``(peer, mean)`` — a private copy of the bit-exact mean —
+        from the first peer reporting ``done``.  Unreachable peers count
+        as unable to serve.  Gives up (None) at the allreduce timeout or,
+        when ``settle``, as soon as no peer is still ``running``.
+        """
+        node = self._ring_node
+        peers = [w for w in node.ring["order"] if w != self.worker_id]
+        deadline = time.monotonic() + spec.allreduce_timeout
+        while True:
+            undecided = False
+            for peer in peers:
+                try:
+                    reply = node.fetch_peer_state(peer, generation, iteration)
+                except (OSError, RemoteError):
+                    continue
+                state = reply.get("state")
+                if state == "done" and reply.get("grads") is not None:
+                    return peer, {
+                        name: np.array(array)
+                        for name, array in reply["grads"].items()
+                    }
+                undecided = undecided or state == "running"
+            if (settle and not undecided) or time.monotonic() >= deadline:
+                return None
+            time.sleep(self.poll_interval)
+
     def _stale_repair(
         self, spec: JobSpec, generation: int, iteration: int
     ) -> "dict | None":
@@ -472,33 +477,22 @@ class WorkerAgent:
                 f"sync ({generation}, {iteration}) is stale and "
                 f"{self.worker_id!r} has no peer mesh to repair from"
             )
-        peers = [w for w in node.ring["order"] if w != self.worker_id]
-        deadline = time.monotonic() + spec.allreduce_timeout
-        while True:
-            for peer in peers:
-                try:
-                    reply = node.fetch_peer_state(peer, generation, iteration)
-                except (OSError, RemoteError):
-                    continue
-                if reply.get("state") == "done" and reply.get("grads"):
-                    self.stale_repairs += 1
-                    if self.metrics is not None:
-                        self.metrics.counter("worker.stale_repairs").inc()
-                    if self.tracer is not None:
-                        self.tracer.instant(
-                            "worker.stale_repair", track=self.worker_id,
-                            cat="failover", iteration=iteration, peer=peer,
-                        )
-                    return {
-                        name: np.array(array)
-                        for name, array in reply["grads"].items()
-                    }
-            if time.monotonic() >= deadline:
-                raise RequestTimeout(
-                    f"no peer served the mean for stale sync "
-                    f"({generation}, {iteration})"
-                )
-            time.sleep(self.poll_interval)
+        found = self._peer_mean(spec, generation, iteration, settle=False)
+        if found is None:
+            raise RequestTimeout(
+                f"no peer served the mean for stale sync "
+                f"({generation}, {iteration})"
+            )
+        peer, mean = found
+        self.stale_repairs += 1
+        if self.metrics is not None:
+            self.metrics.counter("worker.stale_repairs").inc()
+        if self.tracer is not None:
+            self.tracer.instant(
+                "worker.stale_repair", track=self.worker_id,
+                cat="failover", iteration=iteration, peer=peer,
+            )
+        return mean
 
     def _ring_recover(
         self,
@@ -524,35 +518,18 @@ class WorkerAgent:
         mean we cache in the mailbox.  Waiting only helps for peers
         mid-ring.
         """
-        node = self._ring_node
-        peers = [w for w in node.ring["order"] if w != self.worker_id]
-        deadline = time.monotonic() + spec.allreduce_timeout
-        while True:
-            undecided = False
-            for peer in peers:
-                try:
-                    reply = node.fetch_peer_state(peer, generation, iteration)
-                except (OSError, RemoteError):
-                    continue  # unreachable counts as unable to complete
-                state = reply.get("state")
-                if state == "done" and reply.get("grads") is not None:
-                    self.ring_repairs += 1
-                    if self.metrics is not None:
-                        self.metrics.counter("net.allreduce.repairs").inc()
-                    if self.tracer is not None:
-                        self.tracer.instant(
-                            "net.allreduce.repair", track=self.worker_id,
-                            iteration=iteration, peer=peer,
-                        )
-                    return {
-                        name: np.array(array)
-                        for name, array in reply["grads"].items()
-                    }
-                if state == "running":
-                    undecided = True
-            if not undecided or time.monotonic() >= deadline:
-                break
-            time.sleep(self.poll_interval)
+        found = self._peer_mean(spec, generation, iteration, settle=True)
+        if found is not None:
+            peer, mean = found
+            self.ring_repairs += 1
+            if self.metrics is not None:
+                self.metrics.counter("net.allreduce.repairs").inc()
+            if self.tracer is not None:
+                self.tracer.instant(
+                    "net.allreduce.repair", track=self.worker_id,
+                    iteration=iteration, peer=peer,
+                )
+            return mean
         self.ring_fallbacks += 1
         return self._star_sync(
             spec, generation, iteration, grads, ring_fallback=True

@@ -2,25 +2,24 @@
 
 A :class:`ChaosSoak` runs one :class:`~repro.net.job.LocalJob` (workers
 as threads, AM per transport seam) while a deterministic
-:class:`SoakSchedule` injects the failures the failover machinery
-exists for:
+:class:`~repro.coordination.faults.FaultPlan` injects the failures the
+failover machinery exists for — the same two fields the DES twin reads
+for the same faults:
 
-* **worker kills** — a thread raises
+* **worker kills** (``silent_crashes``) — a thread raises
   :class:`~repro.coordination.faults.SilentCrash` mid-iteration and its
   link is torn down, so only lease expiry can notice;
-* **an AM kill** — :func:`~repro.net.job.promote` fences the primary
-  out and rebuilds a successor from the journal, taking over via
-  transport redirect (memory) or a pre-advertised standby endpoint
-  (TCP);
-* **connection resets / message drops** — the existing
-  :class:`~repro.coordination.faults.FaultPlan` machinery.
+* **an AM kill** (``am_crash_iteration``) —
+  :func:`~repro.net.job.promote` fences the primary out and rebuilds a
+  successor from the journal, taking over via transport redirect
+  (memory) or a pre-advertised standby endpoint (TCP).
 
 The soak's verdict is a :class:`GoodputReport` derived from the Chrome
 trace (busy ``worker.iteration`` span time over wall time) and the
 :class:`~repro.observability.MetricRegistry` (detection latency and
 MTTR histograms fed by the lease evictor), with
 :meth:`GoodputReport.assert_slo` turning the floors into a hard
-pass/fail.  The same schedule replays identically over the in-memory
+pass/fail.  The same plan replays identically over the in-memory
 transport and loopback TCP — recovery *counts* must match even though
 timings differ.
 """
@@ -33,16 +32,7 @@ import typing
 
 from ..coordination.faults import FaultPlan
 from ..coordination.messages import MessageType
-from ..observability import MetricRegistry, Tracer
-
-# GoodputReport, derive_report and SLOViolation moved to
-# repro.observability.fleet (they are fleet accounting, not soak
-# machinery); re-exported here so existing imports keep working.
-from ..observability.fleet import (  # noqa: F401  (re-exports)
-    GoodputReport,
-    SLOViolation,
-    derive_report,
-)
+from ..observability import GoodputReport, MetricRegistry, Tracer, derive_report
 from .job import LocalJob
 from .journal import JournalState
 from .master_service import JobSpec, NetworkedApplicationMaster
@@ -83,59 +73,20 @@ def assert_replay_matches(master: NetworkedApplicationMaster) -> None:
         raise AssertionError(f"live state != journal replay: {mismatched}")
 
 
-class SoakSchedule:
-    """One soak's complete, deterministic failure schedule.
-
-    Everything is keyed by *iteration* (the job's logical clock), never
-    by wall time, which is what makes the schedule replayable across
-    transports and machines.
-    """
-
-    def __init__(
-        self,
-        worker_kills: "typing.Mapping[str, int] | None" = None,
-        am_kill_iteration: "int | None" = None,
-        connection_resets: "typing.Mapping[str, typing.Sequence[int]] | None" = None,
-        drop_every: "typing.Mapping[str, int] | None" = None,
-    ):
-        #: worker id -> iteration at which its thread silently dies.
-        self.worker_kills = dict(worker_kills or {})
-        #: AM is killed once training reaches this iteration (None: never).
-        self.am_kill_iteration = am_kill_iteration
-        #: worker id -> message indices at which its connection resets.
-        self.connection_resets = {
-            w: tuple(r) for w, r in (connection_resets or {}).items()
-        }
-        #: worker id -> drop each n-th control-plane message.
-        self.drop_every = dict(drop_every or {})
-
-    def fault_plan(self, worker_id: str) -> "FaultPlan | None":
-        resets = self.connection_resets.get(worker_id, ())
-        drops = self.drop_every.get(worker_id, 0)
-        if not resets and not drops:
-            return None
-        return FaultPlan(connection_resets=tuple(resets), drop_every=drops)
-
-    def describe(self) -> dict:
-        return {
-            "worker_kills": dict(self.worker_kills),
-            "am_kill_iteration": self.am_kill_iteration,
-            "connection_resets": {
-                w: list(r) for w, r in self.connection_resets.items()
-            },
-            "drop_every": dict(self.drop_every),
-        }
-
-
 class ChaosSoak:
-    """One elastic job soaked under a deterministic fault schedule."""
+    """One elastic job soaked under a deterministic fault plan.
+
+    Reads ``plan.silent_crashes`` and ``plan.am_crash_iteration``, both
+    keyed by iteration (the job's logical clock, never wall time), which
+    is what makes a soak replayable across transports and machines.
+    """
 
     def __init__(
         self,
         transport: str,
         spec: JobSpec,
         workers: "typing.Sequence[str]",
-        schedule: "SoakSchedule | None" = None,
+        plan: "FaultPlan | None" = None,
         tracer: "Tracer | None" = None,
         metrics: "MetricRegistry | None" = None,
         join_timeout: float = 30.0,
@@ -144,7 +95,7 @@ class ChaosSoak:
         self.transport = transport
         self.spec = spec
         self.workers = list(workers)
-        self.schedule = schedule or SoakSchedule()
+        self.plan = plan or FaultPlan()
         self.tracer = tracer or Tracer(process=f"chaos-soak-{transport}")
         self.metrics = metrics or MetricRegistry()
         self.join_timeout = join_timeout
@@ -179,7 +130,7 @@ class ChaosSoak:
     # -- the soak ---------------------------------------------------------------
 
     def run(self) -> GoodputReport:
-        """Run the job under the schedule; returns the goodput report."""
+        """Run the job under the plan; returns the goodput report."""
         self.job = job = LocalJob(
             self.transport, self.spec, self.workers, mesh=True,
             tracer=self.tracer, metrics=self.metrics,
@@ -203,17 +154,14 @@ class ChaosSoak:
         for worker_id in self.workers:
             self.job.start_worker(
                 worker_id,
-                link_options={
-                    **self._link_options, "ack_timeout": 0.5,
-                    "fault_plan": self.schedule.fault_plan(worker_id),
-                },
+                link_options={**self._link_options, "ack_timeout": 0.5},
                 join_timeout=self.join_timeout,
-                die_at_iteration=self.schedule.worker_kills.get(worker_id),
+                die_at_iteration=self.plan.silent_crashes.get(worker_id),
             )
         driver = self.job.link(
             "soak-driver", **self._link_options, ack_timeout=1.0
         )
-        kill_at = self.schedule.am_kill_iteration
+        kill_at = self.plan.am_crash_iteration
         deadline = time.monotonic() + self.timeout
         try:
             while not self.job.join(0.05):

@@ -8,8 +8,8 @@ serialization, a filesystem write, and on restart the reverse — the
 
 This module provides both the *cost model* of those phases (used by the
 S&R baseline in the Fig. 11/15 benchmarks) and a real in-memory
-:class:`SharedStorage` that the live S&R baseline writes actual serialized
-state through (emulating the shared filesystem).
+:class:`SharedStorage` that the live S&R baseline writes its encoded
+checkpoints through (emulating the shared filesystem).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import dataclasses
 import typing
 
 from ..perfmodel import calibration
-from ..training.state import TrainingState
 
 
 @dataclasses.dataclass(frozen=True)
@@ -74,9 +73,10 @@ def checkpoint_load_cost(
 class SharedStorage:
     """An in-memory stand-in for the Lustre shared filesystem.
 
-    The live Shutdown-Restart baseline writes real serialized
-    :class:`TrainingState` blobs through this, so restart-from-checkpoint
-    is exercised end to end (serialization bugs would surface here).
+    A byte store keyed by path: the live Shutdown-Restart baseline
+    writes its checkpoint — the hook bundle Elan replicates, encoded as
+    a state blob — through this, so restart-from-checkpoint is
+    exercised end to end (encoding bugs would surface here).
     """
 
     def __init__(self):
@@ -84,19 +84,18 @@ class SharedStorage:
         self.writes = 0
         self.reads = 0
 
-    def save(self, path: str, state: TrainingState) -> int:
-        """Serialize and store; returns the blob size in bytes."""
-        blob = state.serialize()
-        self._blobs[path] = blob
+    def save(self, path: str, data: bytes) -> int:
+        """Store ``data`` at ``path``; returns its size in bytes."""
+        self._blobs[path] = bytes(data)
         self.writes += 1
-        return len(blob)
+        return len(data)
 
-    def load(self, path: str) -> TrainingState:
-        """Load and deserialize a previously saved state."""
+    def load(self, path: str) -> bytes:
+        """The bytes previously saved at ``path``."""
         if path not in self._blobs:
             raise KeyError(f"no checkpoint at {path!r}")
         self.reads += 1
-        return TrainingState.deserialize(self._blobs[path])
+        return self._blobs[path]
 
     def exists(self, path: str) -> bool:
         """Whether a checkpoint exists at ``path``."""

@@ -1,8 +1,9 @@
-"""Training substrate: numpy models, optimizers, loaders, training state.
+"""Training substrate: numpy models, optimizers, loaders, trainers.
 
 The real (non-simulated) execution layer of the reproduction: everything
 every live elastic worker trains with, plus the two data-loading semantics
-of paper §V-C and the replicable training state of Table II.
+of paper §V-C.  The replicable state of Table II is what the RegisterHook
+defaults capture from these pieces (:data:`repro.coordination.hooks.DEFAULT_HOOKS`).
 """
 
 from .architectures import (
@@ -27,10 +28,8 @@ from .nn import (
     softmax,
 )
 from .optim import MomentumSGD
-from .state import RuntimeInfo, TrainingState
 from .trainer import (
     TrainResult,
-    progressive_lr,
     train_data_parallel,
     train_single,
 )
@@ -41,10 +40,8 @@ __all__ = [
     "Dataset",
     "MomentumSGD",
     "Params",
-    "RuntimeInfo",
     "SerialLoader",
     "TrainResult",
-    "TrainingState",
     "accuracy",
     "average_gradients",
     "clone_params",
@@ -58,7 +55,6 @@ __all__ = [
     "mlp_architecture",
     "param_bytes",
     "params_allclose",
-    "progressive_lr",
     "softmax",
     "train_data_parallel",
     "train_single",

@@ -22,6 +22,7 @@ import typing
 
 import numpy as np
 
+from ..core.progressive_lr import LrRamp
 from .dataloader import SerialLoader
 from .datasets import Dataset
 from .nn import (
@@ -51,15 +52,6 @@ class TrainResult:
             return False
         last = self.losses[-1]
         return not np.isfinite(last) or last > 10.0 * max(self.losses[0], 1.0)
-
-
-def progressive_lr(
-    base_lr: float, target_lr: float, iteration: int, ramp_iterations: int
-) -> float:
-    """Paper Eq. 3 with ``T_0 = 0``: linear ramp from base to target."""
-    if ramp_iterations <= 0 or iteration >= ramp_iterations:
-        return target_lr
-    return base_lr + (iteration / ramp_iterations) * (target_lr - base_lr)
 
 
 def train_single(
@@ -102,13 +94,14 @@ def train_single(
     params = init_mlp(dataset.input_dim, hidden_dim, dataset.num_classes, seed=seed)
     optimizer = MomentumSGD(lr=base_lr, momentum=momentum)
     loader = SerialLoader(dataset.train_size, seed=seed)
+    ramp = (
+        LrRamp(0, ramp_iterations, base_lr, target_lr)
+        if lr_scaling == "progressive" else None
+    )
     losses: typing.List[float] = []
     step = 0
     while loader.epoch < epochs:
-        if lr_scaling == "progressive":
-            optimizer.lr = progressive_lr(base_lr, target_lr, step, ramp_iterations)
-        else:
-            optimizer.lr = target_lr
+        optimizer.lr = target_lr if ramp is None else ramp.lr_at(step)
         (indices,) = loader.next_iteration(1, total_batch_size)
         loss, grads = loss_and_gradients(
             params, dataset.train_x[indices], dataset.train_y[indices]

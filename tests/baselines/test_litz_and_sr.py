@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.baselines import LITZ_2, LITZ_4, LitzConfig, LitzModel, ShutdownRestartJob
+from repro.coordination.hooks import DEFAULT_HOOKS
+from repro.net import decode_state_blob
 from repro.perfmodel import MODEL_ZOO, RESNET50, TRANSFORMER
-from repro.training import make_classification, train_single
+from repro.training import make_classification
 
 
 class TestLitzModel:
@@ -72,12 +74,28 @@ class TestShutdownRestartJob:
         )
         reference.train(10)
         reference.workers = 8
-        reference._loader.repartition(8)
+        reference.replica.loader.repartition(8)
         reference.train(10)
         for name in job.params():
             assert np.allclose(
                 job.params()[name], reference.params()[name], atol=1e-12
             )
+
+    def test_checkpoint_is_the_replicated_hook_bundle(self, dataset):
+        """S&R writes exactly the state Elan replicates: the default
+        hooks' captures plus the iteration count, as one state blob."""
+        job = ShutdownRestartJob(dataset, workers=2, total_batch_size=32)
+        job.train(3)
+        size = job.checkpoint()
+        blob = job.storage.load(job.checkpoint_path)
+        assert size == len(blob)
+        state = decode_state_blob(blob)
+        assert set(state) == {hook.name for hook in DEFAULT_HOOKS} | {
+            "iteration"
+        }
+        assert state["iteration"] == 3
+        for name, array in job.params().items():
+            assert np.array_equal(state["params"][name], array)
 
     def test_cannot_train_while_shut_down(self, dataset):
         job = ShutdownRestartJob(dataset, workers=2, total_batch_size=32)

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core import LrRamp, ramp_for_scale, ramp_from_runtime_info, ramp_to_runtime_info
-from repro.training import RuntimeInfo
+from repro.core import LrRamp, ramp_for_scale
 
 
 class TestLrRamp:
@@ -47,18 +46,3 @@ class TestLrRamp:
         ramp = ramp_for_scale(0.1, 1.0, start_iteration=5, length=100)
         assert ramp.length == 0
         assert ramp.lr_at(5) == pytest.approx(0.1)
-
-
-class TestRuntimeInfoRoundtrip:
-    def test_ramp_survives_replication(self):
-        """An in-flight ramp is part of the replicable state (Table II):
-        a new worker must continue the ramp mid-flight."""
-        info = RuntimeInfo()
-        ramp = LrRamp(start_iteration=40, length=100, base_lr=0.1, target_lr=0.4)
-        ramp_to_runtime_info(info, ramp)
-        restored = ramp_from_runtime_info(RuntimeInfo.from_dict(info.to_dict()))
-        assert restored == ramp
-        assert restored.lr_at(90) == pytest.approx(ramp.lr_at(90))
-
-    def test_no_ramp_is_none(self):
-        assert ramp_from_runtime_info(RuntimeInfo()) is None

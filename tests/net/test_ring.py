@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.coordination.faults import FaultPlan
-from repro.coordination.messages import MessageType
+from repro.coordination.messages import Message, MessageType
 from repro.net import (
     JobSpec,
     MemoryPeerHost,
@@ -29,6 +29,7 @@ from repro.net import (
     RingDegraded,
     RingLayout,
     RingMailbox,
+    RequestTimeout,
     RingNode,
     ShmPeerHost,
     TcpPeerHost,
@@ -866,6 +867,42 @@ class TestDegradation:
             with pytest.raises(TypeError):
                 agent._ring_recover(spec, 0, 0, grads)
             assert star == [] and node._suspects == set()
+
+    def test_stale_repair_adopts_the_mean_a_peer_cached(self):
+        """A SYNC barrier that died with the old AM is repaired over the
+        peer mesh: a peer that holds the cached mean serves it, the
+        agent adopts a private copy and counts the repair."""
+        mean = random_grads(3)
+        peer = RingMailbox()
+        peer.record_mean(0, 5, mean)
+
+        class PeerLink:
+            def request(self, msg_type, payload=None, ack_timeout=None):
+                return peer.handle(Message(1, msg_type, "w0", payload))
+
+        metrics = MetricRegistry()
+        agent = WorkerAgent("w0", None, metrics=metrics)
+        node = agent._ring_node = RingNode(
+            "w0", RingMailbox(), lambda addr: PeerLink()
+        )
+        node.install({"epoch": 0, "order": ["w0", "w1"],
+                      "peers": {"w0": "mem://w0", "w1": "mem://w1"},
+                      "active_from": 0})
+        repaired = agent._stale_repair(JobSpec(allreduce_timeout=1.0), 0, 5)
+        assert sorted(repaired) == sorted(mean)
+        for name, array in mean.items():
+            assert np.array_equal(repaired[name], array)
+            assert repaired[name] is not array
+        assert agent.stale_repairs == 1
+        assert metrics.snapshot()["worker.stale_repairs"] == 1
+
+    def test_stale_repair_without_a_peer_mesh_times_out(self):
+        """A star-only worker has nothing to repair a stale barrier
+        from: the call raises instead of inventing a mean."""
+        agent = WorkerAgent("w0", None)
+        with pytest.raises(RequestTimeout):
+            agent._stale_repair(JobSpec(allreduce_timeout=1.0), 0, 5)
+        assert agent.stale_repairs == 0
 
 
 class TestRingJobs:

@@ -15,7 +15,8 @@ registry, on the in-memory transport and on loopback TCP alike.
 
 import pytest
 
-from repro.net import ChaosSoak, JobSpec, SoakSchedule
+from repro.coordination.faults import FaultPlan
+from repro.net import ChaosSoak, JobSpec
 
 TRANSPORTS = ("memory", "tcp")
 
@@ -36,11 +37,9 @@ def make_soak(transport):
         worker_lease_ttl=1.2,
         lease_check_interval=0.2,
     )
-    schedule = SoakSchedule(
-        worker_kills={"w2": 9}, am_kill_iteration=14,
-    )
+    plan = FaultPlan(silent_crashes={"w2": 9}, am_crash_iteration=14)
     return ChaosSoak(
-        transport, spec, ["w0", "w1", "w2"], schedule, timeout=120.0,
+        transport, spec, ["w0", "w1", "w2"], plan, timeout=120.0,
     )
 
 

@@ -1,91 +1,40 @@
-"""Tests for the Table II training-state model."""
+"""Table II on the state Elan replicates: the RegisterHook defaults."""
 
-import numpy as np
-import pytest
+import types
 
+from repro.coordination.hooks import DEFAULT_HOOKS
+from repro.net.chunks import StateBlob
 from repro.training import (
     MomentumSGD,
-    RuntimeInfo,
     SerialLoader,
-    TrainingState,
     init_mlp,
     loss_and_gradients,
     make_classification,
 )
 
 
-@pytest.fixture
-def state():
-    dataset = make_classification(train_size=256, test_size=64, seed=0)
-    params = init_mlp(dataset.input_dim, 32, dataset.num_classes, seed=0)
-    opt = MomentumSGD(lr=0.1)
-    _loss, grads = loss_and_gradients(
-        params, dataset.train_x[:16], dataset.train_y[:16]
-    )
-    opt.step(params, grads)
-    loader = SerialLoader(dataset.train_size, seed=0)
-    loader.next_iteration(4, 4)
-    return TrainingState(
-        model=params,
-        optimizer=opt.state_dict(),
-        loader=loader.state_dict(),
-        comm_group=["w0", "w1", "w2", "w3"],
-        runtime=RuntimeInfo(epoch=0, iteration=1, learning_rate=0.1,
-                            total_batch_size=16),
-    )
+def encoded_bytes(state: dict) -> int:
+    """Bytes ``state`` occupies as the blob a joiner fetches."""
+    return StateBlob.encode(state).total_bytes
 
 
 class TestTableII:
-    def test_gpu_state_much_larger_than_cpu_state(self, state):
-        """Table II: model+optimizer (GPU) dominate the loader/group/runtime
-        (CPU) state."""
-        assert state.gpu_bytes() > 10 * state.cpu_bytes()
-
-    def test_gpu_bytes_count_params_and_velocity(self, state):
-        params_bytes = sum(a.nbytes for a in state.model.values())
-        velocity_bytes = sum(
-            v.nbytes for v in state.optimizer["velocity"].values()
+    def test_gpu_state_much_larger_than_cpu_state(self):
+        """Table II: model+optimizer (GPU) dominate the data-loading
+        (CPU) state in the hook bundle every adjustment replicates."""
+        dataset = make_classification(train_size=256, test_size=64, seed=0)
+        replica = types.SimpleNamespace(
+            params=init_mlp(dataset.input_dim, 32, dataset.num_classes, seed=0),
+            optimizer=MomentumSGD(lr=0.1),
+            loader=SerialLoader(dataset.train_size, seed=0),
         )
-        assert state.gpu_bytes() == params_bytes + velocity_bytes
-
-    def test_total_is_sum(self, state):
-        assert state.total_bytes() == state.gpu_bytes() + state.cpu_bytes()
-
-
-class TestReplication:
-    def test_clone_is_equal_but_independent(self, state):
-        replica = state.clone()
-        assert replica.equals(state)
-        replica.model["w1"][0, 0] += 1.0
-        replica.runtime.iteration += 1
-        assert not replica.equals(state)
-        assert state.runtime.iteration == 1
-
-    def test_serialize_roundtrip(self, state):
-        restored = TrainingState.deserialize(state.serialize())
-        assert restored.equals(state)
-
-    def test_equals_detects_model_drift(self, state):
-        other = state.clone()
-        other.model["w2"] = other.model["w2"] + 1e-9
-        assert not other.equals(state)
-
-    def test_equals_detects_optimizer_drift(self, state):
-        other = state.clone()
-        name = next(iter(other.optimizer["velocity"]))
-        other.optimizer["velocity"][name] = (
-            other.optimizer["velocity"][name] + 1.0
+        _loss, grads = loss_and_gradients(
+            replica.params, dataset.train_x[:16], dataset.train_y[:16]
         )
-        assert not other.equals(state)
-
-    def test_equals_detects_group_change(self, state):
-        other = state.clone()
-        other.comm_group.append("w4")
-        assert not other.equals(state)
-
-
-class TestRuntimeInfo:
-    def test_dict_roundtrip(self):
-        info = RuntimeInfo(epoch=3, iteration=77, learning_rate=0.4,
-                           total_batch_size=1024)
-        assert RuntimeInfo.from_dict(info.to_dict()) == info
+        replica.optimizer.step(replica.params, grads)
+        replica.loader.next_iteration(4, 4)
+        bundle = {hook.name: hook.capture(replica) for hook in DEFAULT_HOOKS}
+        gpu = encoded_bytes(
+            {"params": bundle["params"], "optimizer": bundle["optimizer"]}
+        )
+        assert gpu > 10 * encoded_bytes({"loader": bundle["loader"]})

@@ -10,7 +10,6 @@ from repro.training import (
     loss_and_gradients,
     make_classification,
     params_allclose,
-    progressive_lr,
     train_data_parallel,
     train_single,
 )
@@ -74,23 +73,6 @@ class TestMomentumSGD:
         assert opt.state_bytes() == 0
         opt.step({"w": np.zeros(100)}, {"w": np.ones(100)})
         assert opt.state_bytes() == 800
-
-
-class TestProgressiveLr:
-    def test_ramp_endpoints(self):
-        assert progressive_lr(0.1, 0.8, 0, 100) == pytest.approx(0.1)
-        assert progressive_lr(0.1, 0.8, 100, 100) == pytest.approx(0.8)
-        assert progressive_lr(0.1, 0.8, 500, 100) == pytest.approx(0.8)
-
-    def test_ramp_midpoint(self):
-        assert progressive_lr(0.0, 1.0, 50, 100) == pytest.approx(0.5)
-
-    def test_zero_ramp_jumps_immediately(self):
-        assert progressive_lr(0.1, 0.8, 0, 0) == pytest.approx(0.8)
-
-    def test_monotone_over_ramp(self):
-        values = [progressive_lr(0.1, 1.0, t, 50) for t in range(60)]
-        assert values == sorted(values)
 
 
 class TestTrainSingle:
