@@ -1,13 +1,14 @@
 """Multi-process elastic training over loopback TCP.
 
-Spawns a 2-worker data-parallel job where every worker is a *separate OS
-process* (``python -m repro.cli join``) talking to the in-process
-application master over real sockets, then scales out to 4 workers
-mid-run.  Worker w0 suffers an injected connection reset on its AM link
-*and* on its ring peer links, so the run demonstrates the §V-D recipe
-end-to-end on both planes: lost messages are retransmitted after the
-reconnect, receivers deduplicate, and the final sha256 parameter
-digests prove no replica lost an update.
+Runs a 2-worker data-parallel :class:`~repro.net.LocalJob` whose every
+worker is a *separate OS process* (``python -m repro.cli join``, started
+by ``LocalJob.spawn_worker``) talking to the in-process application
+master over real sockets, then scales out to 4 workers mid-run through
+the job's driver link.  Worker w0 suffers an injected connection reset
+on its AM link *and* on its ring peer links, so the run demonstrates
+the §V-D recipe end-to-end on both planes: lost messages are
+retransmitted after the reconnect, receivers deduplicate, and the final
+sha256 parameter digests prove no replica lost an update.
 
 Steady-state gradients ride the decentralized ring allreduce
 (reduce-scatter + all-gather over direct worker↔worker TCP links); the
@@ -28,9 +29,10 @@ multi-megabyte snapshot through it:
 * ``ELAN_ITERS`` — iterations (default 40),
 * ``ELAN_SLEEP`` — per-iteration pacing in seconds (default 0.05),
 * ``ELAN_CHUNK_KB`` — replication chunk size (default 256),
-* ``ELAN_PEER_TRANSPORT`` — ring peer transport (``tcp`` default;
-  ``shm`` rides shared-memory ring buffers between the co-located
-  worker processes, bootstrap + doorbell over a Unix socket),
+* ``ELAN_PEER_TRANSPORT`` — ring peer transport, passed to every
+  worker as ``--peer-transport`` (``tcp`` default; ``shm`` rides
+  shared-memory ring buffers between the co-located worker processes,
+  bootstrap + doorbell over a Unix socket),
 * ``ELAN_WORKER_TRACE_DIR`` — where per-worker traces land (default: a
   temporary directory).
 
@@ -78,8 +80,15 @@ import os
 import sys
 import tempfile
 
-from repro.net import JobSpec, MultiprocessElasticJob
-from repro.observability import Tracer, load_trace_events, validate_events
+from repro.coordination.messages import MessageType
+from repro.net import JobSpec, Journal, LocalJob
+from repro.observability import (
+    MetricRegistry,
+    Tracer,
+    load_trace_events,
+    validate_events,
+    write_trace_events,
+)
 
 
 def _env_int(name: str, default: int) -> int:
@@ -125,36 +134,70 @@ def main() -> int:
         "ELAN_WORKER_TRACE_DIR"
     ) or tempfile.mkdtemp(prefix="elan-worker-traces-")
     os.makedirs(trace_dir, exist_ok=True)
-    job = MultiprocessElasticJob(
-        spec, ["w0", "w1"], tracer=tracer, worker_trace_dir=trace_dir,
-        # shm moves co-located ring traffic through shared-memory ring
-        # buffers; every worker process is on this host, so SHM always
-        # applies (remote tcp:// peers would fall back transparently).
-        peer_transport=os.environ.get("ELAN_PEER_TRANSPORT"),
-        # Journal to disk so AM failover replays from the file, exactly
-        # like an out-of-process standby would.
-        journal_path=(
-            os.path.join(trace_dir, "am-journal.jsonl") if chaos else None
-        ),
+
+    def worker_trace_path(worker_id):
+        return os.path.join(trace_dir, f"{worker_id}.json")
+
+    # Journal to disk so AM failover replays from the file, exactly
+    # like an out-of-process standby would.
+    journal_path = (
+        os.path.join(trace_dir, "am-journal.jsonl") if chaos else None
     )
-    print(f"AM listening on {job.host}:{job.port}")
+    job = LocalJob(
+        "tcp", spec, ["w0", "w1"], tracer=tracer,
+        # One registry for the AM and its successor: the post-failover
+        # checks below read what the predecessor recorded.
+        metrics=MetricRegistry(),
+        journal=Journal(journal_path) if journal_path else None,
+    )
+    print(f"AM listening on {job.server.host}:{job.server.port}")
+    # The driver's STATUS polls stay out of the AM's trace and metrics.
+    driver = job.link("driver", ack_timeout=2.0, tracer=None, metrics=None)
+    # shm moves co-located ring traffic through shared-memory ring
+    # buffers; every worker process is on this host, so SHM always
+    # applies (remote tcp:// peers would fall back transparently).
+    peer_transport = os.environ.get("ELAN_PEER_TRANSPORT", "tcp")
+
+    def spawn(worker_id, *faults):
+        job.spawn_worker(
+            worker_id, "--peer-transport", peer_transport,
+            "--trace", worker_trace_path(worker_id), *faults,
+        )
+
+    def wait(what, predicate, timeout):
+        # The driver's STATUS polls also redial a successor AM, whose
+        # listener counts that reconnect below.
+        status = job.wait(predicate, timeout)
+        assert predicate(status), f"timed out waiting for {what}: {status}"
+        return status
+
     # w0's 6th AM send dies with its connection, and so does its 5th
     # ring peer send: both transports must reconnect and retransmit
     # without any receiver executing anything twice.
-    w0_faults = {"reset_at": (6,), "peer_reset_at": (5,)}
+    w0_faults = ["--reset-at", "6", "--peer-reset-at", "5"]
     if shard_owner_kill is not None:
         # ... and, as a shard owner, w0 hard-exits after serving this
         # many shard chunks: a mid-fetch owner death.
-        w0_faults["shard_die_after"] = shard_owner_kill
-    job.start(faults={"w0": w0_faults})
+        w0_faults += ["--shard-die-after", str(shard_owner_kill)]
+    spawn("w0", *w0_faults)
+    spawn("w1")
     killed_worker = None
     try:
-        job.wait_until_iteration(4, timeout=30)
-        print(f"  running: {job.status()}")
+        wait("iteration 4", lambda s: s["iteration"] >= 4, 30)
+        print(f"  running: {driver.request(MessageType.STATUS)}")
 
         print("scaling out to 4 worker processes (training continues) ...")
-        assert job.scale_out(["w2", "w3"])
-        status = job.wait_for_adjustments(1, timeout=30)
+        reply = driver.request(
+            MessageType.ADJUSTMENT_REQUEST,
+            {"kind": "scale_out", "add": ["w2", "w3"]},
+        )
+        assert reply.get("accepted"), reply
+        spawn("w2")
+        spawn("w3")
+        status = wait(
+            "1 committed adjustment",
+            lambda s: s["adjustments_committed"] >= 1, 30,
+        )
         print(f"  committed in {status['commit_latencies'][0] * 1e3:.0f} ms: "
               f"group {status['group']}")
 
@@ -162,33 +205,47 @@ def main() -> int:
             # w0 died mid-fetch while serving shard chunks; the joiners
             # re-planned its shards onto w1/the AM and the lease
             # supervisor must now evict the corpse.
-            status = job.wait_for_adjustments(2, timeout=60)
+            status = wait(
+                "the lease eviction",
+                lambda s: s["adjustments_committed"] >= 2, 60,
+            )
             print("chaos: shard owner w0 died mid-fetch; lease eviction "
                   f"committed: group {status['group']}")
             assert "w0" not in status["group"], status
 
         if worker_kill_iter is not None:
             killed_worker = os.environ.get("ELAN_WORKER_KILL", "w3")
-            job.wait_until_iteration(worker_kill_iter, timeout=60)
+            wait(
+                f"iteration {worker_kill_iter}",
+                lambda s: s["iteration"] >= worker_kill_iter, 60,
+            )
             print(f"chaos: SIGKILL {killed_worker} "
                   f"at iteration >= {worker_kill_iter} ...")
             job.kill_worker(killed_worker)
-            status = job.wait_for_adjustments(2, timeout=60)
+            status = wait(
+                "the lease eviction",
+                lambda s: s["adjustments_committed"] >= 2, 60,
+            )
             print(f"  lease eviction committed: group {status['group']}")
             assert killed_worker not in status["group"], status
 
         if am_kill_iter is not None:
-            job.wait_until_iteration(am_kill_iter, timeout=60)
+            wait(
+                f"iteration {am_kill_iter}",
+                lambda s: s["iteration"] >= am_kill_iter, 60,
+            )
             print(f"chaos: killing the AM at iteration >= {am_kill_iter}, "
                   "promoting a journal-replayed successor ...")
             job.fail_over()
-            status = job.status()
+            status = driver.request(MessageType.STATUS)
             print(f"  successor serving (epoch {status['epoch']})")
             assert status["epoch"] >= 2, status
 
-        final = job.wait_complete(timeout=90)
+        final = wait("completion", lambda s: s["complete"], 90)
+        assert job.join(10.0), "worker processes still running"
+        assert not job.errors, job.errors
     finally:
-        job.shutdown()
+        job.close()
 
     dead = {killed_worker} if killed_worker else set()
     if shard_owner_kill is not None:
@@ -248,7 +305,7 @@ def main() -> int:
         # one replicate.shard_fetch span per shard they pulled.
         joiner_events = []
         for worker in ("w2", "w3"):
-            joiner_events += load_trace_events(job.worker_trace_path(worker))
+            joiner_events += load_trace_events(worker_trace_path(worker))
         shard_spans = [
             e for e in joiner_events
             if e.get("name") == "replicate.shard_fetch"
@@ -295,7 +352,7 @@ def main() -> int:
 
     # Every worker's own trace shows both ring phases.
     for worker in workers:
-        path = job.worker_trace_path(worker)
+        path = worker_trace_path(worker)
         events = load_trace_events(path)
         assert not validate_events(events)
         names = {event.get("name") for event in events}
@@ -313,10 +370,10 @@ def main() -> int:
     if chaos:
         names = {event.get("name") for event in events}
         if am_kill_iter is not None:
-            assert job.failovers == 1
+            assert snap.get("am.failover") == 1, snap.get("am.failover")
             assert "am.failover" in names, sorted(names)
             print("failover: am.failover instant present in trace, "
-                  f"journal at {job.journal_path}")
+                  f"journal at {journal_path}")
         if killed_worker:
             detect = snap.get("failure.detection_latency_seconds")
             mttr = snap.get("failure.mttr_seconds")
@@ -344,7 +401,12 @@ def main() -> int:
                 assert worker in shipped, (worker, shipped)
                 assert fleet.worker_events(worker), worker
                 assert fleet.worker_metrics(worker), worker
-        reports = job.fleet_report()
+        # After a failover this reads the *successor's* collector, which
+        # the surviving workers repopulated with full re-ships at
+        # re-enrollment.
+        reports = fleet.report(
+            am_events=tracer.to_events(), am_metrics=snap,
+        )
         assert "fleet" in reports
         fleet_rep = reports["fleet"]
         assert fleet_rep.goodput > 0, fleet_rep.format()
@@ -354,7 +416,9 @@ def main() -> int:
 
         fleet_trace = os.environ.get("ELAN_FLEET_TRACE")
         if fleet_trace:
-            count = job.export_fleet_trace(fleet_trace)
+            count = write_trace_events(
+                fleet_trace, fleet.merged_events(am_events=tracer.to_events())
+            )
             merged = load_trace_events(fleet_trace)
             assert not validate_events(merged), fleet_trace
             processes = {

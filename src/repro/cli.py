@@ -16,7 +16,6 @@ Subcommands (also installed as the ``repro-elan`` console script)::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import typing
 
@@ -517,38 +516,26 @@ def cmd_serve(args) -> int:
 
 def cmd_join(args) -> int:
     """Run one worker agent against a serving AM."""
-    from .coordination.faults import FaultPlan, SilentCrash
+    from .coordination.faults import FaultPlan
     from .net import ShmPeerHost, TcpPeerHost, WorkerAgent, tcp_link
     from .observability import MetricRegistry, Tracer
 
-    plan = FaultPlan.for_link(
-        drop_every=args.drop_every,
-        duplicate_every=args.duplicate_every,
-        resets=tuple(args.reset_at or ()),
-    )
+    plan = FaultPlan.for_link(resets=tuple(args.reset_at or ()))
     peer_plan = FaultPlan.for_link(resets=tuple(args.peer_reset_at or ()))
     # Always record: the AM's spec may turn on live telemetry shipping,
     # which needs a tracer/registry to ship from.  The local trace file
     # is still only written when --trace asks for it.
     tracer = Tracer(process=f"worker-{args.worker}")
     metrics = MetricRegistry()
-    peer_transport = args.peer_transport or os.environ.get(
-        "ELAN_PEER_TRANSPORT", "tcp"
-    )
     if args.no_ring:
         peer_host = None
-    elif peer_transport in ("shm", "auto"):
-        # auto == shm here: a `join` process is by definition on this
-        # host, and ShmPeerHost.connect falls back to TCP for any
-        # tcp:// peer address it meets in the ring, so remote peers in
-        # a mixed ring still work.
+    elif args.peer_transport == "shm":
+        # ShmPeerHost.connect falls back to TCP for any tcp:// peer
+        # address it meets in the ring, so remote peers in a mixed ring
+        # still work.
         peer_host = ShmPeerHost()
-    elif peer_transport == "tcp":
-        peer_host = TcpPeerHost(host=args.host)
     else:
-        print(f"unknown peer transport {peer_transport!r} "
-              "(expected tcp|shm|auto)", file=sys.stderr)
-        return 2
+        peer_host = TcpPeerHost(host=args.host)
     endpoints = [(args.host, args.port)]
     for endpoint in args.am_endpoint or ():
         host, _, port = endpoint.rpartition(":")
@@ -567,17 +554,10 @@ def cmd_join(args) -> int:
     agent = WorkerAgent(
         args.worker, link, tracer=tracer, metrics=metrics,
         peer_host=peer_host, peer_fault_plan=peer_plan,
-        ring_fail_at=tuple(args.ring_fail_at or ()),
-        die_at_iteration=args.die_at,
         shard_die_after=args.shard_die_after,
     )
     try:
         result = agent.run()
-    except SilentCrash as crash:
-        # Deterministic chaos death (--die-at): a distinctive exit code
-        # so drivers can tell scheduled kills from real failures.
-        print(f"{args.worker}: {crash}", file=sys.stderr)
-        return 9
     finally:
         link.close()
         if peer_host is not None:
@@ -945,27 +925,19 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument("--port", type=int, required=True)
     join.add_argument("--worker", required=True, help="this worker's id")
     join.add_argument("--ack-timeout", type=float, default=1.0)
-    join.add_argument("--drop-every", type=int, default=0,
-                      help="drop each n-th outbound message")
-    join.add_argument("--duplicate-every", type=int, default=0,
-                      help="send each n-th outbound message twice")
     join.add_argument("--reset-at", type=int, action="append",
                       help="reset the connection at this send index "
                            "(repeatable)")
     join.add_argument("--no-ring", action="store_true",
                       help="do not serve a peer endpoint (star plane only)")
-    join.add_argument("--peer-transport",
-                      choices=("tcp", "shm", "auto"), default=None,
-                      help="peer mesh transport for the ring plane "
-                           "(default: $ELAN_PEER_TRANSPORT or tcp; shm "
+    join.add_argument("--peer-transport", choices=("tcp", "shm"),
+                      default="tcp",
+                      help="peer mesh transport for the ring plane (shm "
                            "serves a shared-memory endpoint and falls "
                            "back to TCP for remote peers)")
     join.add_argument("--peer-reset-at", type=int, action="append",
                       help="reset the ring peer links at this send index "
                            "(repeatable)")
-    join.add_argument("--ring-fail-at", type=int, action="append",
-                      help="deterministically abort this worker's ring at "
-                           "the given iteration (repeatable)")
     join.add_argument("--trace", help="export this worker's Chrome trace "
                                       "here")
     join.add_argument("--metrics-out",
@@ -977,9 +949,6 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument("--connect-attempts", type=int, default=5,
                       help="dial attempts across all AM endpoints before "
                            "giving up")
-    join.add_argument("--die-at", type=int, default=None,
-                      help="silently crash before computing this iteration "
-                           "(chaos; exits 9)")
     join.add_argument("--shard-die-after", type=int, default=None,
                       help="hard-exit (code 9) after serving this many "
                            "shard chunks from the peer endpoint — a shard "

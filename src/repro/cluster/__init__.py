@@ -7,8 +7,8 @@ seam — against real networked elastic jobs: a
 :class:`ClusterScheduler` service owns a GPU inventory, admits queued
 submissions, and continuously resizes the per-job
 :class:`~repro.net.NetworkedApplicationMaster`s over the existing
-in-memory/TCP transports (SUBMIT / OFFER / RESIZE / RELEASE /
-JOB_STATUS on the §V-D reliable links).
+in-memory/TCP transports (SUBMIT / OFFER / RELEASE / JOB_STATUS on
+the §V-D reliable links, and each job's ``ADJUSTMENT_REQUEST``).
 """
 
 from .runners import ElasticJobRunner

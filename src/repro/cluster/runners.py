@@ -5,11 +5,11 @@ The scheduler (:mod:`repro.cluster.scheduler`) deals only in worker
 elastic job — one :class:`~repro.net.NetworkedApplicationMaster` plus
 its :class:`~repro.net.agent.WorkerAgent` threads over the in-memory
 transport or loopback TCP — and names, starts, and retires the actual
-worker identities.  Every grow / shrink travels as a ``RESIZE`` message
-over the job's own reliable link, so a scheduler decision reaches the
-AM through exactly the wire path an external operator would use (and
-is journaled by the AM with ``origin="scheduler"`` and its pinned
-commit boundary).
+worker identities.  Every grow / shrink travels as an
+``ADJUSTMENT_REQUEST`` with ``origin="scheduler"`` over the job's own
+reliable link, so a scheduler decision reaches the AM through exactly
+the wire path an external operator would use (and is journaled by the
+AM with that origin and its pinned commit boundary).
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class ElasticJobRunner:
         )
 
     def resize(self, workers: int, at_iteration: "int | None" = None) -> bool:
-        """Grow/shrink to ``workers`` via one ``RESIZE`` message.
+        """Grow/shrink to ``workers`` via one ``ADJUSTMENT_REQUEST``.
 
         Returns False when the AM already has an adjustment in flight
         (or the request could not be delivered); the scheduler retries
@@ -121,9 +121,11 @@ class ElasticJobRunner:
         else:
             added = []
             payload = {"kind": "scale_in", "remove": self._workers[workers:]}
-        payload["at_iteration"] = at_iteration
+        payload.update(at_iteration=at_iteration, origin="scheduler")
         try:
-            reply = self._driver.request(MessageType.RESIZE, payload)
+            reply = self._driver.request(
+                MessageType.ADJUSTMENT_REQUEST, payload
+            )
         except (RequestTimeout, TransportClosed, RetryableError,
                 RemoteError):
             return False

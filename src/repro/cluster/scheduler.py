@@ -7,7 +7,8 @@ admission rule, sizes them with a pluggable
 :class:`~repro.scheduling.SchedulingPolicy` through the shared
 :class:`~repro.scheduling.PolicyAdapter` seam, and delivers grow /
 shrink directives to each job's
-:class:`~repro.net.NetworkedApplicationMaster` (``RESIZE``) — so the
+:class:`~repro.net.NetworkedApplicationMaster` (``ADJUSTMENT_REQUEST``
+with ``origin: "scheduler"``) — so the
 exactly-once / dedup / reconnection guarantees of the existing
 transport stack carry the whole scheduling plane.
 

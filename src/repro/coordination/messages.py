@@ -45,7 +45,6 @@ class MessageType(enum.Enum):
     # -- cluster-scheduler plane (scheduler service <-> clients / AMs) --------
     SUBMIT = "submit"  # client -> scheduler (queue one job request)
     OFFER = "offer"  # client -> scheduler (poll one job's placement)
-    RESIZE = "resize"  # scheduler -> AM (externally driven grow/shrink)
     RELEASE = "release"  # client/driver -> scheduler (return a job's GPUs)
     JOB_STATUS = "job_status"  # client -> scheduler (queue/allocation tables)
 

@@ -1,11 +1,8 @@
 """The paper's headline algorithms: hybrid scaling, progressive LR, AdaBatch."""
 
+import importlib
+
 from .adabatch import AdaBatchSchedule, BatchPhase, doubling_schedule
-from .elastic_training import (
-    ElasticTrainingExperiment,
-    PhaseExecution,
-    TrainingTimeline,
-)
 from .hybrid_scaling import (
     HybridScalingPolicy,
     ScalingDecision,
@@ -38,11 +35,21 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):
-    """Lazy import of :class:`ElasticJob` to break the core <-> net import
-    cycle (the facade wraps the networked job, which uses core policies)."""
-    if name == "ElasticJob":
-        from .api import ElasticJob
+#: names imported on first use: the facade wraps the networked job
+#: (which uses core policies), and the §VI-B experiment imports
+#: :mod:`repro.baselines`, whose S&R checkpoints are :mod:`repro.net`
+#: state blobs — so importing a core policy (as :mod:`repro.training`
+#: does) loads no network stack.
+_LAZY = {
+    "ElasticJob": "api",
+    "ElasticTrainingExperiment": "elastic_training",
+    "PhaseExecution": "elastic_training",
+    "TrainingTimeline": "elastic_training",
+}
 
-        return ElasticJob
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        module = importlib.import_module(f".{_LAZY[name]}", __name__)
+        return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -79,7 +79,7 @@ class ElasticJob:
             "memory", self.spec, self._initial, job_id="elastic",
             tracer=tracer, metrics=metrics,
         )
-        self.driver = self.job.link("driver")
+        self.driver = self.job.driver
 
     #: the job's current networked AM (observation reads its state).
     master = property(lambda self: self.job.master)
@@ -216,14 +216,7 @@ class ElasticJob:
         return self.master.status()["digests"]
 
     def _wait(self, done: typing.Callable[[dict], bool], timeout: float):
-        deadline = time.monotonic() + timeout
-        while True:
-            status = self.master.status()
-            if done(status):
-                return True
-            if status["complete"] or time.monotonic() >= deadline:
-                return False
-            self.master.wait_complete(0.005)
+        return done(self.job.wait(done, timeout))
 
     def wait_for_adjustments(self, count: int, timeout: float = 30.0) -> bool:
         """Block until ``count`` adjustments have committed."""

@@ -6,9 +6,9 @@ peers — sharing a single dedup/resend code path, so the §V-D
 fault-tolerance recipe and every chaos schedule behave identically
 in-process, over real sockets, and across ``/dev/shm``.  On top of the seam:
 :class:`NetworkedApplicationMaster` (the message-driven AM + gradient
-rendezvous), :class:`WorkerAgent` (one replica), and the two ways to
-run a job: :class:`LocalJob` (agents as threads in this process) and
-:class:`MultiprocessElasticJob` (agents as N OS processes).
+rendezvous), :class:`WorkerAgent` (one replica), and the one way to
+run a job: :class:`LocalJob` (the AM in this process, its agents as
+threads here or as ``repro.cli join`` OS processes).
 Steady-state gradients bypass the AM entirely via the decentralized
 ring allreduce (:class:`RingNode` over per-worker peer endpoints,
 :mod:`.peers`); the AM's star rendezvous remains the adjustment-window
@@ -43,7 +43,7 @@ from .collective import (
     RingNode,
     ring_reference_average,
 )
-from .job import JobFailed, LocalJob, MultiprocessElasticJob, promote
+from .job import LocalJob, promote
 from .journal import Journal, JournalError, JournalState
 from .master_service import JobSpec, NetworkedApplicationMaster
 from .peers import (
@@ -94,7 +94,6 @@ __all__ = [
     "DEFAULT_SHM_CAPACITY",
     "ChaosSoak",
     "GoodputReport",
-    "JobFailed",
     "JobSpec",
     "JoinRejected",
     "Journal",
@@ -102,7 +101,6 @@ __all__ = [
     "JournalState",
     "LocalJob",
     "MemoryPeerHost",
-    "MultiprocessElasticJob",
     "NetworkedApplicationMaster",
     "PeerHost",
     "RingDegraded",

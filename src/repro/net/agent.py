@@ -308,8 +308,6 @@ class WorkerAgent:
             tracer=self.tracer,
             metrics=self.metrics,
             interval=spec.telemetry_interval,
-            max_events=spec.telemetry_max_events,
-            backlog=spec.telemetry_backlog,
         )
         self.telemetry.start()
 

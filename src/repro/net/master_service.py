@@ -139,13 +139,6 @@ class JobSpec:
     #: TELEMETRY message; the knob rides the join-reply spec, so setting
     #: it on the AM enables every worker.
     telemetry_interval: float = 0.0
-    #: largest number of trace events per TELEMETRY delta (backpressure
-    #: bound; the rest wait for the next tick).
-    telemetry_max_events: int = 512
-    #: largest unshipped trace-event backlog per worker; beyond it the
-    #: oldest unshipped events are dropped (and counted) rather than
-    #: letting a slow AM grow the shipper's cursor debt forever.
-    telemetry_backlog: int = 4096
     #: sharded state migration: how many shard owners each adjustment
     #: elects among the survivors.  0 (the default) plans one
     #: owner-less shard: joiners pull the whole blob from the AM.  With
@@ -405,8 +398,6 @@ class NetworkedApplicationMaster:
             return self.replication.handle_fetch(worker, payload)
         if message.msg_type is MessageType.ADJUSTMENT_REQUEST:
             return self._handle_adjustment_request(payload)
-        if message.msg_type is MessageType.RESIZE:
-            return self._handle_adjustment_request(payload, origin="scheduler")
         if message.msg_type is MessageType.STATUS:
             return self.status()
         if message.msg_type is MessageType.TELEMETRY:
@@ -790,18 +781,17 @@ class NetworkedApplicationMaster:
 
     # -- step 1: the scheduler/driver API ---------------------------------------
 
-    def _handle_adjustment_request(
-        self, payload: dict, origin: str = "driver"
-    ) -> dict:
+    def _handle_adjustment_request(self, payload: dict) -> dict:
         """Accept one externally driven adjustment (step 1).
 
-        ``ADJUSTMENT_REQUEST`` is the classic driver call; ``RESIZE`` is
-        the cluster scheduler's directive and defaults its ``origin`` to
-        ``"scheduler"``.  The journaled request records who asked
-        (``origin``) and any pinned commit boundary (``at_iteration``),
-        so a successor AM re-drives the same decision after failover.
+        ``ADJUSTMENT_REQUEST`` is the one scheduler-facing call (Table
+        III's ``AdjustResource``): a driver leaves ``origin`` at
+        ``"driver"``, the cluster scheduler sends ``"scheduler"``.  The
+        journaled request records who asked (``origin``) and any pinned
+        commit boundary (``at_iteration``), so a successor AM re-drives
+        the same decision after failover.
         """
-        origin = str(payload.get("origin", origin))
+        origin = str(payload.get("origin", "driver"))
         request = _adjustment_request(payload)
         with self._lock:
             accepted = self._accept(

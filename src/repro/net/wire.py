@@ -59,7 +59,9 @@ from ..coordination.messages import Message, MessageType
 #: ``SYNC`` and its mean reply lean frames too.  Version 5 ships the
 #: scaling decision (total batch, LR ramp) in the commit directive and
 #: the join admission: a version-4 worker would ignore it and diverge.
-PROTOCOL_VERSION = 5
+#: Version 6 dropped the ``resize`` message type: the scheduler sends
+#: ``adjustment_request`` with ``origin: "scheduler"``.
+PROTOCOL_VERSION = 6
 
 #: Hard upper bound on one frame's payload, a corruption guard: a bogus
 #: length prefix must fail loudly, not allocate gigabytes.

@@ -1,8 +1,8 @@
-"""Externally issued RESIZE directives (scheduler -> AM).
+"""Externally issued resize directives (scheduler -> AM).
 
-The cluster scheduler drives a job's grow/shrink through a ``RESIZE``
-message rather than the driver-facing ``ADJUSTMENT_REQUEST``: the AM
-journals the directive's *origin* and its pinned commit boundary, the
+The cluster scheduler drives a job's grow/shrink through the same
+``ADJUSTMENT_REQUEST`` a driver sends, with ``origin: "scheduler"``: the
+AM journals the directive's *origin* and its pinned commit boundary, the
 pin rounds up to the next coordination boundary, and — the regression
 this file exists for — a scheduler-issued shrink accepted before an AM
 crash still commits after a journal-replay failover.

@@ -754,6 +754,12 @@ class TestDrainBeforeReturn:
             assert node._links == {}
 
 
+def lone_agent(link, **options):
+    """Worker ``w0`` on a fake link, outside any job: the unit tests
+    below drive its recovery paths directly."""
+    return WorkerAgent("w0", link, **options)
+
+
 class TestDegradation:
     def test_injected_failure_degrades_and_peers_observe_it(self):
         workers = ["w0", "w1"]
@@ -852,7 +858,7 @@ class TestDegradation:
         def connect(addr):
             raise failure
 
-        agent = WorkerAgent("w0", StarLink())
+        agent = lone_agent(StarLink())
         node = agent._ring_node = RingNode("w0", RingMailbox(), connect)
         node.install({"epoch": 0, "order": ["w0", "w1"],
                       "peers": {"w0": "mem://w0", "w1": "mem://w1"},
@@ -881,7 +887,7 @@ class TestDegradation:
                 return peer.handle(Message(1, msg_type, "w0", payload))
 
         metrics = MetricRegistry()
-        agent = WorkerAgent("w0", None, metrics=metrics)
+        agent = lone_agent(None, metrics=metrics)
         node = agent._ring_node = RingNode(
             "w0", RingMailbox(), lambda addr: PeerLink()
         )
@@ -899,7 +905,7 @@ class TestDegradation:
     def test_stale_repair_without_a_peer_mesh_times_out(self):
         """A star-only worker has nothing to repair a stale barrier
         from: the call raises instead of inventing a mean."""
-        agent = WorkerAgent("w0", None)
+        agent = lone_agent(None)
         with pytest.raises(RequestTimeout):
             agent._stale_repair(JobSpec(allreduce_timeout=1.0), 0, 5)
         assert agent.stale_repairs == 0

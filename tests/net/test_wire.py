@@ -651,14 +651,14 @@ class TestLeanFrames:
             np.testing.assert_array_equal(array, np.arange(6.0))
 
     def test_handshake_carries_no_format_keys(self):
-        """Version 5 negotiates nothing: hello and welcome name the
+        """Version 6 negotiates nothing: hello and welcome name the
         version and the node (and the AM's epoch), and that is all."""
-        assert wire.PROTOCOL_VERSION == 5
+        assert wire.PROTOCOL_VERSION == 6
         assert wire.hello_frame("w0") == {
-            "kind": "hello", "version": 5, "node": "w0",
+            "kind": "hello", "version": 6, "node": "w0",
         }
         assert wire.welcome_frame("s") == {
-            "kind": "welcome", "version": 5, "node": "s",
+            "kind": "welcome", "version": 6, "node": "s",
         }
         assert wire.welcome_frame("am", epoch=3)["epoch"] == 3
 
@@ -675,6 +675,14 @@ class TestLeanFrames:
         with pytest.raises(wire.WireError, match="version mismatch"):
             wire.check_handshake(
                 {"kind": "hello", "version": 4, "node": "old-worker"}
+            )
+
+    def test_version_5_hello_is_rejected(self):
+        """A version-5 scheduler would send the ``resize`` message type,
+        which no longer exists."""
+        with pytest.raises(wire.WireError, match="version mismatch"):
+            wire.check_handshake(
+                {"kind": "hello", "version": 5, "node": "old-scheduler"}
             )
 
 
