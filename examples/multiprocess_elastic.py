@@ -75,6 +75,7 @@ Observability knobs:
 See docs/OBSERVABILITY.md and docs/PROTOCOL.md.
 """
 
+import ast
 import json
 import os
 import sys
@@ -181,6 +182,12 @@ def main() -> int:
         w0_faults += ["--shard-die-after", str(shard_owner_kill)]
     spawn("w0", *w0_faults)
     spawn("w1")
+    # The joiners start with the job: a JOIN poll that arrives before
+    # the scale-out request is answered "pending", and the first poll
+    # after it is the joiner's report, so no process start-up delays
+    # the commit.
+    spawn("w2")
+    spawn("w3")
     killed_worker = None
     try:
         wait("iteration 4", lambda s: s["iteration"] >= 4, 30)
@@ -192,8 +199,6 @@ def main() -> int:
             {"kind": "scale_out", "add": ["w2", "w3"]},
         )
         assert reply.get("accepted"), reply
-        spawn("w2")
-        spawn("w3")
         status = wait(
             "1 committed adjustment",
             lambda s: s["adjustments_committed"] >= 1, 30,
@@ -329,6 +334,15 @@ def main() -> int:
     # The ring took the AM out of the gradient hot path: each original
     # worker only rendezvoused at the AM for the pre-activation,
     # adjustment-boundary, fallback and final-barrier iterations.
+    def tally(worker):
+        """The result summary ``worker``'s process printed."""
+        prefix = f"{worker}: "
+        [line] = [
+            line for line in job.results[worker].splitlines()
+            if line.startswith(prefix)
+        ]
+        return ast.literal_eval(line[len(prefix):])
+
     executions = job.master.core.executions
     syncs = {w: executions.get((w, "sync"), 0) for w in workers}
     fallbacks = snap.get("net.sync.ring_fallbacks", 0)
@@ -348,7 +362,21 @@ def main() -> int:
             # minimum.
             assert syncs[worker] > 0, syncs
         else:
-            assert 0 < syncs[worker] < spec.iterations // 2, syncs
+            # Exactly one AM sync per star iteration and per ring
+            # fallback of the worker's own tally.  The ring is first
+            # handed out in the first boundary's COORDINATE reply, so
+            # with no peer lost an original worker's star iterations
+            # are the coordination_interval before it, one per commit
+            # boundary, and the final barrier.
+            mine = tally(worker)
+            assert syncs[worker] == (
+                mine["star_iterations"] + mine["ring_fallbacks"]
+            ), (syncs, mine)
+            if not dead:
+                assert mine["star_iterations"] == (
+                    spec.coordination_interval
+                    + final["adjustments_committed"] + 1
+                ), mine
 
     # Every worker's own trace shows both ring phases.
     for worker in workers:

@@ -3,11 +3,10 @@
 The supervision layer (leases, fencing, automatic recovery) is only
 credible if the failure matrix it defends against is drivable from
 tests.  A :class:`FaultPlan` declares, up front and deterministically,
-every fault one run should suffer — worker crashes (loud or silent),
-control-plane message loss, forced lease expiries, replication
-transfer failures, an AM crash — and is threaded through the networked
-stack's links, the discrete-event simulator and the replication
-executor so every harness replays the same scenario.
+every fault one run should suffer — silent worker crashes,
+control-plane message loss, forced lease expiries, an AM crash — and
+is threaded through the networked stack's links and the discrete-event
+simulator so every harness replays the same scenario.
 
 :class:`ExponentialBackoff` is the shared degradation policy: bounded
 exponential delays with an injectable sleeper, so retry loops are
@@ -78,10 +77,6 @@ class FaultPlan:
     the live stack, simulated seconds for dessim).
     """
 
-    #: worker id -> iteration at which its thread raises (a loud crash).
-    worker_crashes: typing.Mapping[str, int] = dataclasses.field(
-        default_factory=dict
-    )
     #: worker id -> iteration at which its thread vanishes without a
     #: trace (detectable only by lease expiry).
     silent_crashes: typing.Mapping[str, int] = dataclasses.field(
@@ -106,11 +101,6 @@ class FaultPlan:
     #: lease key -> time at which it is forcibly revoked (fencing a
     #: worker out even though it is healthy).
     lease_expiries: typing.Mapping[str, float] = dataclasses.field(
-        default_factory=dict
-    )
-    #: replication transfer index (plan order) -> how many times it
-    #: fails before succeeding.
-    transfer_failures: typing.Mapping[int, int] = dataclasses.field(
         default_factory=dict
     )
     #: crash and recover the AM once training reaches this iteration.
@@ -141,12 +131,9 @@ class FaultPlan:
     # -- consumption helpers --------------------------------------------------
 
     def crashes_by(self, worker_id: str, iteration: int) -> bool:
-        """True once ``worker_id`` should be dead (loud or silent)."""
-        for schedule in (self.worker_crashes, self.silent_crashes):
-            at = schedule.get(worker_id)
-            if at is not None and iteration >= at:
-                return True
-        return False
+        """True once ``worker_id`` should be dead."""
+        at = self.silent_crashes.get(worker_id)
+        return at is not None and iteration >= at
 
     @property
     def has_transport_faults(self) -> bool:
@@ -162,7 +149,3 @@ class FaultPlan:
     def due_lease_expiries(self, now: float) -> "list[str]":
         """Lease keys whose forced expiry time has been reached."""
         return [key for key, when in self.lease_expiries.items() if now >= when]
-
-    def transfer_failure_count(self, index: int) -> int:
-        """How many times replication transfer ``index`` must fail."""
-        return int(self.transfer_failures.get(index, 0))

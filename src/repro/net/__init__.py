@@ -29,7 +29,6 @@ from .chunks import (
     DEFAULT_CHUNK_BYTES,
     ChunkAssembler,
     ChunkedUploader,
-    ChunkStore,
     StateBlob,
     TransferError,
     decode_state_blob,
@@ -83,7 +82,6 @@ __all__ = [
     "DEFAULT_CHUNK_BYTES",
     "PROTOCOL_VERSION",
     "ChunkAssembler",
-    "ChunkStore",
     "ChunkedUploader",
     "FaultAction",
     "InMemoryTransport",

@@ -28,6 +28,7 @@ whose AM-side reference averaging is bit-identical to the ring's.
 
 from __future__ import annotations
 
+import threading
 import time
 import types
 import typing
@@ -138,7 +139,6 @@ class WorkerAgent:
         self.ring_repairs = 0
         self.ring_fallbacks = 0
         #: failover bookkeeping, for tests and reporting.
-        self.join_retries = 0
         self.enrollments = 0
         self.stale_repairs = 0
         self.am_retries = 0
@@ -156,41 +156,27 @@ class WorkerAgent:
         self._joined = False
         self._am_epoch: "int | None" = None
         self._enroll_needed = False
+        self._enroll_lock = threading.Lock()
         self._generation = 0
         self._iteration = 0
+        #: the AM as the chunk plane sees it: every upload and fetch
+        #: request rides a takeover, as COORDINATE and SYNC do.
+        self.am = types.SimpleNamespace(
+            node_id=worker_id, request=self._request
+        )
 
     # -- protocol steps ---------------------------------------------------------
 
     def _join(self) -> dict:
         """Poll ``JOIN`` until admitted (each poll is the worker-report).
 
-        An AM that refuses connections or is mid-failover does not fail
-        the join: transport losses and fenced replies are retried under
-        bounded exponential backoff until ``join_timeout`` passes.
+        The polls go through :meth:`_request`, so an AM that refuses
+        connections or is mid-failover does not fail the join.
         """
         payload = {"peer": self.peer_addr} if self.peer_addr else {}
         deadline = time.monotonic() + self.join_timeout
-        attempt = 0
         while True:
-            try:
-                reply = self.link.request(MessageType.JOIN, payload)
-            except (RequestTimeout, TransportClosed, RetryableError) as exc:
-                if isinstance(exc, RetryableError) and exc.reason not in (
-                    "am_superseded",
-                ):
-                    raise
-                if time.monotonic() >= deadline:
-                    raise JoinRejected(
-                        f"{self.worker_id!r} could not reach a live AM "
-                        f"within {self.join_timeout}s: {exc}"
-                    ) from exc
-                self.join_retries += 1
-                if self.metrics is not None:
-                    self.metrics.counter("worker.join_retries").inc()
-                self.backoff.wait(attempt)
-                attempt += 1
-                continue
-            attempt = 0
+            reply = self._request(MessageType.JOIN, payload)
             if reply.get("status") in ("start", "join"):
                 return reply
             if time.monotonic() >= deadline:
@@ -240,12 +226,14 @@ class WorkerAgent:
         """
         if not self._joined:
             return
-        epoch = getattr(self.link.transport, "server_epoch", None)
-        if not self._enroll_needed and (
-            epoch is None or epoch == self._am_epoch
-        ):
-            return
-        self._enroll()
+        # Pipelined chunk requests race here: one of them enrolls.
+        with self._enroll_lock:
+            epoch = getattr(self.link.transport, "server_epoch", None)
+            if not self._enroll_needed and (
+                epoch is None or epoch == self._am_epoch
+            ):
+                return
+            self._enroll()
 
     def _request(
         self,
@@ -272,7 +260,9 @@ class WorkerAgent:
             except RetryableError as exc:
                 if exc.reason != "am_superseded":
                     raise
-                self._enroll_needed = True
+                # Before admission there is nothing to re-enroll: the
+                # admitting AM's epoch arrives with its reply.
+                self._enroll_needed = self._joined
             except (RequestTimeout, TransportClosed):
                 pass
             if time.monotonic() >= deadline:
@@ -586,7 +576,7 @@ class WorkerAgent:
             # stale local snapshot first.  The AM gates rounds and
             # backstops failed owners.
             fetcher = ShardedFetcher(
-                self.link,
+                self.am,
                 connect=self._peer_connector(spec),
                 window=spec.replication_window,
                 timeout=spec.allreduce_timeout,
@@ -705,7 +695,7 @@ class WorkerAgent:
                         # is safe because training is paused at this
                         # boundary until the upload finishes.
                         uploader = ChunkedUploader(
-                            self.link,
+                            self.am,
                             chunk_bytes=spec.chunk_bytes,
                             window=spec.replication_window,
                             tracer=self.tracer,

@@ -10,20 +10,23 @@ fixed-size chunks:
   copy) and slices chunks across it on demand.
 * :class:`ChunkAssembler` — the receiver side.  One preallocated
   buffer, per-chunk digest verification, duplicate accounting, and a
-  whole-blob digest check before anything is decoded.
-* :class:`ChunkStore` — server-side bookkeeping: one in-flight
-  assembler per sender, plus the reply shapes for ``STATE_CHUNK`` /
-  ``STATE_DONE``.
+  whole-blob digest check before anything is decoded.  The AM keeps one
+  for the in-flight plan's upload
+  (:class:`~repro.net.replication_gate.ReplicationGate`).
 * :class:`ChunkedUploader` — the donor's client loop that pushes chunks
-  to the AM through a :class:`~repro.net.ReliableLink` with a small
-  pipeline window.
+  to the AM with a small pipeline window.
 
-Because every chunk rides an ordinary reliable request, resume after a
+Every chunk rides an ordinary reliable request, so resume after a
 connection reset is free: acked chunks are never resent — the link
 retries only the in-flight message ids — and the assembler keeps what
-it has, so an upload continues from the last acked chunk rather than
-restarting.  The same property holds verbatim on ``InMemoryTransport``
-and ``TcpTransport``; chunking happens *above* the transport seam.
+it has.  An AM takeover is resumed by the same rule one level up: every
+chunk carries the blob's geometry, so the successor's first chunk opens
+a fresh assembler, and a ``STATE_DONE`` that finds chunks missing is
+answered with their seqs, which the uploader resends before finalizing
+again.  Either way the upload continues from what the receiver holds
+rather than restarting.  The same property holds verbatim on
+``InMemoryTransport`` and ``TcpTransport``; chunking happens *above*
+the transport seam.
 
 Joining
 -------
@@ -57,7 +60,7 @@ from ..coordination.faults import ExponentialBackoff
 from ..coordination.messages import MessageType
 from . import wire
 from .collective import _close_quietly
-from .transport import RemoteError, RetryableError
+from .transport import RemoteError
 from .wire import WireError, _flat_view
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -260,8 +263,7 @@ class ChunkAssembler:
     """
 
     def __init__(self, transfer_id: str, total_bytes: int, total_chunks: int,
-                 chunk_bytes: int,
-                 clock: "typing.Callable[[], float]" = time.monotonic):
+                 chunk_bytes: int):
         total_bytes = int(total_bytes)
         total_chunks = int(total_chunks)
         chunk_bytes = int(chunk_bytes)
@@ -279,11 +281,10 @@ class ChunkAssembler:
         self.buffer = bytearray(total_bytes)
         self.received: "set[int]" = set()
         self.duplicates = 0
-        self._clock = clock
-        self.started_at = clock()
-        self.last_activity = self.started_at
+        self.started_at = time.monotonic()
 
-    def _expected_len(self, seq: int) -> int:
+    def chunk_len(self, seq: int) -> int:
+        """Bytes in chunk ``seq`` (the last one may be short)."""
         start = seq * self.chunk_bytes
         return min(start + self.chunk_bytes, self.total_bytes) - start
 
@@ -292,14 +293,13 @@ class ChunkAssembler:
         if not isinstance(seq, int) or not 0 <= seq < self.total_chunks:
             raise WireError(f"chunk seq {seq!r} out of range")
         view = _flat_view(data)
-        if view.nbytes != self._expected_len(seq):
+        if view.nbytes != self.chunk_len(seq):
             raise WireError(
                 f"chunk {seq} is {view.nbytes} bytes, "
-                f"expected {self._expected_len(seq)}"
+                f"expected {self.chunk_len(seq)}"
             )
         if digest is not None and _digest(view) != digest:
             raise WireError(f"chunk {seq} failed its digest check")
-        self.last_activity = self._clock()
         if seq in self.received:
             self.duplicates += 1
             return False
@@ -334,7 +334,6 @@ class ChunkAssembler:
             raise WireError(
                 f"shard {shard.get('index')} failed its digest check"
             )
-        self.last_activity = self._clock()
         self.buffer[start_byte:end_byte] = view
         self.received.update(range(start_chunk, end_chunk))
         return view.nbytes
@@ -344,146 +343,22 @@ class ChunkAssembler:
         return len(self.received) == self.total_chunks
 
     @property
-    def missing(self) -> int:
-        return self.total_chunks - len(self.received)
+    def missing(self) -> "list[int]":
+        """The seqs not received yet, ascending."""
+        return [
+            seq for seq in range(self.total_chunks) if seq not in self.received
+        ]
 
     def finish(self, digest: "str | None" = None) -> memoryview:
         """Verify completeness (and the whole-blob digest) and return a
         view of the assembled blob."""
         if not self.complete:
-            raise WireError(f"transfer incomplete: {self.missing} chunks missing")
+            raise WireError(
+                f"transfer incomplete: {len(self.missing)} chunks missing"
+            )
         if digest is not None and _digest(self.buffer) != digest:
             raise WireError("assembled blob failed its digest check")
         return memoryview(self.buffer)
-
-    def decode(self, digest: "str | None" = None) -> dict:
-        return decode_state_blob(self.finish(digest))
-
-
-class ChunkStore:
-    """Server-side chunk bookkeeping: one in-flight transfer per sender.
-
-    This is deliberately transport- and policy-free — the application
-    master wraps it with its own gating (only the planned uploader may
-    upload; fetches follow the replication plan's rounds) while chaos
-    and property tests drive it bare behind a ``ServerCore``.
-
-    ``ttl`` bounds how long an idle assembler (a sender that died
-    mid-upload, or a finished sub-blob nobody finalized) is retained —
-    mirroring ``ServerCore.dedup_ttl`` — so a long-lived AM does not
-    accumulate dead sub-blob state until the next plan mint.  The sweep
-    runs inline on every handled message; evictions are counted under
-    ``net.transfers.evicted``.
-    """
-
-    #: default idle TTL; deliberately the same bound as
-    #: ``ServerCore.dedup_ttl`` — a transfer idle longer than the reply
-    #: cache's memory of it cannot be resumed exactly-once anyway.
-    DEFAULT_TTL = 120.0
-
-    def __init__(self, metrics: "MetricRegistry | None" = None,
-                 ttl: "float | None" = DEFAULT_TTL,
-                 clock: "typing.Callable[[], float]" = time.monotonic):
-        self._inflight: "dict[str, ChunkAssembler]" = {}
-        self.metrics = metrics
-        self.ttl = ttl
-        self._clock = clock
-        self.completed = 0
-        self.evicted = 0
-
-    def assembler(self, sender: str) -> "ChunkAssembler | None":
-        return self._inflight.get(sender)
-
-    def evict_expired(self, now: "float | None" = None) -> "list[str]":
-        """Drop assemblers idle past the TTL; returns evicted senders."""
-        if self.ttl is None or self.ttl <= 0:
-            return []
-        if now is None:
-            now = self._clock()
-        stale = [
-            sender for sender, assembler in self._inflight.items()
-            if now - assembler.last_activity > self.ttl
-        ]
-        for sender in stale:
-            del self._inflight[sender]
-            self.evicted += 1
-            if self.metrics is not None:
-                self.metrics.counter("net.transfers.evicted").inc()
-        return stale
-
-    def handle_chunk(self, sender: str, payload: dict) -> dict:
-        """Apply one ``STATE_CHUNK``; returns the ack payload."""
-        self.evict_expired()
-        transfer_id = payload.get("transfer_id")
-        if not transfer_id:
-            raise WireError("chunk carries no transfer id")
-        assembler = self._inflight.get(sender)
-        if assembler is None or assembler.transfer_id != transfer_id:
-            assembler = ChunkAssembler(
-                transfer_id=str(transfer_id),
-                total_bytes=payload.get("total_bytes", -1),
-                total_chunks=payload.get("total_chunks", -1),
-                chunk_bytes=payload.get("chunk_bytes", 0),
-                clock=self._clock,
-            )
-            self._inflight[sender] = assembler
-        fresh = assembler.add(
-            payload.get("seq"), payload.get("data", b""), payload.get("digest")
-        )
-        if self.metrics is not None:
-            self.metrics.counter(
-                "net.chunks.received" if fresh else "net.chunks.duplicate"
-            ).inc()
-            if fresh:
-                self.metrics.counter("net.chunks.bytes_received").inc(
-                    assembler._expected_len(payload["seq"])
-                )
-        return {
-            "ok": True,
-            "seq": payload.get("seq"),
-            "have": len(assembler.received),
-            "missing": assembler.missing,
-        }
-
-    def handle_done(
-        self, sender: str, payload: dict
-    ) -> "tuple[dict, ChunkAssembler | None]":
-        """Apply a ``STATE_DONE``; returns ``(reply, assembler)``.
-
-        The assembler is returned (and retired from the in-flight map)
-        only when the transfer is complete and its whole-blob digest
-        verifies; otherwise the reply says what is wrong and the
-        transfer stays resumable.
-        """
-        self.evict_expired()
-        transfer_id = payload.get("transfer_id")
-        assembler = self._inflight.get(sender)
-        if assembler is None or assembler.transfer_id != transfer_id:
-            return {"ok": False, "reason": "unknown transfer"}, None
-        if not assembler.complete:
-            return {"ok": False, "reason": "incomplete",
-                    "missing": assembler.missing}, None
-        assembler.finish(payload.get("digest"))  # raises WireError on corruption
-        del self._inflight[sender]
-        self.completed += 1
-        if self.metrics is not None:
-            self.metrics.counter("net.transfers.completed").inc()
-            self.metrics.histogram("net.transfer_seconds").observe(
-                time.monotonic() - assembler.started_at
-            )
-        return {
-            "ok": True,
-            "chunks": assembler.total_chunks,
-            "payload_bytes": assembler.total_bytes,
-            "duplicates": assembler.duplicates,
-        }, assembler
-
-    def abandon(self, sender: "str | None" = None) -> None:
-        """Drop in-flight state for one sender (or everyone)."""
-        if sender is None:
-            self._inflight.clear()
-        else:
-            self._inflight.pop(sender, None)
 
 
 class _ShardEntry:
@@ -528,17 +403,22 @@ class ShardStore:
     what makes failover re-planning real: when a shard owner dies
     mid-fetch, any surviving owner can serve the dead owner's shards.
 
-    Entries are evicted on a TTL (mirroring :class:`ChunkStore`) and
-    replaced on re-registration, so long-lived workers hold at most a
-    few adjustment snapshots transiently.
+    Entries are evicted on a TTL (:attr:`DEFAULT_TTL`) and replaced on
+    re-registration, so long-lived workers hold at most a few adjustment
+    snapshots transiently.
 
     ``on_serve`` is a chaos seam: called with the running count of
     served chunks *before* each reply, so a fault plan can kill the
     owner mid-fetch at a deterministic serve index.
     """
 
+    #: default idle TTL; deliberately the same bound as
+    #: ``ServerCore.dedup_ttl`` — a joiner idle longer than the reply
+    #: cache's memory of its requests cannot resume exactly-once anyway.
+    DEFAULT_TTL = 120.0
+
     def __init__(self, metrics: "MetricRegistry | None" = None,
-                 ttl: "float | None" = ChunkStore.DEFAULT_TTL,
+                 ttl: "float | None" = DEFAULT_TTL,
                  clock: "typing.Callable[[], float]" = time.monotonic,
                  on_serve: "typing.Callable[[int], None] | None" = None):
         self._entries: "dict[str, _ShardEntry]" = {}
@@ -614,35 +494,26 @@ class TransferError(ConnectionError):
     """A chunked transfer failed permanently (digest, geometry, refusal)."""
 
 
-class _RestartNeeded(Exception):
-    """The receiver lost this transfer; start over with a fresh id."""
-
-
 class _SeqFeed:
     """Thread-safe dispenser of chunk sequence numbers."""
 
-    def __init__(self, total: int, first: int = 0):
-        self._next = first
-        self._total = total
+    def __init__(self, seqs: "typing.Iterable[int]"):
+        self._seqs = iter(seqs)
         self._lock = threading.Lock()
 
     def take(self) -> "int | None":
         with self._lock:
-            if self._next >= self._total:
-                return None
-            seq = self._next
-            self._next += 1
-            return seq
+            return next(self._seqs, None)
 
 
-def _run_window(window: int, total: int, pump, first: int = 0) -> None:
+def _run_window(window: int, seqs: "typing.Sequence[int]", pump) -> None:
     """Run ``pump`` across a small thread pool (or inline for window 1).
 
-    ``pump`` is called with a :class:`_SeqFeed` over ``first..total-1``;
-    the first exception any worker raises is re-raised here after all
+    ``pump`` is called with a :class:`_SeqFeed` over ``seqs``; the
+    first exception any worker raises is re-raised here after all
     workers stop.
     """
-    feed = _SeqFeed(total, first)
+    feed = _SeqFeed(seqs)
     errors: "list[BaseException]" = []
 
     def runner():
@@ -651,7 +522,7 @@ def _run_window(window: int, total: int, pump, first: int = 0) -> None:
         except BaseException as exc:  # noqa: BLE001 - reported to caller
             errors.append(exc)
 
-    workers = max(1, min(window, total - first))
+    workers = max(1, min(window, len(seqs)))
     if workers == 1:
         runner()
     else:
@@ -673,7 +544,8 @@ class ChunkedUploader:
     being sliced and framed while ``k`` is still in flight — the
     pipelining half of the data plane.  ``window=1`` degrades to a
     deterministic serial upload, which chaos tests use to aim faults at
-    exact chunk indices.
+    exact chunk indices.  ``link`` is anything with ``request`` and
+    ``node_id``: a worker hands in its failover-riding request path.
     """
 
     def __init__(self, link: "ReliableLink", chunk_bytes: int = DEFAULT_CHUNK_BYTES,
@@ -686,105 +558,40 @@ class ChunkedUploader:
         self.tracer = tracer
         self.metrics = metrics
 
-    #: how many times a single ``upload`` restarts a transfer whose
-    #: receiver lost the assembler (an AM failover mid-stream) before
-    #: giving up with :class:`TransferError`.
-    MAX_RESTARTS = 3
-    #: how many fenced (``am_superseded``) rejections a single
-    #: ``upload`` rides out while the transport is being redirected to
-    #: the successor AM.
-    MAX_FENCED = 5
-
     def upload(self, state: dict, transfer_id: "str | None" = None,
                context: "dict | None" = None) -> dict:
         """Encode, stream, and finalize one snapshot; returns a summary.
 
-        A receiver that lost the transfer (an AM failover dropped the
-        half-built assembler) answers ``{"restart": True}``; the upload
-        then starts over under a *fresh* transfer id — the successor
-        has no chunks, so resume is impossible but a clean restart is
-        cheap and bounded.
+        A ``STATE_DONE`` the receiver cannot finalize yet — a successor
+        AM took over mid-stream and holds only what reached it — is
+        answered with the ``missing`` seqs; exactly those are resent
+        and the transfer finalized again.
         """
         blob = StateBlob.encode(state, self.chunk_bytes)
-        fixed_id = transfer_id is not None
-        restarts = 0
-        fenced = 0
-        while True:
-            try:
-                return self._upload_once(blob, transfer_id, context)
-            except _RestartNeeded as exc:
-                restarts += 1
-                if restarts > self.MAX_RESTARTS:
-                    raise TransferError(
-                        f"upload abandoned after {restarts - 1} restarts: "
-                        f"{exc}"
-                    ) from exc
-                if self.metrics is not None:
-                    self.metrics.counter("net.transfers.restarted").inc()
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        "net.transfer_restart", track=self.link.node_id,
-                        cat="net", attempt=restarts, reason=str(exc),
-                    )
-                # A caller-fixed id (the sharded plan's deterministic
-                # ``shard/g{generation}``) is kept across restarts: the
-                # receiver that answered ``restart`` has no assembler, so
-                # re-sending from seq 0 under the same id simply creates
-                # a fresh one — and every party that derived the id from
-                # the plan keeps agreeing on it.  Auto-generated ids are
-                # refreshed as before.
-                if not fixed_id:
-                    transfer_id = None
-            except RetryableError as exc:
-                if exc.reason != "am_superseded":
-                    raise
-                fenced += 1
-                if fenced > self.MAX_FENCED:
-                    raise
-                time.sleep(0.05 * fenced)
-
-    def _upload_once(self, blob: "StateBlob",
-                     transfer_id: "str | None",
-                     context: "dict | None") -> dict:
         transfer_id = transfer_id or f"{self.link.node_id}/{secrets.token_hex(4)}"
         base = blob.describe(transfer_id)
 
-        def send_chunk(seq):
-            payload = dict(base)
-            payload.update(
-                seq=seq,
-                digest=blob.chunk_digest(seq),
-                data=blob.chunk(seq),
-            )
-            reply = self.link.request(MessageType.STATE_CHUNK, payload)
-            if reply.get("restart"):
-                raise _RestartNeeded(f"chunk {seq}: {reply}")
-            if not reply.get("ok"):
-                raise TransferError(f"chunk {seq} refused: {reply}")
-            if self.metrics is not None:
-                self.metrics.counter("net.chunks.sent").inc()
+        def pump(feed, errors):
+            while not errors:
+                seq = feed.take()
+                if seq is None:
+                    return
+                reply = self.link.request(MessageType.STATE_CHUNK, dict(
+                    base, seq=seq, digest=blob.chunk_digest(seq),
+                    data=blob.chunk(seq),
+                ))
+                if not reply.get("ok"):
+                    raise TransferError(f"chunk {seq} refused: {reply}")
+                if self.metrics is not None:
+                    self.metrics.counter("net.chunks.sent").inc()
 
         def send_chunks():
-            def pump(feed, errors):
-                while not errors:
-                    seq = feed.take()
-                    if seq is None:
-                        return
-                    send_chunk(seq)
-
-            # Chunk 0 creates the receiver's assembler, so it goes alone
-            # and is acknowledged before the window opens: a pipelined
-            # chunk overtaking it would look exactly like a post-failover
-            # stray ("mid-stream chunk, no assembler") and be answered
-            # ``restart``.  After it, that answer only ever means a real
-            # failover.
-            send_chunk(0)
-            _run_window(self.window, blob.total_chunks, pump, first=1)
             done = dict(base, **(context or {}))
-            done.pop("chunk_bytes", None)
-            reply = self.link.request(MessageType.STATE_DONE, done)
-            if reply.get("restart"):
-                raise _RestartNeeded(f"finalize: {reply}")
+            seqs = range(blob.total_chunks)
+            while seqs:
+                _run_window(self.window, seqs, pump)
+                reply = self.link.request(MessageType.STATE_DONE, done)
+                seqs = [] if reply.get("ok") else reply.get("missing")
             if not reply.get("ok"):
                 raise TransferError(f"transfer {transfer_id} refused: {reply}")
             return reply
@@ -844,7 +651,9 @@ class ShardedFetcher:
                  max_poll_interval: float = 1.0,
                  tracer: "Tracer | None" = None,
                  metrics: "MetricRegistry | None" = None):
-        #: the AM link — round gating, completion report, last-resort source
+        #: the AM — round gating, completion report, last-resort source:
+        #: anything with ``request`` and ``node_id`` (a worker hands in
+        #: its failover-riding request path).
         self.link = link
         #: ``connect(addr) -> ReliableLink`` onto a peer; None disables
         #: peer fan-in entirely (every shard is fetched from the AM).
@@ -931,8 +740,7 @@ class ShardedFetcher:
     def _fetch_shard(self, peer, assembler: "ChunkAssembler",
                      transfer_id: str, shard: dict, source: str) -> None:
         """Fetch one shard's chunks through ``peer`` and adopt it."""
-        start_chunk = int(shard["start_chunk"])
-        nchunks = int(shard["end_chunk"]) - start_chunk
+        seqs = range(int(shard["start_chunk"]), int(shard["end_chunk"]))
         length = int(shard["end_byte"]) - int(shard["start_byte"])
         buffer = bytearray(length)
         base_byte = int(shard["start_byte"])
@@ -942,10 +750,9 @@ class ShardedFetcher:
 
         def pump(feed, errors):
             while not errors:
-                local = feed.take()
-                if local is None:
+                seq = feed.take()
+                if seq is None:
                     return
-                seq = start_chunk + local
                 attempt = 0
                 while True:
                     reply = peer.request(
@@ -975,7 +782,7 @@ class ShardedFetcher:
                     buffer[offset:offset + data.nbytes] = data
 
         def run():
-            _run_window(self.window, nchunks, pump)
+            _run_window(self.window, seqs, pump)
             # the plan digest is ground truth from the uploaded blob: a
             # divergent owner replica fails here and triggers a re-plan
             assembler.adopt_shard(shard, buffer, shard.get("digest"))
@@ -985,7 +792,7 @@ class ShardedFetcher:
                 "replicate.shard_fetch", track=self.link.node_id,
                 cat="replicate", transfer_id=transfer_id,
                 shard=int(shard["index"]), source=source,
-                payload_bytes=length, chunks=nchunks,
+                payload_bytes=length, chunks=len(seqs),
             ):
                 run()
         else:

@@ -1066,7 +1066,7 @@ class NetworkedApplicationMaster:
                 "commit_latencies": list(state.commit_latencies),
                 "handled": self.core.handled,
                 "duplicates": self.core.duplicates,
-                "uploads_completed": self.replication.chunks.completed,
+                "uploads_completed": self.replication.completed,
                 "downloads_active": len(self.replication.downloads),
                 "epoch": self.epoch,
                 "condemned": sorted(state.condemned),

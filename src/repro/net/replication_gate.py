@@ -1,7 +1,8 @@
 """The AM's side of state replication: intake, round gates, join offers.
 
 The elected uploader streams its snapshot blob in with ``STATE_CHUNK`` /
-``STATE_DONE``; the AM verifies it, journals it as the plan's
+``STATE_DONE`` into one :class:`~repro.net.chunks.ChunkAssembler` for
+the in-flight plan; the AM verifies it, journals it as the plan's
 ``snapshot`` record and never decodes it.  Everything joiners then see
 is *derived* from that record by :meth:`ReplicationGate.derive` — the
 shard plan every join offer carries, the :class:`_Download` that
@@ -13,13 +14,15 @@ a successor after journal replay.
 
 from __future__ import annotations
 
+import time
 import typing
 
 from ..replication.planner import plan_replication
 from ..topology.builder import ServerSpec, build_node
 from ..topology.tree import DeviceKind, TopologyNode
-from .chunks import ChunkStore, _digest, _ShardEntry, shard_ranges
+from .chunks import ChunkAssembler, _digest, _ShardEntry, shard_ranges
 from .journal import JournalState, joiners_of
+from .wire import WireError
 
 
 class _Download(_ShardEntry):
@@ -119,10 +122,12 @@ class ReplicationGate:
     """Chunk intake, downloads, round gates and join offers of one AM.
 
     Only the uploaded blob is durable (the ``snapshot`` record, written
-    through ``record``); downloads, fetch progress and offers are
-    volatile and rebuilt by :meth:`derive`.  ``mint_offer(plan,
-    descriptor)`` builds a joiner's offer around a ``state_transfer``
-    descriptor; ``on_snapshot`` lets the AM try to finish the commit.
+    through ``record``); the intake, downloads, fetch progress and
+    offers are volatile and rebuilt by :meth:`derive` — a successor's
+    intake starts empty, and the uploader resends what it lacks.
+    ``mint_offer(plan, descriptor)`` builds a joiner's offer around a
+    ``state_transfer`` descriptor; ``on_snapshot`` lets the AM try to
+    finish the commit.
     """
 
     def __init__(
@@ -138,61 +143,77 @@ class ReplicationGate:
         self._record = record
         self._mint_offer = mint_offer
         self._on_snapshot = on_snapshot
-        self.chunks = ChunkStore(metrics=metrics)
+        #: the in-flight plan's upload: opened by its first chunk (every
+        #: chunk carries the blob's geometry), dropped once the snapshot
+        #: lands and whenever a plan is minted or aborted.
+        self.intake: "ChunkAssembler | None" = None
+        #: uploads this incarnation verified and journaled.
+        self.completed = 0
         self.downloads: "dict[str, _Download]" = {}
         #: joiner -> its single-use ``join`` reply, minted by derive().
         self.offers: "dict[str, dict]" = {}
 
     # -- intake: the uploader's STATE_CHUNK / STATE_DONE -----------------------
 
-    def _unexpected(self, worker: str) -> "dict | None":
-        """Lock held: the refusal for anyone but the plan's uploader."""
+    def _intake_for(
+        self, worker: str, payload: dict
+    ) -> "ChunkAssembler | dict":
+        """Lock held: the plan's intake for this message, or a refusal.
+
+        Only the plan's uploader may upload, and only one transfer per
+        plan: the first message opens the intake, a message for any
+        other transfer is refused.
+        """
         plan = self.state.plan
         if plan is None or worker != plan["uploader"]:
             return {"ok": False, "reason": "no snapshot expected"}
-        return None
+        transfer_id = payload.get("transfer_id")
+        if not transfer_id:
+            raise WireError("upload carries no transfer id")
+        if self.intake is None:
+            self.intake = ChunkAssembler(
+                transfer_id=str(transfer_id),
+                total_bytes=payload.get("total_bytes", -1),
+                total_chunks=payload.get("total_chunks", -1),
+                chunk_bytes=payload.get("chunk_bytes", 0),
+            )
+        elif self.intake.transfer_id != transfer_id:
+            return {
+                "ok": False,
+                "reason": f"transfer {self.intake.transfer_id!r} in flight",
+            }
+        return self.intake
 
     def handle_chunk(self, worker: str, payload: dict) -> dict:
         """One verified chunk of the uploader's snapshot blob."""
         with self.lock:
-            refusal = self._unexpected(worker)
-            if refusal is not None:
-                return refusal
-            assembler = self.chunks.assembler(worker)
+            intake = self._intake_for(worker, payload)
+            if isinstance(intake, dict):
+                return intake
             seq = payload.get("seq")
-            if (
-                (assembler is None
-                 or assembler.transfer_id != payload.get("transfer_id"))
-                and isinstance(seq, int) and seq > 0
-            ):
-                # A mid-stream chunk for a transfer this AM has no
-                # assembler for: the predecessor held chunks 0..seq-1
-                # and died with them.  Telling the uploader to restart
-                # (instead of letting the ChunkStore auto-create an
-                # assembler that can never complete) keeps the transfer
-                # finite.
-                return {
-                    "ok": False, "restart": True,
-                    "reason": (
-                        f"no assembler holds transfer "
-                        f"{payload.get('transfer_id')!r} at seq {seq}"
-                    ),
-                }
-            return self.chunks.handle_chunk(worker, payload)
+            fresh = intake.add(seq, payload.get("data", b""),
+                               payload.get("digest"))
+            if fresh:
+                self.metrics.counter("net.chunks.received").inc()
+                self.metrics.counter("net.chunks.bytes_received").inc(
+                    intake.chunk_len(seq)
+                )
+            else:
+                self.metrics.counter("net.chunks.duplicate").inc()
+            return {"ok": True, "seq": seq}
 
     def handle_done(self, worker: str, payload: dict) -> dict:
         """Finalize a chunked upload: verify, journal, derive the rest.
 
-        The AM journals the assembled blob verbatim (digest-verified,
-        never decoded) and offers it to joiners as a shard plan, gated
-        in the replication planner's round order.
+        Chunks still missing (a successor took over mid-stream) are
+        listed in the reply for the uploader to resend.  The AM
+        journals the assembled blob verbatim (digest-verified, never
+        decoded) and offers it to joiners as a shard plan, gated in the
+        replication planner's round order.
         """
         with self.lock:
-            refusal = self._unexpected(worker)
-            if refusal is not None:
-                return refusal
             transfer_id = str(payload.get("transfer_id"))
-            landed = self.state.plan_snapshot
+            landed = self.state.last_snapshot
             if landed is not None and landed["transfer_id"] == transfer_id:
                 # Duplicate DONE for a transfer this AM (or its
                 # predecessor) already journaled.
@@ -202,26 +223,37 @@ class ReplicationGate:
                     "payload_bytes": landed["total_bytes"],
                     "duplicates": 0,
                 }
-            reply, assembler = self.chunks.handle_done(worker, payload)
-            if assembler is None:
-                if reply.get("reason") == "unknown transfer":
-                    # Post-failover DONE for chunks the predecessor held:
-                    # the uploader must restart the transfer from zero.
-                    reply = dict(reply, restart=True)
-                return reply
+            intake = self._intake_for(worker, payload)
+            if isinstance(intake, dict):
+                return intake
+            if not intake.complete:
+                return {"ok": False, "reason": "incomplete",
+                        "missing": intake.missing}
+            blob = intake.finish(payload.get("digest"))  # raises WireError
+            self.intake = None
+            self.completed += 1
+            self.metrics.counter("net.transfers.completed").inc()
+            self.metrics.histogram("net.transfer_seconds").observe(
+                time.monotonic() - intake.started_at
+            )
             self._record(
                 "snapshot", generation=self.state.plan["generation"],
                 transfer_id=transfer_id,
                 # The one copy of the blob: the download views it.
-                blob=bytes(assembler.buffer),
-                total_bytes=assembler.total_bytes,
-                total_chunks=assembler.total_chunks,
-                chunk_bytes=assembler.chunk_bytes,
-                digest=_digest(assembler.buffer),
+                blob=bytes(blob),
+                total_bytes=intake.total_bytes,
+                total_chunks=intake.total_chunks,
+                chunk_bytes=intake.chunk_bytes,
+                digest=_digest(blob),
             )
             self.derive(planned=True)
             self._on_snapshot()
-            return reply
+            return {
+                "ok": True,
+                "chunks": intake.total_chunks,
+                "payload_bytes": intake.total_bytes,
+                "duplicates": intake.duplicates,
+            }
 
     # -- derived: the download, its round gates, the offers --------------------
 
@@ -321,12 +353,14 @@ class ReplicationGate:
     def forget(self, joiners: typing.Iterable[str]) -> None:
         """Lock held: a plan was minted for (or aborted under) ``joiners``.
 
+        Any half-built upload belongs to the previous plan and goes.
         A joiner that never polled its offer from an earlier adjustment
         (it crashed, or was scaled out before joining) must wait for the
         new plan's snapshot, not receive the old one.  Fully-fetched
         downloads from earlier adjustments are dead weight now;
         in-flight ones stay so straggling joiners finish.
         """
+        self.intake = None
         for joiner in joiners:
             self.offers.pop(joiner, None)
         for transfer_id in [

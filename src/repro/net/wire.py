@@ -60,8 +60,10 @@ from ..coordination.messages import Message, MessageType
 #: scaling decision (total batch, LR ramp) in the commit directive and
 #: the join admission: a version-4 worker would ignore it and diverge.
 #: Version 6 dropped the ``resize`` message type: the scheduler sends
-#: ``adjustment_request`` with ``origin: "scheduler"``.
-PROTOCOL_VERSION = 6
+#: ``adjustment_request`` with ``origin: "scheduler"``.  Version 7
+#: resumes an upload across an AM takeover: a ``state_done`` with chunks
+#: missing lists their seqs, and the ``restart`` reply is gone.
+PROTOCOL_VERSION = 7
 
 #: Hard upper bound on one frame's payload, a corruption guard: a bogus
 #: length prefix must fail loudly, not allocate gigabytes.

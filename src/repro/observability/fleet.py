@@ -37,7 +37,6 @@ _INSTANT_COUNTS = {
     "am.eviction_minted": "evictions_minted",
     "worker.enrolled": "enrollments",
     "worker.stale_repair": "stale_repairs",
-    "net.transfer_restart": "transfer_restarts",
     "worker.evicted": "workers_evicted",
     "am.plan_aborted": "plans_aborted",
 }
@@ -49,7 +48,7 @@ _OVERHEAD_PREFIXES = {
     "replication": ("net.state_upload", "net.state_fetch", "replicate."),
     "rescheduling": ("adjust.", "am.plan", "sync.barrier"),
     "degradation": ("net.reconnect", "net.allreduce.degraded",
-                    "worker.stale_repair", "net.transfer_restart"),
+                    "worker.stale_repair"),
 }
 
 

@@ -17,10 +17,6 @@ from ..simcore import Resource, Simulator
 from ..topology import BandwidthProfile
 from .planner import ReplicationPlan, Transfer, _transfer_claims
 
-if typing.TYPE_CHECKING:  # imported lazily at runtime (avoids a cycle
-    # through repro.coordination)
-    from ..coordination.faults import ExponentialBackoff, FaultPlan
-
 
 @dataclasses.dataclass(frozen=True)
 class TransferRecord:
@@ -58,34 +54,17 @@ class ReplicationTimeline:
 
 
 class SimulatedReplicationExecutor:
-    """Execute a plan on the DES kernel, honoring physical link claims.
-
-    An optional :class:`~repro.coordination.faults.FaultPlan` injects
-    transfer failures: transfer ``i`` (in plan order, flattened across
-    rounds) fails ``plan.transfer_failure_count(i)`` times before
-    succeeding, each attempt burning the full transfer duration plus an
-    exponential-backoff delay.  The retries lengthen the makespan exactly
-    the way a flaky link would; ``self.retries`` counts them.
-    """
+    """Execute a plan on the DES kernel, honoring physical link claims."""
 
     def __init__(
         self,
         profile: "BandwidthProfile | None" = None,
-        fault_plan: "FaultPlan | None" = None,
-        backoff: "ExponentialBackoff | None" = None,
         tracer: "typing.Any | None" = None,
     ):
-        from ..coordination.faults import ExponentialBackoff
         self.profile = profile or BandwidthProfile()
-        self.fault_plan = fault_plan
-        self.backoff = backoff or ExponentialBackoff(
-            base=0.01, max_delay=0.5, sleeper=lambda _s: None
-        )
-        self.retries = 0
         #: Optional :class:`~repro.observability.Tracer`: each executed
         #: transfer lands as a ``replicate.transfer`` span (on the inner
-        #: kernel's simulated time) tagged with its link class and retry
-        #: count.
+        #: kernel's simulated time) tagged with its link class.
         self.tracer = tracer
 
     def execute(self, plan: ReplicationPlan) -> ReplicationTimeline:
@@ -93,12 +72,6 @@ class SimulatedReplicationExecutor:
         sim = Simulator()
         locks: typing.Dict[str, Resource] = {}
         records: typing.List[TransferRecord] = []
-        transfer_index = {
-            id(t): i
-            for i, t in enumerate(
-                t for round_ in plan.rounds for t in round_
-            )
-        }
 
         def lock_for(claim: str) -> Resource:
             if claim not in locks:
@@ -114,18 +87,6 @@ class SimulatedReplicationExecutor:
                 yield request
                 requests.append((claim, request))
             start = sim.now
-            failures = 0
-            if self.fault_plan is not None:
-                failures = self.fault_plan.transfer_failure_count(
-                    transfer_index[id(transfer)]
-                )
-            for attempt in range(failures):
-                # A failed attempt wastes the whole transfer, then backs
-                # off before retrying (the link stays claimed: the state
-                # on it is half-written and nothing else may use it).
-                yield sim.timeout(transfer.duration(self.profile))
-                self.retries += 1
-                yield sim.timeout(self.backoff.delay(attempt))
             yield sim.timeout(transfer.duration(self.profile))
             records.append(TransferRecord(transfer, start, sim.now))
             if self.tracer is not None:
@@ -135,7 +96,6 @@ class SimulatedReplicationExecutor:
                     source=transfer.source.name,
                     link=transfer.transport.value.upper(),
                     level=transfer.level.name,
-                    retries=failures,
                     gpu_bytes=transfer.gpu_bytes,
                     cpu_bytes=transfer.cpu_bytes,
                 )

@@ -1,10 +1,9 @@
 """The chunked replication data plane: slicing, resume, fan-out rounds.
 
-The resume-after-reset chaos tests here are an ISSUE acceptance
-criterion: a connection reset in the middle of a chunked snapshot
-upload must resume from the last acked chunk — never restart from
-scratch, never re-execute a chunk handler — identically over the
-in-memory transport and loopback TCP.
+A connection reset in the middle of a chunked snapshot upload must
+resume from the last acked chunk — never restart from scratch, never
+re-execute a chunk handler — identically over the in-memory transport
+and loopback TCP.  The uploads here stream into the AM's own intake.
 """
 
 import threading
@@ -18,10 +17,8 @@ from repro.coordination.messages import MessageType
 from repro.net import (
     ChunkAssembler,
     ChunkedUploader,
-    ChunkStore,
     JobSpec,
     NetworkedApplicationMaster,
-    ServerCore,
     StateBlob,
     TcpServer,
     WireError,
@@ -143,25 +140,27 @@ class TestChunkAssembler:
             assembler.finish("f" * 64)
 
 
-def chunk_server():
-    """A bare ChunkStore behind the real dedup core."""
-    store = ChunkStore()
-    completed = {}
+def adjusting_master(joiners=("w2",), metrics=None):
+    """An AM mid scale-out of ``["w0"]``: w0 is the elected uploader."""
+    spec = JobSpec(iterations=64, coordination_interval=4, chunk_bytes=256)
+    net = NetworkedApplicationMaster(spec, ["w0"], metrics=metrics)
+    assert net._handle_adjustment_request(
+        {"kind": "scale_out", "add": list(joiners)}
+    )["accepted"]
+    for joiner in joiners:
+        net.am.worker_report(joiner)
+    for iteration in range(4, 400, 4):
+        if net._handle_coordinate("w0", iteration)["kind"] == "adjust":
+            break
+    return net
 
-    def handle(message):
-        if message.msg_type is MessageType.STATE_CHUNK:
-            return store.handle_chunk(message.sender, message.payload)
-        if message.msg_type is MessageType.STATE_DONE:
-            reply, assembler = store.handle_done(
-                message.sender, message.payload
-            )
-            if assembler is not None:
-                completed[assembler.transfer_id] = assembler
-            return reply
-        raise ValueError(message.msg_type)
 
-    core = ServerCore(handler=handle, node_id="srv")
-    return core, store, completed
+def landed(net, summary):
+    """The snapshot ``summary``'s upload journaled, decoded."""
+    snapshot = net.state.last_snapshot
+    assert snapshot["transfer_id"] == summary["transfer_id"]
+    assert snapshot["digest"] == summary["digest"]
+    return decode_state_blob(snapshot["blob"])
 
 
 @pytest.fixture(params=["memory", "tcp"])
@@ -187,30 +186,30 @@ def make_link(transport, core, node_id, fault_plan=None):
 
 class TestChunkedUploadOverBothTransports:
     def test_pipelined_upload_round_trip(self, transport):
-        core, store, completed = chunk_server()
-        link, _, cleanup = make_link(transport, core, "w0")
+        net = adjusting_master()
+        link, _, cleanup = make_link(transport, net.core, "w0")
         try:
             state = sample_state()
             summary = ChunkedUploader(
                 link, chunk_bytes=512, window=4
             ).upload(state)
             assert summary["chunks"] > 4
-            assembler = completed[summary["transfer_id"]]
-            assert_states_equal(assembler.decode(), state)
+            assert_states_equal(landed(net, summary), state)
             # Exactly-once even with four requests in flight at a time.
-            assert core.executions[("w0", "state_chunk")] == summary["chunks"]
-            assert assembler.duplicates == 0
+            assert net.core.executions[("w0", "state_chunk")] == summary["chunks"]
+            assert summary["reply"]["duplicates"] == 0
         finally:
             cleanup()
+            net.close()
 
     def test_reset_mid_upload_resumes_from_last_acked_chunk(self, transport):
-        """ISSUE acceptance: the reset kills chunk 3 in flight; the
-        resend delivers chunk 3 and the upload continues — chunks 1-2
-        are never resent and no chunk handler runs twice."""
-        core, store, completed = chunk_server()
+        """The reset kills chunk 3 in flight; the resend delivers chunk
+        3 and the upload continues — chunks 1-2 are never resent and no
+        chunk handler runs twice."""
+        net = adjusting_master()
         plan = FaultPlan(connection_resets=(3,))
         link, transport_obj, cleanup = make_link(
-            transport, core, "w0", fault_plan=plan
+            transport, net.core, "w0", fault_plan=plan
         )
         try:
             state = sample_state()
@@ -222,35 +221,37 @@ class TestChunkedUploadOverBothTransports:
             assert total >= 6
             # Every chunk's handler executed exactly once: acked chunks
             # were never retransmitted, the transfer was not restarted.
-            assert core.executions[("w0", "state_chunk")] == total
-            assert core.executions[("w0", "state_done")] == 1
-            assembler = completed[summary["transfer_id"]]
-            assert assembler.duplicates == 0
+            assert net.core.executions[("w0", "state_chunk")] == total
+            assert net.core.executions[("w0", "state_done")] == 1
+            assert summary["reply"]["duplicates"] == 0
             # The fault actually fired and was recovered.
             assert transport_obj.reconnects >= 1
             assert link.resends >= 1
-            assert_states_equal(assembler.decode(), state)
+            assert_states_equal(landed(net, summary), state)
         finally:
             cleanup()
+            net.close()
 
     def test_aggressive_duplication_never_reapplies_chunks(self, transport):
-        core, store, completed = chunk_server()
+        net = adjusting_master()
         plan = FaultPlan(duplicate_every=1)
-        link, _, cleanup = make_link(transport, core, "w0", fault_plan=plan)
+        link, _, cleanup = make_link(
+            transport, net.core, "w0", fault_plan=plan
+        )
         try:
             state = sample_state()
             summary = ChunkedUploader(link, chunk_bytes=512).upload(state)
-            assembler = completed[summary["transfer_id"]]
-            assert core.executions[("w0", "state_chunk")] == summary["chunks"]
-            assert core.duplicates > 0  # dedup absorbed the copies
-            assert assembler.duplicates == 0  # none reached the buffer
-            assert_states_equal(assembler.decode(), state)
+            assert net.core.executions[("w0", "state_chunk")] == summary["chunks"]
+            assert net.core.duplicates > 0  # dedup absorbed the copies
+            assert summary["reply"]["duplicates"] == 0  # none reached the buffer
+            assert_states_equal(landed(net, summary), state)
         finally:
             cleanup()
+            net.close()
 
     def test_done_before_complete_reports_missing(self, transport):
-        core, store, completed = chunk_server()
-        link, _, cleanup = make_link(transport, core, "w0")
+        net = adjusting_master()
+        link, _, cleanup = make_link(transport, net.core, "w0")
         try:
             blob = StateBlob.encode(sample_state(), chunk_bytes=512)
             base = blob.describe("t-incomplete")
@@ -260,10 +261,11 @@ class TestChunkedUploadOverBothTransports:
             assert link.request(MessageType.STATE_CHUNK, payload)["ok"]
             reply = link.request(MessageType.STATE_DONE, dict(base))
             assert reply["ok"] is False
-            assert reply["missing"] == blob.total_chunks - 1
-            assert not completed
+            assert reply["missing"] == list(range(1, blob.total_chunks))
+            assert net.state.last_snapshot is None
         finally:
             cleanup()
+            net.close()
 
 
 class TestFanoutRounds:
@@ -286,19 +288,6 @@ class TestFanoutRounds:
 class TestMasterChunkProtocol:
     """The AM side: upload gating, round-gated fetches, cleanup."""
 
-    def _adjusting_master(self, joiners=("w2",)):
-        spec = JobSpec(iterations=64, coordination_interval=4, chunk_bytes=256)
-        net = NetworkedApplicationMaster(spec, ["w0"])
-        assert net._handle_adjustment_request(
-            {"kind": "scale_out", "add": list(joiners)}
-        )["accepted"]
-        for joiner in joiners:
-            net.am.worker_report(joiner)
-        for iteration in range(4, 400, 4):
-            if net._handle_coordinate("w0", iteration)["kind"] == "adjust":
-                break
-        return net
-
     def _upload(self, net, state, transfer_id="t-up", worker="w0"):
         blob = StateBlob.encode(
             state, chunk_bytes=net.spec.chunk_bytes
@@ -315,7 +304,7 @@ class TestMasterChunkProtocol:
         return blob
 
     def test_only_the_elected_uploader_may_stream(self):
-        net = self._adjusting_master()
+        net = adjusting_master()
         blob = StateBlob.encode(sample_state(), chunk_bytes=256)
         payload = dict(
             blob.describe("t-x"), seq=0, digest=blob.chunk_digest(0),
@@ -326,7 +315,7 @@ class TestMasterChunkProtocol:
         }
 
     def test_offers_carry_descriptor_and_round(self):
-        net = self._adjusting_master(joiners=("w2", "w3", "w4"))
+        net = adjusting_master(joiners=("w2", "w3", "w4"))
         state = sample_state()
         blob = self._upload(net, state)
         for joiner in ("w2", "w3", "w4"):
@@ -347,7 +336,7 @@ class TestMasterChunkProtocol:
             )
 
     def test_fetches_are_gated_by_planner_rounds(self):
-        net = self._adjusting_master(joiners=("w2", "w3", "w4"))
+        net = adjusting_master(joiners=("w2", "w3", "w4"))
         state = sample_state()
         blob = self._upload(net, state)
         offers = {j: net._handle_join(j) for j in ("w2", "w3", "w4")}
@@ -384,13 +373,13 @@ class TestMasterChunkProtocol:
         assert reply["ok"]
 
     def test_unknown_transfer_is_refused_not_pending(self):
-        net = self._adjusting_master()
+        net = adjusting_master()
         assert net.replication.handle_fetch(
             "w2", {"transfer_id": "no-such", "seq": 0}
         ) == {"ok": False, "reason": "unknown transfer"}
 
     def test_fetch_rejects_non_joiners_and_bad_seqs(self):
-        net = self._adjusting_master()
+        net = adjusting_master()
         state = sample_state()
         self._upload(net, state)
         offer = net._handle_join("w2")
@@ -403,7 +392,7 @@ class TestMasterChunkProtocol:
         )["ok"]
 
     def test_minting_a_new_plan_drops_completed_downloads(self):
-        net = self._adjusting_master()
+        net = adjusting_master()
         state = sample_state()
         blob = self._upload(net, state)
         offer = net._handle_join("w2")
@@ -433,40 +422,45 @@ class TestMasterChunkProtocol:
 
     def test_chunk_metrics_are_recorded(self):
         metrics = MetricRegistry()
-        spec = JobSpec(iterations=64, coordination_interval=4, chunk_bytes=256)
-        net = NetworkedApplicationMaster(spec, ["w0"], metrics=metrics)
-        assert net._handle_adjustment_request(
-            {"kind": "scale_out", "add": ["w2"]}
-        )["accepted"]
-        net.am.worker_report("w2")
-        for iteration in range(4, 400, 4):
-            if net._handle_coordinate("w0", iteration)["kind"] == "adjust":
-                break
-        blob = StateBlob.encode(sample_state(), chunk_bytes=256)
-        base = blob.describe("t-m")
-        for seq in range(blob.total_chunks):
-            net.replication.handle_chunk("w0", dict(
-                base, seq=seq, digest=blob.chunk_digest(seq),
-                data=blob.chunk(seq),
-            ))
-        net.replication.handle_done("w0", dict(base))
+        net = adjusting_master(metrics=metrics)
+        blob = self._upload(net, sample_state(), transfer_id="t-m")
         snap = metrics.snapshot()
         assert snap["net.chunks.received"] == blob.total_chunks
         assert snap["net.chunks.bytes_received"] == blob.total_bytes
         assert snap["net.transfers.completed"] == 1
+        assert "net.chunks.duplicate" not in snap
+
+    def test_one_transfer_per_plan(self):
+        """The first chunk opens the plan's intake; a chunk of any
+        other transfer is refused until the plan is done with."""
+        net = adjusting_master()
+        blob = StateBlob.encode(sample_state(), chunk_bytes=256)
+
+        def chunk(transfer_id, seq):
+            return dict(
+                blob.describe(transfer_id), seq=seq,
+                digest=blob.chunk_digest(seq), data=blob.chunk(seq),
+            )
+
+        assert net.replication.handle_chunk("w0", chunk("t-a", 2))["ok"]
+        assert net.replication.handle_chunk("w0", chunk("t-b", 0)) == {
+            "ok": False, "reason": "transfer 't-a' in flight",
+        }
+        assert net.replication.handle_chunk("w0", chunk("t-a", 2))["ok"]
+        assert net.metrics.snapshot()["net.chunks.duplicate"] == 1
 
 
 class TestPipelinedUploadAgainstTheRestartRule:
-    """The uploader's window must never race the AM's "mid-stream chunk
-    with no assembler means a failover happened" rule."""
+    """The uploader's window opens at chunk 0: whatever order its
+    chunks reach the AM in, the first one opens the plan's intake."""
 
     def test_chunk_zero_overtaken_by_its_window_is_not_a_restart(self):
         """Reorder seq 0 behind seq 1-3 at the send path — what four
         pipelined uploader threads racing for the send lock can do.
-        The uploader must make that order impossible: chunk 0 is sent
-        and acknowledged before the window opens, so the AM never sees
-        a mid-stream chunk for a transfer it has no assembler for."""
-        net = TestMasterChunkProtocol()._adjusting_master()
+        Every chunk carries the blob's geometry, so the AM opens its
+        intake at chunk 1 and the upload completes with no chunk
+        refused and none resent."""
+        net = adjusting_master()
         link = memory_link(net.core, "w0", ack_timeout=2.0)
         inner = link.transport
 
@@ -479,6 +473,7 @@ class TestPipelinedUploadAgainstTheRestartRule:
             def __init__(self):
                 self.lock = threading.Lock()
                 self.passed = {}  # transfer id -> (seqs gone by, event)
+                self.overtaken = False
 
             def _transfer(self, message):
                 with self.lock:
@@ -492,7 +487,7 @@ class TestPipelinedUploadAgainstTheRestartRule:
                     return inner.send(message)
                 seqs, overtaken = self._transfer(message)
                 if message.payload["seq"] == 0:
-                    overtaken.wait(0.3)
+                    self.overtaken = overtaken.wait(0.3)
                 delivered = inner.send(message)
                 seqs.add(message.payload["seq"])
                 if {1, 2, 3} <= seqs:
@@ -502,7 +497,8 @@ class TestPipelinedUploadAgainstTheRestartRule:
             def close(self):
                 inner.close()
 
-        link.attach(OvertakenChunkZero())
+        fault = OvertakenChunkZero()
+        link.attach(fault)
         metrics = MetricRegistry()
         state = sample_state()
         try:
@@ -511,8 +507,9 @@ class TestPipelinedUploadAgainstTheRestartRule:
             ).upload(state, context={"iteration": 4})
         finally:
             link.close()
+        assert fault.overtaken  # chunks 1-3 reached the AM before 0
         assert summary["chunks"] > 4
-        assert metrics.snapshot().get("net.transfers.restarted", 0) == 0
+        assert metrics.snapshot()["net.chunks.sent"] == summary["chunks"]
         assert summary["reply"]["ok"] is True
         assert summary["reply"]["chunks"] == summary["chunks"]
         # The AM holds exactly the bytes that were sent.
@@ -522,6 +519,7 @@ class TestPipelinedUploadAgainstTheRestartRule:
         download = net.replication.downloads[summary["transfer_id"]]
         assert download.total_bytes == summary["payload_bytes"]
         assert net.core.executions[("w0", "state_chunk")] == summary["chunks"]
+        assert net.core.executions[("w0", "state_done")] == 1
 
 
 class TestConcurrentFanout:

@@ -10,6 +10,7 @@ started — or abort it cleanly.  The last test takes over on the
 predecessor's own TCP port through :func:`~repro.net.job.promote`.
 """
 
+import numpy as np
 import pytest
 
 from repro.coordination.messages import MessageType
@@ -18,6 +19,7 @@ from repro.net import (
     JobSpec,
     NetworkedApplicationMaster,
     RetryableError,
+    StateBlob,
     memory_link,
     promote,
     tcp_link,
@@ -190,14 +192,30 @@ class TestFailover:
             status = cluster.driver.request(MessageType.STATUS)
             assert status["adjustment_pending"]
 
-            # A mid-stream chunk for a transfer the successor never saw:
-            # the uploader is told to restart from chunk 0 rather than
-            # stream into a void.
-            reply = cluster.links["w0"].request(
-                MessageType.STATE_CHUNK, {"transfer_id": "ghost", "seq": 3},
+            # The upload resumes on the successor instead of restarting:
+            # a mid-stream chunk opens its intake, STATE_DONE lists the
+            # seqs it still lacks, and a ghost transfer is refused.
+            link = cluster.links["w0"]
+            blob = StateBlob.encode(
+                {"params": {"w": np.arange(64.0)}}, chunk_bytes=128
             )
-            assert reply["ok"] is False
-            assert reply.get("restart") is True
+            base = blob.describe("w0/upload")
+
+            def chunk(seq, transfer_id="w0/upload"):
+                return dict(
+                    base, transfer_id=transfer_id, seq=seq,
+                    digest=blob.chunk_digest(seq), data=blob.chunk(seq),
+                )
+
+            assert link.request(MessageType.STATE_CHUNK, chunk(3))["ok"]
+            assert link.request(MessageType.STATE_DONE, dict(base)) == {
+                "ok": False, "reason": "incomplete",
+                "missing": [s for s in range(blob.total_chunks) if s != 3],
+            }
+            ghost = link.request(MessageType.STATE_CHUNK, chunk(0, "ghost"))
+            assert ghost == {
+                "ok": False, "reason": "transfer 'w0/upload' in flight",
+            }
             assert successor.epoch == 2
         finally:
             cluster.close()

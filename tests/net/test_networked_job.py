@@ -94,7 +94,7 @@ class TestElasticJobOverBothTransports:
             core = harness.master.core
             assert core.executions[("w0", "state_chunk")] == chunks
             assert core.executions[("w0", "state_done")] == 1
-            assert harness.master.replication.chunks.completed == 1
+            assert harness.master.replication.completed == 1
             snap = harness.master.metrics.snapshot()
             assert snap["net.chunks.received"] == chunks
             assert snap["net.chunks.served"] == 2 * chunks

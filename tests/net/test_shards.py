@@ -23,7 +23,6 @@ import pytest
 
 from repro.coordination.messages import MessageType
 from repro.net import (
-    ChunkStore,
     JobSpec,
     RemoteError,
     StateBlob,
@@ -119,55 +118,6 @@ class TestShardStore:
         for seq in range(3):
             store.handle_fetch("j", {"transfer_id": "t1", "seq": seq})
         assert counts == [0, 1, 2]
-
-
-class TestChunkStoreTtl:
-    """Satellite: completed/abandoned assemblers die on a TTL, not at
-    the next plan mint."""
-
-    def _chunk_payload(self, blob, transfer_id, seq):
-        return {
-            "transfer_id": transfer_id,
-            "seq": seq,
-            "data": blob.chunk(seq),
-            "digest": blob.chunk_digest(seq),
-            "total_bytes": blob.total_bytes,
-            "total_chunks": blob.total_chunks,
-            "chunk_bytes": blob.chunk_bytes,
-        }
-
-    def test_abandoned_upload_is_swept_inline(self):
-        clock = FakeClock()
-        metrics = MetricRegistry()
-        store = ChunkStore(metrics=metrics, ttl=10.0, clock=clock)
-        blob = StateBlob.encode(sample_state(), chunk_bytes=512)
-        store.handle_chunk("dead", self._chunk_payload(blob, "t1", 0))
-        clock.now += 11.0
-        # The next handled message (any sender) sweeps the idle one.
-        store.handle_chunk("live", self._chunk_payload(blob, "t2", 0))
-        assert store.assembler("dead") is None
-        assert store.assembler("live") is not None
-        assert store.evicted == 1
-        assert metrics.snapshot()["net.transfers.evicted"] == 1.0
-
-    def test_activity_refreshes_the_ttl(self):
-        clock = FakeClock()
-        store = ChunkStore(ttl=10.0, clock=clock)
-        blob = StateBlob.encode(sample_state(), chunk_bytes=512)
-        for seq in range(min(3, blob.total_chunks)):
-            store.handle_chunk("up", self._chunk_payload(blob, "t1", seq))
-            clock.now += 8.0  # always within the TTL of the last chunk
-        assert store.assembler("up") is not None
-        assert store.evicted == 0
-
-    def test_ttl_none_disables_eviction(self):
-        clock = FakeClock()
-        store = ChunkStore(ttl=None, clock=clock)
-        blob = StateBlob.encode(sample_state(), chunk_bytes=512)
-        store.handle_chunk("up", self._chunk_payload(blob, "t1", 0))
-        clock.now += 1e6
-        assert store.evict_expired() == []
-        assert store.assembler("up") is not None
 
 
 class FakeLink:

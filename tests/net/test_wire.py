@@ -651,14 +651,14 @@ class TestLeanFrames:
             np.testing.assert_array_equal(array, np.arange(6.0))
 
     def test_handshake_carries_no_format_keys(self):
-        """Version 6 negotiates nothing: hello and welcome name the
+        """Version 7 negotiates nothing: hello and welcome name the
         version and the node (and the AM's epoch), and that is all."""
-        assert wire.PROTOCOL_VERSION == 6
+        assert wire.PROTOCOL_VERSION == 7
         assert wire.hello_frame("w0") == {
-            "kind": "hello", "version": 6, "node": "w0",
+            "kind": "hello", "version": 7, "node": "w0",
         }
         assert wire.welcome_frame("s") == {
-            "kind": "welcome", "version": 6, "node": "s",
+            "kind": "welcome", "version": 7, "node": "s",
         }
         assert wire.welcome_frame("am", epoch=3)["epoch"] == 3
 
@@ -683,6 +683,14 @@ class TestLeanFrames:
         with pytest.raises(wire.WireError, match="version mismatch"):
             wire.check_handshake(
                 {"kind": "hello", "version": 5, "node": "old-scheduler"}
+            )
+
+    def test_version_6_hello_is_rejected(self):
+        """A version-6 uploader expects a ``restart`` reply after an AM
+        takeover and cannot resend the seqs a ``state_done`` lists."""
+        with pytest.raises(wire.WireError, match="version mismatch"):
+            wire.check_handshake(
+                {"kind": "hello", "version": 6, "node": "old-worker"}
             )
 
 

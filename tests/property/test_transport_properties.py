@@ -16,8 +16,9 @@ from repro.coordination.faults import FaultPlan
 from repro.coordination.messages import Message, MessageType
 from repro.net import (
     ChunkedUploader,
-    ChunkStore,
+    JobSpec,
     MemoryPeerHost,
+    NetworkedApplicationMaster,
     RingDegraded,
     RingMailbox,
     RingNode,
@@ -27,6 +28,7 @@ from repro.net import (
     ring_reference_average,
     tcp_link,
 )
+from repro.net.chunks import decode_state_blob
 
 
 def counting_core():
@@ -146,20 +148,19 @@ class TestExactlyOnceOverTcp:
             server.close()
 
 
-def chunk_core():
-    """A bare :class:`ChunkStore` behind the counting/dedup core."""
-    store = ChunkStore()
-    completed = {}
-
-    def handle(message):
-        if message.msg_type is MessageType.STATE_CHUNK:
-            return store.handle_chunk(message.sender, message.payload)
-        reply, assembler = store.handle_done(message.sender, message.payload)
-        if assembler is not None:
-            completed[assembler.transfer_id] = assembler
-        return reply
-
-    return ServerCore(handler=handle, node_id="am"), completed
+def chunk_master():
+    """The AM's own upload intake, mid scale-out: w0 is the uploader."""
+    net = NetworkedApplicationMaster(
+        JobSpec(iterations=64, coordination_interval=4), ["w0"]
+    )
+    assert net._handle_adjustment_request(
+        {"kind": "scale_out", "add": ["w2"]}
+    )["accepted"]
+    net.am.worker_report("w2")
+    for iteration in range(4, 400, 4):
+        if net._handle_coordinate("w0", iteration)["kind"] == "adjust":
+            return net
+    raise AssertionError("no adjust directive")
 
 
 chunk_schedules = st.fixed_dictionaries(
@@ -174,10 +175,10 @@ chunk_schedules = st.fixed_dictionaries(
 )
 
 
-def assert_chunked_upload_exactly_once(core, link, schedule, completed):
+def assert_chunked_upload_exactly_once(net, link, schedule):
     """Whatever the schedule: every chunk handler ran exactly once, no
-    duplicate ever reached the assembly buffer, and the reassembled
-    blob is byte-identical (digest-verified) to what was sent."""
+    duplicate ever reached the assembly buffer, and the journaled blob
+    is byte-identical (digest-verified) to what was sent."""
     state = {
         "params": {"w": np.arange(schedule["floats"], dtype=np.float64)},
         "optimizer": {"lr": 0.1},
@@ -187,11 +188,12 @@ def assert_chunked_upload_exactly_once(core, link, schedule, completed):
         link, chunk_bytes=schedule["chunk_bytes"], window=schedule["window"]
     )
     summary = uploader.upload(state)
-    assembler = completed[summary["transfer_id"]]
-    assert core.executions[("w0", "state_chunk")] == summary["chunks"]
-    assert core.executions[("w0", "state_done")] == 1
-    assert assembler.duplicates == 0
-    decoded = assembler.decode(summary["digest"])
+    assert net.core.executions[("w0", "state_chunk")] == summary["chunks"]
+    assert net.core.executions[("w0", "state_done")] == 1
+    assert summary["reply"]["duplicates"] == 0
+    snapshot = net.state.last_snapshot
+    assert snapshot["digest"] == summary["digest"]
+    decoded = decode_state_blob(snapshot["blob"])
     np.testing.assert_array_equal(
         decoded["params"]["w"], state["params"]["w"]
     )
@@ -209,22 +211,26 @@ class TestChunkedTransferProperties:
     @given(schedule=chunk_schedules)
     @settings(max_examples=40, deadline=None)
     def test_transfer_survives_any_schedule_in_memory(self, schedule):
-        core, completed = chunk_core()
+        net = chunk_master()
         plan = FaultPlan(
             drop_every=schedule["drop_every"],
             duplicate_every=schedule["duplicate_every"],
             connection_resets=tuple(schedule["resets"]),
         )
         link = memory_link(
-            core, "w0", fault_plan=plan, ack_timeout=0.02, max_attempts=20
+            net.core, "w0", fault_plan=plan, ack_timeout=0.02, max_attempts=20
         )
-        assert_chunked_upload_exactly_once(core, link, schedule, completed)
+        try:
+            assert_chunked_upload_exactly_once(net, link, schedule)
+        finally:
+            link.close()
+            net.close()
 
     @given(schedule=chunk_schedules)
     @settings(max_examples=4, deadline=None)
     def test_transfer_survives_any_schedule_over_tcp(self, schedule):
-        core, completed = chunk_core()
-        server = TcpServer(core).start()
+        net = chunk_master()
+        server = TcpServer(net.core).start()
         plan = FaultPlan(
             drop_every=schedule["drop_every"],
             duplicate_every=schedule["duplicate_every"],
@@ -236,12 +242,11 @@ class TestChunkedTransferProperties:
             heartbeat_interval=None,
         )
         try:
-            assert_chunked_upload_exactly_once(
-                core, link, schedule, completed
-            )
+            assert_chunked_upload_exactly_once(net, link, schedule)
         finally:
             link.close()
             server.close()
+            net.close()
 
 
 ring_schedules = st.fixed_dictionaries(

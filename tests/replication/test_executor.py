@@ -145,4 +145,4 @@ class TestExecutorTracing:
         for span in spans:
             assert (span.track, span.start, span.end) in recorded
             assert span.args["link"] in ("P2P", "SHM", "NET")
-            assert span.args["retries"] == 0
+            assert "retries" not in span.args
