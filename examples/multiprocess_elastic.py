@@ -69,8 +69,9 @@ Observability knobs:
 * ``ELAN_FLEET_TRACE=/path`` — export the merged, clock-aligned fleet
   trace (AM + every worker as named process rows; feed it to
   ``python -m repro.cli tracing validate`` / ``summarize``),
-* ``ELAN_METRICS=/path`` — dump the AM metric registry as lossless JSON
-  (readable back via ``python -m repro.cli tracing metrics``).
+* ``ELAN_METRICS=/path`` — dump the AM metric registry's snapshot as
+  JSON (readable back via ``python -m repro.cli tracing metrics`` and
+  ``fleet prom``).
 
 See docs/OBSERVABILITY.md and docs/PROTOCOL.md.
 """
@@ -465,7 +466,7 @@ def main() -> int:
     metrics_path = os.environ.get("ELAN_METRICS")
     if metrics_path:
         with open(metrics_path, "w") as f:
-            json.dump(job.master.metrics.to_json(), f,
+            json.dump(job.master.metrics.snapshot(), f,
                       indent=2, sort_keys=True)
         print(f"AM metric registry -> {metrics_path}")
 

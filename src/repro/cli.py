@@ -8,7 +8,7 @@ Subcommands (also installed as the ``repro-elan`` console script)::
     python -m repro.cli elastic-training                # Fig. 18/19, Table IV
     python -m repro.cli schedule --policy e-fifo        # §VI-C metrics
     python -m repro.cli demo                            # live elastic job
-    python -m repro.cli tracing demo trace.json         # record a trace
+    python -m repro.cli demo --trace trace.json         # ... and its trace
     python -m repro.cli soak --transport both           # chaos soak + SLOs
     python -m repro.cli cluster scenario --transport both   # multi-job churn
 """
@@ -212,7 +212,7 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_tracing(args) -> int:
-    """Produce, summarize, or validate traces; inspect metric dumps."""
+    """Summarize or validate traces; inspect metric dumps."""
     from .observability import (
         load_trace_events,
         summarize_events,
@@ -223,12 +223,10 @@ def cmd_tracing(args) -> int:
     if args.action == "metrics":
         import json
 
-        from .observability import MetricRegistry
-
         with open(args.path) as f:
-            registry = MetricRegistry.from_json(json.load(f))
+            snapshot = json.load(f)
         rows = []
-        for name, value in registry.snapshot().items():
+        for name, value in sorted(snapshot.items()):
             if isinstance(value, dict):  # histogram stats
                 for key in ("count", "mean", "p50", "p99", "max"):
                     if value.get(key) is not None:
@@ -236,25 +234,6 @@ def cmd_tracing(args) -> int:
             else:
                 rows.append((name, f"{value:.6g}"))
         _print_table(("Metric", "Value"), rows, (36, 14))
-        return 0
-
-    if args.action == "demo":
-        from .core import ElasticJob
-        from .core.hybrid_scaling import ScalingSpec
-        from .observability import Tracer
-
-        tracer = Tracer(process="elan-live")
-        with ElasticJob(
-            workers=2, total_batch_size=64, base_lr=0.02, seed=args.seed,
-            iterations=40, iteration_sleep=0.005, tracer=tracer,
-            scaling=ScalingSpec("weak", ramp_iterations=5),
-        ) as job:
-            job.wait_until_iteration(10)
-            job.scale_out(2)
-            job.wait_for_adjustments(1)
-        tracer.export(args.path)
-        print(f"wrote {len(tracer.to_events())} events to {args.path}")
-        print("open in https://ui.perfetto.dev or chrome://tracing")
         return 0
 
     events = load_trace_events(args.path)
@@ -298,10 +277,13 @@ def cmd_tracing(args) -> int:
     return 0
 
 
-def _fleet_query(connect: str, query: str, ack_timeout: float) -> dict:
-    """One TELEMETRY query round against a live AM at ``host:port``."""
+def _fleet_query(connect: str, ack_timeout: float) -> tuple:
+    """One TELEMETRY query round against a live AM at ``host:port``:
+    its fleet collector, rebuilt, and the reply (``am_events``,
+    ``am_metrics``, ``epoch``)."""
     from .coordination.messages import MessageType
     from .net import tcp_link
+    from .observability import FleetCollector
 
     host, _, port = connect.rpartition(":")
     if not port.isdigit():
@@ -310,9 +292,10 @@ def _fleet_query(connect: str, query: str, ack_timeout: float) -> dict:
         host or "127.0.0.1", int(port), "fleet-cli", ack_timeout=ack_timeout
     )
     try:
-        return link.request(MessageType.TELEMETRY, {"query": query})
+        reply = link.request(MessageType.TELEMETRY, {"query": "fleet"})
     finally:
         link.close()
+    return FleetCollector.from_payload(reply.get("fleet") or {}), reply
 
 
 def cmd_fleet(args) -> int:
@@ -323,8 +306,6 @@ def cmd_fleet(args) -> int:
     collector was fed by the workers' telemetry shippers.
     """
     from .observability import (
-        FleetCollector,
-        GoodputReport,
         SLOViolation,
         TraceMerger,
         derive_report,
@@ -360,12 +341,12 @@ def cmd_fleet(args) -> int:
 
     if args.action == "report":
         if args.connect:
-            reply = _fleet_query(args.connect, "report", args.ack_timeout)
-            reports = {
-                name: GoodputReport(**fields)
-                for name, fields in sorted(reply.get("reports", {}).items())
-            }
-            print(f"workers: {', '.join(reply.get('workers', [])) or '-'}")
+            collector, reply = _fleet_query(args.connect, args.ack_timeout)
+            reports = collector.report(
+                am_events=reply.get("am_events"),
+                am_metrics=reply.get("am_metrics"),
+            )
+            print(f"workers: {', '.join(collector.workers()) or '-'}")
         elif args.paths:
             reports = {
                 "fleet": derive_report(merged_from_paths(args.paths),
@@ -388,8 +369,7 @@ def cmd_fleet(args) -> int:
             print("fleet export needs --out", file=sys.stderr)
             return 2
         if args.connect:
-            reply = _fleet_query(args.connect, "fleet", args.ack_timeout)
-            collector = FleetCollector.from_payload(reply.get("fleet") or {})
+            collector, reply = _fleet_query(args.connect, args.ack_timeout)
             events = collector.merged_events(
                 am_events=reply.get("am_events")
             )
@@ -405,19 +385,16 @@ def cmd_fleet(args) -> int:
 
     # prom: Prometheus-style text exposition of the fleet metric rollup.
     if args.connect:
-        reply = _fleet_query(args.connect, "rollup", args.ack_timeout)
-        rollup = reply.get("rollup") or {}
+        collector, reply = _fleet_query(args.connect, args.ack_timeout)
+        am_metrics = reply.get("am_metrics")
+        rollup = collector.rollup([am_metrics] if am_metrics else None)
     elif args.paths:
         import json
-
-        from .observability import MetricRegistry
 
         snapshots = []
         for path in args.paths:
             with open(path) as f:
-                snapshots.append(
-                    MetricRegistry.from_json(json.load(f)).snapshot()
-                )
+                snapshots.append(json.load(f))
         rollup = merge_metric_snapshots(snapshots)
     else:
         print("fleet prom needs metric JSON files or --connect",
@@ -438,11 +415,13 @@ def cmd_demo(args) -> int:
     """Run a short live elastic-training demo: weak scale-out 2 -> 4."""
     from .core import ElasticJob
     from .core.hybrid_scaling import ScalingSpec
+    from .observability import Tracer
 
+    tracer = Tracer(process="elan-live") if args.trace else None
     with ElasticJob(
         workers=2, train_size=1024, test_size=256, total_batch_size=64,
         base_lr=0.02, seed=args.seed, iterations=60, iteration_sleep=0.005,
-        scaling=ScalingSpec("weak", ramp_iterations=10),
+        scaling=ScalingSpec("weak", ramp_iterations=10), tracer=tracer,
     ) as job:
         job.wait_until_iteration(20)
         print(f"running: {job.status()}")
@@ -458,6 +437,10 @@ def cmd_demo(args) -> int:
         )
     consistent = len(set(job.digests().values())) == 1
     print(f"replicas consistent: {consistent}; accuracy {job.evaluate():.3f}")
+    if tracer is not None:
+        tracer.export(args.trace)
+        print(f"wrote {len(tracer.to_events())} events to {args.trace}; "
+              "open in https://ui.perfetto.dev or chrome://tracing")
     return 0 if consistent else 1
 
 
@@ -568,7 +551,7 @@ def cmd_join(args) -> int:
             import json
 
             with open(args.metrics_out, "w") as f:
-                json.dump(metrics.to_json(), f, indent=2, sort_keys=True)
+                json.dump(metrics.snapshot(), f, indent=2, sort_keys=True)
     print(f"{args.worker}: {result}")
     return 0
 
@@ -847,17 +830,14 @@ def build_parser() -> argparse.ArgumentParser:
     capacity.add_argument("--jct-target", type=float, default=None)
 
     tracing = sub.add_parser(
-        "tracing", help="record/summarize/validate Chrome trace files"
+        "tracing", help="summarize/validate Chrome trace files"
     )
-    tracing.add_argument(
-        "action", choices=("demo", "summarize", "validate", "metrics")
-    )
+    tracing.add_argument("action", choices=("summarize", "validate", "metrics"))
     tracing.add_argument(
         "path",
-        help="trace file to write (demo) or read; metric-registry JSON "
-             "dump for the metrics action",
+        help="trace file to read; metric-registry snapshot JSON for the "
+             "metrics action",
     )
-    tracing.add_argument("--seed", type=int, default=0)
 
     fleet = sub.add_parser(
         "fleet",
@@ -868,7 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "paths", nargs="*",
         help="per-process trace files (report/export) or metric-registry "
-             "JSON dumps (prom)",
+             "snapshot JSON files (prom)",
     )
     fleet.add_argument("--connect",
                        help="query a live AM at host:port instead of "
@@ -883,6 +863,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo = sub.add_parser("demo", help="live elastic-training demo")
     demo.add_argument("--seed", type=int, default=0)
+    demo.add_argument("--trace", help="export the run's Chrome trace here")
 
     serve = sub.add_parser(
         "serve", help="host a networked AM for a multi-process job"
@@ -941,8 +922,8 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument("--trace", help="export this worker's Chrome trace "
                                       "here")
     join.add_argument("--metrics-out",
-                      help="dump this worker's metric registry (JSON, "
-                           "tracing metrics readable) here")
+                      help="dump this worker's metric-registry snapshot "
+                           "(JSON, tracing metrics readable) here")
     join.add_argument("--am-endpoint", action="append",
                       help="extra AM endpoint as host:port, tried when the "
                            "primary is unreachable (repeatable)")

@@ -405,60 +405,27 @@ class NetworkedApplicationMaster:
         raise ValueError(f"unhandled message type {message.msg_type!r}")
 
     def _handle_telemetry(self, sender: str, payload: dict) -> dict:
-        """One TELEMETRY round: worker push or driver query.
+        """One TELEMETRY round: worker push or client query.
 
         Workers push metric/trace deltas (folded into the fleet
-        collector); a driver sends ``{"query": ...}`` to read the
-        collected view back — ``"fleet"`` for the raw per-worker dump,
-        ``"report"`` for the derived per-job + fleet goodput reports,
-        ``"rollup"`` for the fleet metric rollup.
+        collector); a client sends ``{"query": ...}`` and gets the one
+        fleet dump back — the collector's payload plus the AM's own
+        events and metric snapshot — from which it derives reports,
+        the merged trace and the rollup with the collector's methods.
         """
-        query = payload.get("query")
-        if query is None:
+        if payload.get("query") is None:
             reply = self.fleet.ingest(payload, sender=sender)
-            if self.metrics is not None:
-                self.metrics.counter("telemetry.deltas").inc()
-                self.metrics.counter("telemetry.events_received").inc(
-                    len(payload.get("events") or ())
-                )
-            return reply
-        am_events = (
-            self.tracer.to_events() if self.tracer is not None else None
-        )
-        if query == "report":
-            reports = self.fleet.report(
-                am_events=am_events, am_metrics=self.metrics.snapshot()
+            self.metrics.counter("telemetry.deltas").inc()
+            self.metrics.counter("telemetry.events_received").inc(
+                len(payload.get("events") or ())
             )
-            return {
-                "reports": {
-                    name: {
-                        "job": report.job,
-                        "goodput": report.goodput,
-                        "busy_seconds": report.busy_seconds,
-                        "wall_seconds": report.wall_seconds,
-                        "iterations": report.iterations,
-                        "workers": report.workers,
-                        "recoveries": report.recoveries,
-                        "mean_mttr": report.mean_mttr,
-                        "max_mttr": report.max_mttr,
-                        "mean_detection": report.mean_detection,
-                        "counts": report.counts,
-                        "overhead": report.overhead,
-                        "upload_series": report.upload_series,
-                    }
-                    for name, report in reports.items()
-                },
-                "workers": self.fleet.workers(),
-            }
-        if query == "rollup":
-            return {
-                "rollup": self.fleet.rollup([self.metrics.snapshot()]),
-                "workers": self.fleet.workers(),
-            }
-        # default: the raw fleet view (collector dump + AM events).
+            return reply
         return {
             "fleet": self.fleet.to_payload(),
-            "am_events": am_events,
+            "am_events": (
+                self.tracer.to_events() if self.tracer is not None else None
+            ),
+            "am_metrics": self.metrics.snapshot(),
             "epoch": self.epoch,
         }
 

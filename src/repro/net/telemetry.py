@@ -5,7 +5,9 @@ periodically pushes a bounded delta of the worker's trace-event buffer
 and a full metric-registry snapshot to the AM over the existing
 :class:`~repro.net.transport.ReliableLink` — so shipping inherits the
 protocol's exactly-once guarantee (timeout-resend + server-side dedup)
-instead of inventing a second reliability layer.
+instead of inventing a second reliability layer.  No clock offset is
+shipped: the link's ``net.clock_sample`` instants ride among the
+events, and the fleet merger reads each worker's offset from them.
 
 The cursor protocol mirrors :meth:`~repro.observability.tracing.Tracer.
 collect_events`: every shipped record carries its buffer index, the AM's
@@ -195,9 +197,8 @@ class TelemetryShipper:
             "start": start,
             "events": records,
             "metrics": (
-                self.metrics.to_json() if self.metrics is not None else None
+                self.metrics.snapshot() if self.metrics is not None else None
             ),
-            "offset": self.link.clock_sync.offset,
             "dropped": self.dropped,
         }
         try:

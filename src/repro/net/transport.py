@@ -36,7 +36,7 @@ from ..coordination.messages import (
     MessageFactory,
     MessageType,
 )
-from ..observability.fleet import ClockSync
+from ..observability.fleet import clock_sample
 from .connection import (
     TRACE_CTX_KEY,
     Connection,
@@ -155,10 +155,8 @@ class ReliableLink:
         #: extra trace-context fields stamped on every request (the
         #: worker agent fills in the job id once it learns it).
         self.trace_context: "dict[str, typing.Any]" = {}
-        #: NTP-style offset estimate of ``server_clock - our_clock``,
-        #: fed by the per-transmission context on every reply.
-        self.clock_sync = ClockSync()
-        #: msg_id -> perf_counter time of its latest transmission.
+        #: msg_id -> perf_counter time of its latest transmission; kept
+        #: only while a tracer or registry observes the link.
         self._send_times: "dict[int, float]" = {}
         self._closed = False
 
@@ -186,20 +184,22 @@ class ReliableLink:
             slot.event.set()
 
     def _fold_clock_sample(self, in_reply_to: int, ctx: dict) -> None:
-        """One NTP quadruple from a reply's transmission context."""
+        """One NTP quadruple from a reply's transmission context, kept
+        as a ``net.clock_sample`` instant — the trace is the one record
+        of clock offsets (the fleet merger reads them back)."""
         t0 = self._send_times.get(in_reply_to)
         t1, t2 = ctx.get("recv"), ctx.get("sent")
         if t0 is None or t1 is None or t2 is None:
             return
-        t3 = time.perf_counter()
-        offset, rtt = self.clock_sync.add(t0, float(t1), float(t2), t3)
+        offset, rtt = clock_sample(
+            t0, float(t1), float(t2), time.perf_counter()
+        )
         if self.metrics is not None:
             self.metrics.counter("net.clock_samples").inc()
         if self.tracer is not None:
             self.tracer.instant(
                 "net.clock_sample", track=self.node_id, cat="net",
                 peer=ctx.get("node"), offset=offset, rtt=rtt,
-                best_offset=self.clock_sync.offset,
             )
 
     # -- the request path ------------------------------------------------------
@@ -306,13 +306,14 @@ class ReliableLink:
 
     def _transmit(self, message: Message) -> bool:
         """One transmission, traced as ``net.send``; True if taken."""
-        if not message.post:
+        observed = self.tracer is not None or self.metrics is not None
+        if observed and not message.post:
             # Timestamp every transmission (resends overwrite): the
             # reply's clock sample wants the t0 of the send that
             # produced it, and the latest send is the best estimate.
             self._send_times[message.msg_id] = time.perf_counter()
         delivered = self.transport.send(message)
-        if self.tracer is None and self.metrics is None:
+        if not observed:
             return delivered
         nbytes = payload_nbytes(message.payload)
         if self.tracer is not None:

@@ -62,8 +62,10 @@ from ..coordination.messages import Message, MessageType
 #: Version 6 dropped the ``resize`` message type: the scheduler sends
 #: ``adjustment_request`` with ``origin: "scheduler"``.  Version 7
 #: resumes an upload across an AM takeover: a ``state_done`` with chunks
-#: missing lists their seqs, and the ``restart`` reply is gone.
-PROTOCOL_VERSION = 7
+#: missing lists their seqs, and the ``restart`` reply is gone.  Version
+#: 8 ships ``telemetry`` metrics as a registry snapshot with no clock
+#: ``offset``, and answers every ``telemetry`` query with one fleet dump.
+PROTOCOL_VERSION = 8
 
 #: Hard upper bound on one frame's payload, a corruption guard: a bogus
 #: length prefix must fail loudly, not allocate gigabytes.

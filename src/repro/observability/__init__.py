@@ -6,18 +6,18 @@ histograms) instrument every harness — the networked stack on wall time,
 ``SimulatedElasticJob`` and the replication/scheduling simulators on
 simulated time — with a single span taxonomy (``docs/OBSERVABILITY.md``).
 
-The fleet half (:mod:`.fleet`) aligns per-process clocks from wire
-trace contexts, merges N per-process traces into one fleet trace, and
+The fleet half (:mod:`.fleet`) aligns per-process clocks from the
+``net.clock_sample`` instants each trace recorded, merges N per-process traces into one fleet trace, and
 folds live TELEMETRY deltas into per-job and fleet-wide goodput
 reports.
 """
 
 from .fleet import (
-    ClockSync,
     FleetCollector,
     GoodputReport,
     SLOViolation,
     TraceMerger,
+    clock_sample,
     derive_report,
     merge_metric_snapshots,
     prometheus_text,
@@ -35,7 +35,6 @@ from .tracing import (
 )
 
 __all__ = [
-    "ClockSync",
     "Counter",
     "FleetCollector",
     "Gauge",
@@ -47,6 +46,7 @@ __all__ = [
     "Span",
     "TraceMerger",
     "Tracer",
+    "clock_sample",
     "derive_report",
     "load_trace_events",
     "merge_metric_snapshots",

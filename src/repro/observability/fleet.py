@@ -3,13 +3,15 @@
 Per-process tracers and registries (PR 2/PR 6) only ever see one
 process's timeline.  This module is the fleet half:
 
-* :class:`ClockSync` — NTP-style midpoint offset estimation from
-  matched request/reply timestamp quadruples, fed by the wire-level
-  trace context every protocol reply now carries;
+* :func:`clock_sample` — the NTP-style midpoint offset of one matched
+  request/reply timestamp quadruple; every reply carries the server's
+  half, and an observed link records each as a ``net.clock_sample``
+  instant, so the trace is the one record of clock offsets;
 * :class:`TraceMerger` — merges N per-process Chrome traces into one
   fleet trace with named process rows, applying per-process clock
-  offsets so send/recv pairs line up, always emitting a
-  ``validate_events``-clean result;
+  offsets (the min-rtt sample against the reference process) so
+  send/recv pairs line up, always emitting a ``validate_events``-clean
+  result;
 * :class:`GoodputReport` / :func:`derive_report` — goodput/MTTR and
   overhead accounting (moved here from ``repro.net.soak`` and
   generalized with per-category overhead and upload series);
@@ -26,7 +28,6 @@ from __future__ import annotations
 import threading
 import typing
 
-from .metrics import MetricRegistry
 from .tracing import load_trace_events, track_names
 
 #: trace instants counted by :func:`derive_report` (all emitted by the
@@ -56,63 +57,42 @@ class SLOViolation(AssertionError):
     """A goodput/MTTR service level was missed."""
 
 
-class ClockSync:
-    """Streaming NTP-style offset estimate between two process clocks.
+def clock_sample(
+    t0: float, t1: float, t2: float, t3: float
+) -> "tuple[float, float]":
+    """``(offset, rtt)`` of one request/reply quadruple.
 
-    Each sample is one request/reply quadruple ``(t0, t1, t2, t3)``:
-    client send, server receive, server reply-send, client receive —
-    t0/t3 on the client clock, t1/t2 on the server clock.  The midpoint
-    estimate ``offset = ((t1 - t0) + (t2 - t3)) / 2`` approximates
-    ``server_clock - client_clock`` with error bounded by rtt/2, so the
-    estimator keeps the sample with the *smallest* rtt over a sliding
-    window — the classic minimum-delay filter.
+    ``t0``/``t3`` are the client's send and receive times on its clock,
+    ``t1``/``t2`` the server's receive and reply-send on its own.  The
+    midpoint ``((t1 - t0) + (t2 - t3)) / 2`` approximates
+    ``server_clock - client_clock`` with error bounded by rtt/2, which
+    is why :class:`TraceMerger` trusts the sample with the smallest rtt
+    — the classic minimum-delay filter.
     """
-
-    def __init__(self, window: int = 64):
-        self.window = int(window)
-        self._lock = threading.Lock()
-        self._samples: "list[tuple[float, float]]" = []  # (rtt, offset)
-        self.count = 0
-
-    def add(self, t0: float, t1: float, t2: float, t3: float) -> "tuple[float, float]":
-        """Fold one quadruple; returns ``(offset, rtt)`` for this sample."""
-        offset = ((t1 - t0) + (t2 - t3)) / 2.0
-        rtt = max(0.0, (t3 - t0) - (t2 - t1))
-        with self._lock:
-            self.count += 1
-            self._samples.append((rtt, offset))
-            if len(self._samples) > self.window:
-                self._samples.pop(0)
-        return offset, rtt
-
-    @property
-    def offset(self) -> "float | None":
-        """Best current estimate of ``server_clock - client_clock``."""
-        with self._lock:
-            if not self._samples:
-                return None
-            return min(self._samples)[1]
-
-    @property
-    def rtt(self) -> "float | None":
-        """Round-trip time of the best (minimum-delay) sample."""
-        with self._lock:
-            if not self._samples:
-                return None
-            return min(self._samples)[0]
+    offset = ((t1 - t0) + (t2 - t3)) / 2.0
+    rtt = max(0.0, (t3 - t0) - (t2 - t1))
+    return offset, rtt
 
 
 def _clock_offset_from_events(
-    events: "typing.Sequence[dict]",
+    events: "typing.Sequence[dict]", reference: str
 ) -> "float | None":
-    """The min-rtt ``net.clock_sample`` offset recorded in a trace."""
+    """The min-rtt offset of the ``net.clock_sample`` instants a trace
+    recorded against ``reference``.
+
+    A meshed worker also samples its peer links; those offsets are
+    against another worker's clock, not the reference's, so they never
+    count.
+    """
     best: "tuple[float, float] | None" = None
     for event in events:
         if event.get("ph") != "i" or event.get("name") != "net.clock_sample":
             continue
         args = event.get("args") or {}
         offset = args.get("offset")
-        if not isinstance(offset, (int, float)):
+        if args.get("peer") != reference or not isinstance(
+            offset, (int, float)
+        ):
             continue
         rtt = args.get("rtt")
         rtt = float(rtt) if isinstance(rtt, (int, float)) else float("inf")
@@ -136,9 +116,10 @@ class TraceMerger:
     Each :meth:`add` contributes one process's events.  The merged
     output gives every process its own ``pid`` row (named via
     ``process_name`` metadata) and every logical track its own ``tid``;
-    per-process clock offsets — explicit, or recovered from the
-    process's own ``net.clock_sample`` instants — shift timestamps onto
-    the reference process's clock so request/reply pairs line up.
+    per-process clock offsets — recovered from each process's own
+    ``net.clock_sample`` instants against the reference process — shift
+    timestamps onto the reference process's clock so request/reply
+    pairs line up.
 
     The merge is *deterministic regardless of add order* (processes are
     sorted by name, tracks by name) and always yields a
@@ -154,27 +135,24 @@ class TraceMerger:
         self,
         events: "typing.Sequence[dict] | str",
         process: "str | None" = None,
-        offset: "float | None" = None,
     ) -> str:
         """Contribute one process's events (a list or a trace-file path).
 
-        ``offset`` is seconds to *add* to this process's timestamps to
-        land on the reference clock; when omitted it is recovered from
-        the process's ``net.clock_sample`` instants (0.0 for the
-        reference process or when no samples exist).  Re-adding the
-        same process name replaces its events (last add wins), which is
-        what makes re-shipped full snapshots idempotent.
+        The process's offset — seconds to *add* to its timestamps to
+        land on the reference clock — is the min-rtt
+        ``net.clock_sample`` instant it recorded against the reference
+        (0.0 for the reference itself or when no such sample exists).
+        Re-adding the same process name replaces its events (last add
+        wins), which is what makes re-shipped full snapshots idempotent.
         """
         if isinstance(events, str):
             events = load_trace_events(events)
         events = list(events)
         name = process or _process_name(events) or f"proc{len(self._processes)}"
-        if offset is None:
-            if name == self.reference:
-                offset = 0.0
-            else:
-                offset = _clock_offset_from_events(events) or 0.0
-        self._processes[name] = {"events": events, "offset": float(offset)}
+        offset = 0.0
+        if name != self.reference:
+            offset = _clock_offset_from_events(events, self.reference) or 0.0
+        self._processes[name] = {"events": events, "offset": offset}
         return name
 
     def offsets(self) -> "dict[str, float]":
@@ -522,9 +500,11 @@ class FleetCollector:
 
     Holds, per worker: the shipped trace events (keyed by the worker's
     own buffer index, so re-shipped full snapshots overwrite
-    idempotently), the lossless metric-registry JSON, the worker's
-    link-clock offset, and drop accounting.  Per-job and fleet rollups
-    are derived on demand.  The collector is deliberately *not*
+    idempotently), the latest metric-registry snapshot, and drop
+    accounting.  Clock offsets are not held: the merger recovers each
+    worker's from the ``net.clock_sample`` instants among its events.
+    Per-job and fleet rollups are derived on demand — by the AM, or by
+    a client from the :meth:`to_payload` dump it queried.  The collector is deliberately *not*
     journaled: a successor AM starts empty and workers re-ship full
     snapshots on re-enrollment (see docs/PROTOCOL.md).
     """
@@ -556,7 +536,7 @@ class FleetCollector:
         with self._lock:
             entry = self._workers.setdefault(worker, {
                 "job": None, "events": {}, "metrics": {},
-                "offset": None, "dropped": 0, "deltas": 0,
+                "dropped": 0, "deltas": 0,
             })
             if full:
                 entry["events"] = {}
@@ -564,8 +544,6 @@ class FleetCollector:
             entry["job"] = payload.get("job") or entry["job"]
             if payload.get("metrics") is not None:
                 entry["metrics"] = payload["metrics"]
-            if payload.get("offset") is not None:
-                entry["offset"] = float(payload["offset"])
             entry["dropped"] = max(
                 entry["dropped"], int(payload.get("dropped") or 0)
             )
@@ -613,15 +591,14 @@ class FleetCollector:
         """A :class:`TraceMerger` loaded with the collected fleet view."""
         merger = TraceMerger(reference=am_process)
         if am_events is not None:
-            merger.add(list(am_events), process=am_process, offset=0.0)
+            merger.add(list(am_events), process=am_process)
         for worker in workers if workers is not None else self.workers():
             with self._lock:
                 entry = self._workers.get(worker)
                 if entry is None:
                     continue
                 events = [entry["events"][i] for i in sorted(entry["events"])]
-                offset = entry.get("offset")
-            merger.add(events, process=worker, offset=offset)
+            merger.add(events, process=worker)
         return merger
 
     def merged_events(
@@ -634,10 +611,7 @@ class FleetCollector:
         self, extra_snapshots: "typing.Sequence[dict] | None" = None
     ) -> dict:
         """Fleet-wide metric rollup across every worker (+ extras)."""
-        snapshots = [
-            MetricRegistry.from_json(self.worker_metrics(w)).snapshot()
-            for w in self.workers()
-        ]
+        snapshots = [self.worker_metrics(w) for w in self.workers()]
         snapshots.extend(extra_snapshots or ())
         return merge_metric_snapshots(snapshots)
 
@@ -656,10 +630,7 @@ class FleetCollector:
         jobs = self.jobs()
         for job, workers in jobs.items():
             events = self.merger(am_events=am_events, workers=workers).merge()
-            snapshots = [
-                MetricRegistry.from_json(self.worker_metrics(w)).snapshot()
-                for w in workers
-            ]
+            snapshots = [self.worker_metrics(w) for w in workers]
             if am_metrics:
                 snapshots.append(am_metrics)
             reports[job] = derive_report(
@@ -683,7 +654,6 @@ class FleetCollector:
                     worker: {
                         "job": entry["job"],
                         "metrics": entry["metrics"],
-                        "offset": entry["offset"],
                         "dropped": entry["dropped"],
                         "deltas": entry["deltas"],
                         "events": [
@@ -702,7 +672,6 @@ class FleetCollector:
             collector._workers[str(worker)] = {
                 "job": entry.get("job"),
                 "metrics": dict(entry.get("metrics") or {}),
-                "offset": entry.get("offset"),
                 "dropped": int(entry.get("dropped") or 0),
                 "deltas": int(entry.get("deltas") or 0),
                 "events": {

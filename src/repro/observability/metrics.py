@@ -125,29 +125,6 @@ class P2Quantile:
         j = i + int(step)
         return q[i] + step * (q[j] - q[i]) / (n[j] - n[i])
 
-    def state(self) -> dict:
-        """The full marker state, JSON-safe (see :meth:`restore`)."""
-        return {
-            "p": self.p,
-            "count": self.count,
-            "heights": list(self._heights),
-            "positions": list(self._positions),
-        }
-
-    @classmethod
-    def restore(cls, state: dict) -> "P2Quantile":
-        """Rebuild an estimator from :meth:`state` output.
-
-        The restored estimator continues exactly where the original
-        left off — the five markers *are* the whole algorithm state —
-        so telemetry deltas can ship quantiles without sample buffers.
-        """
-        estimator = cls(float(state["p"]))
-        estimator.count = int(state["count"])
-        estimator._heights = [float(h) for h in state.get("heights", ())]
-        estimator._positions = [float(n) for n in state.get("positions", ())]
-        return estimator
-
     def value(self) -> "float | None":
         """Current estimate (None before any observation)."""
         if self.count == 0:
@@ -211,30 +188,6 @@ class Histogram:
                 stats[f"p{q * 100:g}"] = estimator.value()
             return stats
 
-    def state(self) -> dict:
-        """Full histogram state including every P² marker (JSON-safe)."""
-        with self._lock:
-            return {
-                "count": self.count, "sum": self.sum,
-                "min": self.min, "max": self.max,
-                "estimators": [e.state() for e in self._estimators.values()],
-            }
-
-    @classmethod
-    def restore(cls, name: str, state: dict) -> "Histogram":
-        """Rebuild a histogram from :meth:`state` output."""
-        estimators = [
-            P2Quantile.restore(s) for s in state.get("estimators", ())
-        ]
-        histogram = cls(name, quantiles=[e.p for e in estimators] or (0.5,))
-        if estimators:
-            histogram._estimators = {e.p: e for e in estimators}
-        histogram.count = int(state.get("count", 0))
-        histogram.sum = float(state.get("sum", 0.0))
-        histogram.min = state.get("min")
-        histogram.max = state.get("max")
-        return histogram
-
 
 class MetricRegistry:
     """Named metrics, created on first use, queried as one snapshot."""
@@ -276,7 +229,11 @@ class MetricRegistry:
             return sorted(self._metrics)
 
     def snapshot(self) -> dict:
-        """{name: value | histogram stats} for every registered metric."""
+        """{name: value | histogram stats} for every registered metric.
+
+        The one metric format, JSON-safe: TELEMETRY ships it, metric
+        dumps hold it, and every reader takes it as a plain dict.
+        """
         with self._lock:
             metrics = dict(self._metrics)
         out = {}
@@ -286,43 +243,3 @@ class MetricRegistry:
             else:
                 out[name] = metric.value  # Counter | Gauge
         return out
-
-    def to_json(self) -> dict:
-        """The whole registry as one JSON-safe dict.
-
-        Unlike :meth:`snapshot` this is *lossless*: histograms carry
-        their full P² marker state, so :meth:`from_json` rebuilds a
-        registry whose future quantile estimates continue exactly where
-        this one left off.  This is the payload TELEMETRY deltas ship.
-        """
-        with self._lock:
-            metrics = dict(self._metrics)
-        out = {}
-        for name, metric in sorted(metrics.items()):
-            if isinstance(metric, Counter):
-                out[name] = {"kind": "counter", "value": metric.value}
-            elif isinstance(metric, Gauge):
-                out[name] = {"kind": "gauge", "value": metric.value}
-            else:
-                out[name] = {"kind": "histogram", "state": metric.state()}
-        return out
-
-    @classmethod
-    def from_json(cls, data: dict) -> "MetricRegistry":
-        """Rebuild a registry from :meth:`to_json` output.
-
-        Unknown kinds are skipped, not fatal: a newer worker must be
-        able to ship metrics to an older collector.
-        """
-        registry = cls()
-        for name, entry in (data or {}).items():
-            kind = entry.get("kind")
-            if kind == "counter":
-                registry.counter(name).inc(float(entry.get("value", 0.0)))
-            elif kind == "gauge":
-                registry.gauge(name).set(float(entry.get("value", 0.0)))
-            elif kind == "histogram":
-                restored = Histogram.restore(name, entry.get("state") or {})
-                with registry._lock:
-                    registry._metrics[name] = restored
-        return registry

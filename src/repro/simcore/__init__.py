@@ -1,27 +1,23 @@
 """Discrete-event simulation kernel.
 
 A minimal, fully tested SimPy-style kernel: generator processes, an event
-heap, interrupts, condition events, and shared-resource primitives.  Every
-timed experiment in the Elan reproduction runs on this kernel.
+heap, all-of condition events, and a priority resource.  Every timed
+experiment in the Elan reproduction runs on this kernel.
 """
 
-from .events import Condition, Event, EventPending, Interrupt, Timeout, all_of, any_of
+from .events import Condition, Event, EventPending, Timeout, all_of
 from .process import Process
-from .resources import Container, Request, Resource, Store
+from .resources import Request, Resource
 from .simulator import Simulator
 
 __all__ = [
     "Condition",
-    "Container",
     "Event",
     "EventPending",
-    "Interrupt",
     "Process",
     "Request",
     "Resource",
     "Simulator",
-    "Store",
     "Timeout",
     "all_of",
-    "any_of",
 ]

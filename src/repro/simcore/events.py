@@ -7,8 +7,8 @@ generator, sending the event's value in (or throwing its exception).
 
 This mirrors the SimPy programming model but is implemented from scratch so
 that the repository is self-contained and the semantics needed by the Elan
-reproduction (interrupts, condition events, priority resources) are explicit
-and tested.
+reproduction (condition events, priority resources) are explicit and
+tested.
 """
 
 from __future__ import annotations
@@ -21,18 +21,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 class EventPending(Exception):
     """Raised when the value of an untriggered event is accessed."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process that another process interrupted.
-
-    The ``cause`` attribute carries the value passed to
-    :meth:`repro.simcore.process.Process.interrupt`.
-    """
-
-    def __init__(self, cause: object = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -125,8 +113,8 @@ class Timeout(Event):
 class Condition(Event):
     """An event that triggers when a quorum of child events have triggered.
 
-    Used through the :func:`all_of` and :func:`any_of` helpers.  The value of
-    a condition is a dict mapping each triggered child event to its value.
+    Used through the :func:`all_of` helper.  The value of a condition is a
+    dict mapping each triggered child event to its value.
     """
 
     def __init__(self, sim: "Simulator", events: typing.Sequence[Event], count: int):
@@ -163,9 +151,3 @@ class Condition(Event):
 def all_of(sim: "Simulator", events: typing.Sequence[Event]) -> Condition:
     """Return an event that triggers once *all* ``events`` have triggered."""
     return Condition(sim, events, len(list(events)))
-
-
-def any_of(sim: "Simulator", events: typing.Sequence[Event]) -> Condition:
-    """Return an event that triggers once *any* of ``events`` has triggered."""
-    events = list(events)
-    return Condition(sim, events, 1 if events else 0)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import typing
 
-from .events import Event, Interrupt
+from .events import Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from .simulator import Simulator
@@ -26,7 +26,6 @@ class Process(Event):
             raise TypeError(f"Process requires a generator, got {generator!r}")
         self.name = name or getattr(generator, "__name__", "process")
         self._generator = generator
-        self._waiting_on: Event | None = None
         # Bootstrap: resume the process at the current simulation time.
         init = Event(sim)
         init.callbacks.append(self._resume)
@@ -37,29 +36,7 @@ class Process(Event):
         """True while the underlying generator has not finished."""
         return not self._triggered
 
-    def interrupt(self, cause: object = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        The event the process was waiting on is abandoned (its callback is
-        removed); the process decides in its ``except Interrupt`` handler how
-        to proceed.  Interrupting a dead process raises ``RuntimeError``.
-        """
-        if not self.is_alive:
-            raise RuntimeError(f"cannot interrupt dead process {self.name!r}")
-        if self._waiting_on is not None:
-            try:
-                self._waiting_on.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-            self._waiting_on = None
-        wakeup = Event(self.sim)
-        wakeup.callbacks.append(
-            lambda _ev: self._step(throw=Interrupt(cause))
-        )
-        wakeup.succeed()
-
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
         if event.ok:
             self._step(send=event._value)
         else:
@@ -95,7 +72,6 @@ class Process(Event):
             wakeup.callbacks.append(lambda _ev: self._resume(target))
             wakeup.succeed()
         else:
-            self._waiting_on = target
             target.callbacks.append(self._resume)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -1,16 +1,11 @@
-"""Shared-resource primitives for simulation processes.
+"""The shared-resource primitive for simulation processes.
 
-Provides the three primitives the Elan reproduction needs:
-
-* :class:`Resource` — a counted semaphore with FIFO or priority queuing
-  (GPUs in the scheduler, serialized links in the replication executor);
-* :class:`Store` — an unbounded FIFO message channel (AM mailboxes);
-* :class:`Container` — a continuous-quantity pool (bandwidth accounting).
+:class:`Resource` is a counted semaphore with FIFO or priority queuing
+(serialized links in the replication executor).
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
 import typing
 
@@ -100,77 +95,3 @@ class Resource:
             _prio, _tie, req = heapq.heappop(self._queue)
             self._users.add(req)
             req.succeed(req)
-
-
-class Store:
-    """An unbounded FIFO channel of items between processes."""
-
-    def __init__(self, sim: "Simulator"):
-        self.sim = sim
-        self._items: collections.deque = collections.deque()
-        self._getters: collections.deque = collections.deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: object) -> None:
-        """Deposit an item, waking the oldest waiting getter if any."""
-        while self._getters:
-            getter = self._getters.popleft()
-            if not getter.triggered:
-                getter.succeed(item)
-                return
-        self._items.append(item)
-
-    def get(self) -> Event:
-        """Return an event that triggers with the next available item."""
-        event = Event(self.sim)
-        if self._items:
-            event.succeed(self._items.popleft())
-        else:
-            self._getters.append(event)
-        return event
-
-
-class Container:
-    """A pool of continuous quantity with blocking ``get``.
-
-    ``put`` adds quantity immediately; ``get(amount)`` returns an event that
-    triggers once the pool holds at least ``amount``.  Pending gets are
-    served FIFO.
-    """
-
-    def __init__(self, sim: "Simulator", init: float = 0.0, capacity: float = float("inf")):
-        if init < 0 or init > capacity:
-            raise ValueError(f"init {init} outside [0, {capacity}]")
-        self.sim = sim
-        self.capacity = capacity
-        self._level = float(init)
-        self._getters: collections.deque = collections.deque()
-
-    @property
-    def level(self) -> float:
-        """Quantity currently in the pool."""
-        return self._level
-
-    def put(self, amount: float) -> None:
-        """Add ``amount`` to the pool (clamped at capacity)."""
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        self._level = min(self.capacity, self._level + amount)
-        self._drain()
-
-    def get(self, amount: float) -> Event:
-        """Event that triggers once ``amount`` can be withdrawn."""
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        event = Event(self.sim)
-        self._getters.append((amount, event))
-        self._drain()
-        return event
-
-    def _drain(self) -> None:
-        while self._getters and self._getters[0][0] <= self._level:
-            amount, event = self._getters.popleft()
-            self._level -= amount
-            event.succeed(amount)

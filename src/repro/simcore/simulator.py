@@ -11,7 +11,7 @@ import heapq
 import itertools
 import typing
 
-from .events import Event, Timeout, all_of, any_of
+from .events import Event, Timeout, all_of
 from .process import Process
 
 
@@ -36,10 +36,6 @@ class Simulator:
 
     # -- event factories ---------------------------------------------------
 
-    def event(self) -> Event:
-        """Create a fresh, untriggered event."""
-        return Event(self)
-
     def timeout(self, delay: float, value: object = None) -> Timeout:
         """Create an event that triggers ``delay`` time units from now."""
         return Timeout(self, delay, value)
@@ -51,10 +47,6 @@ class Simulator:
     def all_of(self, events: typing.Sequence[Event]) -> Event:
         """Event triggering once every event in ``events`` has triggered."""
         return all_of(self, events)
-
-    def any_of(self, events: typing.Sequence[Event]) -> Event:
-        """Event triggering once any event in ``events`` has triggered."""
-        return any_of(self, events)
 
     # -- scheduling and execution ------------------------------------------
 

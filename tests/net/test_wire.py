@@ -651,14 +651,14 @@ class TestLeanFrames:
             np.testing.assert_array_equal(array, np.arange(6.0))
 
     def test_handshake_carries_no_format_keys(self):
-        """Version 7 negotiates nothing: hello and welcome name the
+        """Version 8 negotiates nothing: hello and welcome name the
         version and the node (and the AM's epoch), and that is all."""
-        assert wire.PROTOCOL_VERSION == 7
+        assert wire.PROTOCOL_VERSION == 8
         assert wire.hello_frame("w0") == {
-            "kind": "hello", "version": 7, "node": "w0",
+            "kind": "hello", "version": 8, "node": "w0",
         }
         assert wire.welcome_frame("s") == {
-            "kind": "welcome", "version": 7, "node": "s",
+            "kind": "welcome", "version": 8, "node": "s",
         }
         assert wire.welcome_frame("am", epoch=3)["epoch"] == 3
 
@@ -691,6 +691,15 @@ class TestLeanFrames:
         with pytest.raises(wire.WireError, match="version mismatch"):
             wire.check_handshake(
                 {"kind": "hello", "version": 6, "node": "old-worker"}
+            )
+
+    def test_version_7_hello_is_rejected(self):
+        """A version-7 worker ships lossless metric state and a clock
+        offset; a version-7 client asks the AM for derived reports and
+        rollups, which it no longer computes."""
+        with pytest.raises(wire.WireError, match="version mismatch"):
+            wire.check_handshake(
+                {"kind": "hello", "version": 7, "node": "old-worker"}
             )
 
 

@@ -7,12 +7,12 @@ import json
 import pytest
 
 from repro.observability import (
-    ClockSync,
     FleetCollector,
     GoodputReport,
     MetricRegistry,
     TraceMerger,
     Tracer,
+    clock_sample,
     derive_report,
     merge_metric_snapshots,
     prometheus_text,
@@ -32,42 +32,19 @@ class FakeClock:
         return self.now
 
 
-class TestClockSync:
+class TestClockSample:
     def test_midpoint_offset_recovers_constant_skew(self):
         """Client clock = server clock - 5 s, symmetric 10 ms latency."""
-        sync = ClockSync()
-        offset, rtt = sync.add(
+        offset, rtt = clock_sample(
             t0=100.0, t1=105.01, t2=105.02, t3=100.03
         )
         assert offset == pytest.approx(5.0, abs=1e-9)
         assert rtt == pytest.approx(0.02, abs=1e-9)
-        assert sync.offset == pytest.approx(5.0, abs=1e-9)
-
-    def test_min_rtt_sample_wins(self):
-        """A congested (high-rtt, skewed) sample must not displace a
-        clean one — the minimum-delay filter keeps the best estimate."""
-        sync = ClockSync()
-        sync.add(0.0, 5.001, 5.002, 0.003)  # clean: rtt 2 ms
-        sync.add(10.0, 15.9, 15.91, 10.92)  # congested: rtt ~910 ms
-        assert sync.rtt == pytest.approx(0.002, abs=1e-9)
-        assert sync.offset == pytest.approx(5.0, abs=1e-3)
-        assert sync.count == 2
-
-    def test_window_evicts_oldest(self):
-        sync = ClockSync(window=2)
-        sync.add(0.0, 1.0005, 1.0005, 0.001)  # best, but will be evicted
-        sync.add(0.0, 2.01, 2.01, 0.02)
-        sync.add(0.0, 3.005, 3.005, 0.01)
-        assert sync.offset == pytest.approx(3.0, abs=0.1)
-        assert sync.rtt == pytest.approx(0.01, abs=1e-9)
-
-    def test_empty_sync_has_no_estimate(self):
-        assert ClockSync().offset is None
-        assert ClockSync().rtt is None
 
 
 def _trace(process, clock, spans=(), instants=(), samples=()):
-    """A little per-process tracer: spans are (name, track, start, dur)."""
+    """A little per-process tracer: spans are (name, track, start, dur);
+    samples are (offset, rtt, when) clock samples against the AM."""
     tracer = Tracer(clock=clock, process=process)
     for name, track, start, dur in spans:
         tracer.add_span(name, start, start + dur, track=track)
@@ -76,7 +53,7 @@ def _trace(process, clock, spans=(), instants=(), samples=()):
     for offset, rtt, when in samples:
         tracer.add_instant(
             "net.clock_sample", when, track=process, cat="net",
-            offset=offset, rtt=rtt,
+            peer="am", offset=offset, rtt=rtt,
         )
     return tracer
 
@@ -110,6 +87,38 @@ class TestTraceMerger:
         # 0.0 s on the worker clock + 2.0 s offset = 2.0 s fleet time.
         assert iteration["ts"] == pytest.approx(2.0e6)
         assert iteration["pid"] == processes["w0"]
+
+    def test_min_rtt_sample_wins(self):
+        """A congested (high-rtt, skewed) sample must not displace a
+        clean one — the minimum-delay filter keeps the best estimate."""
+        clock = FakeClock()
+        w0 = _trace(
+            "w0", clock,
+            samples=[(5.0, 0.002, 0.1), (5.4, 0.91, 0.2)],  # clean, congested
+        )
+        merger = TraceMerger(reference="am")
+        merger.add(w0.to_events(), process="w0")
+        assert merger.offsets()["w0"] == pytest.approx(5.0)
+
+    def test_process_without_reference_samples_is_not_shifted(self):
+        clock = FakeClock()
+        w0 = _trace("w0", clock, spans=[("worker.iteration", "w0", 0.0, 1.0)])
+        merger = TraceMerger(reference="am")
+        merger.add(w0.to_events(), process="w0")
+        assert merger.offsets() == {"w0": 0.0}
+
+    def test_peer_samples_do_not_set_the_offset(self):
+        """A meshed worker samples its ring peers too; only the samples
+        against the reference measure the offset to the reference
+        clock, however small a peer sample's rtt."""
+        w0 = _trace("w0", FakeClock(), samples=[(2.0, 0.005, 0.1)])
+        w0.add_instant(
+            "net.clock_sample", 0.2, track="w0", cat="net",
+            peer="w1/peer", offset=7.0, rtt=0.001,
+        )
+        merger = TraceMerger(reference="am")
+        merger.add(w0.to_events(), process="w0")
+        assert merger.offsets()["w0"] == pytest.approx(2.0)
 
     def test_merge_is_deterministic_regardless_of_add_order(self):
         clock = FakeClock()
@@ -162,37 +171,6 @@ class TestTraceMerger:
         merged = TraceMerger().merge()
         assert not validate_events(merged)
         assert any(e.get("name") == "fleet.merge" for e in merged)
-
-
-class TestMetricRoundTrip:
-    def test_counters_gauges_histograms_survive_json(self):
-        registry = MetricRegistry()
-        registry.counter("requests").inc(41)
-        registry.gauge("depth").set(3.5)
-        histogram = registry.histogram("latency")
-        for value in range(1, 101):
-            histogram.observe(float(value))
-        data = json.loads(json.dumps(registry.to_json()))
-        restored = MetricRegistry.from_json(data)
-        assert restored.snapshot() == registry.snapshot()
-
-    def test_restored_histogram_continues_streaming(self):
-        """Losslessness means future observations continue exactly."""
-        original = MetricRegistry()
-        for value in range(50):
-            original.histogram("h").observe(float(value))
-        restored = MetricRegistry.from_json(original.to_json())
-        for value in range(50, 100):
-            original.histogram("h").observe(float(value))
-            restored.histogram("h").observe(float(value))
-        assert restored.snapshot() == original.snapshot()
-
-    def test_unknown_kinds_are_skipped(self):
-        restored = MetricRegistry.from_json({
-            "future": {"kind": "sketch", "state": {}},
-            "ok": {"kind": "counter", "value": 2.0},
-        })
-        assert restored.snapshot() == {"ok": 2.0}
 
 
 class TestMergeSnapshots:
@@ -266,8 +244,7 @@ class TestFleetCollector:
     def _delta(worker, records, start, full=False, **extra):
         payload = {
             "worker": worker, "job": "j1", "full": full, "start": start,
-            "events": records, "metrics": None, "offset": None,
-            "dropped": 0,
+            "events": records, "metrics": None, "dropped": 0,
         }
         payload.update(extra)
         return payload
@@ -310,7 +287,7 @@ class TestFleetCollector:
     def test_payload_round_trip(self):
         collector = FleetCollector(job_id="j1")
         collector.ingest(
-            self._delta("w0", self._records([0, 1]), 0, offset=0.25)
+            self._delta("w0", self._records([0, 1]), 0)
         )
         clone = FleetCollector.from_payload(collector.to_payload())
         assert clone.worker_events("w0") == collector.worker_events("w0")
@@ -326,8 +303,7 @@ class TestFleetCollector:
             }]
             collector.ingest({
                 "worker": worker, "job": job, "full": True, "start": 0,
-                "events": records, "metrics": None, "offset": 0.0,
-                "dropped": 0,
+                "events": records, "metrics": None, "dropped": 0,
             })
         reports = collector.report()
         assert set(reports) == {"alpha", "beta", "fleet"}
@@ -374,7 +350,7 @@ class TestGoodputOverheads:
         assert report.iterations == 2
 
     def test_report_round_trips_through_payload_dict(self):
-        """The live-query path rebuilds reports from plain dicts."""
+        """A report rebuilds from the plain dict of its fields."""
         original = GoodputReport(
             job="j", goodput=0.5, busy_seconds=1.0, wall_seconds=2.0,
             iterations=10, workers=2, overhead={"replication": 0.1},

@@ -56,7 +56,7 @@ def build_trace(process, recorded, offset=None):
         events.append({
             "name": "net.clock_sample", "cat": "net", "ph": "i", "s": "t",
             "ts": 0.0, "pid": 1, "tid": 1,
-            "args": {"offset": offset, "rtt": 0.001},
+            "args": {"peer": "am", "offset": offset, "rtt": 0.001},
         })
     return events
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simcore import Event, EventPending, Simulator, all_of, any_of
+from repro.simcore import Event, EventPending, Simulator, all_of
 
 
 @pytest.fixture
@@ -12,19 +12,19 @@ def sim():
 
 class TestEvent:
     def test_value_before_trigger_raises(self, sim):
-        event = sim.event()
+        event = Event(sim)
         with pytest.raises(EventPending):
             _ = event.value
 
     def test_succeed_sets_value(self, sim):
-        event = sim.event()
+        event = Event(sim)
         event.succeed(42)
         assert event.triggered
         assert event.ok
         assert event.value == 42
 
     def test_double_trigger_rejected(self, sim):
-        event = sim.event()
+        event = Event(sim)
         event.succeed()
         with pytest.raises(RuntimeError):
             event.succeed()
@@ -32,7 +32,7 @@ class TestEvent:
             event.fail(ValueError("x"))
 
     def test_fail_stores_exception(self, sim):
-        event = sim.event()
+        event = Event(sim)
         event.fail(ValueError("boom"))
         assert event.triggered
         assert not event.ok
@@ -40,12 +40,12 @@ class TestEvent:
             _ = event.value
 
     def test_fail_requires_exception_instance(self, sim):
-        event = sim.event()
+        event = Event(sim)
         with pytest.raises(TypeError):
             event.fail("not an exception")
 
     def test_callbacks_run_on_processing(self, sim):
-        event = sim.event()
+        event = Event(sim)
         seen = []
         event.callbacks.append(lambda ev: seen.append(ev.value))
         event.succeed("hello")
@@ -97,33 +97,22 @@ class TestConditions:
         assert sim.now == 3.0
         assert combined.value == {events[0]: 1, events[1]: 3}
 
-    def test_any_of_fires_on_first(self, sim):
-        events = [sim.timeout(5.0), sim.timeout(2.0, value="fast")]
-        combined = any_of(sim, events)
-        sim.run(until=combined)
-        assert sim.now == 2.0
-        assert events[1] in combined.value
-
     def test_all_of_empty_triggers_immediately(self, sim):
         combined = all_of(sim, [])
         assert combined.triggered
         sim.run()
         assert combined.value == {}
 
-    def test_any_of_empty_triggers_immediately(self, sim):
-        combined = any_of(sim, [])
-        assert combined.triggered
-
     def test_all_of_propagates_failure(self, sim):
         good = sim.timeout(1.0)
-        bad = sim.event()
+        bad = Event(sim)
         combined = all_of(sim, [good, bad])
         bad.fail(RuntimeError("dead"))
         with pytest.raises(RuntimeError, match="dead"):
             sim.run(until=combined)
 
     def test_all_of_with_already_processed_event(self, sim):
-        done = sim.event()
+        done = Event(sim)
         done.succeed("early")
         sim.run()
         assert done.processed
@@ -149,7 +138,7 @@ class TestSimulatorRun:
         assert sim.run(until=event) == "v"
 
     def test_run_until_untriggered_event_raises(self, sim):
-        event = sim.event()  # never triggered
+        event = Event(sim)  # never triggered
         sim.timeout(1.0)
         with pytest.raises(RuntimeError):
             sim.run(until=event)

@@ -1,8 +1,8 @@
-"""Unit tests for simulation processes (generators, interrupts)."""
+"""Unit tests for simulation processes (generators)."""
 
 import pytest
 
-from repro.simcore import Interrupt, Simulator
+from repro.simcore import Event, Simulator
 
 
 @pytest.fixture
@@ -77,7 +77,7 @@ class TestProcessBasics:
             sim.run(until=sim.process(parent()))
 
     def test_yield_already_processed_event_resumes_same_time(self, sim):
-        done = sim.event()
+        done = Event(sim)
         done.succeed("x")
         sim.run()
 
@@ -98,70 +98,3 @@ class TestProcessBasics:
         sim.run()
         assert seen == [proc]
         assert sim.active_process is None
-
-
-class TestInterrupts:
-    def test_interrupt_wakes_process_early(self, sim):
-        def sleeper():
-            try:
-                yield sim.timeout(100.0)
-                return "slept"
-            except Interrupt as intr:
-                return ("interrupted", intr.cause, sim.now)
-
-        proc = sim.process(sleeper())
-
-        def interrupter():
-            yield sim.timeout(2.0)
-            proc.interrupt("wake up")
-
-        sim.process(interrupter())
-        assert sim.run(until=proc) == ("interrupted", "wake up", 2.0)
-
-    def test_interrupt_dead_process_raises(self, sim):
-        def quick():
-            yield sim.timeout(1.0)
-
-        proc = sim.process(quick())
-        sim.run()
-        with pytest.raises(RuntimeError):
-            proc.interrupt()
-
-    def test_process_resumes_waiting_after_interrupt(self, sim):
-        def sleeper():
-            try:
-                yield sim.timeout(10.0)
-            except Interrupt:
-                pass
-            yield sim.timeout(5.0)  # sleep again after the interrupt
-            return sim.now
-
-        proc = sim.process(sleeper())
-
-        def interrupter():
-            yield sim.timeout(2.0)
-            proc.interrupt()
-
-        sim.process(interrupter())
-        assert sim.run(until=proc) == 7.0
-
-    def test_abandoned_event_does_not_double_resume(self, sim):
-        hits = []
-
-        def sleeper():
-            try:
-                yield sim.timeout(3.0)
-                hits.append("timeout")
-            except Interrupt:
-                hits.append("interrupt")
-            yield sim.timeout(10.0)
-
-        proc = sim.process(sleeper())
-
-        def interrupter():
-            yield sim.timeout(1.0)
-            proc.interrupt()
-
-        sim.process(interrupter())
-        sim.run()
-        assert hits == ["interrupt"]

@@ -1,8 +1,8 @@
-"""Unit tests for Resource, Store and Container primitives."""
+"""Unit tests for the Resource primitive."""
 
 import pytest
 
-from repro.simcore import Container, Resource, Simulator, Store
+from repro.simcore import Resource, Simulator
 
 
 @pytest.fixture
@@ -91,102 +91,3 @@ class TestResource:
         res.release(reqs[0])
         assert res.count == 2  # third request was granted
         assert res.queued == 0
-
-
-class TestStore:
-    def test_put_then_get(self, sim):
-        store = Store(sim)
-        store.put("msg")
-        got = store.get()
-        assert got.triggered
-        sim.run()
-        assert got.value == "msg"
-
-    def test_get_blocks_until_put(self, sim):
-        store = Store(sim)
-        results = []
-
-        def consumer():
-            item = yield store.get()
-            results.append((item, sim.now))
-
-        def producer():
-            yield sim.timeout(3.0)
-            store.put("late")
-
-        sim.process(consumer())
-        sim.process(producer())
-        sim.run()
-        assert results == [("late", 3.0)]
-
-    def test_fifo_ordering(self, sim):
-        store = Store(sim)
-        for item in (1, 2, 3):
-            store.put(item)
-        values = []
-
-        def consumer():
-            for _ in range(3):
-                values.append((yield store.get()))
-
-        sim.run(until=sim.process(consumer()))
-        assert values == [1, 2, 3]
-
-    def test_len_counts_buffered_items(self, sim):
-        store = Store(sim)
-        assert len(store) == 0
-        store.put("a")
-        store.put("b")
-        assert len(store) == 2
-
-
-class TestContainer:
-    def test_init_validation(self, sim):
-        with pytest.raises(ValueError):
-            Container(sim, init=-1.0)
-        with pytest.raises(ValueError):
-            Container(sim, init=5.0, capacity=2.0)
-
-    def test_get_blocks_until_enough(self, sim):
-        pool = Container(sim, init=1.0)
-        results = []
-
-        def consumer():
-            yield pool.get(3.0)
-            results.append(sim.now)
-
-        def producer():
-            yield sim.timeout(2.0)
-            pool.put(2.0)
-
-        sim.process(consumer())
-        sim.process(producer())
-        sim.run()
-        assert results == [2.0]
-        assert pool.level == 0.0
-
-    def test_put_clamped_at_capacity(self, sim):
-        pool = Container(sim, init=0.0, capacity=10.0)
-        pool.put(25.0)
-        assert pool.level == 10.0
-
-    def test_negative_amounts_rejected(self, sim):
-        pool = Container(sim, init=1.0)
-        with pytest.raises(ValueError):
-            pool.put(-1.0)
-        with pytest.raises(ValueError):
-            pool.get(-1.0)
-
-    def test_fifo_gets(self, sim):
-        pool = Container(sim, init=0.0)
-        order = []
-
-        def consumer(name, amount):
-            yield pool.get(amount)
-            order.append(name)
-
-        sim.process(consumer("big", 5.0))
-        sim.process(consumer("small", 1.0))
-        pool.put(6.0)
-        sim.run()
-        assert order == ["big", "small"]  # FIFO, no overtaking

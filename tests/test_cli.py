@@ -93,7 +93,7 @@ class TestTracingCommand:
 
     def test_demo_summarize_validate_pipeline(self, tmp_path, capsys):
         path = tmp_path / "trace.json"
-        assert main(["tracing", "demo", str(path), "--seed", "2"]) == 0
+        assert main(["demo", "--trace", str(path), "--seed", "2"]) == 0
         out = capsys.readouterr().out
         assert "events" in out and path.exists()
 
@@ -167,7 +167,7 @@ class TestTracingMetricsAction:
         for value in (1.0, 2.0, 3.0):
             registry.histogram("iteration.seconds").observe(value)
         path = tmp_path / "metrics.json"
-        path.write_text(json.dumps(registry.to_json()))
+        path.write_text(json.dumps(registry.snapshot()))
         return str(path)
 
     def test_metrics_prints_snapshot_table(self, tmp_path, capsys):
@@ -271,9 +271,76 @@ class TestFleetCommand:
             registry = MetricRegistry()
             registry.counter("worker.iterations").inc(count)
             path = tmp_path / f"{worker}-metrics.json"
-            path.write_text(json.dumps(registry.to_json()))
+            path.write_text(json.dumps(registry.snapshot()))
             paths.append(str(path))
         assert main(["fleet", "prom", *paths]) == 0
         out = capsys.readouterr().out
         assert "# TYPE elan_worker_iterations gauge" in out
         assert "elan_worker_iterations 7" in out
+
+    def test_connect_queries_a_live_am(self, tmp_path, capsys):
+        """``--connect`` fetches the AM's one fleet dump and derives the
+        report, the merged trace and the rollup on the client — the same
+        answers the AM's own collector gives.  Each worker records into
+        its own tracer and registry, as a worker process would."""
+        import re
+
+        from repro.net import JobSpec, LocalJob
+        from repro.observability import (
+            MetricRegistry,
+            Tracer,
+            load_trace_events,
+            validate_events,
+        )
+
+        spec = JobSpec(
+            iterations=8, coordination_interval=4, iteration_sleep=0.01,
+            telemetry_interval=0.05,
+        )
+        job = LocalJob(
+            "tcp", spec, ["w0", "w1"], tracer=Tracer(process="am"),
+            metrics=MetricRegistry(),
+        )
+        try:
+            for worker in ("w0", "w1"):
+                tracer, metrics = Tracer(process=worker), MetricRegistry()
+                job.start_worker(
+                    worker, link_options={"tracer": tracer, "metrics": metrics},
+                    tracer=tracer, metrics=metrics,
+                )
+            assert job.join(60.0) and not job.errors
+            connect = f"{job.server.host}:{job.server.port}"
+
+            assert main(["fleet", "report", "--connect", connect]) == 0
+            out = capsys.readouterr().out
+            expected = job.master.fleet.report(
+                am_events=job.tracer.to_events(),
+                am_metrics=job.master.metrics.snapshot(),
+            )["fleet"]
+            fleet_rows = out[out.index("[job fleet]"):]
+            assert re.search(rf"goodput\s+{expected.goodput:.3f}\n", fleet_rows)
+            assert re.search(
+                rf"iterations\s+{expected.iterations}\n", fleet_rows
+            )
+            assert re.search(rf"workers\s+{expected.workers}\n", fleet_rows)
+            assert expected.workers == 2
+
+            trace = tmp_path / "fleet.json"
+            assert main([
+                "fleet", "export", "--connect", connect, "--out", str(trace),
+            ]) == 0
+            merged = load_trace_events(str(trace))
+            assert not validate_events(merged)
+            processes = {
+                e["args"]["name"] for e in merged
+                if e.get("ph") == "M" and e.get("name") == "process_name"
+            }
+            assert {"w0", "w1"} <= processes
+
+            prom = tmp_path / "fleet.prom"
+            assert main([
+                "fleet", "prom", "--connect", connect, "--out", str(prom),
+            ]) == 0
+            assert "elan_telemetry_ships" in prom.read_text()
+        finally:
+            job.close()
