@@ -20,18 +20,8 @@ a congested ~256 Mbit/s share): requests on one owner queue behind its
 uplink, while distinct owners transmit concurrently — exactly the
 resource the shard plan multiplies.
 
-Each configuration also runs a *delta rejoin*: the joiner holds a stale
-snapshot in which one parameter buffer of ten has changed (~10% of the
-parameter space) and adopts every shard whose digest still matches,
-fetching only the dirty ones.
-
-Acceptance bars (ISSUE 10):
-
-* fan-in with 4 owners is at least 2x faster than the single-owner
-  fetch for the 16 MB snapshot on loopback TCP;
-* the delta rejoin ships < 20% of the full snapshot's bytes at 16 MB
-  and up (shard granularity makes the bound loose at 1 MB, where the
-  plan collapses to a handful of chunk-sized shards).
+Acceptance bar: fan-in with 4 owners is at least 2x faster than the
+single-owner fetch for the 16 MB snapshot on loopback TCP.
 
 The fetcher verifies every chunk digest, every shard digest and the
 whole-blob digest on all paths, so each timed run is also a
@@ -68,12 +58,6 @@ TRANSPORTS = ("memory", "tcp", "shm")
 
 ACCEPTANCE_SIZE = "16MB"
 ACCEPTANCE_SPEEDUP = 2.0
-DELTA_OWNERS = 4
-#: Delta granularity.  Shards are chunk-aligned, so a contiguous change
-#: spanning 10% of the bytes dirties the shards it overlaps — at 20
-#: shards that is ~3 of 20 (~15%), comfortably under the 20% bar.
-DELTA_SHARDS = 20
-DELTA_MAX_SHIPPED = 0.2
 
 EMULATED_UPLINK_BPS = 32 * 1024 * 1024  # ~256 Mbit/s per owner uplink
 
@@ -91,17 +75,6 @@ def make_state(nbytes, params=10):
         "optimizer": {"lr": 0.05, "velocity": {}},
         "loader": {"cursor": 7, "epoch": 1},
     }
-
-
-def make_stale(state):
-    """A copy of ``state`` with one param of ten changed (~10%)."""
-    stale = {
-        "params": {k: v.copy() for k, v in state["params"].items()},
-        "optimizer": dict(state["optimizer"]),
-        "loader": dict(state["loader"]),
-    }
-    stale["params"]["p4"] += 1.0
-    return stale
 
 
 def make_host(transport):
@@ -192,67 +165,43 @@ class ShardedWorld:
         return self.host.connect(addr, node_id="joiner", ack_timeout=2.0)
 
 
-def fetch_once(world, descriptor, stale_state=None):
-    """One timed sharded join; returns ``(seconds, fetcher)``."""
+def fetch_once(world, descriptor):
+    """One timed sharded join; returns its seconds."""
     fetcher = ShardedFetcher(
         AmStub(), connect=world.connect, poll_interval=0.001, timeout=300.0,
     )
     start = time.perf_counter()
-    state = fetcher.fetch(descriptor, stale_state=stale_state)
+    state = fetcher.fetch(descriptor)
     elapsed = time.perf_counter() - start
     # The digest chain already proved bit-identity to the monolithic
     # encoding; spot-check the decoded views anyway.
     assert state["loader"]["cursor"] == 7
     assert state["params"]["p0"].dtype == np.float64
-    return elapsed, fetcher
+    return elapsed
 
 
-def timed_fetch(world, descriptor, repeats, stale_state=None):
-    best = (float("inf"), None)
-    for _ in range(repeats):
-        result = fetch_once(world, descriptor, stale_state=stale_state)
-        best = min(best, result, key=lambda r: r[0])
-    return best
+def timed_fetch(world, descriptor, repeats):
+    return min(fetch_once(world, descriptor) for _ in range(repeats))
 
 
 def sweep():
     rows = []
     for transport in TRANSPORTS:
         for label, nbytes in SIZES:
-            state = make_state(nbytes)
-            stale = make_stale(state)
-            blob = StateBlob.encode(state)
+            blob = StateBlob.encode(make_state(nbytes))
             repeats = 3 if nbytes <= 1_000_000 else (
                 2 if nbytes <= 16_000_000 else 1
             )
-            row = {"transport": transport, "label": label,
-                   "total": blob.total_bytes}
+            row = {"transport": transport, "label": label}
             for owners in OWNER_COUNTS:
                 host = make_host(transport)
                 try:
                     world = ShardedWorld(host, blob, owners)
-                    elapsed, _ = timed_fetch(
+                    row[f"full/{owners}"] = timed_fetch(
                         world, world.descriptor(owners), repeats
                     )
-                    row[f"full/{owners}"] = elapsed
                 finally:
                     host.close()
-            host = make_host(transport)
-            try:
-                world = ShardedWorld(host, blob, DELTA_OWNERS)
-                descriptor = world.descriptor(DELTA_SHARDS)
-                elapsed, fetcher = timed_fetch(
-                    world, descriptor, repeats, stale_state=stale
-                )
-                row["delta"] = elapsed
-                row["delta_shipped"] = fetcher.stats.get(
-                    "net.shards.bytes_fetched", 0
-                )
-                row["delta_skipped"] = fetcher.stats.get(
-                    "net.shards.delta_bytes_skipped", 0
-                )
-            finally:
-                host.close()
             rows.append(row)
     return rows
 
@@ -260,20 +209,18 @@ def sweep():
 def test_sharded_migration_sweep(benchmark, save_result):
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
 
-    widths = (8, 6, 12, 12, 12, 8, 11, 13)
+    widths = (8, 6, 12, 12, 12, 8)
     lines = [
         fmt_row(
             (
                 "Plane", "Size",
                 "1-owner(ms)", "2-owner(ms)", "4-owner(ms)", "fan-in x",
-                "delta(ms)", "delta shipped",
             ),
             widths,
         )
     ]
     for row in rows:
         speedup = row["full/1"] / row["full/4"]
-        shipped_pct = 100.0 * row["delta_shipped"] / row["total"]
         lines.append(
             fmt_row(
                 (
@@ -282,17 +229,13 @@ def test_sharded_migration_sweep(benchmark, save_result):
                     f"{row['full/2'] * 1e3:.1f}",
                     f"{row['full/4'] * 1e3:.1f}",
                     f"{speedup:.1f}",
-                    f"{row['delta'] * 1e3:.1f}",
-                    f"{shipped_pct:.1f}%",
                 ),
                 widths,
             )
         )
     lines.append(
-        "fan-in x: 1-owner time / 4-owner time (same plane+size); delta: "
-        f"rejoin with 1/{DELTA_SHARDS} params changed, {DELTA_OWNERS} owners, "
-        f"{DELTA_SHARDS}-shard plan; every owner uplink paced to "
-        f"{EMULATED_UPLINK_BPS // (1024 * 1024)} MiB/s"
+        "fan-in x: 1-owner time / 4-owner time (same plane+size); every "
+        f"owner uplink paced to {EMULATED_UPLINK_BPS // (1024 * 1024)} MiB/s"
     )
     save_result("sharded_migration_sweep", lines)
 
@@ -308,14 +251,3 @@ def test_sharded_migration_sweep(benchmark, save_result):
         f"4-owner {target['full/4'] * 1e3:.1f} ms "
         f"({speedup:.2f}x < {ACCEPTANCE_SPEEDUP}x)"
     )
-    # Acceptance: the delta rejoin ships < 20% of the snapshot when ~10%
-    # of the parameter space changed, on every plane at 16 MB and up.
-    for row in rows:
-        # Adopted + fetched must tile the blob exactly, always.
-        assert row["delta_shipped"] + row["delta_skipped"] == row["total"]
-        if row["label"] == "1MB":
-            continue  # the plan collapses to a few chunk-sized shards
-        assert row["delta_shipped"] < DELTA_MAX_SHIPPED * row["total"], (
-            f"{row['transport']} {row['label']}: shipped "
-            f"{row['delta_shipped']} of {row['total']} bytes"
-        )

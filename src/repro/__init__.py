@@ -8,8 +8,8 @@ The package is organized bottom-up:
 * :mod:`repro.perfmodel` — calibrated throughput/bandwidth/convergence models;
 * :mod:`repro.training` — numpy training substrate;
 * :mod:`repro.replication` — concurrent IO-free replication (§IV);
-* :mod:`repro.coordination` — AM, protocol, leases, the hooks whose
-  default bundle is the Table II state, DES twin (§II, §V);
+* :mod:`repro.coordination` — AM, protocol, the hooks whose default
+  bundle is the Table II state, DES twin (§II, §V);
 * :mod:`repro.net` — the live stack: networked AM + worker agents;
 * :mod:`repro.core` — hybrid scaling, progressive LR, AdaBatch, the
   Table III API facade, the §VI-B experiment;

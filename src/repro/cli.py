@@ -557,10 +557,9 @@ def cmd_join(args) -> int:
 
 
 def cmd_soak(args) -> int:
-    """Chaos-soak an elastic job (or replay a trace) and check its SLOs."""
+    """Chaos-soak an elastic job and check its SLOs."""
     from .coordination.faults import FaultPlan
-    from .net import ChaosSoak, SLOViolation, derive_report
-    from .observability import load_trace_events
+    from .net import ChaosSoak, SLOViolation
 
     def show(label, report):
         print(f"soak [{label}]")
@@ -574,10 +573,6 @@ def cmd_soak(args) -> int:
         print(f"SLO ok (goodput >= {args.goodput_floor:.2f}, "
               f"MTTR <= {args.mttr_ceiling:.1f}s)")
         return True
-
-    if args.replay:
-        events = load_trace_events(args.replay)
-        return 0 if show(args.replay, derive_report(events)) else 1
 
     from .net import JobSpec
 
@@ -952,10 +947,8 @@ def build_parser() -> argparse.ArgumentParser:
     soak.add_argument("--goodput-floor", type=float, default=0.3)
     soak.add_argument("--mttr-ceiling", type=float, default=15.0)
     soak.add_argument("--timeout", type=float, default=120.0)
-    soak.add_argument("--trace", help="export the soak's Chrome trace here")
-    soak.add_argument("--replay",
-                      help="derive the report from this saved trace instead "
-                           "of running live")
+    soak.add_argument("--trace", help="export the soak's Chrome trace here "
+                                      "(gate it offline with fleet report)")
 
     cluster = sub.add_parser(
         "cluster",

@@ -1,10 +1,10 @@
-"""Elan's control plane: AM, protocol, leases, hooks, timed twin (§II, §V).
+"""Elan's control plane: AM, protocol, hooks, timed twin (§II, §V).
 
 The decision engine (:class:`ApplicationMaster`) persists nothing: the
 networked AM's write-ahead journal (:mod:`repro.net.journal`) is its one
-durable record, fencing epoch included.  :class:`LeaseTable` holds the
-worker heartbeat leases, and :class:`SimulatedElasticJob` runs the same
-engine on simulated time.
+durable record, fencing epoch included, and its heartbeat leases live in
+:mod:`repro.net.leases`.  :class:`SimulatedElasticJob` runs the same
+engine on simulated time to time adjustments.
 """
 
 from .dessim import SimulatedAdjustment, SimulatedElasticJob
@@ -24,7 +24,6 @@ from .messages import (
     MessageFactory,
     MessageType,
 )
-from .store import LeaseRevoked, LeaseTable
 
 __all__ = [
     "AdjustmentKind",
@@ -37,8 +36,6 @@ __all__ = [
     "FaultPlan",
     "Hook",
     "HookRegistry",
-    "LeaseRevoked",
-    "LeaseTable",
     "MasterState",
     "Message",
     "SilentCrash",

@@ -3,10 +3,11 @@
 The supervision layer (leases, fencing, automatic recovery) is only
 credible if the failure matrix it defends against is drivable from
 tests.  A :class:`FaultPlan` declares, up front and deterministically,
-every fault one run should suffer — silent worker crashes,
-control-plane message loss, forced lease expiries, an AM crash — and
-is threaded through the networked stack's links and the discrete-event
-simulator so every harness replays the same scenario.
+every fault one run should suffer — silent worker crashes, an AM crash,
+control-plane message loss, delays and connection resets — and is
+threaded through the networked stack's links and the chaos soak
+(:class:`repro.net.soak.ChaosSoak`) so every transport replays the
+same scenario.
 
 :class:`ExponentialBackoff` is the shared degradation policy: bounded
 exponential delays with an injectable sleeper, so retry loops are
@@ -72,9 +73,7 @@ class ExponentialBackoff:
 class FaultPlan:
     """One run's complete, deterministic failure schedule.
 
-    Every field is optional; an empty plan injects nothing.  Times are
-    on the clock of whichever harness consumes the plan (wall clock for
-    the live stack, simulated seconds for dessim).
+    Every field is optional; an empty plan injects nothing.
     """
 
     #: worker id -> iteration at which its thread vanishes without a
@@ -98,11 +97,6 @@ class FaultPlan:
     #: traffic flows.  Consumed by both transports in :mod:`repro.net`,
     #: so chaos tests behave identically in memory and over TCP.
     connection_resets: typing.Tuple[int, ...] = ()
-    #: lease key -> time at which it is forcibly revoked (fencing a
-    #: worker out even though it is healthy).
-    lease_expiries: typing.Mapping[str, float] = dataclasses.field(
-        default_factory=dict
-    )
     #: crash and recover the AM once training reaches this iteration.
     am_crash_iteration: "int | None" = None
 
@@ -130,11 +124,6 @@ class FaultPlan:
 
     # -- consumption helpers --------------------------------------------------
 
-    def crashes_by(self, worker_id: str, iteration: int) -> bool:
-        """True once ``worker_id`` should be dead."""
-        at = self.silent_crashes.get(worker_id)
-        return at is not None and iteration >= at
-
     @property
     def has_transport_faults(self) -> bool:
         """True if any network-transport fault — drop, duplicate,
@@ -145,7 +134,3 @@ class FaultPlan:
             or self.net_delays
             or self.connection_resets
         )
-
-    def due_lease_expiries(self, now: float) -> "list[str]":
-        """Lease keys whose forced expiry time has been reached."""
-        return [key for key, when in self.lease_expiries.items() if now >= when]

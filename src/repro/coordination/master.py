@@ -244,8 +244,7 @@ class ApplicationMaster:
 
         The one way to set the engine's position from outside its own
         transitions: the networked AM places its engine from the fold of
-        its write-ahead journal, and the discrete-event twin places a
-        failed-over successor where its predecessor stood.
+        its write-ahead journal.
         """
         self.state = state
         self.group = tuple(group)

@@ -28,8 +28,7 @@ class MessageType(enum.Enum):
     ADJUSTMENT_REQUEST = "adjustment_request"  # scheduler -> AM   (step 1)
     WORKER_REPORT = "worker_report"  # new worker -> AM            (step 2)
     COORDINATE = "coordinate"  # existing worker -> AM             (step 3)
-    DIRECTIVE = "directive"  # AM -> worker (continue / adjust)
-    HEARTBEAT = "heartbeat"  # worker -> store (lease keep-alive)
+    HEARTBEAT = "heartbeat"  # worker -> AM (lease keep-alive)
     ACK = "ack"
     JOIN = "join"  # joining worker -> AM (poll for spec + state)
     SYNC = "sync"  # worker -> AM (gradient rendezvous barrier)

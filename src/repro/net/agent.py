@@ -93,7 +93,6 @@ class WorkerAgent:
         ring_fail_at: "typing.Collection[int]" = (),
         backoff: "ExponentialBackoff | None" = None,
         die_at_iteration: "int | None" = None,
-        stale_state: "dict | None" = None,
         shard_die_after: "int | None" = None,
         hooks: typing.Sequence[Hook] = (),
     ):
@@ -120,10 +119,6 @@ class WorkerAgent:
         #: chaos knob: raise :class:`SilentCrash` before computing this
         #: iteration — the thread-level analogue of ``kill -9``.
         self.die_at_iteration = die_at_iteration
-        #: delta rejoin: a stale snapshot this worker still holds from a
-        #: previous incarnation; shards whose digests match are adopted
-        #: locally instead of fetched.
-        self.stale_state = stale_state
         #: chaos knob for the sharded plane: hard-exit the process after
         #: serving this many shard chunks — a shard owner dying
         #: mid-fetch, from the joiner's point of view.
@@ -147,8 +142,7 @@ class WorkerAgent:
         #: ``spec.telemetry_interval > 0``).
         self.telemetry: "TelemetryShipper | None" = None
         #: the state this replica held when it left the job (scale-in or
-        #: completion) — a rejoin harness feeds it back as
-        #: ``stale_state`` to exercise the delta path.
+        #: completion); ``ElasticJob.final_params`` reads its params.
         self.final_state: "dict | None" = None
         self._ring_node: "RingNode | None" = None
         self._mailbox: "RingMailbox | None" = None
@@ -572,9 +566,8 @@ class WorkerAgent:
         if transfer:
             # The offer is a shard plan: fan in from every shard owner
             # concurrently over the peer mesh, or pull an owner-less
-            # shard from the AM, adopting matching shards from any
-            # stale local snapshot first.  The AM gates rounds and
-            # backstops failed owners.
+            # shard from the AM.  The AM gates rounds and backstops
+            # failed owners.
             fetcher = ShardedFetcher(
                 self.am,
                 connect=self._peer_connector(spec),
@@ -583,10 +576,7 @@ class WorkerAgent:
                 tracer=self.tracer,
                 metrics=self.metrics,
             )
-            self.hooks.restore_all(
-                replica,
-                fetcher.fetch(transfer, stale_state=self.stale_state),
-            )
+            self.hooks.restore_all(replica, fetcher.fetch(transfer))
         schedule = BatchSchedule.from_payload(admission["schedule"])
 
         try:
@@ -607,10 +597,8 @@ class WorkerAgent:
                     iteration=self._iteration,
                 )
 
-        # Keep the departing replica's state: a rejoin harness hands it
-        # back as ``stale_state`` so the delta path can skip unchanged
-        # shards.  References, not copies — nothing mutates them after
-        # the loop.
+        # Keep the departing replica's state for ``final_params``.
+        # References, not copies — nothing mutates them after the loop.
         self.final_state = self.hooks.capture_all(replica)
 
         if self.telemetry is not None:

@@ -41,10 +41,9 @@ eviction, chunk serving).  A plan with no live owner is one shard
 covering the whole blob, served by the AM from its uploaded copy.
 :class:`ShardedFetcher` is the one joiner side: one pipelined fetch
 loop per source concurrently (fan-in bandwidth instead of the
-single-uploader bottleneck), per-shard digests for delta rejoin
-(matching shards are adopted from a stale local blob instead of
-fetched), and re-planning onto surviving owners — or the AM's full
-copy — when a shard owner fails mid-fetch.
+single-uploader bottleneck), a digest check per shard, and re-planning
+onto surviving owners — or the AM's full copy — when a shard owner
+fails mid-fetch.
 """
 
 from __future__ import annotations
@@ -203,8 +202,7 @@ class StateBlob:
 
         Each shard's sha256 covers exactly its byte range, and the
         ranges tile the blob — so hashing the shards' bytes in index
-        order reproduces :attr:`digest` (the composition property the
-        delta-rejoin digest exchange relies on).
+        order reproduces :attr:`digest`.
         """
         shards = shard_ranges(
             self.total_chunks, self.chunk_bytes, self.total_bytes, count
@@ -309,7 +307,7 @@ class ChunkAssembler:
         return True
 
     def adopt_shard(self, shard: dict, data, digest: "str | None" = None) -> int:
-        """Install one whole shard's bytes (delta rejoin / sub-blob path).
+        """Install one whole shard's bytes (a fetched shard's buffer).
 
         ``shard`` is a :func:`shard_ranges` entry; ``data`` must span
         exactly its byte range and (when given) match ``digest``.  All
@@ -624,18 +622,15 @@ class ShardedFetcher:
     (from the uploaded blob), the ``owner`` worker elected to serve it,
     and that owner's peer ``addr``.  A shard whose owner and addr are
     ``None`` is served by the AM itself over ``link``: a planned
-    source, not a re-plan.  The fetch proceeds in three stages:
+    source, not a re-plan.  The fetch proceeds in two stages:
 
-    1. **Delta rejoin** — when the caller still holds a stale snapshot,
-       it is encoded with the descriptor's geometry and shards whose
-       digests already match are adopted locally, never fetched.
-    2. **Fan-in** — remaining shards are fetched concurrently, one
+    1. **Fan-in** — the shards are fetched concurrently, one
        thread (each running a ``window``-wide pipeline) per owner after
        a round-gate probe against the AM, the AM's own shard on the
        calling thread (the AM answers its chunk requests ``pending``
        until the round opens).  Fan-in bandwidth replaces the
        single-uploader bottleneck.
-    3. **Recovery** — a shard whose owner was lost mid-fetch, whose
+    2. **Recovery** — a shard whose owner was lost mid-fetch, whose
        owner's handler raised, or whose bytes fail the digest check (a
        divergent replica) is re-planned onto the surviving owners in
        turn and finally onto the AM's own full copy, so one owner
@@ -678,43 +673,7 @@ class ShardedFetcher:
             self.metrics.counter(name).inc(value)
 
     # ------------------------------------------------------------------
-    # stage 1: delta rejoin
-
-    def _adopt_delta(self, assembler: "ChunkAssembler", shards: "list[dict]",
-                     descriptor: dict, stale_state: "dict | None") -> "set[int]":
-        """Adopt shards whose digests match a stale local snapshot."""
-        if stale_state is None or not shards:
-            return set()
-        try:
-            stale = StateBlob.encode(
-                stale_state, int(descriptor["chunk_bytes"])
-            )
-        except (WireError, ValueError, TypeError):
-            return set()
-        if (stale.total_bytes != assembler.total_bytes
-                or stale.total_chunks != assembler.total_chunks):
-            return set()  # geometry changed; nothing is adoptable
-        local = {s["index"]: s for s in stale.shard_plan(len(shards))}
-        adopted: "set[int]" = set()
-        for shard in shards:
-            mine = local.get(shard["index"])
-            if mine is None or mine.get("digest") != shard.get("digest"):
-                continue
-            assembler.adopt_shard(
-                shard,
-                stale.byte_range(shard["start_byte"], shard["end_byte"]),
-                shard.get("digest"),
-            )
-            adopted.add(shard["index"])
-            self._count("net.shards.delta_skipped")
-            self._count(
-                "net.shards.delta_bytes_skipped",
-                shard["end_byte"] - shard["start_byte"],
-            )
-        return adopted
-
-    # ------------------------------------------------------------------
-    # stage 2: AM round gate + per-owner fan-in
+    # stage 1: AM round gate + per-owner fan-in
 
     def _await_round(self, transfer_id: str) -> None:
         deadline = time.monotonic() + self.timeout
@@ -862,7 +821,7 @@ class ShardedFetcher:
         return failed, dead
 
     # ------------------------------------------------------------------
-    # stage 3: recovery onto surviving owners, then the AM
+    # stage 2: recovery onto surviving owners, then the AM
 
     def _recover(self, assembler: "ChunkAssembler", transfer_id: str,
                  shards: "list[dict]", all_shards: "list[dict]",
@@ -914,7 +873,7 @@ class ShardedFetcher:
 
     # ------------------------------------------------------------------
 
-    def fetch(self, descriptor: dict, stale_state: "dict | None" = None) -> dict:
+    def fetch(self, descriptor: dict) -> dict:
         """Fetch, verify, and decode the snapshot ``descriptor`` plans."""
         transfer_id = descriptor["transfer_id"]
         assembler = ChunkAssembler(
@@ -931,17 +890,13 @@ class ShardedFetcher:
             digest = None
 
         def run():
-            adopted = self._adopt_delta(assembler, shards, descriptor,
-                                        stale_state)
-            pending = [s for s in shards if s["index"] not in adopted]
-            if any(s.get("addr") is not None for s in pending):
+            if any(s.get("addr") is not None for s in shards):
                 # Owners do not gate rounds: ask the AM before turning
                 # to them.  The AM gates its own chunks as it serves them.
                 self._await_round(transfer_id)
-            if pending:
-                failed, dead = self._fan_in(assembler, transfer_id, pending)
-                if failed:
-                    self._recover(assembler, transfer_id, failed, shards, dead)
+            failed, dead = self._fan_in(assembler, transfer_id, shards)
+            if failed:
+                self._recover(assembler, transfer_id, failed, shards, dead)
             blob = assembler.finish(digest)
             self._report_complete(transfer_id)
             return decode_state_blob(blob)

@@ -10,15 +10,93 @@ Everything here is volatile.  The condemnation itself is a ``condemn``
 record the AM journals; a successor re-leases survivors as they
 re-enroll and restarts the MTTR clock of every condemned worker whose
 eviction had not committed (:meth:`LeaseSupervisor.adopt`).
+
+:class:`LeaseTable` is what is left of the paper's etcd (§V-D): the AM's
+one durable record is its journal, which also carries the fencing
+epoch, so etcd survives only as the heartbeat substrate.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 import typing
 
-from ..coordination.store import LeaseTable
 from .journal import JournalError, JournalState
+
+
+class LeaseRevoked(RuntimeError):
+    """Raised when re-leasing a key whose lease was forcibly revoked."""
+
+
+class LeaseTable:
+    """Thread-safe TTL leases with forced revocation.
+
+    A key is live while its holder keeps renewing it, expired once its
+    deadline passes, and revoked once the supervisor fences the holder
+    out.  The clock is injectable (default: the monotonic wall clock).
+    """
+
+    def __init__(self, clock: "typing.Callable[[], float] | None" = None):
+        self._lock = threading.Lock()
+        self.clock = clock or time.monotonic
+        #: Lease deadlines (absolute clock times) by key.
+        self._deadlines: typing.Dict[str, float] = {}
+        #: Leases revoked by force_expire; keep_alive cannot revive them.
+        self._revoked: typing.Set[str] = set()
+
+    def lease(self, key: str, ttl: float) -> None:
+        """Lease ``key`` for ``ttl``; it is considered dead once the
+        deadline passes without a :meth:`keep_alive`.
+
+        Re-leasing an expired (but not revoked) key revives it — the
+        holder came back before the supervisor acted.
+        """
+        if ttl <= 0:
+            raise ValueError(f"ttl must be > 0, got {ttl}")
+        with self._lock:
+            if key in self._revoked:
+                raise LeaseRevoked(f"lease {key!r} was revoked")
+            self._deadlines[key] = self.clock() + ttl
+
+    def keep_alive(self, key: str, ttl: float) -> bool:
+        """Refresh ``key``'s lease deadline; the heartbeat.
+
+        Returns False — without reviving anything — if the key holds no
+        lease or the lease was forcibly revoked (the holder has been
+        fenced out and must stop).
+        """
+        if ttl <= 0:
+            raise ValueError(f"ttl must be > 0, got {ttl}")
+        with self._lock:
+            if key not in self._deadlines or key in self._revoked:
+                return False
+            self._deadlines[key] = self.clock() + ttl
+            return True
+
+    def lease_deadline(self, key: str) -> "float | None":
+        """Absolute expiry time of ``key``'s lease (None if unleased)."""
+        with self._lock:
+            return self._deadlines.get(key)
+
+    def expired_keys(self, prefix: str = "") -> "list[str]":
+        """Leased keys under ``prefix`` whose deadline has passed, sorted."""
+        with self._lock:
+            now = self.clock()
+            return sorted(
+                key
+                for key, deadline in self._deadlines.items()
+                if key.startswith(prefix) and deadline <= now
+            )
+
+    def force_expire(self, key: str) -> None:
+        """Revoke ``key``'s lease now (fence its holder out): its
+        deadline becomes the present and :meth:`keep_alive` fails."""
+        with self._lock:
+            if key not in self._deadlines:
+                return
+            self._deadlines[key] = self.clock()
+            self._revoked.add(key)
 
 
 class LeaseSupervisor:

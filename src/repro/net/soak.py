@@ -3,8 +3,7 @@
 A :class:`ChaosSoak` runs one :class:`~repro.net.job.LocalJob` (workers
 as threads, AM per transport seam) while a deterministic
 :class:`~repro.coordination.faults.FaultPlan` injects the failures the
-failover machinery exists for — the same two fields the DES twin reads
-for the same faults:
+failover machinery exists for, from two fields:
 
 * **worker kills** (``silent_crashes``) — a thread raises
   :class:`~repro.coordination.faults.SilentCrash` mid-iteration and its

@@ -345,6 +345,8 @@ def derive_report(
         if e.get("ph") == "M" and e.get("name") == "thread_name"
     }
     busy_us: "dict[str, float]" = {}
+    #: (track, iteration) -> the pid whose buffer it was first seen in.
+    holder: "dict[tuple, typing.Any]" = {}
     counts = {label: 0 for label in _INSTANT_COUNTS.values()}
     overhead = {category: 0.0 for category in _OVERHEAD_PREFIXES}
     upload_series: "list[tuple[float, float]]" = []
@@ -361,8 +363,8 @@ def derive_report(
         t_hi = end if t_hi is None else max(t_hi, end)
         name = event.get("name")
         if phase == "X" and name == "worker.iteration":
-            # A worker is one (pid, tid) lane in a merged fleet trace,
-            # one tid in a single-process trace.
+            # A worker is its track: the agent names its lane by its
+            # worker id, in whichever process the span was recorded.
             track = event.get("track")
             if track is None:
                 track = names_by_lane.get(
@@ -370,10 +372,19 @@ def derive_report(
                 )
             if track is None:
                 track = f"{event.get('pid', 1)}/{event.get('tid')}"
-            # Prefix with the pid so two processes that both call their
-            # main lane by the same name stay distinct workers.
-            lane = f"{event.get('pid', 1)}:{track}"
-            busy_us[lane] = busy_us.get(lane, 0.0) + float(
+            # A copy of a worker's iteration in another process's buffer
+            # counts once: thread workers sharing a tracer each ship the
+            # whole buffer, and the AM's own events hold the same spans.
+            # A re-run of an iteration (a preempted job restarting) is a
+            # second span in the same buffer, and counts again.
+            iteration = (event.get("args") or {}).get("iteration")
+            pid = event.get("pid", 1)
+            if (
+                iteration is not None
+                and holder.setdefault((track, iteration), pid) != pid
+            ):
+                continue
+            busy_us[track] = busy_us.get(track, 0.0) + float(
                 event.get("dur", 0.0)
             )
             iterations += 1

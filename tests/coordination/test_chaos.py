@@ -17,10 +17,8 @@ from repro.coordination import (
     FaultPlan,
     Message,
     MessageType,
-    SimulatedElasticJob,
 )
 from repro.net import JobSpec, LocalJob, ServerCore, memory_link
-from repro.perfmodel.models import TRANSFORMER
 
 # 960 % 48 == 0: epochs divide evenly into iterations, so the serial
 # loader's position must equal (iterations * batch) % size exactly.
@@ -158,45 +156,3 @@ def test_chaos_soak_composed_fault_plan():
     assert [payload["i"] for payload in inbox] == list(range(6))
     assert link.resends > 0
     assert link.backoff.waits == link.resends
-
-
-def test_dessim_supervision_twin_matches_live_semantics():
-    """The simulated supervisor heals the same faults on simulated time:
-    deterministic detection latency, MTTR, and AM failover."""
-    plan = FaultPlan(
-        silent_crashes={"w3": 40},
-        lease_expiries={"elan/sim-job/lease/w2": 60.0},
-        am_crash_iteration=80,
-    )
-    job = SimulatedElasticJob(
-        TRANSFORMER, workers=4, total_batch_size=256,
-        lease_ttl=5.0, fault_plan=plan,
-    )
-    stale_am = job.am
-    job.run(until=300.0)
-
-    assert job.am.group == ("w0", "w1")
-    assert [w for w, _lat in job.detections] == ["w3", "w2"]
-    # Detection cannot beat the supervision tick, and must catch an
-    # expiry within one lease TTL plus one tick.
-    for _worker, latency in job.detections:
-        assert 0.0 <= latency <= job.lease_ttl + job.supervision_interval
-    assert len(job.recoveries) == 2
-    for _removed, mttr in job.recoveries:
-        assert mttr > 0.0
-    # The crashed AM's successor is a fresh engine, placed where it
-    # stood, under the next epoch — the live AM's failover signals.
-    assert job.am is not stale_am
-    (failover,) = job.tracer.instants("am.failover")
-    assert failover.args["epoch"] == 2
-    assert job.metrics.snapshot()["am.failover"] == 1
-    assert job.metrics.snapshot()["events.failure_detected"] == 2
-    assert job.metrics.snapshot()["events.recovery"] == 2
-    # Determinism: the same plan replays to the same timeline.
-    twin = SimulatedElasticJob(
-        TRANSFORMER, workers=4, total_batch_size=256,
-        lease_ttl=5.0, fault_plan=plan,
-    )
-    twin.run(until=300.0)
-    assert twin.detections == job.detections
-    assert twin.recoveries == job.recoveries

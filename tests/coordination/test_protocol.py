@@ -12,8 +12,6 @@ from repro.coordination import (
     FaultPlan,
     Hook,
     HookRegistry,
-    LeaseRevoked,
-    LeaseTable,
     MessageFactory,
     MessageType,
 )
@@ -25,6 +23,7 @@ from repro.net import (
     ServerCore,
     memory_link,
 )
+from repro.net.leases import LeaseRevoked, LeaseTable
 
 
 def lossy_link(plan, **options):
@@ -117,6 +116,9 @@ class TestMessages:
 
 
 class TestLeases:
+    """The AM's TTL lease table (``repro.net.leases``) under a
+    test-controlled clock."""
+
     def _store(self):
         clock = {"now": 0.0}
         store = LeaseTable(clock=lambda: clock["now"])
@@ -158,26 +160,9 @@ class TestLeases:
         store.lease("l/w0", ttl=10.0)
         store.force_expire("l/w0")
         assert store.expired_keys("l/") == ["l/w0"]
-        assert store.lease_revoked("l/w0")
         assert not store.keep_alive("l/w0", ttl=10.0)
         with pytest.raises(LeaseRevoked):
             store.lease("l/w0", ttl=10.0)
-
-    def test_delete(self):
-        store, _clock = self._store()
-        store.lease("l/w0", ttl=5.0)
-        assert store.delete("l/w0")
-        assert not store.delete("l/w0")
-        assert store.lease_deadline("l/w0") is None
-        assert not store.keep_alive("l/w0", ttl=5.0)
-
-    def test_delete_clears_revocation(self):
-        store, _clock = self._store()
-        store.lease("l/w0", ttl=10.0)
-        store.force_expire("l/w0")
-        store.delete("l/w0")
-        assert not store.lease_revoked("l/w0")
-        store.lease("l/w0", ttl=10.0)  # a fresh holder may lease
 
     def test_lease_validates_ttl(self):
         store, _clock = self._store()

@@ -7,6 +7,7 @@ import pytest
 
 from repro.net import (
     JobSpec,
+    LocalJob,
     NetworkedApplicationMaster,
     TelemetryShipper,
     memory_link,
@@ -310,3 +311,30 @@ class TestEndToEndFleetView:
             assert len(harness.master.fleet) == 0
         finally:
             harness.close()
+
+    def test_shared_tracer_counts_each_iteration_once(self):
+        """A job whose AM and thread workers share one tracer: every
+        worker ships the whole buffer and the AM's events hold the same
+        spans, yet the fleet report counts 2 workers x 8 iterations."""
+        spec = JobSpec(
+            iterations=8, coordination_interval=4, iteration_sleep=0.01,
+            telemetry_interval=0.05,
+        )
+        job = LocalJob(
+            "memory", spec, ["w0", "w1"], tracer=Tracer(),
+            metrics=MetricRegistry(),
+        )
+        try:
+            job.start_worker("w0")
+            job.start_worker("w1")
+            assert job.join(timeout=60.0)
+            master = job.master
+            assert master.fleet.workers() == ["w0", "w1"]
+            fleet_report = master.fleet.report(
+                am_events=master.tracer.to_events(),
+                am_metrics=master.metrics.snapshot(),
+            )["fleet"]
+            assert fleet_report.workers == 2
+            assert fleet_report.iterations == 2 * spec.iterations
+        finally:
+            job.close()

@@ -349,6 +349,24 @@ class TestGoodputOverheads:
         assert report.workers == 2
         assert report.iterations == 2
 
+    def test_copies_count_once_and_re_runs_count_again(self):
+        """A worker iteration held by two processes' buffers is one
+        iteration; the same iteration run twice in one buffer (a
+        preempted job restarting) is two."""
+        merger = TraceMerger()
+        for name in ("am", "w0"):
+            tracer = Tracer(clock=FakeClock(), process=name)
+            for start in (0.0, 5.0):  # iteration 1, then its re-run
+                tracer.add_span(
+                    "worker.iteration", start, start + 1.0, track="w0",
+                    iteration=1,
+                )
+            merger.add(tracer.to_events(), process=name)
+        report = derive_report(merger.merge())
+        assert report.workers == 1
+        assert report.iterations == 2
+        assert report.busy_seconds == pytest.approx(2.0)
+
     def test_report_round_trips_through_payload_dict(self):
         """A report rebuilds from the plain dict of its fields."""
         original = GoodputReport(

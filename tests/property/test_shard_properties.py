@@ -116,7 +116,7 @@ class TestStateBlobShardPlan:
         self, data, chunk_bytes, count
     ):
         """Any mix of whole-shard adoption and per-chunk feeding yields a
-        digest-identical blob — the delta-rejoin correctness property."""
+        digest-identical blob: the assembler's two entry points agree."""
         state = random_state(data.draw)
         blob = StateBlob.encode(state, chunk_bytes=chunk_bytes)
         shards = blob.shard_plan(count)
