@@ -92,7 +92,7 @@ def lossy_control_plane():
         fault_plan=FaultPlan(drop_every=3, duplicate_every=4),
     )
     for i in range(20):
-        reply = link.request(MessageType.WORKER_REPORT, {"worker": f"w{i}"})
+        reply = link.request(MessageType.JOIN, {"worker": f"w{i}"})
         assert reply == {"ok": True}
     faults = link.transport._faults
     print(f"sends attempted: {faults.arrived} "

@@ -1,10 +1,12 @@
-"""Elan's control plane: AM, protocol, hooks, timed twin (§II, §V).
+"""Elan's control plane: AM decisions, protocol, hooks, timed twin (§II, §V).
 
-The decision engine (:class:`ApplicationMaster`) persists nothing: the
-networked AM's write-ahead journal (:mod:`repro.net.journal`) is its one
-durable record, fencing epoch included, and its heartbeat leases live in
-:mod:`repro.net.leases`.  :class:`SimulatedElasticJob` runs the same
-engine on simulated time to time adjustments.
+The AM's decisions (:func:`commit_boundary`, :func:`adjusted_group`,
+:class:`PendingAdjustment`) hold no position of their own: the networked
+AM keeps its group, request and watermark only in the fold of its
+write-ahead journal (:mod:`repro.net.journal`), fencing epoch included,
+and its heartbeat deadlines live in :mod:`repro.net.leases`.
+:class:`SimulatedElasticJob` calls the same decisions on simulated time
+to time adjustments.
 """
 
 from .dessim import SimulatedAdjustment, SimulatedElasticJob
@@ -13,13 +15,12 @@ from .hooks import Hook, HookRegistry
 from .master import (
     AdjustmentKind,
     AdjustmentRequest,
-    ApplicationMaster,
-    Directive,
-    DirectiveKind,
-    MasterState,
+    PendingAdjustment,
+    adjusted_group,
+    check_group,
+    commit_boundary,
 )
 from .messages import (
-    DeduplicatingInbox,
     Message,
     MessageFactory,
     MessageType,
@@ -28,19 +29,18 @@ from .messages import (
 __all__ = [
     "AdjustmentKind",
     "AdjustmentRequest",
-    "ApplicationMaster",
-    "DeduplicatingInbox",
-    "Directive",
-    "DirectiveKind",
     "ExponentialBackoff",
     "FaultPlan",
     "Hook",
     "HookRegistry",
-    "MasterState",
     "Message",
+    "PendingAdjustment",
     "SilentCrash",
     "SimulatedAdjustment",
     "SimulatedElasticJob",
     "MessageFactory",
     "MessageType",
+    "adjusted_group",
+    "check_group",
+    "commit_boundary",
 ]

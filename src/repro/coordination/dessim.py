@@ -1,11 +1,13 @@
 """The Elan control plane on simulated time.
 
-Drives the *real* :class:`~repro.coordination.master.ApplicationMaster`
-from discrete-event processes: a lockstep training group iterating at the
-calibrated iteration time, new-worker processes that start + initialize
-(with jitter) before reporting, and commits whose pause is computed from
-the topology-aware replication plan.  The same AM code thus runs in three
-harnesses — unit tests, the networked AM, and this simulator —
+Drives the *real* AM decisions of :mod:`repro.coordination.master`
+(:class:`~repro.coordination.master.PendingAdjustment`,
+:func:`~repro.coordination.master.adjusted_group`) from discrete-event
+processes: a lockstep training group iterating at the calibrated
+iteration time, new-worker processes that start + initialize (with
+jitter) before reporting, and commits whose pause is computed from the
+topology-aware replication plan.  The same decision functions thus run
+in three harnesses — unit tests, the networked AM, and this simulator —
 and the simulator's measured adjustment latencies cross-validate the
 closed-form :class:`~repro.baselines.timing.ElanAdjustmentModel`.
 
@@ -32,8 +34,9 @@ from ..topology import BandwidthProfile, TopologyNode, cluster_for_gpu_count
 from .master import (
     AdjustmentKind,
     AdjustmentRequest,
-    ApplicationMaster,
-    DirectiveKind,
+    PendingAdjustment,
+    adjusted_group,
+    check_group,
 )
 from ..simcore import Simulator
 
@@ -98,11 +101,10 @@ class SimulatedElasticJob:
         self._actions: typing.List = []
 
         worker_ids = [f"w{i}" for i in range(workers)]
-        self.am = ApplicationMaster(
-            "sim-job", worker_ids,
-            coordination_interval=coordination_interval,
-            tracer=self.tracer,
-        )
+        check_group(worker_ids, coordination_interval)
+        #: the committed group, and the adjustment in flight (if any).
+        self.group: typing.Tuple[str, ...] = tuple(worker_ids)
+        self.pending: "PendingAdjustment | None" = None
         #: the open ``am.directive`` span (ADJUST issue -> commit).
         self._directive_span = None
         _cluster, gpus = cluster_for_gpu_count(workers + 64)
@@ -114,7 +116,7 @@ class SimulatedElasticJob:
     # -- the lockstep training group -------------------------------------------
 
     def _iteration_time(self) -> float:
-        workers = len(self.am.group)
+        workers = len(self.group)
         base = self.throughput.iteration_time(workers, self.total_batch_size)
         if self.iteration % self.coordination_interval == 0:
             base += calibration.COORDINATION_BLOCKING_COST
@@ -132,22 +134,20 @@ class SimulatedElasticJob:
             self.iterations_by_time.append((self.sim.now, self.iteration))
             if self.iteration % self.coordination_interval != 0:
                 continue
-            directive = None
-            for worker_id in self.am.group:
-                directive = self.am.coordinate(worker_id, self.iteration)
-            if directive.kind is DirectiveKind.ADJUST:
+            pending = self.pending
+            if pending is not None and pending.due(self.iteration):
                 self._directive_span = self.tracer.begin(
                     "am.directive", track="am", cat="am",
-                    kind=directive.adjustment.kind.value,
-                    commit_iteration=directive.commit_iteration,
+                    kind=pending.request.kind.value,
+                    commit_iteration=pending.commit_iteration,
                     epoch=1,
                 )
-                yield from self._commit(directive)
+                yield from self._commit(pending)
 
-    def _commit(self, directive):
-        request = directive.adjustment
+    def _commit(self, pending: PendingAdjustment):
+        request = pending.request
         commit_time = self.sim.now
-        old_size = len(self.am.group)
+        old_size = len(self.group)
         replicate_pause, reconfigure_pause = self._pause_components(request)
         # Step 4 (state replication), then step 5 (group reconstruction +
         # data repartition) — the same sub-span split the live commit
@@ -164,20 +164,21 @@ class SimulatedElasticJob:
             track="am", cat="adjust",
         )
         startup_iters = self._iterations_since(self._pending_request_time)
-        self.am.finish_adjustment()
-        self.tracer.end(self._directive_span, group_size=len(self.am.group))
+        self.group = adjusted_group(request, self.group)
+        self.pending = None
+        self.tracer.end(self._directive_span, group_size=len(self.group))
         for worker_id in request.remove_workers:
             self._gpu_pool.insert(0, self._worker_gpus.pop(worker_id))
         self.tracer.add_span(
             "adjust.commit", commit_time, self.sim.now,
             track="am", cat="adjust", kind=request.kind.value,
-            commit_iteration=directive.commit_iteration,
-            old_workers=old_size, new_workers=len(self.am.group),
+            commit_iteration=pending.commit_iteration,
+            old_workers=old_size, new_workers=len(self.group),
         )
         metrics = self.metrics
         metrics.histogram("commit_seconds").observe(self.sim.now - commit_time)
         metrics.counter(f"adjustments.{request.kind.value}").inc()
-        metrics.gauge("workers").set(len(self.am.group))
+        metrics.gauge("workers").set(len(self.group))
         self.adjustments.append(
             SimulatedAdjustment(
                 kind=request.kind,
@@ -197,7 +198,7 @@ class SimulatedElasticJob:
         )
         if request.kind is AdjustmentKind.SCALE_IN:
             return 0.0, fixed
-        sources = [self._worker_gpus[w] for w in self.am.group]
+        sources = [self._worker_gpus[w] for w in self.group]
         targets = [self._worker_gpus[w] for w in request.add_workers]
         if request.kind is AdjustmentKind.MIGRATION:
             plain = plan_migration(
@@ -239,7 +240,23 @@ class SimulatedElasticJob:
         self.tracer.instant(
             "worker.report", track=worker_id, cat="adjust", worker=worker_id
         )
-        self.am.worker_report(worker_id)
+        if self.pending is not None:
+            self.pending.report(worker_id, self.iteration)
+
+    def _request(self, request: AdjustmentRequest) -> None:
+        """Step 1: accept ``request`` unless one is already in flight.
+
+        ``self.iteration`` serves as the watermark of the latest
+        coordinated boundary: a commit boundary depends on it only through
+        ``iteration // interval``, and no process yields between a
+        boundary's increment and its coordination.
+        """
+        if self.pending is not None:
+            raise RuntimeError("an adjustment is already in flight")
+        request.validate(self.group)
+        self.pending = PendingAdjustment(
+            request, self.iteration, self.coordination_interval, self.tracer,
+        )
 
     def request_scale_out(self, count: int):
         """Process: request a scale-out and launch new-worker processes."""
@@ -247,12 +264,10 @@ class SimulatedElasticJob:
         self._next_index += count
         for worker_id in new_ids:
             self._worker_gpus[worker_id] = self._gpu_pool.pop(0)
-        accepted = self.am.request_adjustment(
+        self._request(
             AdjustmentRequest(AdjustmentKind.SCALE_OUT,
                               add_workers=tuple(new_ids))
         )
-        if not accepted:
-            raise RuntimeError("an adjustment is already in flight")
         self.tracer.instant(
             "adjust.request", track="am", cat="adjust",
             kind="scale_out", workers=new_ids,
@@ -263,11 +278,10 @@ class SimulatedElasticJob:
 
     def request_scale_in(self, count: int):
         """Request removal of the last ``count`` workers."""
-        victims = tuple(self.am.group[-count:])
-        if not self.am.request_adjustment(
+        victims = self.group[-count:]
+        self._request(
             AdjustmentRequest(AdjustmentKind.SCALE_IN, remove_workers=victims)
-        ):
-            raise RuntimeError("an adjustment is already in flight")
+        )
         self.tracer.instant(
             "adjust.request", track="am", cat="adjust",
             kind="scale_in", workers=list(victims),

@@ -12,13 +12,14 @@ coordinates workers through the 5-step procedure of Fig. 2:
 4. state replication and 5. state adjustment are executed by the workers
    at the commit point the AM chose.
 
-The AM is deliberately transport-free pure logic: the networked AM
-(:mod:`repro.net.master_service`) calls it under a lock, the
-discrete-event experiments drive it with simulated time, and both get
-identical decisions.  The engine persists and fences nothing: its owner
-keeps the one durable record (the networked AM's write-ahead journal,
-§V-D) and places a successor's fresh engine at the recorded position
-with :meth:`ApplicationMaster.reposition`.
+The AM's decisions are transport-free pure logic: :func:`commit_boundary`
+and :func:`adjusted_group` say when a commit lands and who is in the new
+group, and :class:`PendingAdjustment` tracks one request through steps
+1-2.  The networked AM (:mod:`repro.net.master_service`) keeps its
+position — group, request, plan, watermark — only in the fold of its
+write-ahead journal (§V-D) and calls these under its lock; the
+discrete-event twin keeps its own group on simulated time and calls the
+same functions, so both get identical decisions.
 """
 
 from __future__ import annotations
@@ -34,21 +35,6 @@ class AdjustmentKind(enum.Enum):
     SCALE_OUT = "scale_out"
     SCALE_IN = "scale_in"
     MIGRATION = "migration"
-
-
-class DirectiveKind(enum.Enum):
-    """What a coordinating worker is told to do."""
-
-    CONTINUE = "continue"
-    ADJUST = "adjust"
-
-
-class MasterState(enum.Enum):
-    """AM state machine."""
-
-    RUNNING = "running"
-    WAITING_REPORTS = "waiting_reports"
-    COMMIT_SCHEDULED = "commit_scheduled"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,165 +77,110 @@ class AdjustmentRequest:
             raise ValueError(f"cannot remove unknown workers: {sorted(missing)}")
 
 
-@dataclasses.dataclass(frozen=True)
-class Directive:
-    """The AM's answer to one coordinate call."""
+def check_group(workers: typing.Sequence[str], interval: int) -> None:
+    """Reject a job that could never coordinate: no workers, a worker
+    listed twice, or a coordination interval below one iteration."""
+    if not workers:
+        raise ValueError("a job needs at least one worker")
+    if len(set(workers)) != len(workers):
+        raise ValueError(f"duplicate worker ids in {list(workers)}")
+    if interval < 1:
+        raise ValueError("coordination_interval must be >= 1")
 
-    kind: DirectiveKind
-    adjustment: "AdjustmentRequest | None" = None
-    new_group: typing.Tuple[str, ...] = ()
-    commit_iteration: int = -1
+
+def commit_boundary(
+    latest: int, interval: int, pin: "int | None" = None,
+) -> int:
+    """The boundary an adjustment commits at, decided once its joiners
+    reported: the first boundary strictly after ``latest`` (the furthest
+    boundary any worker coordinated), or the pin rounded up to a
+    boundary if that is later — a late pin degrades to the natural
+    boundary, never behind the workers."""
+    boundary = (latest // interval + 1) * interval
+    if pin is not None:
+        pinned = ((int(pin) + interval - 1) // interval) * interval
+        boundary = max(boundary, pinned)
+    return boundary
 
 
-class ApplicationMaster:
-    """Pure-logic AM; thread safety is the caller's concern."""
+def adjusted_group(
+    request: AdjustmentRequest, group: typing.Sequence[str],
+) -> typing.Tuple[str, ...]:
+    """The group once ``request`` commits: a migration's is exactly its
+    new workers; otherwise the survivors in order, then the joiners."""
+    if request.kind is AdjustmentKind.MIGRATION:
+        return tuple(request.add_workers)
+    survivors = tuple(w for w in group if w not in request.remove_workers)
+    return survivors + tuple(request.add_workers)
+
+
+class PendingAdjustment:
+    """Steps 1-2 of one accepted adjustment, until its commit boundary
+    is fixed (volatile: reports are never journaled).
+
+    A scale-out waits for every joiner's report; one without joiners
+    schedules at once.  ``latest`` is the furthest boundary any worker
+    coordinated when the last report (or the request) lands.
+    """
 
     def __init__(
         self,
-        job_id: str,
-        workers: typing.Sequence[str],
-        coordination_interval: int = 1,
+        request: AdjustmentRequest,
+        latest: int,
+        interval: int,
         tracer: "typing.Any | None" = None,
     ):
-        if not workers:
-            raise ValueError("a job needs at least one worker")
-        if len(set(workers)) != len(workers):
-            raise ValueError(f"duplicate worker ids in {list(workers)}")
-        if coordination_interval < 1:
-            raise ValueError("coordination_interval must be >= 1")
-        self.job_id = job_id
-        self.coordination_interval = coordination_interval
-        #: Optional span recorder; both the networked AM and the DES twin
+        self.request = request
+        self.interval = interval
+        #: Optional span recorder; the networked AM and the DES twin
         #: hand theirs in, so AM transitions land on either timeline.
         self.tracer = tracer
-        self.state = MasterState.RUNNING
-        self.group: typing.Tuple[str, ...] = tuple(workers)
-        self.pending: "AdjustmentRequest | None" = None
-        self.reported: set = set()
-        self.commit_iteration = -1
-        self.latest_iteration = 0
-        self.coordinations = 0
-        self.adjustments_committed = 0
-
-    def _instant(self, name: str, **args) -> None:
-        if self.tracer is not None:
-            self.tracer.instant(name, track="am", cat="am", **args)
-
-    # -- service API offered to the scheduler (Table III) --------------------
-
-    def request_adjustment(self, request: AdjustmentRequest) -> bool:
-        """Step 1: accept an adjustment unless one is already in flight."""
-        if self.pending is not None:
-            return False
-        request.validate(self.group)
-        self.pending = request
-        self.reported = set()
+        self.reported: typing.Set[str] = set()
+        #: the boundary the adjustment commits at; None while a joiner
+        #: is still starting.
+        self.commit_iteration: "int | None" = None
         self._instant(
             "am.request", kind=request.kind.value,
             add=list(request.add_workers),
             remove=list(request.remove_workers),
         )
-        if request.add_workers:
-            self.state = MasterState.WAITING_REPORTS
-        else:
+        if not request.add_workers:
             # Scale-in needs no reports: commit at the next boundary.
-            self._schedule_commit()
-        return True
+            self._schedule(latest)
 
-    # -- worker-facing protocol ----------------------------------------------
+    def _instant(self, name: str, **args) -> None:
+        if self.tracer is not None:
+            self.tracer.instant(name, track="am", cat="am", **args)
 
-    def worker_report(self, worker_id: str) -> None:
-        """Step 2: a new worker finished start + init and is ready to join."""
-        if self.pending is None or worker_id not in self.pending.add_workers:
-            return  # stale or unknown report; ignore (idempotent)
+    def report(self, worker_id: str, latest: int) -> None:
+        """Step 2: a new worker finished start + init and is ready to join
+        (idempotent; reports from anyone else are ignored)."""
+        if worker_id not in self.request.add_workers:
+            return
         self.reported.add(worker_id)
         self._instant("am.report", worker=worker_id)
-        if self.state is MasterState.WAITING_REPORTS and self.reported >= set(
-            self.pending.add_workers
+        if self.commit_iteration is None and self.reported >= set(
+            self.request.add_workers
         ):
-            self._schedule_commit()
+            self._schedule(latest)
 
-    def coordinate(self, worker_id: str, iteration: int) -> Directive:
-        """Step 3: an existing worker checks in at an iteration boundary.
+    def due(self, iteration: int) -> bool:
+        """Step 3: does a worker coordinating at ``iteration`` adjust?
 
-        Non-blocking: if an adjustment is committed for this boundary the
-        worker is told to adjust; otherwise — including while new workers
-        are still starting — it is told to continue immediately.  This is
-        the asynchronous coordination mechanism: stragglers among the new
-        workers never stall training, "the adjustment is left for future
-        coordination".
+        Non-blocking either way: while new workers are still starting
+        the answer is no and training goes on — "the adjustment is left
+        for future coordination" (the asynchronous coordination
+        mechanism).
         """
-        if worker_id not in self.group:
-            raise KeyError(f"{worker_id!r} is not in the current group")
-        self.coordinations += 1
-        self.latest_iteration = max(self.latest_iteration, iteration)
-        if (
-            self.state is MasterState.COMMIT_SCHEDULED
+        return (
+            self.commit_iteration is not None
             and iteration >= self.commit_iteration
-        ):
-            return self._commit_directive()
-        return Directive(kind=DirectiveKind.CONTINUE)
-
-    # -- internals -------------------------------------------------------------
-
-    def _schedule_commit(self) -> None:
-        interval = self.coordination_interval
-        next_boundary = (self.latest_iteration // interval + 1) * interval
-        pin = self.pending.at_iteration if self.pending is not None else None
-        if pin is not None:
-            # Round the pin up to a boundary, then never schedule behind
-            # the workers: a late pin degrades to the natural boundary.
-            pinned = ((int(pin) + interval - 1) // interval) * interval
-            next_boundary = max(next_boundary, pinned)
-        self.commit_iteration = next_boundary
-        self.state = MasterState.COMMIT_SCHEDULED
-        self._instant("am.commit_scheduled", commit_iteration=next_boundary)
-
-    def _commit_directive(self) -> Directive:
-        request = self.pending
-        assert request is not None
-        if request.kind is AdjustmentKind.MIGRATION:
-            new_group = tuple(request.add_workers)
-        else:
-            survivors = [w for w in self.group if w not in request.remove_workers]
-            new_group = tuple(survivors) + tuple(request.add_workers)
-        return Directive(
-            kind=DirectiveKind.ADJUST,
-            adjustment=request,
-            new_group=new_group,
-            commit_iteration=self.commit_iteration,
         )
 
-    def finish_adjustment(self) -> None:
-        """Called by the harness once steps 4-5 completed at the commit."""
-        directive = self._commit_directive()
-        self.group = directive.new_group
-        self.pending = None
-        self.reported = set()
-        self.commit_iteration = -1
-        self.state = MasterState.RUNNING
-        self.adjustments_committed += 1
-
-    def reposition(
-        self,
-        state: MasterState,
-        group: typing.Sequence[str],
-        pending: "AdjustmentRequest | None",
-        reported: typing.Iterable[str] = (),
-        commit_iteration: int = -1,
-        latest_iteration: int = 0,
-        adjustments_committed: int = 0,
-    ) -> None:
-        """Put the state machine at a position recorded elsewhere.
-
-        The one way to set the engine's position from outside its own
-        transitions: the networked AM places its engine from the fold of
-        its write-ahead journal.
-        """
-        self.state = state
-        self.group = tuple(group)
-        self.pending = pending
-        self.reported = set(reported)
-        self.commit_iteration = commit_iteration
-        self.latest_iteration = latest_iteration
-        self.adjustments_committed = adjustments_committed
+    def _schedule(self, latest: int) -> None:
+        self.commit_iteration = commit_boundary(
+            latest, self.interval, self.request.at_iteration
+        )
+        self._instant(
+            "am.commit_scheduled", commit_iteration=self.commit_iteration
+        )

@@ -7,7 +7,7 @@ message with a unique ID and resend it in case of timeout").
 These primitives are transport-agnostic: the networked stack in
 :mod:`repro.net` allocates every ID with :class:`MessageFactory`, runs
 its one resend loop in :class:`repro.net.ReliableLink` and its one dedup
-filter on :class:`DeduplicatingInbox` — the in-memory, TCP and shm
+window in :class:`repro.net.ServerCore` — the in-memory, TCP and shm
 paths share one code path for the §V-D recipe, and
 :class:`repro.coordination.FaultPlan` drives the drops and duplicates
 that exercise it.
@@ -19,18 +19,15 @@ import dataclasses
 import enum
 import itertools
 import secrets
-import typing
 
 
 class MessageType(enum.Enum):
     """Protocol message kinds (paper Fig. 2 steps and Table III calls)."""
 
     ADJUSTMENT_REQUEST = "adjustment_request"  # scheduler -> AM   (step 1)
-    WORKER_REPORT = "worker_report"  # new worker -> AM            (step 2)
     COORDINATE = "coordinate"  # existing worker -> AM             (step 3)
-    HEARTBEAT = "heartbeat"  # worker -> AM (lease keep-alive)
     ACK = "ack"
-    JOIN = "join"  # joining worker -> AM (poll for spec + state)
+    JOIN = "join"  # joining worker -> AM (poll = report, step 2; spec + state)
     SYNC = "sync"  # worker -> AM (gradient rendezvous barrier)
     STATE_UPLOAD = "state_upload"  # uploader -> AM (snapshot / digest)
     STATE_CHUNK = "state_chunk"  # uploader -> AM (one snapshot chunk)
@@ -116,34 +113,3 @@ class MessageFactory:
             payload=payload,
             post=post,
         )
-
-
-class DeduplicatingInbox:
-    """Receiver-side dedup, by message ID (default) or a custom key.
-
-    A single-sender inbox keys on ``msg_id`` alone (IDs are unique per
-    :class:`MessageFactory`); a server fed by many clients — each with
-    its own factory — passes ``key=lambda m: (m.sender, m.msg_id)`` so
-    two clients' counters cannot collide.
-    """
-
-    def __init__(
-        self,
-        key: "typing.Callable[[Message], typing.Hashable] | None" = None,
-    ):
-        self._key = key or (lambda message: message.msg_id)
-        self._seen: set = set()
-        self.duplicates_dropped = 0
-
-    def accept(self, message: Message) -> bool:
-        """True if the message is new; False (and counted) if a duplicate."""
-        key = self._key(message)
-        if key in self._seen:
-            self.duplicates_dropped += 1
-            return False
-        self._seen.add(key)
-        return True
-
-    def forget(self, key: typing.Hashable) -> None:
-        """Evict one remembered key (bounded dedup windows need this)."""
-        self._seen.discard(key)

@@ -1,19 +1,19 @@
 """Lease-based worker failure detection for the networked AM.
 
 A SIGKILLed worker sends no goodbye: only its expiring heartbeat lease
-tells the AM it is gone.  :class:`LeaseSupervisor` owns the lease table
-(every dispatched message and transport heartbeat renews the sender's
-lease), the expiry sweep that decides whom to condemn, and the MTTR
+tells the AM it is gone.  :class:`LeaseSupervisor` owns the lease
+deadlines (every dispatched message and transport heartbeat renews the
+sender's), the expiry sweep that decides whom to condemn, and the MTTR
 clocks a condemnation starts.
 
-Everything here is volatile.  The condemnation itself is a ``condemn``
-record the AM journals; a successor re-leases survivors as they
-re-enroll and restarts the MTTR clock of every condemned worker whose
-eviction had not committed (:meth:`LeaseSupervisor.adopt`).
-
-:class:`LeaseTable` is what is left of the paper's etcd (§V-D): the AM's
-one durable record is its journal, which also carries the fencing
-epoch, so etcd survives only as the heartbeat substrate.
+Everything here is volatile and runs under the AM's lock.  The
+condemnation itself is a ``condemn`` record the AM journals, and the
+fold's ``condemned`` set is what keeps a condemned worker from renewing
+or being swept again; a successor re-leases survivors as they re-enroll
+and restarts the MTTR clock of every condemned worker whose eviction
+had not committed (:meth:`LeaseSupervisor.adopt`).  This deadline map is
+what is left of the paper's etcd (§V-D): the AM's one durable record is
+its journal, which also carries the fencing epoch.
 """
 
 from __future__ import annotations
@@ -25,82 +25,8 @@ import typing
 from .journal import JournalError, JournalState
 
 
-class LeaseRevoked(RuntimeError):
-    """Raised when re-leasing a key whose lease was forcibly revoked."""
-
-
-class LeaseTable:
-    """Thread-safe TTL leases with forced revocation.
-
-    A key is live while its holder keeps renewing it, expired once its
-    deadline passes, and revoked once the supervisor fences the holder
-    out.  The clock is injectable (default: the monotonic wall clock).
-    """
-
-    def __init__(self, clock: "typing.Callable[[], float] | None" = None):
-        self._lock = threading.Lock()
-        self.clock = clock or time.monotonic
-        #: Lease deadlines (absolute clock times) by key.
-        self._deadlines: typing.Dict[str, float] = {}
-        #: Leases revoked by force_expire; keep_alive cannot revive them.
-        self._revoked: typing.Set[str] = set()
-
-    def lease(self, key: str, ttl: float) -> None:
-        """Lease ``key`` for ``ttl``; it is considered dead once the
-        deadline passes without a :meth:`keep_alive`.
-
-        Re-leasing an expired (but not revoked) key revives it — the
-        holder came back before the supervisor acted.
-        """
-        if ttl <= 0:
-            raise ValueError(f"ttl must be > 0, got {ttl}")
-        with self._lock:
-            if key in self._revoked:
-                raise LeaseRevoked(f"lease {key!r} was revoked")
-            self._deadlines[key] = self.clock() + ttl
-
-    def keep_alive(self, key: str, ttl: float) -> bool:
-        """Refresh ``key``'s lease deadline; the heartbeat.
-
-        Returns False — without reviving anything — if the key holds no
-        lease or the lease was forcibly revoked (the holder has been
-        fenced out and must stop).
-        """
-        if ttl <= 0:
-            raise ValueError(f"ttl must be > 0, got {ttl}")
-        with self._lock:
-            if key not in self._deadlines or key in self._revoked:
-                return False
-            self._deadlines[key] = self.clock() + ttl
-            return True
-
-    def lease_deadline(self, key: str) -> "float | None":
-        """Absolute expiry time of ``key``'s lease (None if unleased)."""
-        with self._lock:
-            return self._deadlines.get(key)
-
-    def expired_keys(self, prefix: str = "") -> "list[str]":
-        """Leased keys under ``prefix`` whose deadline has passed, sorted."""
-        with self._lock:
-            now = self.clock()
-            return sorted(
-                key
-                for key, deadline in self._deadlines.items()
-                if key.startswith(prefix) and deadline <= now
-            )
-
-    def force_expire(self, key: str) -> None:
-        """Revoke ``key``'s lease now (fence its holder out): its
-        deadline becomes the present and :meth:`keep_alive` fails."""
-        with self._lock:
-            if key not in self._deadlines:
-                return
-            self._deadlines[key] = self.clock()
-            self._revoked.add(key)
-
-
 class LeaseSupervisor:
-    """Lease table + expiry sweep + MTTR clocks of one AM incarnation."""
+    """Lease deadlines + expiry sweep + MTTR clocks of one AM incarnation."""
 
     def __init__(
         self, spec, state: JournalState, lock, clock, metrics, tracer,
@@ -114,8 +40,9 @@ class LeaseSupervisor:
         self._detection = metrics.histogram("failure.detection_latency_seconds")
         self._mttr = metrics.histogram("failure.mttr_seconds")
         self._sweep = sweep
-        #: the heartbeat leases, on the injectable clock.
-        self.table = LeaseTable(clock=clock)
+        self.clock = clock or time.monotonic
+        #: lease deadline (absolute ``clock`` time) per leased worker.
+        self.deadlines: "dict[str, float]" = {}
         #: condemned workers whose eviction has not committed yet ->
         #: detection clock time (MTTR measurement start).
         self.recovering: "dict[str, float]" = {}
@@ -167,11 +94,9 @@ class LeaseSupervisor:
                 live.update(state.pending_request["add"])
             if sender not in live:
                 return  # the driver, or a worker not (yet) in the job
-            key = f"lease/{sender}"
-            if not self.table.keep_alive(key, ttl):
-                self.table.lease(key, ttl)
+            self.deadlines[sender] = self.clock() + ttl
 
-    def expired(self, parked: "set[str]", now: float) -> "list[tuple]":
+    def expired(self, parked: "set[str]") -> "list[tuple]":
         """Lock held: ``(worker, deadline)`` per worker to condemn now.
 
         A worker whose request is parked in an open barrier the AM
@@ -182,28 +107,26 @@ class LeaseSupervisor:
         lease, so the barrier's release leaves it a whole TTL to speak
         again rather than a lease that lapsed while it waited.
         """
+        now = self.clock()
         for worker in parked:
-            self.table.keep_alive(f"lease/{worker}", self.spec.worker_lease_ttl)
-        doomed = []
-        for key in self.table.expired_keys("lease/"):
-            worker = key.split("/", 1)[1]
-            if (
-                worker in self.state.condemned
-                or worker in self.state.departed
-                or worker in self.state.final
-            ):
-                # Gone, or done: a finished worker sends nothing more.
-                continue
-            doomed.append((worker, self.table.lease_deadline(key) or now))
-        return doomed
+            if worker in self.deadlines:
+                self.deadlines[worker] = now + self.spec.worker_lease_ttl
+        state = self.state
+        return [
+            (worker, deadline)
+            for worker, deadline in sorted(self.deadlines.items())
+            # Gone, or done: a finished worker sends nothing more.
+            if deadline <= now and worker not in state.condemned
+            and worker not in state.departed and worker not in state.final
+        ]
 
     def condemned(self, worker: str, now: float, deadline: float) -> None:
         """Lock held: a ``condemn`` record landed — fence, clock, report."""
         self.recovering[worker] = now
-        # Fence the (possibly merely slow) holder out: its keep-alives
-        # must fail from here on so it cannot resurrect the lease the
-        # eviction is already acting on.
-        self.table.force_expire(f"lease/{worker}")
+        # The (possibly merely slow) holder is fenced out by the fold's
+        # ``condemned`` set, which refuses its renewals and keeps it out
+        # of every later sweep: its deadline is dead weight.
+        self.deadlines.pop(worker, None)
         latency = max(0.0, now - deadline)
         self._detection.observe(latency)
         self.metrics.counter("events.failure_detected").inc()

@@ -1,10 +1,9 @@
 """The networked application master: §V-B over a real control plane.
 
-:class:`NetworkedApplicationMaster` wraps the transport-free
-:class:`~repro.coordination.master.ApplicationMaster` in a message
-handler so an elastic job can run as N separate processes (or threads)
-talking to the AM through :mod:`repro.net` links — in-memory or TCP,
-identically.
+:class:`NetworkedApplicationMaster` runs the transport-free decisions of
+:mod:`repro.coordination.master` behind a message handler so an elastic
+job can run as N separate processes (or threads) talking to the AM
+through :mod:`repro.net` links — in-memory or TCP, identically.
 
 The AM is also the gradient rendezvous: workers post their per-shard
 gradients with ``SYNC`` and block until every member of their generation
@@ -30,10 +29,12 @@ Adjustments follow Fig. 2 over the wire:
 The AM *is* its journal: :class:`~repro.net.journal.JournalState`, the
 fold of the write-ahead journal, is the only durable control state and
 :meth:`NetworkedApplicationMaster._record` the only code that changes
-it.  Everything else — barriers (:mod:`.sync_barriers`), downloads and
-offers (:mod:`.replication_gate`), leases (:mod:`.leases`), the inner
-decision engine's position — is volatile and derived from that state,
-by the same functions on the live path and after a failover replay.
+it: group, pending request, plan and watermark are read from it and
+from nowhere else.  Everything else — barriers (:mod:`.sync_barriers`),
+downloads and offers (:mod:`.replication_gate`), leases
+(:mod:`.leases`), the reports of a request without a plan — is volatile
+and derived from that state, by the same functions on the live path and
+after a failover replay.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ import typing
 from ..coordination.master import (
     AdjustmentKind,
     AdjustmentRequest,
-    ApplicationMaster,
-    DirectiveKind,
-    MasterState,
+    PendingAdjustment,
+    adjusted_group,
+    check_group,
 )
 from ..coordination.messages import Message, MessageType
 from ..core.hybrid_scaling import BatchSchedule, ScalingSpec
@@ -247,14 +248,12 @@ class NetworkedApplicationMaster:
         #: the fold's list itself (``apply`` appends in place).
         self.commit_latencies = self.state.commit_latencies
         self._clock = clock or time.monotonic
-        #: the decision engine (when does the commit land, who is in the
-        #: new group).  Volatile: positioned from the fold.
-        self.am = ApplicationMaster(
-            job_id,
-            workers,
-            coordination_interval=spec.coordination_interval,
-            tracer=tracer,
-        )
+        check_group(workers, spec.coordination_interval)
+        self.job_id = job_id
+        #: steps 1-2 of a journaled request the plan has not been minted
+        #: for yet (its reports and scheduled boundary).  Volatile: a
+        #: successor re-drives it from the fold (:meth:`_rearm`).
+        self._pending: "PendingAdjustment | None" = None
         self._lock = threading.RLock()
         self._fenced = False
         #: ``perf_counter`` at which the in-flight adjustment was asked
@@ -457,12 +456,13 @@ class NetworkedApplicationMaster:
                     "iteration": 0,
                     "schedule": self._schedule_payload(),
                     "epoch": self.epoch,
-                    "job": self.am.job_id,
+                    "job": self.job_id,
                 }
             # A scale-out joiner: the poll doubles as the worker-report
             # (idempotent — the AM ignores reports it is not waiting
             # for, so polling before the request lands is harmless).
-            self.am.worker_report(worker)
+            if self._pending is not None:
+                self._pending.report(worker, state.progress)
         return {"status": "pending"}
 
     def _join_offer(self, plan: dict, descriptor: dict) -> dict:
@@ -476,7 +476,7 @@ class NetworkedApplicationMaster:
             "schedule": plan["schedule"],
             "state_transfer": descriptor,
             "epoch": self.epoch,
-            "job": self.am.job_id,
+            "job": self.job_id,
         }
         ring = self._ring_for(plan)
         if ring is not None:
@@ -500,8 +500,15 @@ class NetworkedApplicationMaster:
             # schedules a commit in the workers' past.
             if iteration > state.progress:
                 self._record("progress", iteration=iteration)
-            directive = self.am.coordinate(worker, iteration)
-            if directive.kind is DirectiveKind.CONTINUE:
+            if worker not in state.current_group:
+                raise KeyError(f"{worker!r} is not in the current group")
+            if (
+                state.plan is None and self._pending is not None
+                and self._pending.due(iteration)
+            ):
+                self._mint_plan()
+            plan = state.plan
+            if plan is None or iteration < plan["commit_iteration"]:
                 last = state.last_commit
                 if (
                     last is not None
@@ -528,14 +535,11 @@ class NetworkedApplicationMaster:
                     if ring is not None:
                         reply["ring"] = ring
                 return reply
-            if state.plan is None:
-                self._mint_plan(directive)
             if worker not in state.acked:
                 self._record(
-                    "ack", worker=worker,
-                    generation=state.plan["generation"],
+                    "ack", worker=worker, generation=plan["generation"],
                 )
-            reply = self._adjust_directive(state.plan, worker)
+            reply = self._adjust_directive(plan, worker)
             self._maybe_finish()
             return reply
 
@@ -600,18 +604,21 @@ class NetworkedApplicationMaster:
         """Lock held: the batch schedule the committed generation runs."""
         return self.state.schedule or self._initial_schedule
 
-    def _mint_plan(self, directive) -> None:
+    def _mint_plan(self) -> None:
         """Lock held: the first adjust directive mints the commit plan."""
         state = self.state
+        request, commit_iteration = (
+            self._pending.request, self._pending.commit_iteration
+        )
         generation = state.generation + 1
-        old_group = list(self.am.group)
-        new_group = list(directive.new_group)
+        old_group = list(state.current_group)
+        new_group = list(adjusted_group(request, old_group))
         # The scaling decision (§III, Alg. 1): made once, here, and
         # journaled with the plan, so a successor and every joiner
         # apply the very same batch and LR ramp.
         schedule = self.spec.scaling.rescale(
             BatchSchedule.from_payload(self._schedule_payload()),
-            len(old_group), len(new_group), directive.commit_iteration,
+            len(old_group), len(new_group), commit_iteration,
         )
         joins = any(w not in old_group for w in new_group)
         shards = None
@@ -634,7 +641,7 @@ class NetworkedApplicationMaster:
         self._record(
             "plan",
             generation=generation,
-            commit_iteration=directive.commit_iteration,
+            commit_iteration=commit_iteration,
             old_group=old_group,
             new_group=new_group,
             # The first surviving old-group member replicates state to
@@ -643,6 +650,8 @@ class NetworkedApplicationMaster:
             shards=shards,
             schedule=schedule.to_payload(),
         )
+        # From here on the plan record holds everything steps 1-2 decided.
+        self._pending = None
         self._install_plan()
 
     def _install_plan(self) -> None:
@@ -694,9 +703,8 @@ class NetworkedApplicationMaster:
         removed = [
             w for w in plan["old_group"] if w not in plan["new_group"]
         ]
-        # Journal the commit *before* the inner AM transitions: once any
-        # worker observes the new generation the successor must agree it
-        # exists.
+        # Journal the commit before anything acts on it: once any worker
+        # observes the new generation the successor must agree it exists.
         self._record(
             "commit",
             generation=plan["generation"],
@@ -715,10 +723,11 @@ class NetworkedApplicationMaster:
                 for worker in self.leases.recovered(removed, self._clock())
             },
         )
-        self.am.finish_adjustment()
         self._requested_at = None
         if self.tracer is not None:
-            self.tracer.end(self._directive_span, group_size=len(self.am.group))
+            self.tracer.end(
+                self._directive_span, group_size=len(state.current_group)
+            )
             self.tracer.end(self._commit_span)
         self.barriers.drop_superseded()
         # More condemned workers may have queued up while this plan was
@@ -776,12 +785,20 @@ class NetworkedApplicationMaster:
                 self.metrics.counter(f"am.resizes.{origin}").inc()
         return {"accepted": accepted, "epoch": self.epoch}
 
-    def _accept(self, **request) -> bool:
-        """Lock held: offer ``request`` (its ``request``-record form) to
-        the inner AM; journal it and start the latency clock if taken."""
-        if not self.am.request_adjustment(_adjustment_request(request)):
+    def _accept(self, **fields) -> bool:
+        """Lock held: take ``fields`` (a ``request`` record's form) unless
+        an adjustment is already in flight; journal it, start its steps
+        1-2 and the latency clock."""
+        state = self.state
+        if state.pending_request is not None:
             return False
-        self._record("request", **request)
+        request = _adjustment_request(fields)
+        request.validate(state.current_group)
+        self._record("request", **fields)
+        self._pending = PendingAdjustment(
+            request, state.progress, self.spec.coordination_interval,
+            self.tracer,
+        )
         self._requested_at = time.perf_counter()
         return True
 
@@ -822,7 +839,7 @@ class NetworkedApplicationMaster:
                 "epoch": self.epoch,
                 "generation": state.generation,
                 "status": status,
-                "job": self.am.job_id,
+                "job": self.job_id,
             }
 
     # -- lease-based worker failure detection -----------------------------------
@@ -839,7 +856,7 @@ class NetworkedApplicationMaster:
                 return []
             if now is None:
                 now = self._clock()
-            doomed = self.leases.expired(self.barriers.parked(), now)
+            doomed = self.leases.expired(self.barriers.parked())
             for worker, deadline in doomed:
                 self._record("condemn", worker=worker)
                 self.leases.condemned(worker, now, deadline)
@@ -894,7 +911,6 @@ class NetworkedApplicationMaster:
         self._record("abort")
         self._requested_at = None
         self.replication.forget(joiners_of(plan))
-        self._position_inner_am()
         self.metrics.counter("am.plans_aborted").inc()
         if self.tracer is not None:
             self.tracer.instant(
@@ -945,7 +961,7 @@ class NetworkedApplicationMaster:
         # with the predecessor and must take the repair path.
         self.barriers.floors[state.generation] = state.progress
         self.leases.adopt(self._clock())
-        self._position_inner_am()
+        self._rearm()
         if state.plan is not None:
             self._install_plan()
         self.replication.derive()
@@ -961,40 +977,22 @@ class NetworkedApplicationMaster:
         self._mint_evictions()
         self._maybe_finish()
 
-    def _position_inner_am(self) -> None:
-        """Put the inner AM where the fold says the job stands.
+    def _rearm(self) -> None:
+        """Re-drive step 1 of a journaled request that has no plan.
 
-        Run after a live ``abort`` and after replay.  Reports are not
-        journaled and need not be: a plan is only minted once every
-        joiner reported, and without one the joiners' JOIN polls
-        re-report to whoever answers.
+        No worker saw a directive for it (plans are journaled before the
+        first one is served), so a successor is free to schedule a fresh
+        boundary from its own watermark.  Reports are not journaled and
+        need not be: the joiners' JOIN polls re-report to whoever answers.
         """
         state = self.state
-        plan = state.plan
-        request = (
-            None if state.pending_request is None
-            else _adjustment_request(state.pending_request)
-        )
-        if plan is not None:
-            self.am.reposition(
-                MasterState.COMMIT_SCHEDULED, plan["old_group"], request,
-                reported=request.add_workers,
-                commit_iteration=plan["commit_iteration"],
-                latest_iteration=state.progress,
-                adjustments_committed=state.adjustments_committed,
-            )
+        if state.pending_request is None or state.plan is not None:
             return
-        self.am.reposition(
-            MasterState.RUNNING, state.current_group, None,
-            latest_iteration=state.progress,
-            adjustments_committed=state.adjustments_committed,
+        self._pending = PendingAdjustment(
+            _adjustment_request(state.pending_request), state.progress,
+            self.spec.coordination_interval, self.tracer,
         )
-        # Accepted but not yet minted: no worker saw a directive (plans
-        # are journaled before the first one is served), so a successor
-        # is free to re-drive step 1 and schedule a fresh boundary from
-        # its own watermark.
-        if request is not None and self.am.request_adjustment(request):
-            self._requested_at = time.perf_counter()
+        self._requested_at = time.perf_counter()
 
     # -- progress ---------------------------------------------------------------
 

@@ -189,6 +189,13 @@ class TelemetryShipper:
             records, next_start, still_pending = self.tracer.collect_events(
                 start, pending, limit=self.max_events
             )
+            # A tracer shared by an in-process job holds every worker's
+            # (and the AM's) tracks: ship only this worker's own.
+            own = self.worker_id + "/"
+            records = [
+                r for r in records
+                if r["track"] == self.worker_id or r["track"].startswith(own)
+            ]
         payload = {
             "worker": self.worker_id,
             "job": self.job,

@@ -7,8 +7,7 @@ pins it to a small :class:`Transport` protocol and implements the recipe
 
 * :class:`ReliableLink` is the only resend loop, used unchanged over
   the in-memory, TCP and shm transports;
-* :class:`ServerCore` is the only dedup filter (it drives
-  :class:`~repro.coordination.messages.DeduplicatingInbox` keyed by
+* :class:`ServerCore` is the only dedup filter (one window keyed by
   ``(sender, msg_id)``) and caches each reply so a retransmission is
   answered without re-executing the handler — exactly-once execution,
   at-least-once delivery.
@@ -30,12 +29,7 @@ import time
 import typing
 
 from ..coordination.faults import ExponentialBackoff, FaultPlan
-from ..coordination.messages import (
-    DeduplicatingInbox,
-    Message,
-    MessageFactory,
-    MessageType,
-)
+from ..coordination.messages import Message, MessageFactory, MessageType
 from ..observability.fleet import clock_sample
 from .connection import (
     TRACE_CTX_KEY,
@@ -368,8 +362,8 @@ class ServerCore:
     its retransmission is dropped at once.
 
     The dedup window is bounded: ``dedup_ttl`` seconds after a reply
-    completes, its cache entry and seen-key are evicted, so a
-    long-running serve process does not accumulate one entry per
+    completes, its entry (the seen key and its cached reply) is evicted,
+    so a long-running serve process does not accumulate one entry per
     message forever.  The TTL only has to outlive the sender's resend
     horizon (``max_attempts × (ack_timeout + backoff)``, a few seconds)
     — the 120 s default leaves an order of magnitude of slack.
@@ -398,32 +392,27 @@ class ServerCore:
         #: message — duplicates included, because a worker stuck resending
         #: into a blocked barrier is very much alive.
         self.on_activity = on_activity
-        self._inbox = DeduplicatingInbox(
-            key=lambda message: (message.sender, message.msg_id)
-        )
-        self._replies: "dict[tuple, _PendingReply]" = {}
+        #: the dedup window: every ``(sender, msg_id)`` seen and its
+        #: reply-cache entry (None for a post, which has no reply).
+        self._seen: "dict[tuple, _PendingReply | None]" = {}
         #: completed (key, finished_at) pairs, oldest first, awaiting TTL.
         self._retired: "collections.deque[tuple[tuple, float]]" = (
             collections.deque()
         )
         self._lock = threading.Lock()
         self.handled = 0
+        #: retransmissions absorbed without re-execution.
+        self.duplicates = 0
         self.evicted = 0
         #: one-way messages whose handler raised (nobody to tell).
         self.post_errors = 0
         #: per-(sender, type) handler executions, for exactly-once asserts.
         self.executions: "dict[tuple, int]" = {}
 
-    @property
-    def duplicates(self) -> int:
-        """Retransmissions absorbed without re-execution."""
-        return self._inbox.duplicates_dropped
-
     def _evict_expired_locked(self, now: float) -> None:
         while self._retired and now - self._retired[0][1] > self.dedup_ttl:
             key, _ = self._retired.popleft()
-            self._replies.pop(key, None)
-            self._inbox.forget(key)
+            self._seen.pop(key, None)
             self.evicted += 1
 
     def dispatch(self, message: Message) -> dict:
@@ -440,14 +429,14 @@ class ServerCore:
         with self._lock:
             if self.dedup_ttl is not None:
                 self._evict_expired_locked(time.monotonic())
-            fresh = self._inbox.accept(message)
-            if message.post:
-                pending = None  # nobody waits on a post's reply
-            elif fresh:
-                pending = _PendingReply()
-                self._replies[key] = pending
+            fresh = key not in self._seen
+            if fresh:
+                # Nobody waits on a post's reply.
+                pending = None if message.post else _PendingReply()
+                self._seen[key] = pending
             else:
-                pending = self._replies.get(key)
+                self.duplicates += 1
+                pending = self._seen[key]
         observed = self.tracer is not None or self.metrics is not None
         nbytes = payload_nbytes(message.payload) if observed else 0
         if self.tracer is not None:

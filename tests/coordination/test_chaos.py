@@ -152,7 +152,7 @@ def test_chaos_soak_composed_fault_plan():
     link = memory_link(core, "w0", fault_plan=lossy, ack_timeout=0.01)
     link.backoff = ExponentialBackoff(base=0.001, sleeper=lambda _s: None)
     for i in range(6):
-        link.request(MessageType.HEARTBEAT, {"i": i})
+        link.request(MessageType.STATUS, {"i": i})
     assert [payload["i"] for payload in inbox] == list(range(6))
     assert link.resends > 0
     assert link.backoff.waits == link.resends

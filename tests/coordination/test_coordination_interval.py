@@ -39,7 +39,10 @@ class TestSparseCoordination:
         with job:
             pass
         # Boundaries 4, 8, 12, 16 (iteration 0 is the start): 4 per worker.
-        assert job.master.am.coordinations == 2 * 4
+        assert sum(
+            count for (_sender, kind), count
+            in job.master.core.executions.items() if kind == "coordinate"
+        ) == 2 * 4
         progress = [
             r["data"]["iteration"] for r in job.master.journal.records()
             if r["kind"] == "progress"

@@ -43,7 +43,7 @@ class TestAsynchronousBehaviour:
 
     def test_group_grows_after_commit(self):
         job = scale_out_run()
-        assert len(job.am.group) == 16
+        assert len(job.group) == 16
 
     def test_throughput_rises_after_scale_out(self):
         job = scale_out_run(until=200.0)
@@ -80,7 +80,7 @@ class TestCrossValidation:
         (adjustment,) = job.adjustments
         assert adjustment.kind is AdjustmentKind.SCALE_IN
         assert adjustment.pause < 0.5  # no replication
-        assert len(job.am.group) == 8
+        assert len(job.group) == 8
 
     def test_scale_in_commits_quickly(self):
         """No reports to wait for: commit at the next boundary."""

@@ -1,4 +1,4 @@
-"""Tests for messages, the lease table, collectives and hooks."""
+"""Tests for messages, the lease supervisor, collectives and hooks."""
 
 import threading
 import time
@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.coordination import (
-    DeduplicatingInbox,
     ExponentialBackoff,
     FaultPlan,
     Hook,
@@ -17,13 +16,15 @@ from repro.coordination import (
 )
 from repro.net import (
     JobSpec,
+    JournalState,
     NetworkedApplicationMaster,
     ReliableLink,
     RequestTimeout,
     ServerCore,
     memory_link,
 )
-from repro.net.leases import LeaseRevoked, LeaseTable
+from repro.net.leases import LeaseSupervisor
+from repro.observability import MetricRegistry
 
 
 def lossy_link(plan, **options):
@@ -49,11 +50,14 @@ class TestMessages:
         assert msg.duplicate().msg_id == msg.msg_id
 
     def test_inbox_deduplicates(self):
-        inbox = DeduplicatingInbox()
-        msg = MessageFactory().make(MessageType.WORKER_REPORT, "w4", {})
-        assert inbox.accept(msg)
-        assert not inbox.accept(msg.duplicate())
-        assert inbox.duplicates_dropped == 1
+        executed = []
+        core = ServerCore(handler=lambda m: executed.append(m) or {"n": 1})
+        msg = MessageFactory().make(MessageType.STATUS, "w4", {})
+        assert core.dispatch(msg) == {"n": 1}
+        assert core.dispatch(msg.duplicate()) == {"n": 1}  # cached reply
+        assert len(executed) == 1
+        assert core.duplicates == 1
+        assert list(core._seen) == [("w4", msg.msg_id)]
 
     def test_channel_drops_every_nth(self):
         link, core, seen = lossy_link(FaultPlan(drop_every=2), max_attempts=1)
@@ -79,7 +83,7 @@ class TestMessages:
             FaultPlan(drop_every=2), max_attempts=5, ack_timeout=0.01
         )
         for i in range(10):
-            link.request(MessageType.WORKER_REPORT, {"seq": i})
+            link.request(MessageType.COORDINATE, {"seq": i})
         # exactly once despite drops
         assert [payload["seq"] for payload in seen] == list(range(10))
 
@@ -111,65 +115,73 @@ class TestMessages:
             base=0.01, factor=2.0, max_delay=1.0, sleeper=sleeps.append
         )
         with pytest.raises(RequestTimeout):
-            link.post(MessageType.HEARTBEAT)
+            link.post(MessageType.STATUS)
         assert sleeps == [0.01, 0.02, 0.04]  # exponential, per re-attempt
 
 
 class TestLeases:
-    """The AM's TTL lease table (``repro.net.leases``) under a
-    test-controlled clock."""
+    """The AM's lease deadlines (``repro.net.leases.LeaseSupervisor``)
+    under a test-controlled clock."""
 
-    def _store(self):
+    def _supervisor(self, ttl=5.0):
         clock = {"now": 0.0}
-        store = LeaseTable(clock=lambda: clock["now"])
-        return store, clock
+        state = JournalState()
+        state.apply("init", {"job_id": "j", "spec": {}, "workers": ["w0"]})
+        supervisor = LeaseSupervisor(
+            JobSpec(worker_lease_ttl=ttl), state, threading.RLock(),
+            lambda: clock["now"], MetricRegistry(), None,
+            sweep=lambda: None,
+        )
+        return supervisor, state, clock
 
     def test_lease_expires_without_keep_alive(self):
-        store, clock = self._store()
-        store.lease("l/w0", ttl=5.0)
-        assert store.expired_keys("l/") == []
+        supervisor, _state, clock = self._supervisor()
+        supervisor.renew("w0")
+        assert supervisor.expired(set()) == []
         clock["now"] = 5.0
-        assert store.expired_keys("l/") == ["l/w0"]
+        assert supervisor.expired(set()) == [("w0", 5.0)]
 
     def test_keep_alive_extends_deadline(self):
-        store, clock = self._store()
-        store.lease("l/w0", ttl=5.0)
+        supervisor, _state, clock = self._supervisor()
+        supervisor.renew("w0")
         clock["now"] = 4.0
-        assert store.keep_alive("l/w0", ttl=5.0)
+        supervisor.renew("w0")
         clock["now"] = 8.0
-        assert store.expired_keys("l/") == []
-        assert store.lease_deadline("l/w0") == 9.0
+        assert supervisor.expired(set()) == []
+        assert supervisor.deadlines["w0"] == 9.0
 
     def test_keep_alive_without_lease_is_refused(self):
-        store, _clock = self._store()
-        assert not store.keep_alive("l/ghost", ttl=1.0)
+        """Only members hold leases: a stranger's message leases nothing,
+        and a parked request renews only a lease that exists."""
+        supervisor, _state, _clock = self._supervisor()
+        supervisor.renew("ghost")
+        assert supervisor.expired({"ghost"}) == []
+        assert supervisor.deadlines == {}
 
     def test_expired_lease_can_be_revived(self):
         """The holder coming back before the supervisor acts is fine."""
-        store, clock = self._store()
-        store.lease("l/w0", ttl=1.0)
+        supervisor, _state, clock = self._supervisor(ttl=1.0)
+        supervisor.renew("w0")
         clock["now"] = 2.0
-        assert store.expired_keys("l/") == ["l/w0"]
-        store.lease("l/w0", ttl=1.0)
-        assert store.expired_keys("l/") == []
+        assert supervisor.expired(set()) == [("w0", 1.0)]
+        supervisor.renew("w0")
+        assert supervisor.expired(set()) == []
 
     def test_force_expire_revokes(self):
-        """A revoked lease cannot be revived by its holder: keep_alive
-        and re-lease both refuse — the holder has been fenced out."""
-        store, clock = self._store()
-        store.lease("l/w0", ttl=10.0)
-        store.force_expire("l/w0")
-        assert store.expired_keys("l/") == ["l/w0"]
-        assert not store.keep_alive("l/w0", ttl=10.0)
-        with pytest.raises(LeaseRevoked):
-            store.lease("l/w0", ttl=10.0)
-
-    def test_lease_validates_ttl(self):
-        store, _clock = self._store()
-        with pytest.raises(ValueError):
-            store.lease("l/w0", ttl=0.0)
-        with pytest.raises(ValueError):
-            store.keep_alive("l/w0", ttl=-1.0)
+        """A condemned holder cannot revive its lease: its renewals are
+        refused and no later sweep condemns it again — it has been
+        fenced out."""
+        supervisor, state, clock = self._supervisor(ttl=1.0)
+        supervisor.renew("w0")
+        clock["now"] = 2.0
+        ((worker, deadline),) = supervisor.expired(set())
+        state.apply("condemn", {"worker": worker})
+        supervisor.condemned(worker, clock["now"], deadline)
+        supervisor.renew("w0")
+        assert "w0" not in supervisor.deadlines
+        clock["now"] = 10.0
+        assert supervisor.expired({"w0"}) == []
+        assert supervisor.recovering == {"w0": 2.0}
 
 
 class TestCollective:

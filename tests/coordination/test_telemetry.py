@@ -14,5 +14,5 @@ class TestTelemetryInRuntime:
         assert commit.args["kind"] == "scale_out"
         assert commit.args["old_workers"] == 2
         assert commit.args["new_workers"] == 3
-        assert job.am.group == ("w0", "w1", "w2")
+        assert job.group == ("w0", "w1", "w2")
         assert job.metrics.snapshot()["adjustments.scale_out"] == 1

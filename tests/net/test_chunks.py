@@ -148,7 +148,7 @@ def adjusting_master(joiners=("w2",), metrics=None):
         {"kind": "scale_out", "add": list(joiners)}
     )["accepted"]
     for joiner in joiners:
-        net.am.worker_report(joiner)
+        net._handle_join(joiner)
     for iteration in range(4, 400, 4):
         if net._handle_coordinate("w0", iteration)["kind"] == "adjust":
             break
@@ -412,7 +412,7 @@ class TestMasterChunkProtocol:
         assert net._handle_adjustment_request(
             {"kind": "scale_out", "add": ["w5"]}
         )["accepted"]
-        net.am.worker_report("w5")
+        net._handle_join("w5")
         for iteration in range(12, 400, 4):
             if net._handle_coordinate("w0", iteration)["kind"] == "adjust":
                 break
@@ -531,8 +531,8 @@ class TestConcurrentFanout:
         assert net._handle_adjustment_request(
             {"kind": "scale_out", "add": ["w2", "w3"]}
         )["accepted"]
-        net.am.worker_report("w2")
-        net.am.worker_report("w3")
+        net._handle_join("w2")
+        net._handle_join("w3")
         for iteration in range(4, 400, 4):
             if net._handle_coordinate("w0", iteration)["kind"] == "adjust":
                 net._handle_coordinate("w1", iteration)

@@ -16,7 +16,7 @@ from repro.cluster import ElasticJobRunner, JobRequest
 from repro.coordination.master import (
     AdjustmentKind,
     AdjustmentRequest,
-    ApplicationMaster,
+    commit_boundary,
 )
 from repro.net import LocalJob
 
@@ -79,26 +79,12 @@ class TestResizeMessage:
             ).validate(("w0",))
 
     def test_pin_rounds_up_to_coordination_boundary(self):
-        master = ApplicationMaster(
-            "pin", ["w0", "w1"], coordination_interval=4,
-        )
-        assert master.request_adjustment(AdjustmentRequest(
-            kind=AdjustmentKind.SCALE_IN, remove_workers=("w1",),
-            at_iteration=6,
-        ))
-        assert master.commit_iteration == 8  # 6 rounded up to a boundary
+        # 6 rounded up to a boundary
+        assert commit_boundary(0, interval=4, pin=6) == 8
 
     def test_late_pin_degrades_to_natural_boundary(self):
-        master = ApplicationMaster(
-            "late", ["w0", "w1"], coordination_interval=4,
-        )
-        master.latest_iteration = 10
-        assert master.request_adjustment(AdjustmentRequest(
-            kind=AdjustmentKind.SCALE_IN, remove_workers=("w1",),
-            at_iteration=4,
-        ))
         # The pin is behind the workers: never schedule in the past.
-        assert master.commit_iteration == 12
+        assert commit_boundary(10, interval=4, pin=4) == 12
 
     def test_second_resize_rejected_while_pending(self):
         runner = make_runner("busy", iterations=24, sleep=0.05)

@@ -358,7 +358,7 @@ class TestJoinOfferLifecycle:
         assert net._handle_adjustment_request(
             {"kind": "scale_out", "add": ["w2"]}
         )["accepted"]
-        net.am.worker_report("w2")
+        net._handle_join("w2")
         reply = self._drive_to_adjust(net, "w0")
         assert reply["kind"] == "adjust"
         # The stale offer died at mint time; w2 now waits for the new

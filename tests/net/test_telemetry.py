@@ -313,9 +313,10 @@ class TestEndToEndFleetView:
             harness.close()
 
     def test_shared_tracer_counts_each_iteration_once(self):
-        """A job whose AM and thread workers share one tracer: every
-        worker ships the whole buffer and the AM's events hold the same
-        spans, yet the fleet report counts 2 workers x 8 iterations."""
+        """A job whose AM and thread workers share one tracer: each
+        worker ships only its own tracks (nothing the collector holds
+        for w0 sits on w1's or the AM's), and the fleet report counts
+        2 workers x 8 iterations."""
         spec = JobSpec(
             iterations=8, coordination_interval=4, iteration_sleep=0.01,
             telemetry_interval=0.05,
@@ -330,6 +331,13 @@ class TestEndToEndFleetView:
             assert job.join(timeout=60.0)
             master = job.master
             assert master.fleet.workers() == ["w0", "w1"]
+            for worker in ("w0", "w1"):
+                tracks = {
+                    e["track"] for e in master.fleet.worker_events(worker)
+                }
+                assert tracks and all(
+                    t == worker or t.startswith(worker + "/") for t in tracks
+                ), (worker, tracks)
             fleet_report = master.fleet.report(
                 am_events=master.tracer.to_events(),
                 am_metrics=master.metrics.snapshot(),

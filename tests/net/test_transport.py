@@ -280,9 +280,9 @@ class TestPostPath:
         for i in range(posts):
             link.post(MessageType.ACK, {"i": i})
         reply = link.request(MessageType.ACK, {"i": posts})
-        assert [pending.payload for pending in core._replies.values()] == [
-            reply
-        ]
+        cached = [p for p in core._seen.values() if p is not None]
+        assert [pending.payload for pending in cached] == [reply]
+        assert len(core._seen) == posts + 1  # posts are seen, not cached
         # Every message still ages out of the dedup window.
         assert len(core._retired) == posts + 1
         assert core.handled == posts + 1
@@ -306,7 +306,8 @@ class TestPostPath:
         assert core.executions == {
             ("w0", "ring_segment"): 12, ("w0", "ack"): 6,
         }
-        assert len(core._replies) == 6
+        assert len(core._seen) == 18
+        assert sum(p is not None for p in core._seen.values()) == 6
 
     def test_observed_post_and_duplicate_book_as_before(self):
         from repro.coordination.messages import MessageFactory
@@ -380,7 +381,7 @@ class TestDedupWindow:
         time.sleep(0.05)
         link.request(MessageType.ACK, {"i": 1})
         assert core.evicted >= 1
-        assert len(core._replies) == 1  # only the fresh reply is cached
+        assert len(core._seen) == 1  # only the fresh reply is cached
 
     def test_ttl_none_disables_eviction(self):
         core = echo_core(dedup_ttl=None)
@@ -388,7 +389,7 @@ class TestDedupWindow:
         for i in range(3):
             link.request(MessageType.ACK, {"i": i})
         assert core.evicted == 0
-        assert len(core._replies) == 3
+        assert len(core._seen) == 3
 
     def test_entries_inside_ttl_still_dedup(self):
         core = echo_core(dedup_ttl=60.0)

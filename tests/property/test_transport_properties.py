@@ -156,7 +156,7 @@ def chunk_master():
     assert net._handle_adjustment_request(
         {"kind": "scale_out", "add": ["w2"]}
     )["accepted"]
-    net.am.worker_report("w2")
+    net._handle_join("w2")
     for iteration in range(4, 400, 4):
         if net._handle_coordinate("w0", iteration)["kind"] == "adjust":
             return net
