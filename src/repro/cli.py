@@ -118,25 +118,14 @@ def cmd_elastic_training(_args) -> int:
 def cmd_schedule(args) -> int:
     """Run the scheduling simulation under one policy."""
     from .scheduling import (
-        BackfillPolicy,
+        POLICIES,
         ClusterSimulator,
         ElanCosts,
-        ElasticBackfillPolicy,
-        ElasticFifoPolicy,
-        ElasticSrtfPolicy,
-        FifoPolicy,
         IdealCosts,
         ShutdownRestartCosts,
         generate_trace,
     )
 
-    policies = {
-        "fifo": FifoPolicy,
-        "bf": BackfillPolicy,
-        "e-fifo": ElasticFifoPolicy,
-        "e-bf": ElasticBackfillPolicy,
-        "e-srtf": ElasticSrtfPolicy,
-    }
     costs = {
         "ideal": IdealCosts,
         "elan": ElanCosts,
@@ -144,7 +133,7 @@ def cmd_schedule(args) -> int:
     }
     trace = generate_trace(num_jobs=args.jobs, seed=args.seed)
     result = ClusterSimulator(
-        trace, policies[args.policy](), total_gpus=args.gpus,
+        trace, POLICIES[args.policy](), total_gpus=args.gpus,
         costs=costs[args.system](),
     ).run()
     print(f"policy={args.policy} system={args.system} jobs={len(trace)} "
@@ -280,7 +269,7 @@ def cmd_tracing(args) -> int:
 def _fleet_query(connect: str, ack_timeout: float) -> tuple:
     """One TELEMETRY query round against a live AM at ``host:port``:
     its fleet collector, rebuilt, and the reply (``am_events``,
-    ``am_metrics``, ``epoch``)."""
+    ``am_metrics``, ``am_registry``, ``epoch``)."""
     from .coordination.messages import MessageType
     from .net import tcp_link
     from .observability import FleetCollector
@@ -345,6 +334,7 @@ def cmd_fleet(args) -> int:
             reports = collector.report(
                 am_events=reply.get("am_events"),
                 am_metrics=reply.get("am_metrics"),
+                am_registry=reply.get("am_registry"),
             )
             print(f"workers: {', '.join(collector.workers()) or '-'}")
         elif args.paths:
@@ -386,8 +376,9 @@ def cmd_fleet(args) -> int:
     # prom: Prometheus-style text exposition of the fleet metric rollup.
     if args.connect:
         collector, reply = _fleet_query(args.connect, args.ack_timeout)
-        am_metrics = reply.get("am_metrics")
-        rollup = collector.rollup([am_metrics] if am_metrics else None)
+        rollup = collector.rollup(
+            reply.get("am_metrics"), reply.get("am_registry")
+        )
     elif args.paths:
         import json
 
@@ -778,6 +769,8 @@ def cmd_cluster(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
+    from .scheduling import POLICIES
+
     parser = argparse.ArgumentParser(
         prog="repro-elan",
         description="Reproduction of Elan (ICDCS 2020): elastic DL training.",
@@ -803,8 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the §VI-B experiment (Table IV)")
 
     schedule = sub.add_parser("schedule", help="scheduling simulation")
-    schedule.add_argument("--policy", default="e-fifo",
-                          choices=("fifo", "bf", "e-fifo", "e-bf", "e-srtf"))
+    schedule.add_argument("--policy", default="e-fifo", choices=POLICIES)
     schedule.add_argument("--system", default="elan",
                           choices=("ideal", "elan", "sr"))
     schedule.add_argument("--jobs", type=int, default=210)
@@ -961,9 +953,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--port", type=int, default=0,
                          help="serve: listen port (0 = ephemeral); "
                               "submit/status: the scheduler's port")
-    cluster.add_argument("--policy", default="e-priority",
-                         choices=("fifo", "bf", "e-fifo", "e-bf",
-                                  "e-srtf", "e-priority"))
+    cluster.add_argument("--policy", default="e-priority", choices=POLICIES)
     cluster.add_argument("--gpus", type=int, default=8,
                          help="serve: GPU inventory the scheduler owns")
     cluster.add_argument("--journal",

@@ -15,7 +15,6 @@ from .runners import ElasticJobRunner
 from .scenario import ChurnScenario, ScenarioReport, run_churn_scenario
 from .scheduler import (
     CLUSTER_RECORD_KINDS,
-    POLICIES,
     ClusterJournalState,
     ClusterScheduler,
     JobRequest,
@@ -28,7 +27,6 @@ __all__ = [
     "ClusterScheduler",
     "ElasticJobRunner",
     "JobRequest",
-    "POLICIES",
     "ScenarioReport",
     "run_churn_scenario",
 ]

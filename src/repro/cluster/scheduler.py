@@ -51,28 +51,8 @@ import typing
 from ..coordination.messages import Message, MessageType
 from ..net.journal import Journal
 from ..net.transport import ServerCore
-from ..scheduling import (
-    BackfillPolicy,
-    ElasticBackfillPolicy,
-    ElasticFifoPolicy,
-    ElasticSrtfPolicy,
-    FifoPolicy,
-    PolicyAdapter,
-    PriorityElasticPolicy,
-    SchedulingPolicy,
-)
+from ..scheduling import POLICIES, PolicyAdapter, SchedulingPolicy
 from ..scheduling.job import JobSpec as ScheduleSpec
-
-#: Policy registry shared by the CLI and :meth:`from_journal` (the
-#: journal records the policy by name, not by pickle).
-POLICIES: "dict[str, typing.Callable[[], SchedulingPolicy]]" = {
-    "fifo": FifoPolicy,
-    "bf": BackfillPolicy,
-    "e-fifo": ElasticFifoPolicy,
-    "e-bf": ElasticBackfillPolicy,
-    "e-srtf": ElasticSrtfPolicy,
-    "e-priority": PriorityElasticPolicy,
-}
 
 #: Record kinds of the scheduler's decision journal (disjoint from the
 #: AM journal's :data:`~repro.net.journal.RECORD_KINDS` — a scheduler

@@ -40,10 +40,15 @@ them can encode the same blob and serve any shard of it —
 eviction, chunk serving).  A plan with no live owner is one shard
 covering the whole blob, served by the AM from its uploaded copy.
 :class:`ShardedFetcher` is the one joiner side: one pipelined fetch
-loop per source concurrently (fan-in bandwidth instead of the
-single-uploader bottleneck), a digest check per shard, and re-planning
-onto surviving owners — or the AM's full copy — when a shard owner
-fails mid-fetch.
+loop per shard, concurrently (fan-in bandwidth instead of the
+single-uploader bottleneck), with a digest check per shard; each loop
+falls through its shard's sources — the planned owner, the surviving
+owners, the AM's full copy — when an owner fails mid-fetch.
+
+The blob's bytes are the frame codec's segment layout
+(:func:`wire.json_header` / :func:`wire.join_segments`): a JSON header
+behind a plain 4-byte length, its ``__segs__`` table sizing the raw
+segments after it.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ import typing
 from ..coordination.faults import ExponentialBackoff
 from ..coordination.messages import MessageType
 from . import wire
-from .collective import _close_quietly
+from .collective import _close_quietly, _maybe_span
 from .transport import RemoteError
 from .wire import WireError, _flat_view
 
@@ -151,13 +156,21 @@ class StateBlob:
     @classmethod
     def encode(cls, state: dict,
                chunk_bytes: int = DEFAULT_CHUNK_BYTES) -> "StateBlob":
-        """Encode a state dict into a blob without flattening it."""
-        header_obj, segments = wire.split_buffers(state)
-        header_obj = {"state": header_obj,
-                      "__segs__": [seg.nbytes for seg in segments]}
-        header = wire.encode_frame(header_obj)
-        buffers = [_LENGTH.pack(len(header)), header, *segments]
-        return cls(buffers, chunk_bytes)
+        """Encode a state dict into a blob without flattening it: the
+        frame codec's header (:func:`wire.json_header`) behind a plain
+        4-byte length, then the segments."""
+        header, segments = wire.json_header({"state": state}, table=True)
+        return cls([_LENGTH.pack(len(header)), header, *segments], chunk_bytes)
+
+    def _parts(self, start: int, end: int) -> "list[memoryview]":
+        """Views of the segments' bytes in ``[start, end)``, in order."""
+        parts = []
+        for view, vstart in zip(self._views, self._starts):
+            vend = vstart + view.nbytes
+            if vend <= start or vstart >= end:
+                continue
+            parts.append(view[max(start, vstart) - vstart:min(end, vend) - vstart])
+        return parts
 
     def chunk(self, seq: int) -> "memoryview | bytes":
         """Bytes of chunk ``seq`` — a view when it lies inside one
@@ -165,13 +178,7 @@ class StateBlob:
         if not 0 <= seq < self.total_chunks:
             raise IndexError(f"chunk {seq} of {self.total_chunks}")
         start = seq * self.chunk_bytes
-        end = min(start + self.chunk_bytes, self.total_bytes)
-        parts = []
-        for view, vstart in zip(self._views, self._starts):
-            vend = vstart + view.nbytes
-            if vend <= start or vstart >= end:
-                continue
-            parts.append(view[max(start, vstart) - vstart:min(end, vend) - vstart])
+        parts = self._parts(start, min(start + self.chunk_bytes, self.total_bytes))
         if len(parts) == 1:
             return parts[0]
         return b"".join(bytes(part) for part in parts)
@@ -183,13 +190,7 @@ class StateBlob:
         """A copy of the blob's bytes in ``[start, end)``."""
         if not 0 <= start <= end <= self.total_bytes:
             raise IndexError(f"byte range [{start}, {end}) of {self.total_bytes}")
-        parts = []
-        for view, vstart in zip(self._views, self._starts):
-            vend = vstart + view.nbytes
-            if vend <= start or vstart >= end:
-                continue
-            parts.append(view[max(start, vstart) - vstart:min(end, vend) - vstart])
-        return b"".join(bytes(part) for part in parts)
+        return b"".join(bytes(part) for part in self._parts(start, end))
 
     def tobytes(self) -> bytes:
         """A frozen copy of the whole blob (shard owners freeze this
@@ -226,29 +227,18 @@ class StateBlob:
 
 def decode_state_blob(data) -> dict:
     """Decode a reassembled blob back into a state dict (zero-copy:
-    arrays are ``np.frombuffer`` views over ``data``)."""
+    arrays are ``np.frombuffer`` views over ``data``) with the frame
+    codec's segment parser, :func:`wire.join_segments` — uncapped: a
+    blob is not a frame."""
     view = _flat_view(data)
     if view.nbytes < _LENGTH.size:
         raise WireError("state blob shorter than its header prefix")
-    (header_len,) = _LENGTH.unpack(view[:_LENGTH.size])
-    if _LENGTH.size + header_len > view.nbytes:
-        raise WireError("state blob header overruns the blob")
-    header = wire.decode_frame(view[_LENGTH.size:_LENGTH.size + header_len])
-    seg_lens = header.get("__segs__")
-    if not isinstance(seg_lens, list) or not all(
-        isinstance(n, int) and n >= 0 for n in seg_lens
-    ):
-        raise WireError("state blob carries no valid segment table")
-    expected = _LENGTH.size + header_len + sum(seg_lens)
-    if expected != view.nbytes:
-        raise WireError(
-            f"state blob is {view.nbytes} bytes but segments need {expected}"
-        )
-    segments, offset = [], _LENGTH.size + header_len
-    for length in seg_lens:
-        segments.append(view[offset:offset + length])
-        offset += length
-    return wire.join_buffers(header.get("state"), segments)
+    (header_len,) = _LENGTH.unpack_from(view)
+    blob = wire.ByteCursor(view[_LENGTH.size:], "state blob")
+    header = wire.decode_frame(blob.take(header_len))
+    state = wire.join_segments(header, blob.take)
+    blob.finish()
+    return state.get("state")
 
 
 class ChunkAssembler:
@@ -504,8 +494,9 @@ class _SeqFeed:
             return next(self._seqs, None)
 
 
-def _run_window(window: int, seqs: "typing.Sequence[int]", pump) -> None:
-    """Run ``pump`` across a small thread pool (or inline for window 1).
+def _run_window(window: int, seqs: typing.Sequence, pump) -> None:
+    """Run ``pump`` on the calling thread and ``window - 1`` more
+    (never more than there are items in ``seqs``).
 
     ``pump`` is called with a :class:`_SeqFeed` over ``seqs``; the
     first exception any worker raises is re-raised here after all
@@ -520,17 +511,15 @@ def _run_window(window: int, seqs: "typing.Sequence[int]", pump) -> None:
         except BaseException as exc:  # noqa: BLE001 - reported to caller
             errors.append(exc)
 
-    workers = max(1, min(window, len(seqs)))
-    if workers == 1:
-        runner()
-    else:
-        threads = [
-            threading.Thread(target=runner, daemon=True) for _ in range(workers)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+    threads = [
+        threading.Thread(target=runner, daemon=True)
+        for _ in range(min(window, len(seqs)) - 1)
+    ]
+    for thread in threads:
+        thread.start()
+    runner()
+    for thread in threads:
+        thread.join()
     if errors:
         raise errors[0]
 
@@ -583,7 +572,11 @@ class ChunkedUploader:
                 if self.metrics is not None:
                     self.metrics.counter("net.chunks.sent").inc()
 
-        def send_chunks():
+        with _maybe_span(
+            self.tracer, "net.state_upload", self.link.node_id,
+            transfer_id=transfer_id, payload_bytes=blob.total_bytes,
+            chunks=blob.total_chunks,
+        ):
             done = dict(base, **(context or {}))
             seqs = range(blob.total_chunks)
             while seqs:
@@ -592,17 +585,6 @@ class ChunkedUploader:
                 seqs = [] if reply.get("ok") else reply.get("missing")
             if not reply.get("ok"):
                 raise TransferError(f"transfer {transfer_id} refused: {reply}")
-            return reply
-
-        if self.tracer is not None:
-            with self.tracer.span(
-                "net.state_upload", track=self.link.node_id, cat="net",
-                transfer_id=transfer_id, payload_bytes=blob.total_bytes,
-                chunks=blob.total_chunks,
-            ):
-                reply = send_chunks()
-        else:
-            reply = send_chunks()
         if self.metrics is not None:
             self.metrics.counter("net.chunks.bytes_sent").inc(blob.total_bytes)
         return {
@@ -615,26 +597,24 @@ class ChunkedUploader:
 
 
 class ShardedFetcher:
-    """The one joiner-side fetch: pull a shard plan, one loop per source.
+    """The one joiner-side fetch: pull a shard plan, one loop per shard.
 
     The descriptor (minted by the AM) carries a ``shards`` list — each
     entry a :func:`shard_ranges` range plus its ground-truth ``digest``
     (from the uploaded blob), the ``owner`` worker elected to serve it,
     and that owner's peer ``addr``.  A shard whose owner and addr are
     ``None`` is served by the AM itself over ``link``: a planned
-    source, not a re-plan.  The fetch proceeds in two stages:
+    source, not a re-plan.
 
-    1. **Fan-in** — the shards are fetched concurrently, one
-       thread (each running a ``window``-wide pipeline) per owner after
-       a round-gate probe against the AM, the AM's own shard on the
-       calling thread (the AM answers its chunk requests ``pending``
-       until the round opens).  Fan-in bandwidth replaces the
-       single-uploader bottleneck.
-    2. **Recovery** — a shard whose owner was lost mid-fetch, whose
-       owner's handler raised, or whose bytes fail the digest check (a
-       divergent replica) is re-planned onto the surviving owners in
-       turn and finally onto the AM's own full copy, so one owner
-       failure never fails the join.
+    Every shard is fetched concurrently by its own loop (the first on
+    the calling thread, each running a ``window``-wide pipeline), after
+    a round-gate probe against the AM when any shard has an owner (the
+    AM answers its own chunk requests ``pending`` until the round
+    opens): fan-in bandwidth instead of the single-uploader bottleneck.
+    A loop falls through the shard's sources — its planned owner, the
+    other owners not yet dead, the AM's own full copy — so an owner
+    lost mid-fetch, whose handler raised or whose bytes fail the digest
+    check (a divergent replica) never fails the join.
 
     Only once the assembled blob verifies is completion reported to the
     AM (``{"complete": True}``): that report is what opens the next
@@ -660,6 +640,7 @@ class ShardedFetcher:
         self.tracer = tracer
         self.metrics = metrics
         self.stats: "dict[str, int]" = {}
+        self._stats_lock = threading.Lock()  # every shard loop counts
 
     def _backoff(self) -> "ExponentialBackoff":
         return ExponentialBackoff(
@@ -668,12 +649,10 @@ class ShardedFetcher:
         )
 
     def _count(self, name: str, value: int = 1) -> None:
-        self.stats[name] = self.stats.get(name, 0) + value
+        with self._stats_lock:
+            self.stats[name] = self.stats.get(name, 0) + value
         if self.metrics is not None:
             self.metrics.counter(name).inc(value)
-
-    # ------------------------------------------------------------------
-    # stage 1: AM round gate + per-owner fan-in
 
     def _await_round(self, transfer_id: str) -> None:
         deadline = time.monotonic() + self.timeout
@@ -740,128 +719,55 @@ class ShardedFetcher:
                 with lock:
                     buffer[offset:offset + data.nbytes] = data
 
-        def run():
+        with _maybe_span(
+            self.tracer, "replicate.shard_fetch", self.link.node_id,
+            cat="replicate", transfer_id=transfer_id,
+            shard=int(shard["index"]), source=source,
+            payload_bytes=length, chunks=len(seqs),
+        ):
             _run_window(self.window, seqs, pump)
             # the plan digest is ground truth from the uploaded blob: a
-            # divergent owner replica fails here and triggers a re-plan
+            # divergent owner replica fails here and the loop moves on
             assembler.adopt_shard(shard, buffer, shard.get("digest"))
-
-        if self.tracer is not None:
-            with self.tracer.span(
-                "replicate.shard_fetch", track=self.link.node_id,
-                cat="replicate", transfer_id=transfer_id,
-                shard=int(shard["index"]), source=source,
-                payload_bytes=length, chunks=len(seqs),
-            ):
-                run()
-        else:
-            run()
         self._count("net.shards.fetched")
         self._count("net.shards.bytes_fetched", length)
 
-    def _fan_in(self, assembler: "ChunkAssembler", transfer_id: str,
-                pending: "list[dict]") -> "tuple[list[dict], set[str]]":
-        """First pass over the planned sources; returns (failed, dead_owners).
+    def _fetch_any(self, assembler: "ChunkAssembler", transfer_id: str,
+                   shard: dict, owners: "list[tuple[str, str]]",
+                   dead: "set[str]") -> None:
+        """Fetch ``shard`` from the first of its sources that serves it.
 
-        An owner that is lost (``OSError``) or whose handler raised
-        (``RemoteError``) hands its remaining shards to :meth:`_recover`;
-        any other exception reaches the caller once every loop stopped.
+        The planned owner comes first, then every other owner of the
+        plan not yet dead, in plan order, then the AM's own full copy
+        over ``link`` (an owner-less shard's planned source).  An owner
+        that is lost (``OSError``, a failed digest included) or whose
+        handler raised (``RemoteError``) is dead for the rest of the
+        fetch; any other exception, and any from the AM, propagates.
         """
-        by_owner: "dict[tuple, list[dict]]" = {}
-        for shard in pending:
-            by_owner.setdefault(
-                (shard.get("owner"), shard.get("addr")), []
-            ).append(shard)
-        failed: "list[dict]" = []
-        dead: "set[str]" = set()
-        errors: "list[BaseException]" = []
-        results_lock = threading.Lock()
-
-        def owner_loop(owner, addr, shards):
-            done = 0
+        planned = (str(shard.get("owner")), shard.get("addr"))
+        sources: "list[tuple[str, str]]" = []
+        if planned[1] is not None and self.connect is not None:
+            sources = [planned] + [o for o in owners if o != planned]
+        for owner, addr in sources:
+            if owner in dead:
+                continue
             try:
                 peer = self.connect(addr)
                 try:
-                    for shard in shards:
-                        self._fetch_shard(
-                            peer, assembler, transfer_id, shard, str(owner)
-                        )
-                        done += 1
+                    self._fetch_shard(
+                        peer, assembler, transfer_id, shard, owner
+                    )
                 finally:
                     _close_quietly(peer)
             except (OSError, RemoteError):
-                with results_lock:
-                    dead.add(str(owner))
-                    failed.extend(shards[done:])
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                errors.append(exc)
-
-        am_shards, threads = [], []
-        for (owner, addr), shards in by_owner.items():
-            if addr is None:
-                am_shards.extend(shards)  # owner-less: the AM serves it
-            elif self.connect is None:
-                failed.extend(shards)  # no peer route: re-planned onto the AM
-            else:
-                threads.append(threading.Thread(
-                    target=owner_loop, args=(owner, addr, shards), daemon=True,
-                ))
-        for thread in threads:
-            thread.start()
-        try:
-            for shard in am_shards:
-                self._fetch_shard(
-                    self.link, assembler, transfer_id, shard, "am"
-                )
-        finally:
-            for thread in threads:
-                thread.join()
-        if errors:
-            raise errors[0]
-        return failed, dead
-
-    # ------------------------------------------------------------------
-    # stage 2: recovery onto surviving owners, then the AM
-
-    def _recover(self, assembler: "ChunkAssembler", transfer_id: str,
-                 shards: "list[dict]", all_shards: "list[dict]",
-                 dead: "set[str]") -> None:
-        survivors: "list[tuple[str, str]]" = []
-        seen: "set[tuple]" = set()
-        for shard in all_shards:
-            owner, addr = shard.get("owner"), shard.get("addr")
-            key = (owner, addr)
-            if (addr is None or str(owner) in dead or key in seen):
+                dead.add(owner)
                 continue
-            seen.add(key)
-            survivors.append((str(owner), addr))
-        for shard in shards:
-            placed = False
-            if self.connect is not None:
-                for owner, addr in survivors:
-                    if str(shard.get("owner")) == owner:
-                        continue  # that owner already failed this shard
-                    peer = None
-                    try:
-                        peer = self.connect(addr)
-                        self._fetch_shard(
-                            peer, assembler, transfer_id, shard, owner
-                        )
-                        placed = True
-                    except (OSError, RemoteError):
-                        dead.add(owner)
-                        continue
-                    finally:
-                        if peer is not None:
-                            _close_quietly(peer)
-                    break
-            if not placed:
-                # last resort: the AM's own full copy over the control link
-                self._fetch_shard(
-                    self.link, assembler, transfer_id, shard, "am"
-                )
+            break
+        else:
+            owner = "am"
+            self._fetch_shard(self.link, assembler, transfer_id, shard, owner)
+        if planned[1] is not None and owner != planned[0]:
             self._count("net.shards.replans")
-            survivors = [(o, a) for o, a in survivors if o not in dead]
 
     def _report_complete(self, transfer_id: str) -> None:
         reply = self.link.request(
@@ -870,8 +776,6 @@ class ShardedFetcher:
         )
         if not reply.get("ok"):
             raise TransferError(f"completion report refused: {reply}")
-
-    # ------------------------------------------------------------------
 
     def fetch(self, descriptor: dict) -> dict:
         """Fetch, verify, and decode the snapshot ``descriptor`` plans."""
@@ -889,28 +793,32 @@ class ShardedFetcher:
             # adopting it already was the whole-blob check.
             digest = None
 
-        def run():
-            if any(s.get("addr") is not None for s in shards):
+        owners = list(dict.fromkeys(
+            (str(s.get("owner")), s["addr"])
+            for s in shards if s.get("addr") is not None
+        ))
+        dead: "set[str]" = set()
+
+        def loop(feed, errors):
+            while not errors:
+                shard = feed.take()
+                if shard is None:
+                    return
+                self._fetch_any(assembler, transfer_id, shard, owners, dead)
+
+        with _maybe_span(
+            self.tracer, "net.state_fetch", self.link.node_id,
+            transfer_id=transfer_id, payload_bytes=assembler.total_bytes,
+            chunks=assembler.total_chunks, shards=len(shards),
+        ):
+            if owners:
                 # Owners do not gate rounds: ask the AM before turning
                 # to them.  The AM gates its own chunks as it serves them.
                 self._await_round(transfer_id)
-            failed, dead = self._fan_in(assembler, transfer_id, shards)
-            if failed:
-                self._recover(assembler, transfer_id, failed, shards, dead)
+            _run_window(len(shards), shards, loop)
             blob = assembler.finish(digest)
             self._report_complete(transfer_id)
-            return decode_state_blob(blob)
-
-        if self.tracer is not None:
-            with self.tracer.span(
-                "net.state_fetch", track=self.link.node_id, cat="net",
-                transfer_id=transfer_id,
-                payload_bytes=assembler.total_bytes,
-                chunks=assembler.total_chunks, shards=len(shards),
-            ):
-                state = run()
-        else:
-            state = run()
+            state = decode_state_blob(blob)
         if self.metrics is not None:
             self.metrics.counter("net.chunks.bytes_fetched").inc(
                 assembler.total_bytes

@@ -364,10 +364,10 @@ def _close_quietly(link) -> None:
         pass
 
 
-def _maybe_span(tracer, name: str, track: str, **args):
+def _maybe_span(tracer, name: str, track: str, cat: str = "net", **args):
     if tracer is None:
         return contextlib.nullcontext()
-    return tracer.span(name, track=track, cat="net", **args)
+    return tracer.span(name, track=track, cat=cat, **args)
 
 
 class RingNode:

@@ -35,6 +35,10 @@ from .wire import TRACE_CTX_KEY
 #: everything else — replies, heartbeats, a bare ``Connection``.
 WRITE_TIMEOUT = 10.0
 
+#: How long one dial — connect plus handshake — may take before it
+#: fails and the connection's reconnect loop backs off.
+CONNECT_TIMEOUT = 5.0
+
 
 # -- deterministic fault injection -------------------------------------------
 

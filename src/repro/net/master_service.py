@@ -425,6 +425,7 @@ class NetworkedApplicationMaster:
                 self.tracer.to_events() if self.tracer is not None else None
             ),
             "am_metrics": self.metrics.snapshot(),
+            "am_registry": self.metrics.id,
             "epoch": self.epoch,
         }
 

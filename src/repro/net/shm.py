@@ -52,6 +52,7 @@ from ..coordination.faults import ExponentialBackoff, FaultPlan
 from ..coordination.messages import Message
 from . import wire
 from .connection import (
+    CONNECT_TIMEOUT,
     WRITE_TIMEOUT,
     Connection,
     ConnectionServer,
@@ -364,9 +365,8 @@ class ShmRing:
 def decode_shm_frame(
     view: memoryview, lean_sender: "str | None" = None
 ) -> "dict | Message":
-    """Parse one ring record back into a frame dict — or, for a lean
-    record, what :func:`wire.parse_lean_frame` makes of it
-    (:func:`wire.read_frame`'s contract).
+    """Parse one ring record: :func:`wire.parse_frame` over the record's
+    bytes, which the frame must consume exactly.
 
     Array segments come back as ``np.frombuffer`` views **into the
     ring** — valid until the caller advances the ring, so handlers
@@ -376,43 +376,12 @@ def decode_shm_frame(
     if view.nbytes < wire._LENGTH.size:
         raise wire.WireError("shm record shorter than a frame prefix")
     (length,) = wire._LENGTH.unpack_from(view, 0)
-    body = view[wire._LENGTH.size:]
-    if not length & wire.BINARY_FLAG:
-        if body.nbytes != length:
-            raise wire.WireError("shm record length mismatch")
-        return wire.decode_frame(body)
-    lean = length & wire.LEAN_FLAG
-    header_len = length & (wire._LEAN_HEAD_MASK if lean else ~wire.BINARY_FLAG)
-    if header_len > body.nbytes:
-        raise wire.WireError("shm binary header overruns the record")
-    if lean:
-        if lean_sender is None:
-            raise wire.WireError("lean record before the handshake")
-        rest = body[header_len:]
-
-        def body_of(nbytes: int) -> memoryview:
-            if nbytes != rest.nbytes:
-                raise wire.WireError(
-                    "shm array table disagrees with the record"
-                )
-            return rest
-
-        return wire.parse_lean_frame(
-            length, body[:header_len], body_of, lean_sender, borrowed=True
-        )
-    frame = wire.decode_frame(body[:header_len])
-    seg_lens = frame.pop("__segs__", None)
-    if not isinstance(seg_lens, list) or not all(
-        isinstance(n, int) and n >= 0 for n in seg_lens
-    ):
-        raise wire.WireError("shm binary frame carries no valid segment table")
-    if header_len + sum(seg_lens) != body.nbytes:
-        raise wire.WireError("shm segment table disagrees with the record")
-    segments, offset = [], header_len
-    for seg_len in seg_lens:
-        segments.append(body[offset:offset + seg_len])
-        offset += seg_len
-    return wire.join_buffers(frame, segments)
+    record = wire.ByteCursor(view[wire._LENGTH.size:], "shm record")
+    frame = wire.parse_frame(
+        length, record.take, record.take, lean_sender, borrowed=True
+    )
+    record.finish()
+    return frame
 
 
 def _own_arrays(obj):
@@ -546,7 +515,6 @@ class ShmTransport(Connection):
         backoff: "ExponentialBackoff | None" = None,
         tracer: "typing.Any | None" = None,
         capacity: int = DEFAULT_SHM_CAPACITY,
-        connect_timeout: float = 5.0,
         max_reconnect_attempts: int = 2,
         metrics: "typing.Any | None" = None,
     ):
@@ -558,12 +526,11 @@ class ShmTransport(Connection):
         )
         self.path = path
         self.capacity = capacity
-        self._connect_timeout = connect_timeout
 
     def _open_pipe(self, path: str) -> ShmPipe:
         """Dial the UDS, hand over fresh segments, handshake."""
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(self._connect_timeout)
+        sock.settimeout(CONNECT_TIMEOUT)
         rings: "list[ShmRing]" = []
         try:
             sock.connect(path)

@@ -23,6 +23,7 @@ from ..coordination.faults import ExponentialBackoff, FaultPlan
 from ..coordination.messages import Message
 from . import wire
 from .connection import (
+    CONNECT_TIMEOUT,
     Connection,
     ConnectionServer,
     FramePipe,
@@ -76,7 +77,6 @@ class TcpTransport(Connection):
         backoff: "ExponentialBackoff | None" = None,
         tracer: "typing.Any | None" = None,
         heartbeat_interval: "float | None" = HEARTBEAT_INTERVAL,
-        connect_timeout: float = 5.0,
         max_reconnect_attempts: int = 8,
         metrics: "typing.Any | None" = None,
         endpoints: "typing.Sequence[tuple[str, int]] | None" = None,
@@ -93,7 +93,6 @@ class TcpTransport(Connection):
             heartbeat_interval=heartbeat_interval,
         )
         self.host, self.port = self.endpoints[0]
-        self._connect_timeout = connect_timeout
         self._heartbeat_seq = 0
         self._heartbeat_sent_at: "dict[int, float]" = {}
         self.heartbeats_acked = 0
@@ -103,7 +102,7 @@ class TcpTransport(Connection):
         #: The endpoint last dialled.
         self.host, self.port = endpoint
         sock = socket.create_connection(
-            endpoint, timeout=self._connect_timeout
+            endpoint, timeout=CONNECT_TIMEOUT
         )
         # The dial's timeout covers the handshake too: a peer that
         # accepts and never answers must not park the dialler.

@@ -206,6 +206,7 @@ class TelemetryShipper:
             "metrics": (
                 self.metrics.snapshot() if self.metrics is not None else None
             ),
+            "registry": self.metrics.id if self.metrics is not None else None,
             "dropped": self.dropped,
         }
         try:

@@ -17,6 +17,13 @@ format is a fact of :data:`PROTOCOL_VERSION`.
   top bit, segments are contiguous ``memoryview``\\ s written with
   scatter/gather IO, and the reader rebuilds arrays with
   ``np.frombuffer`` over one receive buffer — no intermediate copies.
+  This module owns that segment layout: :func:`json_header` is its one
+  encoder and :func:`join_segments` its one parser, for socket frames,
+  shm ring records and state blobs alike.
+* **Reading** — :func:`parse_frame` is everything after the 4-byte
+  prefix (plain, binary and lean frames) over two byte sources: socket
+  reads in :func:`read_frame`, a :class:`ByteCursor` over a ring record
+  in :func:`repro.net.shm.decode_shm_frame`.
 * **Lean frames** — the messages of the training loop are fixed shapes,
   so on a framed pipe they always travel as one ``struct`` (ids, the
   trace context's numbers, the message's own fields, a record per
@@ -252,34 +259,9 @@ def _dtype_name(dtype: np.dtype) -> str:
     return str(dtype)
 
 
-def split_buffers(
-    obj, segments: "list[memoryview] | None" = None
-) -> "tuple[typing.Any, list[memoryview]]":
-    """Replace ndarray / raw-bytes values with segment placeholders.
-
-    Returns ``(json_safe_obj, segments)``: the transformed object can
-    be encoded as JSON, and each segment is a contiguous byte view
-    of the *original* data — the zero-copy half of a binary frame (and
-    of a state blob).  Non-contiguous arrays are the one exception:
-    they are compacted first, one bounded copy.
-    """
-    if segments is None:
-        segments = []
-    lifted = _lift_leaf(obj, segments)
-    if lifted is not _NOT_A_LEAF:
-        return lifted, segments
-    if isinstance(obj, dict):
-        return (
-            {k: split_buffers(v, segments)[0] for k, v in obj.items()},
-            segments,
-        )
-    if isinstance(obj, (list, tuple)):
-        return [split_buffers(item, segments)[0] for item in obj], segments
-    return obj, segments
-
-
 def join_buffers(obj, segments: "typing.Sequence[memoryview]"):
-    """Inverse of :func:`split_buffers` over received segment views.
+    """Inverse of :func:`json_header`'s lifting, over received segment
+    views.
 
     Arrays are rebuilt with ``np.frombuffer`` directly over the receive
     buffer — no intermediate copies.  Every placeholder is validated
@@ -353,15 +335,17 @@ def decode_frame(data: "bytes | bytearray") -> dict:
 # -- framing ------------------------------------------------------------------
 
 
-def _json_header(frame: dict) -> "tuple[bytes, list[memoryview]]":
-    """``frame`` as a JSON header, its buffers lifted into segments.
+def json_header(
+    frame: dict, table: bool = False
+) -> "tuple[bytes, list[memoryview]]":
+    """``frame`` as a JSON header, its buffers lifted into segments: the
+    one encoder of the segment layout (binary frames and state blobs).
 
-    The bytes :func:`split_buffers` + :func:`encode_frame` would give
-    and the segments in the same depth-first order, but the walk is the
-    encoder's own: it calls the hook only for what it cannot encode —
-    ndarrays, byte buffers, numpy scalars — so an array-free frame
-    costs no Python-level walk, and the segment table (the header's
-    last key) is spliced onto the tail instead of a second encode.
+    The JSON encoder walks the frame and calls the hook only for what it
+    cannot encode — ndarrays, byte buffers, numpy scalars — so an
+    array-free frame costs no Python-level walk.  The segment table
+    (``__segs__``, the last key) is spliced onto the tail when there are
+    segments, or always with ``table``, as a blob's header has one.
     """
     segments: "list[memoryview]" = []
 
@@ -375,10 +359,66 @@ def _json_header(frame: dict) -> "tuple[bytes, list[memoryview]]":
         return lifted
 
     header = json.dumps(frame, separators=(",", ":"), default=lift)
-    if segments:
+    if segments or table:
         sizes = ",".join(str(segment.nbytes) for segment in segments)
         header = f'{header[:-1]},"__segs__":[{sizes}]}}'
     return header.encode("utf-8"), segments
+
+
+def join_segments(
+    header: dict, body_of: "typing.Callable[[int], typing.Any]",
+    head_len: "int | None" = None,
+):
+    """The one parser of the segment layout: ``header`` (a decoded JSON
+    header) with its placeholders rebuilt over the body behind it.
+
+    Pops and checks the ``__segs__`` table, asks ``body_of`` for exactly
+    the bytes it sums to and slices them into segments.  A frame names
+    its ``head_len``, and header plus segments must fit
+    :data:`MAX_FRAME_BYTES` before any body is asked for; a blob has no
+    cap.
+    """
+    seg_lens = header.pop("__segs__", None)
+    if not isinstance(seg_lens, list) or not all(
+        isinstance(n, int) and n >= 0 for n in seg_lens
+    ):
+        raise WireError("binary frame carries no valid segment table")
+    total = sum(seg_lens)
+    if head_len is not None and total + head_len > MAX_FRAME_BYTES:
+        raise WireError(f"frame of {total + head_len} bytes exceeds the maximum")
+    view = memoryview(body_of(total))
+    segments, offset = [], 0
+    for length in seg_lens:
+        segments.append(view[offset:offset + length])
+        offset += length
+    return join_buffers(header, segments)
+
+
+class ByteCursor:
+    """``head_of``/``body_of`` over bytes already in memory (a shm
+    record, a state blob): consecutive views of ``view``, each exactly
+    as long as asked, and :meth:`finish` checks nothing was left over."""
+
+    __slots__ = ("view", "offset", "what")
+
+    def __init__(self, view: memoryview, what: str):
+        self.view, self.offset, self.what = view, 0, what
+
+    def take(self, count: int) -> memoryview:
+        self.offset += count
+        if self.offset > self.view.nbytes:
+            self._disagree()
+        return self.view[self.offset - count:self.offset]
+
+    def finish(self) -> None:
+        if self.offset != self.view.nbytes:
+            self._disagree()
+
+    def _disagree(self):
+        raise WireError(
+            f"{self.what} of {self.view.nbytes} bytes disagrees with the "
+            f"lengths it names"
+        )
 
 
 def frame_buffers(frame: dict) -> "tuple[list, int]":
@@ -389,7 +429,7 @@ def frame_buffers(frame: dict) -> "tuple[list, int]":
     JSON frame, both smaller and cheaper when there is nothing to
     scatter.
     """
-    header, segments = _json_header(frame)
+    header, segments = json_header(frame)
     total = len(header) + sum(segment.nbytes for segment in segments)
     if total > MAX_FRAME_BYTES:
         raise WireError(f"frame of {total} bytes exceeds the maximum")
@@ -502,64 +542,60 @@ def _recv_body(sock: socket.socket, count: int) -> np.ndarray:
     return body
 
 
-def _recv_head(sock: socket.socket, head_len: int) -> bytearray:
-    """The header of a flagged frame, whose length the prefix named."""
-    if head_len > MAX_FRAME_BYTES:
-        raise WireError(f"binary header length {head_len} exceeds the maximum")
-    head = _recv_exact(sock, head_len)
+def _recv_head(sock: socket.socket, count: int) -> bytearray:
+    """Exactly ``count`` bytes of a frame whose prefix was read."""
+    head = _recv_exact(sock, count)
     if head is None:
         raise WireError("connection closed mid-frame")
     return head
 
 
-def _read_binary_frame(sock: socket.socket, header_len: int) -> dict:
-    """Read the remainder of a binary frame after its flagged prefix."""
-    frame = decode_frame(_recv_head(sock, header_len))
-    seg_lens = frame.pop("__segs__", None)
-    if not isinstance(seg_lens, list) or not all(
-        isinstance(n, int) and n >= 0 for n in seg_lens
-    ):
-        raise WireError("binary frame carries no valid segment table")
-    total = sum(seg_lens)
-    if total + header_len > MAX_FRAME_BYTES:
-        raise WireError(f"frame of {total + header_len} bytes exceeds the maximum")
-    view = memoryview(_recv_body(sock, total))
-    segments, offset = [], 0
-    for length in seg_lens:
-        segments.append(view[offset:offset + length])
-        offset += length
-    return join_buffers(frame, segments)
+def parse_frame(
+    length: int, head_of: "typing.Callable[[int], typing.Any]",
+    body_of: "typing.Callable[[int], typing.Any]",
+    lean_sender: "str | None", borrowed: bool,
+) -> "dict | Message":
+    """Everything after a frame's 4-byte prefix ``length``: a plain or
+    binary frame's dict, or what :func:`parse_lean_frame` makes of a
+    lean frame, sent by ``lean_sender`` — the node the connection's
+    handshake named; without one (the handshake itself) a lean frame is
+    a violation.
+
+    ``head_of(n)`` and ``body_of(n)`` each hand over exactly ``n`` bytes
+    — a socket reads them, a shm record already holds them — and
+    ``borrowed`` says whose memory the body is.  Every length is checked
+    against :data:`MAX_FRAME_BYTES` before it is asked for.
+    """
+    if not length & BINARY_FLAG:
+        if length > MAX_FRAME_BYTES:
+            raise WireError(f"frame length {length} exceeds the maximum")
+        return decode_frame(head_of(length))
+    lean = length & LEAN_FLAG
+    if lean and lean_sender is None:
+        raise WireError("lean frame before the handshake")
+    head_len = length & (_LEAN_HEAD_MASK if lean else ~BINARY_FLAG)
+    if head_len > MAX_FRAME_BYTES:
+        raise WireError(f"binary header length {head_len} exceeds the maximum")
+    if lean:
+        return parse_lean_frame(
+            length, head_of(head_len), body_of, lean_sender, borrowed
+        )
+    return join_segments(decode_frame(head_of(head_len)), body_of, head_len)
 
 
 def read_frame(
     sock: socket.socket, lean_sender: "str | None" = None
 ) -> "dict | Message | None":
-    """Read one frame from a socket; None on clean EOF.
-
-    A plain or binary frame comes back as its dict.  A lean frame comes
-    back as what :func:`parse_lean_frame` makes of it, sent by
-    ``lean_sender`` — the node the connection's handshake named; without
-    one (the handshake itself) a lean frame is a violation.
-    """
-    header = _recv_exact(sock, _LENGTH.size)
-    if header is None:
+    """Read one frame from a socket; None on clean EOF
+    (:func:`parse_frame` over socket reads)."""
+    prefix = _recv_exact(sock, _LENGTH.size)
+    if prefix is None:
         return None
-    (length,) = _LENGTH.unpack(header)
-    if length & BINARY_FLAG:
-        if not length & LEAN_FLAG:
-            return _read_binary_frame(sock, length & ~BINARY_FLAG)
-        if lean_sender is None:
-            raise WireError("lean frame before the handshake")
-        return parse_lean_frame(
-            length, _recv_head(sock, length & _LEAN_HEAD_MASK),
-            functools.partial(_recv_body, sock), lean_sender, borrowed=False,
-        )
-    if length > MAX_FRAME_BYTES:
-        raise WireError(f"frame length {length} exceeds the maximum")
-    payload = _recv_exact(sock, length) if length else b""
-    if payload is None:
-        raise WireError("connection closed mid-frame")
-    return decode_frame(payload)
+    (length,) = _LENGTH.unpack(prefix)
+    return parse_frame(
+        length, functools.partial(_recv_head, sock),
+        functools.partial(_recv_body, sock), lean_sender, borrowed=False,
+    )
 
 
 def write_frame(sock: socket.socket, frame: dict) -> int:

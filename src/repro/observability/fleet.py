@@ -511,7 +511,9 @@ class FleetCollector:
 
     Holds, per worker: the shipped trace events (keyed by the worker's
     own buffer index, so re-shipped full snapshots overwrite
-    idempotently), the latest metric-registry snapshot, and drop
+    idempotently), the latest snapshot of its metric registry (named by
+    the id shipped beside it, so workers sharing one registry hold the
+    same latest snapshot and a rollup counts it once), and drop
     accounting.  Clock offsets are not held: the merger recovers each
     worker's from the ``net.clock_sample`` instants among its events.
     Per-job and fleet rollups are derived on demand — by the AM, or by
@@ -546,7 +548,7 @@ class FleetCollector:
         events = payload.get("events") or ()
         with self._lock:
             entry = self._workers.setdefault(worker, {
-                "job": None, "events": {}, "metrics": {},
+                "job": None, "events": {}, "metrics": {}, "registry": None,
                 "dropped": 0, "deltas": 0,
             })
             if full:
@@ -554,7 +556,14 @@ class FleetCollector:
             entry["deltas"] += 1
             entry["job"] = payload.get("job") or entry["job"]
             if payload.get("metrics") is not None:
-                entry["metrics"] = payload["metrics"]
+                entry["registry"] = registry = payload.get("registry")
+                # A registry shared by in-process workers: its latest
+                # snapshot is every sharer's.
+                for held in self._workers.values():
+                    if held is entry or (
+                        registry is not None and held["registry"] == registry
+                    ):
+                        held["metrics"] = payload["metrics"]
             entry["dropped"] = max(
                 entry["dropped"], int(payload.get("dropped") or 0)
             )
@@ -619,38 +628,47 @@ class FleetCollector:
         return self.merger(am_events=am_events).merge()
 
     def rollup(
-        self, extra_snapshots: "typing.Sequence[dict] | None" = None
+        self, am_metrics: "dict | None" = None,
+        am_registry: "str | None" = None,
+        workers: "typing.Iterable[str] | None" = None,
     ) -> dict:
-        """Fleet-wide metric rollup across every worker (+ extras)."""
-        snapshots = [self.worker_metrics(w) for w in self.workers()]
-        snapshots.extend(extra_snapshots or ())
-        return merge_metric_snapshots(snapshots)
+        """Metric rollup across ``workers`` (default: every one) and the
+        AM's ``am_metrics``, one snapshot per registry: the latest each
+        shipped, and the AM's, newest of all, for ``am_registry`` (its
+        :attr:`MetricRegistry.id`, which in-process workers may share)."""
+        latest: "dict[typing.Any, dict]" = {}
+        with self._lock:
+            for worker in sorted(self._workers) if workers is None else workers:
+                entry = self._workers.get(worker)
+                if entry is not None:
+                    key = entry["registry"] or ("worker", worker)
+                    latest[key] = entry["metrics"]
+        if am_metrics:
+            latest[am_registry or ("am",)] = am_metrics
+        return merge_metric_snapshots(list(latest.values()))
 
     def report(
         self,
         am_events: "typing.Sequence[dict] | None" = None,
         am_metrics: "dict | None" = None,
+        am_registry: "str | None" = None,
     ) -> "dict[str, GoodputReport]":
         """Per-job reports plus the ``"fleet"`` rollup report.
 
         MTTR/detection histograms live in the AM's own registry (the
         lease evictor feeds them), so ``am_metrics`` should be the AM's
-        ``metrics.snapshot()`` when available.
+        ``metrics.snapshot()`` when available, and ``am_registry`` its
+        id.
         """
         reports: "dict[str, GoodputReport]" = {}
-        jobs = self.jobs()
-        for job, workers in jobs.items():
+        for job, workers in self.jobs().items():
             events = self.merger(am_events=am_events, workers=workers).merge()
-            snapshots = [self.worker_metrics(w) for w in workers]
-            if am_metrics:
-                snapshots.append(am_metrics)
             reports[job] = derive_report(
-                events, merge_metric_snapshots(snapshots), job=job
+                events, self.rollup(am_metrics, am_registry, workers), job=job
             )
-        fleet_events = self.merged_events(am_events=am_events)
         reports["fleet"] = derive_report(
-            fleet_events, self.rollup([am_metrics] if am_metrics else None),
-            job="fleet",
+            self.merged_events(am_events=am_events),
+            self.rollup(am_metrics, am_registry), job="fleet",
         )
         return reports
 
@@ -665,6 +683,7 @@ class FleetCollector:
                     worker: {
                         "job": entry["job"],
                         "metrics": entry["metrics"],
+                        "registry": entry["registry"],
                         "dropped": entry["dropped"],
                         "deltas": entry["deltas"],
                         "events": [
@@ -683,6 +702,7 @@ class FleetCollector:
             collector._workers[str(worker)] = {
                 "job": entry.get("job"),
                 "metrics": dict(entry.get("metrics") or {}),
+                "registry": entry.get("registry"),
                 "dropped": int(entry.get("dropped") or 0),
                 "deltas": int(entry.get("deltas") or 0),
                 "events": {

@@ -11,6 +11,7 @@ timings cost a few floats, no sample buffers, no dependencies.
 from __future__ import annotations
 
 import bisect
+import secrets
 import threading
 import typing
 
@@ -190,9 +191,15 @@ class Histogram:
 
 
 class MetricRegistry:
-    """Named metrics, created on first use, queried as one snapshot."""
+    """Named metrics, created on first use, queried as one snapshot.
+
+    ``id`` names this registry across processes: a snapshot shipped
+    beside it lets a fleet rollup count a registry that several
+    in-process workers share once, not once per shipper.
+    """
 
     def __init__(self):
+        self.id = secrets.token_hex(8)
         self._lock = threading.Lock()
         self._metrics: typing.Dict[str, object] = {}
 

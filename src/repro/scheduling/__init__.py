@@ -1,5 +1,7 @@
 """Elastic DL job scheduling: trace, policies, simulator, metrics (§VI-C)."""
 
+import typing
+
 from .adapter import PolicyAdapter
 from .costs import (
     AdjustmentCostModel,
@@ -28,6 +30,17 @@ from .srtf import ElasticSrtfPolicy
 from .trace import TWO_DAYS, generate_trace
 from .traceio import load_trace, save_trace, trace_from_dicts, trace_to_dicts
 
+#: The policies by name: the CLI's choices, and how a scheduler journal
+#: records its policy (by name, not by pickle).
+POLICIES: "dict[str, typing.Callable[[], SchedulingPolicy]]" = {
+    "fifo": FifoPolicy,
+    "bf": BackfillPolicy,
+    "e-fifo": ElasticFifoPolicy,
+    "e-bf": ElasticBackfillPolicy,
+    "e-srtf": ElasticSrtfPolicy,
+    "e-priority": PriorityElasticPolicy,
+}
+
 __all__ = [
     "AdjustmentCostModel",
     "BackfillPolicy",
@@ -42,6 +55,7 @@ __all__ = [
     "JobExecution",
     "JobSpec",
     "PER_WORKER_BATCH",
+    "POLICIES",
     "PolicyAdapter",
     "PriorityElasticPolicy",
     "ScheduleResult",

@@ -44,50 +44,41 @@ class IdealCosts(AdjustmentCostModel):
         return 0.0
 
 
-class ElanCosts(AdjustmentCostModel):
+class _TimedCosts(AdjustmentCostModel):
+    """Downtime sampled from a timing model (cached per adjustment
+    shape) and the per-mille coordination overhead of §VI-A1, which
+    Elan and S&R share when idle."""
+
+    timing: "typing.Callable[..., typing.Any]"
+
+    def __init__(self, seed: int = 0):
+        self._model = self.timing(seed=seed)
+        self._cache: typing.Dict[tuple, float] = {}
+
+    def downtime(self, model, old_workers, new_workers) -> float:
+        if new_workers == old_workers:
+            return 0.0
+        kind = "scale_out" if new_workers > old_workers else "scale_in"
+        key = (kind, model.name, old_workers, new_workers)
+        if key not in self._cache:
+            self._cache[key] = self._model.adjustment_time(
+                kind, model, old_workers, new_workers
+            ).total
+        return self._cache[key]
+
+    def overhead_factor(self, model, workers) -> float:
+        return 1.0 - runtime_overhead_fraction(model, max(1, workers))
+
+
+class ElanCosts(_TimedCosts):
     """Elan: sub-second adjustments, per-mille runtime overhead."""
 
     name = "elan"
-
-    def __init__(self, seed: int = 0):
-        self._model = ElanAdjustmentModel(seed=seed)
-        self._cache: typing.Dict[tuple, float] = {}
-
-    def downtime(self, model, old_workers, new_workers) -> float:
-        if new_workers == old_workers:
-            return 0.0
-        kind = "scale_out" if new_workers > old_workers else "scale_in"
-        key = (kind, model.name, old_workers, new_workers)
-        if key not in self._cache:
-            self._cache[key] = self._model.adjustment_time(
-                kind, model, old_workers, new_workers
-            ).total
-        return self._cache[key]
-
-    def overhead_factor(self, model, workers) -> float:
-        return 1.0 - runtime_overhead_fraction(model, max(1, workers))
+    timing = ElanAdjustmentModel
 
 
-class ShutdownRestartCosts(AdjustmentCostModel):
+class ShutdownRestartCosts(_TimedCosts):
     """S&R: every adjustment pays checkpoint + restart (tens of seconds)."""
 
     name = "sr"
-
-    def __init__(self, seed: int = 0):
-        self._model = ShutdownRestartModel(seed=seed)
-        self._cache: typing.Dict[tuple, float] = {}
-
-    def downtime(self, model, old_workers, new_workers) -> float:
-        if new_workers == old_workers:
-            return 0.0
-        kind = "scale_out" if new_workers > old_workers else "scale_in"
-        key = (kind, model.name, old_workers, new_workers)
-        if key not in self._cache:
-            self._cache[key] = self._model.adjustment_time(
-                kind, model, old_workers, new_workers
-            ).total
-        return self._cache[key]
-
-    def overhead_factor(self, model, workers) -> float:
-        # Same coordination overhead as Elan when idle (§VI-A1).
-        return 1.0 - runtime_overhead_fraction(model, max(1, workers))
+    timing = ShutdownRestartModel

@@ -126,39 +126,72 @@ class BackfillPolicy(SchedulingPolicy):
         return allocation
 
 
+def elastic_allocation(
+    running: "list[JobExecution]",
+    ordered_queue: "typing.Iterable[JobExecution]",
+    total_gpus: int,
+    stop_at_blocked: bool,
+    guarantee: "typing.Callable[[JobExecution], typing.Any] | None" = None,
+    score: "typing.Callable[[JobExecution, float], float] | None" = None,
+) -> "dict[str, int]":
+    """The elastic rules over one queue order.
+
+    Admission: a queued job (in ``ordered_queue`` order) starts if the
+    minimum allocations of every admitted job plus its own fit; the
+    first that does not blocks the rest when ``stop_at_blocked``.
+    Allocation: every admitted job gets ``min_res``; with a
+    ``guarantee`` sort key, jobs in that order are then topped up toward
+    ``req_res``; the remaining GPUs go one at a time to the job with the
+    highest positive ``score(job, marginal gain)`` (the gain itself by
+    default) until GPUs, ``max_res`` caps or positive scores run out.
+    """
+    admitted = list(running)
+    floor = sum(job.spec.min_res for job in admitted)
+    for job in ordered_queue:
+        if floor + job.spec.min_res <= total_gpus:
+            admitted.append(job)
+            floor += job.spec.min_res
+        elif stop_at_blocked:
+            break
+    allocation = {job.spec.job_id: job.spec.min_res for job in admitted}
+    free = total_gpus - sum(allocation.values())
+    if guarantee is not None:
+        for job in sorted(admitted, key=guarantee):
+            if free <= 0:
+                break
+            want = min(job.spec.req_res, job.spec.max_res)
+            grant = min(free, max(0, want - allocation[job.spec.job_id]))
+            allocation[job.spec.job_id] += grant
+            free -= grant
+    by_id = {job.spec.job_id: job for job in admitted}
+    while free > 0:
+        best_id, best_score = None, 0.0
+        for job_id, workers in allocation.items():
+            job = by_id[job_id]
+            if workers >= job.spec.max_res:
+                continue
+            value = job.spec.marginal_gain(workers)
+            if score is not None:
+                value = score(job, value)
+            if value > best_score:
+                best_id, best_score = job_id, value
+        if best_id is None:
+            break  # no positive score anywhere
+        allocation[best_id] += 1
+        free -= 1
+    return allocation
+
+
 class _ElasticBase(SchedulingPolicy):
-    """Shared admission + marginal-gain allocation of the elastic rules."""
+    """The elastic rules in arrival order."""
 
     elastic = True
     skip_blocked_head = False
 
     def allocate(self, now, queue, running, total_gpus):
-        admitted = list(running)
-        floor = sum(job.spec.min_res for job in admitted)
-        for job in queue:
-            if floor + job.spec.min_res <= total_gpus:
-                admitted.append(job)
-                floor += job.spec.min_res
-            elif not self.skip_blocked_head:
-                break
-        # Allocation rule: min_res floor, then greedy marginal gain.
-        allocation = {job.spec.job_id: job.spec.min_res for job in admitted}
-        free = total_gpus - sum(allocation.values())
-        by_id = {job.spec.job_id: job for job in admitted}
-        while free > 0:
-            best_id, best_gain = None, 0.0
-            for job_id, workers in allocation.items():
-                job = by_id[job_id]
-                if workers >= job.spec.max_res:
-                    continue
-                gain = job.spec.marginal_gain(workers)
-                if gain > best_gain:
-                    best_id, best_gain = job_id, gain
-            if best_id is None:
-                break  # no positive marginal gain anywhere
-            allocation[best_id] += 1
-            free -= 1
-        return allocation
+        return elastic_allocation(
+            running, queue, total_gpus, not self.skip_blocked_head
+        )
 
 
 class ElasticFifoPolicy(_ElasticBase):

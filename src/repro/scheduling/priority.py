@@ -15,7 +15,7 @@ policy realizes the preemption part on top of the elastic machinery:
 
 from __future__ import annotations
 
-from .policies import SchedulingPolicy
+from .policies import SchedulingPolicy, elastic_allocation
 
 
 class PriorityElasticPolicy(SchedulingPolicy):
@@ -28,37 +28,7 @@ class PriorityElasticPolicy(SchedulingPolicy):
         def rank(job):
             return (-job.spec.priority, job.spec.submit_time, job.spec.job_id)
 
-        admitted = list(running)
-        floor = sum(job.spec.min_res for job in admitted)
-        for job in sorted(queue, key=rank):
-            if floor + job.spec.min_res <= total_gpus:
-                admitted.append(job)
-                floor += job.spec.min_res
-        allocation = {job.spec.job_id: job.spec.min_res for job in admitted}
-        free = total_gpus - sum(allocation.values())
-        by_id = {job.spec.job_id: job for job in admitted}
-
-        # Guarantee pass: top priority classes reach req_res first.
-        for job in sorted(admitted, key=rank):
-            if free <= 0:
-                break
-            want = min(job.spec.req_res, job.spec.max_res)
-            grant = min(free, max(0, want - allocation[job.spec.job_id]))
-            allocation[job.spec.job_id] += grant
-            free -= grant
-
-        # Marginal-gain pass over the remainder (same rule as E-FIFO).
-        while free > 0:
-            best_id, best_gain = None, 0.0
-            for job_id, workers in allocation.items():
-                job = by_id[job_id]
-                if workers >= job.spec.max_res:
-                    continue
-                gain = job.spec.marginal_gain(workers)
-                if gain > best_gain:
-                    best_id, best_gain = job_id, gain
-            if best_id is None:
-                break
-            allocation[best_id] += 1
-            free -= 1
-        return allocation
+        return elastic_allocation(
+            running, sorted(queue, key=rank), total_gpus,
+            stop_at_blocked=False, guarantee=rank,
+        )

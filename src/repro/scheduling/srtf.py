@@ -19,7 +19,7 @@ The ablation benchmark compares it against E-FIFO on the same traces.
 from __future__ import annotations
 
 from .job import JobExecution
-from .policies import SchedulingPolicy
+from .policies import SchedulingPolicy, elastic_allocation
 
 
 class ElasticSrtfPolicy(SchedulingPolicy):
@@ -33,31 +33,12 @@ class ElasticSrtfPolicy(SchedulingPolicy):
             rate = job.spec.throughput(job.spec.req_res)
             return job.remaining_work / rate
 
-        admitted = list(running)
-        floor = sum(job.spec.min_res for job in admitted)
-        for job in sorted(queue, key=remaining):
-            if floor + job.spec.min_res <= total_gpus:
-                admitted.append(job)
-                floor += job.spec.min_res
-        allocation = {job.spec.job_id: job.spec.min_res for job in admitted}
-        free = total_gpus - sum(allocation.values())
-        by_id = {job.spec.job_id: job for job in admitted}
-        while free > 0:
-            best_id, best_score = None, 0.0
-            for job_id, workers in allocation.items():
-                job = by_id[job_id]
-                if workers >= job.spec.max_res:
-                    continue
-                gain = job.spec.marginal_gain(workers)
-                if gain <= 0:
-                    continue
-                # Completion-time leverage: throughput gained per unit of
-                # remaining work — small jobs near the finish line win.
-                score = gain / max(1.0, job.remaining_work)
-                if score > best_score:
-                    best_id, best_score = job_id, score
-            if best_id is None:
-                break
-            allocation[best_id] += 1
-            free -= 1
-        return allocation
+        def leverage(job: JobExecution, gain: float) -> float:
+            # Completion-time leverage: throughput gained per unit of
+            # remaining work — small jobs near the finish line win.
+            return gain / max(1.0, job.remaining_work)
+
+        return elastic_allocation(
+            running, sorted(queue, key=remaining), total_gpus,
+            stop_at_blocked=False, score=leverage,
+        )

@@ -17,6 +17,8 @@ Four layers:
   the one owner-less shard from the AM, in round order.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -298,6 +300,34 @@ class TestShardedFetcher:
         # The survivor holds the FULL frozen blob, so it covered the
         # dead owner's shard too.
         assert stores["w1"].served >= descriptor["total_chunks"] - 1
+
+    def test_many_shard_loops_count_every_shard_once(self):
+        """One loop per shard, all at once, with a short switch interval:
+        every shard is fetched and counted once, and each of the dead
+        owner's shards is replanned exactly once."""
+        state = sample_state()
+        descriptor, stores, am = make_sharded_world(
+            owners=("w0", "w1", "w2"), chunk_bytes=256, state=state,
+            shard_count=24,
+        )
+        shards = descriptor["shards"]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            fetcher = ShardedFetcher(
+                FakeLink(am), connect=peer_connector(stores, dead={"w0"}),
+                window=2, poll_interval=0.001, timeout=10.0,
+            )
+            fetched = fetcher.fetch(descriptor)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_states_equal(fetched, state)
+        assert len(shards) == 24
+        assert fetcher.stats["net.shards.fetched"] == len(shards)
+        assert fetcher.stats["net.shards.replans"] == sum(
+            1 for shard in shards if shard["owner"] == "w0"
+        )
+        assert am.completions == ["t1"]
 
     def test_owner_handler_error_replans_onto_the_survivor(self):
         """An owner whose handler raises (``RemoteError`` on the joiner's

@@ -346,3 +346,31 @@ class TestEndToEndFleetView:
             assert fleet_report.iterations == 2 * spec.iterations
         finally:
             job.close()
+
+    def test_shared_registry_rolls_up_once(self):
+        """A job whose AM and thread workers share one registry: the
+        fleet rollup counts that registry once, not once per shipping
+        worker and once more for the AM."""
+        spec = JobSpec(
+            iterations=8, coordination_interval=4, iteration_sleep=0.01,
+            telemetry_interval=0.05,
+        )
+        metrics = MetricRegistry()
+        job = LocalJob(
+            "memory", spec, ["w0", "w1"], tracer=Tracer(), metrics=metrics,
+        )
+        try:
+            job.start_worker("w0")
+            job.start_worker("w1")
+            assert job.join(timeout=60.0)
+            own = metrics.snapshot()
+            rollup = job.master.fleet.rollup(own, metrics.id)
+            assert own["telemetry.ships"] >= 2
+            for name in ("telemetry.ships", "net.sends"):
+                assert rollup[name] == own[name], name
+            report = job.master.fleet.report(
+                am_metrics=own, am_registry=metrics.id
+            )
+            assert report["fleet"].workers == 2
+        finally:
+            job.close()

@@ -10,6 +10,7 @@ import pytest
 
 from repro.coordination.messages import MessageFactory, MessageType
 from repro.net import wire
+from repro.net.chunks import StateBlob, decode_state_blob
 from repro.net.shm import ShmRing, decode_shm_frame
 
 
@@ -248,8 +249,10 @@ class TestBinaryFrames:
 
     def test_one_pass_header_is_byte_identical_to_the_walk(self):
         """``frame_buffers`` lets the JSON encoder lift buffers through
-        its ``default`` hook; the header (and the segments behind it)
-        must be exactly what ``split_buffers`` + ``encode_frame`` give."""
+        its ``default`` hook; the header must be exactly the hand-walked
+        one below, the segments behind it the original bytes, and the
+        frame must read back alike off a socket and out of a shm record.
+        A state blob is the same header behind a plain length."""
         base = np.arange(24, dtype=np.float64).reshape(4, 6)
         frame = {
             "kind": "msg", "msg_id": (7 << 20) + 3, "type": "ring_segment",
@@ -268,17 +271,54 @@ class TestBinaryFrames:
                 3: "int key", "unicode": "bücket",
             },
         }
-        header_obj, segments = wire.split_buffers(frame)
-        header_obj["__segs__"] = [segment.nbytes for segment in segments]
-        expected = wire.encode_frame(header_obj)
+
+        def seg(index, dtype=None, shape=None):
+            if dtype is None:
+                return {"__seg__": index}
+            return {"__seg__": index, "dtype": dtype, "shape": shape}
+
+        expected = wire.encode_frame({
+            "kind": "msg", "msg_id": (7 << 20) + 3, "type": "ring_segment",
+            "sender": "w0", "post": True,
+            "payload": {
+                "generation": 2, "iteration": 5, "phase": "rs",
+                "scale": 0.5, "ratio": 1 / 3, "flag": True, "none": None,
+                "data": [seg(0, "float64", [6]), seg(1, "float64", [4]),
+                         seg(2, "int8", [0, 3])],
+                "shape": [4, 6], "pair": [1, seg(3)], "raw": seg(4),
+                "buffer": seg(5), "view": seg(6),
+                "codec": {"kind": "int8", "scales": [2.0],
+                          "deep": {"z": seg(7, "uint8", [3])}},
+                "__ctx__": {"node": "w0", "epoch": 1, "sent": 12.5},
+                "3": "int key", "unicode": "bücket",
+            },
+            "__segs__": [48, 32, 0, 2, 2, 3, 3, 3],
+        })
+        segments = [
+            base[0].tobytes(), base[:, 1].tobytes(), b"", b"xy", b"\x00\x01",
+            b"abc", b"efg", np.arange(3, dtype=np.uint8).tobytes(),
+        ]
         buffers, total = wire.frame_buffers(frame)
         assert bytes(buffers[1]) == expected
         assert buffers[0] == wire._LENGTH.pack(
             wire.BINARY_FLAG | len(expected)
         )
-        assert [bytes(b) for b in buffers[2:]] == [bytes(s) for s in segments]
+        assert [bytes(b) for b in buffers[2:]] == segments
         assert total == sum(len(bytes(b)) for b in buffers)
         assert wire.binary_frame_buffers(frame) == (buffers, total)
+
+        framed = frame_bytes(buffers, total)
+        via_socket = plain(over_socket(framed))
+        assert via_socket == plain(shm_parse(framed))
+        assert via_socket["payload"]["data"][0] == plain(base[0])
+        assert via_socket["payload"]["view"] == b"efg"
+
+        state = frame["payload"]
+        header, state_segments = wire.json_header({"state": state}, table=True)
+        assert StateBlob.encode(state).tobytes() == b"".join([
+            wire._LENGTH.pack(len(header)), header,
+            *(bytes(s) for s in state_segments),
+        ])
 
     def test_array_free_frames_are_encoded_once_as_plain_frames(self):
         frame = {"kind": "reply", "in_reply_to": 9, "node": "am",
@@ -300,12 +340,13 @@ class TestBinaryFrames:
         client, accepted = socket_pair()
         try:
             array = np.arange(16, dtype=np.float32)
-            header_obj, segments = wire.split_buffers({"kind": "msg", "a": array})
-            header_obj["__segs__"] = [segments[0].nbytes - 4]  # lie
+            buffers, _ = wire.frame_buffers({"kind": "msg", "a": array})
+            header_obj = wire.decode_frame(buffers[1])
+            header_obj["__segs__"] = [buffers[2].nbytes - 4]  # lie
             header = wire.encode_frame(header_obj)
             client.sendall(wire._LENGTH.pack(wire.BINARY_FLAG | len(header)))
             client.sendall(header)
-            client.sendall(bytes(segments[0])[:-4])
+            client.sendall(bytes(buffers[2])[:-4])
             with pytest.raises(wire.WireError, match="needs"):
                 wire.read_frame(accepted)
         finally:
@@ -331,7 +372,9 @@ class TestBinaryFrames:
 
     def test_object_arrays_are_rejected(self):
         with pytest.raises(wire.WireError, match="object"):
-            wire.split_buffers({"bad": np.array([object()])})
+            wire.frame_buffers({"bad": np.array([object()])})
+        with pytest.raises(wire.WireError, match="object"):
+            StateBlob.encode({"bad": np.array([object()])})
 
     def test_large_frame_round_trip(self):
         # Also exercises the recv_into read path on a multi-MB frame.
@@ -748,6 +791,19 @@ def mean_bytes(grads=GRADS, members=4, ctx=MEAN_CTX):
     return frame_bytes(*wire.lean_mean_buffers(9, payload, ctx))
 
 
+def plain(obj):
+    """``obj`` with arrays and buffers as comparable values."""
+    if isinstance(obj, np.ndarray):
+        return ("ndarray", obj.dtype.str, obj.shape, obj.tobytes())
+    if isinstance(obj, (bytes, bytearray, memoryview)):
+        return bytes(obj)
+    if isinstance(obj, dict):
+        return {key: plain(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [plain(item) for item in obj]
+    return obj
+
+
 def over_socket(blob):
     writer, reader = socket.socketpair()
     try:
@@ -1042,3 +1098,49 @@ class TestLeanSyncHardening:
             shm_parse(blob)
         with pytest.raises(wire.WireError, match="kind"):
             over_socket(blob)
+
+
+class TestOneSegmentCodec:
+    """Socket frames, shm records and state blobs share one codec: the
+    same bytes parse to the same value on every reader that applies,
+    and a body that disagrees with its table fails on each."""
+
+    STATE = {
+        "params": {"w": np.arange(12.0).reshape(3, 4),
+                   "b": np.zeros(4, np.float32)},
+        "optimizer": {"step": np.int64(9), "moments": [np.ones(2), b"raw"]},
+        "iteration": 41, "note": "bücket",
+    }
+
+    @pytest.mark.parametrize("frame", [
+        {"kind": "reply", "in_reply_to": 9, "payload": {"ok": True}},
+        {"kind": "msg", "msg_id": 3, "payload": STATE},
+    ], ids=["plain", "binary"])
+    def test_socket_and_shm_read_a_frame_alike(self, frame):
+        framed = frame_bytes(*wire.frame_buffers(frame))
+        via_socket = plain(over_socket(framed))
+        assert via_socket == plain(shm_parse(framed))
+        assert via_socket["payload"] == plain(wire.decode_payload(
+            wire.encode_payload(frame["payload"])
+        ))
+
+    def test_a_state_blob_is_a_binary_frame_but_for_its_prefix(self):
+        blob = StateBlob.encode(self.STATE).tobytes()
+        (header_len,) = wire._LENGTH.unpack_from(blob)
+        framed = wire._LENGTH.pack(wire.BINARY_FLAG | header_len) + blob[4:]
+        state = plain(decode_state_blob(blob))
+        assert plain(over_socket(framed))["state"] == state
+        assert plain(shm_parse(framed))["state"] == state
+        assert state["params"]["w"] == plain(self.STATE["params"]["w"])
+
+    def test_a_body_that_disagrees_fails_on_every_reader(self):
+        blob = StateBlob.encode(self.STATE).tobytes()
+        framed = frame_bytes(*wire.frame_buffers(
+            {"kind": "msg", "payload": self.STATE}
+        ))
+        for parse, data in ((shm_parse, framed), (decode_state_blob, blob)):
+            for wrong in (data[:-1], data + b"\0"):
+                with pytest.raises(wire.WireError, match="disagrees"):
+                    parse(wrong)
+        with pytest.raises(wire.WireError, match="mid-frame"):
+            over_socket(framed[:-1])
