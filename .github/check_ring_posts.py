@@ -1,4 +1,4 @@
-"""CI check on one worker trace of the multiprocess ring smokes.
+"""CI check on one worker trace of the ring scenario smokes.
 
 Ring segments must have left as one-way posts, the injected peer reset
 must have landed on one and been absorbed by the link (an immediate

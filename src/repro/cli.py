@@ -9,7 +9,7 @@ Subcommands (also installed as the ``repro-elan`` console script)::
     python -m repro.cli schedule --policy e-fifo        # §VI-C metrics
     python -m repro.cli demo                            # live elastic job
     python -m repro.cli demo --trace trace.json         # ... and its trace
-    python -m repro.cli soak --transport both           # chaos soak + SLOs
+    python -m repro.cli scenario examples/scenarios/soak.json  # chaos soak
     python -m repro.cli cluster scenario --transport both   # multi-job churn
 """
 
@@ -547,63 +547,28 @@ def cmd_join(args) -> int:
     return 0
 
 
-def cmd_soak(args) -> int:
-    """Chaos-soak an elastic job and check its SLOs."""
-    from .coordination.faults import FaultPlan
-    from .net import ChaosSoak, SLOViolation
+def cmd_scenario(args) -> int:
+    """Run a scenario file on LocalJob and check every expectation."""
+    import os
 
-    def show(label, report):
-        print(f"soak [{label}]")
-        print(report.format())
-        try:
-            report.assert_slo(goodput_floor=args.goodput_floor,
-                              mttr_ceiling=args.mttr_ceiling)
-        except SLOViolation as violation:
-            print(f"SLO violation: {violation}", file=sys.stderr)
-            return False
-        print(f"SLO ok (goodput >= {args.goodput_floor:.2f}, "
-              f"MTTR <= {args.mttr_ceiling:.1f}s)")
-        return True
+    from .net.scenario import Scenario, run
 
-    from .net import JobSpec
-
-    spec = JobSpec(
-        seed=args.seed,
-        iterations=args.iterations,
-        coordination_interval=4,
-        iteration_sleep=0.05,
-        sync_ack_timeout=0.3,
-        chunk_bytes=1024,
-        worker_lease_ttl=1.2,
-        lease_check_interval=0.2,
-    )
-    workers = [f"w{i}" for i in range(args.workers)]
-    kills = {}
-    if args.worker_kill_iter is not None and len(workers) > 1:
-        kills[workers[-1]] = args.worker_kill_iter
-    plan = FaultPlan(
-        silent_crashes=kills, am_crash_iteration=args.am_kill_iter
-    )
-    transports = (
-        ("memory", "tcp") if args.transport == "both" else (args.transport,)
-    )
-    ok = True
-    for transport in transports:
-        soak = ChaosSoak(
-            transport, spec, workers, plan, timeout=args.timeout
-        )
-        report = soak.run()
-        if args.trace:
-            path = args.trace
-            if len(transports) > 1:
-                root, dot, ext = path.rpartition(".")
-                path = f"{root}.{transport}{dot}{ext}" if dot else (
-                    f"{path}.{transport}"
-                )
-            soak.tracer.export(path)
-            print(f"wrote trace to {path}")
-        ok = show(transport, report) and ok
-    return 0 if ok else 1
+    try:
+        scenario = Scenario.load(args.file)
+    except (OSError, ValueError) as exc:  # ScenarioError, bad JSON
+        print(f"scenario {args.file}: {exc}", file=sys.stderr)
+        return 2
+    # A failed check raises (AssertionError, SLOViolation): its
+    # traceback and exit status 1 are the verdict.
+    runs = run(scenario, args.out or os.path.join("scenario-out",
+                                                   scenario.name))
+    for transport, outcome in runs.items():
+        print(f"[{scenario.name} over {transport}]")
+        print(outcome.report.format())
+    print(f"scenario {scenario.name} ok (goodput >= "
+          f"{scenario.goodput_floor:.2f}, MTTR <= "
+          f"{scenario.mttr_ceiling:.1f}s)")
+    return 0
 
 
 def cmd_cluster(args) -> int:
@@ -922,25 +887,13 @@ def build_parser() -> argparse.ArgumentParser:
                            "shard chunks from the peer endpoint — a shard "
                            "owner dying mid-fetch (chaos)")
 
-    soak = sub.add_parser(
-        "soak", help="chaos-soak an elastic job and check goodput/MTTR SLOs"
+    scenario = sub.add_parser(
+        "scenario", help="run a scenario file (examples/scenarios/) and "
+                         "check its expectations"
     )
-    soak.add_argument("--transport", choices=("memory", "tcp", "both"),
-                      default="memory")
-    soak.add_argument("--workers", type=int, default=3)
-    soak.add_argument("--iterations", type=int, default=24)
-    soak.add_argument("--seed", type=int, default=7)
-    soak.add_argument("--worker-kill-iter", type=int, default=9,
-                      help="iteration at which the last worker silently "
-                           "dies (requires >1 worker)")
-    soak.add_argument("--am-kill-iter", type=int, default=14,
-                      help="iteration at which the AM is killed and a "
-                           "journal-replayed successor takes over")
-    soak.add_argument("--goodput-floor", type=float, default=0.3)
-    soak.add_argument("--mttr-ceiling", type=float, default=15.0)
-    soak.add_argument("--timeout", type=float, default=120.0)
-    soak.add_argument("--trace", help="export the soak's Chrome trace here "
-                                      "(gate it offline with fleet report)")
+    scenario.add_argument("file", help="scenario JSON file")
+    scenario.add_argument("--out", help="artifact directory (default "
+                                        "scenario-out/<name>)")
 
     cluster = sub.add_parser(
         "cluster",
@@ -1000,7 +953,7 @@ _HANDLERS = {
     "demo": cmd_demo,
     "serve": cmd_serve,
     "join": cmd_join,
-    "soak": cmd_soak,
+    "scenario": cmd_scenario,
     "cluster": cmd_cluster,
 }
 

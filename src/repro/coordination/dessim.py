@@ -56,11 +56,6 @@ class SimulatedAdjustment:
         """Training downtime (the Fig. 15 metric)."""
         return self.resume_time - self.commit_time
 
-    @property
-    def request_to_resume(self) -> float:
-        """End-to-end latency including the hidden start + init."""
-        return self.resume_time - self.request_time
-
 
 class SimulatedElasticJob:
     """One elastic job's control plane executing on the DES kernel."""
@@ -215,10 +210,6 @@ class SimulatedElasticJob:
             self.model.cpu_state_bytes, allow_chaining=True,
         )
         return plan.estimated_time(self.profile), fixed
-
-    def _pause_duration(self, request: AdjustmentRequest) -> float:
-        """Total commit pause (kept for cost-model cross-validation)."""
-        return sum(self._pause_components(request))
 
     def _iterations_since(self, when: "float | None") -> int:
         if when is None:

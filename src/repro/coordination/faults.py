@@ -3,11 +3,12 @@
 The supervision layer (leases, fencing, automatic recovery) is only
 credible if the failure matrix it defends against is drivable from
 tests.  A :class:`FaultPlan` declares, up front and deterministically,
-every fault one run should suffer — silent worker crashes, an AM crash,
-control-plane message loss, delays and connection resets — and is
-threaded through the networked stack's links and the chaos soak
-(:class:`repro.net.soak.ChaosSoak`) so every transport replays the
-same scenario.
+every fault one link should suffer — control-plane message loss,
+duplicates, delays and connection resets — and is threaded through the
+networked stack's AM and ring links so every transport replays the
+same faults.  A whole job's faults (worker and AM kills keyed by
+iteration, per-worker resets) are a scenario file run by
+:mod:`repro.net.scenario`.
 
 :class:`ExponentialBackoff` is the shared degradation policy: bounded
 exponential delays with an injectable sleeper, so retry loops are
@@ -71,16 +72,11 @@ class ExponentialBackoff:
 
 @dataclasses.dataclass(frozen=True)
 class FaultPlan:
-    """One run's complete, deterministic failure schedule.
+    """One link's deterministic failure schedule.
 
     Every field is optional; an empty plan injects nothing.
     """
 
-    #: worker id -> iteration at which its thread vanishes without a
-    #: trace (detectable only by lease expiry).
-    silent_crashes: typing.Mapping[str, int] = dataclasses.field(
-        default_factory=dict
-    )
     #: drop each n-th control-plane send that reaches the loss stage
     #: (0 = lossless); consumed by :class:`repro.net.TransportFaults`.
     drop_every: int = 0
@@ -97,8 +93,6 @@ class FaultPlan:
     #: traffic flows.  Consumed by both transports in :mod:`repro.net`,
     #: so chaos tests behave identically in memory and over TCP.
     connection_resets: typing.Tuple[int, ...] = ()
-    #: crash and recover the AM once training reaches this iteration.
-    am_crash_iteration: "int | None" = None
 
     # -- construction helpers -------------------------------------------------
 

@@ -18,9 +18,9 @@ Crash tolerance rides on a write-ahead :class:`Journal`: every takeover
 is one :func:`promote` — a successor AM replays the journal, fences the
 predecessor out with a higher epoch, and finishes or aborts any
 in-flight commit; workers re-enroll and resume.  Heartbeat leases evict
-silently dead workers, and :class:`ChaosSoak` runs the whole stack under
-a deterministic :class:`~repro.coordination.faults.FaultPlan` against
-goodput/MTTR SLOs.
+silently dead workers.  :mod:`.scenario` runs a job from a JSON
+scenario file — churn, worker and AM kills, link resets, a dying shard
+owner, all keyed by iteration — and checks its outcome and SLOs.
 """
 
 from ..observability import GoodputReport, SLOViolation, derive_report
@@ -60,7 +60,7 @@ from .shm import (
     ShmTransport,
     shm_link,
 )
-from .soak import ChaosSoak
+from .scenario import Scenario, ScenarioError
 from .tcp import TcpServer, TcpTransport, reserve_port, tcp_link
 from .telemetry import TelemetryShipper
 from .transport import (
@@ -90,7 +90,6 @@ __all__ = [
     "decode_state_blob",
     "DEFAULT_RING_BUCKET_BYTES",
     "DEFAULT_SHM_CAPACITY",
-    "ChaosSoak",
     "GoodputReport",
     "JobSpec",
     "JoinRejected",
@@ -106,6 +105,8 @@ __all__ = [
     "RingMailbox",
     "RingNode",
     "SLOViolation",
+    "Scenario",
+    "ScenarioError",
     "ShmPeerHost",
     "ShmRing",
     "ShmServer",

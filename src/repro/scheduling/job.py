@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import typing
 
 from ..perfmodel.models import ModelSpec
 from ..perfmodel.throughput import ThroughputModel
@@ -94,12 +93,6 @@ class JobExecution:
     def remaining_work(self) -> float:
         """Samples still to process."""
         return max(0.0, self.spec.work - self.work_done)
-
-    def rate_at(self, now: float) -> float:
-        """Current processing rate (0 while paused for an adjustment)."""
-        if not self.running or now < self.paused_until:
-            return 0.0
-        return self.spec.throughput(self.workers)
 
     def advance(self, start: float, end: float) -> None:
         """Accrue work over [start, end) at the current allocation."""

@@ -6,7 +6,7 @@ tests are the oracle for that claim: a hand-driven scenario checks
 ``JournalState.replay(journal) == live state`` after **every** handler
 call, and a golden test pins the record-kind sequence a fault-free job
 writes, so the journal a deployed standby would replay keeps its shape.
-(Every ``ChaosSoak.run()`` ends with the same oracle, so
+(Every scenario run ends with the same oracle, so
 ``test_soak.py`` checks it on both transports under faults.)
 """
 
@@ -24,7 +24,7 @@ from repro.net import (
     memory_link,
 )
 from repro.net.chunks import ShardedFetcher
-from repro.net.soak import assert_replay_matches
+from repro.net.scenario import assert_replay_matches
 
 from .harness import serial_replay
 

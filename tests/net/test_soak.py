@@ -1,11 +1,11 @@
 """Goodput-SLO chaos soak over both transports — the acceptance drill.
 
-One deterministic schedule — worker w2 silently dies at iteration 9
-(lease eviction), the AM is killed at iteration 14 (journal-replayed
-successor) — is run once per transport and every assertion reads the
-cached run: the SLO floors hold, the survivors finish bit-identical,
-and the recovery *counts* match across memory and TCP even though the
-timings differ.
+``examples/scenarios/soak.json`` — worker w2 silently dies at iteration
+9 (lease eviction), the AM is killed at iteration 14 (a journal-replayed
+successor takes over) — runs once per transport through the scenario
+runner, and every assertion reads the cached runs: the SLO floors hold,
+the survivors finish bit-identical, and the recovery *counts* match
+across memory and TCP even though the timings differ.
 
 This is also the networked-path coverage of the failure histograms:
 failure.detection_latency_seconds and failure.mttr_seconds asserted
@@ -13,78 +13,64 @@ here are fed by the AM's lease supervisor straight into its metric
 registry, on the in-memory transport and on loopback TCP alike.
 """
 
+import os
+
 import pytest
 
-from repro.coordination.faults import FaultPlan
-from repro.net import ChaosSoak, JobSpec
+from repro.net import Scenario
+from repro.net.scenario import run
 
 TRANSPORTS = ("memory", "tcp")
+
+SOAK = os.path.join(
+    os.path.dirname(__file__), "..", "..", "examples", "scenarios",
+    "soak.json",
+)
 
 #: Generous ceiling: TCP recovery pays reconnect backoff on dead peer
 #: links, which lands well past the memory transport's MTTR.
 MTTR_CEILING = 30.0
 
 
-def make_soak(transport):
-    spec = JobSpec(
-        seed=7,
-        iterations=24,
-        coordination_interval=4,
-        iteration_sleep=0.05,
-        allreduce_timeout=15.0,
-        sync_ack_timeout=0.3,
-        chunk_bytes=1024,
-        worker_lease_ttl=1.2,
-        lease_check_interval=0.2,
-    )
-    plan = FaultPlan(silent_crashes={"w2": 9}, am_crash_iteration=14)
-    return ChaosSoak(
-        transport, spec, ["w0", "w1", "w2"], plan, timeout=120.0,
-    )
-
-
 @pytest.fixture(scope="module")
-def soaks():
-    """Run the identical schedule once per transport; cache the runs."""
-    runs = {}
-    for transport in TRANSPORTS:
-        soak = make_soak(transport)
-        report = soak.run()
-        runs[transport] = (soak, report)
-    return runs
+def soaks(tmp_path_factory):
+    """Run the scenario once per transport; cache the runs."""
+    scenario = Scenario.load(SOAK)
+    assert scenario.transports == TRANSPORTS
+    return run(scenario, str(tmp_path_factory.mktemp("soak")))
 
 
 @pytest.fixture(params=TRANSPORTS)
 def soaked(request, soaks):
-    return soaks[request.param]
+    outcome = soaks[request.param]
+    return outcome.job, outcome.report
 
 
 class TestChaosSoak:
     def test_slo_holds(self, soaked):
-        soak, report = soaked
+        job, report = soaked
         report.assert_slo(goodput_floor=0.3, mttr_ceiling=MTTR_CEILING)
         assert 0.0 < report.goodput <= 1.0
         assert report.wall_seconds > 0
 
     def test_workers_finished_or_died_on_schedule(self, soaked):
-        soak, report = soaked
-        assert soak.errors == {}
-        assert soak.killed == ["w2"]
-        assert sorted(soak.results) == ["w0", "w1"]
+        job, report = soaked
+        assert job.errors == {}
+        assert job.killed == ["w2"]
+        assert sorted(job.results) == ["w0", "w1"]
 
     def test_survivors_bit_identical(self, soaked):
-        soak, report = soaked
-        digests = soak.master.status()["digests"]
+        job, report = soaked
+        digests = job.master.status()["digests"]
         assert sorted(digests) == ["w0", "w1"]
         assert len(set(digests.values())) == 1, digests
 
     def test_failover_and_eviction_counts(self, soaked):
-        soak, report = soaked
-        assert soak.failed_over
+        job, report = soaked
         assert report.counts["failovers"] == 1
         assert report.counts["condemned"] == 1
         assert report.counts["evictions_minted"] == 1
-        status = soak.master.status()
+        status = job.master.status()
         assert status["epoch"] == 2
         # The eviction committed before the AM kill, so the successor
         # replays w2 as departed, not still-condemned.
@@ -98,8 +84,8 @@ class TestChaosSoak:
         """The detection and MTTR histograms are driven by the
         networked AM (lease expiry -> condemn -> commit), not by the
         single-process runtime."""
-        soak, report = soaked
-        snap = soak.master.metrics.snapshot()
+        job, report = soaked
+        snap = job.master.metrics.snapshot()
         detection = snap["failure.detection_latency_seconds"]
         mttr = snap["failure.mttr_seconds"]
         assert detection["count"] >= 1
@@ -110,8 +96,8 @@ class TestChaosSoak:
         assert report.recoveries >= 1
 
     def test_goodput_gauges_exported(self, soaked):
-        soak, report = soaked
-        snap = soak.master.metrics.snapshot()
+        job, report = soaked
+        snap = job.master.metrics.snapshot()
         assert snap["goodput.ratio"] == pytest.approx(report.goodput)
         assert snap["goodput.wall_seconds"] == pytest.approx(
             report.wall_seconds
@@ -121,7 +107,7 @@ class TestChaosSoak:
         """The schedule is keyed by iteration, so what happened — as
         opposed to how long it took — must replay identically over the
         in-memory transport and loopback TCP."""
-        reports = {t: report for t, (_, report) in soaks.items()}
+        reports = {t: outcome.report for t, outcome in soaks.items()}
         for label in (
             "failovers", "condemned", "evictions_minted", "workers_evicted",
         ):
@@ -132,7 +118,7 @@ class TestChaosSoak:
         """Same seed, same schedule, same survivors: the final model is
         bit-identical no matter which wire carried the job."""
         digests = {
-            t: set(soak.master.status()["digests"].values())
-            for t, (soak, _) in soaks.items()
+            t: set(outcome.job.master.status()["digests"].values())
+            for t, outcome in soaks.items()
         }
         assert digests["memory"] == digests["tcp"]

@@ -128,8 +128,7 @@ class TestTransportFaults:
         assert faults.delays_injected == 2
 
     def test_from_plan_ignores_fault_free_plans(self):
-        assert TransportFaults.from_plan(FaultPlan(silent_crashes={"w0": 1})) \
-            is None
+        assert TransportFaults.from_plan(FaultPlan()) is None
         assert TransportFaults.from_plan(None) is None
         faults = TransportFaults.from_plan(FaultPlan(
             net_delays={2: 0.1}, connection_resets=(4,), drop_every=3,

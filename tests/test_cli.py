@@ -1,8 +1,12 @@
 """Tests for the repro-elan command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO = os.path.join(os.path.dirname(__file__), "..")
 
 
 class TestParser:
@@ -140,13 +144,32 @@ class TestSoakCommand:
         assert "SLO violation" not in captured.err
 
     def test_soak_parser_defaults(self):
-        args = build_parser().parse_args(["soak"])
-        assert args.transport == "memory"
-        assert args.workers == 3
-        assert args.am_kill_iter == 14
-        assert args.worker_kill_iter == 9
+        """The soak is a scenario file: ``scenario FILE [--out DIR]``,
+        and the file holds the schedule the old flags defaulted to."""
+        from repro.net import Scenario
+
+        args = build_parser().parse_args(
+            ["scenario", "examples/scenarios/soak.json"]
+        )
+        assert args.file == "examples/scenarios/soak.json"
+        assert args.out is None
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["soak", "--transport", "carrier"])
+            build_parser().parse_args(["scenario"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["soak"])
+        soak = Scenario.load(os.path.join(REPO, "examples", "scenarios",
+                                          "soak.json"))
+        assert soak.transports == ("memory", "tcp")
+        assert soak.initial == ("w0", "w1", "w2")
+        assert soak.am_kill == 14
+        assert soak.worker_kills == {"w2": 9}
+
+    def test_a_bad_scenario_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"transports": ["tcp"], "workers": {}, '
+                        '"spec": {}, "expect": {}, "extra": 1}')
+        assert main(["scenario", str(path)]) == 2
+        assert "scenario.extra: unknown key" in capsys.readouterr().err
 
 
 class TestTracingMetricsAction:
