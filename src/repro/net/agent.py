@@ -162,10 +162,12 @@ class WorkerAgent:
     # -- protocol steps ---------------------------------------------------------
 
     def _join(self) -> dict:
-        """Poll ``JOIN`` until admitted (each poll is the worker-report).
+        """Ask ``JOIN`` until admitted (each ask is the worker-report).
 
-        The polls go through :meth:`_request`, so an AM that refuses
-        connections or is mid-failover does not fail the join.
+        The AM holds an ask it cannot answer yet and replies
+        ``pending`` when the hold lapses, so the next ask goes out at
+        once.  The asks go through :meth:`_request`, so an AM that
+        refuses connections or is mid-failover does not fail the join.
         """
         payload = {"peer": self.peer_addr} if self.peer_addr else {}
         deadline = time.monotonic() + self.join_timeout
@@ -178,7 +180,6 @@ class WorkerAgent:
                     f"{self.worker_id!r} not admitted within "
                     f"{self.join_timeout}s"
                 )
-            time.sleep(self.poll_interval)
 
     # -- failover: epoch tracking and re-enrollment -----------------------------
 
@@ -499,6 +500,11 @@ class WorkerAgent:
         or still behind, in which case it will repair from the star
         mean we cache in the mailbox.  Waiting only helps for peers
         mid-ring.
+
+        A star retry leaves the ring off for the rest of its generation
+        (until the next ring is installed): no peer could complete this
+        iteration, so a lost peer would cost every later one a full
+        ``ring_step_timeout`` until its eviction commits.
         """
         found = self._peer_mean(spec, generation, iteration, settle=True)
         if found is not None:
@@ -513,6 +519,7 @@ class WorkerAgent:
                 )
             return mean
         self.ring_fallbacks += 1
+        self._ring_node.fallen_back = True
         return self._star_sync(
             spec, generation, iteration, grads, ring_fallback=True
         )
@@ -659,6 +666,7 @@ class WorkerAgent:
                 self._install_ring(directive.get("ring"))
                 if directive["kind"] == "adjust":
                     shard_spec = directive.get("shards")
+                    blob = None
                     if (
                         shard_spec
                         and self._shard_store is not None
@@ -681,7 +689,8 @@ class WorkerAgent:
                         # Stream the snapshot through the chunked data
                         # plane: the blob views the live tensors, which
                         # is safe because training is paused at this
-                        # boundary until the upload finishes.
+                        # boundary until the upload finishes.  An owner
+                        # uploads the blob it just froze: one encode.
                         uploader = ChunkedUploader(
                             self.am,
                             chunk_bytes=spec.chunk_bytes,
@@ -690,7 +699,8 @@ class WorkerAgent:
                             metrics=self.metrics,
                         )
                         self.upload_summary = uploader.upload(
-                            self.hooks.capture_all(self.replica),
+                            blob if blob is not None
+                            else self.hooks.capture_all(self.replica),
                             transfer_id=(
                                 shard_spec["transfer_id"]
                                 if shard_spec else None

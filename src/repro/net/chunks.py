@@ -43,7 +43,11 @@ covering the whole blob, served by the AM from its uploaded copy.
 loop per shard, concurrently (fan-in bandwidth instead of the
 single-uploader bottleneck), with a digest check per shard; each loop
 falls through its shard's sources — the planned owner, the surviving
-owners, the AM's full copy — when an owner fails mid-fetch.
+owners, the AM's full copy — when an owner fails mid-fetch.  Joiners
+fetch in the replication planner's rounds: the AM holds a round probe
+(or a chunk request of its own copy) until the joiner's round opens and
+answers ``pending`` only when the hold lapses, so no client loop sleeps
+between asks.
 
 The blob's bytes are the frame codec's segment layout
 (:func:`wire.json_header` / :func:`wire.join_segments`): a JSON header
@@ -60,7 +64,6 @@ import threading
 import time
 import typing
 
-from ..coordination.faults import ExponentialBackoff
 from ..coordination.messages import MessageType
 from . import wire
 from .collective import _close_quietly, _maybe_span
@@ -270,6 +273,9 @@ class ChunkAssembler:
         self.received: "set[int]" = set()
         self.duplicates = 0
         self.started_at = time.monotonic()
+        #: the whole-blob sha256 :meth:`finish` verified (None before,
+        #: or when it was given no digest to check).
+        self.digest: "str | None" = None
 
     def chunk_len(self, seq: int) -> int:
         """Bytes in chunk ``seq`` (the last one may be short)."""
@@ -338,14 +344,16 @@ class ChunkAssembler:
         ]
 
     def finish(self, digest: "str | None" = None) -> memoryview:
-        """Verify completeness (and the whole-blob digest) and return a
-        view of the assembled blob."""
+        """Verify completeness (and the whole-blob digest, kept as
+        :attr:`digest`) and return a view of the assembled blob."""
         if not self.complete:
             raise WireError(
                 f"transfer incomplete: {len(self.missing)} chunks missing"
             )
-        if digest is not None and _digest(self.buffer) != digest:
-            raise WireError("assembled blob failed its digest check")
+        if digest is not None:
+            if _digest(self.buffer) != digest:
+                raise WireError("assembled blob failed its digest check")
+            self.digest = digest
         return memoryview(self.buffer)
 
 
@@ -545,16 +553,20 @@ class ChunkedUploader:
         self.tracer = tracer
         self.metrics = metrics
 
-    def upload(self, state: dict, transfer_id: "str | None" = None,
+    def upload(self, state: "dict | StateBlob",
+               transfer_id: "str | None" = None,
                context: "dict | None" = None) -> dict:
-        """Encode, stream, and finalize one snapshot; returns a summary.
+        """Encode (unless ``state`` is a blob already), stream, and
+        finalize one snapshot; returns a summary.
 
         A ``STATE_DONE`` the receiver cannot finalize yet — a successor
         AM took over mid-stream and holds only what reached it — is
         answered with the ``missing`` seqs; exactly those are resent
         and the transfer finalized again.
         """
-        blob = StateBlob.encode(state, self.chunk_bytes)
+        blob = state if isinstance(state, StateBlob) else StateBlob.encode(
+            state, self.chunk_bytes
+        )
         transfer_id = transfer_id or f"{self.link.node_id}/{secrets.token_hex(4)}"
         base = blob.describe(transfer_id)
 
@@ -609,8 +621,11 @@ class ShardedFetcher:
     Every shard is fetched concurrently by its own loop (the first on
     the calling thread, each running a ``window``-wide pipeline), after
     a round-gate probe against the AM when any shard has an owner (the
-    AM answers its own chunk requests ``pending`` until the round
-    opens): fan-in bandwidth instead of the single-uploader bottleneck.
+    AM gates its own chunk requests the same way): fan-in bandwidth
+    instead of the single-uploader bottleneck.  The AM holds a request
+    whose round is still closed until the round opens, answering
+    ``pending`` only once its hold lapses; the fetcher asks again at
+    once — it never sleeps.
     A loop falls through the shard's sources — its planned owner, the
     other owners not yet dead, the AM's own full copy — so an owner
     lost mid-fetch, whose handler raised or whose bytes fail the digest
@@ -622,8 +637,7 @@ class ShardedFetcher:
     """
 
     def __init__(self, link: "ReliableLink", connect=None, window: int = 4,
-                 poll_interval: float = 0.05, timeout: float = 30.0,
-                 max_poll_interval: float = 1.0,
+                 timeout: float = 30.0,
                  tracer: "Tracer | None" = None,
                  metrics: "MetricRegistry | None" = None):
         #: the AM — round gating, completion report, last-resort source:
@@ -634,19 +648,11 @@ class ShardedFetcher:
         #: peer fan-in entirely (every shard is fetched from the AM).
         self.connect = connect
         self.window = max(1, int(window))
-        self.poll_interval = poll_interval
         self.timeout = timeout
-        self.max_poll_interval = max(poll_interval, max_poll_interval)
         self.tracer = tracer
         self.metrics = metrics
         self.stats: "dict[str, int]" = {}
         self._stats_lock = threading.Lock()  # every shard loop counts
-
-    def _backoff(self) -> "ExponentialBackoff":
-        return ExponentialBackoff(
-            base=self.poll_interval, factor=2.0,
-            max_delay=self.max_poll_interval,
-        )
 
     def _count(self, name: str, value: int = 1) -> None:
         with self._stats_lock:
@@ -656,8 +662,6 @@ class ShardedFetcher:
 
     def _await_round(self, transfer_id: str) -> None:
         deadline = time.monotonic() + self.timeout
-        backoff = self._backoff()
-        attempt = 0
         while True:
             reply = self.link.request(
                 MessageType.STATE_FETCH,
@@ -672,8 +676,6 @@ class ShardedFetcher:
                     f"transfer {transfer_id} never opened: "
                     f"round still pending after {self.timeout}s"
                 )
-            backoff.wait(attempt)
-            attempt += 1
 
     def _fetch_shard(self, peer, assembler: "ChunkAssembler",
                      transfer_id: str, shard: dict, source: str) -> None:
@@ -684,14 +686,12 @@ class ShardedFetcher:
         base_byte = int(shard["start_byte"])
         deadline = time.monotonic() + self.timeout
         lock = threading.Lock()
-        backoff = self._backoff()
 
         def pump(feed, errors):
             while not errors:
                 seq = feed.take()
                 if seq is None:
                     return
-                attempt = 0
                 while True:
                     reply = peer.request(
                         MessageType.STATE_FETCH,
@@ -703,8 +703,6 @@ class ShardedFetcher:
                                 f"shard {shard['index']} chunk {seq} still "
                                 f"pending after {self.timeout}s"
                             )
-                        backoff.wait(attempt)
-                        attempt += 1
                         continue
                     if not reply.get("ok"):
                         raise TransferError(

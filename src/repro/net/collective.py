@@ -411,6 +411,9 @@ class RingNode:
         self.fail_at = frozenset(fail_at)
         self.ring: "dict | None" = None
         self.strikes = 0
+        #: the installed ring failed an iteration outright (no peer
+        #: completed it): its generation stays on the star.
+        self.fallen_back = False
         self._links: "dict[str, typing.Any]" = {}
         #: the last allreduce's geometry, keyed by (members, shapes).
         self._layout: "tuple[tuple, RingLayout] | None" = None
@@ -438,6 +441,7 @@ class RingNode:
             "active_from": int(ring["active_from"]),
         }
         self.strikes = 0
+        self.fallen_back = False
         with self._lock:
             self._suspects.clear()
 
@@ -467,6 +471,7 @@ class RingNode:
             and len(ring["order"]) > 1
             and self.worker_id in ring["order"]
             and self.strikes < MAX_RING_STRIKES
+            and not self.fallen_back
         )
 
     def _link_to(self, peer: str):

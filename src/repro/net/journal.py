@@ -24,10 +24,17 @@ Two invariants make replay safe:
   truncated line (a crash mid-``append``), which by the first invariant
   can only lose un-replied work.
 
-Records are JSONL (one JSON object per line) with ndarray/bytes values
-in base64 envelopes (:func:`repro.net.wire.encode_payload`; the wire
-itself carries arrays raw, in binary frames), so a journal is both
-human-greppable and able to hold a chunked snapshot blob verbatim.
+An in-memory journal keeps each record as given — a deep copy taken at
+``append`` (tuples become lists, numpy scalars plain numbers, byte
+buffers ``bytes``, arrays private copies), so nothing a caller later
+mutates can rewrite history — and hands out deep copies of it.  Nobody
+reads it back as text, so it encodes nothing.  Only a file-backed
+journal encodes: each record becomes one JSONL line with ndarray/bytes
+values in base64 envelopes (:func:`repro.net.wire.encode_payload`; the
+wire itself carries arrays raw, in binary frames) and a checksum over
+the same JSON text, so a journal file is both human-greppable and able
+to hold a chunked snapshot blob verbatim.  Reopening a file decodes it
+once.
 """
 
 from __future__ import annotations
@@ -37,6 +44,8 @@ import json
 import os
 import threading
 import typing
+
+import numpy as np
 
 from .wire import decode_payload, encode_payload
 
@@ -59,10 +68,42 @@ RECORD_KINDS = frozenset({
 })
 
 
-def _checksum(seq: int, kind: str, data: dict) -> str:
-    canonical = json.dumps([seq, kind, data], sort_keys=True,
-                           separators=(",", ":"))
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _sum_of(seq: int, kind_text: str, body: str) -> str:
+    """The checksum over ``[seq, kind, data]``, from the JSON texts of
+    the kind and the (encoded) data."""
+    canonical = f"[{seq},{kind_text},{body}]"
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+def _checksum(seq: int, kind: str, data: dict) -> str:
+    """The checksum of one record over its canonical encoding."""
+    return _sum_of(seq, _dumps(kind), _dumps(data))
+
+
+def _copy(obj):
+    """A deep copy in the shape a decoded journal record has.
+
+    The types :func:`~repro.net.wire.encode_payload` maps come back as
+    :func:`~repro.net.wire.decode_payload` would return them (a list for
+    a tuple, a plain number for a numpy scalar, ``bytes`` for any byte
+    buffer, a private array copy), without the base64 round trip.
+    ``bytes`` are immutable and shared.
+    """
+    if isinstance(obj, dict):
+        return {key: _copy(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_copy(item) for item in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.copy()
+    if isinstance(obj, (bytearray, memoryview)):
+        return bytes(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
+    return obj
 
 
 class JournalError(RuntimeError):
@@ -77,7 +118,8 @@ class Journal:
     journal-before-reply discipline counts on.  Without a path records
     live in a list, which is what in-process failover tests and the
     chaos soak use (the "disk" survives because the successor AM is
-    handed the same object).
+    handed the same object).  Either way the list holds the records as
+    given (deep copies, decoded), so :meth:`records` never decodes.
     """
 
     def __init__(self, path: "str | None" = None, metrics=None,
@@ -102,37 +144,40 @@ class Journal:
     # -- writing ---------------------------------------------------------------
 
     def append(self, kind: str, /, **data) -> dict:
-        """Durably append one record; returns the decoded record."""
+        """Durably append one record; returns it, ``data`` as given."""
         if kind not in self.kinds:
             raise JournalError(f"unknown journal record kind {kind!r}")
-        encoded = encode_payload(dict(data))
+        kept = _copy(data)
         with self._lock:
             seq = self._seq
             self._seq += 1
-            record = {
-                "seq": seq, "kind": kind, "data": encoded,
-                "sum": _checksum(seq, kind, encoded),
-            }
-            line = json.dumps(record, sort_keys=True, separators=(",", ":"))
             if self._file is not None:
-                self._file.write(line + "\n")
+                # One JSON pass: the data's text is both the checksum's
+                # canonical form and the line's ``data`` field.
+                body = _dumps(encode_payload(kept))
+                kind_text = _dumps(kind)
+                line = (
+                    f'{{"data":{body},"kind":{kind_text},"seq":{seq},'
+                    f'"sum":"{_sum_of(seq, kind_text, body)}"}}\n'
+                )
+                self._file.write(line)
                 self._file.flush()
                 os.fsync(self._file.fileno())
-            self._records.append(record)
+                if self.metrics is not None:
+                    self.metrics.counter("am.journal.bytes").inc(len(line))
+            self._records.append({"seq": seq, "kind": kind, "data": kept})
             if self.metrics is not None:
                 self.metrics.counter("am.journal.appends").inc()
-                self.metrics.counter("am.journal.bytes").inc(len(line) + 1)
         return {"seq": seq, "kind": kind, "data": dict(data)}
 
     # -- reading ---------------------------------------------------------------
 
     def records(self) -> "list[dict]":
-        """All valid records, decoded (ndarrays/bytes restored)."""
+        """All valid records, as deep copies (ndarrays/bytes restored)."""
         with self._lock:
             raw = list(self._records)
         return [
-            {"seq": r["seq"], "kind": r["kind"],
-             "data": decode_payload(r["data"])}
+            {"seq": r["seq"], "kind": r["kind"], "data": _copy(r["data"])}
             for r in raw
         ]
 
@@ -141,7 +186,8 @@ class Journal:
             return len(self._records)
 
     def _read_file(self, path: str) -> "list[dict]":
-        """Parse an existing journal file, dropping any torn tail."""
+        """Parse and decode an existing journal file, dropping any torn
+        tail."""
         if not os.path.exists(path):
             return []
         records: "list[dict]" = []
@@ -166,7 +212,9 @@ class Journal:
                     # after it can be trusted (sequence is broken).
                     self.truncated += 1
                     break
-                records.append(record)
+                records.append(
+                    {"seq": seq, "kind": kind, "data": decode_payload(data)}
+                )
         return records
 
     def close(self) -> None:

@@ -15,9 +15,10 @@ the final sha256 parameter digests assert end-to-end.
 Adjustments follow Fig. 2 over the wire:
 
 1. the driver sends ``ADJUSTMENT_REQUEST``;
-2. joining workers poll ``JOIN`` (each poll doubles as the
-   worker-report, idempotently) until the commit plan and the uploaded
-   state snapshot are both ready;
+2. joining workers ask ``JOIN`` (each ask doubles as the
+   worker-report, idempotently); the AM holds the ask until the commit
+   plan and the uploaded state snapshot are both ready, or answers
+   ``pending`` after a short hold and the worker asks again;
 3. existing workers ``COORDINATE`` at boundaries; the first ``adjust``
    directive mints the commit plan and elects the state uploader;
 4. the uploader streams its snapshot with ``STATE_CHUNK`` /
@@ -62,6 +63,14 @@ from .leases import LeaseSupervisor
 from .replication_gate import ReplicationGate
 from .sync_barriers import SyncBarriers, condemned_reply
 from .transport import ServerCore
+
+#: How long the AM holds a request it cannot answer yet — a ``JOIN``
+#: whose offer is not minted, a ``STATE_FETCH`` whose round is closed —
+#: before it replies ``pending``.  Far below the smallest TCP ack
+#: timeout the repo's jobs use (0.5 s), so a hold never provokes a
+#: resend; the memory pipe runs the handler on the sender's own thread
+#: and never resends over a hold.
+HOLD_SECONDS = 0.1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -255,6 +264,9 @@ class NetworkedApplicationMaster:
         #: successor re-drives it from the fold (:meth:`_rearm`).
         self._pending: "PendingAdjustment | None" = None
         self._lock = threading.RLock()
+        #: notified (under ``_lock``) whenever a held request may now be
+        #: answerable; see :meth:`_held`.
+        self._changed = threading.Condition(self._lock)
         self._fenced = False
         #: ``perf_counter`` at which the in-flight adjustment was asked
         #: for (commit-latency clock; restarted by a successor).
@@ -275,7 +287,7 @@ class NetworkedApplicationMaster:
             spec, self.state, self._lock, self.metrics
         )
         self.replication = ReplicationGate(
-            self.state, self._lock, self.metrics, tracer,
+            self.state, self._changed, self.metrics, tracer,
             record=self._record, mint_offer=self._join_offer,
             on_snapshot=self._maybe_finish,
         )
@@ -356,6 +368,7 @@ class NetworkedApplicationMaster:
         with self._lock:
             self._fenced = True
             self.barriers.release_all(self._superseded)
+            self.replication.wake()
             if self.tracer is not None:
                 self.tracer.instant(
                     "am.abandoned", track="am", cat="am", epoch=self.epoch,
@@ -379,7 +392,7 @@ class NetworkedApplicationMaster:
         if message.msg_type is MessageType.ENROLL:
             return self._handle_enroll(worker, payload)
         if message.msg_type is MessageType.JOIN:
-            return self._handle_join(worker, payload)
+            return self._held(lambda: self._handle_join(worker, payload))
         if message.msg_type is MessageType.COORDINATE:
             return self._handle_coordinate(
                 worker, int(payload["iteration"]),
@@ -394,7 +407,9 @@ class NetworkedApplicationMaster:
         if message.msg_type is MessageType.STATE_DONE:
             return self.replication.handle_done(worker, payload)
         if message.msg_type is MessageType.STATE_FETCH:
-            return self.replication.handle_fetch(worker, payload)
+            return self._held(
+                lambda: self.replication.handle_fetch(worker, payload)
+            )
         if message.msg_type is MessageType.ADJUSTMENT_REQUEST:
             return self._handle_adjustment_request(payload)
         if message.msg_type is MessageType.STATUS:
@@ -402,6 +417,27 @@ class NetworkedApplicationMaster:
         if message.msg_type is MessageType.TELEMETRY:
             return self._handle_telemetry(worker, payload)
         raise ValueError(f"unhandled message type {message.msg_type!r}")
+
+    def _held(self, answer: "typing.Callable[[], dict]") -> dict:
+        """Answer a request the AM may not be able to answer yet.
+
+        ``answer()`` is asked again, under the lock, each time
+        ``_changed`` is notified — an offer minted, a round opened, a
+        request accepted — until it says something other than
+        ``pending`` or :data:`HOLD_SECONDS` pass; then its ``pending``
+        goes out.  A fenced incarnation stops holding at once.  The
+        client asks again straight away: nobody sleeps between asks.
+        """
+        deadline = time.monotonic() + HOLD_SECONDS
+        with self._lock:
+            while True:
+                reply = answer()
+                remaining = deadline - time.monotonic()
+                if reply.get("status") != "pending" or remaining <= 0:
+                    return reply
+                self._changed.wait(remaining)
+                if self._fenced:
+                    return self._superseded
 
     def _handle_telemetry(self, sender: str, payload: dict) -> dict:
         """One TELEMETRY round: worker push or client query.
@@ -432,6 +468,8 @@ class NetworkedApplicationMaster:
     # -- step 2: joining -------------------------------------------------------
 
     def _handle_join(self, worker: str, payload: "dict | None" = None) -> dict:
+        """One ``JOIN`` answer: the offer, ``start``, or ``pending`` (the
+        AM holds a pending one, :meth:`_held`, re-asking this)."""
         state = self.state
         with self._lock:
             # Record the worker's peer-mesh address first: by the time a
@@ -801,6 +839,8 @@ class NetworkedApplicationMaster:
             self.tracer,
         )
         self._requested_at = time.perf_counter()
+        # A joiner's JOIN held here files its report now.
+        self.replication.wake()
         return True
 
     # -- failover: re-enrollment ------------------------------------------------

@@ -10,10 +10,18 @@ serves the AM's own shard over ``STATE_FETCH``, the replication
 planner's round gates, and the single-use join offers — on the live
 path right after the record lands and, with the very same function, by
 a successor after journal replay.
+
+The gate answers; it never waits.  A joiner's round probe or AM chunk
+request whose round is still closed is answered ``pending``, and the AM
+holds such a request on its ``changed`` condition: the gate notifies it
+whenever an answer may have changed — a completion report opens later
+rounds, :meth:`ReplicationGate.derive` mints offers and downloads,
+:meth:`ReplicationGate.forget` drops them.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 import typing
 
@@ -125,19 +133,22 @@ class ReplicationGate:
     through ``record``); the intake, downloads, fetch progress and
     offers are volatile and rebuilt by :meth:`derive` — a successor's
     intake starts empty, and the uploader resends what it lacks.
+    ``changed`` is a condition over the AM lock: held for every call
+    into the gate, notified whenever a held request may be answerable.
     ``mint_offer(plan, descriptor)`` builds a joiner's offer around a
     ``state_transfer`` descriptor; ``on_snapshot`` lets the AM try to
     finish the commit.
     """
 
     def __init__(
-        self, state: JournalState, lock, metrics, tracer,
+        self, state: JournalState, changed: threading.Condition,
+        metrics, tracer,
         record: "typing.Callable[..., None]",
         mint_offer: "typing.Callable[[dict, dict], dict]",
         on_snapshot: "typing.Callable[[], None]",
     ):
         self.state = state
-        self.lock = lock
+        self.changed = changed
         self.metrics = metrics
         self.tracer = tracer
         self._record = record
@@ -186,7 +197,7 @@ class ReplicationGate:
 
     def handle_chunk(self, worker: str, payload: dict) -> dict:
         """One verified chunk of the uploader's snapshot blob."""
-        with self.lock:
+        with self.changed:
             intake = self._intake_for(worker, payload)
             if isinstance(intake, dict):
                 return intake
@@ -211,7 +222,7 @@ class ReplicationGate:
         decoded) and offers it to joiners as a shard plan, gated in the
         replication planner's round order.
         """
-        with self.lock:
+        with self.changed:
             transfer_id = str(payload.get("transfer_id"))
             landed = self.state.last_snapshot
             if landed is not None and landed["transfer_id"] == transfer_id:
@@ -244,7 +255,8 @@ class ReplicationGate:
                 total_bytes=intake.total_bytes,
                 total_chunks=intake.total_chunks,
                 chunk_bytes=intake.chunk_bytes,
-                digest=_digest(blob),
+                # Hashed once: the digest finish() just verified.
+                digest=intake.digest or _digest(blob),
             )
             self.derive(planned=True)
             self._on_snapshot()
@@ -256,6 +268,11 @@ class ReplicationGate:
             }
 
     # -- derived: the download, its round gates, the offers --------------------
+
+    def wake(self) -> None:
+        """Wake every request the AM holds, to ask its question again."""
+        with self.changed:
+            self.changed.notify_all()
 
     def derive(self, planned: bool = False) -> None:
         """Lock held: rebuild download + offers from the journal fold.
@@ -332,6 +349,7 @@ class ReplicationGate:
                 chunks=download.total_chunks,
                 shards=len(shards), owners=owners,
             )
+        self.wake()
 
     def take_offer(self, worker: str, generation: int) -> "dict | None":
         """Lock held: consume ``worker``'s offer if it is for ``generation``.
@@ -367,6 +385,7 @@ class ReplicationGate:
             t for t, d in self.downloads.items() if d.complete
         ]:
             del self.downloads[transfer_id]
+        self.wake()
 
     def unfetched(self, plan: dict) -> "list[str]":
         """Lock held: the plan's joiners still missing (part of) its state."""
@@ -381,7 +400,7 @@ class ReplicationGate:
 
     def handle_fetch(self, worker: str, payload: dict) -> dict:
         """A joiner's round probe, completion report, or chunk request."""
-        with self.lock:
+        with self.changed:
             download = self.downloads.get(payload.get("transfer_id"))
             if download is None:
                 return {"ok": False, "reason": "unknown transfer"}
@@ -392,10 +411,11 @@ class ReplicationGate:
                 # came from; this report is what opens later rounds.
                 download.done.add(worker)
                 self.metrics.counter("net.shards.joins_completed").inc()
+                self.wake()
                 return {"ok": True}
             if not download.round_open(worker):
-                # Earlier planner rounds are still copying; the joiner
-                # polls until its round opens.
+                # Earlier planner rounds are still copying: the AM holds
+                # the request until this round opens or the hold lapses.
                 return {"status": "pending"}
             if payload.get("probe"):
                 return {"ok": True, "open": True}

@@ -430,6 +430,34 @@ class TestMasterChunkProtocol:
         assert snap["net.transfers.completed"] == 1
         assert "net.chunks.duplicate" not in snap
 
+    def test_state_done_hashes_the_blob_once(self, monkeypatch):
+        """The snapshot record carries the digest ``finish`` verified:
+        ``STATE_DONE`` reads each byte of the blob once, and a lone
+        AM-owned shard takes that digest without another pass."""
+        import repro.net.chunks as chunks_module
+        import repro.net.replication_gate as gate_module
+
+        net = adjusting_master()
+        blob = StateBlob.encode(sample_state(), chunk_bytes=256)
+        base = blob.describe("t-once")
+        for seq in range(blob.total_chunks):
+            assert net.replication.handle_chunk("w0", dict(
+                base, seq=seq, digest=blob.chunk_digest(seq),
+                data=blob.chunk(seq),
+            ))["ok"]
+        hashed = []
+        real_digest = chunks_module._digest
+
+        def counting_digest(data):
+            hashed.append(memoryview(data).nbytes)
+            return real_digest(data)
+
+        monkeypatch.setattr(chunks_module, "_digest", counting_digest)
+        monkeypatch.setattr(gate_module, "_digest", counting_digest)
+        assert net.replication.handle_done("w0", dict(base))["ok"]
+        assert hashed == [blob.total_bytes]
+        assert net.state.last_snapshot["digest"] == blob.digest
+
     def test_one_transfer_per_plan(self):
         """The first chunk opens the plan's intake; a chunk of any
         other transfer is refused until the plan is done with."""

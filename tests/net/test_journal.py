@@ -22,6 +22,79 @@ from repro.net import (
 from repro.net.journal import RECORD_KINDS, _checksum
 
 
+#: A fixed record sequence: nested dicts, a tuple, non-ASCII text, a
+#: numpy scalar, a bytes blob and an ndarray.
+GOLDEN_RECORDS = [
+    ("init", {"job_id": "golden",
+              "spec": {"seed": 7, "lr": 0.05, "name": "\u00e9"},
+              "workers": ("w0", "w1")}),
+    ("epoch", {"epoch": 1}),
+    ("peer", {"worker": "w0", "addr": "tcp://127.0.0.1:7001"}),
+    ("plan", {"generation": 1, "commit_iteration": 8,
+              "old_group": ["w0", "w1"], "new_group": ["w0", "w1", "w2"],
+              "uploader": "w0",
+              "shards": {"transfer_id": "shard/g1", "owners": ["w0"],
+                         "count": 1},
+              "schedule": {"total_batch": 48, "lr": 0.075}}),
+    ("snapshot", {"generation": 1, "transfer_id": "shard/g1",
+                  "blob": bytes(range(40)) * 2, "total_bytes": 80,
+                  "total_chunks": 1, "chunk_bytes": 1024,
+                  "digest": "ab" * 32}),
+    ("final", {"worker": "w1", "iteration": np.int64(24), "digest": None,
+               "removed": False,
+               "grads": np.arange(6, dtype=np.float32).reshape(2, 3)}),
+    ("commit", {"generation": 1, "commit_iteration": 8,
+                "old_group": ["w0", "w1"], "new_group": ["w0", "w1", "w2"],
+                "uploader": "w0", "schedule": None, "latency": 0.125,
+                "departed": {}}),
+]
+
+#: The file a journal wrote for GOLDEN_RECORDS before the writer became
+#: one JSON pass per record; the file format must not change.
+GOLDEN_LINES = [
+    (
+        '{"data":{"job_id":"golden","spec":{"lr":0.05,"name":"\\u00e9","se'
+        'ed":7},"workers":["w0","w1"]},"kind":"init","seq":0,"sum":"61c94'
+        'd7fab7ba7a5"}'
+    ),
+    (
+        '{"data":{"epoch":1},"kind":"epoch","seq":1,"sum":"e9939b39df3194'
+        '0d"}'
+    ),
+    (
+        '{"data":{"addr":"tcp://127.0.0.1:7001","worker":"w0"},"kind":"pe'
+        'er","seq":2,"sum":"55b9480bba7f72d0"}'
+    ),
+    (
+        '{"data":{"commit_iteration":8,"generation":1,"new_group":["w0","'
+        'w1","w2"],"old_group":["w0","w1"],"schedule":{"lr":0.075,"total_'
+        'batch":48},"shards":{"count":1,"owners":["w0"],"transfer_id":"sh'
+        'ard/g1"},"uploader":"w0"},"kind":"plan","seq":3,"sum":"a9f1b1b45'
+        'b6710d4"}'
+    ),
+    (
+        '{"data":{"blob":{"__bytes__":"AAECAwQFBgcICQoLDA0ODxAREhMUFRYXGB'
+        'kaGxwdHh8gISIjJCUmJwABAgMEBQYHCAkKCwwNDg8QERITFBUWFxgZGhscHR4fIC'
+        'EiIyQlJic="},"chunk_bytes":1024,"digest":"ababababababababababab'
+        'ababababababababababababababababababababab","generation":1,"tota'
+        'l_bytes":80,"total_chunks":1,"transfer_id":"shard/g1"},"kind":"s'
+        'napshot","seq":4,"sum":"0d6f95cf74962bc4"}'
+    ),
+    (
+        '{"data":{"digest":null,"grads":{"__nd__":"AAAAAAAAgD8AAABAAABAQA'
+        'AAgEAAAKBA","dtype":"float32","shape":[2,3]},"iteration":24,"rem'
+        'oved":false,"worker":"w1"},"kind":"final","seq":5,"sum":"fc829a4'
+        '93d2a4d70"}'
+    ),
+    (
+        '{"data":{"commit_iteration":8,"departed":{},"generation":1,"late'
+        'ncy":0.125,"new_group":["w0","w1","w2"],"old_group":["w0","w1"],'
+        '"schedule":null,"uploader":"w0"},"kind":"commit","seq":6,"sum":"'
+        'aa68d87d095e22ab"}'
+    ),
+]
+
+
 class TestJournalAppend:
     def test_in_memory_round_trip(self):
         journal = Journal()
@@ -33,6 +106,37 @@ class TestJournalAppend:
         assert [r["kind"] for r in records] == ["init", "epoch", "progress"]
         assert records[0]["data"]["workers"] == ["w0", "w1"]
         assert len(journal) == 3
+
+    def test_appended_and_handed_out_data_cannot_rewrite_history(self):
+        journal = Journal()
+        group = ["w0", "w1"]
+        blob = bytearray(b"abc")
+        array = np.zeros(3)
+        journal.append("snapshot", group=group, blob=blob, state=array)
+        group.append("w2")
+        blob[0] = 0
+        array[0] = 7.0
+        first = journal.records()[0]["data"]
+        first["group"].append("w3")
+        first["state"][1] = 9.0
+        first["new"] = True
+        data = journal.records()[0]["data"]
+        assert data["group"] == ["w0", "w1"]
+        assert data["blob"] == b"abc"
+        np.testing.assert_array_equal(data["state"], np.zeros(3))
+        assert "new" not in data
+
+    def test_records_have_the_decoded_types(self):
+        """A kept record reads back as a file-backed one would."""
+        journal = Journal()
+        journal.append(
+            "final", workers=("w0", "w1"), iteration=np.int64(4),
+            blob=memoryview(b"xy"),
+        )
+        data = journal.records()[0]["data"]
+        assert data["workers"] == ["w0", "w1"]
+        assert type(data["iteration"]) is int
+        assert type(data["blob"]) is bytes
 
     def test_unknown_kind_rejected_at_write_time(self):
         journal = Journal()
@@ -145,6 +249,29 @@ class TestJournalFile:
         np.testing.assert_array_equal(state["params"]["w"], params["w"])
         assert state["params"]["w"].dtype == np.float64
         assert state["optimizer"] == {"t": 3}
+        reopened.close()
+
+    def test_file_bytes_match_the_golden_lines(self, tmp_path):
+        """The one-pass writer produces, byte for byte, the lines the
+        two-pass writer (checksum dump, then line dump) produced."""
+        path = str(tmp_path / "journal.jsonl")
+        journal = Journal(path)
+        for kind, data in GOLDEN_RECORDS:
+            journal.append(kind, **data)
+        journal.close()
+        with open(path, "rb") as f:
+            written = f.read()
+        assert written == "".join(
+            line + "\n" for line in GOLDEN_LINES
+        ).encode("utf-8")
+        reopened = Journal(path)
+        records = reopened.records()
+        assert reopened.truncated == 0
+        assert records[4]["data"]["blob"] == bytes(range(40)) * 2
+        np.testing.assert_array_equal(
+            records[5]["data"]["grads"],
+            np.arange(6, dtype=np.float32).reshape(2, 3),
+        )
         reopened.close()
 
     def test_checksum_covers_seq_kind_and_data(self):

@@ -19,6 +19,8 @@ from repro.net import (
     JobSpec,
     NetworkedApplicationMaster,
     RemoteError,
+    RetryableError,
+    master_service,
     memory_link,
     wire,
 )
@@ -364,6 +366,119 @@ class TestJoinOfferLifecycle:
         # The stale offer died at mint time; w2 now waits for the new
         # plan's snapshot.
         assert "w2" not in net.replication.offers
+
+
+class TestHeldJoin:
+    """The AM holds a ``JOIN`` it cannot answer yet instead of replying
+    ``pending`` at once; the joiner therefore never sleeps between asks."""
+
+    @staticmethod
+    def _recording(net):
+        """Wrap the AM's handler: ``entered`` is set when a JOIN starts
+        executing, ``answers`` collects (sender, type, reply)."""
+        answers, entered = [], threading.Event()
+        handler = net.core.handler
+
+        def recording(message):
+            if message.msg_type is MessageType.JOIN:
+                entered.set()
+            reply = handler(message)
+            answers.append((message.sender, message.msg_type, reply))
+            return reply
+
+        net.core.handler = recording
+        return answers, entered
+
+    def test_join_held_until_the_snapshot_lands_gets_the_offer(
+        self, monkeypatch
+    ):
+        # Long enough that the upload below lands inside the hold on a
+        # loaded host; the memory link waits on its own thread anyway.
+        monkeypatch.setattr(master_service, "HOLD_SECONDS", 5.0)
+        spec = JobSpec(iterations=64, coordination_interval=4)
+        net = NetworkedApplicationMaster(spec, ["w0"])
+        assert net._handle_adjustment_request(
+            {"kind": "scale_out", "add": ["w2"]}
+        )["accepted"]
+        net._handle_join("w2")  # the report: the plan can be minted
+        assert TestJoinOfferLifecycle._drive_to_adjust(net, "w0")["upload"]
+        answers, entered = self._recording(net)
+        joiner = memory_link(net.core, "w2")
+        replies = []
+        asking = threading.Thread(
+            target=lambda: replies.append(
+                joiner.request(MessageType.JOIN, {})
+            ),
+            daemon=True,
+        )
+        asking.start()
+        assert entered.wait(5.0)
+        uploader = memory_link(net.core, "w0")
+        ChunkedUploader(uploader).upload(TestJoinOfferLifecycle._snapshot())
+        asking.join(timeout=10.0)
+        assert not asking.is_alive()
+        assert replies[0]["status"] == "join"
+        assert replies[0]["generation"] == 1
+        # one JOIN, answered with the offer: no pending went out
+        assert net.core.executions[("w2", "join")] == 1
+        assert [
+            reply["status"] for sender, kind, reply in answers
+            if kind is MessageType.JOIN
+        ] == ["join"]
+        joiner.close()
+        uploader.close()
+        net.close()
+
+    def test_join_nobody_expects_is_pending_after_the_hold(self):
+        spec = JobSpec(iterations=64, coordination_interval=4)
+        net = NetworkedApplicationMaster(spec, ["w0"])
+        answers, _ = self._recording(net)
+        stranger = memory_link(net.core, "w9")
+        started = time.monotonic()
+        reply = stranger.request(MessageType.JOIN, {})
+        held = time.monotonic() - started
+        assert reply == {"status": "pending"}
+        # held for the whole hold (not answered at once), then answered
+        assert held >= master_service.HOLD_SECONDS
+        assert net.core.executions[("w9", "join")] == 1
+        assert [reply for _, _, reply in answers] == [{"status": "pending"}]
+        stranger.close()
+        net.close()
+
+    def test_accepted_request_wakes_a_held_join_to_report(self, monkeypatch):
+        """A JOIN held before the request lands files its worker-report
+        the moment the request is accepted."""
+        monkeypatch.setattr(master_service, "HOLD_SECONDS", 5.0)
+        spec = JobSpec(iterations=64, coordination_interval=4)
+        net = NetworkedApplicationMaster(spec, ["w0"])
+        _, entered = self._recording(net)
+        joiner = memory_link(net.core, "w2")
+        errors = []
+
+        def ask():
+            try:
+                joiner.request(MessageType.JOIN, {})
+            except RetryableError as exc:
+                errors.append(exc.reason)
+
+        asking = threading.Thread(target=ask, daemon=True)
+        asking.start()
+        assert entered.wait(5.0)
+        assert net._handle_adjustment_request(
+            {"kind": "scale_out", "add": ["w2"]}
+        )["accepted"]
+        deadline = time.monotonic() + 5.0
+        while not net._pending.reported:
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        assert net._pending.reported == {"w2"}
+        assert asking.is_alive()  # reported, and still held
+        net.abandon()  # a fenced AM stops holding at once
+        asking.join(timeout=5.0)
+        assert not asking.is_alive()
+        assert errors == ["am_superseded"]
+        assert net.core.executions[("w2", "join")] == 1
+        joiner.close()
 
 
 class TestStatusWaitingOn:

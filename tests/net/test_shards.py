@@ -5,8 +5,9 @@ Four layers:
 * :class:`ShardStore` — owners freeze a bit-identical full blob and
   serve digest-verified chunks of it over the peer plane, with TTL
   eviction so a dead transfer cannot pin memory forever;
-* :class:`ShardedFetcher` backoff — a queued joiner polls its round
-  gate with bounded exponential backoff instead of a tight loop;
+* :class:`ShardedFetcher` re-probes — a queued joiner asks its round
+  gate again at once; the AM (and the fakes here) hold each ask before
+  answering ``pending``, so no client loop sleeps;
 * :class:`ShardedFetcher` — multi-peer fan-in and re-planning a shard
   whose owner died (or diverged, or raised) mid-fetch, driven against
   in-memory fakes so every failure mode is deterministic;
@@ -18,6 +19,7 @@ Four layers:
 """
 
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from repro.net import (
     StateBlob,
     WireError,
 )
+from repro.net import master_service
 from repro.net.chunks import ShardedFetcher, ShardStore, TransferError
 from repro.observability import MetricRegistry
 
@@ -169,29 +172,21 @@ def am_serving(blob):
     return handler
 
 
-class TestFetcherBackoff:
-    """Satellite: the pending wait is bounded exponential backoff."""
+#: the fakes' hold before a ``pending`` answer.
+HOLD = 0.01
 
-    def test_backoff_delays_grow_and_cap(self):
-        link = FakeLink(lambda m, p: {"ok": True})
-        fetcher = ShardedFetcher(
-            link, poll_interval=0.01, max_poll_interval=0.05
-        )
-        backoff = fetcher._backoff()
-        delays = [backoff.delay(attempt) for attempt in range(8)]
-        assert delays[0] == pytest.approx(0.01)
-        assert delays == sorted(delays)
-        assert delays[-1] == pytest.approx(0.05)
-        assert all(d <= 0.05 for d in delays)
 
-    def test_max_poll_interval_never_below_poll_interval(self):
-        link = FakeLink(lambda m, p: {"ok": True})
-        fetcher = ShardedFetcher(
-            link, poll_interval=0.2, max_poll_interval=0.01
-        )
-        assert fetcher.max_poll_interval == 0.2
+def held_pending():
+    """A ``pending`` answer given the way the AM gives one: after a
+    hold (short here), never instantly."""
+    threading.Event().wait(HOLD)
+    return {"status": "pending"}
 
-    def test_pending_rounds_resolve_after_backoff(self):
+
+class TestFetcherReprobe:
+    """The pending wait is the AM's hold: the fetcher asks again at once."""
+
+    def test_pending_rounds_resolve_by_asking_again(self):
         blob = StateBlob.encode(sample_state(), chunk_bytes=2048)
         pending_left = [3]
         serving = am_serving(blob)
@@ -200,16 +195,17 @@ class TestFetcherBackoff:
             assert msg_type is MessageType.STATE_FETCH
             if pending_left[0] > 0:
                 pending_left[0] -= 1
-                return {"status": "pending"}
+                return held_pending()
             return serving(msg_type, payload)
 
-        fetcher = ShardedFetcher(
-            FakeLink(handler), window=1,
-            poll_interval=0.001, max_poll_interval=0.004, timeout=5.0,
-        )
+        link = FakeLink(handler)
+        fetcher = ShardedFetcher(link, window=1, timeout=5.0)
         state = fetcher.fetch(am_owned_descriptor(blob))
         assert_states_equal(state, sample_state())
         assert pending_left[0] == 0
+        # every pending answer cost exactly one more ask: the chunks,
+        # the completion report and the three re-asks
+        assert link.requests == blob.total_chunks + 1 + 3
 
 
 def make_sharded_world(owners=("w0", "w1"), chunk_bytes=1024,
@@ -268,8 +264,7 @@ class TestShardedFetcher:
         state = sample_state()
         descriptor, stores, am = make_sharded_world(state=state)
         fetcher = ShardedFetcher(
-            FakeLink(am), connect=peer_connector(stores),
-            poll_interval=0.001, timeout=5.0,
+            FakeLink(am), connect=peer_connector(stores), timeout=5.0,
             metrics=MetricRegistry(),
         )
         fetched = fetcher.fetch(descriptor)
@@ -292,7 +287,7 @@ class TestShardedFetcher:
         connect = peer_connector(stores, die_after={"w0": 1})
         fetcher = ShardedFetcher(
             FakeLink(am), connect=connect,
-            window=1, poll_interval=0.001, timeout=5.0,
+            window=1, timeout=5.0,
         )
         fetched = fetcher.fetch(descriptor)
         assert_states_equal(fetched, state)
@@ -316,7 +311,7 @@ class TestShardedFetcher:
         try:
             fetcher = ShardedFetcher(
                 FakeLink(am), connect=peer_connector(stores, dead={"w0"}),
-                window=2, poll_interval=0.001, timeout=10.0,
+                window=2, timeout=10.0,
             )
             fetched = fetcher.fetch(descriptor)
         finally:
@@ -340,7 +335,7 @@ class TestShardedFetcher:
         )
         fetcher = ShardedFetcher(
             FakeLink(am), connect=connect,
-            window=1, poll_interval=0.001, timeout=5.0,
+            window=1, timeout=5.0,
         )
         fetched = fetcher.fetch(descriptor)
         assert_states_equal(fetched, state)
@@ -365,7 +360,7 @@ class TestShardedFetcher:
             )
             am, connect = am_serving(blob), None
         fetcher = ShardedFetcher(
-            FakeLink(am), connect=connect, poll_interval=0.001, timeout=5.0,
+            FakeLink(am), connect=connect, timeout=5.0,
         )
         with pytest.raises(WireError):
             fetcher.fetch(descriptor)
@@ -386,8 +381,7 @@ class TestShardedFetcher:
             return link
 
         fetcher = ShardedFetcher(
-            FakeLink(am), connect=connect_with_broken_close,
-            poll_interval=0.001, timeout=5.0,
+            FakeLink(am), connect=connect_with_broken_close, timeout=5.0,
         )
         with pytest.raises(TypeError):
             fetcher.fetch(descriptor)
@@ -405,8 +399,7 @@ class TestShardedFetcher:
             raise AssertionError(f"dialled {addr}")
 
         fetcher = ShardedFetcher(
-            link, connect=no_peers, window=2, poll_interval=0.001,
-            timeout=5.0,
+            link, connect=no_peers, window=2, timeout=5.0,
         )
         fetched = fetcher.fetch(am_owned_descriptor(blob))
         assert_states_equal(fetched, state)
@@ -441,7 +434,7 @@ class TestShardedFetcher:
             return real_digest(data)
 
         monkeypatch.setattr(chunks_module, "_digest", counting_digest)
-        ShardedFetcher(FakeLink(am), poll_interval=0.001).fetch(descriptor)
+        ShardedFetcher(FakeLink(am)).fetch(descriptor)
         assert sum(hashed) == 2 * blob.total_bytes
 
     def test_all_owners_dead_falls_back_to_the_am_full_copy(self):
@@ -450,7 +443,7 @@ class TestShardedFetcher:
         connect = peer_connector(stores, dead=("w0", "w1"))
         am_link = FakeLink(am)
         fetcher = ShardedFetcher(
-            am_link, connect=connect, poll_interval=0.001, timeout=5.0,
+            am_link, connect=connect, timeout=5.0,
         )
         fetched = fetcher.fetch(descriptor)
         assert_states_equal(fetched, state)
@@ -463,7 +456,7 @@ class TestShardedFetcher:
         state = sample_state()
         descriptor, stores, am = make_sharded_world(state=state)
         fetcher = ShardedFetcher(
-            FakeLink(am), connect=None, poll_interval=0.001, timeout=5.0,
+            FakeLink(am), connect=None, timeout=5.0,
         )
         fetched = fetcher.fetch(descriptor)
         assert_states_equal(fetched, state)
@@ -486,7 +479,7 @@ class TestShardedFetcher:
         entry._chunk_digests.clear()
         fetcher = ShardedFetcher(
             FakeLink(am), connect=peer_connector(stores),
-            window=1, poll_interval=0.001, timeout=5.0,
+            window=1, timeout=5.0,
         )
         fetched = fetcher.fetch(descriptor)
         assert_states_equal(fetched, state)
@@ -500,16 +493,18 @@ class TestShardedFetcher:
         def am_handler(msg_type, payload):
             if payload.get("probe") and gate[0] > 0:
                 gate[0] -= 1
-                return {"status": "pending"}
+                return held_pending()
             return inner_am(msg_type, payload)
 
+        link = FakeLink(am_handler)
         fetcher = ShardedFetcher(
-            FakeLink(am_handler), connect=peer_connector(stores),
-            poll_interval=0.001, timeout=5.0,
+            link, connect=peer_connector(stores), timeout=5.0,
         )
         fetched = fetcher.fetch(descriptor)
         assert_states_equal(fetched, state)
         assert gate[0] == 0
+        # two held pendings, the probe that opened, the report
+        assert link.requests == 4
 
     def test_round_gate_refusal_raises(self):
         descriptor, stores, _ = make_sharded_world()
@@ -518,8 +513,7 @@ class TestShardedFetcher:
             return {"ok": False, "reason": "not a planned joiner"}
 
         fetcher = ShardedFetcher(
-            FakeLink(am_handler), connect=peer_connector(stores),
-            poll_interval=0.001, timeout=1.0,
+            FakeLink(am_handler), connect=peer_connector(stores), timeout=1.0,
         )
         with pytest.raises(TransferError):
             fetcher.fetch(descriptor)
@@ -531,11 +525,21 @@ def transport(request):
 
 
 class TestShardedElasticJob:
-    def test_sharded_scale_out_is_bit_identical(self, transport):
+    def test_sharded_scale_out_is_bit_identical(self, transport, monkeypatch):
         """The tentpole acceptance criterion: with ``replication_shards``
         set, a scale-out's joiners fan in their shards from the owner
         peers — the AM never serves a chunk — and every replica (old and
-        new, on both transports) finishes with the same digest."""
+        new, on both transports) finishes with the same digest.  Each
+        owner encodes its snapshot once: the uploader (w0, an owner too)
+        streams the blob it froze."""
+        encodes = []
+        encode = StateBlob.encode.__func__
+
+        def counting_encode(cls, state, *args, **kwargs):
+            encodes.append(state)
+            return encode(cls, state, *args, **kwargs)
+
+        monkeypatch.setattr(StateBlob, "encode", classmethod(counting_encode))
         spec = JobSpec(
             iterations=16, coordination_interval=4, iteration_sleep=0.01,
             allreduce_timeout=10.0, sync_ack_timeout=1.0,
@@ -574,5 +578,67 @@ class TestShardedElasticJob:
                 if harness.agents[w]._shard_store is not None
             )
             assert served > 0
+            assert len(encodes) == 2  # one per owner, none to upload
         finally:
             harness.close()
+
+    def test_round_one_joiner_probes_once_and_is_never_pending(
+        self, transport, monkeypatch
+    ):
+        """Two joiners, two owners: the planner puts one joiner in
+        round 1.  Its round probe lands while round 0 is still copying,
+        the AM holds it, and the round-0 completion report answers it —
+        one probe, no ``pending`` anywhere in the fetch."""
+        # A hold long enough that a loaded host still finishes round 0
+        # inside it, and still below the suite's 0.5 s ack timeout.
+        monkeypatch.setattr(master_service, "HOLD_SECONDS", 0.4)
+        spec = JobSpec(
+            iterations=16, coordination_interval=4, iteration_sleep=0.01,
+            allreduce_timeout=10.0, sync_ack_timeout=1.0,
+            chunk_bytes=1024, replication_shards=2,
+        )
+        harness = Harness(transport, spec, ["w0", "w1"], mesh=True)
+        answers = []
+        handler = harness.master.core.handler
+
+        def recording(message):
+            reply = handler(message)
+            answers.append((message.sender, message.msg_type,
+                            dict(message.payload), reply))
+            return reply
+
+        harness.master.core.handler = recording
+        try:
+            harness.start_worker("w0")
+            harness.start_worker("w1")
+            driver = harness.link("driver", ack_timeout=2.0)
+            wait_for_iteration(driver, 4)
+            assert driver.request(
+                MessageType.ADJUSTMENT_REQUEST,
+                {"kind": "scale_out", "add": ["w2", "w3"]},
+            )["accepted"]
+            harness.start_worker("w2")
+            harness.start_worker("w3")
+            harness.join_all()
+            assert harness.master.status()["complete"]
+        finally:
+            harness.close()
+        rounds = {
+            sender: reply["state_transfer"]["round"]
+            for sender, kind, _, reply in answers
+            if kind is MessageType.JOIN and reply.get("status") == "join"
+        }
+        assert sorted(rounds.values()) == [0, 1], rounds
+        late = next(w for w, r in rounds.items() if r == 1)
+        fetches = [
+            (payload, reply) for sender, kind, payload, reply in answers
+            if kind is MessageType.STATE_FETCH and sender == late
+        ]
+        assert [p for p, _ in fetches if p.get("probe")] == [
+            {"transfer_id": "shard/g1", "probe": True}
+        ]
+        assert [
+            reply for sender, kind, _, reply in answers
+            if kind is MessageType.STATE_FETCH
+            and reply.get("status") == "pending"
+        ] == []

@@ -95,6 +95,17 @@ class TestChaosSoak:
         assert report.mean_mttr <= MTTR_CEILING
         assert report.recoveries >= 1
 
+    def test_a_star_fallback_keeps_the_generation_on_the_star(self, soaked):
+        """w2 dies at iteration 9: the survivors' ring times out once,
+        falls back to the star, and stays there until the eviction's
+        commit installs the next ring — so recovery pays one
+        ``ring_step_timeout`` (2 s), not one per iteration until the
+        commit."""
+        job, report = soaked
+        for worker in ("w0", "w1"):
+            assert job.results[worker]["ring_fallbacks"] == 1, job.results
+        assert report.mean_mttr < 2.5
+
     def test_goodput_gauges_exported(self, soaked):
         job, report = soaked
         snap = job.master.metrics.snapshot()
