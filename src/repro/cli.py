@@ -10,7 +10,7 @@ Subcommands (also installed as the ``repro-elan`` console script)::
     python -m repro.cli demo                            # live elastic job
     python -m repro.cli demo --trace trace.json         # ... and its trace
     python -m repro.cli scenario examples/scenarios/soak.json  # chaos soak
-    python -m repro.cli cluster scenario --transport both   # multi-job churn
+    python -m repro.cli scenario examples/scenarios/churn.json # multi-job churn
 """
 
 from __future__ import annotations
@@ -548,13 +548,13 @@ def cmd_join(args) -> int:
 
 
 def cmd_scenario(args) -> int:
-    """Run a scenario file on LocalJob and check every expectation."""
+    """Run a scenario file and check every expectation."""
     import os
 
-    from .net.scenario import Scenario, run
+    from .net.scenario import load, run
 
     try:
-        scenario = Scenario.load(args.file)
+        scenario = load(args.file)
     except (OSError, ValueError) as exc:  # ScenarioError, bad JSON
         print(f"scenario {args.file}: {exc}", file=sys.stderr)
         return 2
@@ -565,62 +565,13 @@ def cmd_scenario(args) -> int:
     for transport, outcome in runs.items():
         print(f"[{scenario.name} over {transport}]")
         print(outcome.report.format())
-    print(f"scenario {scenario.name} ok (goodput >= "
-          f"{scenario.goodput_floor:.2f}, MTTR <= "
-          f"{scenario.mttr_ceiling:.1f}s)")
+    print(f"scenario {scenario.name} ok ({scenario.gates})")
     return 0
 
 
 def cmd_cluster(args) -> int:
-    """Multi-tenant cluster scheduler: serve it, drive it, or drill it."""
+    """Multi-tenant cluster scheduler: serve it or drive it."""
     from .coordination.messages import MessageType
-
-    if args.action == "scenario":
-        from .cluster import run_churn_scenario
-        from .observability import SLOViolation
-
-        transports = (
-            ("memory", "tcp") if args.transport == "both"
-            else (args.transport,)
-        )
-        reports, ok = {}, True
-        for transport in transports:
-            trace_path = args.trace
-            if trace_path and len(transports) > 1:
-                root, dot, ext = trace_path.rpartition(".")
-                trace_path = f"{root}.{transport}{dot}{ext}" if dot else (
-                    f"{trace_path}.{transport}"
-                )
-            report = run_churn_scenario(
-                transport, iterations=args.iterations,
-                iteration_sleep=args.sleep, seed=args.seed,
-                policy=args.policy, timeout=args.timeout,
-                trace_path=trace_path,
-            )
-            reports[transport] = report
-            print(report.format())
-            if trace_path:
-                print(f"wrote trace to {trace_path}")
-            try:
-                report.assert_slo(
-                    makespan_ceiling=args.makespan_ceiling,
-                    queueing_delay_ceiling=args.queue_ceiling,
-                    goodput_floor=args.goodput_floor,
-                )
-                print(f"SLO ok (makespan <= {args.makespan_ceiling:.0f}s, "
-                      f"queueing <= {args.queue_ceiling:.0f}s, "
-                      f"goodput >= {args.goodput_floor:.2f})")
-            except SLOViolation as violation:
-                print(f"SLO violation: {violation}", file=sys.stderr)
-                ok = False
-            print()
-        if len(reports) == 2:
-            if reports["memory"].digests == reports["tcp"].digests:
-                print("digests bit-identical across transports")
-            else:
-                print("DIGEST MISMATCH across transports", file=sys.stderr)
-                ok = False
-        return 0 if ok else 1
 
     if args.action == "serve":
         from .cluster import (
@@ -897,11 +848,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     cluster = sub.add_parser(
         "cluster",
-        help="multi-tenant cluster scheduler: serve, submit, status, "
-             "or run the deterministic churn scenario",
+        help="multi-tenant cluster scheduler: serve, submit or status "
+             "(scenario files drill it)",
     )
-    cluster.add_argument("action",
-                         choices=("serve", "submit", "status", "scenario"))
+    cluster.add_argument("action", choices=("serve", "submit", "status"))
     cluster.add_argument("--host", default="127.0.0.1")
     cluster.add_argument("--port", type=int, default=0,
                          help="serve: listen port (0 = ephemeral); "
@@ -927,16 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--max-res", type=int, default=2)
     cluster.add_argument("--seed", type=int, default=7)
     cluster.add_argument("--ack-timeout", type=float, default=2.0)
-    cluster.add_argument("--transport", choices=("memory", "tcp", "both"),
-                         default="memory",
-                         help="scenario: which transport(s) to drill")
-    cluster.add_argument("--timeout", type=float, default=120.0,
-                         help="scenario: per-transport wall-clock budget")
-    cluster.add_argument("--makespan-ceiling", type=float, default=60.0)
-    cluster.add_argument("--queue-ceiling", type=float, default=10.0)
-    cluster.add_argument("--goodput-floor", type=float, default=0.02)
-    cluster.add_argument("--trace", help="export a Chrome trace here "
-                                         "(scenario/serve)")
+    cluster.add_argument("--trace", help="serve: export a Chrome trace here")
     return parser
 
 

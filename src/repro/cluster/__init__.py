@@ -9,10 +9,11 @@ submissions, and continuously resizes the per-job
 :class:`~repro.net.NetworkedApplicationMaster`s over the existing
 in-memory/TCP transports (SUBMIT / OFFER / RELEASE / JOB_STATUS on
 the §V-D reliable links, and each job's ``ADJUSTMENT_REQUEST``).
+A cluster scenario file (``examples/scenarios/churn.json``, run by
+:mod:`repro.net.scenario`) drills it end to end under spot churn.
 """
 
 from .runners import ElasticJobRunner
-from .scenario import ChurnScenario, ScenarioReport, run_churn_scenario
 from .scheduler import (
     CLUSTER_RECORD_KINDS,
     ClusterJournalState,
@@ -22,11 +23,8 @@ from .scheduler import (
 
 __all__ = [
     "CLUSTER_RECORD_KINDS",
-    "ChurnScenario",
     "ClusterJournalState",
     "ClusterScheduler",
     "ElasticJobRunner",
     "JobRequest",
-    "ScenarioReport",
-    "run_churn_scenario",
 ]

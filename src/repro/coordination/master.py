@@ -154,8 +154,11 @@ class PendingAdjustment:
 
     def report(self, worker_id: str, latest: int) -> None:
         """Step 2: a new worker finished start + init and is ready to join
-        (idempotent; reports from anyone else are ignored)."""
-        if worker_id not in self.request.add_workers:
+        (idempotent: a repeat, as a held JOIN asks on every wake, is
+        ignored and not traced, as are reports from anyone else)."""
+        if worker_id not in self.request.add_workers or (
+            worker_id in self.reported
+        ):
             return
         self.reported.add(worker_id)
         self._instant("am.report", worker=worker_id)

@@ -18,9 +18,11 @@ Crash tolerance rides on a write-ahead :class:`Journal`: every takeover
 is one :func:`promote` — a successor AM replays the journal, fences the
 predecessor out with a higher epoch, and finishes or aborts any
 in-flight commit; workers re-enroll and resume.  Heartbeat leases evict
-silently dead workers.  :mod:`.scenario` runs a job from a JSON
-scenario file — churn, worker and AM kills, link resets, a dying shard
-owner, all keyed by iteration — and checks its outcome and SLOs.
+silently dead workers.  :mod:`.scenario` runs a JSON scenario file —
+one job under churn, worker and AM kills, link resets and a dying shard
+owner, or many jobs under a cluster scheduler and spot capacity — and
+checks its outcome and SLOs; it sits above :mod:`repro.cluster`, so
+this package does not import it.
 """
 
 from ..observability import GoodputReport, SLOViolation, derive_report
@@ -60,7 +62,6 @@ from .shm import (
     ShmTransport,
     shm_link,
 )
-from .scenario import Scenario, ScenarioError
 from .tcp import TcpServer, TcpTransport, reserve_port, tcp_link
 from .telemetry import TelemetryShipper
 from .transport import (
@@ -105,8 +106,6 @@ __all__ = [
     "RingMailbox",
     "RingNode",
     "SLOViolation",
-    "Scenario",
-    "ScenarioError",
     "ShmPeerHost",
     "ShmRing",
     "ShmServer",

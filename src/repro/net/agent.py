@@ -371,9 +371,10 @@ class WorkerAgent:
             self._ring_node.install(ring)
 
     def _ring_epoch(self) -> int:
-        """The generation of the currently installed ring (-1 if none)."""
+        """The generation of the installed ring; -1 if none, or if it
+        fell back — the AM then hands it out again at a boundary."""
         node = self._ring_node
-        if node is None or node.ring is None:
+        if node is None or node.ring is None or node.fallen_back:
             return -1
         return node.ring["epoch"]
 
@@ -501,10 +502,12 @@ class WorkerAgent:
         mean we cache in the mailbox.  Waiting only helps for peers
         mid-ring.
 
-        A star retry leaves the ring off for the rest of its generation
-        (until the next ring is installed): no peer could complete this
-        iteration, so a lost peer would cost every later one a full
-        ``ring_step_timeout`` until its eviction commits.
+        A star retry leaves the ring off until it is installed again: no
+        peer could complete this iteration, so a lost peer would cost
+        every later one a full ``ring_step_timeout`` until its eviction
+        commits.  The AM re-sends the generation's ring at the next
+        boundary where no member is condemned (:meth:`_ring_epoch`
+        reports -1 meanwhile), active from that boundary.
         """
         found = self._peer_mean(spec, generation, iteration, settle=True)
         if found is not None:

@@ -412,7 +412,7 @@ class RingNode:
         self.ring: "dict | None" = None
         self.strikes = 0
         #: the installed ring failed an iteration outright (no peer
-        #: completed it): its generation stays on the star.
+        #: completed it): the star until the AM re-sends the ring.
         self.fallen_back = False
         self._links: "dict[str, typing.Any]" = {}
         #: the last allreduce's geometry, keyed by (members, shapes).

@@ -562,11 +562,15 @@ class NetworkedApplicationMaster:
                     return self._adjust_directive(last, worker)
                 reply = {"kind": "continue"}
                 # Piggyback the current generation's ring on boundary
-                # replies until the worker reports it installed; every
-                # member coordinating at this boundary receives the
-                # identical payload (same order, same activation), so
-                # the plane switches atomically at the boundary.
-                if ring_epoch != state.generation:
+                # replies until the worker reports it installed (a ring
+                # that fell back reports none); every member
+                # coordinating at this boundary receives the identical
+                # payload (same order, same activation), so the plane
+                # switches atomically at the boundary.  Not while a
+                # member is condemned: it would cost the ring another
+                # ``ring_step_timeout`` before its eviction commits.
+                dying = state.condemned.intersection(state.current_group)
+                if ring_epoch != state.generation and not dying:
                     ring = self._ring_payload(
                         state.generation, state.current_group,
                         active_from=iteration,

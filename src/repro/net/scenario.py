@@ -1,18 +1,27 @@
-"""One scenario runner: a JSON file drives one elastic job on LocalJob.
+"""One scenario runner: a JSON file drives one elastic job on LocalJob,
+or many under a cluster scheduler.
 
-A :class:`Scenario` holds the transports to run over, the worker kind
-(agent threads, or ``repro.cli join`` processes with a peer transport),
-the initial workers and the :class:`JobSpec` fields, at most one
-scale-out, faults keyed by iteration (worker kills, one AM kill,
-per-worker link and peer resets, a shard-owner death) and what must
-hold at the end (commits, survivors, a goodput floor, an MTTR ceiling).
+The file's shape decides what runs.  A :class:`Scenario` holds the
+transports to run over, the worker kind (agent threads, or
+``repro.cli join`` processes with a peer transport), the initial
+workers and the :class:`JobSpec` fields, at most one scale-out, faults
+keyed by iteration (worker kills, one AM kill, per-worker link and peer
+resets, a shard-owner death) and what must hold at the end (commits,
+survivors, a goodput floor, an MTTR ceiling).  A :class:`ClusterScenario`
+(a ``cluster`` section in place of ``workers``/``spec``/``scale_out``/
+``faults``) holds a scheduling policy, a GPU inventory, the jobs
+(:class:`~repro.cluster.JobRequest` fields) submitted over a client
+link, capacity events keyed by iteration, and its expectations
+(preemptions, resizes, optionally the completion order, makespan and
+queueing-delay ceilings, a goodput floor).
 
-:func:`run` drives it on :class:`LocalJob` through one
-:meth:`LocalJob.wait` loop, writes every trace and metric under its
-output directory and ends with :func:`assert_replay_matches` plus every
-check the scenario makes meaningful; no check is chosen by a flag.  A
-scenario over two transports must also recover alike and end on the
-same digest on both.  The committed files are ``examples/scenarios/``;
+:func:`run` drives either once per transport, writes every trace and
+metric under its output directory and ends with every check the
+scenario makes meaningful; no check is chosen by a flag.  One firing
+rule serves both shapes: an event fires once training reaches its
+iteration and every adjustment owed by earlier events has committed.
+A scenario over two transports must also end on the same digests on
+both.  The committed files are ``examples/scenarios/``;
 ``python -m repro.cli scenario FILE`` runs one.
 """
 
@@ -23,22 +32,32 @@ import dataclasses
 import hashlib
 import json
 import os
+import time
 
+from ..cluster import (
+    CLUSTER_RECORD_KINDS,
+    ClusterScheduler,
+    ElasticJobRunner,
+    JobRequest,
+)
 from ..coordination.faults import FaultPlan
 from ..coordination.messages import MessageType
 from ..observability import (
     GoodputReport,
     MetricRegistry,
+    SLOViolation,
     Tracer,
     derive_report,
     load_trace_events,
     validate_events,
     write_trace_events,
 )
+from ..scheduling import POLICIES
 from .job import LocalJob
 from .journal import Journal, JournalState
 from .master_service import JobSpec, NetworkedApplicationMaster
-from .tcp import reserve_port
+from .tcp import reserve_port, tcp_link
+from .transport import memory_link
 
 
 def _plain(value):
@@ -91,6 +110,29 @@ def _section(data, where: str, required=(), optional=()) -> dict:
     return data
 
 
+def _transports(top: dict) -> "tuple[str, ...]":
+    transports = tuple(top["transports"])
+    if not transports or len(set(transports)) != len(transports) or (
+        not set(transports) <= {"memory", "tcp"}
+    ):
+        raise ScenarioError(
+            f"transports: {list(transports)} is not a list of distinct "
+            "'memory'/'tcp'"
+        )
+    return transports
+
+
+def load(path: str) -> "Scenario | ClusterScenario":
+    """The scenario in JSON file ``path``, named after the file: a
+    :class:`ClusterScenario` if it has a ``cluster`` section, else a
+    :class:`Scenario`."""
+    with open(path) as f:
+        data = json.load(f)
+    cluster = isinstance(data, dict) and "cluster" in data
+    shape = ClusterScenario if cluster else Scenario
+    return shape.from_dict(data, os.path.splitext(os.path.basename(path))[0])
+
+
 @dataclasses.dataclass(frozen=True)
 class Scenario:
     """One elastic job's script and its expected outcome (see module)."""
@@ -123,15 +165,6 @@ class Scenario:
     timeout: float
 
     @classmethod
-    def load(cls, path: str) -> "Scenario":
-        """The scenario in JSON file ``path``, named after the file."""
-        with open(path) as f:
-            data = json.load(f)
-        return cls.from_dict(
-            data, os.path.splitext(os.path.basename(path))[0]
-        )
-
-    @classmethod
     def from_dict(cls, data: dict, name: str) -> "Scenario":
         """Validate ``data``; every error names the offending field."""
         top = _section(
@@ -139,14 +172,7 @@ class Scenario:
             required=("transports", "workers", "spec", "expect"),
             optional=("scale_out", "faults", "timeout"),
         )
-        transports = tuple(top["transports"])
-        if not transports or len(set(transports)) != len(transports) or (
-            not set(transports) <= {"memory", "tcp"}
-        ):
-            raise ScenarioError(
-                f"transports: {list(transports)} is not a list of distinct "
-                "'memory'/'tcp'"
-            )
+        transports = _transports(top)
         workers = _section(top["workers"], "workers", ("kind", "initial"),
                            ("peer_transport",))
         kind = workers["kind"]
@@ -243,25 +269,127 @@ class Scenario:
         owner = {self.shard_owner_death[0]} if self.shard_owner_death else set()
         return set(self.worker_kills) | owner
 
+    @property
+    def gates(self) -> str:
+        return (f"goodput >= {self.goodput_floor:.2f}, "
+                f"MTTR <= {self.mttr_ceiling:.1f}s")
+
+
+@dataclasses.dataclass(frozen=True)
+class CapacityEvent:
+    """Spot churn: the inventory becomes ``gpus`` once every running job
+    reached iteration ``at``; the resizes it causes commit at ``pin``."""
+
+    at: int
+    gpus: int
+    pin: "int | None"
+
+
+@dataclasses.dataclass(frozen=True)
+class ClusterScenario:
+    """Many elastic jobs under one ClusterScheduler (see module)."""
+
+    name: str
+    transports: "tuple[str, ...]"
+    policy: str
+    gpus: int
+    jobs: "tuple[JobRequest, ...]"
+    #: in firing order.
+    capacity: "tuple[CapacityEvent, ...]"
+    #: job ids in the order they must complete, if the file says.
+    completion_order: "tuple[str, ...] | None"
+    preemptions: int
+    resizes: int
+    makespan_ceiling: float
+    queueing_ceiling: float
+    goodput_floor: float
+    #: wall-clock budget of one transport's run, in seconds.
+    timeout: float
+
+    @classmethod
+    def from_dict(cls, data: dict, name: str) -> "ClusterScenario":
+        """Validate ``data``; every error names the offending field."""
+        top = _section(data, "scenario",
+                       required=("transports", "cluster", "expect"),
+                       optional=("timeout",))
+        transports = _transports(top)
+        cluster = _section(top["cluster"], "cluster",
+                           ("policy", "gpus", "jobs"), ("capacity",))
+        if cluster["policy"] not in POLICIES:
+            raise ScenarioError(f"cluster.policy: {cluster['policy']!r} is "
+                                f"not one of {sorted(POLICIES)}")
+        if not isinstance(cluster["gpus"], int) or cluster["gpus"] < 1:
+            raise ScenarioError(f"cluster.gpus: {cluster['gpus']!r} is not "
+                                "a GPU count >= 1")
+        if not isinstance(cluster["jobs"], list) or not cluster["jobs"]:
+            raise ScenarioError("cluster.jobs: expected a non-empty list")
+        jobs = []
+        for index, job in enumerate(cluster["jobs"]):
+            try:
+                jobs.append(JobRequest(**job))
+            except (TypeError, ValueError) as exc:  # names the bad key
+                raise ScenarioError(f"cluster.jobs[{index}]: {exc}") from None
+        ids = [job.job_id for job in jobs]
+        if len(set(ids)) != len(ids):
+            raise ScenarioError(f"cluster.jobs: job ids {ids} repeat")
+        events = []
+        for index, event in enumerate(cluster.get("capacity", [])):
+            where = f"cluster.capacity[{index}]"
+            event = _section(event, where, ("at", "gpus"), ("pin",))
+            if int(event["gpus"]) < 1:
+                raise ScenarioError(f"{where}.gpus: {event['gpus']!r} is not "
+                                    "a GPU count >= 1")
+            pin = event.get("pin")
+            events.append(CapacityEvent(int(event["at"]), int(event["gpus"]),
+                                        None if pin is None else int(pin)))
+        expect = _section(top["expect"], "expect", (
+            "preemptions", "resizes", "makespan_ceiling", "queueing_ceiling",
+            "goodput_floor",
+        ), ("completion_order",))
+        order = expect.get("completion_order")
+        if order is not None and sorted(order) != sorted(ids):
+            raise ScenarioError(f"expect.completion_order: {order} does not "
+                                f"order the jobs {ids}")
+        return cls(
+            name=name, transports=transports, policy=cluster["policy"],
+            gpus=cluster["gpus"], jobs=tuple(jobs),
+            capacity=tuple(sorted(events, key=lambda event: event.at)),
+            completion_order=None if order is None else tuple(order),
+            preemptions=int(expect["preemptions"]),
+            resizes=int(expect["resizes"]),
+            makespan_ceiling=float(expect["makespan_ceiling"]),
+            queueing_ceiling=float(expect["queueing_ceiling"]),
+            goodput_floor=float(expect["goodput_floor"]),
+            timeout=float(top.get("timeout", 120.0)),
+        )
+
+    @property
+    def gates(self) -> str:
+        return (f"makespan <= {self.makespan_ceiling:.0f}s, queueing <= "
+                f"{self.queueing_ceiling:.0f}s, goodput >= "
+                f"{self.goodput_floor:.2f}")
+
 
 @dataclasses.dataclass
 class Run:
-    """One transport's run: the closed job, its final status and report."""
+    """One transport's run: what ran (the closed LocalJob, or a cluster
+    scenario's closed ClusterScheduler), its final status and report."""
 
-    job: LocalJob
+    job: "LocalJob | ClusterScheduler"
     status: dict
     report: GoodputReport
 
 
-def run(scenario: Scenario, out_dir: str) -> "dict[str, Run]":
+def run(scenario: "Scenario | ClusterScenario", out_dir: str) -> "dict[str, Run]":
     """Run ``scenario`` once per transport, artifacts under
     ``out_dir/<transport>/``; raise AssertionError (or SLOViolation) on
     the first check that fails, else return the runs."""
     if not __debug__:
         raise RuntimeError("the scenario checks are assert statements; "
                            "run without python -O")
+    one = _run_cluster if isinstance(scenario, ClusterScenario) else _run
     runs = {
-        transport: _run(scenario, transport, os.path.join(out_dir, transport))
+        transport: one(scenario, transport, os.path.join(out_dir, transport))
         for transport in scenario.transports
     }
     if len(runs) > 1:
@@ -271,9 +399,9 @@ def run(scenario: Scenario, out_dir: str) -> "dict[str, Run]":
                       "workers_evicted"):
             values = {t: r.report.counts[label] for t, r in runs.items()}
             assert len(set(values.values())) == 1, (label, values)
-        digests = {t: sorted(set(r.status["digests"].values()))
-                   for t, r in runs.items()}
-        assert len({tuple(d) for d in digests.values()}) == 1, digests
+        # Per survivor of the one job, or per job of a cluster.
+        digests = [r.status["digests"] for r in runs.values()]
+        assert all(d == digests[0] for d in digests), digests
     return runs
 
 
@@ -547,3 +675,143 @@ def _check(sc: Scenario, job: LocalJob, status: dict, out: str
     job.master.metrics.gauge("goodput.busy_seconds").set(report.busy_seconds)
     job.master.metrics.gauge("goodput.wall_seconds").set(report.wall_seconds)
     return report
+
+
+def _run_cluster(sc: ClusterScenario, transport: str, out: str) -> Run:
+    os.makedirs(out, exist_ok=True)
+    journal = os.path.join(out, "journal.jsonl")
+    if os.path.exists(journal):
+        os.remove(journal)  # a fresh scheduler, not a resumed one
+    tracer = Tracer(process=f"scenario-{transport}")
+    metrics = MetricRegistry()
+    sched = ClusterScheduler(
+        sc.policy, sc.gpus,
+        runner_factory=lambda request, _sched: ElasticJobRunner(
+            request, transport=transport, tracer=tracer, metrics=metrics,
+        ),
+        journal=Journal(journal, kinds=CLUSTER_RECORD_KINDS),
+        tracer=tracer, metrics=metrics,
+    )
+    # Jobs arrive as SUBMITs over a client link, the way a tenant's do.
+    link = {"ack_timeout": 1.0, "tracer": tracer, "metrics": metrics}
+    client = None
+    try:
+        if transport == "tcp":
+            server = sched.serve_tcp()
+            client, _ = tcp_link(server.host, server.port, "scenario-client",
+                                 **link)
+        else:
+            client = memory_link(sched.core, "scenario-client", **link)
+        started = time.monotonic()
+        for request in sc.jobs:
+            reply = client.request(MessageType.SUBMIT,
+                                   {"job": request.to_payload()})
+            assert reply.get("accepted"), reply
+        _drive_cluster(sc, sched)
+        makespan = time.monotonic() - started
+        tracer.export(os.path.join(out, "trace.json"))
+        status, report = _check_cluster(sc, sched, client, makespan)
+        with open(os.path.join(out, "metrics.json"), "w") as f:
+            json.dump(metrics.snapshot(), f, indent=2, sort_keys=True)
+    finally:
+        if client is not None:
+            client.close()
+        sched.close()
+    print(f"[{sc.name} over {transport}] {len(sc.jobs)} jobs done "
+          f"({' '.join(status['completion_order'])}), {sc.preemptions} "
+          f"preemptions, {sc.resizes} resizes, one digest per job; "
+          f"artifacts in {out}")
+    return Run(sched, status, report)
+
+
+def _drive_cluster(sc: ClusterScenario, sched: ClusterScheduler) -> None:
+    """Step the scheduler until every job completed.  A capacity event
+    fires once every running job reached its iteration and every resize
+    earlier events caused has committed; until its own resizes commit,
+    every pass carries its pin."""
+    deadline = time.monotonic() + sc.timeout
+    events = list(sc.capacity)
+    pin, owed = None, {}  # runner -> adjustments it must have committed
+    while True:
+        committed = {live.runner: live.runner.committed()
+                     for live in sched.running.values()}
+        summary = sched.step(pin_at=pin)
+        for job_id in summary["resized"]:
+            runner = sched.running[job_id].runner
+            owed[runner] = max(committed[runner], owed.get(runner, 0)) + 1
+        # Each running job holds at least one GPU.
+        assert len(sched.running) <= sched.capacity, sched.tables()
+        if len(sched.completed) == len(sc.jobs):
+            break
+        assert sched.running or events, (
+            f"{sc.name}: nothing runs and no capacity event is left: "
+            f"{sched.tables()}"
+        )
+        assert time.monotonic() < deadline, (
+            f"{sc.name}: not drained within {sc.timeout}s, capacity events "
+            f"still pending {events}: {sched.tables()}"
+        )
+        running = [live.runner for live in sched.running.values()]
+        if running:
+            # What frees GPUs is a completion: wake on the oldest job's.
+            running[0].master.wait_complete(0.02)
+        owed = {runner: count for runner, count in owed.items()
+                if runner in running and runner.committed() < count}
+        if not owed:
+            pin = None
+        if events and not owed and all(
+            runner.progress() >= events[0].at for runner in running
+        ):
+            event = events.pop(0)
+            print(f"every running job at iteration >= {event.at}: capacity "
+                  f"{sched.capacity} -> {event.gpus} (pin {event.pin})")
+            sched.set_capacity(event.gpus, reason="scenario")
+            pin = event.pin
+    assert not events, f"{sc.name}: capacity events never fired: {events}"
+
+
+def _check_cluster(sc: ClusterScenario, sched: ClusterScheduler, client,
+                   makespan: float) -> "tuple[dict, GoodputReport]":
+    """Every check of a drained cluster; its status and goodput report."""
+    tables = client.request(MessageType.JOB_STATUS)
+    assert not tables["queue"] and not tables["running"], tables
+    for request in sc.jobs:
+        offer = client.request(MessageType.OFFER, {"job_id": request.job_id})
+        assert offer.get("state") == "completed", offer
+    digests = {}
+    for job_id, done in sched.completed.items():
+        unique = set(done["digests"].values())
+        assert len(unique) == 1, (job_id, done["digests"])
+        digests[job_id] = unique.pop()
+    order = sorted(sched.completed, key=lambda j: sched.completed[j]["at"])
+    if sc.completion_order is not None:
+        assert order == list(sc.completion_order), order
+
+    # Every job was submitted and completed once, and admitted once
+    # plus once per preemption (a preempted job restarts from scratch).
+    snap = sched.metrics.snapshot()
+    jobs, preempts = len(sc.jobs), snap.get("cluster.preempts", 0)
+    assert sched.preemptions == preempts == sc.preemptions, snap
+    assert snap.get("cluster.resizes", 0) == sc.resizes, snap
+    assert snap["cluster.submits"] == snap["cluster.completions"] == jobs
+    assert snap["cluster.admits"] == jobs + preempts, snap
+    assert snap["cluster.queueing_delay_seconds"]["count"] == jobs + preempts
+    events = sched.tracer.to_events()
+    assert not validate_events(events), validate_events(events)
+
+    queueing = max(float(done["queueing_delay"])
+                   for done in sched.completed.values())
+    problems = [
+        f"{name} {value:.2f}s above ceiling {ceiling:.2f}s"
+        for name, value, ceiling in (
+            ("makespan", makespan, sc.makespan_ceiling),
+            ("max queueing delay", queueing, sc.queueing_ceiling),
+        ) if value > ceiling
+    ]
+    if problems:
+        raise SLOViolation("; ".join(problems))
+    report = derive_report(events, snap).assert_slo(
+        goodput_floor=sc.goodput_floor
+    )
+    return {"digests": digests, "completion_order": order,
+            "makespan": makespan, "max_queueing_delay": queueing}, report

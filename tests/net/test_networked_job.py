@@ -233,6 +233,7 @@ class TestStarJoin:
         take_offer, handle_fetch = (
             replication.take_offer, replication.handle_fetch
         )
+        handler = harness.master.core.handler
         offers, log = {}, []
         turned_away = threading.Event()
 
@@ -242,20 +243,31 @@ class TestStarJoin:
                 offers[worker] = offer
             return offer
 
-        def gated_handle_fetch(worker, payload):
-            complete = bool(payload.get("complete"))
-            if complete and offers[worker]["state_transfer"]["round"] == 0:
+        def gated_handler(message):
+            payload = message.payload or {}
+            if (
+                message.msg_type is MessageType.STATE_FETCH
+                and payload.get("complete")
+                and offers[message.sender]["state_transfer"]["round"] == 0
+            ):
                 # Hold the round-0 report until the round-1 joiner has
-                # been turned away at least once.
+                # been turned away at least once.  Held here, before the
+                # AM takes its lock: a wait under the lock would also
+                # hold off the round-1 fetch it waits for.
                 turned_away.wait(10.0)
+            return handler(message)
+
+        def recording_handle_fetch(worker, payload):
             reply = handle_fetch(worker, payload)
             if reply.get("status") == "pending":
                 turned_away.set()
-            log.append((worker, complete, reply.get("status")))
+            log.append((worker, bool(payload.get("complete")),
+                        reply.get("status")))
             return reply
 
         replication.take_offer = recording_take_offer
-        replication.handle_fetch = gated_handle_fetch
+        replication.handle_fetch = recording_handle_fetch
+        harness.master.core.handler = gated_handler
         metrics = {w: MetricRegistry() for w in ("w1", "w2")}
         try:
             harness.start_worker("w0")
@@ -396,7 +408,8 @@ class TestHeldJoin:
         # loaded host; the memory link waits on its own thread anyway.
         monkeypatch.setattr(master_service, "HOLD_SECONDS", 5.0)
         spec = JobSpec(iterations=64, coordination_interval=4)
-        net = NetworkedApplicationMaster(spec, ["w0"])
+        tracer = Tracer()
+        net = NetworkedApplicationMaster(spec, ["w0"], tracer=tracer)
         assert net._handle_adjustment_request(
             {"kind": "scale_out", "add": ["w2"]}
         )["accepted"]
@@ -425,6 +438,11 @@ class TestHeldJoin:
             reply["status"] for sender, kind, reply in answers
             if kind is MessageType.JOIN
         ] == ["join"]
+        # The held JOIN re-asked its answer, but only the first report
+        # counts and only it is traced.
+        reports = [e for e in tracer.to_events()
+                   if e.get("name") == "am.report"]
+        assert [e["args"]["worker"] for e in reports] == ["w2"]
         joiner.close()
         uploader.close()
         net.close()
@@ -450,8 +468,12 @@ class TestHeldJoin:
         the moment the request is accepted."""
         monkeypatch.setattr(master_service, "HOLD_SECONDS", 5.0)
         spec = JobSpec(iterations=64, coordination_interval=4)
-        net = NetworkedApplicationMaster(spec, ["w0"])
+        tracer = Tracer()
+        net = NetworkedApplicationMaster(spec, ["w0"], tracer=tracer)
         _, entered = self._recording(net)
+        asks = []
+        answer = net._handle_join
+        net._handle_join = lambda *args: asks.append(args) or answer(*args)
         joiner = memory_link(net.core, "w2")
         errors = []
 
@@ -473,6 +495,18 @@ class TestHeldJoin:
             time.sleep(0.005)
         assert net._pending.reported == {"w2"}
         assert asking.is_alive()  # reported, and still held
+        # Every wake re-asks the held JOIN; only the first report counts
+        # and only it is traced.
+        for _ in range(2):
+            seen = len(asks)
+            net.replication.wake()
+            while len(asks) == seen:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+        assert len(asks) >= 4  # held, reported, and woken twice
+        reports = [e for e in tracer.to_events()
+                   if e.get("name") == "am.report"]
+        assert [e["args"]["worker"] for e in reports] == ["w2"]
         net.abandon()  # a fenced AM stops holding at once
         asking.join(timeout=5.0)
         assert not asking.is_alive()

@@ -987,9 +987,17 @@ class TestRingJobs:
                 for r in harness.results.values()
             )
             assert recovered >= 1
-            # Ring iterations actually happened on every survivor.
+            # Nobody finished iteration 6's ring, so w0 and w1 fell back
+            # to the star; the AM handed the ring out again at boundary
+            # 8.  Star: iterations 0-3, 7, the commit boundary and the
+            # final barrier; the ring the other 12.
+            executions = harness.master.core.executions
             for worker in ("w0", "w1"):
-                assert harness.results[worker]["ring_iterations"] > 0
+                tally = harness.results[worker]
+                assert (tally["ring_iterations"], tally["star_iterations"],
+                        tally["ring_fallbacks"], tally["ring_repairs"]) == (
+                    12, 7, 1, 0), (worker, tally)
+                assert executions[(worker, "sync")] == 8
             driver.close()
         finally:
             harness.close()

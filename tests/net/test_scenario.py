@@ -1,19 +1,27 @@
 """The scenario loader and runner (``repro.net.scenario``).
 
 The loader turns a JSON file from outside the program into a
-:class:`Scenario` or a :class:`ScenarioError` that names the offending
-field; every committed file under ``examples/scenarios/`` must load.
+:class:`Scenario`, a :class:`ClusterScenario` (the file has a
+``cluster`` section) or a :class:`ScenarioError` that names the
+offending field; every committed file under ``examples/scenarios/``
+must load.
 One small thread-worker scenario runs end to end in memory.
 """
 
 import copy
 import glob
+import json
 import os
 
 import pytest
 
-from repro.net import Scenario, ScenarioError
-from repro.net.scenario import run
+from repro.net.scenario import (
+    ClusterScenario,
+    Scenario,
+    ScenarioError,
+    load,
+    run,
+)
 
 SCENARIOS = os.path.join(
     os.path.dirname(__file__), "..", "..", "examples", "scenarios"
@@ -31,9 +39,9 @@ BASE = {
 }
 
 
-def with_(**changes):
-    """``BASE`` with the ``__``-joined paths (``spec__iterations``) set."""
-    data = copy.deepcopy(BASE)
+def with_(base=BASE, **changes):
+    """``base`` with the ``__``-joined paths (``spec__iterations``) set."""
+    data = copy.deepcopy(base)
     for path, value in changes.items():
         *parents, key = path.split("__")
         node = data
@@ -52,12 +60,16 @@ class TestLoader:
     def test_every_committed_scenario_loads(self):
         paths = sorted(glob.glob(os.path.join(SCENARIOS, "*.json")))
         assert [os.path.basename(p) for p in paths] == [
-            "chaos.json", "dataplane.json", "fleet.json", "ring-shm.json",
-            "ring-tcp.json", "sharded.json", "soak.json",
+            "burst.json", "chaos.json", "churn.json", "dataplane.json",
+            "fleet.json", "ring-shm.json", "ring-tcp.json", "sharded.json",
+            "soak.json",
         ]
         for path in paths:
-            scenario = Scenario.load(path)
+            scenario = load(path)
             assert scenario.name == os.path.basename(path)[:-5]
+            if isinstance(scenario, ClusterScenario):
+                assert scenario.capacity, path
+                continue
             assert set(scenario.survivors) == (
                 set(scenario.initial) | set(scenario.joiners)
             ) - scenario.dead
@@ -111,6 +123,54 @@ class TestLoader:
         data = with_()
         del data["expect"]["commits"]
         rejects(data, r"expect\.commits: missing")
+
+
+CLUSTER = {
+    "transports": ["memory"],
+    "cluster": {
+        "policy": "e-fifo", "gpus": 2,
+        "jobs": [{"job_id": "a"}, {"job_id": "b", "priority": 1}],
+        "capacity": [{"at": 8, "gpus": 1}, {"at": 2, "gpus": 4, "pin": 4}],
+    },
+    "expect": {"preemptions": 0, "resizes": 1, "makespan_ceiling": 60.0,
+               "queueing_ceiling": 10.0, "goodput_floor": 0.0},
+}
+
+
+def cluster_with(**changes):
+    return with_(CLUSTER, **changes)
+
+
+class TestClusterLoader:
+    def test_base_loads_with_events_in_firing_order(self):
+        scenario = ClusterScenario.from_dict(cluster_with(), "base")
+        assert [job.job_id for job in scenario.jobs] == ["a", "b"]
+        assert [(e.at, e.gpus, e.pin) for e in scenario.capacity] == [
+            (2, 4, 4), (8, 1, None)]
+        assert scenario.completion_order is None
+
+    def test_the_shape_picks_the_scenario_class(self, tmp_path):
+        path = tmp_path / "mine.json"
+        path.write_text(json.dumps(CLUSTER))
+        assert isinstance(load(str(path)), ClusterScenario)
+        assert load(str(path)).name == "mine"
+
+    @pytest.mark.parametrize("changes,field", [
+        ({"workers": {}}, r"scenario\.workers: unknown key"),
+        ({"cluster__jobs": [{"job_id": "a", "itertions": 8}]},
+         r"cluster\.jobs\[0\]: .*'itertions'"),
+        ({"cluster__jobs": []}, r"cluster\.jobs: expected a non-empty list"),
+        ({"cluster__jobs": [{"job_id": "a"}] * 2},
+         r"cluster\.jobs: job ids \['a', 'a'\] repeat"),
+        ({"cluster__policy": "lifo"}, r"cluster\.policy: 'lifo' is not one of"),
+        ({"cluster__capacity": [{"at": 1, "gpus": 2, "when": 3}]},
+         r"cluster\.capacity\[0\]\.when: unknown key"),
+        ({"expect__completion_order": ["a", "c"]},
+         r"expect\.completion_order: \['a', 'c'\]"),
+    ])
+    def test_rejects_naming_the_field(self, changes, field):
+        with pytest.raises(ScenarioError, match=field):
+            ClusterScenario.from_dict(cluster_with(**changes), "bad")
 
 
 class TestRunner:

@@ -17,8 +17,7 @@ import os
 
 import pytest
 
-from repro.net import Scenario
-from repro.net.scenario import run
+from repro.net.scenario import load, run
 
 TRANSPORTS = ("memory", "tcp")
 
@@ -35,7 +34,7 @@ MTTR_CEILING = 30.0
 @pytest.fixture(scope="module")
 def soaks(tmp_path_factory):
     """Run the scenario once per transport; cache the runs."""
-    scenario = Scenario.load(SOAK)
+    scenario = load(SOAK)
     assert scenario.transports == TRANSPORTS
     return run(scenario, str(tmp_path_factory.mktemp("soak")))
 

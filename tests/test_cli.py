@@ -146,7 +146,7 @@ class TestSoakCommand:
     def test_soak_parser_defaults(self):
         """The soak is a scenario file: ``scenario FILE [--out DIR]``,
         and the file holds the schedule the old flags defaulted to."""
-        from repro.net import Scenario
+        from repro.net.scenario import load
 
         args = build_parser().parse_args(
             ["scenario", "examples/scenarios/soak.json"]
@@ -157,19 +157,32 @@ class TestSoakCommand:
             build_parser().parse_args(["scenario"])
         with pytest.raises(SystemExit):
             build_parser().parse_args(["soak"])
-        soak = Scenario.load(os.path.join(REPO, "examples", "scenarios",
-                                          "soak.json"))
+        soak = load(os.path.join(REPO, "examples", "scenarios", "soak.json"))
         assert soak.transports == ("memory", "tcp")
         assert soak.initial == ("w0", "w1", "w2")
         assert soak.am_kill == 14
         assert soak.worker_kills == {"w2": 9}
 
     def test_a_bad_scenario_file_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text('{"transports": ["tcp"], "workers": {}, '
-                        '"spec": {}, "expect": {}, "extra": 1}')
-        assert main(["scenario", str(path)]) == 2
-        assert "scenario.extra: unknown key" in capsys.readouterr().err
+        import json
+        import re
+
+        def cluster(jobs):
+            return {"transports": ["memory"], "expect": {},
+                    "cluster": {"policy": "e-fifo", "gpus": 2, "jobs": jobs}}
+
+        for data, error in [
+            ({"transports": ["tcp"], "workers": {}, "spec": {},
+              "expect": {}, "extra": 1}, r"scenario\.extra: unknown key"),
+            (cluster([{"job_id": "a"}, {"job_id": "b", "itertions": 8}]),
+             r"cluster\.jobs\[1\]: .*'itertions'"),
+            (cluster([]), r"cluster\.jobs: expected a non-empty list"),
+        ]:
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(data))
+            assert main(["scenario", str(path)]) == 2, data
+            err = capsys.readouterr().err
+            assert re.search(error, err), err
 
 
 class TestTracingMetricsAction:
